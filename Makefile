@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate fmt examples smoke smoke-shards smoke-workspace
+.PHONY: build test race bench fmt examples smoke smoke-shards smoke-workspace
 
 build:
 	$(GO) build ./...
@@ -16,49 +16,12 @@ test: build
 race:
 	$(GO) test -race ./...
 
-# One seed per figure benchmark: a smoke reproduction whose output CI
-# uploads as an artifact. -benchmem publishes allocs/op next to the
-# custom metrics (BenchmarkScale adds segs/sec of wall time), so the
-# artifact tracks both the figures and the zero-allocation data path.
-# Redirect-then-cat instead of tee: a pipe would report tee's exit
-# status and let a failing benchmark slip past CI.
-# On success the text output is also rendered into BENCH_6.json — the
-# machine-readable artifact (committed as the baseline, uploaded by CI)
-# that makes the custom metrics diffable across commits.
-# The zero-allocation hot-path micros (netlink event marshal/parse,
-# segment wire append, trace record, metrics increment) are then re-run
-# at -benchtime=3x
-# and appended: benchjson keeps the LAST result per benchmark, so the
-# artifact carries their steadier 3x numbers (observed allocs/op spread
-# across repeated 3x runs: exactly 0) and cmd/benchgate can hold them to
-# its tight alloc ceiling while the figure macros stay at the loose one.
-MICRO_BENCH = ^Benchmark(NetlinkEvent(Marshal|Parse)|SegmentAppendWire|TraceRecord|MetricsInc)$$
-
+# The repo's benchmark (BENCHMARK.json, bench/README.md): four
+# closed-loop workloads with per-layer probes, every iteration's result
+# digest checked against the pins in bench/workloads.go. CI uploads the
+# report as an artifact.
 bench:
-	@$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' . > bench.txt; \
-	status=$$?; \
-	if [ $$status -eq 0 ]; then \
-		$(GO) test -bench='$(MICRO_BENCH)' -benchtime=3x -benchmem -run '^$$' . >> bench.txt || status=$$?; \
-	fi; \
-	cat bench.txt; \
-	if [ $$status -eq 0 ]; then \
-		$(GO) run ./cmd/benchjson -o BENCH_6.json bench.txt; \
-	fi; exit $$status
-
-# Regression gate over the bench artifact: stash the committed
-# BENCH_6.json as the baseline, rerun `make bench` (which overwrites it),
-# and fail if any throughput metric (*_per_wall_s) or allocs/op column
-# regressed past cmd/benchgate's thresholds — loose on purpose, since
-# -benchtime=1x on shared runners is noisy; the gate is for cliffs and
-# leaks, not single-digit noise. A benchmark that vanished also fails;
-# new benchmarks ride free until the baseline is re-committed.
-bench-gate:
-	@set -e; \
-	base=$$(mktemp); \
-	cp BENCH_6.json $$base; \
-	trap 'rm -f '$$base EXIT; \
-	$(MAKE) bench; \
-	$(GO) run ./cmd/benchgate $$base BENCH_6.json
+	$(GO) run ./bench -out bench.json
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

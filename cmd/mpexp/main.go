@@ -6,13 +6,19 @@
 //
 // Usage:
 //
-//	mpexp run <scenario> [-set key=val ...] [-smoke] [common flags]
-//	mpexp sweep <scenario> [-schedulers a,b] [-controllers x,y]
+//	mpexp run <scenario|manifest.json> [-set key=val ...] [-smoke] [common flags]
+//	mpexp sweep <scenario|manifest.json> [-schedulers a,b] [-controllers x,y]
 //	            [-vary key=v1,v2 ...] [-set key=val ...] [common flags]
-//	mpexp list [-names]
+//	mpexp list [-names|-json]
 //	mpexp all            (every registered scenario + the paper's
 //	                      baseline variants, honouring the common flags)
+//	mpexp init [dir] / mpexp diff <runA> <runB>   (experiment workspace)
 //	mpexp report <tracefile ...> [-csv DIR] [-json]
+//
+// Every run, sweep and `all` entry has one shape: the command line (or
+// a manifest file, with explicit flags layered over it) becomes a
+// scenario.Manifest, and the one executor in internal/workspace runs it —
+// into the active .mpexp workspace when there is one, to stdout otherwise.
 //
 // Any run can record an event trace (-trace FILE, or the trace=FILE
 // scenario parameter): a binary log of scheduler picks, reinjections,
@@ -20,10 +26,6 @@
 // and smapp policy decisions. `mpexp report` turns it into the
 // mptcptrace-style analysis (per-subflow byte split, duplicate and
 // reinjection accounting, handover gaps, link utilisation).
-//
-// The figure names also work as subcommands with their familiar flags
-// (`mpexp fig2a -baseline`, `mpexp fig2c -trials 5 -mb 25`, ...); they
-// translate to `run <figure> -set ...`.
 //
 // Every run can fan one scenario out over many seeds (-seeds) on a
 // bounded worker pool (-parallel), turning each figure's point estimate
@@ -36,26 +38,127 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	_ "repro/internal/experiments" // registers the paper's scenario specs
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smapp"
-	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workspace"
 )
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// exitError is an outcome the user has already been told about — usage
+// text, a flag package message, a failed seed in a report, a diff that
+// found differences — so run only turns it into the exit status.
+type exitError int
+
+func (e exitError) Error() string { return fmt.Sprintf("exit status %d", int(e)) }
+
+// cli is one mpexp invocation: its output streams and the profiles it
+// has open.
+type cli struct {
+	stdout, stderr io.Writer
+	cpuProfile     *os.File
+	memProfile     string
+}
+
+// run executes one mpexp command line and returns the process exit
+// status: 0 on success, 1 when the command ran but a seed failed or a
+// diff found differences, 2 on usage and input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	defer c.stopProfiles()
+	err := c.dispatch(args)
+	var exit exitError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &exit):
+		return int(exit)
+	}
+	fmt.Fprintln(stderr, "mpexp:", err)
+	return 2
+}
+
+func (c *cli) dispatch(args []string) error {
+	if len(args) == 0 {
+		return c.usage()
+	}
+	cmd, args := args[0], args[1:]
+	switch cmd {
+	case "list":
+		return c.cmdList(args)
+	case "init":
+		return c.cmdInit(args)
+	case "diff":
+		return c.cmdDiff(args)
+	case "report":
+		return c.cmdReport(args)
+	}
+	start := time.Now()
+	var err error
+	switch cmd {
+	case "run", "sweep":
+		err = c.cmdRun(cmd, args)
+	case "all":
+		err = c.cmdAll(args)
+	default:
+		return c.usage()
+	}
+	// The command ran to the end, whether or not every seed succeeded.
+	var exit exitError
+	if err == nil || errors.As(err, &exit) && exit == 1 {
+		fmt.Fprintf(c.stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
+	}
+	return err
+}
+
+// newFlagSet returns a flag set that reports to stderr and hands parse
+// errors back instead of exiting.
+func (c *cli) newFlagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
+	return fs
+}
+
+// parse runs fs over args. The flag package has already printed its
+// complaint (or the -h text), so only the exit status is left to carry.
+func parse(fs *flag.FlagSet, args []string) error {
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return nil
+	case errors.Is(err, flag.ErrHelp):
+		return exitError(0)
+	}
+	return exitError(2)
+}
+
+// parsePositionalsFirst handles the `report`/`diff` convention:
+// positional arguments come first and flags follow.
+func parsePositionalsFirst(fs *flag.FlagSet, args []string) ([]string, error) {
+	i := 0
+	for i < len(args) && !strings.HasPrefix(args[i], "-") {
+		i++
+	}
+	if err := parse(fs, args[i:]); err != nil {
+		return nil, err
+	}
+	return append(args[:i:i], fs.Args()...), nil
+}
 
 // stringList collects a repeatable flag.
 type stringList []string
@@ -66,8 +169,9 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// runFlags are the multi-seed flags shared by every subcommand.
+// runFlags are the flags shared by run, sweep and all.
 type runFlags struct {
+	fs          *flag.FlagSet
 	seed        *int64
 	seeds       *int
 	parallel    *int
@@ -82,10 +186,13 @@ type runFlags struct {
 	ws          *string
 	cpuprofile  *string
 	memprofile  *string
+	smoke       *bool
+	sets        stringList // -set pairs (run and sweep only)
 }
 
 func addRunFlags(fs *flag.FlagSet) *runFlags {
-	return &runFlags{
+	rf := &runFlags{
+		fs:       fs,
 		seed:     fs.Int64("seed", 1, "base simulation seed"),
 		seeds:    fs.Int("seeds", 1, "independent seeds to run (seed, seed+1, ...)"),
 		parallel: fs.Int("parallel", 0, "concurrent seeds (0 = GOMAXPROCS)"),
@@ -108,330 +215,174 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 			"(default: auto-detect .mpexp in the current directory; \"none\" disables capture)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile to this file (covers the whole run)"),
 		memprofile: fs.String("memprofile", "", "write a heap profile to this file at exit"),
+		smoke:      fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)"),
 	}
+	return rf
 }
 
-// metricsOn reports whether any metrics flag asks for recording.
-func (rf *runFlags) metricsOn() bool {
-	return *rf.metrics || *rf.metricsOut != "" || *rf.metricsAddr != ""
-}
-
-// startIntrospection arms the runtime-only observability flags: the live
-// metrics/pprof endpoint and shard-labelled profiles. Called once per
-// subcommand after flag parsing, before anything simulates.
-func (rf *runFlags) startIntrospection() {
+// arm starts what the runtime-only flags ask for — profiles, shard
+// labels, the live metrics endpoint — once per command, after flag
+// parsing and before anything simulates.
+func (c *cli) arm(rf *runFlags) error {
+	if *rf.cpuprofile != "" {
+		f, err := os.Create(*rf.cpuprofile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		c.cpuProfile = f
+	}
+	c.memProfile = *rf.memprofile
 	sim.SetProfileLabels(*rf.pprofLabels)
 	if *rf.metricsAddr != "" {
 		addr, err := metrics.Serve(*rf.metricsAddr)
 		if err != nil {
-			die(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "[live metrics on http://%s/metrics, pprof under /debug/pprof/]\n", addr)
+		fmt.Fprintf(c.stderr, "[live metrics on http://%s/metrics, pprof under /debug/pprof/]\n", addr)
 	}
+	return nil
 }
 
-// Profiling state: the first execute whose flags ask for a profile starts
-// it; main stops and writes everything on the way out, so `mpexp all`
-// collects one profile spanning every scenario.
-var (
-	cpuProfileOut  *os.File
-	memProfilePath string
-)
-
-func startProfiles(cpu, mem string) {
-	if cpu != "" && cpuProfileOut == nil {
-		f, err := os.Create(cpu)
-		if err != nil {
-			die(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			die(err)
-		}
-		cpuProfileOut = f
-	}
-	if mem != "" && memProfilePath == "" {
-		memProfilePath = mem
-	}
-}
-
-func stopProfiles() {
-	if cpuProfileOut != nil {
+// stopProfiles writes out whatever arm started, so one profile spans the
+// whole command (every scenario of `mpexp all`).
+func (c *cli) stopProfiles() {
+	if c.cpuProfile != nil {
 		pprof.StopCPUProfile()
-		cpuProfileOut.Close()
-		cpuProfileOut = nil
+		c.cpuProfile.Close()
 	}
-	if memProfilePath != "" {
-		f, err := os.Create(memProfilePath)
+	if c.memProfile != "" {
+		f, err := os.Create(c.memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpexp:", err)
+			fmt.Fprintln(c.stderr, "mpexp:", err)
 			return
 		}
 		runtime.GC() // materialise the live heap before snapshotting
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mpexp:", err)
+			fmt.Fprintln(c.stderr, "mpexp:", err)
 		}
 		f.Close()
 	}
 }
 
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "mpexp:", err)
-	os.Exit(2)
-}
-
-// params merges the common flags and -set pairs into scenario parameters.
-func (rf *runFlags) params(sets []string, smoke bool) *scenario.Params {
-	p, err := scenario.ParseSets(sets)
-	if err != nil {
-		die(err)
-	}
-	if *rf.sched != "" {
-		p.Set("sched", *rf.sched)
-	}
-	if *rf.controller != "" {
-		p.Set("policy", *rf.controller)
-	}
-	if *rf.trace != "" {
-		p.Set("trace", *rf.trace)
-	}
-	if rf.metricsOn() {
-		// Bare -metrics records and renders without a file; -metrics-out
-		// adds the metrics.json snapshot.
-		p.Set("metrics", *rf.metricsOut)
-	}
-	if *rf.shards != 0 {
-		// Negative values pass through so scenario.Build rejects them
-		// with its usual parameter error instead of silently running.
-		p.Set("shards", strconv.Itoa(*rf.shards))
-	}
-	if smoke {
-		p.Set("smoke", "true")
-	}
-	return p
-}
-
-// validate rejects unknown -sched/-controller values up front (the
-// "kernel" pseudo-policy is a scale sweep cell, not a registered
-// controller — factories validate it per scenario).
-func (rf *runFlags) validate() {
-	if _, err := mptcp.LookupScheduler(*rf.sched); err != nil {
-		die(err)
-	}
-	if *rf.controller != scenario.KernelPolicy {
-		if _, err := smapp.LookupController(*rf.controller); err != nil {
-			die(err)
-		}
-	}
-}
-
-// runScenario builds the named scenario once to surface parameter errors,
-// then executes it across the configured seeds. It reports whether every
-// seed succeeded; callers chaining several scenarios (the all subcommand)
-// decide the exit status only after the last one, so one failed seed
-// cannot swallow the remaining figures.
-func (rf *runFlags) runScenario(label, name string, p *scenario.Params) bool {
-	rf.validate()
-	// A trace file is written once per run by whichever seed executes,
-	// so concurrent seeds would corrupt it: tracing to a file requires
-	// -seeds 1 (bare `-set trace` — no file — is fine at any count).
-	if file := p.Clone().Str("trace", ""); file != "" && *rf.seeds > 1 {
-		die(fmt.Errorf("%s: -trace %s with -seeds %d would write the same file from every seed concurrently; use -seeds 1 (vary -seed across runs instead)", label, file, *rf.seeds))
-	}
-	// Metrics harvest per-run deltas of process-wide pool counters, so
-	// concurrent seeds would bleed into each other's numbers.
-	if p.Clone().Has("metrics") && *rf.seeds > 1 {
-		die(fmt.Errorf("%s: -metrics with -seeds %d would mix the process-wide pool counters across concurrent seeds; use -seeds 1 (vary -seed across runs instead)", label, *rf.seeds))
-	}
-	if _, err := scenario.Build(name, p.Clone()); err != nil {
-		die(err)
-	}
-	startProfiles(*rf.cpuprofile, *rf.memprofile)
-	rf.startIntrospection()
-	job := runner.Job(scenario.Job(name, p))
-	if *rf.seeds <= 1 {
-		res, err := runOnce(job, *rf.seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpexp: %s: %v\n", label, err)
-			return false
-		}
-		fmt.Print(res.Report)
-		return true
-	}
-	m := runner.Run(label, runner.Config{
-		Seeds:    *rf.seeds,
-		BaseSeed: *rf.seed,
+// execute hands one manifest to the executor: into the active workspace
+// when there is one, otherwise straight to stdout. Validation — unknown
+// names and parameters, bad values, the trace/metrics seed rules — is
+// the manifest's, the same for every way of asking.
+func (c *cli) execute(rf *runFlags, m *scenario.Manifest) error {
+	opt := workspace.RunOptions{
 		Parallel: *rf.parallel,
-		OnDone: func(sr runner.SeedResult) {
-			fmt.Fprintf(os.Stderr, "[seed %d done]\n", sr.Seed)
-		},
-	}, job)
-	fmt.Print(m.Report())
-	return len(m.Failed()) == 0
-}
-
-// runOnce executes a single seed, converting a scenario panic into an
-// error instead of a crash.
-func runOnce(job runner.Job, seed int64) (res *stats.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("seed %d panicked: %v", seed, r)
+		Echo:     func(report string) { fmt.Fprint(c.stdout, report) },
+		Progress: func(line string) { fmt.Fprintln(c.stderr, line) },
+	}
+	ws, err := resolveWorkspace(*rf.ws)
+	if err != nil {
+		return err
+	}
+	var ok bool
+	if ws == nil {
+		ok, err = workspace.Execute(m, opt)
+	} else {
+		var info *workspace.RunInfo
+		if info, err = ws.Run(m, opt); err == nil {
+			fmt.Fprintf(c.stderr, "[run %s stored in %s]\n", info.ID, info.Dir)
+			ok = info.OK
 		}
-	}()
-	return job(seed), nil
+	}
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return exitError(1)
+	}
+	return nil
 }
 
-func cmdRun(args []string) bool {
+// cmdRun is `mpexp run` and `mpexp sweep`: both turn their command line
+// into a manifest and execute it. sweep adds the axis flags, which
+// override the manifest's axes dimension by dimension, and always runs
+// as a sweep (no axes = one "defaults" cell).
+func (c *cli) cmdRun(cmd string, args []string) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
-		usage()
+		return c.usage()
 	}
-	name := args[0]
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	rf := addRunFlags(fs)
-	var sets stringList
-	fs.Var(&sets, "set", "scenario parameter key=value (repeatable)")
-	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
-	fs.Parse(args[1:])
-	if isManifestPath(name) {
-		m, err := scenario.LoadManifest(name)
-		if err != nil {
-			die(err)
-		}
-		applyFlagOverrides(fs, rf, m, sets, *smoke)
-		return runManifest(rf, m)
+	rf := addRunFlags(c.newFlagSet(cmd))
+	rf.fs.Var(&rf.sets, "set", "scenario parameter key=value (repeatable)")
+	var schedulers, controllers string
+	var vary stringList
+	if cmd == "sweep" {
+		rf.fs.StringVar(&schedulers, "schedulers", "", "comma-separated scheduler axis")
+		rf.fs.StringVar(&controllers, "controllers", "", "comma-separated controller axis")
+		rf.fs.Var(&vary, "vary", "parameter axis key=v1,v2,... (repeatable)")
 	}
-	if resolveWorkspace(*rf.ws) != nil {
-		// A workspace is active: route the flag-driven run through the
-		// same manifest path a file would take, capturing its artifacts.
-		return runManifest(rf, rf.flagManifest(name, sets, *smoke))
+	if err := parse(rf.fs, args[1:]); err != nil {
+		return err
 	}
-	return rf.runScenario(name, name, rf.params(sets, *smoke))
-}
-
-func cmdSweep(args []string) bool {
-	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
-		usage()
+	m, err := rf.manifest(args[0])
+	if err != nil {
+		return err
 	}
-	name := args[0]
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	rf := addRunFlags(fs)
-	schedulers := fs.String("schedulers", "", "comma-separated scheduler axis")
-	controllers := fs.String("controllers", "", "comma-separated controller axis")
-	var vary, sets stringList
-	fs.Var(&vary, "vary", "parameter axis key=v1,v2,... (repeatable)")
-	fs.Var(&sets, "set", "fixed scenario parameter key=value (repeatable)")
-	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
-	fs.Parse(args[1:])
-
-	var axes []scenario.Axis
+	if cmd == "sweep" && m.Sweep == nil {
+		m.Sweep = &scenario.ManifestSweep{}
+	}
+	if schedulers != "" {
+		m.Sweep.Schedulers = strings.Split(schedulers, ",")
+	}
+	if controllers != "" {
+		m.Sweep.Controllers = strings.Split(controllers, ",")
+	}
+	if len(vary) > 0 {
+		m.Sweep.Vary = nil
+	}
 	for _, kv := range vary {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || k == "" || v == "" {
-			die(fmt.Errorf("malformed -vary %q (want key=v1,v2,...)", kv))
+			return fmt.Errorf("malformed -vary %q (want key=v1,v2,...)", kv)
 		}
-		axes = append(axes, scenario.Axis{Key: k, Values: strings.Split(v, ",")})
+		m.Sweep.Vary = append(m.Sweep.Vary, scenario.ManifestAxis{Key: k, Values: strings.Split(v, ",")})
 	}
-	split := func(s string) []string {
-		if s == "" {
-			return nil
-		}
-		return strings.Split(s, ",")
+	if err := c.arm(rf); err != nil {
+		return err
 	}
-	// Manifest files and workspace capture share the run path: sweep axes
-	// given as flags override (or extend) the manifest's.
-	mergeAxes := func(m *scenario.Manifest) *scenario.Manifest {
-		if m.Sweep == nil {
-			m.Sweep = &scenario.ManifestSweep{}
-		}
-		if *schedulers != "" {
-			m.Sweep.Schedulers = split(*schedulers)
-		}
-		if *controllers != "" {
-			m.Sweep.Controllers = split(*controllers)
-		}
-		if len(axes) > 0 {
-			m.Sweep.Vary = nil
-			for _, ax := range axes {
-				m.Sweep.Vary = append(m.Sweep.Vary, scenario.ManifestAxis{Key: ax.Key, Values: ax.Values})
-			}
-		}
-		return m
-	}
-	if isManifestPath(name) {
-		m, err := scenario.LoadManifest(name)
-		if err != nil {
-			die(err)
-		}
-		applyFlagOverrides(fs, rf, m, sets, *smoke)
-		return runManifest(rf, mergeAxes(m))
-	}
-	if resolveWorkspace(*rf.ws) != nil {
-		return runManifest(rf, mergeAxes(rf.flagManifest(name, sets, *smoke)))
-	}
-	startProfiles(*rf.cpuprofile, *rf.memprofile)
-	rf.startIntrospection()
-	sr, err := scenario.Sweep(scenario.SweepConfig{
-		Scenario:    name,
-		Base:        rf.params(sets, *smoke),
-		Schedulers:  split(*schedulers),
-		Controllers: split(*controllers),
-		Axes:        axes,
-		Seeds:       *rf.seeds,
-		BaseSeed:    *rf.seed,
-		Parallel:    *rf.parallel,
-		OnCell: func(c *scenario.Cell) {
-			fmt.Fprintf(os.Stderr, "[cell %s done]\n", c.Label)
-		},
-	})
-	if err != nil {
-		die(err)
-	}
-	fmt.Print(sr.Report())
-	for _, c := range sr.Cells {
-		if len(c.Multi.Failed()) > 0 {
-			return false
-		}
-	}
-	return true
+	return c.execute(rf, m)
 }
 
 // cmdReport analyses trace files recorded with `run -trace` (or the
 // trace=FILE scenario parameter): per-connection subflow byte split,
 // reinjection and duplicate accounting, RTT/cwnd summaries, handover
 // gaps, per-link utilisation, and the policy event log.
-func cmdReport(args []string) bool {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+func (c *cli) cmdReport(args []string) error {
+	fs := c.newFlagSet("report")
 	csvDir := fs.String("csv", "", "also write the raw series as CSV files into this directory")
 	jsonOut := fs.Bool("json", false, "emit the analysis as JSON instead of text")
-	// Like the other subcommands, positional arguments (the trace files)
-	// come first and flags follow.
-	i := 0
-	for i < len(args) && !strings.HasPrefix(args[i], "-") {
-		i++
+	files, err := parsePositionalsFirst(fs, args)
+	if err != nil {
+		return err
 	}
-	files := args[:i]
-	fs.Parse(args[i:])
-	files = append(files, fs.Args()...)
 	if len(files) == 0 {
-		die(fmt.Errorf("report: no trace file given (record one with `mpexp run <scenario> -trace FILE`)"))
+		return fmt.Errorf("report: no trace file given (record one with `mpexp run <scenario> -trace FILE`)")
 	}
 	ok := true
 	for _, path := range files {
 		d, err := trace.ReadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpexp:", err)
+			fmt.Fprintln(c.stderr, "mpexp:", err)
 			ok = false
 			continue
 		}
 		a := trace.Analyze(d)
 		if len(files) > 1 {
-			fmt.Printf("### %s\n", path)
+			fmt.Fprintf(c.stdout, "### %s\n", path)
 		}
 		if *jsonOut {
-			if err := a.JSON(os.Stdout); err != nil {
-				die(err)
+			if err := a.JSON(c.stdout); err != nil {
+				return err
 			}
 		} else {
-			fmt.Print(a.Report())
+			fmt.Fprint(c.stdout, a.Report())
 		}
 		if *csvDir != "" {
 			dir := *csvDir
@@ -439,208 +390,113 @@ func cmdReport(args []string) bool {
 				dir = filepath.Join(dir, filepath.Base(path))
 			}
 			if err := a.WriteCSVs(dir); err != nil {
-				die(err)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "[raw series written to %s]\n", dir)
+			fmt.Fprintf(c.stderr, "[raw series written to %s]\n", dir)
 		}
 	}
-	return ok
+	if !ok {
+		return exitError(1)
+	}
+	return nil
 }
 
-func cmdList(args []string) {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+func (c *cli) cmdList(args []string) error {
+	fs := c.newFlagSet("list")
 	names := fs.Bool("names", false, "print bare scenario names only (for scripts)")
 	jsonOut := fs.Bool("json", false, "machine-readable dump: scenarios, typed parameter docs, schedulers, controllers")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *names {
 		for _, n := range scenario.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(c.stdout, n)
 		}
-		return
+		return nil
 	}
 	if *jsonOut {
-		listJSON()
-		return
+		return c.listJSON()
 	}
-	fmt.Println("scenarios (mpexp run <name>):")
+	fmt.Fprintln(c.stdout, "scenarios (mpexp run <name>):")
 	for _, in := range scenario.Scenarios() {
-		fmt.Printf("  %-12s %s\n", in.Name, in.Desc)
+		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 		for _, d := range scenario.ParamDocs(in.Name) {
-			fmt.Printf("  %-12s   -set %-14s %s\n", "", d.Key, d.Desc)
+			fmt.Fprintf(c.stdout, "  %-12s   -set %-14s %s\n", "", d.Key, d.Desc)
 		}
 	}
-	fmt.Println("\npacket schedulers (-sched):")
+	fmt.Fprintln(c.stdout, "\npacket schedulers (-sched):")
 	for _, in := range mptcp.Schedulers() {
-		fmt.Printf("  %-12s %s\n", in.Name, in.Desc)
+		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Println("\nsubflow controllers (-controller):")
+	fmt.Fprintln(c.stdout, "\nsubflow controllers (-controller):")
 	for _, in := range smapp.Controllers() {
-		fmt.Printf("  %-12s %s\n", in.Name, in.Desc)
+		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Printf("  %-12s scale only: in-kernel full-mesh baseline, no userspace control plane\n",
+	fmt.Fprintf(c.stdout, "  %-12s scale only: in-kernel full-mesh baseline, no userspace control plane\n",
 		scenario.KernelPolicy)
+	return nil
 }
 
-// allVariants are the paper's baseline runs `mpexp all` adds next to each
-// scenario's default configuration.
-var allVariants = map[string][]struct {
-	label string
-	extra map[string]string
-}{
-	"fig2a":     {{"fig2a-baseline", map[string]string{"baseline": "true"}}},
-	"fig3":      {{"fig3-stressed", map[string]string{"stressed": "true"}}},
-	"longlived": {{"longlived-plain", map[string]string{"plain": "true"}}},
-}
+// allVariants names the boolean parameter that turns a scenario into the
+// paper's baseline run; `mpexp all` adds it next to the default
+// configuration as "<scenario>-<parameter>".
+var allVariants = map[string]string{"fig2a": "baseline", "fig3": "stressed", "longlived": "plain"}
 
-func cmdAll(args []string) bool {
-	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	rf := addRunFlags(fs)
-	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
-	fs.Parse(args)
-	// "kernel" names a scale sweep cell, not a registered policy: the
-	// figures fall back to their paper-default controllers.
-	scaleCtl := *rf.controller
-	if scaleCtl == scenario.KernelPolicy {
-		*rf.controller = ""
+func (c *cli) cmdAll(args []string) error {
+	rf := addRunFlags(c.newFlagSet("all"))
+	if err := parse(rf.fs, args); err != nil {
+		return err
 	}
-	// One trace/metrics file per scenario/variant (suffixed with its
-	// label), so the sequential runs don't overwrite each other's output.
-	suffixTrace := func(p *scenario.Params, label string) {
-		if *rf.trace != "" {
-			p.Set("trace", *rf.trace+"."+label)
-		}
-		if *rf.metricsOut != "" {
-			p.Set("metrics", *rf.metricsOut+"."+label)
-		}
+	if err := c.arm(rf); err != nil {
+		return err
 	}
-	ok := true
+	// One failed figure must not swallow the rest: every entry runs, and
+	// the exit status is decided after the last one.
+	failed := false
 	for _, name := range scenario.Names() {
-		p := rf.params(nil, *smoke)
-		if name == "scale" && scaleCtl != "" {
-			p.Set("policy", scaleCtl)
+		variants := []string{""} // the default configuration
+		if v, ok := allVariants[name]; ok {
+			variants = append(variants, v)
 		}
-		suffixTrace(p, name)
-		ok = rf.runScenario(name, name, p) && ok
-		for _, v := range allVariants[name] {
-			p := rf.params(nil, *smoke)
-			for k, val := range v.extra {
-				p.Set(k, val)
+		for _, variant := range variants {
+			m, err := rf.manifest(name)
+			if err != nil {
+				return err
 			}
-			suffixTrace(p, v.label)
-			ok = rf.runScenario(v.label, name, p) && ok
+			if variant != "" {
+				m.Name = name + "-" + variant
+				m.Params[variant] = "true"
+			}
+			// "kernel" names a scale sweep cell, not a registered policy:
+			// the figures fall back to their paper-default controllers.
+			if name != "scale" && m.Params["policy"] == scenario.KernelPolicy {
+				delete(m.Params, "policy")
+			}
+			// One trace/metrics file per entry, so the sequential runs
+			// don't overwrite each other's output.
+			if m.TraceFile != "" {
+				m.TraceFile += "." + m.Name
+			}
+			if m.MetricsFile != "" {
+				m.MetricsFile += "." + m.Name
+			}
+			if err := c.execute(rf, m); err != nil {
+				var exit exitError
+				if !errors.As(err, &exit) {
+					fmt.Fprintf(c.stderr, "mpexp: %s: %v\n", m.Name, err)
+				}
+				failed = true
+			}
 		}
 	}
-	return ok
+	if failed {
+		return exitError(1)
+	}
+	return nil
 }
 
-// legacy translates the familiar per-figure subcommands into scenario
-// parameters, so `mpexp fig2a -baseline` keeps working on top of the
-// generic runner.
-func legacy(cmd string, args []string) bool {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	rf := addRunFlags(fs)
-	var pairs []string
-	switch cmd {
-	case "fig2a":
-		baseline := fs.Bool("baseline", false, "run the in-kernel pre-established-backup baseline")
-		loss := fs.Float64("loss", -1, "primary-path loss ratio (default 0.30 smart, 1.0 baseline)")
-		fs.Parse(args)
-		if *baseline {
-			pairs = append(pairs, "baseline=true")
-		}
-		if *loss >= 0 {
-			pairs = append(pairs, fmt.Sprintf("loss=%v", *loss))
-		}
-	case "fig2b":
-		blocks := fs.Int("blocks", 120, "blocks per curve")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("blocks=%d", *blocks))
-	case "fig2c":
-		trials := fs.Int("trials", 20, "trials per variant")
-		mb := fs.Int("mb", 100, "file size in MB")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("trials=%d", *trials), fmt.Sprintf("mb=%d", *mb))
-	case "fig3":
-		requests := fs.Int("requests", 1000, "consecutive GETs")
-		stressed := fs.Bool("stressed", false, "model the CPU-stressed client")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("requests=%d", *requests))
-		if *stressed {
-			pairs = append(pairs, "stressed=true")
-		}
-	case "longlived":
-		plain := fs.Bool("plain", false, "run the nil policy (plain-stack baseline)")
-		fs.Parse(args)
-		if *plain {
-			pairs = append(pairs, "plain=true")
-		}
-	case "ctlsweep":
-		loss := fs.Float64("loss", 0.30, "primary-path loss ratio")
-		blocks := fs.Int("blocks", 120, "blocks per controller")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("loss=%v", *loss), fmt.Sprintf("blocks=%d", *blocks))
-	case "schedsweep":
-		loss := fs.Float64("loss", 0.30, "primary-path loss ratio")
-		blocks := fs.Int("blocks", 120, "blocks per scheduler")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("loss=%v", *loss), fmt.Sprintf("blocks=%d", *blocks))
-	case "scale":
-		conns := fs.Int("conns", 16, "concurrent connections (one client host each)")
-		subflows := fs.Int("subflows", 2, "interfaces (→ subflows) per client")
-		kb := fs.Int("kb", 1024, "payload per connection in KB")
-		fs.Parse(args)
-		pairs = append(pairs,
-			fmt.Sprintf("conns=%d", *conns),
-			fmt.Sprintf("subflows=%d", *subflows),
-			fmt.Sprintf("kb=%d", *kb))
-	default:
-		usage()
-	}
-	return rf.runScenario(cmd, cmd, rf.params(pairs, false))
-}
-
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	start := time.Now()
-	ok := true
-	switch cmd {
-	case "run":
-		ok = cmdRun(args)
-	case "sweep":
-		ok = cmdSweep(args)
-	case "list":
-		cmdList(args)
-		return
-	case "init":
-		cmdInit(args)
-		return
-	case "diff":
-		if !cmdDiff(args) {
-			os.Exit(1)
-		}
-		return
-	case "report":
-		if !cmdReport(args) {
-			os.Exit(1)
-		}
-		return
-	case "all":
-		ok = cmdAll(args)
-	default:
-		ok = legacy(cmd, args)
-	}
-	stopProfiles()
-	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
-	if !ok {
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: mpexp <run|sweep|init|diff|list|all|report|figure> [flags]
+func (c *cli) usage() error {
+	fmt.Fprintln(c.stderr, `usage: mpexp <run|sweep|init|diff|list|all|report> [flags]
 Reproduces the figures of "SMAPP: Towards Smart Multipath TCP-enabled
 APPlications" (CoNEXT'15) plus a scale stress workload, all expressed as
 registered scenario specs.
@@ -653,14 +509,14 @@ registered scenario specs.
   mpexp list [-names|-json]
   mpexp all
   mpexp report <tracefile ...> [-csv DIR] [-json]
-  mpexp fig2a|fig2b|fig2c|fig3|longlived|ctlsweep|schedsweep|scale [flags]
 
 Common flags: -seed N -seeds N -parallel N -shards N -sched NAME
--controller NAME -trace F -ws DIR -cpuprofile F -memprofile F. Run a
-subcommand with -h for its flags; `+"`mpexp list`"+` shows every registered
-scenario, scheduler, and controller. With a .mpexp workspace in the current
-directory (create one with `+"`mpexp init`"+`), run/sweep store their results,
-reports, traces, and resolved manifests under .mpexp/runs/, and
-`+"`mpexp diff`"+` compares two stored runs scalar-by-scalar.`)
-	os.Exit(2)
+-controller NAME -trace F -metrics -metrics-out F -metrics-addr ADDR
+-ws DIR -cpuprofile F -memprofile F. Run a subcommand with -h for its
+flags; `+"`mpexp list`"+` shows every registered scenario, scheduler, and
+controller. With a .mpexp workspace in the current directory (create one
+with `+"`mpexp init`"+`), run/sweep store their results, reports, traces, and
+resolved manifests under .mpexp/runs/, and `+"`mpexp diff`"+` compares two
+stored runs scalar-by-scalar.`)
+	return exitError(2)
 }

@@ -1,0 +1,136 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/workspace"
+)
+
+const manifests = "../../examples/manifests/"
+
+// mpexp runs one command line in-process and returns what it printed and
+// its exit status.
+func mpexp(t *testing.T, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return out.String(), errb.String(), status
+}
+
+// mustRun is mpexp for command lines that have to succeed.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, errb, status := mpexp(t, args...)
+	if status != 0 {
+		t.Fatalf("mpexp %s: exit %d\n%s", strings.Join(args, " "), status, errb)
+	}
+	return out
+}
+
+func readFile(t *testing.T, elem ...string) string {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(elem...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
+}
+
+// Flags, a manifest file and a workspace capture are three spellings of
+// one Manifest through one executor: the same run must print the same
+// bytes whichever way it is asked for, and store the same result.json.
+func TestRunSpellingsAgree(t *testing.T) {
+	ws, err := workspace.Init(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byFlags := mustRun(t, "run", "fig2a", "-smoke", "-ws", "none")
+	if !strings.Contains(byFlags, "Fig. 2a") {
+		t.Fatalf("no fig2a report on stdout:\n%s", byFlags)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"manifest file", []string{"run", manifests + "fig2a-smoke.json", "-ws", "none"}},
+		{"flags, captured", []string{"run", "fig2a", "-smoke", "-set", "trace", "-ws", ws.Root}},
+		{"manifest file, captured", []string{"run", manifests + "fig2a-smoke.json", "-ws", ws.Root}},
+		{"-set spelling of -shards", []string{"run", "fig2a", "-smoke", "-set", "shards=2", "-ws", "none"}},
+		{"-set spelling of a bare trace", []string{"run", "fig2a", "-set", "smoke", "-set", "trace", "-ws", "none"}},
+	} {
+		if got := mustRun(t, tc.args...); got != byFlags {
+			t.Errorf("%s: report differs from `run fig2a -smoke`:\n%s\nvs\n%s", tc.name, got, byFlags)
+		}
+	}
+	for _, id := range []string{"fig2a-001", "fig2a-smoke-001"} {
+		if got := readFile(t, ws.RunDir(id), workspace.ReportFile); got != byFlags {
+			t.Errorf("%s: stored report.txt differs from stdout", id)
+		}
+	}
+	if a, b := readFile(t, ws.RunDir("fig2a-001"), workspace.ResultFile),
+		readFile(t, ws.RunDir("fig2a-smoke-001"), workspace.ResultFile); a != b {
+		t.Errorf("result.json differs between the flag-driven and the manifest-driven capture")
+	}
+	// Both captures asked for a trace without naming a file: it belongs in
+	// the run directory.
+	for _, id := range []string{"fig2a-001", "fig2a-smoke-001"} {
+		if _, err := os.Stat(filepath.Join(ws.RunDir(id), workspace.TraceFile)); err != nil {
+			t.Errorf("%s: captured run stored no trace: %v", id, err)
+		}
+	}
+}
+
+func TestSweepByFlagsMatchesManifest(t *testing.T) {
+	byFlags := mustRun(t, "sweep", "fig2b", "-smoke",
+		"-controllers", "fullmesh,stream", "-vary", "loss=0.1,0.3", "-ws", "none")
+	byFile := mustRun(t, "sweep", manifests+"fig2b-loss-sweep.json", "-ws", "none")
+	if byFlags != byFile {
+		t.Fatalf("sweep by flags differs from sweep by manifest:\n%s\nvs\n%s", byFlags, byFile)
+	}
+	if !strings.Contains(byFlags, "4 cells") {
+		t.Fatalf("sweep did not cross 2 controllers x 2 losses:\n%s", byFlags)
+	}
+	// Axis flags override the file's axes, dimension by dimension.
+	narrowed := mustRun(t, "sweep", manifests+"fig2b-loss-sweep.json", "-vary", "loss=0.2", "-ws", "none")
+	if !strings.Contains(narrowed, "2 cells") || !strings.Contains(narrowed, "policy=stream loss=0.2") {
+		t.Fatalf("-vary did not replace the manifest's axis:\n%s", narrowed)
+	}
+}
+
+func TestRejections(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		status  int
+		wantErr string // must appear on stderr exactly once
+	}{
+		{"figure subcommands are gone", []string{"fig2a"}, 2, "usage: mpexp"},
+		{"no arguments", nil, 2, "usage: mpexp"},
+		{"run without a scenario", []string{"run", "-smoke"}, 2, "usage: mpexp"},
+		{"metrics across seeds", []string{"run", "fig2a", "-smoke", "-metrics", "-seeds", "2", "-ws", "none"},
+			2, "metrics with 2 seeds"},
+		{"trace across seeds", []string{"run", "fig2a", "-smoke", "-trace", "t", "-seeds", "2", "-ws", "none"},
+			2, "trace with 2 seeds"},
+		{"unknown scenario", []string{"run", "nosuch", "-ws", "none"}, 2, "unknown scenario"},
+		{"unknown parameter", []string{"run", "fig2a", "-set", "nosuch=1", "-ws", "none"}, 2, "unknown parameter"},
+		{"unknown scheduler", []string{"run", "fig2a", "-sched", "bogus", "-ws", "none"}, 2, "unknown scheduler"},
+		{"bad reserved value", []string{"run", "fig2a", "-set", "shards=two", "-ws", "none"}, 2, "shards"},
+		{"unknown flag", []string{"run", "fig2a", "-nosuch"}, 2, "flag provided but not defined"},
+		{"malformed axis", []string{"sweep", "fig2a", "-vary", "loss", "-ws", "none"}, 2, "malformed -vary"},
+	} {
+		out, errb, status := mpexp(t, tc.args...)
+		if status != tc.status {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, status, tc.status, errb)
+		}
+		if n := strings.Count(errb, tc.wantErr); n != 1 {
+			t.Errorf("%s: %q appears %d times on stderr, want once:\n%s", tc.name, tc.wantErr, n, errb)
+		}
+		if out != "" {
+			t.Errorf("%s: a rejected command wrote to stdout:\n%s", tc.name, out)
+		}
+	}
+}

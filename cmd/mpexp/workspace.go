@@ -35,68 +35,45 @@ func isManifestPath(arg string) bool {
 // resolveWorkspace maps the -ws flag to a workspace: "" auto-discovers
 // .mpexp in the current directory (nil when absent), "none" disables
 // capture, anything else must name a workspace (or its parent).
-func resolveWorkspace(wsFlag string) *workspace.Workspace {
+func resolveWorkspace(wsFlag string) (*workspace.Workspace, error) {
 	switch wsFlag {
 	case "none":
-		return nil
+		return nil, nil
 	case "":
-		ws, err := workspace.Discover(".")
-		if err != nil {
-			die(err)
-		}
-		return ws
+		return workspace.Discover(".")
 	default:
-		ws, err := workspace.Open(wsFlag)
-		if err != nil {
-			die(err)
-		}
-		return ws
+		return workspace.Open(wsFlag)
 	}
 }
 
-// flagManifest converts flag-driven run/sweep arguments into the same
-// Manifest a file would declare, so workspace capture has exactly one
-// execution path — a flag-driven run and its equivalent manifest produce
-// byte-identical result.json files.
-func (rf *runFlags) flagManifest(name string, sets []string, smoke bool) *scenario.Manifest {
-	p, err := scenario.ParseSets(sets)
+// manifest turns the command line into the manifest to execute: the file
+// arg names, or a fresh manifest for the scenario arg names, with every
+// -set pair and every flag the user actually passed (flag.Visit) layered
+// on top — the file is the default, the command line wins, and a flag
+// beats a -set of the same knob. A flag-driven run and its equivalent
+// manifest file are therefore the same Manifest and produce
+// byte-identical reports and result.json files.
+func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
+	m := &scenario.Manifest{Name: arg, Scenario: arg}
+	if isManifestPath(arg) {
+		var err error
+		if m, err = scenario.LoadManifest(arg); err != nil {
+			return nil, err
+		}
+	}
+	if m.Params == nil {
+		m.Params = make(map[string]string)
+	}
+	sets, err := scenario.ParseSets(rf.sets)
 	if err != nil {
-		die(err)
+		return nil, err
 	}
-	if *rf.sched != "" {
-		p.Set("sched", *rf.sched)
-	}
-	if *rf.controller != "" {
-		p.Set("policy", *rf.controller)
-	}
-	if smoke {
-		p.Set("smoke", "true")
-	}
-	return &scenario.Manifest{
-		Name:        name,
-		Scenario:    name,
-		Params:      p.Map(),
-		Seed:        *rf.seed,
-		Seeds:       *rf.seeds,
-		Shards:      *rf.shards,
-		Trace:       *rf.trace != "",
-		TraceFile:   *rf.trace,
-		Metrics:     rf.metricsOn(),
-		MetricsFile: *rf.metricsOut,
-	}
-}
-
-// applyFlagOverrides layers explicitly set CLI flags (and -set pairs)
-// over a loaded manifest: the file is the default, the command line
-// wins. Only flags the user actually passed override (flag.Visit).
-func applyFlagOverrides(fs *flag.FlagSet, rf *runFlags, m *scenario.Manifest, sets []string, smoke bool) {
-	setParam := func(k, v string) {
-		if m.Params == nil {
-			m.Params = make(map[string]string)
+	for k, v := range sets.Map() {
+		if err := m.Set(k, v); err != nil {
+			return nil, err
 		}
-		m.Params[k] = v
 	}
-	fs.Visit(func(f *flag.Flag) {
+	rf.fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seed":
 			m.Seed = *rf.seed
@@ -105,118 +82,61 @@ func applyFlagOverrides(fs *flag.FlagSet, rf *runFlags, m *scenario.Manifest, se
 		case "shards":
 			m.Shards = *rf.shards
 		case "sched":
-			setParam("sched", *rf.sched)
+			m.Params["sched"] = *rf.sched
 		case "controller":
-			setParam("policy", *rf.controller)
+			m.Params["policy"] = *rf.controller
+		case "smoke":
+			m.Params["smoke"] = fmt.Sprint(*rf.smoke)
 		case "trace":
-			m.Trace = true
-			m.TraceFile = *rf.trace
+			m.Trace, m.TraceFile = true, *rf.trace
 		case "metrics":
 			m.Metrics = *rf.metrics
 		case "metrics-out":
-			m.Metrics = true
-			m.MetricsFile = *rf.metricsOut
+			m.Metrics, m.MetricsFile = true, *rf.metricsOut
 		case "metrics-addr":
 			// Runtime-only: the endpoint serves whatever run is live, but
 			// the registry only exists on a metered run.
 			m.Metrics = true
 		}
 	})
-	if smoke {
-		setParam("smoke", "true")
-	}
-	for _, kv := range sets {
-		k, v, _ := strings.Cut(kv, "=")
-		setParam(k, v)
-	}
-}
-
-// runManifest executes a manifest — into the workspace when one is
-// active, otherwise through the classic stdout path. It reports whether
-// every seed of every cell succeeded.
-func runManifest(rf *runFlags, m *scenario.Manifest) bool {
-	if err := m.Validate(); err != nil {
-		die(err)
-	}
-	startProfiles(*rf.cpuprofile, *rf.memprofile)
-	rf.startIntrospection()
-	if ws := resolveWorkspace(*rf.ws); ws != nil {
-		info, err := ws.Run(m, workspace.RunOptions{
-			Parallel: *rf.parallel,
-			Echo:     func(report string) { fmt.Print(report) },
-			Progress: func(line string) { fmt.Fprintln(os.Stderr, line) },
-		})
-		if err != nil {
-			die(err)
-		}
-		fmt.Fprintf(os.Stderr, "[run %s stored in %s]\n", info.ID, info.Dir)
-		return info.OK
-	}
-	if m.Sweep == nil {
-		p := m.BuildParams()
-		m.TraceParams(p, m.TraceFile)
-		m.MetricsParams(p, m.MetricsFile)
-		*rf.seed = m.BaseSeed()
-		*rf.seeds = m.EffectiveSeeds()
-		return rf.runScenario(m.RunName(), m.Scenario, p)
-	}
-	cfg := m.SweepConfig(*rf.parallel)
-	m.TraceParams(cfg.Base, m.TraceFile)
-	m.MetricsParams(cfg.Base, m.MetricsFile)
-	cfg.OnCell = func(c *scenario.Cell) {
-		fmt.Fprintf(os.Stderr, "[cell %s done]\n", c.Label)
-	}
-	sr, err := scenario.Sweep(cfg)
-	if err != nil {
-		die(err)
-	}
-	fmt.Print(sr.Report())
-	for _, c := range sr.Cells {
-		if len(c.Multi.Failed()) > 0 {
-			return false
-		}
-	}
-	return true
+	return m, nil
 }
 
 // cmdInit creates a workspace: `mpexp init [dir]` (default: the current
 // directory).
-func cmdInit(args []string) {
+func (c *cli) cmdInit(args []string) error {
 	dir := "."
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		dir = args[0]
 		args = args[1:]
 	}
 	if len(args) > 0 {
-		usage()
+		return c.usage()
 	}
 	ws, err := workspace.Init(dir)
 	if err != nil {
-		die(err)
+		return err
 	}
-	fmt.Printf("initialized experiment workspace at %s\n", ws.Root)
-	fmt.Printf("  - author manifests under %s (an example is included)\n", ws.ManifestDir())
-	fmt.Printf("  - `mpexp run <manifest.json>` stores artifacts under %s/runs\n", ws.Root)
-	fmt.Printf("  - `mpexp diff <runA> <runB>` compares two stored runs\n")
+	fmt.Fprintf(c.stdout, "initialized experiment workspace at %s\n", ws.Root)
+	fmt.Fprintf(c.stdout, "  - author manifests under %s (an example is included)\n", ws.ManifestDir())
+	fmt.Fprintf(c.stdout, "  - `mpexp run <manifest.json>` stores artifacts under %s/runs\n", ws.Root)
+	fmt.Fprintf(c.stdout, "  - `mpexp diff <runA> <runB>` compares two stored runs\n")
+	return nil
 }
 
 // cmdDiff compares two workspace run directories (paths or run ids):
 // `mpexp diff [-tol F] [-ws DIR] <runA> <runB>`. It exits zero only
 // when every compared value matches within the tolerance.
-func cmdDiff(args []string) bool {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+func (c *cli) cmdDiff(args []string) error {
+	fs := c.newFlagSet("diff")
 	tol := fs.Float64("tol", 0, "relative tolerance: values match when |a-b| <= tol*max(|a|,|b|) (0 = exact)")
 	wsFlag := fs.String("ws", "", "workspace for resolving run ids (default: .mpexp in the current directory)")
-	// Positionals first, flags after — the same convention as `report`.
-	i := 0
-	for i < len(args) && !strings.HasPrefix(args[i], "-") {
-		i++
+	pos, err := parsePositionalsFirst(fs, args)
+	if err != nil {
+		return err
 	}
-	pos := args[:i]
-	fs.Parse(args[i:])
-	pos = append(pos, fs.Args()...)
 	if len(pos) != 2 {
-		die(fmt.Errorf("diff: want exactly two runs (directories or workspace run ids), got %d", len(pos)))
+		return fmt.Errorf("diff: want exactly two runs (directories or workspace run ids), got %d", len(pos))
 	}
 	dirs := make([]string, 2)
 	for j, arg := range pos {
@@ -224,18 +144,24 @@ func cmdDiff(args []string) bool {
 			dirs[j] = arg
 			continue
 		}
-		ws := resolveWorkspace(*wsFlag)
+		ws, err := resolveWorkspace(*wsFlag)
+		if err != nil {
+			return err
+		}
 		if ws == nil {
-			die(fmt.Errorf("diff: %s is not a directory and no workspace is active to resolve it as a run id", arg))
+			return fmt.Errorf("diff: %s is not a directory and no workspace is active to resolve it as a run id", arg)
 		}
 		dirs[j] = ws.RunDir(arg)
 	}
 	rep, err := workspace.DiffRuns(dirs[0], dirs[1], workspace.DiffOptions{RelTol: *tol})
 	if err != nil {
-		die(err)
+		return err
 	}
-	fmt.Printf("diff %s %s (tol %g):\n%s", pos[0], pos[1], *tol, rep.String())
-	return rep.Clean()
+	fmt.Fprintf(c.stdout, "diff %s %s (tol %g):\n%s", pos[0], pos[1], *tol, rep.String())
+	if !rep.Clean() {
+		return exitError(1)
+	}
+	return nil
 }
 
 // listJSON is the machine-readable `mpexp list -json` dump: every
@@ -243,7 +169,7 @@ func cmdDiff(args []string) bool {
 // parameters Build accepts on all of them, and the scheduler/controller
 // registries — enough to author and validate manifests against the live
 // binary.
-func listJSON() {
+func (c *cli) listJSON() error {
 	type entry struct {
 		Name   string              `json:"name"`
 		Desc   string              `json:"desc"`
@@ -267,7 +193,8 @@ func listJSON() {
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		die(err)
+		return err
 	}
-	os.Stdout.Write(append(buf, '\n'))
+	_, err = c.stdout.Write(append(buf, '\n'))
+	return err
 }

@@ -77,14 +77,15 @@ func (p *dispatchPipe) Send(b []byte)               {}
 func (p *dispatchPipe) SetReceiver(fn func([]byte)) { p.recv = fn }
 
 func logEvent(b []byte) {
-	m, _, err := nlmsg.Unmarshal(b)
-	if err != nil {
+	var m nlmsg.Message
+	if _, err := nlmsg.UnmarshalInto(b, &m); err != nil {
 		return
 	}
 	if m.Cmd >= nlmsg.ReplyAck {
 		return // command replies are the library's business
 	}
-	if ev, err := nlmsg.ParseEvent(m); err == nil {
+	var ev nlmsg.Event
+	if err := nlmsg.ParseEventInto(&m, &ev); err == nil {
 		switch ev.Kind {
 		case nlmsg.EvTimeout:
 			log.Printf("event %-14s token=%08x rto=%v backoffs=%d", ev.Kind, ev.Token, ev.RTO, ev.Backoffs)

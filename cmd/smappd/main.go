@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
+	"repro/internal/nlmsg"
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/topo"
@@ -42,6 +44,36 @@ type chanPipe struct {
 
 func (p *chanPipe) Send(b []byte)               { p.ch <- b }
 func (p *chanPipe) SetReceiver(fn func([]byte)) { p.recv = fn }
+
+// ingest pumps command frames from the controller's socket into the
+// channel until the socket closes, then closes the channel. ReadMessages
+// recycles each frame the moment the callback returns, and the
+// simulation loop only gets to the channel at its next pacing step, so
+// every frame is copied into a buffer the channel's receiver owns.
+func (p *chanPipe) ingest(r io.Reader) error {
+	err := core.ReadMessages(r, func(b []byte) { p.ch <- append(nlmsg.Wire.Get(), b...) })
+	close(p.ch)
+	return err
+}
+
+// drain executes every queued command on the calling (simulation) thread
+// and recycles its frame. It reports false once the controller is gone.
+func (p *chanPipe) drain() bool {
+	for {
+		select {
+		case b, ok := <-p.ch:
+			if !ok {
+				return false
+			}
+			if p.recv != nil {
+				p.recv(b)
+			}
+			nlmsg.Wire.Put(b)
+		default:
+			return true
+		}
+	}
+}
 
 func main() {
 	sock := flag.String("sock", "/tmp/smapp.sock", "unix socket to expose the Netlink PM on")
@@ -119,9 +151,7 @@ func main() {
 
 	// Socket reader: commands go through the channel into the sim thread.
 	go func() {
-		err := core.ReadMessages(conn, func(b []byte) { inject.ch <- b })
-		log.Printf("smappd: controller disconnected (%v)", err)
-		close(inject.ch)
+		log.Printf("smappd: controller disconnected (%v)", inject.ingest(conn))
 	}()
 
 	// Real-time pacing loop: drain pending commands, advance virtual time
@@ -129,20 +159,9 @@ func main() {
 	const step = 5 * time.Millisecond
 	deadline := sim.Time(*runFor)
 	for world.Now() < deadline {
-	drain:
-		for {
-			select {
-			case b, ok := <-inject.ch:
-				if !ok {
-					log.Printf("smappd: shutting down")
-					return
-				}
-				if inject.recv != nil {
-					inject.recv(b)
-				}
-			default:
-				break drain
-			}
+		if !inject.drain() {
+			log.Printf("smappd: shutting down")
+			return
 		}
 		world.RunFor(step)
 		time.Sleep(step)

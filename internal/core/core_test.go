@@ -215,6 +215,57 @@ func TestGetInfoCommand(t *testing.T) {
 	}
 }
 
+// TestWirePoolConservation drains a run with get-info traffic and checks
+// the frame ownership contract end to end: every frame a sender took from
+// nlmsg.Wire went back exactly once, and nothing else was slipped into
+// the pool — an undersized heap buffer recycled there would make a later
+// coalesced flush grow it.
+func TestWirePoolConservation(t *testing.T) {
+	// drain empties the free list, handing each pooled buffer to check.
+	drain := func(check func(b []byte)) {
+		for {
+			news := nlmsg.Wire.Stats().News
+			b := nlmsg.Wire.Get()
+			if nlmsg.Wire.Stats().News != news {
+				return // free list exhausted: b is fresh
+			}
+			check(b)
+		}
+	}
+	drain(func([]byte) {}) // whatever earlier tests left behind
+	before := nlmsg.Wire.Stats()
+
+	w := newWorld(t, 5, Callbacks{})
+	w.net.Sim.RunFor(time.Millisecond)
+	w.connect(t)
+	w.net.Sim.Run()
+	w.client.Write(100_000)
+	replies := 0
+	for i := 0; i < 5; i++ {
+		w.lib.GetInfo(w.client.Token(), func(i *nlmsg.ConnInfo) {
+			if i != nil {
+				replies++
+			}
+		})
+		w.net.Sim.RunFor(10 * time.Millisecond)
+	}
+	w.net.Sim.Run()
+	if replies != 5 {
+		t.Fatalf("got %d info replies, want 5", replies)
+	}
+
+	after := nlmsg.Wire.Stats()
+	gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
+	if gets == 0 || gets != puts {
+		t.Fatalf("wire pool not conserved over the run: %d gets, %d puts", gets, puts)
+	}
+	drain(func(b []byte) {
+		if cap(b) < 2048 {
+			t.Fatalf("free list holds an undersized buffer (cap %d): it never came from Get", cap(b))
+		}
+	})
+}
+
 func TestSetBackupCommand(t *testing.T) {
 	w := newWorld(t, 6, Callbacks{})
 	w.net.Sim.RunFor(time.Millisecond)
@@ -342,7 +393,7 @@ func TestSocketPipeFraming(t *testing.T) {
 	var msgs [][]byte
 	for i := 0; i < 10; i++ {
 		ev := &nlmsg.Event{Kind: nlmsg.EvTimeout, Token: uint32(i), RTO: time.Duration(i) * time.Second}
-		b := ev.Marshal(uint32(i), 1)
+		b := ev.AppendMarshal(nil, uint32(i), 1)
 		// Send transfers ownership of b (it is recycled into nlmsg.Wire),
 		// so keep an independent copy for the comparison below.
 		msgs = append(msgs, append([]byte(nil), b...))
@@ -372,7 +423,7 @@ func TestLibraryIgnoresGarbage(t *testing.T) {
 		t.Fatal("garbage not counted")
 	}
 	// Orphaned reply (no pending seq).
-	lib.OnMessage(nlmsg.MarshalAck(0, 999, 1))
+	lib.OnMessage(nlmsg.AppendAck(nil, 0, 999, 1))
 	if lib.Stats.RepliesOrphaned != 1 {
 		t.Fatal("orphan reply not counted")
 	}

@@ -369,7 +369,7 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
-		pm.tr.ToUser.Send(nlmsg.MarshalInfo(WireInfo(c), cmd.Seq, cmd.Pid))
+		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), WireInfo(c), cmd.Seq, cmd.Pid))
 
 	case nlmsg.CmdAnnounceAddr:
 		c, ok := pm.conns[cmd.Token]

@@ -156,7 +156,7 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 				"mode", "n", "p50", "p99", "frames", "events", "coalesce", "drops", "flush", "cmds", "qhw")
 			for _, rt := range runs {
 				wl := rt.Spec.Workload.(*ctlStressLoad)
-				lat := &sample{}
+				lat := &stats.Sample{}
 				var frames, commands uint64
 				for _, tp := range wl.taps {
 					lat.Add(tp.samples...)
@@ -204,15 +204,6 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 			}
 		},
 	}, nil
-}
-
-// CtlStress runs the control-plane stress scenario (see ctlStressSpec).
-func CtlStress(cfg CtlStressConfig) *Result {
-	sp, err := ctlStressSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }
 
 // ctlStressLoad is the churn workload: every client dials once through its

@@ -117,12 +117,3 @@ func ctlSweepSpec(cfg CtlSweepConfig) (*scenario.Spec, error) {
 		},
 	}, nil
 }
-
-// CtlSweep runs the controller sweep (see ctlSweepSpec).
-func CtlSweep(cfg CtlSweepConfig) *Result {
-	sp, err := ctlSweepSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
-}

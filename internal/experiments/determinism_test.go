@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // The golden files under testdata/ pin the byte-for-byte report output of
@@ -43,13 +45,13 @@ func checkGolden(t *testing.T, name, got string) {
 func TestFig2aGoldenSeed1(t *testing.T) {
 	cfg := DefaultFig2a()
 	cfg.Seed = 1
-	checkGolden(t, "fig2a_seed1", Fig2a(cfg).Report)
+	checkGolden(t, "fig2a_seed1", scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report)
 }
 
 func TestLongLivedGoldenSeed1(t *testing.T) {
 	cfg := DefaultLongLived()
 	cfg.Seed = 1
-	checkGolden(t, "longlived_seed1", LongLived(cfg).Report)
+	checkGolden(t, "longlived_seed1", scenario.Execute(longLivedSpec(cfg), cfg.Seed).Report)
 }
 
 // The fig2b/fig2c goldens pin the post-scenario-refactor output on
@@ -62,7 +64,7 @@ func TestFig2bGoldenSeed1(t *testing.T) {
 	cfg := DefaultFig2b()
 	cfg.Seed = 1
 	cfg.Blocks = 40
-	checkGolden(t, "fig2b_seed1", Fig2b(cfg).Report)
+	checkGolden(t, "fig2b_seed1", scenario.Execute(fig2bSpec(cfg), cfg.Seed).Report)
 }
 
 func TestFig2cGoldenSeed1(t *testing.T) {
@@ -70,7 +72,7 @@ func TestFig2cGoldenSeed1(t *testing.T) {
 	cfg.Seed = 1
 	cfg.Trials = 3
 	cfg.FileBytes = 25 << 20
-	checkGolden(t, "fig2c_seed1", Fig2c(cfg).Report)
+	checkGolden(t, "fig2c_seed1", scenario.Execute(fig2cSpec(cfg), cfg.Seed).Report)
 }
 
 // TestGoldenRunsAreRepeatable guards the golden tests themselves: two
@@ -79,8 +81,8 @@ func TestFig2cGoldenSeed1(t *testing.T) {
 func TestGoldenRunsAreRepeatable(t *testing.T) {
 	cfg := DefaultFig2a()
 	cfg.Seed = 7
-	a := Fig2a(cfg).Report
-	b := Fig2a(cfg).Report
+	a := scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report
+	b := scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report
 	if a != b {
 		t.Fatal("two fig2a runs at the same seed disagree")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mptcp"
+	"repro/internal/scenario"
 	"repro/internal/smapp"
 )
 
@@ -15,7 +16,7 @@ import (
 
 func TestFig2aSmartSwitchesFast(t *testing.T) {
 	cfg := DefaultFig2a()
-	r := Fig2a(cfg)
+	r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 	delay := r.Scalars["switch_delay_s"]
 	if delay <= 0 {
 		t.Fatal("backup never used")
@@ -41,7 +42,7 @@ func TestFig2aBaselineTakesMinutes(t *testing.T) {
 	cfg := DefaultFig2a()
 	cfg.Baseline = true
 	cfg.LossRatio = 1.0 // radio blackout
-	r := Fig2a(cfg)
+	r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 	first := r.Scalars["backup_first_data_s"]
 	// The kernel needs its RTO backoff budget (≈15 doublings) before the
 	// pre-established backup carries data: minutes, not seconds. The
@@ -57,7 +58,7 @@ func TestFig2bShape(t *testing.T) {
 	// too little of the loss tail for the 4x growth assertion to be
 	// stable across RNG layouts.
 	cfg.LossLevels = []float64{0.10, 0.40}
-	r := Fig2b(cfg)
+	r := scenario.Execute(fig2bSpec(cfg), cfg.Seed)
 	smart := r.Samples["smart stream"]
 	low := r.Samples["fullmesh 10% loss"]
 	high := r.Samples["fullmesh 40% loss"]
@@ -85,7 +86,7 @@ func TestFig2bSmartLossInvariance(t *testing.T) {
 		cfg.Blocks = 50
 		cfg.LossLevels = nil
 		cfg.SmartLoss = loss
-		r := Fig2b(cfg)
+		r := scenario.Execute(fig2bSpec(cfg), cfg.Seed)
 		p90s = append(p90s, r.Samples["smart stream"].Quantile(0.9))
 	}
 	if p90s[1] > 4*p90s[0]+1 {
@@ -100,7 +101,7 @@ func TestFig2cShape(t *testing.T) {
 	// refresh controller needs a handful of 2.5 s polling rounds to
 	// converge, so very small files would mask its advantage.
 	cfg.FileBytes = 50 << 20
-	r := Fig2c(cfg)
+	r := scenario.Execute(fig2cSpec(cfg), cfg.Seed)
 	nd := r.Samples["ndiffports"]
 	rf := r.Samples["refresh"]
 	// Refresh must win on median (it converges towards all four paths).
@@ -123,7 +124,7 @@ func TestFig2cShape(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	cfg := DefaultFig3()
 	cfg.Requests = 150
-	r := Fig3(cfg)
+	r := scenario.Execute(fig3Spec(cfg), cfg.Seed)
 	k := r.Samples["kernel"]
 	u := r.Samples["userspace"]
 	if k.N() < 140 || u.N() < 140 {
@@ -141,7 +142,7 @@ func TestFig3Shape(t *testing.T) {
 	// Under CPU stress the penalty grows but stays bounded (paper: <37µs
 	// on their hardware; our stressed model roughly doubles the base).
 	cfg.Stressed = true
-	rs := Fig3(cfg)
+	rs := scenario.Execute(fig3Spec(cfg), cfg.Seed)
 	if rs.Scalars["delta_us"] < delta-10 {
 		t.Fatalf("stress did not increase the penalty: %.1f vs %.1f µs",
 			rs.Scalars["delta_us"], delta)
@@ -154,7 +155,7 @@ func TestFig3Shape(t *testing.T) {
 func TestLongLivedSmartVsPlain(t *testing.T) {
 	cfg := DefaultLongLived()
 	cfg.Messages = 6
-	smart := LongLived(cfg)
+	smart := scenario.Execute(longLivedSpec(cfg), cfg.Seed)
 	if smart.Scalars["messages_delivered"] != smart.Scalars["messages_sent"] {
 		t.Fatalf("smart controller lost messages: %+v", smart.Scalars)
 	}
@@ -165,7 +166,7 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 		t.Fatal("no live subflows at the end")
 	}
 	cfg.Policy = "" // the nil policy: same stack, no controller
-	plain := LongLived(cfg)
+	plain := scenario.Execute(longLivedSpec(cfg), cfg.Seed)
 	if plain.Scalars["messages_delivered"] >= plain.Scalars["messages_sent"] {
 		t.Fatal("plain stack should lose messages once NAT state expires")
 	}
@@ -176,7 +177,7 @@ func TestReportsRenderable(t *testing.T) {
 	cfg2b := DefaultFig2b()
 	cfg2b.Blocks = 10
 	cfg2b.LossLevels = []float64{0.10}
-	r := Fig2b(cfg2b)
+	r := scenario.Execute(fig2bSpec(cfg2b), cfg2b.Seed)
 	for _, want := range []string{"Fig. 2b", "CDF", "summary", "smart stream"} {
 		if !strings.Contains(r.Report, want) {
 			t.Fatalf("report missing %q:\n%s", want, r.Report)
@@ -184,7 +185,7 @@ func TestReportsRenderable(t *testing.T) {
 	}
 	cfg3 := DefaultFig3()
 	cfg3.Requests = 10
-	if !strings.Contains(Fig3(cfg3).Report, "userspace penalty") {
+	if !strings.Contains(scenario.Execute(fig3Spec(cfg3), cfg3.Seed).Report, "userspace penalty") {
 		t.Fatal("fig3 report incomplete")
 	}
 }
@@ -192,7 +193,7 @@ func TestReportsRenderable(t *testing.T) {
 func TestSchedSweepCoversAllSchedulers(t *testing.T) {
 	cfg := DefaultSchedSweep()
 	cfg.Blocks = 10
-	r := SchedSweep(cfg)
+	r := scenario.Execute(must(schedSweepSpec(cfg)), cfg.Seed)
 	names := mptcp.SchedulerNames()
 	if len(names) < 4 {
 		t.Fatalf("registry too small: %v", names)
@@ -217,7 +218,7 @@ func TestSchedSweepCoversAllSchedulers(t *testing.T) {
 func TestCtlSweepCoversAllControllers(t *testing.T) {
 	cfg := DefaultCtlSweep()
 	cfg.Blocks = 10
-	r := CtlSweep(cfg)
+	r := scenario.Execute(must(ctlSweepSpec(cfg)), cfg.Seed)
 	names := smapp.ControllerNames()
 	if len(names) < 5 {
 		t.Fatalf("registry too small: %v", names)
@@ -241,13 +242,13 @@ func TestCtlSweepCoversAllControllers(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultFig2a()
-	a := Fig2a(cfg)
-	b := Fig2a(cfg)
+	a := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	b := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 	if a.Scalars["switch_delay_s"] != b.Scalars["switch_delay_s"] {
 		t.Fatal("identical seeds diverged")
 	}
 	cfg.Seed = 2
-	c := Fig2a(cfg)
+	c := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 	if a.Scalars["switch_delay_s"] == c.Scalars["switch_delay_s"] {
 		t.Log("note: different seeds produced identical switch delay (possible but unusual)")
 	}
@@ -264,7 +265,7 @@ func TestFig2aThresholdMonotonicity(t *testing.T) {
 	var at []float64
 	for _, th := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
 		cfg.Threshold = th
-		r := Fig2a(cfg)
+		r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 		if r.Scalars["switches"] != 1 {
 			t.Fatalf("threshold %v: switches = %v", th, r.Scalars["switches"])
 		}

@@ -173,8 +173,3 @@ func fig2aSpec(cfg Fig2aConfig) *scenario.Spec {
 		},
 	}
 }
-
-// Fig2a runs the smart-backup experiment (see fig2aSpec).
-func Fig2a(cfg Fig2aConfig) *Result {
-	return scenario.Execute(fig2aSpec(cfg), cfg.Seed)
-}

@@ -149,8 +149,3 @@ func fig2bSpec(cfg Fig2bConfig) *scenario.Spec {
 		},
 	}
 }
-
-// Fig2b runs the streaming experiment (see fig2bSpec).
-func Fig2b(cfg Fig2bConfig) *Result {
-	return scenario.Execute(fig2bSpec(cfg), cfg.Seed)
-}

@@ -165,8 +165,3 @@ func fig2cSpec(cfg Fig2cConfig) *scenario.Spec {
 		},
 	}
 }
-
-// Fig2c runs the load-balancing experiment (see fig2cSpec).
-func Fig2c(cfg Fig2cConfig) *Result {
-	return scenario.Execute(fig2cSpec(cfg), cfg.Seed)
-}

@@ -129,8 +129,3 @@ func fig3Spec(cfg Fig3Config) *scenario.Spec {
 		},
 	}
 }
-
-// Fig3 runs the path-manager-cost experiment (see fig3Spec).
-func Fig3(cfg Fig3Config) *Result {
-	return scenario.Execute(fig3Spec(cfg), cfg.Seed)
-}

@@ -146,11 +146,6 @@ func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
 	}
 }
 
-// LongLived runs the §4.1 scenario (see longLivedSpec).
-func LongLived(cfg LongLivedConfig) *Result {
-	return scenario.Execute(longLivedSpec(cfg), cfg.Seed)
-}
-
 func expiryName(p netem.ExpiryPolicy) string {
 	if p == netem.ExpiryRST {
 		return "RST"

@@ -30,10 +30,6 @@ type ScaleConfig struct {
 	Horizon      time.Duration // simulation cutoff
 }
 
-// KernelController names the in-kernel full-mesh baseline cell of the
-// controller sweep (no userspace control plane at all).
-const KernelController = scenario.KernelPolicy
-
 // DefaultScale returns a bench-sized stress scenario: 16 clients × 2
 // subflows pushing 1 MB each through a 200 Mbps bottleneck.
 func DefaultScale() ScaleConfig {
@@ -116,7 +112,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 	}
 	ctls := cfg.Controllers
 	if len(ctls) == 0 {
-		ctls = []string{KernelController}
+		ctls = []string{scenario.KernelPolicy}
 	}
 	for _, name := range scheds {
 		if _, err := mptcp.LookupScheduler(name); err != nil {
@@ -124,7 +120,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 		}
 	}
 	for _, name := range ctls {
-		if name == KernelController {
+		if name == scenario.KernelPolicy {
 			continue
 		}
 		if _, err := smapp.LookupController(name); err != nil {
@@ -196,7 +192,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 				res.Scalars["events_per_wall_s"] = float64(totalEvents) / wallS
 				// Host throughput measures the machine, not the model:
 				// tag it so `mpexp diff` skips it instead of relying on
-				// the name (benchgate owns its regression thresholds).
+				// the name (host speed is the benchmark's business).
 				res.MarkWallClock("segs_per_wall_s", "events_per_wall_s")
 			}
 			if wall && wallS > 0 {
@@ -213,7 +209,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 func scaleCellOf(cfg ScaleConfig, rt *scenario.Run) scaleCell {
 	wl := rt.Spec.Workload.(*scenario.FanOut)
 	cell := scaleCell{sched: rt.Spec.Sched, ctl: rt.Spec.Policy}
-	delays := &sample{}
+	delays := &stats.Sample{}
 	var lastDone sim.Time
 	var delivered uint64
 	for i, at := range wl.CompletedAt {
@@ -248,13 +244,4 @@ func scaleCellOf(cfg ScaleConfig, rt *scenario.Run) scaleCell {
 	cell.events = rt.Sim.Processed()
 	cell.wall = rt.Wall
 	return cell
-}
-
-// Scale runs the stress matrix (see scaleSpec).
-func Scale(cfg ScaleConfig) *Result {
-	sp, err := scaleSpec(cfg, true)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

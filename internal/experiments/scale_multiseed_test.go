@@ -1,13 +1,13 @@
-// External test package: internal/runner imports experiments, so the
-// multi-seed scale test lives outside the experiments package to avoid an
-// import cycle.
+// External test package: the multi-seed scale test goes through the
+// scenario registry, the way every other caller reaches an experiment.
 package experiments_test
 
 import (
 	"testing"
 
-	"repro/internal/experiments"
+	_ "repro/internal/experiments" // registers scale
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 // TestScaleMultiSeed runs the scale experiment across seeds on the
@@ -15,18 +15,9 @@ import (
 // gate for the pooled segment/chunk/event lifecycle, whose sync.Pools are
 // the only state shared between worker goroutines.
 func TestScaleMultiSeed(t *testing.T) {
-	small := func(seed int64) experiments.ScaleConfig {
-		cfg := experiments.DefaultScale()
-		cfg.Seed = seed
-		cfg.Conns = 4
-		cfg.BytesPerConn = 128 << 10
-		cfg.Schedulers = []string{"lowest-rtt"}
-		return cfg
-	}
-	m := runner.Run("scale", runner.Config{Seeds: 4, BaseSeed: 1, Parallel: 4},
-		func(seed int64) *experiments.Result {
-			return experiments.Scale(small(seed))
-		})
+	// smoke = 4 conns × 128 KB on lowest-rtt.
+	job := scenario.Job("scale", scenario.NewParams(map[string]string{"smoke": "true"}))
+	m := runner.Run("scale", runner.Config{Seeds: 4, BaseSeed: 1, Parallel: 4}, job)
 	if failed := m.Failed(); len(failed) != 0 {
 		t.Fatalf("seed %d failed: %v", failed[0].Seed, failed[0].Err)
 	}

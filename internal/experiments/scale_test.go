@@ -3,7 +3,23 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/stats"
 )
+
+// must unwraps a spec builder that validates its config.
+func must(sp *scenario.Spec, err error) *scenario.Spec {
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
+
+// runScale executes the stress matrix for cfg, wall-clock scalars included.
+func runScale(cfg ScaleConfig) *stats.Result {
+	return scenario.Execute(must(scaleSpec(cfg, true)), cfg.Seed)
+}
 
 // smallScale keeps the stress matrix test-sized.
 func smallScale(seed int64) ScaleConfig {
@@ -16,7 +32,7 @@ func smallScale(seed int64) ScaleConfig {
 }
 
 func TestScaleKernelCellCompletes(t *testing.T) {
-	r := Scale(smallScale(1))
+	r := runScale(smallScale(1))
 	if got := r.Scalars["lowest-rtt/kernel_completed"]; got != 4 {
 		t.Fatalf("completed %v of 4 connections\n%s", got, r.Report)
 	}
@@ -29,8 +45,8 @@ func TestScaleKernelCellCompletes(t *testing.T) {
 // userspace full-mesh policy must also finish every transfer.
 func TestScaleControllerCell(t *testing.T) {
 	cfg := smallScale(1)
-	cfg.Controllers = []string{KernelController, "fullmesh"}
-	r := Scale(cfg)
+	cfg.Controllers = []string{scenario.KernelPolicy, "fullmesh"}
+	r := runScale(cfg)
 	for _, key := range []string{"lowest-rtt/kernel_completed", "lowest-rtt/fullmesh_completed"} {
 		if got := r.Scalars[key]; got != 4 {
 			t.Fatalf("%s = %v, want 4\n%s", key, got, r.Report)
@@ -43,8 +59,8 @@ func TestScaleControllerCell(t *testing.T) {
 // same-seed runs must agree exactly (wall-clock scalars excluded — they
 // measure the host, not the model).
 func TestScaleDeterministicPerSeed(t *testing.T) {
-	a := Scale(smallScale(3))
-	b := Scale(smallScale(3))
+	a := runScale(smallScale(3))
+	b := runScale(smallScale(3))
 	for k, v := range a.Scalars {
 		if strings.HasSuffix(k, "_wall_s") {
 			continue

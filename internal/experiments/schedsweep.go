@@ -113,12 +113,3 @@ func schedSweepSpec(cfg SchedSweepConfig) (*scenario.Spec, error) {
 		},
 	}, nil
 }
-
-// SchedSweep runs the scheduler sweep (see schedSweepSpec).
-func SchedSweep(cfg SchedSweepConfig) *Result {
-	sp, err := schedSweepSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
-}

@@ -27,6 +27,33 @@ func TestAppendMarshalMatchesLegacy(t *testing.T) {
 	if got, want := AppendAck(nil, 110, 5, 2), MarshalAck(110, 5, 2); !bytes.Equal(got, want) {
 		t.Errorf("AppendAck differs from MarshalAck:\n got %x\nwant %x", got, want)
 	}
+	for i, info := range exemplarInfos() {
+		got := AppendInfo(nil, info, 77, 3)
+		want := MarshalInfo(info, 77, 3)
+		if !bytes.Equal(got, want) {
+			t.Errorf("info %d: AppendInfo differs from MarshalInfo:\n got %x\nwant %x", i, got, want)
+		}
+	}
+}
+
+// TestAppendInfoAllocFree pins the get-info reply — the one message with
+// nested attributes — at zero allocations into a pooled buffer for a
+// connection with as many as eight (IPv6) subflows.
+func TestAppendInfoAllocFree(t *testing.T) {
+	info := exemplarInfos()[2]
+	for len(info.Subflows) < 8 {
+		info.Subflows = append(info.Subflows, info.Subflows[1])
+	}
+	buf := (&Pool{}).Get()
+	avg := testing.AllocsPerRun(100, func() {
+		buf = AppendInfo(buf[:0], info, 7, 1)
+	})
+	if avg != 0 {
+		t.Fatalf("AppendInfo allocates %.1f/op into a pooled buffer, want 0", avg)
+	}
+	if cap(buf) != wireBufCap {
+		t.Fatalf("an 8-subflow reply (%d bytes) outgrew the pooled buffer: cap %d", len(buf), cap(buf))
+	}
 }
 
 // TestMultiMessageFrame appends every exemplar event into one pooled

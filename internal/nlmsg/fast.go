@@ -1,8 +1,10 @@
-// Append-style marshalling and in-place unmarshalling: the pooled fast
-// path of the codec. The allocating API in nlmsg.go/schema.go stays as
-// the independent reference implementation; TestAppendMarshalMatchesLegacy
-// and FuzzNlmsgRoundTrip pin the two byte-identical, so the wire format
-// is defined twice and cross-checked rather than defined once and trusted.
+// Append-style marshalling and in-place unmarshalling: the codec every
+// production sender and receiver uses, allocation-free into pooled
+// buffers. An independent allocating encoder/decoder lives in
+// reference_test.go; TestAppendMarshalMatchesLegacy and
+// FuzzNlmsgRoundTrip pin the two byte-identical, so the wire format is
+// still defined twice and cross-checked rather than defined once and
+// trusted — the second definition just no longer ships.
 package nlmsg
 
 import (
@@ -24,6 +26,14 @@ func appendU8Attr(dst []byte, t AttrType, v uint8) []byte {
 	return append(dst, v, 0, 0, 0) // 3 bytes pad to nlAlign
 }
 
+// appendBoolAttr writes a flag as a one-byte 0/1 attribute.
+func appendBoolAttr(dst []byte, t AttrType, v bool) []byte {
+	if v {
+		return appendU8Attr(dst, t, 1)
+	}
+	return appendU8Attr(dst, t, 0)
+}
+
 func appendU16Attr(dst []byte, t AttrType, v uint16) []byte {
 	dst = appendAttrHdr(dst, t, 2)
 	return append(dst, byte(v), byte(v>>8), 0, 0)
@@ -41,8 +51,8 @@ func appendU64Attr(dst []byte, t AttrType, v uint64) []byte {
 }
 
 // appendAddrAttr writes an address payload (4 or 16 raw bytes, or empty
-// for the zero Addr — the same bytes Address's AsSlice produces) without
-// AsSlice's heap allocation.
+// for the zero Addr — the same bytes AsSlice produces) without AsSlice's
+// heap allocation.
 func appendAddrAttr(dst []byte, t AttrType, a netip.Addr) []byte {
 	switch {
 	case !a.IsValid():
@@ -86,8 +96,8 @@ func finishHdr(dst []byte, start int) []byte {
 }
 
 // AppendMarshal appends the event's wire encoding to dst and returns the
-// extended slice. The bytes are identical to Marshal(seq, pid); dst is
-// typically a Pool buffer already carrying earlier messages of a frame.
+// extended slice; dst is typically a Pool buffer already carrying earlier
+// messages of a frame.
 func (e *Event) AppendMarshal(dst []byte, seq, pid uint32) []byte {
 	dst, start := appendHdr(dst, e.Kind, seq, pid)
 	dst = appendU64Attr(dst, AttrTimestamp, uint64(e.At))
@@ -115,8 +125,7 @@ func (e *Event) AppendMarshal(dst []byte, seq, pid uint32) []byte {
 	return finishHdr(dst, start)
 }
 
-// AppendMarshal appends the command's wire encoding to dst, byte-identical
-// to Marshal.
+// AppendMarshal appends the command's wire encoding to dst.
 func (c *Command) AppendMarshal(dst []byte) []byte {
 	dst, start := appendHdr(dst, c.Kind, c.Seq, c.Pid)
 	if c.Token != 0 {
@@ -127,20 +136,12 @@ func (c *Command) AppendMarshal(dst []byte) []byte {
 		dst = appendU32Attr(dst, AttrEventMask, uint32(c.Mask))
 	case CmdCreateSubflow:
 		dst = appendTupleAttrs(dst, c.Tuple)
-		b := uint8(0)
-		if c.Backup {
-			b = 1
-		}
-		dst = appendU8Attr(dst, AttrBackup, b)
+		dst = appendBoolAttr(dst, AttrBackup, c.Backup)
 	case CmdRemoveSubflow:
 		dst = appendTupleAttrs(dst, c.Tuple)
 	case CmdSetBackup:
 		dst = appendTupleAttrs(dst, c.Tuple)
-		b := uint8(0)
-		if c.Backup {
-			b = 1
-		}
-		dst = appendU8Attr(dst, AttrBackup, b)
+		dst = appendBoolAttr(dst, AttrBackup, c.Backup)
 	case CmdAnnounceAddr:
 		dst = appendAddrAttr(dst, AttrAddr, c.Addr)
 		dst = appendU16Attr(dst, AttrPort, c.Port)
@@ -148,11 +149,36 @@ func (c *Command) AppendMarshal(dst []byte) []byte {
 	return finishHdr(dst, start)
 }
 
-// AppendAck appends a command acknowledgement, byte-identical to
-// MarshalAck.
+// AppendAck appends a command acknowledgement carrying an errno (0 = ok).
 func AppendAck(dst []byte, errno, seq, pid uint32) []byte {
 	dst, start := appendHdr(dst, ReplyAck, seq, pid)
 	dst = appendU32Attr(dst, AttrErrno, errno)
+	return finishHdr(dst, start)
+}
+
+// AppendInfo appends a get-info reply: the connection-level counters,
+// then one nested AttrSubflow block per subflow.
+func AppendInfo(dst []byte, info *ConnInfo, seq, pid uint32) []byte {
+	dst, start := appendHdr(dst, ReplyInfo, seq, pid)
+	dst = appendU32Attr(dst, AttrToken, info.Token)
+	dst = appendU64Attr(dst, AttrSndUna, info.SndUna)
+	dst = appendU64Attr(dst, AttrAppNxt, info.AppNxt)
+	dst = appendU64Attr(dst, AttrRcvBytes, info.RcvBytes)
+	for i := range info.Subflows {
+		sf := &info.Subflows[i]
+		nested := len(dst)
+		dst = appendAttrHdr(dst, AttrSubflow, 0) // length patched below
+		dst = appendTupleAttrs(dst, sf.Tuple)
+		dst = appendU32Attr(dst, AttrState, sf.State)
+		dst = appendBoolAttr(dst, AttrBackup, sf.Backup)
+		dst = appendU32Attr(dst, AttrCwnd, sf.Cwnd)
+		dst = appendU64Attr(dst, AttrSRTT, uint64(sf.SRTT))
+		dst = appendU64Attr(dst, AttrRTO, uint64(sf.RTO))
+		dst = appendU32Attr(dst, AttrBackoffs, sf.Backoffs)
+		dst = appendU64Attr(dst, AttrPacingRate, sf.PacingRate)
+		dst = appendU32Attr(dst, AttrFlight, sf.Flight)
+		binary.LittleEndian.PutUint16(dst[nested:], uint16(len(dst)-nested))
+	}
 	return finishHdr(dst, start)
 }
 

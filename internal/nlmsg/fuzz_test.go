@@ -40,6 +40,29 @@ func exemplarCommands() []*Command {
 	}
 }
 
+// exemplarInfos returns get-info replies of every shape: no subflows, one
+// IPv4 subflow, a mixed IPv4/IPv6 pair with a backup, and a subflow whose
+// tuple carries no addresses at all.
+func exemplarInfos() []*ConnInfo {
+	v6 := testTuple
+	v6.SrcIP = netip.MustParseAddr("2001:db8::1")
+	v6.DstIP = netip.MustParseAddr("2001:db8::2")
+	one := SubflowInfo{
+		Tuple: testTuple, State: 3, Cwnd: 14800,
+		SRTT: 20 * time.Millisecond, RTO: 220 * time.Millisecond,
+		PacingRate: 1_000_000, Flight: 2800,
+	}
+	return []*ConnInfo{
+		{Token: 0xabc, SndUna: 1 << 40, AppNxt: 1<<40 + 5000, RcvBytes: 12345, Subflows: []SubflowInfo{one}},
+		{Token: 7},
+		{Token: 8, SndUna: 9, Subflows: []SubflowInfo{one, {
+			Tuple: v6, State: 3, Backup: true, Cwnd: 2760,
+			SRTT: 45 * time.Millisecond, RTO: time.Second, Backoffs: 2, PacingRate: 60_000,
+		}}},
+		{Token: 9, Subflows: []SubflowInfo{{State: 1}}},
+	}
+}
+
 // fuzzSeeds marshals one exemplar of every message the family speaks —
 // all ten events, all six commands, the ack and the info reply — so the
 // fuzzer starts from each wire shape the facade now hides from callers.
@@ -52,14 +75,9 @@ func fuzzSeeds() [][]byte {
 		seeds = append(seeds, c.Marshal())
 	}
 	seeds = append(seeds, MarshalAck(110, 5, 2))
-	seeds = append(seeds, MarshalInfo(&ConnInfo{
-		Token: 0xabc, SndUna: 1 << 40, AppNxt: 1<<40 + 5000, RcvBytes: 12345,
-		Subflows: []SubflowInfo{{
-			Tuple: testTuple, State: 3, Cwnd: 14800,
-			SRTT: 20 * time.Millisecond, RTO: 220 * time.Millisecond,
-			PacingRate: 1_000_000, Flight: 2800,
-		}},
-	}, 77, 3))
+	for _, info := range exemplarInfos() {
+		seeds = append(seeds, MarshalInfo(info, 77, 3))
+	}
 	return seeds
 }
 
@@ -106,8 +124,12 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 			}
 		}
 		if info, err := ParseInfo(m); err == nil {
-			if _, _, err := Unmarshal(MarshalInfo(info, m.Seq, m.Pid)); err != nil {
+			want := MarshalInfo(info, m.Seq, m.Pid)
+			if _, _, err := Unmarshal(want); err != nil {
 				t.Fatalf("re-encoded info rejected: %v", err)
+			}
+			if got := AppendInfo(nil, info, m.Seq, m.Pid); !bytes.Equal(got, want) {
+				t.Fatalf("AppendInfo differs from MarshalInfo:\n got %x\nwant %x", got, want)
 			}
 		}
 		_, _ = ParseAck(m)

@@ -198,58 +198,6 @@ const (
 
 func align(n int) int { return (n + nlAlign - 1) &^ (nlAlign - 1) }
 
-// Marshal encodes the message with real Netlink framing.
-func (m *Message) Marshal() []byte {
-	size := nlHdrLen + genlHdrLen
-	for _, a := range m.Attrs {
-		size += align(4 + len(a.Data))
-	}
-	buf := make([]byte, size)
-	le := binary.LittleEndian // netlink is host-endian; we fix LE
-	le.PutUint32(buf[0:], uint32(size))
-	le.PutUint16(buf[4:], familyType)
-	le.PutUint16(buf[6:], 0) // flags
-	le.PutUint32(buf[8:], m.Seq)
-	le.PutUint32(buf[12:], m.Pid)
-	buf[16] = uint8(m.Cmd)
-	buf[17] = version
-	off := nlHdrLen + genlHdrLen
-	for _, a := range m.Attrs {
-		le.PutUint16(buf[off:], uint16(4+len(a.Data)))
-		le.PutUint16(buf[off+2:], uint16(a.Type))
-		copy(buf[off+4:], a.Data)
-		off += align(4 + len(a.Data))
-	}
-	return buf
-}
-
-// Unmarshal decodes one message. It returns the message and the number of
-// bytes consumed (messages may be concatenated in a stream).
-func Unmarshal(b []byte) (*Message, int, error) {
-	if len(b) < nlHdrLen+genlHdrLen {
-		return nil, 0, errors.New("nlmsg: truncated header")
-	}
-	le := binary.LittleEndian
-	total := int(le.Uint32(b[0:]))
-	if total < nlHdrLen+genlHdrLen || total > len(b) {
-		return nil, 0, fmt.Errorf("nlmsg: bad length %d (have %d)", total, len(b))
-	}
-	if le.Uint16(b[4:]) != familyType {
-		return nil, 0, fmt.Errorf("nlmsg: unknown family type %#x", le.Uint16(b[4:]))
-	}
-	m := &Message{
-		Seq: le.Uint32(b[8:]),
-		Pid: le.Uint32(b[12:]),
-		Cmd: Cmd(b[16]),
-	}
-	attrs, err := UnmarshalAttrs(b[nlHdrLen+genlHdrLen : total])
-	if err != nil {
-		return nil, 0, err
-	}
-	m.Attrs = attrs
-	return m, total, nil
-}
-
 // UnmarshalAttrs parses a TLV attribute block (also used for nesting).
 func UnmarshalAttrs(b []byte) ([]Attr, error) {
 	var attrs []Attr
@@ -273,58 +221,6 @@ func UnmarshalAttrs(b []byte) ([]Attr, error) {
 		b = b[adv:]
 	}
 	return attrs, nil
-}
-
-// MarshalAttrs encodes a TLV attribute block (for nesting).
-func MarshalAttrs(attrs []Attr) []byte {
-	size := 0
-	for _, a := range attrs {
-		size += align(4 + len(a.Data))
-	}
-	buf := make([]byte, size)
-	le := binary.LittleEndian
-	off := 0
-	for _, a := range attrs {
-		le.PutUint16(buf[off:], uint16(4+len(a.Data)))
-		le.PutUint16(buf[off+2:], uint16(a.Type))
-		copy(buf[off+4:], a.Data)
-		off += align(4 + len(a.Data))
-	}
-	return buf
-}
-
-// --- Attribute constructors ---
-
-// U8 builds a one-byte attribute.
-func U8(t AttrType, v uint8) Attr { return Attr{Type: t, Data: []byte{v}} }
-
-// U16 builds a two-byte attribute.
-func U16(t AttrType, v uint16) Attr {
-	d := make([]byte, 2)
-	binary.LittleEndian.PutUint16(d, v)
-	return Attr{Type: t, Data: d}
-}
-
-// U32 builds a four-byte attribute.
-func U32(t AttrType, v uint32) Attr {
-	d := make([]byte, 4)
-	binary.LittleEndian.PutUint32(d, v)
-	return Attr{Type: t, Data: d}
-}
-
-// U64 builds an eight-byte attribute.
-func U64(t AttrType, v uint64) Attr {
-	d := make([]byte, 8)
-	binary.LittleEndian.PutUint64(d, v)
-	return Attr{Type: t, Data: d}
-}
-
-// Address builds an IP address attribute (4 or 16 raw bytes).
-func Address(t AttrType, a netip.Addr) Attr { return Attr{Type: t, Data: a.AsSlice()} }
-
-// Nested builds a nested attribute from children.
-func Nested(t AttrType, children []Attr) Attr {
-	return Attr{Type: t, Data: MarshalAttrs(children)}
 }
 
 // --- Attribute accessors ---

@@ -25,16 +25,6 @@ type Event struct {
 	Backup   bool
 }
 
-// tupleAttrs encodes a 4-tuple as attributes.
-func tupleAttrs(ft seg.FourTuple) []Attr {
-	return []Attr{
-		Address(AttrLocalAddr, ft.SrcIP),
-		Address(AttrRemoteAddr, ft.DstIP),
-		U16(AttrLocalPort, ft.SrcPort),
-		U16(AttrRemotePort, ft.DstPort),
-	}
-}
-
 func tupleFromAttrs(attrs []Attr) (seg.FourTuple, bool) {
 	var ft seg.FourTuple
 	la, ok1 := Get(attrs, AttrLocalAddr)
@@ -61,40 +51,6 @@ func tupleFromAttrs(attrs []Attr) (seg.FourTuple, bool) {
 	}
 	ft.SrcPort, ft.DstPort = sp, dp
 	return ft, true
-}
-
-// Marshal encodes the event as a Netlink message.
-func (e *Event) Marshal(seq, pid uint32) []byte {
-	m := Message{Cmd: e.Kind, Seq: seq, Pid: pid}
-	m.Attrs = append(m.Attrs, U64(AttrTimestamp, uint64(e.At)))
-	if e.Token != 0 {
-		m.Attrs = append(m.Attrs, U32(AttrToken, e.Token))
-	}
-	if e.HasTuple {
-		m.Attrs = append(m.Attrs, tupleAttrs(e.Tuple)...)
-	}
-	switch e.Kind {
-	case EvSubClosed:
-		m.Attrs = append(m.Attrs, U32(AttrErrno, e.Errno))
-	case EvAddAddr:
-		m.Attrs = append(m.Attrs, U8(AttrAddrID, e.AddrID), Address(AttrAddr, e.Addr), U16(AttrPort, e.Port))
-	case EvRemAddr:
-		m.Attrs = append(m.Attrs, U8(AttrAddrID, e.AddrID))
-	case EvTimeout:
-		m.Attrs = append(m.Attrs, U64(AttrRTO, uint64(e.RTO)), U32(AttrBackoffs, e.Backoffs))
-	case EvLocalAddrUp, EvLocalAddrDown:
-		m.Attrs = append(m.Attrs, Address(AttrAddr, e.Addr))
-	}
-	return m.Marshal()
-}
-
-// ParseEvent decodes an event message.
-func ParseEvent(m *Message) (*Event, error) {
-	e := &Event{}
-	if err := ParseEventInto(m, e); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // ParseEventInto decodes an event message into a caller-owned Event,
@@ -178,46 +134,6 @@ type Command struct {
 	Port   uint16
 }
 
-// Marshal encodes the command.
-func (c *Command) Marshal() []byte {
-	m := Message{Cmd: c.Kind, Seq: c.Seq, Pid: c.Pid}
-	if c.Token != 0 {
-		m.Attrs = append(m.Attrs, U32(AttrToken, c.Token))
-	}
-	switch c.Kind {
-	case CmdSubscribe:
-		m.Attrs = append(m.Attrs, U32(AttrEventMask, uint32(c.Mask)))
-	case CmdCreateSubflow:
-		m.Attrs = append(m.Attrs, tupleAttrs(c.Tuple)...)
-		b := uint8(0)
-		if c.Backup {
-			b = 1
-		}
-		m.Attrs = append(m.Attrs, U8(AttrBackup, b))
-	case CmdRemoveSubflow:
-		m.Attrs = append(m.Attrs, tupleAttrs(c.Tuple)...)
-	case CmdSetBackup:
-		m.Attrs = append(m.Attrs, tupleAttrs(c.Tuple)...)
-		b := uint8(0)
-		if c.Backup {
-			b = 1
-		}
-		m.Attrs = append(m.Attrs, U8(AttrBackup, b))
-	case CmdAnnounceAddr:
-		m.Attrs = append(m.Attrs, Address(AttrAddr, c.Addr), U16(AttrPort, c.Port))
-	}
-	return m.Marshal()
-}
-
-// ParseCommand decodes a command message.
-func ParseCommand(m *Message) (*Command, error) {
-	c := &Command{}
-	if err := ParseCommandInto(m, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // ParseCommandInto decodes a command message into a caller-owned Command,
 // allocation-free. Like ParseEventInto, the result holds no views into
 // the wire buffer.
@@ -284,36 +200,6 @@ type ConnInfo struct {
 	AppNxt   uint64
 	RcvBytes uint64
 	Subflows []SubflowInfo
-}
-
-// MarshalInfo encodes a get-info reply.
-func MarshalInfo(info *ConnInfo, seq, pid uint32) []byte {
-	m := Message{Cmd: ReplyInfo, Seq: seq, Pid: pid}
-	m.Attrs = append(m.Attrs,
-		U32(AttrToken, info.Token),
-		U64(AttrSndUna, info.SndUna),
-		U64(AttrAppNxt, info.AppNxt),
-		U64(AttrRcvBytes, info.RcvBytes),
-	)
-	for _, sf := range info.Subflows {
-		children := tupleAttrs(sf.Tuple)
-		b := uint8(0)
-		if sf.Backup {
-			b = 1
-		}
-		children = append(children,
-			U32(AttrState, sf.State),
-			U8(AttrBackup, b),
-			U32(AttrCwnd, sf.Cwnd),
-			U64(AttrSRTT, uint64(sf.SRTT)),
-			U64(AttrRTO, uint64(sf.RTO)),
-			U32(AttrBackoffs, sf.Backoffs),
-			U64(AttrPacingRate, sf.PacingRate),
-			U32(AttrFlight, sf.Flight),
-		)
-		m.Attrs = append(m.Attrs, Nested(AttrSubflow, children))
-	}
-	return m.Marshal()
 }
 
 // ParseInfo decodes a get-info reply.
@@ -391,13 +277,6 @@ func parseSubflowInfo(attrs []Attr) (SubflowInfo, error) {
 		}
 	}
 	return sf, nil
-}
-
-// MarshalAck encodes a command acknowledgement carrying an errno (0 = ok).
-func MarshalAck(errno uint32, seq, pid uint32) []byte {
-	m := Message{Cmd: ReplyAck, Seq: seq, Pid: pid,
-		Attrs: []Attr{U32(AttrErrno, errno)}}
-	return m.Marshal()
 }
 
 // ParseAck decodes an acknowledgement, returning its errno.

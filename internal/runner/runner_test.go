@@ -7,17 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
+	_ "repro/internal/experiments" // registers fig2b
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // syntheticJob builds a result whose values depend only on the seed,
 // through the same deterministic RNG path real experiments use.
-func syntheticJob(seed int64) *experiments.Result {
+func syntheticJob(seed int64) *stats.Result {
 	s := sim.New(seed)
-	res := &experiments.Result{
+	res := &stats.Result{
 		Name:    "synthetic",
 		Samples: map[string]*stats.Sample{},
 		Scalars: map[string]float64{},
@@ -51,13 +52,8 @@ func scalarsBySeed(m *runner.Multi) map[int64]map[string]float64 {
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	for name, job := range map[string]runner.Job{
 		"synthetic": syntheticJob,
-		"fig2b": func(seed int64) *experiments.Result {
-			cfg := experiments.DefaultFig2b()
-			cfg.Seed = seed
-			cfg.Blocks = 8
-			cfg.LossLevels = []float64{0.30} // trim to keep the test quick
-			return experiments.Fig2b(cfg)
-		},
+		// Trimmed to keep the test quick.
+		"fig2b": scenario.Job("fig2b", scenario.NewParams(map[string]string{"blocks": "8", "loss_levels": "0.30"})),
 	} {
 		t.Run(name, func(t *testing.T) {
 			serial := runner.Run(name, runner.Config{Seeds: 6, BaseSeed: 10, Parallel: 1}, job)
@@ -100,7 +96,7 @@ func TestSeedOrdering(t *testing.T) {
 // TestPanicIsolation: one exploding seed becomes an error; the rest of
 // the sweep completes.
 func TestPanicIsolation(t *testing.T) {
-	m := runner.Run("boom", runner.Config{Seeds: 8, BaseSeed: 1, Parallel: 4}, func(seed int64) *experiments.Result {
+	m := runner.Run("boom", runner.Config{Seeds: 8, BaseSeed: 1, Parallel: 4}, func(seed int64) *stats.Result {
 		if seed == 5 {
 			panic(fmt.Sprintf("seed %d exploded", seed))
 		}
@@ -127,8 +123,8 @@ func TestPanicIsolation(t *testing.T) {
 
 // TestAggregation checks the scalar summary and sample pooling math.
 func TestAggregation(t *testing.T) {
-	m := runner.Run("agg", runner.Config{Seeds: 4, BaseSeed: 1, Parallel: 2}, func(seed int64) *experiments.Result {
-		res := &experiments.Result{
+	m := runner.Run("agg", runner.Config{Seeds: 4, BaseSeed: 1, Parallel: 2}, func(seed int64) *stats.Result {
+		res := &stats.Result{
 			Name:    "agg",
 			Samples: map[string]*stats.Sample{"d": {}},
 			Scalars: map[string]float64{"x": float64(seed)},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -88,6 +89,34 @@ type ManifestAxis struct {
 // scenario parameters: the dedicated fields exist so the workspace can
 // resolve them (trace file placement, shard plumbing) uniformly.
 var reservedParamKeys = []string{"trace", "trace_cap", "shards", "metrics"}
+
+// Set stores one knob the way `-set key=value` spells it: scenario
+// parameters go to Params, and the reserved keys land on the manifest
+// field that owns them (trace[=FILE], trace_cap=N, shards=N,
+// metrics[=FILE]) — so the command line can keep saying `-set shards=2`
+// while every run is a Manifest.
+func (m *Manifest) Set(key, val string) error {
+	var err error
+	switch key {
+	case "trace":
+		m.Trace, m.TraceFile = true, val
+	case "metrics":
+		m.Metrics, m.MetricsFile = true, val
+	case "trace_cap":
+		m.TraceCap, err = strconv.Atoi(val)
+	case "shards":
+		m.Shards, err = strconv.Atoi(val)
+	default:
+		if m.Params == nil {
+			m.Params = make(map[string]string)
+		}
+		m.Params[key] = val
+	}
+	if err != nil {
+		return fmt.Errorf("manifest %s: parameter %s=%q: %v", m.RunName(), key, val, err)
+	}
+	return nil
+}
 
 // manifestJSON mirrors Manifest for decoding: params and axis values
 // accept JSON strings, numbers, and booleans, normalised to the string
@@ -226,47 +255,37 @@ func (m *Manifest) RunName() string {
 	return m.Scenario
 }
 
-// BuildParams converts the manifest into the Params a single run hands
-// to Build: the params map plus the shards field. Trace keys are NOT
-// set here — the runner decides the trace file placement (workspace
-// cell directory vs TraceFile) and arms it via TraceParams.
-func (m *Manifest) BuildParams() *Params {
+// RunParams converts the manifest into the Params a run hands to Build:
+// the params map, the shards field and, where the manifest enables them,
+// tracing into traceFile and metrics into metricsFile. The files are the
+// caller's to place (a workspace run directory, or the manifest's own
+// TraceFile/MetricsFile); "" records in memory / into the report only.
+func (m *Manifest) RunParams(traceFile, metricsFile string) *Params {
 	p := NewParams(m.Params)
 	if m.Shards != 0 {
-		p.Set("shards", fmt.Sprintf("%d", m.Shards))
+		p.Set("shards", strconv.Itoa(m.Shards))
+	}
+	if m.Trace {
+		p.Set("trace", traceFile)
+		if m.TraceCap != 0 {
+			p.Set("trace_cap", strconv.Itoa(m.TraceCap))
+		}
+	}
+	if m.Metrics {
+		p.Set("metrics", metricsFile)
 	}
 	return p
 }
 
-// TraceParams arms tracing on p per the manifest, writing the binary
-// trace to file ("" = record and analyse in memory only).
-func (m *Manifest) TraceParams(p *Params, file string) {
-	if !m.Trace {
-		return
-	}
-	p.Set("trace", file)
-	if m.TraceCap != 0 {
-		p.Set("trace_cap", fmt.Sprintf("%d", m.TraceCap))
-	}
-}
-
-// MetricsParams arms metrics recording on p per the manifest, writing
-// metrics.json to file ("" = fold into the report only).
-func (m *Manifest) MetricsParams(p *Params, file string) {
-	if !m.Metrics {
-		return
-	}
-	p.Set("metrics", file)
-}
-
 // SweepConfig converts a sweep manifest into the SweepConfig Sweep
-// executes. Parallel bounds concurrent seeds per cell (0 = GOMAXPROCS).
-// The caller owns TraceFile/OnCell wiring.
+// executes, tracing and metrics armed as the manifest names them.
+// Parallel bounds concurrent seeds per cell (0 = GOMAXPROCS). The caller
+// owns the per-cell TraceFile/MetricsFile/OnCell wiring.
 func (m *Manifest) SweepConfig(parallel int) SweepConfig {
 	cfg := SweepConfig{
 		Scenario: m.Scenario,
-		Base:     m.BuildParams(),
-		Seeds:    m.Seeds,
+		Base:     m.RunParams(m.TraceFile, m.MetricsFile),
+		Seeds:    m.EffectiveSeeds(),
 		BaseSeed: m.BaseSeed(),
 		Parallel: parallel,
 	}
@@ -329,37 +348,17 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("manifest %s: metrics with %d seeds would mix the process-wide pool counters across concurrent seeds; use one seed per metered run", m.RunName(), m.EffectiveSeeds())
 	}
 	if m.Sweep == nil {
-		p := m.BuildParams()
-		m.TraceParams(p, m.TraceFile)
-		m.MetricsParams(p, m.MetricsFile)
-		_, err := Build(m.Scenario, p)
+		_, err := Build(m.Scenario, m.RunParams(m.TraceFile, m.MetricsFile))
 		return err
 	}
-	for _, ax := range m.Sweep.Vary {
-		if ax.Key == "" || len(ax.Values) == 0 {
-			return fmt.Errorf("manifest %s: sweep axis %q has no values", m.RunName(), ax.Key)
-		}
-	}
-	// Validate every cell exactly as Sweep would, without running any:
-	// enumerate the cross product and Build each cell's params.
+	// Validate every cell exactly as Sweep would, without running any.
 	cfg := m.SweepConfig(0)
-	axes := make([]Axis, 0, 2+len(cfg.Axes))
-	if len(cfg.Schedulers) > 0 {
-		axes = append(axes, Axis{Key: "sched", Values: cfg.Schedulers})
+	cells, err := cfg.cells()
+	if err != nil {
+		return fmt.Errorf("manifest %s: %w", m.RunName(), err)
 	}
-	if len(cfg.Controllers) > 0 {
-		axes = append(axes, Axis{Key: "policy", Values: cfg.Controllers})
-	}
-	axes = append(axes, cfg.Axes...)
-	for _, overrides := range crossProduct(axes) {
-		p := cfg.Base.Clone()
-		for _, kv := range overrides {
-			k, v, _ := strings.Cut(kv, "=")
-			p.Set(k, v)
-		}
-		m.TraceParams(p, m.TraceFile)
-		m.MetricsParams(p, m.MetricsFile)
-		if _, err := Build(m.Scenario, p); err != nil {
+	for _, overrides := range cells {
+		if _, err := Build(m.Scenario, cfg.cellParams(overrides)); err != nil {
 			return err
 		}
 	}
@@ -400,19 +399,10 @@ func (m *Manifest) CellIDs() []string {
 	if m.Sweep == nil {
 		return nil
 	}
-	axes := make([]Axis, 0, 2+len(m.Sweep.Vary))
-	if len(m.Sweep.Schedulers) > 0 {
-		axes = append(axes, Axis{Key: "sched", Values: m.Sweep.Schedulers})
-	}
-	if len(m.Sweep.Controllers) > 0 {
-		axes = append(axes, Axis{Key: "policy", Values: m.Sweep.Controllers})
-	}
-	for _, ax := range m.Sweep.Vary {
-		axes = append(axes, Axis{Key: ax.Key, Values: ax.Values})
-	}
-	var ids []string
-	for _, overrides := range crossProduct(axes) {
-		ids = append(ids, CellID(overrides))
+	cells, _ := m.SweepConfig(0).cells() // a malformed axis has no cells
+	ids := make([]string, len(cells))
+	for i, overrides := range cells {
+		ids[i] = CellID(overrides)
 	}
 	return ids
 }

@@ -34,14 +34,75 @@ func init() {
 	})
 }
 
+// The documents of the parse tests, shared with FuzzManifestLoad's seeds.
+const (
+	valueFormsDoc = `{
+		"scenario": "test-manifest-bulk",
+		"params": {"rate": 0.30, "bytes": 1024, "smoke": true, "sched": "lowest-rtt"}
+	}`
+	traceSweepDoc = `{
+		"scenario": "test-manifest-bulk",
+		"trace_file": "/tmp/x.trace",
+		"sweep": {
+			"schedulers": ["lowest-rtt", "round-robin"],
+			"vary": [
+				{"key": "bytes", "values": [1024, 2048]},
+				{"key": "rate", "values": ["25e6"]}
+			]
+		}
+	}`
+)
+
+var manifestRejects = []struct {
+	name, doc, wantErr string
+}{
+	{"unknown top-level field", `{"scenario": "x", "shard": 4}`, "shard"},
+	{"unknown sweep field", `{"scenario": "x", "sweep": {"contollers": ["a"]}}`, "contollers"},
+	{"trailing data", `{"scenario": "x"} {"scenario": "y"}`, "trailing"},
+	{"array param value", `{"scenario": "x", "params": {"bytes": [1, 2]}}`, "string, number, or boolean"},
+	{"object axis value", `{"scenario": "x", "sweep": {"vary": [{"key": "k", "values": [{}]}]}}`, "string, number, or boolean"},
+	{"not json", `scenario: x`, "manifest"},
+}
+
+// FuzzManifestLoad hammers the manifest decoder — JSON from outside the
+// program: it must never panic, and whatever it accepts must snapshot to
+// a document that parses back to the same snapshot, so the manifest.json
+// a workspace stores reloads as exactly the run it records.
+func FuzzManifestLoad(f *testing.F) {
+	f.Add([]byte(valueFormsDoc))
+	f.Add([]byte(traceSweepDoc))
+	f.Add([]byte(`{"name": "n", "scenario": "s", "seed": 3, "seeds": 4, "shards": 2, "trace": true, "trace_cap": 9, "metrics_file": "m.json"}`))
+	for _, tc := range manifestRejects {
+		f.Add([]byte(tc.doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		m, err := ParseManifest(doc)
+		if err != nil {
+			return // rejected input: fine, as long as it did not panic
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("accepted manifest does not snapshot: %v", err)
+		}
+		m2, err := ParseManifest(snap)
+		if err != nil {
+			t.Fatalf("snapshot rejected: %v\n%s", err, snap)
+		}
+		snap2, err := m2.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, snap2) {
+			t.Fatalf("snapshot is not a fixed point:\n%s\nvs\n%s", snap, snap2)
+		}
+	})
+}
+
 // Parameter values written as JSON numbers and booleans reach the typed
 // Params as strings with the literal spelling preserved — the exact
 // bytes `-set` would carry.
 func TestParseManifestValueForms(t *testing.T) {
-	m, err := ParseManifest([]byte(`{
-		"scenario": "test-manifest-bulk",
-		"params": {"rate": 0.30, "bytes": 1024, "smoke": true, "sched": "lowest-rtt"}
-	}`))
+	m, err := ParseManifest([]byte(valueFormsDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +118,7 @@ func TestParseManifestValueForms(t *testing.T) {
 
 // Setting trace_file implies trace; sweep axes keep file order.
 func TestParseManifestTraceAndSweep(t *testing.T) {
-	m, err := ParseManifest([]byte(`{
-		"scenario": "test-manifest-bulk",
-		"trace_file": "/tmp/x.trace",
-		"sweep": {
-			"schedulers": ["lowest-rtt", "round-robin"],
-			"vary": [
-				{"key": "bytes", "values": [1024, 2048]},
-				{"key": "rate", "values": ["25e6"]}
-			]
-		}
-	}`))
+	m, err := ParseManifest([]byte(traceSweepDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +134,7 @@ func TestParseManifestTraceAndSweep(t *testing.T) {
 }
 
 func TestParseManifestRejects(t *testing.T) {
-	cases := []struct {
-		name, doc, wantErr string
-	}{
-		{"unknown top-level field", `{"scenario": "x", "shard": 4}`, "shard"},
-		{"unknown sweep field", `{"scenario": "x", "sweep": {"contollers": ["a"]}}`, "contollers"},
-		{"trailing data", `{"scenario": "x"} {"scenario": "y"}`, "trailing"},
-		{"array param value", `{"scenario": "x", "params": {"bytes": [1, 2]}}`, "string, number, or boolean"},
-		{"object axis value", `{"scenario": "x", "sweep": {"vary": [{"key": "k", "values": [{}]}]}}`, "string, number, or boolean"},
-		{"not json", `scenario: x`, "manifest"},
-	}
-	for _, tc := range cases {
+	for _, tc := range manifestRejects {
 		if _, err := ParseManifest([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
 		}
@@ -242,34 +283,31 @@ func TestManifestSnapshot(t *testing.T) {
 	}
 }
 
-// BuildParams carries params + shards but never trace keys; TraceParams
-// arms them separately with the runner-chosen file.
+// RunParams carries params + shards, and arms tracing — with the
+// caller-chosen file — only on a manifest that asks for it.
 func TestManifestBuildAndTraceParams(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
 		Params:   map[string]string{"bytes": "1024"},
 		Shards:   4,
-		Trace:    true,
 		TraceCap: 99,
 	}
-	p := m.BuildParams()
-	if p.Has("trace") || p.Has("trace_cap") {
-		t.Fatal("BuildParams must not arm tracing")
+	p := m.RunParams("/tmp/t", "/tmp/m")
+	if p.Has("trace") || p.Has("trace_cap") || p.Has("metrics") {
+		t.Fatal("RunParams armed tracing or metrics on a manifest that enables neither")
 	}
 	if got := p.Clone().Int("shards", 0); got != 4 {
 		t.Fatalf("shards = %d, want 4", got)
 	}
-	m.TraceParams(p, "/tmp/t")
+	m.Trace = true
+	p = m.RunParams("/tmp/t", "")
 	if got := p.Clone().Str("trace", ""); got != "/tmp/t" {
 		t.Fatalf("trace = %q", got)
 	}
 	if got := p.Clone().Int("trace_cap", 0); got != 99 {
 		t.Fatalf("trace_cap = %d", got)
 	}
-	// Untraced manifests leave params untouched.
-	p2 := (&Manifest{Scenario: "x"}).BuildParams()
-	(&Manifest{Scenario: "x"}).TraceParams(p2, "/tmp/t")
-	if p2.Has("trace") {
-		t.Fatal("TraceParams armed tracing on an untraced manifest")
+	if p.Has("metrics") {
+		t.Fatal("RunParams armed metrics on an unmetered manifest")
 	}
 }

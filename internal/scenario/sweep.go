@@ -77,21 +77,10 @@ type SweepResult struct {
 // parallelises across its seeds); the first invalid cell aborts with an
 // error before any simulation runs.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	axes := make([]Axis, 0, 2+len(cfg.Axes))
-	if len(cfg.Schedulers) > 0 {
-		axes = append(axes, Axis{Key: "sched", Values: cfg.Schedulers})
+	cells, err := cfg.cells()
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Controllers) > 0 {
-		axes = append(axes, Axis{Key: "policy", Values: cfg.Controllers})
-	}
-	axes = append(axes, cfg.Axes...)
-	for _, ax := range axes {
-		if ax.Key == "" || len(ax.Values) == 0 {
-			return nil, fmt.Errorf("scenario: sweep axis %q has no values", ax.Key)
-		}
-	}
-
-	cells := crossProduct(axes)
 	sr := &SweepResult{Scenario: cfg.Scenario, Config: cfg}
 	// A trace file in the base parameters fans out per cell (suffixed
 	// with the cell label) so sequential cells cannot overwrite each
@@ -116,11 +105,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	// Validate every cell before simulating anything.
 	params := make([]*Params, len(cells))
 	for i, overrides := range cells {
-		p := cfg.Base.Clone()
-		for _, kv := range overrides {
-			k, v, _ := strings.Cut(kv, "=")
-			p.Set(k, v)
-		}
+		p := cfg.cellParams(overrides)
 		switch {
 		case cfg.TraceFile != nil:
 			if f := cfg.TraceFile(CellID(overrides)); f != "" {
@@ -161,11 +146,25 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	return sr, nil
 }
 
-// crossProduct enumerates the cells in deterministic order: the first
-// axis varies slowest.
-func crossProduct(axes []Axis) [][]string {
+// cells enumerates the cross product as each cell's "key=value"
+// overrides: Schedulers (as "sched"), then Controllers (as "policy"),
+// then Axes, the first axis varying slowest. It is the one place the
+// axes are assembled, so manifest validation, execution and workspace
+// cell directories cannot disagree on cell order or ids.
+func (cfg SweepConfig) cells() ([][]string, error) {
+	axes := make([]Axis, 0, 2+len(cfg.Axes))
+	if len(cfg.Schedulers) > 0 {
+		axes = append(axes, Axis{Key: "sched", Values: cfg.Schedulers})
+	}
+	if len(cfg.Controllers) > 0 {
+		axes = append(axes, Axis{Key: "policy", Values: cfg.Controllers})
+	}
+	axes = append(axes, cfg.Axes...)
 	cells := [][]string{nil}
 	for _, ax := range axes {
+		if ax.Key == "" || len(ax.Values) == 0 {
+			return nil, fmt.Errorf("scenario: sweep axis %q has no values", ax.Key)
+		}
 		var next [][]string
 		for _, base := range cells {
 			for _, v := range ax.Values {
@@ -175,7 +174,17 @@ func crossProduct(axes []Axis) [][]string {
 		}
 		cells = next
 	}
-	return cells
+	return cells, nil
+}
+
+// cellParams returns a copy of Base with one cell's overrides applied.
+func (cfg SweepConfig) cellParams(overrides []string) *Params {
+	p := cfg.Base.Clone()
+	for _, kv := range overrides {
+		k, v, _ := strings.Cut(kv, "=")
+		p.Set(k, v)
+	}
+	return p
 }
 
 // Report renders the sweep: one scalar-summary block per cell, then a

@@ -27,17 +27,13 @@ func be16put(b []byte, v uint16) { binary.BigEndian.PutUint16(b, v) }
 func be32put(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
 func be64put(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 
-// Marshal encodes the segment to its TCP wire form (base header, MPTCP
-// options padded to 32-bit alignment, then PayloadLen zero bytes standing in
-// for application data). IP addresses are not part of the TCP wire image;
-// the caller provides them out of band on Unmarshal.
-func (s *Segment) Marshal() ([]byte, error) {
-	return s.AppendWire(nil)
-}
-
-// AppendWire appends the segment's TCP wire image to dst and returns the
-// extended slice — the allocation-free marshal for callers that reuse a
-// buffer across segments (append-style, like encoding/binary.Append).
+// AppendWire appends the segment's TCP wire image (base header, MPTCP
+// options padded to 32-bit alignment, then PayloadLen zero bytes standing
+// in for application data) to dst and returns the extended slice — append-
+// style, like encoding/binary.Append, so callers that reuse a buffer
+// across segments marshal without allocating. IP addresses are not part
+// of the TCP wire image; the caller provides them out of band on
+// UnmarshalInto.
 func (s *Segment) AppendWire(dst []byte) ([]byte, error) {
 	optLen := 0
 	for _, o := range s.Options {
@@ -78,19 +74,10 @@ func (s *Segment) AppendWire(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes a TCP wire image produced by Marshal (or any TCP segment
-// restricted to NOP/EOL/MPTCP options). src and dst carry the IP addresses
-// from the enclosing IP header.
-func Unmarshal(b []byte, src, dst netip.Addr) (*Segment, error) {
-	s := &Segment{}
-	if err := UnmarshalInto(s, b, src, dst); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// UnmarshalInto decodes a TCP wire image into s in place. s is Reset
-// first and its inline option storage is reused — the first DSS and first
+// UnmarshalInto decodes a TCP wire image produced by AppendWire (or any
+// TCP segment restricted to NOP/EOL/SACK/MPTCP options) into s in place;
+// src and dst carry the IP addresses from the enclosing IP header. s is
+// Reset first and its inline option storage is reused — the first DSS and first
 // SACK decode without allocating — so a pooled segment can be refilled
 // from the wire with no per-segment heap work. On error s is left in an
 // undefined (but Reset-able) state.
@@ -245,6 +232,9 @@ func decodeOption(b []byte) (Option, error) {
 		return nil, fmt.Errorf("seg: MP_CAPABLE bad length %d", len(b))
 
 	case SubMPJoin:
+		if len(b) < 4 {
+			return nil, fmt.Errorf("seg: MP_JOIN bad length %d", len(b))
+		}
 		j := &MPJoin{Backup: b[2]&0x01 != 0, AddrID: b[3]}
 		switch len(b) {
 		case 12:
@@ -271,6 +261,9 @@ func decodeOption(b []byte) (Option, error) {
 		return d, nil
 
 	case SubAddAddr:
+		if len(b) < 4 {
+			return nil, errors.New("seg: ADD_ADDR truncated")
+		}
 		ipver := b[2] & 0xf
 		a := &AddAddr{AddrID: b[3]}
 		var alen int

@@ -17,16 +17,22 @@ func tuple() FourTuple {
 	return FourTuple{SrcIP: ipA, DstIP: ipB, SrcPort: 43211, DstPort: 80}
 }
 
+// unmarshal decodes a wire image into a fresh segment.
+func unmarshal(b []byte, src, dst netip.Addr) (*Segment, error) {
+	s := &Segment{}
+	return s, UnmarshalInto(s, b, src, dst)
+}
+
 func roundTrip(t *testing.T, s *Segment) *Segment {
 	t.Helper()
-	b, err := s.Marshal()
+	b, err := s.AppendWire(nil)
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+		t.Fatalf("AppendWire: %v", err)
 	}
 	if len(b) != s.WireSize() {
 		t.Fatalf("wire size %d != WireSize %d", len(b), s.WireSize())
 	}
-	got, err := Unmarshal(b, s.Tuple.SrcIP, s.Tuple.DstIP)
+	got, err := unmarshal(b, s.Tuple.SrcIP, s.Tuple.DstIP)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
@@ -59,40 +65,21 @@ func TestRoundTripMPCapableThirdACK(t *testing.T) {
 	}
 }
 
-func TestRoundTripMPJoinForms(t *testing.T) {
-	cases := []*MPJoin{
+// The option tables below feed both the round-trip tests and the seed
+// corpus of FuzzSegUnmarshalInto.
+var (
+	joinForms = []*MPJoin{
 		{Form: JoinSYN, Token: 0xaabbccdd, Nonce: 42, AddrID: 3, Backup: true},
 		{Form: JoinSYNACK, TruncHMAC: 0x1122334455667788, Nonce: 7, AddrID: 1},
 		{Form: JoinACK, FullHMAC: [20]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}},
 	}
-	flagSets := []Flags{SYN, SYN | ACK, ACK}
-	for i, j := range cases {
-		s := &Segment{Tuple: tuple(), Flags: flagSets[i], Window: 256, Options: []Option{j}}
-		got := roundTrip(t, s)
-		if !s.Equal(got) {
-			t.Fatalf("form %d mismatch:\n in=%v\nout=%v", j.Form, s, got)
-		}
-	}
-}
-
-func TestRoundTripDSSVariants(t *testing.T) {
-	cases := []*DSS{
+	dssVariants = []*DSS{
 		{HasDataAck: true, DataAck: 1 << 40},
 		{HasMap: true, DataSeq: 99, SubflowSeq: 5, MapLen: 1400},
 		{HasDataAck: true, DataAck: 12, HasMap: true, DataSeq: 34, SubflowSeq: 56, MapLen: 78},
 		{HasDataAck: true, DataAck: 3, DataFIN: true, HasMap: true, DataSeq: 9, MapLen: 1},
 	}
-	for _, d := range cases {
-		s := &Segment{Tuple: tuple(), Flags: ACK, Window: 1 << 16, PayloadLen: int(d.MapLen), Options: []Option{d}}
-		got := roundTrip(t, s)
-		if !s.Equal(got) {
-			t.Fatalf("DSS mismatch:\n in=%v\nout=%v", s, got)
-		}
-	}
-}
-
-func TestRoundTripAddrOptions(t *testing.T) {
-	opts := []Option{
+	addrOptions = []Option{
 		&AddAddr{AddrID: 2, Addr: ipB},
 		&AddAddr{AddrID: 3, Addr: ipB, Port: 8080, HasPort: true},
 		&AddAddr{AddrID: 4, Addr: ip6},
@@ -102,7 +89,31 @@ func TestRoundTripAddrOptions(t *testing.T) {
 		&MPFail{DataSeq: 1 << 50},
 		&FastClose{ReceiverKey: 0xfeed},
 	}
-	for _, o := range opts {
+)
+
+func TestRoundTripMPJoinForms(t *testing.T) {
+	flagSets := []Flags{SYN, SYN | ACK, ACK}
+	for i, j := range joinForms {
+		s := &Segment{Tuple: tuple(), Flags: flagSets[i], Window: 256, Options: []Option{j}}
+		got := roundTrip(t, s)
+		if !s.Equal(got) {
+			t.Fatalf("form %d mismatch:\n in=%v\nout=%v", j.Form, s, got)
+		}
+	}
+}
+
+func TestRoundTripDSSVariants(t *testing.T) {
+	for _, d := range dssVariants {
+		s := &Segment{Tuple: tuple(), Flags: ACK, Window: 1 << 16, PayloadLen: int(d.MapLen), Options: []Option{d}}
+		got := roundTrip(t, s)
+		if !s.Equal(got) {
+			t.Fatalf("DSS mismatch:\n in=%v\nout=%v", s, got)
+		}
+	}
+}
+
+func TestRoundTripAddrOptions(t *testing.T) {
+	for _, o := range addrOptions {
 		s := &Segment{Tuple: tuple(), Flags: ACK, Window: 256, Options: []Option{o}}
 		got := roundTrip(t, s)
 		if !s.Equal(got) {
@@ -135,26 +146,26 @@ func TestOptionsTooLong(t *testing.T) {
 			&DSS{HasDataAck: true, HasMap: true},
 			&MPJoin{Form: JoinACK},
 		}} // 28 + 24 = 52 > 40
-	if _, err := s.Marshal(); err == nil {
+	if _, err := s.AppendWire(nil); err == nil {
 		t.Fatal("expected options-too-long error")
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2, 3}, ipA, ipB); err == nil {
+	if _, err := unmarshal([]byte{1, 2, 3}, ipA, ipB); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 	// Bad data offset.
 	b := make([]byte, 20)
 	b[12] = 1 << 4 // dataOff = 4 < 20
-	if _, err := Unmarshal(b, ipA, ipB); err == nil {
+	if _, err := unmarshal(b, ipA, ipB); err == nil {
 		t.Fatal("bad data offset accepted")
 	}
 	// Truncated option.
 	s := &Segment{Tuple: tuple(), Flags: SYN, Options: []Option{&MPCapable{SenderKey: 1}}}
-	wire, _ := s.Marshal()
+	wire, _ := s.AppendWire(nil)
 	wire[21] = 40 // option length beyond buffer
-	if _, err := Unmarshal(wire, ipA, ipB); err == nil {
+	if _, err := unmarshal(wire, ipA, ipB); err == nil {
 		t.Fatal("bad option length accepted")
 	}
 }
@@ -279,11 +290,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		case 4:
 			s.Options = []Option{&DSS{HasDataAck: true, DataAck: dack}}
 		}
-		b, err := s.Marshal()
+		b, err := s.AppendWire(nil)
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(b, s.Tuple.SrcIP, s.Tuple.DstIP)
+		got, err := unmarshal(b, s.Tuple.SrcIP, s.Tuple.DstIP)
 		if err != nil {
 			return false
 		}
@@ -298,11 +309,11 @@ func TestQuickRoundTrip(t *testing.T) {
 // yields a segment that re-marshals.
 func TestQuickUnmarshalRobust(t *testing.T) {
 	f := func(b []byte) bool {
-		s, err := Unmarshal(b, ipA, ipB)
+		s, err := unmarshal(b, ipA, ipB)
 		if err != nil {
 			return true
 		}
-		_, err = s.Marshal()
+		_, err = s.AppendWire(nil)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(12))}); err != nil {

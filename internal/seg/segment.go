@@ -5,8 +5,8 @@
 // Segments have two representations, in the style of gopacket's layered
 // decode: an in-memory struct used by the simulator (cheap, no allocation of
 // payload bytes — data is carried as a length plus a data-sequence mapping),
-// and a faithful binary wire form produced by Marshal and consumed by
-// Unmarshal. The wire form is what crosses the socket transport in
+// and a faithful binary wire form produced by AppendWire and consumed by
+// UnmarshalInto. The wire form is what crosses the socket transport in
 // cmd/smappd and what all round-trip property tests exercise.
 package seg
 
@@ -70,7 +70,7 @@ func (ft FourTuple) String() string {
 //
 // PayloadLen is the number of application bytes carried; the simulator does
 // not materialise payload bytes (contents are tracked by data-sequence
-// ranges), but Marshal emits PayloadLen zero bytes so wire size is honest.
+// ranges), but AppendWire emits PayloadLen zero bytes so wire size is honest.
 //
 // Segments carry inline storage for the options of the hot data path (one
 // DSS, one SACK, up to four option slots), claimed via ScratchDSS /

@@ -31,7 +31,7 @@ type DiffOptions struct {
 // (stats.Result.MarkWallClock → the "wall_clock" list in result.json /
 // summary.json). Those measure host speed, not simulation output, so
 // they legitimately differ between two identical runs and the diff
-// skips them — cmd/benchgate owns their regression thresholds instead.
+// skips them — host speed is the benchmark's business (bench/).
 // The exclusion is tag-driven: emitters opt out explicitly rather than
 // by a naming convention.
 type wallSet map[string]bool

@@ -77,12 +77,11 @@ func Init(parent string) (*Workspace, error) {
 			return nil, fmt.Errorf("workspace: %w", err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(root, "README.md"), []byte(readme), 0o644); err != nil {
-		return nil, fmt.Errorf("workspace: %w", err)
+	if err := writeFile(root, "README.md", []byte(readme)); err != nil {
+		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(root, manifestsDir, "example-fig2a.json"),
-		[]byte(exampleManifest), 0o644); err != nil {
-		return nil, fmt.Errorf("workspace: %w", err)
+	if err := writeFile(filepath.Join(root, manifestsDir), "example-fig2a.json", []byte(exampleManifest)); err != nil {
+		return nil, err
 	}
 	ws := &Workspace{Root: root}
 	if err := ws.WriteIndex(); err != nil {
@@ -187,6 +186,17 @@ func (opt RunOptions) progress(format string, args ...any) {
 	}
 }
 
+// Execute validates and runs a manifest without an artifact directory:
+// reports go to opt.Echo, and a trace or metrics file is written only
+// where the manifest names one. It reports whether every seed of every
+// cell succeeded.
+func Execute(m *scenario.Manifest, opt RunOptions) (bool, error) {
+	if err := m.Validate(); err != nil {
+		return false, err
+	}
+	return execute(m, "", opt)
+}
+
 // Run executes a manifest into a fresh run directory: validates it
 // against the live scenario registry (the same Build path `-set` flags
 // take), snapshots the resolved manifest, runs the scenario (or every
@@ -204,16 +214,11 @@ func (ws *Workspace) Run(m *scenario.Manifest, opt RunOptions) (*RunInfo, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), snapshot, 0o644); err != nil {
-		return nil, fmt.Errorf("workspace: %w", err)
+	if err := writeFile(dir, ManifestFile, snapshot); err != nil {
+		return nil, err
 	}
 	info := &RunInfo{ID: id, Dir: dir}
-	if m.Sweep == nil {
-		info.OK, err = ws.runSingle(m, dir, opt)
-	} else {
-		info.OK, err = ws.runSweep(m, dir, opt)
-	}
-	if err != nil {
+	if info.OK, err = execute(m, dir, opt); err != nil {
 		return nil, err
 	}
 	if err := ws.WriteIndex(); err != nil {
@@ -222,28 +227,14 @@ func (ws *Workspace) Run(m *scenario.Manifest, opt RunOptions) (*RunInfo, error)
 	return info, nil
 }
 
-// runSingle executes a non-sweep manifest into dir.
-func (ws *Workspace) runSingle(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
-	p := m.BuildParams()
-	traceFile := m.TraceFile
-	if m.Trace && traceFile == "" {
-		traceFile = filepath.Join(dir, TraceFile)
+// execute is the one manifest executor behind every `mpexp run`, `sweep`
+// and `all`: a validated manifest becomes one run or one sweep on the
+// multi-seed runner. dir is the artifact directory; "" stores nothing.
+func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
+	if m.Sweep != nil {
+		return executeSweep(m, dir, opt)
 	}
-	m.TraceParams(p, traceFile)
-	metricsFile := m.MetricsFile
-	if m.Metrics && metricsFile == "" {
-		metricsFile = filepath.Join(dir, MetricsFile)
-	}
-	m.MetricsParams(p, metricsFile)
-	job := scenario.Job(m.Scenario, p)
-	if m.EffectiveSeeds() == 1 {
-		res, err := runSeed(job, m.BaseSeed())
-		if err != nil {
-			return false, fmt.Errorf("%s: %w", m.RunName(), err)
-		}
-		opt.echo(res.Report)
-		return true, writeResult(dir, res)
-	}
+	p := m.RunParams(artifactPath(m.TraceFile, dir, TraceFile), artifactPath(m.MetricsFile, dir, MetricsFile))
 	multi := runner.Run(m.RunName(), runner.Config{
 		Seeds:    m.EffectiveSeeds(),
 		BaseSeed: m.BaseSeed(),
@@ -251,22 +242,26 @@ func (ws *Workspace) runSingle(m *scenario.Manifest, dir string, opt RunOptions)
 		OnDone: func(sr runner.SeedResult) {
 			opt.progress("[seed %d done]", sr.Seed)
 		},
-	}, job)
-	report := multi.Report()
+	}, scenario.Job(m.Scenario, p))
+	report := reportOf(multi)
 	opt.echo(report)
-	if err := writeReport(dir, report); err != nil {
-		return false, err
-	}
-	if err := writeSummary(dir, m.RunName(), multi); err != nil {
-		return false, err
-	}
-	return len(multi.Failed()) == 0, nil
+	return len(multi.Failed()) == 0, store(dir, m.RunName(), report, multi)
 }
 
-// runSweep executes a sweep manifest: one cells/<cellID>/ directory per
-// cell, each holding the same artifact set as a single run, plus the
-// top-level sweep report.
-func (ws *Workspace) runSweep(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
+// artifactPath places a run's trace or metrics file: the path the
+// manifest names wins, otherwise the file gets its default name inside
+// dir — or "" (record in memory only) when there is no directory.
+func artifactPath(explicit, dir, base string) string {
+	if explicit != "" || dir == "" {
+		return explicit
+	}
+	return filepath.Join(dir, base)
+}
+
+// executeSweep runs a sweep manifest. With a directory, every cell gets
+// cells/<cellID>/ holding the same artifact set as a single run, next to
+// the top-level sweep report.
+func executeSweep(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
 	cfg := m.SweepConfig(opt.Parallel)
 	cfg.OnCell = func(c *scenario.Cell) {
 		opt.progress("[cell %s done]", c.Label)
@@ -279,13 +274,13 @@ func (ws *Workspace) runSweep(m *scenario.Manifest, dir string, opt RunOptions) 
 		}
 		return filepath.Join(cdir, base)
 	}
-	if m.Trace {
+	if dir != "" && m.Trace {
 		// One trace per cell, inside the cell's directory. The cell dirs
 		// are created here — during sweep validation, before anything
 		// simulates — so the trace writer finds them in place.
 		cfg.TraceFile = func(cellID string) string { return cellFile(cellID, TraceFile) }
 	}
-	if m.Metrics {
+	if dir != "" && m.Metrics {
 		cfg.MetricsFile = func(cellID string) string { return cellFile(cellID, MetricsFile) }
 	}
 	sr, err := scenario.Sweep(cfg)
@@ -297,66 +292,73 @@ func (ws *Workspace) runSweep(m *scenario.Manifest, dir string, opt RunOptions) 
 	}
 	report := sr.Report()
 	opt.echo(report)
+	ok := true
+	for _, c := range sr.Cells {
+		if len(c.Multi.Failed()) > 0 {
+			ok = false
+		}
+	}
+	if dir == "" {
+		return ok, nil
+	}
 	if err := writeReport(dir, report); err != nil {
 		return false, err
 	}
-	ok := true
 	for _, c := range sr.Cells {
 		cdir := filepath.Join(dir, cellsDir, c.ID)
 		if err := os.MkdirAll(cdir, 0o755); err != nil {
 			return false, fmt.Errorf("workspace: %w", err)
 		}
-		if len(c.Multi.Failed()) > 0 {
-			ok = false
-		}
-		if cfg.Seeds <= 1 {
-			sr0 := c.Multi.PerSeed[0]
-			if sr0.Err != nil {
-				// Record the failure where the result would have been.
-				if err := writeReport(cdir, fmt.Sprintf("FAILED: %v\n", sr0.Err)); err != nil {
-					return false, err
-				}
-				continue
-			}
-			if err := writeResult(cdir, sr0.Result); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if err := writeReport(cdir, c.Multi.Report()); err != nil {
-			return false, err
-		}
-		if err := writeSummary(cdir, cfg.Scenario+" "+c.Label, c.Multi); err != nil {
+		if err := store(cdir, cfg.Scenario+" "+c.Label, reportOf(c.Multi), c.Multi); err != nil {
 			return false, err
 		}
 	}
 	return ok, nil
 }
 
-// runSeed executes one seed, converting a scenario panic into an error.
-func runSeed(job func(seed int64) *stats.Result, seed int64) (res *stats.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("seed %d panicked: %v", seed, r)
-		}
-	}()
-	return job(seed), nil
+// reportOf renders what one run (or sweep cell) prints: the seed's own
+// report for a single seed — or its failure, where the report would have
+// been — and the cross-seed aggregate otherwise.
+func reportOf(m *runner.Multi) string {
+	if m.Config.Seeds > 1 {
+		return m.Report()
+	}
+	if sr := m.PerSeed[0]; sr.Err != nil {
+		return fmt.Sprintf("FAILED: %v\n", sr.Err)
+	}
+	return m.PerSeed[0].Result.Report
 }
 
-// writeResult stores a single-seed result: result.json + report.txt.
-func writeResult(dir string, res *stats.Result) error {
-	buf, err := res.Data().Encode()
+// store writes one run's (or sweep cell's) artifacts into dir: its
+// rendered report as report.txt, plus result.json for a single seed or
+// summary.json for several. It stores nothing when dir is "".
+func store(dir, name, report string, m *runner.Multi) error {
+	if dir == "" {
+		return nil
+	}
+	if err := writeReport(dir, report); err != nil {
+		return err
+	}
+	if m.Config.Seeds > 1 {
+		return writeSummary(dir, name, m)
+	}
+	sr := m.PerSeed[0]
+	if sr.Err != nil {
+		return nil
+	}
+	buf, err := sr.Result.Data().Encode()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, ResultFile), buf, 0o644); err != nil {
-		return fmt.Errorf("workspace: %w", err)
-	}
-	return writeReport(dir, res.Report)
+	return writeFile(dir, ResultFile, buf)
 }
 
 func writeReport(dir, report string) error {
-	if err := os.WriteFile(filepath.Join(dir, ReportFile), []byte(report), 0o644); err != nil {
+	return writeFile(dir, ReportFile, []byte(report))
+}
+
+func writeFile(dir, name string, data []byte) error {
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 		return fmt.Errorf("workspace: %w", err)
 	}
 	return nil
@@ -381,10 +383,7 @@ func writeSummary(dir, name string, m *runner.Multi) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, SummaryFile), buf, 0o644); err != nil {
-		return fmt.Errorf("workspace: %w", err)
-	}
-	return nil
+	return writeFile(dir, SummaryFile, buf)
 }
 
 // IndexEntry is one run in the workspace index.
@@ -453,11 +452,7 @@ func (ws *Workspace) WriteIndex() error {
 	if err != nil {
 		return fmt.Errorf("workspace: index: %w", err)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(filepath.Join(ws.Root, IndexFile), buf, 0o644); err != nil {
-		return fmt.Errorf("workspace: %w", err)
-	}
-	return nil
+	return writeFile(ws.Root, IndexFile, append(buf, '\n'))
 }
 
 func countDirs(dir string) int {
