@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench fmt examples smoke smoke-shards smoke-workspace
+.PHONY: build test race bench bench-pair fmt examples smoke smoke-shards smoke-workspace
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,22 @@ race:
 # report as an artifact.
 bench:
 	$(GO) run ./bench -out bench.json
+
+# Paired comparison behind a performance claim: build ./bench at REF (in a
+# temporary git worktree) and from the working tree, then alternate the two
+# binaries per workload with tracing off, PAIRS times, and print per
+# metric both sides' medians and quartiles, the pairs the working tree won
+# and REF's own interquartile range (cmd/benchpair). ~3 min per pair.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [PAIRS=10]"; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force '$$tmp'/ref >/dev/null 2>&1; rm -rf '$$tmp EXIT; \
+	git worktree add --detach $$tmp/ref $(REF) >/dev/null; \
+	( cd $$tmp/ref && $(GO) build -o $$tmp/bench-ref ./bench ); \
+	$(GO) build -o $$tmp/bench-head ./bench; \
+	$(GO) run ./cmd/benchpair -ref $$tmp/bench-ref -head $$tmp/bench-head -pairs $(PAIRS)
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -133,5 +134,58 @@ func TestDropsRecyclePackets(t *testing.T) {
 	}
 	if wire.Stats.LostRand != 50 {
 		t.Fatalf("expected 50 random losses, got %d", wire.Stats.LostRand)
+	}
+}
+
+// TestECMPForwardAllocFree pins the flow-hashed forwarding path (the bench
+// probe netem.ecmp_forward_allocs): a Router choosing among four equal-cost
+// links hashes every packet's 4-tuple, and neither the hash nor the
+// forwarding allocates.
+func TestECMPForwardAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts differ under -race instrumentation")
+	}
+	s := sim.New(1)
+	src := netip.MustParseAddr("10.0.0.1")
+	dstAddr := netip.MustParseAddr("10.0.0.2")
+
+	rx := NewHost(s, "rx")
+	delivered := 0
+	rx.SetHandler(func(p *Packet) {
+		delivered++
+		p.Release()
+	})
+	r := NewRouter(s, "r", 7)
+	var links []*Link
+	for i := 0; i < 4; i++ {
+		links = append(links, NewLink(s, fmt.Sprintf("p%d", i), rx, LinkConfig{RateBps: 1e9, Delay: time.Millisecond}))
+	}
+	r.AddRoute(dstAddr, links...)
+
+	port := uint16(1000)
+	send := func() {
+		sg := seg.Shared.Get()
+		port++ // a new flow per packet, so every link carries traffic
+		sg.Tuple = seg.FourTuple{SrcIP: src, DstIP: dstAddr, SrcPort: port, DstPort: 80}
+		sg.Flags = seg.ACK | seg.PSH
+		sg.PayloadLen = 1380
+		r.Input(NewPacket(sg))
+		s.RunFor(5 * time.Millisecond)
+	}
+	for i := 0; i < 128; i++ {
+		send()
+	}
+	before := delivered
+	avg := testing.AllocsPerRun(2000, send)
+	if delivered <= before {
+		t.Fatal("packets were not delivered")
+	}
+	for _, l := range links {
+		if l.Stats.Sent == 0 {
+			t.Fatalf("link %s carried nothing; the hash is not spreading flows", l.Name())
+		}
+	}
+	if avg > 0.05 {
+		t.Fatalf("ECMP forwarding allocates %.2f allocs/op, want ~0", avg)
 	}
 }

@@ -7,7 +7,6 @@
 package netem
 
 import (
-	"hash/fnv"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -96,21 +95,17 @@ type Node interface {
 // return traffic of a subflow take the same emulated path, matching the
 // symmetric-path Mininet topologies in the paper. The seed lets different
 // routers (or different experiment trials) use independent hash functions.
+//
+// The hash is 64-bit FNV-1a over the seed (little-endian), then each
+// endpoint's address bytes and big-endian port — the byte stream hash/fnv
+// would see, computed inline so the per-packet call allocates nothing.
 func FlowHash(ft seg.FourTuple, seed uint64) uint64 {
-	a := addrPort{ft.SrcIP, ft.SrcPort}
-	b := addrPort{ft.DstIP, ft.DstPort}
-	if b.less(a) {
-		a, b = b, a
-	}
-	h := fnv.New64a()
-	var sb [8]byte
+	k := canonicalKey(ft)
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		sb[i] = byte(seed >> (8 * i))
+		h = fnvByte(h, byte(seed>>(8*i)))
 	}
-	h.Write(sb[:])
-	writeAddrPort(h, a)
-	writeAddrPort(h, b)
-	return h.Sum64()
+	return hashAddrPort(hashAddrPort(h, k.a), k.b)
 }
 
 type addrPort struct {
@@ -125,7 +120,27 @@ func (x addrPort) less(y addrPort) bool {
 	return x.port < y.port
 }
 
-func writeAddrPort(h interface{ Write([]byte) (int, error) }, ap addrPort) {
-	h.Write(ap.ip.AsSlice())
-	h.Write([]byte{byte(ap.port >> 8), byte(ap.port)})
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvByte is one FNV-1a step.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// hashAddrPort folds the address bytes (4 for IPv4, 16 for IPv6 including
+// 4-in-6, none for the zero Addr — what AsSlice yields) and the port into
+// the running FNV-1a state.
+func hashAddrPort(h uint64, ap addrPort) uint64 {
+	switch {
+	case ap.ip.Is4():
+		for _, b := range ap.ip.As4() {
+			h = fnvByte(h, b)
+		}
+	case ap.ip.Is6():
+		for _, b := range ap.ip.As16() {
+			h = fnvByte(h, b)
+		}
+	}
+	return fnvByte(fnvByte(h, byte(ap.port>>8)), byte(ap.port))
 }

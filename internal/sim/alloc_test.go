@@ -45,7 +45,7 @@ func TestTimerResetAllocFree(t *testing.T) {
 	tm := NewTimer(s, "t", func() { fired++ })
 	cycle := func() {
 		tm.Reset(time.Microsecond)
-		tm.Reset(2 * time.Microsecond) // re-arm while pending (heap.Fix path)
+		tm.Reset(2 * time.Microsecond) // re-arm while pending (eventHeap.fix path)
 		s.RunFor(time.Millisecond)
 	}
 	for i := 0; i < 16; i++ {

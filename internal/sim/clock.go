@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -128,7 +127,7 @@ type entityClock struct {
 	shard int
 	ent   uint64
 	seq   uint64
-	rng   *rand.Rand
+	rng   *rand.Rand // created by the first Rand call
 	name  string
 }
 
@@ -138,15 +137,25 @@ func (c *entityClock) next() uint64 {
 	return n
 }
 
-func (c *entityClock) Now() Time        { return c.sh.now }
-func (c *entityClock) Rand() *rand.Rand { return c.rng }
+func (c *entityClock) Now() Time { return c.sh.now }
+
+// Rand seeds the entity's stream on first use: a seeded source is 4.9 KB,
+// and most clocks (lossless links, routers) never draw. The seed depends
+// only on the run seed and the entity ordinal, so when the first draw
+// happens does not change what it returns.
+func (c *entityClock) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(entitySeed(c.w.seed, c.ent)))
+	}
+	return c.rng
+}
 
 func (c *entityClock) Schedule(when Time, name string, fn func()) *Event {
 	if when < c.sh.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, c.sh.now))
 	}
 	e := &Event{when: when, ent: c.ent, seq: c.next(), fn: fn, name: name}
-	heap.Push(&c.sh.queue, e)
+	c.sh.queue.push(e)
 	return e
 }
 
@@ -194,10 +203,10 @@ func (c *entityClock) rearmOwned(e *Event, when Time) {
 	e.ent = c.ent
 	e.seq = c.next()
 	if e.idx >= 0 {
-		heap.Fix(&c.sh.queue, e.idx)
+		c.sh.queue.fix(e.idx)
 		return
 	}
-	heap.Push(&c.sh.queue, e)
+	c.sh.queue.push(e)
 }
 
 func (c *entityClock) cancelOwned(e *Event)    { c.sh.cancelOwned(e) }

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -72,42 +71,109 @@ func (e *Event) When() Time { return e.when }
 // Cancelled reports whether the event has been cancelled or already fired.
 func (e *Event) Cancelled() bool { return e.idx < 0 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-// Less orders events by the total key (when, ent, seq). On a bare
+// eventHeap is the pending-event queue: a 4-ary min-heap of *Event with
+// concrete (non-interface) sift loops. Four children per node halve the
+// depth of a binary heap, and a sift moves a hole instead of swapping, so
+// a push or pop writes each touched slot once. Every move maintains
+// Event.idx, which is what lets timers be fixed and removed in place.
+//
+// Events are ordered by the total key (when, ent, seq). On a bare
 // Simulator every event has ent 0, so the order degenerates to the classic
 // (when, seq) FIFO. Under a sharded World the entity ordinal and per-entity
 // sequence make the key independent of how entities fold onto shards,
-// which is what keeps sharded runs bit-identical at any shard count.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// which is what keeps sharded runs bit-identical at any shard count. No
+// two queued events share a key, so the pop order is a property of the
+// key alone: any heap shape or arity replays identically.
+type eventHeap []*Event
+
+const heapArity = 4
+
+func eventLess(a, b *Event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	if h[i].ent != h[j].ent {
-		return h[i].ent < h[j].ent
+	if a.ent != b.ent {
+		return a.ent < b.ent
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
+
+func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	e := (*h)[0]
+	h.remove(0)
 	return e
+}
+
+// fix restores heap order after the key of the event at i changed.
+func (h eventHeap) fix(i int) {
+	if i > 0 && eventLess(h[i], h[(i-1)/heapArity]) {
+		h.up(i)
+		return
+	}
+	h.down(i)
+}
+
+// remove deletes the event at i and marks it unqueued (idx -1).
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	e := old[i]
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		old[i] = last
+		h.fix(i)
+	}
+	e.idx = -1
+}
+
+// up sifts the event at i towards the root.
+func (h eventHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !eventLess(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
+	}
+	h[i] = e
+	e.idx = i
+}
+
+// down sifts the event at i towards the leaves.
+func (h eventHeap) down(i int) {
+	n := len(h)
+	e := h[i]
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+heapArity && j < n; j++ {
+			if eventLess(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !eventLess(h[m], e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].idx = i
+		i = m
+	}
+	h[i] = e
+	e.idx = i
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -164,7 +230,7 @@ func (s *Simulator) Schedule(when Time, name string, fn func()) *Event {
 	}
 	e := &Event{when: when, seq: s.nextSeq, fn: fn, name: name}
 	s.nextSeq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -197,7 +263,7 @@ func (s *Simulator) ScheduleArg(when Time, name string, fn func(any), arg any) {
 	}
 	e.when, e.seq, e.name, e.argFn, e.arg = when, s.nextSeq, name, fn, arg
 	s.nextSeq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // AfterArg is ScheduleArg relative to the current time.
@@ -227,13 +293,13 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 		e = &Event{pooled: true}
 	}
 	e.when, e.ent, e.seq, e.name, e.argFn, e.arg = when, ent, seqn, name, fn, arg
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // rearmOwned (re)schedules a caller-owned event (sim.Timer / Ticker): if
-// pending it moves in place via heap.Fix, otherwise it is pushed afresh.
-// The event's fn survives firing, so one Event serves its owner's whole
-// lifetime without allocation.
+// pending it is re-keyed and sifted in place (eventHeap.fix), otherwise it
+// is pushed afresh. The event's fn survives firing, so one Event serves
+// its owner's whole lifetime without allocation.
 func (s *Simulator) rearmOwned(e *Event, when Time) {
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.name, when, s.now))
@@ -242,10 +308,10 @@ func (s *Simulator) rearmOwned(e *Event, when Time) {
 	e.seq = s.nextSeq
 	s.nextSeq++
 	if e.idx >= 0 {
-		heap.Fix(&s.queue, e.idx)
+		s.queue.fix(e.idx)
 		return
 	}
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // cancelOwned removes a pending owned event without clearing its fn.
@@ -253,8 +319,7 @@ func (s *Simulator) cancelOwned(e *Event) {
 	if e.idx < 0 {
 		return
 	}
-	heap.Remove(&s.queue, e.idx)
-	e.idx = -1
+	s.queue.remove(e.idx)
 }
 
 // Cancel removes a pending event. Cancelling a fired or already-cancelled
@@ -263,8 +328,7 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	heap.Remove(&s.queue, e.idx)
-	e.idx = -1
+	s.queue.remove(e.idx)
 	e.fn = nil
 }
 
@@ -286,7 +350,7 @@ func (s *Simulator) step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue.pop()
 	if e.when < s.now {
 		panic("sim: time went backwards")
 	}

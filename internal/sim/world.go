@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -161,7 +160,6 @@ func (w *World) deriveClock(shard int, name string) *entityClock {
 		sh:    w.shards[shard],
 		shard: shard,
 		ent:   w.nextEnt,
-		rng:   rand.New(rand.NewSource(entitySeed(w.seed, w.nextEnt))),
 		name:  name,
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -157,4 +158,24 @@ func TestWorldRejectsClockCreationWhileRunning(t *testing.T) {
 	}()
 	a.Schedule(Time(Millisecond), "bad", func() { a.Derive("nested") })
 	w.RunFor(2 * time.Millisecond)
+}
+
+// TestEntityRandSeededOnFirstUse: a clock's stream is created by its first
+// Rand call, from the run seed and the entity ordinal alone, so a clock
+// that never draws costs no source and one that draws late draws what it
+// always drew.
+func TestEntityRandSeededOnFirstUse(t *testing.T) {
+	w := NewWorld(42, 1)
+	a := w.HostClock(0, "a").(*entityClock)
+	b := w.HostClock(0, "b").(*entityClock)
+	if a.rng != nil || b.rng != nil {
+		t.Fatal("stream created before the first draw")
+	}
+	w.RunFor(time.Millisecond)
+	for _, c := range []*entityClock{b, a} {
+		want := rand.New(rand.NewSource(entitySeed(42, c.ent))).Int63()
+		if got := c.Rand().Int63(); got != want {
+			t.Fatalf("%s: first draw %d, want %d", c.name, got, want)
+		}
+	}
 }

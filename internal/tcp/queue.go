@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -73,12 +75,29 @@ func putChunks(cs []*Chunk) {
 // sendQueue is the subflow's ordered list of chunks between sndUna and the
 // tail of scheduled data. It doubles as the retransmission queue: acked
 // chunks are popped from the front.
+//
+// A chunk is unsent, or sent and then at most one of lost (marked for
+// retransmission) or sacked. Chunks are sent in queue order, so the
+// unsent ones always form a suffix starting at firstUnsent. The queue
+// keeps the sums the sender asks for on every ACK and scheduler pick —
+// bytes in flight, bytes unsent, lost chunks — as counters moved at each
+// transition, which is why the chunk flags are written only by the
+// methods below.
 type sendQueue struct {
-	chunks []*Chunk
-	acked  []*Chunk // reused ackThrough result buffer
+	chunks  []*Chunk
+	scratch []*Chunk // result buffer shared by ackThrough and applySACK
+
+	inFlight    int // bytes sent, not lost, not sacked (the RFC 6675 "pipe")
+	unsent      int // bytes never transmitted
+	nLost       int // chunks marked lost
+	firstUnsent int // index of the first unsent chunk; len(chunks) if none
 }
 
-func (q *sendQueue) push(c *Chunk) { q.chunks = append(q.chunks, c) }
+// push appends a never-sent chunk.
+func (q *sendQueue) push(c *Chunk) {
+	q.chunks = append(q.chunks, c)
+	q.unsent += c.Len
+}
 func (q *sendQueue) empty() bool   { return len(q.chunks) == 0 }
 func (q *sendQueue) len() int      { return len(q.chunks) }
 func (q *sendQueue) all() []*Chunk { return q.chunks }
@@ -86,82 +105,139 @@ func (q *sendQueue) front() *Chunk { return q.chunks[0] }
 
 // ackThrough removes chunks fully covered by the cumulative ack and returns
 // them (for RTT sampling and data-level bookkeeping). The returned slice is
-// a per-queue scratch reused by the next call: survivors are compacted to
-// the front of the same backing array instead of re-slicing past them, so
-// the push/ack steady state never erodes capacity and never reallocates —
-// the send queue's share of the 0 allocs/op data path.
+// the per-queue scratch, valid until the next ackThrough or applySACK (the
+// subflow is done with one result before it asks for the next): survivors
+// are compacted to the front of the same backing array instead of
+// re-slicing past them, so the push/ack steady state never erodes capacity
+// and never reallocates — the send queue's share of the 0 allocs/op data
+// path.
 func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 	i := 0
-	for i < len(q.chunks) {
+	for i < q.firstUnsent { // only sent data can be acknowledged
 		c := q.chunks[i]
-		if seqLEQ(c.SubSeq+uint32(c.Len), ack) {
-			i++
-		} else {
+		if !seqLEQ(c.SubSeq+uint32(c.Len), ack) {
 			break
 		}
+		switch {
+		case c.lost:
+			q.nLost--
+		case !c.sacked:
+			q.inFlight -= c.Len
+		}
+		i++
 	}
 	if i == 0 {
 		return nil
 	}
-	q.acked = append(q.acked[:0], q.chunks[:i]...)
+	q.firstUnsent -= i
+	acked := append(q.scratch[:0], q.chunks[:i]...)
+	q.scratch = acked
 	n := copy(q.chunks, q.chunks[i:])
 	for j := n; j < len(q.chunks); j++ {
 		q.chunks[j] = nil // drop references to chunks headed for the pool
 	}
 	q.chunks = q.chunks[:n]
-	return q.acked
+	return acked
+}
+
+// clear empties the queue (subflow teardown) and returns the chunks it
+// held, for recycling.
+func (q *sendQueue) clear() []*Chunk {
+	cs := q.chunks
+	*q = sendQueue{scratch: q.scratch}
+	return cs
 }
 
 // nextToSend returns the first chunk needing (re)transmission: lost chunks
 // first (they hold the lowest sequence numbers), then never-sent chunks.
-// SACKed chunks never retransmit.
+// SACKed chunks never retransmit. Only while a chunk is marked lost does
+// it scan, and then only the sent prefix.
 func (q *sendQueue) nextToSend() *Chunk {
-	for _, c := range q.chunks {
-		if c.sacked {
-			continue
+	if q.nLost > 0 {
+		for _, c := range q.chunks[:q.firstUnsent] {
+			if c.lost {
+				return c
+			}
 		}
-		if !c.sent || c.lost {
-			return c
-		}
+	}
+	if q.firstUnsent < len(q.chunks) {
+		return q.chunks[q.firstUnsent]
 	}
 	return nil
 }
 
-// flight sums the bytes of chunks sent, unacked, not SACKed and not marked
-// lost (the RFC 6675 "pipe" estimate).
-func (q *sendQueue) flight() int {
-	n := 0
-	for _, c := range q.chunks {
-		if c.sent && !c.lost && !c.sacked {
-			n += c.Len
+// flight reports the bytes of chunks sent, unacked, not SACKed and not
+// marked lost (the RFC 6675 "pipe" estimate).
+func (q *sendQueue) flight() int { return q.inFlight }
+
+// unsentBytes reports bytes never transmitted.
+func (q *sendQueue) unsentBytes() int { return q.unsent }
+
+// transmitted records that c is going onto the wire at now — the first
+// transmission of the next unsent chunk, or the retransmission of a sent
+// one, which clears its lost mark — and reports whether it was a
+// retransmission.
+func (q *sendQueue) transmitted(c *Chunk, now sim.Time) (retrans bool) {
+	retrans = c.sent
+	if retrans {
+		c.rexmits++
+		if c.lost {
+			c.lost = false
+			q.nLost--
+			q.inFlight += c.Len
 		}
+	} else {
+		if q.chunks[q.firstUnsent] != c {
+			panic("tcp: first transmission out of queue order")
+		}
+		c.sent = true
+		q.firstUnsent++
+		q.unsent -= c.Len
+		q.inFlight += c.Len
 	}
-	return n
+	c.sentAt = now
+	return retrans
+}
+
+// markLost flags a sent, un-SACKed chunk for retransmission and reports
+// whether the mark is new.
+func (q *sendQueue) markLost(c *Chunk) bool {
+	if !c.sent || c.sacked || c.lost {
+		return false
+	}
+	c.lost = true
+	q.nLost++
+	q.inFlight -= c.Len
+	return true
 }
 
 // markAllLost flags every sent, un-SACKed chunk for retransmission (after
 // an RTO).
 func (q *sendQueue) markAllLost() {
-	for _, c := range q.chunks {
-		if c.sent && !c.sacked {
-			c.lost = true
-		}
+	for _, c := range q.chunks[:q.firstUnsent] {
+		q.markLost(c)
 	}
 }
 
 // applySACK marks chunks covered by the blocks as delivered. It returns the
 // highest sequence number newly SACKed and the newly SACKed chunks (for RTT
-// sampling); ok is false if nothing new was covered.
+// sampling) in the scratch ackThrough also uses.
 func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) {
-	for _, c := range q.chunks {
-		if c.sacked || !c.sent {
+	newly = q.scratch[:0]
+	for _, c := range q.chunks[:q.firstUnsent] {
+		if c.sacked {
 			continue
 		}
 		end := c.SubSeq + uint32(c.Len)
 		for _, b := range blocks {
 			if seqLEQ(b.lo, c.SubSeq) && seqLEQ(end, b.hi) {
 				c.sacked = true
-				c.lost = false
+				if c.lost {
+					c.lost = false
+					q.nLost--
+				} else {
+					q.inFlight -= c.Len
+				}
 				newly = append(newly, c)
 				if seqLT(high, end) {
 					high = end
@@ -170,6 +246,7 @@ func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) 
 			}
 		}
 	}
+	q.scratch = newly
 	return high, newly
 }
 
@@ -183,12 +260,11 @@ func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) 
 // whether any chunk was newly marked.
 func (q *sendQueue) markSACKHoles(highSacked uint32, threshBytes int) bool {
 	marked := false
-	for _, c := range q.chunks {
-		if !c.sent || c.sacked || c.lost || c.rexmits > 0 {
+	for _, c := range q.chunks[:q.firstUnsent] {
+		if c.rexmits > 0 {
 			continue
 		}
-		if seqLEQ(c.SubSeq+uint32(c.Len)+uint32(threshBytes), highSacked) {
-			c.lost = true
+		if seqLEQ(c.SubSeq+uint32(c.Len)+uint32(threshBytes), highSacked) && q.markLost(c) {
 			marked = true
 		}
 	}
@@ -197,17 +273,6 @@ func (q *sendQueue) markSACKHoles(highSacked uint32, threshBytes int) bool {
 
 // sackRange is a half-open SACK interval in subflow sequence space.
 type sackRange struct{ lo, hi uint32 }
-
-// unsentBytes sums bytes never transmitted.
-func (q *sendQueue) unsentBytes() int {
-	n := 0
-	for _, c := range q.chunks {
-		if !c.sent {
-			n += c.Len
-		}
-	}
-	return n
-}
 
 // rcvQueue tracks the receive side of a subflow: the next expected in-order
 // sequence number and the set of out-of-order intervals already received,
@@ -238,20 +303,20 @@ func (r *rcvQueue) receive(seq uint32, n int) bool {
 	} else {
 		isNew = r.insertOOO(seq, end)
 	}
-	// Merge any out-of-order intervals now contiguous with nxt.
-	changed := true
-	for changed {
-		changed = false
-		for i, iv := range r.ooo {
-			if seqLEQ(iv.lo, r.nxt) {
-				if seqLT(r.nxt, iv.hi) {
-					r.nxt = iv.hi
-				}
-				r.ooo = append(r.ooo[:i], r.ooo[i+1:]...)
-				changed = true
-				break
-			}
+	// Merge the out-of-order intervals now contiguous with nxt; they sit
+	// at the sorted front.
+	merged := 0
+	for _, iv := range r.ooo {
+		if !seqLEQ(iv.lo, r.nxt) {
+			break
 		}
+		if seqLT(r.nxt, iv.hi) {
+			r.nxt = iv.hi
+		}
+		merged++
+	}
+	if merged > 0 {
+		r.ooo = slices.Delete(r.ooo, 0, merged)
 	}
 	return isNew
 }
@@ -265,41 +330,34 @@ func (r *rcvQueue) sackBlocks(max int) []ival {
 	return r.ooo[:max]
 }
 
-// insertOOO adds [lo,hi) to the out-of-order set, merging overlaps, and
-// reports whether any byte was new.
+// insertOOO adds [lo,hi) to the out-of-order set, merging overlapping and
+// adjacent intervals, and reports whether any byte was new. It works in
+// place: the affected run is found by binary search and the tail shifted
+// within the backing array, so a warm receiver does not allocate per
+// reordered segment.
 func (r *rcvQueue) insertOOO(lo, hi uint32) bool {
-	for _, iv := range r.ooo {
-		if seqLEQ(iv.lo, lo) && seqLEQ(hi, iv.hi) {
-			return false // fully covered already
-		}
+	// ooo[i:j] are the intervals that overlap or touch [lo,hi): i is the
+	// first whose end reaches lo (ends are sorted, as the intervals are
+	// sorted and disjoint).
+	i := sort.Search(len(r.ooo), func(m int) bool { return !seqLT(r.ooo[m].hi, lo) })
+	j := i
+	for j < len(r.ooo) && seqLEQ(r.ooo[j].lo, hi) {
+		j++
 	}
-	merged := ival{lo, hi}
-	out := r.ooo[:0]
-	for _, iv := range r.ooo {
-		if seqLT(merged.hi, iv.lo) || seqLT(iv.hi, merged.lo) {
-			out = append(out, iv) // disjoint
-			continue
-		}
-		if seqLT(iv.lo, merged.lo) {
-			merged.lo = iv.lo
-		}
-		if seqLT(merged.hi, iv.hi) {
-			merged.hi = iv.hi
-		}
+	if i == j {
+		r.ooo = slices.Insert(r.ooo, i, ival{lo, hi})
+		return true
 	}
-	// Keep sorted by lo.
-	inserted := false
-	final := make([]ival, 0, len(out)+1)
-	for _, iv := range out {
-		if !inserted && seqLT(merged.lo, iv.lo) {
-			final = append(final, merged)
-			inserted = true
-		}
-		final = append(final, iv)
+	if seqLEQ(r.ooo[i].lo, lo) && seqLEQ(hi, r.ooo[i].hi) {
+		return false // fully covered already
 	}
-	if !inserted {
-		final = append(final, merged)
+	if seqLT(r.ooo[i].lo, lo) {
+		lo = r.ooo[i].lo
 	}
-	r.ooo = final
+	if seqLT(hi, r.ooo[j-1].hi) {
+		hi = r.ooo[j-1].hi
+	}
+	r.ooo[i] = ival{lo, hi}
+	r.ooo = slices.Delete(r.ooo, i+1, j)
 	return true
 }

@@ -101,10 +101,22 @@ func TestQuickRcvQueuePermutation(t *testing.T) {
 	}
 }
 
+// pushChunk queues a 100-byte chunk at subSeq and, when sent is set,
+// transmits it — through the queue's own transitions, so the flags and
+// the counters cannot disagree.
+func pushChunk(q *sendQueue, subSeq uint32, sent bool) *Chunk {
+	c := &Chunk{SubSeq: subSeq, Len: 100}
+	q.push(c)
+	if sent {
+		q.transmitted(c, 0)
+	}
+	return c
+}
+
 func TestSendQueueAckThrough(t *testing.T) {
 	q := sendQueue{}
 	for i := 0; i < 5; i++ {
-		q.push(&Chunk{SubSeq: uint32(i * 100), Len: 100, sent: true})
+		pushChunk(&q, uint32(i*100), true)
 	}
 	acked := q.ackThrough(250) // covers chunks 0,1 fully; chunk 2 partially
 	if len(acked) != 2 {
@@ -121,12 +133,9 @@ func TestSendQueueAckThrough(t *testing.T) {
 
 func TestSendQueueFlightAndLost(t *testing.T) {
 	q := sendQueue{}
-	a := &Chunk{SubSeq: 0, Len: 100, sent: true}
-	b := &Chunk{SubSeq: 100, Len: 100, sent: true}
-	c := &Chunk{SubSeq: 200, Len: 100}
-	q.push(a)
-	q.push(b)
-	q.push(c)
+	a := pushChunk(&q, 0, true)
+	pushChunk(&q, 100, true)
+	c := pushChunk(&q, 200, false)
 	if q.flight() != 200 {
 		t.Fatalf("flight = %d, want 200", q.flight())
 	}

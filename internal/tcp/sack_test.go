@@ -224,12 +224,10 @@ func TestRTOFiresDespiteContinuousSending(t *testing.T) {
 // SACKed chunks (they were delivered; resending them wastes the window).
 func TestSackedChunksNeverRetransmit(t *testing.T) {
 	q := sendQueue{}
-	a := &Chunk{SubSeq: 0, Len: 100, sent: true}
-	b := &Chunk{SubSeq: 100, Len: 100, sent: true, sacked: true}
-	c := &Chunk{SubSeq: 200, Len: 100, sent: true}
-	q.push(a)
-	q.push(b)
-	q.push(c)
+	a := pushChunk(&q, 0, true)
+	b := pushChunk(&q, 100, true)
+	c := pushChunk(&q, 200, true)
+	q.applySACK([]sackRange{{lo: 100, hi: 200}})
 	q.markAllLost()
 	if b.lost {
 		t.Fatal("SACKed chunk marked lost")
@@ -240,8 +238,7 @@ func TestSackedChunksNeverRetransmit(t *testing.T) {
 	if q.nextToSend() != a {
 		t.Fatal("retransmission order wrong")
 	}
-	a.lost = false
-	a.sent = true
+	q.transmitted(a, 0) // retransmit a
 	if q.nextToSend() != c {
 		t.Fatal("SACKed chunk offered for retransmission")
 	}
@@ -250,7 +247,7 @@ func TestSackedChunksNeverRetransmit(t *testing.T) {
 func TestApplySACKBounds(t *testing.T) {
 	q := sendQueue{}
 	for i := 0; i < 5; i++ {
-		q.push(&Chunk{SubSeq: uint32(i * 100), Len: 100, sent: i < 4}) // last unsent
+		pushChunk(&q, uint32(i*100), i < 4) // last unsent
 	}
 	high, newly := q.applySACK([]sackRange{{lo: 100, hi: 300}})
 	if len(newly) != 2 {
@@ -274,7 +271,7 @@ func TestApplySACKBounds(t *testing.T) {
 func TestMarkSACKHolesThreshold(t *testing.T) {
 	q := sendQueue{}
 	for i := 0; i < 6; i++ {
-		q.push(&Chunk{SubSeq: uint32(i * 100), Len: 100, sent: true})
+		pushChunk(&q, uint32(i*100), true)
 	}
 	q.applySACK([]sackRange{{lo: 500, hi: 600}})
 	// Threshold 200: only chunks ending ≤ 400 qualify (0..3).
@@ -293,8 +290,7 @@ func TestMarkSACKHolesThreshold(t *testing.T) {
 	// Re-marking is idempotent and retransmitted chunks are exempt.
 	for _, c := range q.all() {
 		if c.lost {
-			c.lost = false
-			c.rexmits = 1
+			q.transmitted(c, 0)
 		}
 	}
 	if q.markSACKHoles(600, 200) {

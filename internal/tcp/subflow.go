@@ -520,21 +520,17 @@ func (sf *Subflow) paceGap(segLen int) (time.Duration, bool) {
 }
 
 func (sf *Subflow) sendChunk(c *Chunk) {
-	retrans := c.sent
+	retrans := sf.sq.transmitted(c, sf.sim.Now())
 	if retrans {
-		c.rexmits++
-		c.lost = false
 		sf.stats.Retrans++
 		sf.stats.BytesRetrans += uint64(c.Len)
 		sf.cfg.Metrics.Retrans.Inc()
 	} else {
-		c.sent = true
 		if end := c.SubSeq + uint32(c.Len); seqLT(sf.sndNxt, end) {
 			sf.sndNxt = end
 		}
 		sf.stats.BytesSent += uint64(c.Len)
 	}
-	c.sentAt = sf.sim.Now()
 	if sf.tsh != nil {
 		var fl uint8
 		if retrans {
@@ -691,8 +687,7 @@ func (sf *Subflow) die(reason Errno) {
 	sf.owner.OnClosed(sf, reason)
 	// The owner has reinjected whatever it wanted (OnClosed reads
 	// UnackedChunks); the remaining queue can be recycled now.
-	putChunks(sf.sq.chunks)
-	sf.sq.chunks = nil
+	putChunks(sf.sq.clear())
 }
 
 // --- Inbound ---
@@ -958,7 +953,7 @@ func (sf *Subflow) fastRetransmit() {
 	if front.sent && !front.sacked {
 		// The lost segment is retransmitted immediately, outside the
 		// usual window check (it replaces bytes already counted).
-		front.lost = true
+		sf.sq.markLost(front)
 		sf.sendChunk(front)
 	}
 	sf.armRTO()
