@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-pair fmt examples smoke smoke-shards smoke-workspace
+.PHONY: build test race bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,50 @@ smoke-workspace:
 	  test -s .mpexp/runs/fleet-003/metrics.json; \
 	  $$bin diff fleet-003 fleet-004 ); \
 	rm -rf $$ws
+
+# Parent-vs-change gate for a refactor that must keep every simulated
+# byte: build cmd/mpexp at REF (in a temporary git worktree, the bench-pair
+# pattern) and from the working tree, run every registered scenario -smoke
+# three ways (plain, -metrics, -shards 2) into one workspace per side, and
+# require `mpexp diff` at tolerance 0 on every pair across the two —
+# metrics.json included. Then compare `mpexp report -json` of a traced
+# fig2a, scale and fleet run: the analysis must be byte-identical even
+# where the raw trace orders its shards differently.
+smoke-ref:
+	@test -n "$(REF)" || { echo "usage: make smoke-ref REF=<commit>"; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force '$$tmp'/ref >/dev/null 2>&1; rm -rf '$$tmp EXIT; \
+	git worktree add --detach $$tmp/ref $(REF) >/dev/null; \
+	( cd $$tmp/ref && $(GO) build -o $$tmp/mpexp-ref ./cmd/mpexp ); \
+	$(GO) build -o $$tmp/mpexp-head ./cmd/mpexp; \
+	names=$$($$tmp/mpexp-head list -names); \
+	for side in ref head; do \
+		bin=$$tmp/mpexp-$$side; \
+		mkdir $$tmp/$$side-ws; \
+		( cd $$tmp/$$side-ws; $$bin init >/dev/null; \
+		  for s in $$names; do \
+			$$bin run $$s -smoke >/dev/null 2>&1; \
+			$$bin run $$s -smoke -metrics >/dev/null 2>&1; \
+			$$bin run $$s -smoke -shards 2 >/dev/null 2>&1; \
+		  done; \
+		  for s in fig2a scale fleet; do \
+			$$bin run $$s -smoke -ws none -trace $$s.trace >/dev/null 2>&1; \
+			$$bin report $$s.trace -json >$$s.report.json; \
+		  done ); \
+	done; \
+	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2"; \
+	for s in $$names; do \
+		for n in 001 002 003; do \
+			echo "== smoke-ref: $$s-$$n"; \
+			out=$$($$tmp/mpexp-head diff $$tmp/ref-ws/.mpexp/runs/$$s-$$n $$tmp/head-ws/.mpexp/runs/$$s-$$n) || \
+				{ echo "$$out"; exit 1; }; \
+		done; \
+	done; \
+	for s in fig2a scale fleet; do \
+		echo "== smoke-ref: traced $$s, report -json"; \
+		cmp $$tmp/ref-ws/$$s.report.json $$tmp/head-ws/$$s.report.json; \
+	done
 
 # Build and RUN every example end to end; any non-zero exit fails. The
 # examples are the facade's acceptance surface, so they are executed,

@@ -432,7 +432,7 @@ func (c *cli) cmdList(args []string) error {
 	for _, in := range smapp.Controllers() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Fprintf(c.stdout, "  %-12s scale only: in-kernel full-mesh baseline, no userspace control plane\n",
+	fmt.Fprintf(c.stdout, "  %-12s in-kernel full-mesh baseline, no userspace control plane\n",
 		scenario.KernelPolicy)
 	return nil
 }
@@ -466,11 +466,6 @@ func (c *cli) cmdAll(args []string) error {
 			if variant != "" {
 				m.Name = name + "-" + variant
 				m.Params[variant] = "true"
-			}
-			// "kernel" names a scale sweep cell, not a registered policy:
-			// the figures fall back to their paper-default controllers.
-			if name != "scale" && m.Params["policy"] == scenario.KernelPolicy {
-				delete(m.Params, "policy")
 			}
 			// One trace/metrics file per entry, so the sequential runs
 			// don't overwrite each other's output.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"repro/internal/app"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 )
 
 // CtlStressConfig parameterises the control-plane stress scenario: N
@@ -25,6 +23,8 @@ import (
 // in the kernel — under the immediate and the coalesced delivery modes.
 type CtlStressConfig struct {
 	Seed         int64
+	Sched        string        // packet scheduler ("" = lowest-rtt)
+	Policy       string        // the subflow controller under stress
 	Conns        int           // concurrent connections, one client host each
 	Subflows     int           // interfaces per client (≥2; iface 1 is flapped)
 	Servers      int           // server hosts, dialed round-robin (0 = 1)
@@ -44,6 +44,7 @@ type CtlStressConfig struct {
 func DefaultCtlStress() CtlStressConfig {
 	return CtlStressConfig{
 		Seed:         1,
+		Policy:       "fullmesh",
 		Conns:        8,
 		Subflows:     2,
 		BytesPerConn: 64 << 10,
@@ -69,6 +70,8 @@ func init() {
 				cfg.BytesPerConn = 32 << 10
 				cfg.Horizon = time.Second
 			}
+			cfg.Sched = p.Str("sched", cfg.Sched)
+			cfg.Policy = p.Str("policy", cfg.Policy)
 			cfg.Conns = p.Int("conns", cfg.Conns)
 			cfg.Subflows = p.Int("subflows", cfg.Subflows)
 			cfg.Servers = p.Int("servers", cfg.Servers)
@@ -133,14 +136,17 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 	}
 	var runs []*scenario.RunSpec
 	for _, w := range windows {
+		wl := &ctlStressLoad{Bytes: cfg.BytesPerConn, Window: w.window, Queue: cfg.Queue}
 		runs = append(runs, &scenario.RunSpec{
-			Label:     w.label,
-			Topology:  star,
-			Workload:  &ctlStressLoad{Bytes: cfg.BytesPerConn, Window: w.window, Queue: cfg.Queue},
-			Policy:    "fullmesh",
-			PolicyCfg: smapp.ControllerConfig{Subflows: cfg.Subflows},
-			Events:    events,
-			Stop:      scenario.Stop{Horizon: cfg.Horizon},
+			Label:       w.label,
+			Topology:    star,
+			Workload:    wl,
+			Sched:       cfg.Sched,
+			Policy:      cfg.Policy,
+			PolicyCfg:   smapp.ControllerConfig{Subflows: cfg.Subflows},
+			StackConfig: wl.tapStack,
+			Events:      events,
+			Stop:        scenario.Stop{Horizon: cfg.Horizon},
 		})
 	}
 
@@ -164,7 +170,10 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 					commands += tp.commands
 				}
 				var ctl smapp.CtlStats
-				for _, st := range wl.stacks {
+				for _, st := range rt.Stacks {
+					if st.PM == nil {
+						continue // policy=kernel: no Netlink path to count
+					}
 					ctl.EventsSent += st.PM.EventsSent
 					ctl.EventsCoalesced += st.PM.EventsCoalesced
 					ctl.EventsDropped += st.PM.EventsDropped
@@ -206,92 +215,47 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 	}, nil
 }
 
-// ctlStressLoad is the churn workload: every client dials once through its
-// own smapp stack with the run's policy bound and streams Bytes without
-// closing, so the connection (and its controller) outlives the transfer
-// and keeps reacting to interface flaps for the whole horizon. Each
-// client's Netlink transport is tap-wrapped to timestamp stimulus events
-// and the controller commands they provoke.
+// ctlStressLoad is the churn workload: every client dials once with the
+// run's policy bound and streams Bytes without closing, so the connection
+// (and its controller) outlives the transfer and keeps reacting to
+// interface flaps for the whole horizon. Each client's Netlink transport
+// is tap-wrapped to timestamp stimulus events and the controller commands
+// they provoke.
 type ctlStressLoad struct {
 	Bytes  int
 	Window time.Duration // smapp.Config.CtlFlush (0 = immediate delivery)
 	Queue  int           // smapp.Config.CtlQueue
 
-	stacks []*smapp.Stack
-	taps   []*ctlTap
+	taps []*ctlTap // one per client, in client order
 }
 
-// OwnsStacks implements scenario.StackOwner.
-func (w *ctlStressLoad) OwnsStacks() {}
-
-// Describe implements scenario.Workload.
-func (w *ctlStressLoad) Describe() string {
-	return fmt.Sprintf("subflow churn, %d KB per client, flush window %v", w.Bytes>>10, w.Window)
+// tapStack is the run's RunSpec.StackConfig hook: client i's stack gets a
+// tap-wrapped simulated Netlink transport on the client's own clock (its
+// shard) and the run's coalescing window.
+func (w *ctlStressLoad) tapStack(rt *scenario.Run, i int, cfg *smapp.Config) {
+	cclk := rt.ClientClock(i)
+	tap := &ctlTap{clk: cclk}
+	base := core.NewSimTransport(cclk)
+	cfg.Transport = &core.Transport{
+		ToUser:   &tapPipe{inner: base.ToUser, onSend: tap.eventFrame},
+		ToKernel: &tapPipe{inner: base.ToKernel, onRecv: tap.commandFrame},
+	}
+	cfg.CtlFlush, cfg.CtlQueue = w.Window, w.Queue
+	w.taps = append(w.taps, tap)
 }
 
-// Server implements scenario.Workload: one sink per accepted connection
-// (the fan-out pattern), each on its own server's clock for shard safety.
+// Server implements scenario.Workload: one sink per accepted connection.
 func (w *ctlStressLoad) Server(rt *scenario.Run) {
-	clientIdx := make(map[netip.Addr]int, len(rt.Net.Clients))
-	for i, cl := range rt.Net.Clients {
-		clientIdx[cl.Addrs[0]] = i
-	}
-	for si, ep := range rt.ServerEps {
-		sclk := rt.Net.Servers[si].Clock()
-		ep.Listen(rt.Port(), func(c *mptcp.Connection) {
-			if _, ok := clientIdx[c.InitialTuple().DstIP]; !ok {
-				return
-			}
-			c.SetCallbacks(app.NewSink(sclk, uint64(w.Bytes), nil).Callbacks())
-		})
-	}
+	rt.FanOutListen(func(_ int, sclk sim.Clock, c *mptcp.Connection) {
+		c.SetCallbacks(app.NewSink(sclk, uint64(w.Bytes), nil).Callbacks())
+	})
 }
 
-// Client implements scenario.Workload: per client, build a tap-wrapped
-// simulated Netlink transport on the client's own clock (its shard), a
-// smapp stack with the run's coalescing window applied, and dial with the
-// run's policy bound.
+// Client implements scenario.Workload.
 func (w *ctlStressLoad) Client(rt *scenario.Run) {
-	w.stacks = make([]*smapp.Stack, len(rt.Net.Clients))
-	w.taps = make([]*ctlTap, len(rt.Net.Clients))
-	for i := range rt.Net.Clients {
-		cl := rt.Net.Clients[i]
-		cclk := cl.Host.Clock()
-		tap := &ctlTap{clk: cclk}
-		base := core.NewSimTransport(cclk)
-		tr := &core.Transport{
-			ToUser:   &tapPipe{inner: base.ToUser, onSend: tap.eventFrame},
-			ToKernel: &tapPipe{inner: base.ToKernel, onRecv: tap.commandFrame},
-		}
-		csh := rt.TraceShard(cl.Host.Name())
-		st := smapp.New(cl.Host, smapp.Config{
-			MPTCP: mptcp.Config{
-				Scheduler: rt.Spec.Sched,
-				Trace:     csh,
-				Metrics:   rt.MPTCPMetrics(cclk),
-				TCP:       tcp.Config{Metrics: rt.TCPMetrics(cclk)},
-			},
-			Transport:  tr,
-			CtlFlush:   w.Window,
-			CtlQueue:   w.Queue,
-			Trace:      csh,
-			CtlMetrics: rt.CtlMetrics(cclk),
-		})
-		w.stacks[i] = st
-		w.taps[i] = tap
-		src := app.NewSource(cclk, w.Bytes, false)
-		dst := rt.Net.ServerAddrs[i%len(rt.Net.ServerAddrs)]
-		pcfg := rt.Spec.PolicyCfg
-		if len(pcfg.Addrs) == 0 {
-			pcfg.Addrs = cl.Addrs
-		}
-		at := sim.Millisecond + sim.Time(i)*10*sim.Microsecond
-		cclk.Schedule(at, "ctlstress.dial", func() {
-			if _, err := st.Dial(cl.Addrs[0], dst, rt.Port(), rt.Spec.Policy, pcfg, src.Callbacks()); err != nil {
-				panic(err)
-			}
-		})
-	}
+	rt.FanOutDial("ctlstress.dial", func(cclk sim.Clock) mptcp.ConnCallbacks {
+		return app.NewSource(cclk, w.Bytes, false).Callbacks()
+	})
 }
 
 // ctlTap observes one client's Netlink frames in both directions and turns

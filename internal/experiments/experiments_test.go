@@ -191,9 +191,9 @@ func TestReportsRenderable(t *testing.T) {
 }
 
 func TestSchedSweepCoversAllSchedulers(t *testing.T) {
-	cfg := DefaultSchedSweep()
+	cfg := DefaultStreamSweep()
 	cfg.Blocks = 10
-	r := scenario.Execute(must(schedSweepSpec(cfg)), cfg.Seed)
+	r := scenario.Execute(schedSweep.spec(cfg), cfg.Seed)
 	names := mptcp.SchedulerNames()
 	if len(names) < 4 {
 		t.Fatalf("registry too small: %v", names)
@@ -216,9 +216,9 @@ func TestSchedSweepCoversAllSchedulers(t *testing.T) {
 }
 
 func TestCtlSweepCoversAllControllers(t *testing.T) {
-	cfg := DefaultCtlSweep()
+	cfg := DefaultStreamSweep()
 	cfg.Blocks = 10
-	r := scenario.Execute(must(ctlSweepSpec(cfg)), cfg.Seed)
+	r := scenario.Execute(ctlSweep.spec(cfg), cfg.Seed)
 	names := smapp.ControllerNames()
 	if len(names) < 5 {
 		t.Fatalf("registry too small: %v", names)

@@ -66,7 +66,7 @@ func init() {
 		scenario.ParamDoc{Key: "blocks", Type: "int", Default: "120", Desc: "blocks per curve"},
 		scenario.ParamDoc{Key: "period", Type: "duration", Default: "1s", Desc: "block emission period"},
 		scenario.ParamDoc{Key: "block_size", Type: "int", Default: "65536", Desc: "bytes per block"},
-		scenario.ParamDoc{Key: "probe_at", Type: "duration", Desc: "when the stream controller probes the second path (0 = immediately)"},
+		scenario.ParamDoc{Key: "probe_at", Type: "duration", Default: "500ms", Desc: "when, within a block, the stream controller probes the second path"},
 	)
 }
 

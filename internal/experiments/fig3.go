@@ -80,7 +80,6 @@ func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 		Policy:    policy,
 		PolicyCfg: smapp.ControllerConfig{Subflows: 2},
 		KernelPM:  kernelPM,
-		Stressed:  cfg.Stressed,
 		Settle:    time.Millisecond,
 		Probes: []scenario.Probe{
 			{Name: variant, Collect: func(rt *scenario.Run) {
@@ -88,6 +87,9 @@ func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 			}},
 		},
 		// The workload drives the simulation; no Stop condition.
+	}
+	if cfg.Stressed {
+		run.StackConfig = func(_ *scenario.Run, _ int, c *smapp.Config) { c.Stressed = true }
 	}
 	return run, wl
 }

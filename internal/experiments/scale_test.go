@@ -8,17 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// must unwraps a spec builder that validates its config.
-func must(sp *scenario.Spec, err error) *scenario.Spec {
-	if err != nil {
-		panic(err)
-	}
-	return sp
-}
-
 // runScale executes the stress matrix for cfg, wall-clock scalars included.
 func runScale(cfg ScaleConfig) *stats.Result {
-	return scenario.Execute(must(scaleSpec(cfg, true)), cfg.Seed)
+	return scenario.Execute(scaleSpec(cfg, true), cfg.Seed)
 }
 
 // smallScale keeps the stress matrix test-sized.

@@ -104,13 +104,9 @@ func fleetSpec(cfg Config) (*scenario.Spec, error) {
 	wl := pacedLoad(cfg.Bytes, cfg.Duration)
 	run := &scenario.RunSpec{
 		Label: "fleet",
-		Topology: Topology{
-			Devices: devs,
-			Servers: cfg.Servers,
-			Bottleneck: netem.LinkConfig{
-				RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond,
-			},
-		},
+		Topology: Star(devs, cfg.Servers, netem.LinkConfig{
+			RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond,
+		}),
 		Workload: wl,
 		Sched:    cfg.Sched,
 		Policy:   cfg.Policy,

@@ -89,16 +89,6 @@ func sweepSpec(cfg SweepConfig) (*scenario.Spec, error) {
 	if len(scheds) == 0 {
 		scheds = mptcp.SchedulerNames()
 	}
-	for _, name := range ctls {
-		if _, err := smapp.LookupController(name); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range scheds {
-		if _, err := mptcp.LookupScheduler(name); err != nil {
-			return nil, err
-		}
-	}
 	mix, err := ParseMix(cfg.Mix)
 	if err != nil {
 		return nil, err
@@ -127,7 +117,7 @@ func sweepSpec(cfg SweepConfig) (*scenario.Spec, error) {
 			cells = append(cells, c)
 			runs = append(runs, &scenario.RunSpec{
 				Label:    ctl + "/" + sched,
-				Topology: Topology{Devices: devs, Bottleneck: netem.LinkConfig{RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond}},
+				Topology: Star(devs, 0, netem.LinkConfig{RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond}),
 				Workload: wl,
 				Sched:    sched,
 				Policy:   ctl,

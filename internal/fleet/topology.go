@@ -2,76 +2,28 @@ package fleet
 
 import (
 	"fmt"
-	"net/netip"
 
 	"repro/internal/netem"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
-// Topology is the fleet's network: every device is a client host with a
-// WiFi and an LTE interface, each on its own access link — with that
-// device's drawn rate/delay/loss — into one aggregation router, and
-// per-server bottleneck links to the server hosts, exactly the star
-// convention the scale experiment uses.
-//
-// Host groups for sharded worlds follow the star layout: the aggregation
-// router is group 0, server k group 1+k, device i group Servers+1+i, so
-// devices interleave round-robin over the shards and the access-link
-// delays bound the lookahead.
-type Topology struct {
-	Devices    []*Device
-	Servers    int // server hosts behind the aggregation (0 = 1)
-	Bottleneck netem.LinkConfig
-}
-
-// Build implements scenario.Topology. Device i's host is named "d<i>";
-// its links are "wifi<i>" and "lte<i>"; Addrs[0] is the WiFi address the
-// device dials from, Addrs[1] the LTE one.
-func (t Topology) Build(f sim.Fabric, seed int64) *scenario.Net {
-	nsrv := t.Servers
-	if nsrv < 1 {
-		nsrv = 1
+// Star is the fleet's network: the scale experiment's star topology
+// (aggregation router, per-server bottleneck links, host groups for
+// sharded worlds) with every device described explicitly. Device i's host
+// is named "d<i>"; its interfaces and access links are "wifi<i>" and
+// "lte<i>", each with that device's drawn rate/delay/loss; Addrs[0] is
+// the WiFi address the device dials from, Addrs[1] the LTE one.
+func Star(devs []*Device, servers int, bottleneck netem.LinkConfig) scenario.Star {
+	return scenario.Star{
+		Clients:    len(devs),
+		Servers:    servers,
+		Bottleneck: bottleneck,
+		Hosts: func(i int) scenario.StarHost {
+			d := devs[i]
+			return scenario.StarHost{
+				Name:  fmt.Sprintf("d%d", d.Ordinal),
+				Links: []scenario.StarLink{{Name: d.WiFiLink(), Cfg: d.WiFi}, {Name: d.LTELink(), Cfg: d.LTE}},
+			}
+		},
 	}
-	agg := netem.NewRouter(f.HostClock(0, "agg"), "agg", uint64(seed))
-	n := &scenario.Net{Links: make(map[string]*netem.Duplex)}
-	for k := 0; k < nsrv; k++ {
-		name, lname := "server", "bottleneck"
-		if k > 0 {
-			name = fmt.Sprintf("server%d", k)
-			lname = fmt.Sprintf("bottleneck%d", k)
-		}
-		srv := netem.NewHost(f.HostClock(1+k, name), name)
-		addr := netip.AddrFrom4([4]byte{10, 255, 0, byte(1 + k)})
-		trunk := netem.NewDuplex(lname, agg, srv, t.Bottleneck)
-		srv.AddIface("eth0", addr, trunk.BA)
-		agg.AddRoute(addr, trunk.AB)
-		n.Links[lname] = trunk
-		n.Servers = append(n.Servers, srv)
-		n.ServerAddrs = append(n.ServerAddrs, addr)
-	}
-	for _, d := range t.Devices {
-		i := d.Ordinal
-		cname := fmt.Sprintf("d%d", i)
-		h := netem.NewHost(f.HostClock(1+nsrv+i, cname), cname)
-		ep := scenario.Endpoint{Host: h}
-		for j, iface := range []struct {
-			name string
-			cfg  netem.LinkConfig
-		}{{d.WiFiLink(), d.WiFi}, {d.LTELink(), d.LTE}} {
-			addr := netip.AddrFrom4([4]byte{10, byte(1 + i/200), byte(1 + i%200), byte(1 + j)})
-			dx := netem.NewDuplex(iface.name, h, agg, iface.cfg)
-			h.AddIface(iface.name, addr, dx.AB)
-			agg.AddRoute(addr, dx.BA)
-			n.Links[iface.name] = dx
-			ep.Addrs = append(ep.Addrs, addr)
-		}
-		n.Clients = append(n.Clients, ep)
-	}
-	return n
-}
-
-// Describe implements scenario.Topology.
-func (t Topology) Describe() string {
-	return fmt.Sprintf("%d mobile devices (WiFi+LTE each) behind one aggregation", len(t.Devices))
 }

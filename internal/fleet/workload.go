@@ -1,25 +1,19 @@
 package fleet
 
 import (
-	"fmt"
-	"net/netip"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/mptcp"
-	"repro/internal/pm"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/smapp"
-	"repro/internal/tcp"
 )
 
 // Load is the fleet workload: every device uploads Bytes to the servers
 // (round-robin) while its mobility timeline flaps its radios underneath.
-// Like the scale fan-out it owns its stacks — one per device, shaped by
-// the run's policy (scenario.KernelPolicy builds plain kernel endpoints)
-// — and on top it keeps the per-device accounting the fleet report needs
-// WITHOUT tracing: bytes delivered, completion time, and the worst data
+// It is the scale fan-out (one dial per device through the stack the
+// engine built for it) with a paced source, and on top it keeps the
+// per-device accounting the fleet report needs WITHOUT tracing: bytes delivered, completion time, and the worst data
 // stall (maximum inter-arrival gap seen at the server), which is the
 // application-visible cost of a handover.
 //
@@ -46,9 +40,6 @@ type Load struct {
 	Recv        []uint64
 }
 
-// OwnsStacks implements scenario.StackOwner.
-func (w *Load) OwnsStacks() {}
-
 // chunk returns the per-block size and the total the sinks wait for
 // (the block size rounds up, so paced totals can exceed Bytes slightly).
 func (w *Load) chunk() (size, total int) {
@@ -59,18 +50,10 @@ func (w *Load) chunk() (size, total int) {
 	return size, size * w.Chunks
 }
 
-// Describe implements scenario.Workload.
-func (w *Load) Describe() string {
-	return fmt.Sprintf("fleet upload, %d KB per device", w.Bytes>>10)
-}
-
-// Server implements scenario.Workload: every server endpoint listens,
-// each accepted connection is matched back to its device by the initial
-// subflow's WiFi address, and its sink records the stall accounting on
-// that server's clock.
+// Server implements scenario.Workload: each accepted connection's sink
+// records its device's stall accounting on the accepting server's clock.
 func (w *Load) Server(rt *scenario.Run) {
 	n := len(rt.Net.Clients)
-	w.DialAt = make([]sim.Time, n)
 	w.CompletedAt = make([]sim.Time, n)
 	w.LastData = make([]sim.Time, n)
 	w.MaxGap = make([]sim.Time, n)
@@ -79,90 +62,39 @@ func (w *Load) Server(rt *scenario.Run) {
 		w.CompletedAt[i] = -1
 		w.LastData[i] = -1
 	}
-	devIdx := make(map[netip.Addr]int, n)
-	for i, cl := range rt.Net.Clients {
-		devIdx[cl.Addrs[0]] = i
-	}
-	for si, ep := range rt.ServerEps {
-		sclk := rt.Net.Servers[si].Clock()
-		ep.Listen(rt.Port(), func(c *mptcp.Connection) {
-			idx, ok := devIdx[c.InitialTuple().DstIP]
-			if !ok {
-				return
-			}
-			_, total := w.chunk()
-			sink := app.NewSink(sclk, uint64(total), nil)
-			sink.OnComplete = func() { w.CompletedAt[idx] = sclk.Now() }
-			inner := sink.Callbacks()
-			cb := inner
-			cb.OnData = func(c *mptcp.Connection, total uint64) {
-				now := sclk.Now()
-				if last := w.LastData[idx]; last >= 0 {
-					if gap := now - last; gap > w.MaxGap[idx] {
-						w.MaxGap[idx] = gap
-					}
-				}
-				w.LastData[idx] = now
-				w.Recv[idx] = total
-				if inner.OnData != nil {
-					inner.OnData(c, total)
+	rt.FanOutListen(func(idx int, sclk sim.Clock, c *mptcp.Connection) {
+		_, total := w.chunk()
+		sink := app.NewSink(sclk, uint64(total), nil)
+		sink.OnComplete = func() { w.CompletedAt[idx] = sclk.Now() }
+		inner := sink.Callbacks()
+		cb := inner
+		cb.OnData = func(c *mptcp.Connection, total uint64) {
+			now := sclk.Now()
+			if last := w.LastData[idx]; last >= 0 {
+				if gap := now - last; gap > w.MaxGap[idx] {
+					w.MaxGap[idx] = gap
 				}
 			}
-			c.SetCallbacks(cb)
-		})
-	}
+			w.LastData[idx] = now
+			w.Recv[idx] = total
+			if inner.OnData != nil {
+				inner.OnData(c, total)
+			}
+		}
+		c.SetCallbacks(cb)
+	})
 }
 
 // Client implements scenario.Workload: each device dials from its WiFi
-// address through its own stack on its own host clock (its shard), with
-// the fan-out's 10 µs stagger.
+// address with a paced (or, for Chunks <= 1, one-shot) source.
 func (w *Load) Client(rt *scenario.Run) {
-	for i := range rt.Net.Clients {
-		cl := rt.Net.Clients[i]
-		cclk := cl.Host.Clock()
-		var srcCb mptcp.ConnCallbacks
-		if size, _ := w.chunk(); w.Chunks > 1 {
-			srcCb = app.NewBlockStreamer(cclk, w.Period, size, w.Chunks).Callbacks()
-		} else {
-			srcCb = app.NewSource(cclk, size, true).Callbacks()
+	size, _ := w.chunk()
+	w.DialAt = rt.FanOutDial("fleet.dial", func(cclk sim.Clock) mptcp.ConnCallbacks {
+		if w.Chunks > 1 {
+			return app.NewBlockStreamer(cclk, w.Period, size, w.Chunks).Callbacks()
 		}
-		dst := rt.Net.ServerAddrs[i%len(rt.Net.ServerAddrs)]
-		at := sim.Millisecond + sim.Time(i)*10*sim.Microsecond
-		w.DialAt[i] = at
-		csh := rt.TraceShard(cl.Host.Name())
-		// Metric handles bind to the device's shard slot (zero bundles
-		// when the run records no metrics).
-		mcfg := mptcp.Config{
-			Scheduler: rt.Spec.Sched,
-			Trace:     csh,
-			Metrics:   rt.MPTCPMetrics(cclk),
-			TCP:       tcp.Config{Metrics: rt.TCPMetrics(cclk)},
-		}
-		switch rt.Spec.Policy {
-		case scenario.KernelPolicy:
-			ep := mptcp.NewEndpoint(cl.Host, mcfg, pm.NewFullMesh())
-			cclk.Schedule(at, "fleet.dial", func() {
-				if _, err := ep.Connect(cl.Addrs[0], dst, rt.Port(), srcCb); err != nil {
-					panic(err)
-				}
-			})
-		default:
-			st := smapp.New(cl.Host, smapp.Config{
-				MPTCP:      mcfg,
-				Trace:      csh,
-				CtlMetrics: rt.CtlMetrics(cclk),
-			})
-			pcfg := rt.Spec.PolicyCfg
-			if len(pcfg.Addrs) == 0 {
-				pcfg.Addrs = cl.Addrs
-			}
-			cclk.Schedule(at, "fleet.dial", func() {
-				if _, err := st.Dial(cl.Addrs[0], dst, rt.Port(), rt.Spec.Policy, pcfg, srcCb); err != nil {
-					panic(err)
-				}
-			})
-		}
-	}
+		return app.NewSource(cclk, size, true).Callbacks()
+	})
 }
 
 // Completed counts devices whose upload finished.

@@ -18,8 +18,6 @@ import (
 // inconsistency (unknown node, iface on a link the host does not touch)
 // panics: topologies are static data, so any error is a spec bug.
 type Builder struct {
-	Desc string
-
 	Hosts       []HostSpec
 	Routers     []RouterSpec
 	Middleboxes []MiddleboxSpec
@@ -202,12 +200,4 @@ func (b Builder) Build(f sim.Fabric, seed int64) *Net {
 		n.Clients = append(n.Clients, Endpoint{Host: cl.host, Addrs: cl.host.Addrs()})
 	}
 	return n
-}
-
-// Describe implements Topology.
-func (b Builder) Describe() string {
-	if b.Desc != "" {
-		return b.Desc
-	}
-	return fmt.Sprintf("custom topology (%d hosts, %d links)", len(b.Hosts), len(b.Links))
 }

@@ -22,7 +22,6 @@ func builderTwoPathNAT() Builder {
 	link := netem.LinkConfig{RateBps: 20e6, Delay: 10 * time.Millisecond}
 	trunk := netem.LinkConfig{RateBps: 1e9, Delay: 100 * time.Microsecond}
 	return Builder{
-		Desc: "two paths through a NAT",
 		Hosts: []HostSpec{
 			{Name: "client", Ifaces: []IfaceSpec{
 				{Name: "if0", Addr: bClient1, Link: "p0"},

@@ -65,13 +65,10 @@ func capturePools() poolBaseline {
 	return b
 }
 
-// MetricsOn reports whether the run records metrics.
-func (rt *Run) MetricsOn() bool { return rt.Registry != nil }
-
-// TCPMetrics builds the subflow-level metric bundle for a stack running
+// tcpMetrics builds the subflow-level metric bundle for a stack running
 // on clock c's shard. With metrics off it returns the zero bundle (nil
 // handles record nothing), so callers wire it unconditionally.
-func (rt *Run) TCPMetrics(c sim.Clock) tcp.Metrics {
+func (rt *Run) tcpMetrics(c sim.Clock) tcp.Metrics {
 	r := rt.Registry
 	if r == nil {
 		return tcp.Metrics{}
@@ -84,9 +81,9 @@ func (rt *Run) TCPMetrics(c sim.Clock) tcp.Metrics {
 	}
 }
 
-// MPTCPMetrics builds the connection-level metric bundle for clock c's
+// mptcpMetrics builds the connection-level metric bundle for clock c's
 // shard (zero bundle with metrics off).
-func (rt *Run) MPTCPMetrics(c sim.Clock) mptcp.Metrics {
+func (rt *Run) mptcpMetrics(c sim.Clock) mptcp.Metrics {
 	r := rt.Registry
 	if r == nil {
 		return mptcp.Metrics{}
@@ -100,9 +97,9 @@ func (rt *Run) MPTCPMetrics(c sim.Clock) mptcp.Metrics {
 	}
 }
 
-// CtlMetrics builds the control-plane metric bundle for clock c's shard
+// ctlMetrics builds the control-plane metric bundle for clock c's shard
 // (zero bundle with metrics off).
-func (rt *Run) CtlMetrics(c sim.Clock) core.CtlMetrics {
+func (rt *Run) ctlMetrics(c sim.Clock) core.CtlMetrics {
 	r := rt.Registry
 	if r == nil {
 		return core.CtlMetrics{}

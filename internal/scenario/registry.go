@@ -194,15 +194,8 @@ func Build(name string, p *Params) (*Spec, error) {
 		if _, err := mptcp.LookupScheduler(rs.Sched); err != nil {
 			return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 		}
-		if rs.Policy == KernelPolicy {
-			if _, owns := rs.Workload.(StackOwner); !owns {
-				return nil, fmt.Errorf("scenario %s: run %s: policy %q is a fan-out sweep cell, not a registered controller",
-					name, rs.Label, KernelPolicy)
-			}
-			continue
-		}
-		if rs.Policy != "" {
-			if _, err := smapp.LookupController(rs.Policy); err != nil {
+		if _, policy, _ := rs.controlPlane(); policy != "" {
+			if _, err := smapp.LookupController(policy); err != nil {
 				return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 			}
 		}

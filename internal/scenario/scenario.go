@@ -5,9 +5,9 @@
 // that mirrors how every paper experiment was hand-written, so specs stay
 // byte-compatible with the reports the golden tests pin:
 //
-//	build topology → client stack → server endpoint → workload.Server →
-//	settle → workload.Client → arm probes → schedule events → run to the
-//	stop condition → collect probes → render
+//	build topology → client stacks (one per endpoint) → server endpoints →
+//	workload.Server → settle → workload.Client → arm probes → schedule
+//	events → run to the stop condition → collect probes → render
 //
 // Specs are registered by name (Register) and parameterised by string
 // key=value Params, which is what makes `mpexp run <scenario>` and the
@@ -16,11 +16,12 @@
 package scenario
 
 import (
-	"net/netip"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
+	"repro/internal/netem"
+	"repro/internal/pm"
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -59,9 +60,8 @@ type RunSpec struct {
 
 	// Sched is the registered packet scheduler ("" = lowest-rtt).
 	Sched string
-	// Policy is the registered subflow controller bound to the dialed
-	// connection ("" = the nil policy / plain stack; KernelPolicy is
-	// special-cased by the fan-out workload).
+	// Policy is the registered subflow controller bound to every dialed
+	// connection ("" = the nil policy / plain stack), or KernelPolicy.
 	Policy string
 	// PolicyCfg parameterises the controller. Empty Addrs default to the
 	// client host's interface addresses.
@@ -70,8 +70,12 @@ type RunSpec struct {
 	// the whole userspace control plane — the baselines the paper
 	// compares against. Only the nil policy works on such a stack.
 	KernelPM func() mptcp.PathManager
-	// Stressed uses the CPU-stressed Netlink latency model of §4.5.
-	Stressed bool
+	// StackConfig, when non-nil, adjusts client i's stack configuration
+	// after the engine filled it in (scheduler, trace shard, metric
+	// handles, path manager) and before the stack is built — for the few
+	// runs whose stacks differ from the default: the stressed Netlink
+	// model of §4.5, ctlstress's tapped transport and flush window.
+	StackConfig func(rt *Run, i int, cfg *smapp.Config)
 
 	// Shards is the number of worker event loops the run's simulation is
 	// sharded across (0 or 1 = one loop). Results are bit-identical at
@@ -148,14 +152,17 @@ type Run struct {
 	// asks for more). Workload and probe callbacks that fire while the
 	// simulation runs must not touch it — they read time and schedule
 	// work through the host clocks (ClientClock/ServerClock) instead.
-	Sim      sim.Runner
-	Net      *Net
-	Stack    *smapp.Stack // nil when the workload owns its stacks
+	Sim sim.Runner
+	Net *Net
+	// Stacks has one client stack per Net.Clients entry, built by the
+	// engine; Stack == Stacks[0].
+	Stacks   []*smapp.Stack
+	Stack    *smapp.Stack
 	ServerEp *mptcp.Endpoint
 	// ServerEps has one listening endpoint per Net.Servers entry;
 	// ServerEps[0] == ServerEp.
 	ServerEps []*mptcp.Endpoint
-	Conn      *mptcp.Connection // last connection dialed through the stack
+	Conn      *mptcp.Connection // last connection DialDefault opened
 	Tracer    *trace.Tracer     // nil unless the run is traced
 	// Registry holds the run's metrics (nil unless the run records them;
 	// the bundle helpers in metrics.go treat nil as "record nothing").
@@ -182,22 +189,85 @@ func (rt *Run) Port() uint16 {
 	return 80
 }
 
-// Dial opens a policy-bound connection from laddr to the server and
-// remembers it as rt.Conn. Dial errors panic: a scenario that cannot dial
-// is broken, and the runner converts panics into per-seed errors.
-func (rt *Run) Dial(laddr netip.Addr, cb mptcp.ConnCallbacks) *mptcp.Connection {
-	conn, err := rt.Stack.Dial(laddr, rt.Net.ServerAddr, rt.Port(),
-		rt.Spec.Policy, rt.Spec.PolicyCfg, cb)
+// KernelPolicy is the one pseudo-policy every run accepts next to the
+// registered controllers: the in-kernel full-mesh path manager with no
+// userspace control plane at all — the baseline cell of the fan-out sweeps.
+const KernelPolicy = "kernel"
+
+// controlPlane resolves the run's policy into what its stacks are built
+// and dialed with: the in-kernel path manager (nil = the Netlink control
+// plane) and the controller name bound at dial. KernelPolicy is a KernelPM
+// stack dialed with the nil policy; nothing else knows the name. ctl
+// reports whether the stacks' metrics carry the Netlink counters: always
+// (all zero on a KernelPM baseline), except in a KernelPolicy cell, whose
+// metrics.json never had them.
+func (rs *RunSpec) controlPlane() (kernelPM func() mptcp.PathManager, policy string, ctl bool) {
+	if rs.Policy != KernelPolicy {
+		return rs.KernelPM, rs.Policy, true
+	}
+	if rs.KernelPM != nil {
+		return rs.KernelPM, "", false
+	}
+	return func() mptcp.PathManager { return pm.NewFullMesh() }, "", false
+}
+
+// mptcpConfig is the endpoint configuration of every stack of the run,
+// client or server: the run's scheduler, the host's own trace shard (nil
+// when untraced) and metric handles bound to the host's shard slot (zero
+// bundles when the run records none).
+func (rt *Run) mptcpConfig(h *netem.Host) mptcp.Config {
+	clk := h.Clock()
+	return mptcp.Config{
+		Scheduler: rt.Spec.Sched,
+		Trace:     rt.Tracer.Shard(h.Name()),
+		Metrics:   rt.mptcpMetrics(clk),
+		TCP:       tcp.Config{Metrics: rt.tcpMetrics(clk)},
+	}
+}
+
+// newStack builds client i's stack — the only place a run gets one.
+func (rt *Run) newStack(i int) *smapp.Stack {
+	h := rt.Net.Clients[i].Host
+	cfg := smapp.Config{MPTCP: rt.mptcpConfig(h)}
+	cfg.Trace = cfg.MPTCP.Trace
+	kernelPM, _, ctl := rt.Spec.controlPlane()
+	if kernelPM != nil {
+		cfg.KernelPM = kernelPM()
+	}
+	if ctl {
+		cfg.CtlMetrics = rt.ctlMetrics(h.Clock())
+	}
+	if rt.Spec.StackConfig != nil {
+		rt.Spec.StackConfig(rt, i, &cfg)
+	}
+	return smapp.New(h, cfg)
+}
+
+// dial opens client i's connection — from its first address to server
+// i mod len(Servers) — with the run's policy bound; empty PolicyCfg.Addrs
+// default to the client's interface addresses. Dial errors panic: a
+// scenario that cannot dial is broken, and the runner converts panics into
+// per-seed errors.
+func (rt *Run) dial(i int, cb mptcp.ConnCallbacks) *mptcp.Connection {
+	cl := rt.Net.Clients[i]
+	_, policy, _ := rt.Spec.controlPlane()
+	pcfg := rt.Spec.PolicyCfg
+	if len(pcfg.Addrs) == 0 {
+		pcfg.Addrs = cl.Addrs
+	}
+	conn, err := rt.Stacks[i].Dial(cl.Addrs[0], rt.Net.ServerAddrs[i%len(rt.Net.ServerAddrs)],
+		rt.Port(), policy, pcfg, cb)
 	if err != nil {
 		panic(err)
 	}
-	rt.Conn = conn
 	return conn
 }
 
-// DialDefault dials from the first client's first address.
+// DialDefault dials the first client's connection and remembers it as
+// rt.Conn.
 func (rt *Run) DialDefault(cb mptcp.ConnCallbacks) *mptcp.Connection {
-	return rt.Dial(rt.Net.Client().Addrs[0], cb)
+	rt.Conn = rt.dial(0, cb)
+	return rt.Conn
 }
 
 // Execute runs every RunSpec of a scenario at the given seed and returns
@@ -250,36 +320,13 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	}
 	rt.wireTrace()
 
-	if _, owns := rs.Workload.(StackOwner); !owns {
-		cl := rt.Net.Client().Host
-		csh := rt.TraceShard(cl.Name())
-		cclk := cl.Clock()
-		scfg := smapp.Config{
-			MPTCP: mptcp.Config{
-				Scheduler: rs.Sched,
-				Trace:     csh,
-				Metrics:   rt.MPTCPMetrics(cclk),
-				TCP:       tcp.Config{Metrics: rt.TCPMetrics(cclk)},
-			},
-			Stressed:   rs.Stressed,
-			Trace:      csh,
-			CtlMetrics: rt.CtlMetrics(cclk),
-		}
-		if rs.KernelPM != nil {
-			scfg.KernelPM = rs.KernelPM()
-		}
-		rt.Stack = smapp.New(cl, scfg)
+	rt.Stacks = make([]*smapp.Stack, len(rt.Net.Clients))
+	for i := range rt.Stacks {
+		rt.Stacks[i] = rt.newStack(i)
 	}
+	rt.Stack = rt.Stacks[0]
 	for _, srv := range rt.Net.Servers {
-		sclk := srv.Clock()
-		ep := mptcp.NewEndpoint(srv,
-			mptcp.Config{
-				Scheduler: rs.Sched,
-				Trace:     rt.TraceShard(srv.Name()),
-				Metrics:   rt.MPTCPMetrics(sclk),
-				TCP:       tcp.Config{Metrics: rt.TCPMetrics(sclk)},
-			}, nil)
-		rt.ServerEps = append(rt.ServerEps, ep)
+		rt.ServerEps = append(rt.ServerEps, mptcp.NewEndpoint(srv, rt.mptcpConfig(srv), nil))
 	}
 	rt.ServerEp = rt.ServerEps[0]
 	rs.Workload.Server(rt)

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mptcp"
 	"repro/internal/netem"
+	"repro/internal/pm"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -207,5 +210,69 @@ func TestMultiRunSeedOffsets(t *testing.T) {
 	Execute(sp, 7)
 	if len(seeds) != 2 || seeds[0] != 7 || seeds[1] != 1007 {
 		t.Fatalf("run seeds = %v, want [7 1007]", seeds)
+	}
+}
+
+// fanOutSpec is a scale-shaped run — four two-homed clients streaming
+// through one bottleneck — reduced to what the simulation did.
+func fanOutSpec(edit func(*RunSpec)) *Spec {
+	wl := &FanOut{Bytes: 64 << 10}
+	run := &RunSpec{
+		Label: "cell",
+		Topology: Star{
+			Clients: 4, Ifaces: 2,
+			Access:     netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond},
+			Bottleneck: netem.LinkConfig{RateBps: 200e6, Delay: 500 * time.Microsecond},
+		},
+		Workload: wl,
+		Stop:     Stop{Horizon: 30 * time.Second},
+	}
+	edit(run)
+	return &Spec{
+		Name: "test-fanout",
+		Runs: []*RunSpec{run},
+		Render: func(res *stats.Result, runs []*Run) {
+			rt := runs[0]
+			done := res.Sample("completed at (s)")
+			for _, at := range wl.CompletedAt {
+				done.Add(at.Seconds())
+			}
+			res.Scalars["completed"] = float64(wl.Completed())
+			res.Scalars["events"] = float64(rt.Sim.Processed())
+			res.Scalars["server_pkts"] = float64(rt.Net.Server.Stats.Delivered)
+			for i, st := range rt.Stacks {
+				if st.PM != nil || st.Lib != nil {
+					res.Scalars["netlink_stacks"]++
+				}
+				res.Scalars["client_pkts"] += float64(rt.Net.Clients[i].Host.Stats.Delivered)
+			}
+		},
+	}
+}
+
+// TestKernelCellIsKernelPM pins what the `kernel` pseudo-policy is: a run
+// with Policy: KernelPolicy and the same run spelled with the KernelPM
+// mechanism (in-kernel full mesh, nil policy) simulate the same bytes.
+func TestKernelCellIsKernelPM(t *testing.T) {
+	encode := func(edit func(*RunSpec)) string {
+		buf, err := json.Marshal(Execute(fanOutSpec(edit), 7).Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
+	}
+	byName := encode(func(rs *RunSpec) { rs.Policy = KernelPolicy })
+	byPM := encode(func(rs *RunSpec) {
+		rs.KernelPM = func() mptcp.PathManager { return pm.NewFullMesh() }
+	})
+	if byName != byPM {
+		t.Fatalf("policy=kernel and KernelPM=fullmesh diverged:\n%s\nvs\n%s", byName, byPM)
+	}
+	if strings.Contains(byName, `"netlink_stacks"`) || !strings.Contains(byName, `"completed":4`) {
+		t.Fatalf("a kernel cell built a Netlink control plane, or did not finish its four transfers:\n%s", byName)
+	}
+	userspace := encode(func(rs *RunSpec) { rs.Policy = "fullmesh" })
+	if userspace == byName || !strings.Contains(userspace, `"netlink_stacks":4`) {
+		t.Fatalf("the fullmesh controller cell is not a userspace run:\n%s", userspace)
 	}
 }

@@ -17,7 +17,6 @@ import (
 // shape depends on it (the ECMP hash, the scale aggregation router).
 type Topology interface {
 	Build(f sim.Fabric, seed int64) *Net
-	Describe() string
 }
 
 // Endpoint is one client host of a built topology with its interface
@@ -121,9 +120,6 @@ func (t TwoPath) Build(f sim.Fabric, _ int64) *Net {
 	}
 }
 
-// Describe implements Topology.
-func (t TwoPath) Describe() string { return "two-path multihomed client (§4.2/§4.3)" }
-
 // ECMP is the §4.4 fabric: N parallel paths between two routers that
 // load-balance flows by hashing the 4-tuple. A zero HashSeed derives the
 // hash from the run seed, standing in for the unpredictable per-router
@@ -151,11 +147,6 @@ func (t ECMP) Build(f sim.Fabric, seed int64) *Net {
 		Links:      links,
 		PathIndex:  tp.PathIndexOf,
 	}
-}
-
-// Describe implements Topology.
-func (t ECMP) Describe() string {
-	return fmt.Sprintf("%d-path ECMP fabric (§4.4)", len(t.Paths))
 }
 
 // Proc models per-packet host processing jitter: a fixed base cost plus
@@ -199,9 +190,6 @@ func (t Direct) Build(f sim.Fabric, _ int64) *Net {
 	}
 }
 
-// Describe implements Topology.
-func (t Direct) Describe() string { return "direct lab link (§4.5)" }
-
 // NATPath is the §4.1 topology: a multihomed client whose two paths
 // traverse a stateful middlebox with an idle timeout.
 type NATPath struct {
@@ -224,9 +212,6 @@ func (t NATPath) Build(f sim.Fabric, _ int64) *Net {
 	}
 }
 
-// Describe implements Topology.
-func (t NATPath) Describe() string { return "NAT-traversing two-path client (§4.1)" }
-
 // Star is the scale topology: N multihomed client hosts, every interface
 // on its own access link into one aggregation router, and per-server
 // bottleneck links ("bottleneck", "bottleneck1", ...) to Servers server
@@ -242,6 +227,25 @@ type Star struct {
 	Servers    int // server hosts sharing the aggregation router (0 = 1)
 	Access     netem.LinkConfig
 	Bottleneck netem.LinkConfig
+	// Hosts, when non-nil, describes client i itself instead of the
+	// uniform default (host "c<i>", Ifaces interfaces "if<j>" on unnamed
+	// Access links): the fleet's devices, each with its own drawn links.
+	Hosts func(i int) StarHost
+}
+
+// StarHost is one explicitly described client of a Star: its host name
+// and one interface per access link.
+type StarHost struct {
+	Name  string
+	Links []StarLink
+}
+
+// StarLink is one access link of a StarHost. The interface carries the
+// link's name, and the link is registered in Net.Links under it, so
+// events, traces and the drop metrics can address it.
+type StarLink struct {
+	Name string
+	Cfg  netem.LinkConfig
 }
 
 // Build implements Topology.
@@ -267,36 +271,34 @@ func (t Star) Build(f sim.Fabric, seed int64) *Net {
 		n.Servers = append(n.Servers, srv)
 		n.ServerAddrs = append(n.ServerAddrs, addr)
 	}
-	for i := 0; i < t.Clients; i++ {
-		cname := fmt.Sprintf("c%d", i)
-		h := netem.NewHost(f.HostClock(1+nsrv+i, cname), cname)
-		ep := Endpoint{Host: h}
-		for j := 0; j < t.Ifaces; j++ {
-			addr := netip.AddrFrom4([4]byte{10, byte(1 + i/200), byte(1 + i%200), byte(1 + j)})
-			d := netem.NewDuplex(fmt.Sprintf("acc%d.%d", i, j), h, agg, t.Access)
-			h.AddIface(fmt.Sprintf("if%d", j), addr, d.AB)
-			agg.AddRoute(addr, d.BA)
-			ep.Addrs = append(ep.Addrs, addr)
+	n.Clients = make([]Endpoint, t.Clients)
+	for i := range n.Clients {
+		var sh StarHost
+		nif := t.Ifaces
+		if t.Hosts != nil {
+			sh = t.Hosts(i)
+			nif = len(sh.Links)
+		} else {
+			sh.Name = fmt.Sprintf("c%d", i)
 		}
-		n.Clients = append(n.Clients, ep)
+		h := netem.NewHost(f.HostClock(1+nsrv+i, sh.Name), sh.Name)
+		ep := Endpoint{Host: h, Addrs: make([]netip.Addr, nif)}
+		for j := range ep.Addrs {
+			addr := netip.AddrFrom4([4]byte{10, byte(1 + i/200), byte(1 + i%200), byte(1 + j)})
+			var d *netem.Duplex
+			if sh.Links != nil {
+				l := sh.Links[j]
+				d = netem.NewDuplex(l.Name, h, agg, l.Cfg)
+				h.AddIface(l.Name, addr, d.AB)
+				n.Links[l.Name] = d
+			} else {
+				d = netem.NewDuplex(fmt.Sprintf("acc%d.%d", i, j), h, agg, t.Access)
+				h.AddIface(fmt.Sprintf("if%d", j), addr, d.AB)
+			}
+			agg.AddRoute(addr, d.BA)
+			ep.Addrs[j] = addr
+		}
+		n.Clients[i] = ep
 	}
 	return n
 }
-
-// Describe implements Topology.
-func (t Star) Describe() string {
-	return fmt.Sprintf("%d clients × %d interfaces behind one bottleneck", t.Clients, t.Ifaces)
-}
-
-// Custom wraps a hand-built topology as a Topology, for shapes the
-// declarative Builder cannot express.
-type Custom struct {
-	Desc    string
-	BuildFn func(f sim.Fabric, seed int64) *Net
-}
-
-// Build implements Topology.
-func (t Custom) Build(f sim.Fabric, seed int64) *Net { return t.BuildFn(f, seed) }
-
-// Describe implements Topology.
-func (t Custom) Describe() string { return t.Desc }

@@ -9,7 +9,7 @@ import (
 
 // TraceSpec turns on event tracing for one run: the engine builds a
 // trace.Tracer, gives every host its own shard (the fabric shares
-// "net"), and wires the client stack, the server endpoint, and every
+// "net"), and wires every client stack, every server endpoint, and every
 // named link into it. File, when non-empty, is where the run's binary
 // trace lands; Cap bounds each shard's ring (0 = trace.DefaultShardCap).
 type TraceSpec struct {
@@ -74,14 +74,6 @@ func traceProbe(file, prefix string) Probe {
 			}
 		},
 	}
-}
-
-// TraceShard returns the named shard of the run's tracer, or nil when
-// the run is untraced — safe to hand straight to mptcp/smapp/netem
-// SetTrace/Config fields, whose nil means "off". Workloads that own
-// their stacks (FanOut) use it to opt their per-client hosts in.
-func (rt *Run) TraceShard(name string) *trace.Shard {
-	return rt.Tracer.Shard(name)
 }
 
 // wireTrace attaches the run's freshly built topology to the tracer:

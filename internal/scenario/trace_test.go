@@ -83,8 +83,8 @@ func TestUntracedRunHasNoTracer(t *testing.T) {
 	if seen.Tracer != nil {
 		t.Fatal("untraced run built a tracer")
 	}
-	if seen.TraceShard("anything") != nil {
-		t.Fatal("TraceShard must be nil for untraced runs")
+	if seen.Tracer.Shard("anything") != nil {
+		t.Fatal("an untraced run's shards must be nil")
 	}
 }
 

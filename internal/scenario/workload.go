@@ -1,15 +1,12 @@
 package scenario
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/mptcp"
-	"repro/internal/pm"
 	"repro/internal/sim"
-	"repro/internal/smapp"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 )
@@ -17,20 +14,13 @@ import (
 // Workload is the application pattern a scenario runs over Multipath TCP,
 // abstracting the app package's Source/Sink/BlockStreamer/ReqResp pairs
 // behind one interface. Server installs the receive side (a Listen on the
-// run's server endpoint); Client dials through the run's policy-bound
-// stack and drives the send side. A workload instance belongs to exactly
+// run's server endpoints); Client dials through the run's policy-bound
+// stacks — which the engine built, one per client endpoint — and drives
+// the send side. A workload instance belongs to exactly
 // one run — spec factories must build a fresh one per RunSpec.
 type Workload interface {
-	Describe() string
 	Server(rt *Run)
 	Client(rt *Run)
-}
-
-// StackOwner marks workloads that build their own client stacks (the
-// fan-out workload, one stack per client host); the engine then skips the
-// shared per-run client stack.
-type StackOwner interface {
-	OwnsStacks()
 }
 
 // Bulk transfers a fixed number of bytes from the client to the server as
@@ -46,9 +36,6 @@ type Bulk struct {
 	Src  *app.Source
 	Sink *app.Sink
 }
-
-// Describe implements Workload.
-func (w *Bulk) Describe() string { return fmt.Sprintf("bulk transfer of %d bytes", w.Bytes) }
 
 // Server implements Workload.
 func (w *Bulk) Server(rt *Run) {
@@ -80,11 +67,6 @@ type BlockStream struct {
 
 	Streamer *app.BlockStreamer
 	Sink     *app.BlockSink
-}
-
-// Describe implements Workload.
-func (w *BlockStream) Describe() string {
-	return fmt.Sprintf("%d B block every %v, %d blocks", w.BlockSize, w.Period, w.Blocks)
 }
 
 // Server implements Workload.
@@ -126,11 +108,6 @@ type OnOff struct {
 
 	Arrivals  []sim.Time
 	SendTimes []sim.Time
-}
-
-// Describe implements Workload.
-func (w *OnOff) Describe() string {
-	return fmt.Sprintf("%d B message every %v, %d messages", w.Size, w.Interval, w.Count)
 }
 
 // Server implements Workload.
@@ -175,11 +152,6 @@ type ReqResp struct {
 	Srv *app.ReqRespServer
 	// Delays holds the CAPA→JOIN delay of every request, in milliseconds.
 	Delays *stats.Sample
-}
-
-// Describe implements Workload.
-func (w *ReqResp) Describe() string {
-	return fmt.Sprintf("%d consecutive %d KB GETs", w.Requests, w.RespSize>>10)
 }
 
 // Server implements Workload.
@@ -240,18 +212,8 @@ func CapaJoinDelay(c *mptcp.Connection) (time.Duration, bool) {
 	return time.Duration(join.SynSentAt() - initial.SynSentAt()), true
 }
 
-// KernelPolicy names the in-kernel baseline cell of fan-out sweeps: a
-// plain endpoint with the kernel full-mesh path manager and no userspace
-// control plane at all (not a registered smapp controller).
-const KernelPolicy = "kernel"
-
 // FanOut is the N-connections stress workload: every client endpoint of
-// the topology dials the server once and streams Bytes, with a 10 µs
-// stagger so the SYN burst is concurrent but not pathologically
-// phase-locked. It owns its stacks — one per client host — because the
-// run's policy decides their shape: KernelPolicy builds plain kernel
-// endpoints, any registered name builds a smapp stack per client with
-// that controller bound.
+// the topology dials a server once and streams Bytes.
 type FanOut struct {
 	Bytes int
 
@@ -261,91 +223,63 @@ type FanOut struct {
 	DialAt      []sim.Time
 }
 
-// OwnsStacks implements StackOwner.
-func (w *FanOut) OwnsStacks() {}
-
-// Describe implements Workload.
-func (w *FanOut) Describe() string {
-	return fmt.Sprintf("connection fan-out, %d KB per client", w.Bytes>>10)
-}
-
-// Server implements Workload: one sink per accepted connection, matched
-// back to its client by the initial subflow's address. Every server
-// endpoint listens (clients spread over them round-robin), and each sink
-// lives on its own server's clock, so completions recorded on different
-// shards never share state.
+// Server implements Workload: one sink per accepted connection, on its
+// own server's clock.
 func (w *FanOut) Server(rt *Run) {
-	n := len(rt.Net.Clients)
-	w.CompletedAt = make([]sim.Time, n)
+	w.CompletedAt = make([]sim.Time, len(rt.Net.Clients))
 	for i := range w.CompletedAt {
 		w.CompletedAt[i] = -1
 	}
-	clientIdx := make(map[netip.Addr]int, n)
+	rt.FanOutListen(func(i int, sclk sim.Clock, c *mptcp.Connection) {
+		sink := app.NewSink(sclk, uint64(w.Bytes), nil)
+		sink.OnComplete = func() { w.CompletedAt[i] = sclk.Now() }
+		c.SetCallbacks(sink.Callbacks())
+	})
+}
+
+// Client implements Workload.
+func (w *FanOut) Client(rt *Run) {
+	w.DialAt = rt.FanOutDial("scale.dial", func(cclk sim.Clock) mptcp.ConnCallbacks {
+		return app.NewSource(cclk, w.Bytes, true).Callbacks()
+	})
+}
+
+// FanOutListen is the server half of every fan-out workload: each server
+// endpoint listens on the run's port (clients spread over them
+// round-robin) and hands accept every connection with the index of the
+// client that dialed it — matched by the initial subflow's address — and
+// the accepting server's clock. State kept per client index and written
+// on that clock never crosses shards.
+func (rt *Run) FanOutListen(accept func(i int, sclk sim.Clock, c *mptcp.Connection)) {
+	clientIdx := make(map[netip.Addr]int, len(rt.Net.Clients))
 	for i, cl := range rt.Net.Clients {
 		clientIdx[cl.Addrs[0]] = i
 	}
 	for si, ep := range rt.ServerEps {
 		sclk := rt.Net.Servers[si].Clock()
 		ep.Listen(rt.Port(), func(c *mptcp.Connection) {
-			idx, ok := clientIdx[c.InitialTuple().DstIP]
-			if !ok {
-				return
+			if i, ok := clientIdx[c.InitialTuple().DstIP]; ok {
+				accept(i, sclk, c)
 			}
-			sink := app.NewSink(sclk, uint64(w.Bytes), nil)
-			sink.OnComplete = func() { w.CompletedAt[idx] = sclk.Now() }
-			c.SetCallbacks(sink.Callbacks())
 		})
 	}
 }
 
-// Client implements Workload. Each client dials through its own host
-// clock (its shard), targeting the servers round-robin when the topology
-// has several.
-func (w *FanOut) Client(rt *Run) {
-	w.DialAt = make([]sim.Time, len(rt.Net.Clients))
-	for i := range rt.Net.Clients {
-		cl := rt.Net.Clients[i]
+// FanOutDial is the client half: client i dials once through its own
+// stack, on its own clock (its shard), from its first address to server
+// i mod len(Servers), at 1 ms + i·10 µs — a stagger that keeps the SYN
+// burst concurrent but not pathologically phase-locked. callbacks builds
+// one client's send side on its clock; the returned slice holds the dial
+// times.
+func (rt *Run) FanOutDial(name string, callbacks func(cclk sim.Clock) mptcp.ConnCallbacks) []sim.Time {
+	at := make([]sim.Time, len(rt.Net.Clients))
+	for i, cl := range rt.Net.Clients {
 		cclk := cl.Host.Clock()
-		src := app.NewSource(cclk, w.Bytes, true)
-		dst := rt.Net.ServerAddrs[i%len(rt.Net.ServerAddrs)]
-		at := sim.Millisecond + sim.Time(i)*10*sim.Microsecond
-		w.DialAt[i] = at
-		// Per-client hosts record into their own trace shards (nil when
-		// the run is untraced — SetTrace/Config treat nil as off).
-		csh := rt.TraceShard(cl.Host.Name())
-		// Metric handles bind to the client's shard slot (zero bundles
-		// when the run records no metrics).
-		mcfg := mptcp.Config{
-			Scheduler: rt.Spec.Sched,
-			Trace:     csh,
-			Metrics:   rt.MPTCPMetrics(cclk),
-			TCP:       tcp.Config{Metrics: rt.TCPMetrics(cclk)},
-		}
-		switch rt.Spec.Policy {
-		case KernelPolicy:
-			ep := mptcp.NewEndpoint(cl.Host, mcfg, pm.NewFullMesh())
-			cclk.Schedule(at, "scale.dial", func() {
-				if _, err := ep.Connect(cl.Addrs[0], dst, rt.Port(), src.Callbacks()); err != nil {
-					panic(err)
-				}
-			})
-		default:
-			st := smapp.New(cl.Host, smapp.Config{
-				MPTCP:      mcfg,
-				Trace:      csh,
-				CtlMetrics: rt.CtlMetrics(cclk),
-			})
-			pcfg := rt.Spec.PolicyCfg
-			if len(pcfg.Addrs) == 0 {
-				pcfg.Addrs = cl.Addrs
-			}
-			cclk.Schedule(at, "scale.dial", func() {
-				if _, err := st.Dial(cl.Addrs[0], dst, rt.Port(), rt.Spec.Policy, pcfg, src.Callbacks()); err != nil {
-					panic(err)
-				}
-			})
-		}
+		cb := callbacks(cclk)
+		at[i] = sim.Millisecond + sim.Time(i)*10*sim.Microsecond
+		cclk.Schedule(at[i], name, func() { rt.dial(i, cb) })
 	}
+	return at
 }
 
 // Completed counts the clients whose transfer finished.

@@ -65,9 +65,6 @@ type Event struct {
 	owned  bool      // fn survives firing (Timer/Ticker re-arm in place)
 }
 
-// When reports the virtual time this event fires at.
-func (e *Event) When() Time { return e.when }
-
 // Cancelled reports whether the event has been cancelled or already fired.
 func (e *Event) Cancelled() bool { return e.idx < 0 }
 
@@ -338,9 +335,6 @@ func (s *Simulator) Reschedule(e *Event, when Time, name string, fn func()) *Eve
 	s.Cancel(e)
 	return s.Schedule(when, name, fn)
 }
-
-// Pending reports the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Stop makes Run/RunUntil return after the currently executing event.
 func (s *Simulator) Stop() { s.stopped = true }

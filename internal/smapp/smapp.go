@@ -43,10 +43,6 @@ type Config struct {
 	// Transport overrides the kernel↔controller channel (nil = the
 	// simulated Netlink transport with the default latency model).
 	Transport *core.Transport
-	// Clock overrides the controller clock (nil = the sim clock).
-	Clock core.Clock
-	// Pid is the Netlink port id of the library (0 = 1).
-	Pid uint32
 	// CtlFlush, when positive, batches kernel events per flush window into
 	// one pooled multi-message frame with coalescing of superseded events
 	// (core.NetlinkPM.SetCoalescing). Zero keeps the default immediate
@@ -89,6 +85,8 @@ type Stack struct {
 	PM        *core.NetlinkPM // nil on a KernelPM stack
 	Lib       *core.Library   // nil on a KernelPM or kernel-half stack
 
+	// The policy mux; the maps exist only on a stack with a library (no
+	// other stack can bind a policy).
 	bindings map[uint32]*binding
 	order    []uint32 // binding tokens in attach order (deterministic fan-out)
 	pending  map[uint32][]*nlmsg.Event
@@ -111,16 +109,15 @@ type binding struct {
 // library on the sim clock, and the MPTCP endpoint — the paper's Figure 1
 // in one constructor.
 func New(host *netem.Host, cfg Config) *Stack {
-	st := &Stack{
-		Host:     host,
-		bindings: make(map[uint32]*binding),
-		pending:  make(map[uint32][]*nlmsg.Event),
-		tsh:      cfg.Trace,
-	}
+	st := &Stack{Host: host, tsh: cfg.Trace}
 	if cfg.KernelPM != nil {
 		st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, cfg.KernelPM)
 		return st
 	}
+	// Only a stack with a library can bind a policy, so only it pays for
+	// the mux tables.
+	st.bindings = make(map[uint32]*binding)
+	st.pending = make(map[uint32][]*nlmsg.Event)
 	s := host.Clock()
 	tr := cfg.Transport
 	if tr == nil {
@@ -130,21 +127,13 @@ func New(host *netem.Host, cfg Config) *Stack {
 			tr = core.NewSimTransport(s)
 		}
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = core.SimClock{S: s}
-	}
-	pid := cfg.Pid
-	if pid == 0 {
-		pid = 1
-	}
 	st.Transport = tr
 	st.PM = core.NewNetlinkPM(s, tr)
 	st.PM.SetMetrics(cfg.CtlMetrics)
 	if cfg.CtlFlush > 0 {
 		st.PM.SetCoalescing(cfg.CtlFlush, cfg.CtlQueue)
 	}
-	st.Lib = core.NewLibrary(tr, clock, pid)
+	st.Lib = core.NewLibrary(tr, core.SimClock{S: s}, 1)
 	// One subscription covers every policy the stack will ever host; the
 	// mux below fans events out per connection.
 	st.Lib.Register(core.Callbacks{
@@ -167,12 +156,7 @@ func New(host *netem.Host, cfg Config) *Stack {
 // Netlink PM plus endpoint, with the library living in another process
 // (see cmd/smappd and ControllerStack). Only the nil policy works locally.
 func NewKernel(host *netem.Host, tr *core.Transport, cfg mptcp.Config) *Stack {
-	st := &Stack{
-		Host:      host,
-		Transport: tr,
-		bindings:  make(map[uint32]*binding),
-		pending:   make(map[uint32][]*nlmsg.Event),
-	}
+	st := &Stack{Host: host, Transport: tr}
 	st.PM = core.NewNetlinkPM(host.Clock(), tr)
 	st.Endpoint = mptcp.NewEndpoint(host, cfg, st.PM)
 	return st

@@ -30,9 +30,6 @@ type Chunk struct {
 	sentAt  sim.Time
 }
 
-// Rexmits reports how many times the chunk has been retransmitted.
-func (c *Chunk) Rexmits() int { return c.rexmits }
-
 // chunkPool recycles chunks so the scheduling hot path (one chunk per MSS
 // of payload) does not allocate in steady state. sync.Pool keeps it safe
 // under the concurrent multi-seed runner.

@@ -575,16 +575,6 @@ func (sf *Subflow) maybeSendFIN() {
 	sf.transmit(fin)
 }
 
-// SendDSSAck emits a pure ACK carrying the current connection-level
-// DATA_ACK (used by the connection to acknowledge data-level progress and
-// to duplicate data ACKs after reinjection).
-func (sf *Subflow) SendDSSAck() {
-	if !sf.Established() {
-		return
-	}
-	sf.sendAck()
-}
-
 func (sf *Subflow) sendAck() {
 	s := seg.Shared.Get()
 	s.Tuple = sf.tuple
