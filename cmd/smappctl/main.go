@@ -61,7 +61,7 @@ func main() {
 	err = core.ReadMessages(conn, func(b []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		logEvent(b)
+		logEvent(log.Default(), b)
 		cs.Lib.OnMessage(b)
 	})
 	log.Printf("smappctl: connection closed (%v); events=%d commands=%d",
@@ -76,23 +76,29 @@ type dispatchPipe struct{ recv func([]byte) }
 func (p *dispatchPipe) Send(b []byte)               {}
 func (p *dispatchPipe) SetReceiver(fn func([]byte)) { p.recv = fn }
 
-func logEvent(b []byte) {
+// logEvent writes one line per event frame to lg. Command replies are the
+// library's business and are skipped; a frame that does not parse is
+// reported, since the library only counts it.
+func logEvent(lg *log.Logger, b []byte) {
 	var m nlmsg.Message
 	if _, err := nlmsg.UnmarshalInto(b, &m); err != nil {
+		lg.Printf("malformed frame (%d bytes): %v", len(b), err)
 		return
 	}
 	if m.Cmd >= nlmsg.ReplyAck {
-		return // command replies are the library's business
+		return
 	}
 	var ev nlmsg.Event
-	if err := nlmsg.ParseEventInto(&m, &ev); err == nil {
-		switch ev.Kind {
-		case nlmsg.EvTimeout:
-			log.Printf("event %-14s token=%08x rto=%v backoffs=%d", ev.Kind, ev.Token, ev.RTO, ev.Backoffs)
-		case nlmsg.EvSubClosed:
-			log.Printf("event %-14s token=%08x tuple=%v errno=%d", ev.Kind, ev.Token, ev.Tuple, ev.Errno)
-		default:
-			log.Printf("event %-14s token=%08x", ev.Kind, ev.Token)
-		}
+	if err := nlmsg.ParseEventInto(&m, &ev); err != nil {
+		lg.Printf("malformed %v event: %v", m.Cmd, err)
+		return
+	}
+	switch ev.Kind {
+	case nlmsg.EvTimeout:
+		lg.Printf("event %-14s token=%08x rto=%v backoffs=%d", ev.Kind, ev.Token, ev.RTO, ev.Backoffs)
+	case nlmsg.EvSubClosed:
+		lg.Printf("event %-14s token=%08x tuple=%v errno=%d", ev.Kind, ev.Token, ev.Tuple, ev.Errno)
+	default:
+		lg.Printf("event %-14s token=%08x", ev.Kind, ev.Token)
 	}
 }

@@ -2,7 +2,7 @@ package controller
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -30,10 +30,19 @@ type FullMesh struct {
 	// afterwards via new_local_addr / del_local_addr events).
 	LocalAddrs []netip.Addr
 
-	lib   core.Lib
-	local map[netip.Addr]bool
-	conns map[uint32]*meshConn
-	Stats FullMeshStats
+	lib core.Lib
+	// local (the usable interface addresses) and tokens (the keys of conns)
+	// are kept sorted as they change, because every event walks them in
+	// order: meshing and fan-outs must issue their commands in the same
+	// sequence every run, and sorting a map's keys per event was a tenth
+	// of the controller's allocations. Commands are asynchronous — replies
+	// and events arrive as later callbacks — so neither changes under a
+	// walk.
+	local  []netip.Addr
+	conns  map[uint32]*meshConn
+	tokens []uint32
+	keyBuf []meshKey // onLocalDown's dismissal list, reused
+	Stats  FullMeshStats
 }
 
 // FullMeshStats counts controller activity.
@@ -81,7 +90,6 @@ func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
 		RetryAfterTimeout: 3 * time.Second,
 		RetryAfterUnreach: 5 * time.Second,
 		LocalAddrs:        localAddrs,
-		local:             make(map[netip.Addr]bool),
 		conns:             make(map[uint32]*meshConn),
 		Stats:             FullMeshStats{RetriesByErrno: make(map[uint32]uint64)},
 	}
@@ -94,7 +102,7 @@ func (f *FullMesh) Name() string { return "user-fullmesh" }
 func (f *FullMesh) Attach(lib core.Lib) {
 	f.lib = lib
 	for _, a := range f.LocalAddrs {
-		f.local[a] = true
+		f.setLocal(a, true)
 	}
 	lib.Register(core.Callbacks{
 		Created:        f.onCreated,
@@ -121,17 +129,24 @@ func (f *FullMesh) Detach() {
 		mc.pending = make(map[meshKey]func())
 	}
 	f.conns = make(map[uint32]*meshConn)
+	f.tokens = f.tokens[:0]
 }
 
-// tokensInOrder lists the connection tokens sorted, so event fan-outs
-// act on connections in the same order every run.
-func (f *FullMesh) tokensInOrder() []uint32 {
-	tokens := make([]uint32, 0, len(f.conns))
-	for t := range f.conns {
-		tokens = append(tokens, t)
+// hasLocal reports whether addr is a usable local interface address.
+func (f *FullMesh) hasLocal(addr netip.Addr) bool {
+	_, ok := slices.BinarySearchFunc(f.local, addr, netip.Addr.Compare)
+	return ok
+}
+
+// setLocal adds addr to, or removes it from, the sorted local set.
+func (f *FullMesh) setLocal(addr netip.Addr, up bool) {
+	i, have := slices.BinarySearchFunc(f.local, addr, netip.Addr.Compare)
+	switch {
+	case up && !have:
+		f.local = slices.Insert(f.local, i, addr)
+	case !up && have:
+		f.local = slices.Delete(f.local, i, i+1)
 	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	return tokens
 }
 
 func (f *FullMesh) onCreated(ev *nlmsg.Event) {
@@ -145,6 +160,9 @@ func (f *FullMesh) onCreated(ev *nlmsg.Event) {
 	// The created event carries the initial subflow's 4-tuple; mark it
 	// live so the mesh does not duplicate it.
 	mc.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
+	if i, have := slices.BinarySearch(f.tokens, ev.Token); !have {
+		f.tokens = slices.Insert(f.tokens, i, ev.Token)
+	}
 	f.conns[ev.Token] = mc
 }
 
@@ -158,6 +176,9 @@ func (f *FullMesh) onClosed(ev *nlmsg.Event) {
 		}
 	}
 	delete(f.conns, ev.Token)
+	if i, have := slices.BinarySearch(f.tokens, ev.Token); have {
+		f.tokens = slices.Delete(f.tokens, i, i+1)
+	}
 }
 
 func (f *FullMesh) onSubEstablished(ev *nlmsg.Event) {
@@ -178,7 +199,7 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 	}
 	key := meshKey{ev.Tuple.SrcIP, netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)}
 	delete(mc.live, key)
-	if !f.local[key.local] {
+	if !f.hasLocal(key.local) {
 		return // interface is gone; LocalAddrUp will rebuild later
 	}
 	var delay time.Duration
@@ -202,7 +223,7 @@ func (f *FullMesh) scheduleRetry(mc *meshConn, key meshKey, delay time.Duration)
 	}
 	mc.pending[key] = f.lib.After(delay, func() {
 		delete(mc.pending, key)
-		if mc.closed || !f.local[key.local] {
+		if mc.closed || !f.hasLocal(key.local) {
 			return
 		}
 		if _, alive := mc.live[key]; alive {
@@ -248,20 +269,20 @@ func (f *FullMesh) onRemAddr(ev *nlmsg.Event) {
 }
 
 func (f *FullMesh) onLocalUp(ev *nlmsg.Event) {
-	f.local[ev.Addr] = true
-	for _, token := range f.tokensInOrder() {
+	f.setLocal(ev.Addr, true)
+	for _, token := range f.tokens {
 		f.mesh(f.conns[token])
 	}
 }
 
 func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
-	delete(f.local, ev.Addr)
-	for _, token := range f.tokensInOrder() {
+	f.setLocal(ev.Addr, false)
+	for _, token := range f.tokens {
 		mc := f.conns[token]
 		// Dismiss the lost interface's subflows in a sorted order: the
 		// remove commands race down the Netlink transport, and map
 		// order here would reorder them across runs.
-		var keys []meshKey
+		keys := f.keyBuf[:0]
 		for key := range mc.live {
 			if key.local == ev.Addr {
 				keys = append(keys, key)
@@ -274,6 +295,7 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 			f.Stats.SubflowsDismissed++
 			f.lib.RemoveSubflow(mc.token, ft, nil)
 		}
+		f.keyBuf = keys[:0]
 		// Cancel any retry scheduled for the lost interface (cancel
 		// order is unobservable; no sort needed).
 		for key, cancel := range mc.pending {
@@ -293,12 +315,7 @@ func (f *FullMesh) mesh(mc *meshConn) {
 	if mc == nil || mc.closed {
 		return
 	}
-	locals := make([]netip.Addr, 0, len(f.local))
-	for laddr := range f.local {
-		locals = append(locals, laddr)
-	}
-	sort.Slice(locals, func(i, j int) bool { return locals[i].Less(locals[j]) })
-	for _, laddr := range locals {
+	for _, laddr := range f.local {
 		for _, remote := range mc.remotes {
 			key := meshKey{laddr, remote}
 			if _, alive := mc.live[key]; alive {
@@ -314,13 +331,13 @@ func (f *FullMesh) mesh(mc *meshConn) {
 
 // sortMeshKeys orders keys by (local, remote) address and port.
 func sortMeshKeys(keys []meshKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if c := keys[i].local.Compare(keys[j].local); c != 0 {
-			return c < 0
+	slices.SortFunc(keys, func(a, b meshKey) int {
+		if c := a.local.Compare(b.local); c != 0 {
+			return c
 		}
-		if c := keys[i].remote.Addr().Compare(keys[j].remote.Addr()); c != 0 {
-			return c < 0
+		if c := a.remote.Addr().Compare(b.remote.Addr()); c != 0 {
+			return c
 		}
-		return keys[i].remote.Port() < keys[j].remote.Port()
+		return int(a.remote.Port()) - int(b.remote.Port())
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/nlmsg"
 	"repro/internal/seg"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/topo"
 )
 
@@ -382,6 +383,84 @@ func TestSimPipeFIFO(t *testing.T) {
 	}
 	if p.Delivered != 50 {
 		t.Fatalf("delivered = %d", p.Delivered)
+	}
+}
+
+// TestSimPipeSendAllocFree pins the pipe's delivery path: a frame crosses
+// on a pooled event out of the pipe's own FIFO, so steady-state Netlink
+// delivery allocates nothing, every frame goes back to nlmsg.Wire, and
+// order holds on an entity clock even when each latency draw is shorter
+// than the one before (the due time is then clamped, and ties fire in
+// send order).
+func TestSimPipeSendAllocFree(t *testing.T) {
+	w := sim.NewWorld(11, 1)
+	draw := 0
+	p := NewSimPipe(w.HostClock(0, "h"), func() time.Duration {
+		draw++
+		return time.Duration(64-draw%64) * time.Microsecond
+	})
+	var next, bad byte
+	p.SetReceiver(func(b []byte) {
+		if b[0] != next {
+			bad++
+		}
+		next++
+	})
+	var seq byte
+	burst := func() {
+		for i := 0; i < 40; i++ { // a draw cycle and a burst never line up
+			p.Send(append(nlmsg.Wire.Get(), seq))
+			seq++
+		}
+		w.RunFor(time.Millisecond)
+	}
+	before := nlmsg.Wire.Stats()
+	for i := 0; i < 8; i++ {
+		burst()
+	}
+	if bad != 0 || next != seq || p.Delivered != 8*40 {
+		t.Fatalf("%d of %d frames delivered, %d out of order", p.Delivered, 8*40, bad)
+	}
+	if !testutil.RaceEnabled { // alloc counts differ under -race
+		if avg := testing.AllocsPerRun(200, burst); avg != 0 {
+			t.Fatalf("SimPipe send+deliver allocates %.2f allocs per 40 frames, want 0", avg)
+		}
+	}
+	if bad != 0 || next != seq {
+		t.Fatalf("pipe reordered %d frames", bad)
+	}
+	after := nlmsg.Wire.Stats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts || gets != p.Delivered {
+		t.Fatalf("nlmsg.Wire: %d gets, %d puts for %d delivered frames", gets, puts, p.Delivered)
+	}
+}
+
+// TestSimPipeBacklogStaysBounded keeps nine frames in flight for ten
+// thousand sends, so the FIFO never drains: it must reuse the space of
+// delivered frames instead of growing with the total sent.
+func TestSimPipeBacklogStaysBounded(t *testing.T) {
+	s := sim.New(11)
+	p := NewSimPipe(s, func() time.Duration { return 10 * time.Microsecond })
+	var next, bad uint16
+	p.SetReceiver(func(b []byte) {
+		if uint16(b[0])|uint16(b[1])<<8 != next {
+			bad++
+		}
+		next++
+	})
+	for i := 0; i < 10000; i++ {
+		p.Send([]byte{byte(i), byte(i >> 8)})
+		s.RunFor(time.Microsecond)
+	}
+	if len(p.inflight)-p.head != 9 {
+		t.Fatalf("%d frames in flight, want a standing 9", len(p.inflight)-p.head)
+	}
+	if cap(p.inflight) > 64 {
+		t.Fatalf("FIFO grew to %d slots for 9 frames in flight", cap(p.inflight))
+	}
+	s.Run()
+	if bad != 0 || next != 10000 {
+		t.Fatalf("delivered %d of 10000 frames, %d out of order", next, bad)
 	}
 }
 

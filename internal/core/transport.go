@@ -57,6 +57,13 @@ type SimPipe struct {
 	recv      func([]byte)
 	lastDue   sim.Time
 	Delivered uint64
+
+	// Frames in flight, oldest at head. Due times never decrease and the
+	// clock's sequence numbers break ties in send order, so the pipe's
+	// delivery events fire in send order and each one takes the head: the
+	// event itself carries only the pipe, which lets it be a pooled one.
+	inflight [][]byte
+	head     int
 }
 
 // NewSimPipe creates a pipe whose per-message delay is drawn from latency.
@@ -71,13 +78,30 @@ func (p *SimPipe) Send(b []byte) {
 		due = p.lastDue // FIFO even with jittery latency draws
 	}
 	p.lastDue = due
-	p.sim.Schedule(due, "netlink.deliver", func() {
-		p.Delivered++
-		if p.recv != nil {
-			p.recv(b)
-		}
-		nlmsg.Wire.Put(b) // receiver returned; the frame is dead
-	})
+	if p.head > 0 && len(p.inflight) == cap(p.inflight) {
+		// Slide the live frames down instead of growing past the dead ones.
+		n := copy(p.inflight, p.inflight[p.head:])
+		clear(p.inflight[n:])
+		p.inflight, p.head = p.inflight[:n], 0
+	}
+	p.inflight = append(p.inflight, b)
+	p.sim.ScheduleArg(due, "netlink.deliver", deliverNext, p)
+}
+
+// deliverNext hands the pipe's oldest in-flight frame to the receiver.
+func deliverNext(x any) {
+	p := x.(*SimPipe)
+	b := p.inflight[p.head]
+	p.inflight[p.head] = nil
+	p.head++
+	if p.head == len(p.inflight) {
+		p.inflight, p.head = p.inflight[:0], 0
+	}
+	p.Delivered++
+	if p.recv != nil {
+		p.recv(b)
+	}
+	nlmsg.Wire.Put(b) // receiver returned; the frame is dead
 }
 
 // SetReceiver implements Pipe.

@@ -65,8 +65,14 @@ type Connection struct {
 	established           bool
 	closed                bool
 	subflows              []*tcp.Subflow
-	meta                  map[*tcp.Subflow]*sfMeta
+	meta                  []sfMeta      // meta[i] belongs to subflows[i]
 	coupled               *coupledGroup // non-nil when LIA coupling is on
+
+	// Handshake-option scratch lent to the subflow engine by
+	// HandshakeOptions, which copies it into the segment at once.
+	hsOpts [1]seg.Option
+	hsMPC  seg.MPCapable
+	hsJoin seg.MPJoin
 
 	// Sender state, in relative data-sequence space (0 = first app byte).
 	appNxt       uint64 // bytes written by the application
@@ -283,7 +289,7 @@ func (c *Connection) OpenSubflow(laddr netip.Addr, lport uint16, raddr netip.Add
 	if _, busy := c.ep.tuples[tuple]; busy {
 		return nil, fmt.Errorf("mptcp: tuple %v already in use", tuple)
 	}
-	sf := c.newSubflow(tuple, &sfMeta{
+	sf := c.newSubflow(tuple, sfMeta{
 		nonceLocal:  uint32(c.ep.sim.Rand().Int63()),
 		localAddrID: c.ep.addrID(laddr),
 		reqBackup:   backup,
@@ -341,12 +347,12 @@ func (c *Connection) WithdrawAddr(addr netip.Addr) {
 
 // newSubflow wires a tcp.Subflow into this connection and the endpoint's
 // demux table.
-func (c *Connection) newSubflow(tuple seg.FourTuple, m *sfMeta) *tcp.Subflow {
+func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	cfg := c.ep.cfg.TCP
 	if c.coupled != nil {
 		cfg.NewCong = c.coupled.newCong
 	}
-	sf := tcp.NewSubflow(c.ep.sim, cfg, tuple, c.ep.output, c)
+	sf := tcp.NewSubflow(c.ep.sim, cfg, tuple, c.ep.out, c)
 	if c.tsh != nil {
 		sf.SetTrace(c.tsh, c.tsh.Tracer().Register(trace.EntFlow, c.tid,
 			c.ep.host.Name()+"/"+tuple.String()))
@@ -354,15 +360,15 @@ func (c *Connection) newSubflow(tuple seg.FourTuple, m *sfMeta) *tcp.Subflow {
 	if c.coupled != nil {
 		c.coupled.bind(sf)
 	}
-	c.meta[sf] = m
 	c.subflows = append(c.subflows, sf)
+	c.meta = append(c.meta, m)
 	c.ep.tuples[tuple] = sf
 	return sf
 }
 
 // acceptJoin creates the passive subflow for an inbound MP_JOIN SYN.
 func (c *Connection) acceptJoin(tuple seg.FourTuple, syn *seg.Segment) {
-	sf := c.newSubflow(tuple, &sfMeta{
+	sf := c.newSubflow(tuple, sfMeta{
 		nonceLocal:  uint32(c.ep.sim.Rand().Int63()),
 		localAddrID: c.ep.addrID(tuple.SrcIP),
 	})
@@ -380,15 +386,29 @@ func (c *Connection) subflowIndex(sf *tcp.Subflow) int {
 	return 0
 }
 
+// metaOf returns sf's MPTCP state. The pointer is into c.meta, so it is
+// good until the next subflow is added or removed. Every caller is a
+// tcp.Owner callback of a linked subflow (OnClosed unlinks last), and a
+// connection has a handful of subflows, so the scan beats the map and
+// the per-subflow object it replaced.
+func (c *Connection) metaOf(sf *tcp.Subflow) *sfMeta {
+	for i, s := range c.subflows {
+		if s == sf {
+			return &c.meta[i]
+		}
+	}
+	panic("mptcp: callback from a subflow the connection does not own")
+}
+
 // removeSubflow forgets a dead subflow.
 func (c *Connection) removeSubflow(sf *tcp.Subflow) {
 	for i, s := range c.subflows {
 		if s == sf {
 			c.subflows = append(c.subflows[:i], c.subflows[i+1:]...)
+			c.meta = append(c.meta[:i], c.meta[i+1:]...)
 			break
 		}
 	}
-	delete(c.meta, sf)
 	delete(c.ep.tuples, sf.Tuple())
 	if c.coupled != nil {
 		c.coupled.unbind(sf)
@@ -539,45 +559,45 @@ func (c *Connection) reinjectChunk(ch *tcp.Chunk) {
 
 // --- tcp.Owner implementation ---
 
-// HandshakeOptions implements tcp.Owner.
+// HandshakeOptions implements tcp.Owner. The option is built in the
+// connection's scratch and lent to the subflow, which copies it into the
+// handshake segment before this is called again.
 func (c *Connection) HandshakeOptions(sf *tcp.Subflow, st tcp.Stage) []seg.Option {
-	m := c.meta[sf]
+	m := c.metaOf(sf)
 	if m.isInitial {
-		switch st {
-		case tcp.StageSYN:
-			return []seg.Option{&seg.MPCapable{SenderKey: c.localKey}}
-		case tcp.StageSYNACK:
-			return []seg.Option{&seg.MPCapable{SenderKey: c.localKey}}
-		case tcp.StageACK:
-			return []seg.Option{&seg.MPCapable{SenderKey: c.localKey, ReceiverKey: c.remoteKey, HasReceiver: true}}
+		c.hsMPC = seg.MPCapable{SenderKey: c.localKey}
+		if st == tcp.StageACK {
+			c.hsMPC.ReceiverKey, c.hsMPC.HasReceiver = c.remoteKey, true
 		}
-		return nil
+		c.hsOpts[0] = &c.hsMPC
+		return c.hsOpts[:]
 	}
 	switch st {
 	case tcp.StageSYN:
-		return []seg.Option{&seg.MPJoin{
+		c.hsJoin = seg.MPJoin{
 			Form: seg.JoinSYN, Token: c.remoteToken, Nonce: m.nonceLocal,
 			AddrID: m.localAddrID, Backup: m.reqBackup,
-		}}
+		}
 	case tcp.StageSYNACK:
-		return []seg.Option{&seg.MPJoin{
+		c.hsJoin = seg.MPJoin{
 			Form:      seg.JoinSYNACK,
 			TruncHMAC: seg.TruncatedJoinHMAC(c.localKey, c.remoteKey, m.nonceLocal, m.nonceRemote),
 			Nonce:     m.nonceLocal,
 			AddrID:    m.localAddrID,
-		}}
+		}
 	case tcp.StageACK:
-		return []seg.Option{&seg.MPJoin{
+		c.hsJoin = seg.MPJoin{
 			Form:     seg.JoinACK,
 			FullHMAC: seg.JoinHMAC(c.localKey, c.remoteKey, m.nonceLocal, m.nonceRemote),
-		}}
+		}
 	}
-	return nil
+	c.hsOpts[0] = &c.hsJoin
+	return c.hsOpts[:]
 }
 
 // HandshakeAccept implements tcp.Owner.
 func (c *Connection) HandshakeAccept(sf *tcp.Subflow, s *seg.Segment, st tcp.Stage) tcp.Verdict {
-	m := c.meta[sf]
+	m := c.metaOf(sf)
 	if m.isInitial {
 		return c.acceptInitial(sf, s, st)
 	}
@@ -664,8 +684,7 @@ func (c *Connection) setRemoteKey(key uint64) {
 
 // OnEstablished implements tcp.Owner.
 func (c *Connection) OnEstablished(sf *tcp.Subflow) {
-	m := c.meta[sf]
-	if m.isInitial && !c.established {
+	if c.metaOf(sf).isInitial && !c.established {
 		c.established = true
 		c.ep.pm.ConnEstablished(c)
 		if c.cb.OnEstablished != nil {

@@ -43,6 +43,7 @@ type Endpoint struct {
 	host *netem.Host
 	cfg  Config
 	pm   PathManager
+	out  tcp.Output // ep.output, bound once: every subflow shares it
 
 	listeners map[uint16]func(*Connection)
 	tuples    map[seg.FourTuple]*tcp.Subflow
@@ -81,6 +82,7 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 		addrIDs:   make(map[netip.Addr]uint8),
 		usedPorts: make(map[uint16]int),
 	}
+	ep.out = ep.output
 	host.SetHandler(ep.input)
 	host.WatchAddrs(func(addr netip.Addr, up bool) {
 		if up {
@@ -126,7 +128,7 @@ func (ep *Endpoint) Connect(laddr, raddr netip.Addr, rport uint16, cb ConnCallba
 	}
 	tuple := seg.FourTuple{SrcIP: laddr, DstIP: raddr, SrcPort: ep.allocPort(), DstPort: rport}
 	c := ep.newConn(true, tuple, cb)
-	sf := c.newSubflow(tuple, &sfMeta{isInitial: true, localAddrID: ep.addrID(laddr)})
+	sf := c.newSubflow(tuple, sfMeta{isInitial: true, localAddrID: ep.addrID(laddr)})
 	ep.pm.ConnCreated(c)
 	sf.Connect()
 	return c, nil
@@ -153,7 +155,6 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 		token:        token,
 		localIDSN:    seg.IDSN(key),
 		initialTuple: initial,
-		meta:         make(map[*tcp.Subflow]*sfMeta),
 		remoteAddrs:  make(map[uint8]netip.AddrPort),
 	}
 	if c.mss == 0 {
@@ -215,7 +216,7 @@ func (ep *Endpoint) handleSegment(sg *seg.Segment) {
 			if accept, ok := ep.listeners[sg.Tuple.DstPort]; ok {
 				c := ep.newConn(false, key, ConnCallbacks{})
 				c.onAccept = accept
-				sf := c.newSubflow(key, &sfMeta{isInitial: true, localAddrID: ep.addrID(key.SrcIP)})
+				sf := c.newSubflow(key, sfMeta{isInitial: true, localAddrID: ep.addrID(key.SrcIP)})
 				ep.pm.ConnCreated(c)
 				sf.HandleSegment(sg)
 				return

@@ -1,7 +1,6 @@
 package seg
 
 import (
-	"crypto/hmac"
 	"crypto/sha1"
 	"encoding/binary"
 	"math/rand"
@@ -37,11 +36,35 @@ func JoinHMAC(localKey, remoteKey uint64, localNonce, remoteNonce uint32) [20]by
 	var msg [8]byte
 	binary.BigEndian.PutUint32(msg[0:], localNonce)
 	binary.BigEndian.PutUint32(msg[4:], remoteNonce)
-	mac := hmac.New(sha1.New, key[:])
-	mac.Write(msg[:])
-	var out [20]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+	return hmacSHA1(key[:], msg[:])
+}
+
+// hmacMaxMsg bounds hmacSHA1's message so its buffers are fixed arrays.
+const hmacMaxMsg = sha1.BlockSize
+
+// hmacSHA1 is RFC 2104 HMAC-SHA1 for a key of at most one SHA-1 block (so
+// it is zero-padded, never hashed) and a message of at most hmacMaxMsg
+// bytes: H((K⊕opad) ‖ H((K⊕ipad) ‖ msg)) as two sha1.Sum calls over stack
+// arrays. Authenticating a join therefore allocates nothing, where
+// hmac.New(sha1.New, key) costs six objects per MAC. The tests hold it to
+// crypto/hmac byte for byte (TestJoinHMACMatchesCryptoHMAC) and to the
+// RFC 2202 vectors of this shape.
+func hmacSHA1(key, msg []byte) [sha1.Size]byte {
+	if len(key) > sha1.BlockSize || len(msg) > hmacMaxMsg {
+		panic("seg: hmacSHA1 key or message too long")
+	}
+	var inner [sha1.BlockSize + hmacMaxMsg]byte
+	var outer [sha1.BlockSize + sha1.Size]byte
+	copy(inner[:], key)
+	copy(outer[:], key)
+	for i := 0; i < sha1.BlockSize; i++ {
+		inner[i] ^= 0x36
+		outer[i] ^= 0x5c
+	}
+	n := sha1.BlockSize + copy(inner[sha1.BlockSize:], msg)
+	sum := sha1.Sum(inner[:n])
+	copy(outer[sha1.BlockSize:], sum[:])
+	return sha1.Sum(outer[:])
 }
 
 // TruncatedJoinHMAC returns the leftmost 64 bits of the join HMAC, the form

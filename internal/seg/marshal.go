@@ -77,10 +77,10 @@ func (s *Segment) AppendWire(dst []byte) ([]byte, error) {
 // UnmarshalInto decodes a TCP wire image produced by AppendWire (or any
 // TCP segment restricted to NOP/EOL/SACK/MPTCP options) into s in place;
 // src and dst carry the IP addresses from the enclosing IP header. s is
-// Reset first and its inline option storage is reused — the first DSS and first
-// SACK decode without allocating — so a pooled segment can be refilled
-// from the wire with no per-segment heap work. On error s is left in an
-// undefined (but Reset-able) state.
+// Reset first and its scratch options are reused — the first DSS, SACK,
+// MP_CAPABLE and MP_JOIN decode without allocating — so a pooled segment
+// can be refilled from the wire with no per-segment heap work. On error s
+// is left in an undefined (but Reset-able) state.
 func UnmarshalInto(s *Segment, b []byte, src, dst netip.Addr) error {
 	if len(b) < headerLen {
 		return errors.New("seg: truncated header")
@@ -101,7 +101,6 @@ func UnmarshalInto(s *Segment, b []byte, src, dst netip.Addr) error {
 	s.Flags = Flags(b[13])
 	s.Window = uint32(binary.BigEndian.Uint16(b[14:])) << windowShift
 	s.PayloadLen = len(b) - dataOff
-	usedDSS, usedSACK := false, false
 	opts := b[headerLen:dataOff]
 	for len(opts) > 0 {
 		switch opts[0] {
@@ -121,21 +120,29 @@ func UnmarshalInto(s *Segment, b []byte, src, dst netip.Addr) error {
 		}
 		switch opts[0] {
 		case optKindMPTCP:
-			if n >= 3 && Subtype(opts[2]>>4) == SubDSS && !usedDSS {
-				usedDSS = true
-				if err := decodeDSSInto(s.ScratchDSS(), opts[:n]); err != nil {
-					return err
+			var err error
+			sub := Subtype(0xff)
+			if n >= 3 {
+				sub = Subtype(opts[2] >> 4)
+			}
+			switch {
+			case sub == SubDSS && s.claimed&slotDSS == 0:
+				err = decodeDSSInto(s.ScratchDSS(), opts[:n])
+			case sub == SubMPCapable && s.claimed&slotMPCapable == 0:
+				err = decodeMPCapableInto(s.ScratchMPCapable(), opts[:n])
+			case sub == SubMPJoin && s.claimed&slotMPJoin == 0:
+				err = decodeMPJoinInto(s.ScratchMPJoin(), opts[:n])
+			default:
+				var o Option
+				if o, err = decodeOption(opts[:n]); err == nil {
+					s.Options = append(s.Options, o)
 				}
-			} else {
-				o, err := decodeOption(opts[:n])
-				if err != nil {
-					return err
-				}
-				s.Options = append(s.Options, o)
+			}
+			if err != nil {
+				return err
 			}
 		case optKindSACK:
-			if !usedSACK {
-				usedSACK = true
+			if s.claimed&slotSACK == 0 {
 				if err := decodeSACKInto(s.ScratchSACK(), opts[:n]); err != nil {
 					return err
 				}
@@ -205,6 +212,45 @@ func decodeDSSInto(d *DSS, b []byte) error {
 	return nil
 }
 
+// decodeMPCapableInto parses an MP_CAPABLE option (kind/len already
+// validated, at least 3 bytes) into a zeroed o.
+func decodeMPCapableInto(o *MPCapable, b []byte) error {
+	if len(b) != 12 && len(b) != 20 {
+		return fmt.Errorf("seg: MP_CAPABLE bad length %d", len(b))
+	}
+	o.Version = b[2] & 0xf
+	o.ChecksumReq = b[3]&0x80 != 0
+	o.SenderKey = binary.BigEndian.Uint64(b[4:])
+	if len(b) == 20 {
+		o.ReceiverKey = binary.BigEndian.Uint64(b[12:])
+		o.HasReceiver = true
+	}
+	return nil
+}
+
+// decodeMPJoinInto parses an MP_JOIN option (kind/len already validated,
+// at least 3 bytes) into a zeroed j.
+func decodeMPJoinInto(j *MPJoin, b []byte) error {
+	switch len(b) {
+	case 12:
+		j.Form = JoinSYN
+		j.Token = binary.BigEndian.Uint32(b[4:])
+		j.Nonce = binary.BigEndian.Uint32(b[8:])
+	case 16:
+		j.Form = JoinSYNACK
+		j.TruncHMAC = binary.BigEndian.Uint64(b[4:])
+		j.Nonce = binary.BigEndian.Uint32(b[12:])
+	case 24:
+		j.Form = JoinACK
+		copy(j.FullHMAC[:], b[4:])
+	default:
+		return fmt.Errorf("seg: MP_JOIN bad length %d", len(b))
+	}
+	j.Backup = b[2]&0x01 != 0
+	j.AddrID = b[3]
+	return nil
+}
+
 // decodeOption parses one MPTCP option (kind/len already validated).
 func decodeOption(b []byte) (Option, error) {
 	if len(b) < 3 {
@@ -213,43 +259,16 @@ func decodeOption(b []byte) (Option, error) {
 	sub := Subtype(b[2] >> 4)
 	switch sub {
 	case SubMPCapable:
-		switch len(b) {
-		case 12:
-			return &MPCapable{
-				Version:     b[2] & 0xf,
-				ChecksumReq: b[3]&0x80 != 0,
-				SenderKey:   binary.BigEndian.Uint64(b[4:]),
-			}, nil
-		case 20:
-			return &MPCapable{
-				Version:     b[2] & 0xf,
-				ChecksumReq: b[3]&0x80 != 0,
-				SenderKey:   binary.BigEndian.Uint64(b[4:]),
-				ReceiverKey: binary.BigEndian.Uint64(b[12:]),
-				HasReceiver: true,
-			}, nil
+		o := &MPCapable{}
+		if err := decodeMPCapableInto(o, b); err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("seg: MP_CAPABLE bad length %d", len(b))
+		return o, nil
 
 	case SubMPJoin:
-		if len(b) < 4 {
-			return nil, fmt.Errorf("seg: MP_JOIN bad length %d", len(b))
-		}
-		j := &MPJoin{Backup: b[2]&0x01 != 0, AddrID: b[3]}
-		switch len(b) {
-		case 12:
-			j.Form = JoinSYN
-			j.Token = binary.BigEndian.Uint32(b[4:])
-			j.Nonce = binary.BigEndian.Uint32(b[8:])
-		case 16:
-			j.Form = JoinSYNACK
-			j.TruncHMAC = binary.BigEndian.Uint64(b[4:])
-			j.Nonce = binary.BigEndian.Uint32(b[12:])
-		case 24:
-			j.Form = JoinACK
-			copy(j.FullHMAC[:], b[4:])
-		default:
-			return nil, fmt.Errorf("seg: MP_JOIN bad length %d", len(b))
+		j := &MPJoin{}
+		if err := decodeMPJoinInto(j, b); err != nil {
+			return nil, err
 		}
 		return j, nil
 

@@ -148,3 +148,85 @@ func TestAppendWireMatchesMarshal(t *testing.T) {
 		t.Fatal("AppendWire wire image depends on the destination prefix")
 	}
 }
+
+// TestJoinHMACAllocFree pins the stack HMAC: authenticating an MP_JOIN
+// costs no heap object (crypto/hmac's New, two digests and Sum cost six).
+func TestJoinHMACAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts differ under -race instrumentation")
+	}
+	var full [20]byte
+	var trunc uint64
+	avg := testing.AllocsPerRun(2000, func() {
+		full = JoinHMAC(1, 2, 3, 4)
+		trunc = TruncatedJoinHMAC(2, 1, 4, 3)
+	})
+	if full == [20]byte{} || trunc == 0 {
+		t.Fatal("zero HMAC")
+	}
+	if avg != 0 {
+		t.Fatalf("JoinHMAC + TruncatedJoinHMAC allocate %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestHandshakeOptionsAllocFree pins the handshake slots: once a segment
+// has carried one handshake option, attaching a lent MP_JOIN or
+// MP_CAPABLE, cloning the segment and refilling it from the wire all
+// reuse its slot, and the copy does not alias what it was copied from.
+func TestHandshakeOptionsAllocFree(t *testing.T) {
+	join := &MPJoin{Form: JoinACK, FullHMAC: JoinHMAC(1, 2, 3, 4)}
+	mpc := &MPCapable{SenderKey: 7, ReceiverKey: 9, HasReceiver: true}
+	for _, lent := range [][]Option{{join}, {mpc}} {
+		build := func() *Segment {
+			s := Shared.Get()
+			s.Tuple = tuple()
+			s.Flags = ACK
+			s.AppendOptions(lent)
+			return s
+		}
+		src := build()
+		wire, err := src.AppendWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := Shared.Get()
+		cycle := func() {
+			s := build()
+			c := Shared.Clone(s)
+			if !c.Equal(src) {
+				t.Fatalf("clone %v differs from %v", c, src)
+			}
+			Shared.Put(s)
+			Shared.Put(c)
+			if err := UnmarshalInto(dst, wire, src.Tuple.SrcIP, src.Tuple.DstIP); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		if !dst.Equal(src) {
+			t.Fatalf("in-place unmarshal mismatch:\n in=%v\nout=%v", src, dst)
+		}
+		if src.Options[0] == lent[0] {
+			t.Fatal("AppendOptions kept the lender's option instead of copying it")
+		}
+		if !testutil.RaceEnabled { // alloc counts differ under -race
+			for i := 0; i < 64; i++ {
+				cycle() // every pooled segment the cycle can draw gets its slot
+			}
+			if avg := testing.AllocsPerRun(2000, cycle); avg > 0.05 {
+				t.Fatalf("%v: build+clone+unmarshal allocates %.2f allocs/op, want ~0", lent[0], avg)
+			}
+		}
+		Shared.Put(src)
+		Shared.Put(dst)
+	}
+	// A second option of a kind whose slot is taken is cloned to the heap,
+	// not dropped and not aliased.
+	s := Shared.Get()
+	defer Shared.Put(s)
+	other := &MPJoin{Form: JoinSYN, Token: 5, Nonce: 6}
+	s.AppendOptions([]Option{join, other})
+	if len(s.Options) != 2 || !optionEqual(s.Options[1], other) || s.Options[1] == Option(other) {
+		t.Fatalf("second MP_JOIN not deep-copied: %v", s.Options)
+	}
+}

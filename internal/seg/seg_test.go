@@ -1,6 +1,7 @@
 package seg
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -232,24 +233,49 @@ func TestTokenAndIDSN(t *testing.T) {
 	}
 }
 
+// joinView is what one end of an MP_JOIN handshake knows: its own key and
+// nonce, and the peer's as learnt from the wire.
+type joinView struct {
+	localKey, remoteKey     uint64
+	localNonce, remoteNonce uint32
+}
+
+// sign computes the HMAC this end sends: its own key and nonce first.
+func (v joinView) sign() [20]byte {
+	return JoinHMAC(v.localKey, v.remoteKey, v.localNonce, v.remoteNonce)
+}
+
+// expect computes the HMAC this end requires of the peer: the peer's key
+// and nonce first, each taken from this end's own view.
+func (v joinView) expect() [20]byte {
+	return JoinHMAC(v.remoteKey, v.localKey, v.remoteNonce, v.localNonce)
+}
+
 func TestJoinHMACAgreement(t *testing.T) {
-	// Host A authenticating to B and B verifying must agree when each uses
-	// (ownKey, peerKey, ownNonce, peerNonce) with the initiator's ordering.
-	keyA, keyB := uint64(111), uint64(222)
-	nonceA, nonceB := uint32(333), uint32(444)
-	// B sends the SYN+ACK HMAC keyed (keyB, keyA) over (nonceB, nonceA).
-	fromB := TruncatedJoinHMAC(keyB, keyA, nonceB, nonceA)
-	verifyAtA := TruncatedJoinHMAC(keyB, keyA, nonceB, nonceA)
-	if fromB != verifyAtA {
-		t.Fatal("HMAC disagreement")
+	a := joinView{localKey: 111, remoteKey: 222, localNonce: 333, remoteNonce: 444}
+	b := joinView{localKey: a.remoteKey, remoteKey: a.localKey, localNonce: a.remoteNonce, remoteNonce: a.localNonce}
+	// SYN+ACK: B signs, A verifies from its own view; third ACK: the reverse.
+	if b.sign() != a.expect() {
+		t.Fatal("A rejects B's SYN+ACK HMAC")
 	}
-	// Ordering matters: swapped keys must not verify.
-	if fromB == TruncatedJoinHMAC(keyA, keyB, nonceB, nonceA) {
-		t.Fatal("HMAC insensitive to key order")
+	if a.sign() != b.expect() {
+		t.Fatal("B rejects A's third-ACK HMAC")
 	}
-	full := JoinHMAC(keyA, keyB, nonceA, nonceB)
-	if full == [20]byte{} {
-		t.Fatal("zero HMAC")
+	// The two directions are distinct MACs: a reflected one must not verify.
+	if a.sign() == a.expect() {
+		t.Fatal("HMAC insensitive to key and nonce order")
+	}
+	// A verifier holding another connection's key, or a stale nonce, rejects.
+	wrongKey, staleNonce := a, a
+	wrongKey.remoteKey++
+	staleNonce.remoteNonce++
+	if b.sign() == wrongKey.expect() || b.sign() == staleNonce.expect() {
+		t.Fatal("HMAC verified against the wrong key or nonce")
+	}
+	// The SYN+ACK carries the leftmost 64 bits of the same MAC.
+	full := b.sign()
+	if got := TruncatedJoinHMAC(b.localKey, b.remoteKey, b.localNonce, b.remoteNonce); got != binary.BigEndian.Uint64(full[:8]) {
+		t.Fatalf("truncated HMAC %x is not the prefix of %x", got, full)
 	}
 }
 

@@ -72,33 +72,57 @@ func (ft FourTuple) String() string {
 // not materialise payload bytes (contents are tracked by data-sequence
 // ranges), but AppendWire emits PayloadLen zero bytes so wire size is honest.
 //
-// Segments carry inline storage for the options of the hot data path (one
-// DSS, one SACK, up to four option slots), claimed via ScratchDSS /
-// ScratchSACK, so building, cloning and in-place unmarshalling a typical
-// segment performs no heap allocation. A segment whose scratch options are
-// in use must not be copied by value (the internal pointers would alias);
-// use Clone or CopyFrom.
+// Segments carry inline storage for the options the stack itself builds:
+// one DSS and one SACK (the hot data path), one MP_CAPABLE and one MP_JOIN
+// (the handshakes), and four option slots. They are claimed via
+// ScratchDSS / ScratchSACK / ScratchMPCapable / ScratchMPJoin, so
+// building, cloning and in-place unmarshalling a typical segment performs
+// no heap allocation. A segment whose scratch options are in use must not
+// be copied by value (the internal pointers would alias); use Clone or
+// CopyFrom.
 type Segment struct {
 	Tuple      FourTuple
 	Seq        uint32 // subflow-level sequence number of first payload byte
 	Ack        uint32 // subflow-level cumulative acknowledgement (valid if ACK set)
 	Flags      Flags
+	claimed    uint8  // scratch options in use (slot* bits), cleared by Reset
 	Window     uint32 // receive window in bytes (already scaled)
 	PayloadLen int
 	Options    []Option
 
-	optBack [4]Option // inline backing array for Options
-	dss     DSS       // inline storage claimed by ScratchDSS
-	sack    SACK      // inline storage claimed by ScratchSACK
+	optBack [4]Option      // inline backing array for Options
+	dss     DSS            // inline storage claimed by ScratchDSS
+	sack    SACK           // inline storage claimed by ScratchSACK
+	hs      *handshakeSlot // claimed by ScratchMPCapable / ScratchMPJoin
+}
+
+// Scratch-option claim bits.
+const (
+	slotDSS uint8 = 1 << iota
+	slotSACK
+	slotMPCapable
+	slotMPJoin
+)
+
+// handshakeSlot is a segment's storage for its handshake option. It hangs
+// off the segment instead of lying in it because only handshake segments
+// need it, and its 80 bytes would lift every data segment into the next
+// allocator size class: the first handshake a pooled segment carries pays
+// for the slot, and like the SACK block capacity it then stays with the
+// segment across Resets.
+type handshakeSlot struct {
+	mpc  MPCapable
+	join MPJoin
 }
 
 // Reset returns the segment to its zero state while retaining its inline
 // option capacity, making it safe to reuse via a Pool: no field of a
-// previous life survives.
+// previous life survives (the scratch options are zeroed when claimed).
 func (s *Segment) Reset() {
 	s.Tuple = FourTuple{}
 	s.Seq, s.Ack, s.Window = 0, 0, 0
 	s.Flags = 0
+	s.claimed = 0
 	s.PayloadLen = 0
 	for i := range s.optBack {
 		s.optBack[i] = nil
@@ -108,16 +132,22 @@ func (s *Segment) Reset() {
 	s.sack.Blocks = s.sack.Blocks[:0]
 }
 
+// claim marks a scratch slot used and appends its option.
+func (s *Segment) claim(slot uint8, o Option) {
+	s.claimed |= slot
+	if s.Options == nil {
+		s.Options = s.optBack[:0]
+	}
+	s.Options = append(s.Options, o)
+}
+
 // ScratchDSS zeroes the segment's inline DSS option, appends it to
 // Options and returns it for the caller to fill — the allocation-free way
 // to attach the per-segment DSS. Valid once per segment lifetime (until
 // the next Reset).
 func (s *Segment) ScratchDSS() *DSS {
 	s.dss = DSS{}
-	if s.Options == nil {
-		s.Options = s.optBack[:0]
-	}
-	s.Options = append(s.Options, &s.dss)
+	s.claim(slotDSS, &s.dss)
 	return &s.dss
 }
 
@@ -126,16 +156,74 @@ func (s *Segment) ScratchDSS() *DSS {
 // lifetime (until the next Reset).
 func (s *Segment) ScratchSACK() *SACK {
 	s.sack.Blocks = s.sack.Blocks[:0]
-	if s.Options == nil {
-		s.Options = s.optBack[:0]
-	}
-	s.Options = append(s.Options, &s.sack)
+	s.claim(slotSACK, &s.sack)
 	return &s.sack
 }
 
-// CopyFrom deep-copies src into s, reusing s's inline option storage: the
-// first DSS and first SACK of src land in s's scratch options, so copying
-// a data segment does not allocate. s is Reset first.
+// ScratchMPCapable zeroes and appends the segment's MP_CAPABLE slot, the
+// handshake counterpart of ScratchDSS. Valid once per segment lifetime.
+func (s *Segment) ScratchMPCapable() *MPCapable {
+	hs := s.handshake()
+	hs.mpc = MPCapable{}
+	s.claim(slotMPCapable, &hs.mpc)
+	return &hs.mpc
+}
+
+// ScratchMPJoin zeroes and appends the segment's MP_JOIN slot. Valid once
+// per segment lifetime.
+func (s *Segment) ScratchMPJoin() *MPJoin {
+	hs := s.handshake()
+	hs.join = MPJoin{}
+	s.claim(slotMPJoin, &hs.join)
+	return &hs.join
+}
+
+// handshake returns the segment's handshake slot, allocating it on the
+// segment's first use as a handshake segment.
+func (s *Segment) handshake() *handshakeSlot {
+	if s.hs == nil {
+		s.hs = new(handshakeSlot)
+	}
+	return s.hs
+}
+
+// AppendOptions deep-copies opts onto the segment: the first DSS, SACK,
+// MP_CAPABLE and MP_JOIN land in the segment's scratch slots, anything
+// else (and any repeat) is cloned to the heap. The caller keeps opts —
+// the subflow engine attaches the handshake options its owner lends it
+// this way.
+func (s *Segment) AppendOptions(opts []Option) {
+	for _, o := range opts {
+		switch o := o.(type) {
+		case *DSS:
+			if s.claimed&slotDSS == 0 {
+				*s.ScratchDSS() = *o
+				continue
+			}
+		case *SACK:
+			if s.claimed&slotSACK == 0 {
+				sk := s.ScratchSACK()
+				sk.Blocks = append(sk.Blocks, o.Blocks...)
+				continue
+			}
+		case *MPCapable:
+			if s.claimed&slotMPCapable == 0 {
+				*s.ScratchMPCapable() = *o
+				continue
+			}
+		case *MPJoin:
+			if s.claimed&slotMPJoin == 0 {
+				*s.ScratchMPJoin() = *o
+				continue
+			}
+		}
+		s.Options = append(s.Options, o.clone())
+	}
+}
+
+// CopyFrom deep-copies src into s, reusing s's scratch options (see
+// AppendOptions), so copying a data or handshake segment does not
+// allocate. s is Reset first.
 func (s *Segment) CopyFrom(src *Segment) {
 	s.Reset()
 	s.Tuple = src.Tuple
@@ -143,25 +231,7 @@ func (s *Segment) CopyFrom(src *Segment) {
 	s.Flags = src.Flags
 	s.Window = src.Window
 	s.PayloadLen = src.PayloadLen
-	usedDSS, usedSACK := false, false
-	for _, o := range src.Options {
-		switch o := o.(type) {
-		case *DSS:
-			if !usedDSS {
-				usedDSS = true
-				*s.ScratchDSS() = *o
-				continue
-			}
-		case *SACK:
-			if !usedSACK {
-				usedSACK = true
-				sk := s.ScratchSACK()
-				sk.Blocks = append(sk.Blocks, o.Blocks...)
-				continue
-			}
-		}
-		s.Options = append(s.Options, o.clone())
-	}
+	s.AppendOptions(src.Options)
 }
 
 // SeqEnd reports the subflow sequence number after this segment: Seq plus

@@ -197,7 +197,7 @@ func (c *entityClock) Derive(name string) Clock { return c.w.deriveClock(c.shard
 
 func (c *entityClock) rearmOwned(e *Event, when Time) {
 	if when < c.sh.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.name, when, c.sh.now))
+		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.label(), when, c.sh.now))
 	}
 	e.when = when
 	e.ent = c.ent

@@ -59,10 +59,19 @@ type Event struct {
 	idx  int // heap index, -1 once removed
 	name string
 
-	argFn  func(any) // pooled events: preallocated callback
-	arg    any       // pooled events: per-event state (a pointer, no boxing)
+	argFn  func(any) // pooled events and timers: preallocated callback
+	arg    any       // its state (a pointer, no boxing)
 	pooled bool      // recycle onto the free list after firing
-	owned  bool      // fn survives firing (Timer/Ticker re-arm in place)
+	owned  bool      // callback survives firing (Timer/Ticker re-arm in place)
+}
+
+// label names the event for the scheduling-in-the-past panic: its name,
+// plus the owner behind a timer when that can describe itself.
+func (e *Event) label() string {
+	if s, ok := e.arg.(fmt.Stringer); ok {
+		return e.name + " " + s.String()
+	}
+	return e.name
 }
 
 // Cancelled reports whether the event has been cancelled or already fired.
@@ -295,11 +304,11 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 
 // rearmOwned (re)schedules a caller-owned event (sim.Timer / Ticker): if
 // pending it is re-keyed and sifted in place (eventHeap.fix), otherwise it
-// is pushed afresh. The event's fn survives firing, so one Event serves
-// its owner's whole lifetime without allocation.
+// is pushed afresh. The event's callback survives firing, so one Event
+// serves its owner's whole lifetime without allocation.
 func (s *Simulator) rearmOwned(e *Event, when Time) {
 	if when < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.name, when, s.now))
+		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.label(), when, s.now))
 	}
 	e.when = when
 	e.seq = s.nextSeq
@@ -351,6 +360,13 @@ func (s *Simulator) step() bool {
 	s.now = e.when
 	s.processed++
 	switch {
+	case e.owned:
+		// The callback is preserved: the owner re-arms this very event.
+		if e.argFn != nil {
+			e.argFn(e.arg)
+		} else if e.fn != nil {
+			e.fn()
+		}
 	case e.argFn != nil:
 		fn, arg := e.argFn, e.arg
 		e.argFn, e.arg = nil, nil
@@ -358,11 +374,6 @@ func (s *Simulator) step() bool {
 		if e.pooled && len(s.free) < maxFreeEvents {
 			s.evPuts++
 			s.free = append(s.free, e)
-		}
-	case e.owned:
-		// fn is preserved: the owner re-arms this very event.
-		if e.fn != nil {
-			e.fn()
 		}
 	default:
 		fn := e.fn

@@ -4,7 +4,7 @@ import "time"
 
 // Timer is a restartable one-shot timer bound to a Clock, analogous to
 // time.Timer but in virtual time. The zero value is not usable; create
-// timers with NewTimer.
+// timers with NewTimer, or embed one in its owner and bind it with Init.
 //
 // A Timer owns one Event for its whole lifetime and re-arms it in place,
 // so Reset/Stop never allocate — the retransmission and pacing timers of
@@ -16,9 +16,22 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that runs fn when it fires.
 func NewTimer(c Clock, name string, fn func()) *Timer {
-	t := &Timer{clock: c}
-	t.ev = Event{idx: -1, name: name, fn: fn, owned: true}
+	t := &Timer{}
+	t.Init(c, name, callFunc, fn)
 	return t
+}
+
+func callFunc(fn any) { fn.(func())() }
+
+// Init binds a Timer embedded in its owner, stopped, to run fn(arg) when
+// it fires. With a package-level fn and the owner as arg, a struct that
+// holds its timers by value creates them without allocating: no Timer
+// object and no bound-method closure. Pass a constant name — it is read
+// only by the scheduling-in-the-past panic, which also prints arg when it
+// is a fmt.Stringer, so the owner's identity costs nothing until then.
+func (t *Timer) Init(c Clock, name string, fn func(any), arg any) {
+	t.clock = c
+	t.ev = Event{idx: -1, name: name, argFn: fn, arg: arg, owned: true}
 }
 
 // Reset (re)arms the timer to fire d from now, replacing any pending firing.

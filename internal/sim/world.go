@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -39,7 +38,13 @@ type World struct {
 	running  bool
 	buildErr error
 
-	globals globalHeap
+	// Global events are classic Events keyed (when, ent 0, seq), so they
+	// queue on the shard loops' own heap code. A scenario schedules its
+	// whole intervention timeline (tens of thousands of flaps or handovers)
+	// before the first window runs, so the events are cut from slabs
+	// instead of allocated one by one.
+	globals eventHeap
+	gslab   []Event
 	gseq    uint64
 	gdone   uint64
 
@@ -73,32 +78,8 @@ type crossMsg struct {
 // maxTime is the idle sentinel for nextEventTime.
 const maxTime = Time(1<<63 - 1)
 
-type globalEvent struct {
-	when Time
-	seq  uint64
-	name string
-	fn   func()
-}
-
-type globalHeap []globalEvent
-
-func (h globalHeap) Len() int { return len(h) }
-func (h globalHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h globalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *globalHeap) Push(x any)   { *h = append(*h, x.(globalEvent)) }
-func (h *globalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = globalEvent{}
-	*h = old[:n-1]
-	return e
-}
+// globalSlab is how many global events one slab allocation holds.
+const globalSlab = 256
 
 // NewWorld creates a sharded world for the given seed. nshards < 1 is
 // treated as 1. Shard counts larger than the number of populated groups
@@ -209,8 +190,14 @@ func (w *World) ScheduleGlobal(when Time, name string, fn func()) {
 	if when < w.now {
 		panic(fmt.Sprintf("sim: scheduling global %q at %v before now %v", name, when, w.now))
 	}
-	heap.Push(&w.globals, globalEvent{when: when, seq: w.gseq, name: name, fn: fn})
+	if len(w.gslab) == 0 {
+		w.gslab = make([]Event, globalSlab)
+	}
+	e := &w.gslab[0]
+	w.gslab = w.gslab[1:]
+	e.when, e.seq, e.name, e.fn = when, w.gseq, name, fn
 	w.gseq++
+	w.globals.push(e)
 }
 
 // post enqueues a cross-shard message for the destination shard. It is the
@@ -399,9 +386,11 @@ func (w *World) RunUntil(deadline Time) {
 		}
 		w.now = limit
 		for len(w.globals) > 0 && w.globals[0].when <= limit {
-			g := heap.Pop(&w.globals).(globalEvent)
+			e := w.globals.pop()
+			fn := e.fn
+			e.fn = nil // the slab outlives the event; its closure need not
 			w.gdone++
-			g.fn()
+			fn()
 		}
 		if limit >= deadline {
 			break

@@ -77,7 +77,11 @@ const (
 // progress, retransmission timeouts and subflow death — the raw material
 // for the paper's path-manager events.
 type Owner interface {
-	// HandshakeOptions returns the MPTCP options to attach at a stage.
+	// HandshakeOptions returns the MPTCP options to attach at a stage. The
+	// slice and the options are only on loan: the subflow copies them into
+	// the handshake segment's own storage (seg.Segment.AppendOptions)
+	// before it calls the owner again, so the owner may hand out the same
+	// scratch every time.
 	HandshakeOptions(sf *Subflow, st Stage) []seg.Option
 	// HandshakeAccept validates the peer's handshake segment.
 	HandshakeAccept(sf *Subflow, s *seg.Segment, st Stage) Verdict
@@ -171,13 +175,16 @@ type Subflow struct {
 	rcv      rcvQueue
 	peerWnd  uint32
 
-	sq        sendQueue
-	pushNxt   uint32 // next subflow sequence number to assign to pushed data
-	cc        Cong
-	rtt       *RTTEstimator
-	rtoTimer  *sim.Timer
-	synTimer  *sim.Timer
-	paceTimer *sim.Timer
+	sq      sendQueue
+	pushNxt uint32 // next subflow sequence number to assign to pushed data
+	cc      Cong
+	// The estimator and the three timers live in the subflow, not behind
+	// pointers: a subflow is one object, and creating one allocates it and
+	// its congestion controller and nothing else.
+	rtt       RTTEstimator
+	rtoTimer  sim.Timer
+	synTimer  sim.Timer
+	paceTimer sim.Timer
 	backoffs  int
 	dupAcks   int
 
@@ -195,7 +202,6 @@ type Subflow struct {
 	finSeq   uint32
 	finAcked bool
 	finRcvd  bool
-	lastSYN  *seg.Segment // retained for handshake retransmission
 	stats    Stats
 
 	sackScratch []sackRange // reused per-ACK SACK block buffer
@@ -217,15 +223,26 @@ func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner 
 		out:     out,
 		owner:   owner,
 		tuple:   tuple,
-		rtt:     NewRTTEstimator(),
 		cc:      cfg.NewCong(cfg.MSS, cfg.InitialWindow),
+		rtt:     *NewRTTEstimator(),
 		peerWnd: cfg.RcvWnd,
 	}
-	sf.rtoTimer = sim.NewTimer(c, "tcp.rto:"+tuple.String(), sf.onRTO)
-	sf.synTimer = sim.NewTimer(c, "tcp.syn-rto:"+tuple.String(), sf.onSynTimeout)
-	sf.paceTimer = sim.NewTimer(c, "tcp.pace:"+tuple.String(), sf.sendLoop)
+	// Constant names: a name is read only when scheduling in the past
+	// panics, and that message gets the tuple from String below.
+	sf.rtoTimer.Init(c, "tcp.rto", fireRTO, sf)
+	sf.synTimer.Init(c, "tcp.syn-rto", fireSynTimeout, sf)
+	sf.paceTimer.Init(c, "tcp.pace", firePace, sf)
 	return sf
 }
+
+// The timer callbacks are package-level functions taking the subflow, so
+// binding them allocates no method closure.
+func fireRTO(sf any)        { sf.(*Subflow).onRTO() }
+func fireSynTimeout(sf any) { sf.(*Subflow).onSynTimeout() }
+func firePace(sf any)       { sf.(*Subflow).sendLoop() }
+
+// String identifies the subflow by its 4-tuple.
+func (sf *Subflow) String() string { return sf.tuple.String() }
 
 // Accessors.
 
@@ -372,16 +389,42 @@ func (sf *Subflow) Connect() {
 	sf.sndNxt = sf.iss + 1
 	sf.state = StateSynSent
 	sf.synSentAt = sf.sim.Now()
-	syn := &seg.Segment{
-		Tuple:   sf.tuple,
-		Seq:     sf.iss,
-		Flags:   seg.SYN,
-		Window:  sf.cfg.RcvWnd,
-		Options: sf.owner.HandshakeOptions(sf, StageSYN),
-	}
-	sf.lastSYN = syn
-	sf.transmitCopy(syn)
+	sf.sendSYN()
 	sf.armSynTimer()
+}
+
+// sendSYN transmits the handshake segment of the current state: the SYN in
+// SYN_SENT, the SYN+ACK in SYN_RCVD. A retransmission builds it again
+// instead of cloning a retained copy — every field, the owner's options
+// included, is a function of state that is fixed until the handshake ends —
+// so the segment and its options live in the pooled segment alone.
+func (sf *Subflow) sendSYN() {
+	s := seg.Shared.Get()
+	s.Tuple = sf.tuple
+	s.Seq = sf.iss
+	s.Flags = seg.SYN
+	s.Window = sf.cfg.RcvWnd
+	st := StageSYN
+	if sf.state == StateSynRcvd {
+		s.Ack = sf.rcv.nxt
+		s.Flags |= seg.ACK
+		st = StageSYNACK
+	}
+	s.AppendOptions(sf.owner.HandshakeOptions(sf, st))
+	sf.transmit(s)
+}
+
+// sendHandshakeACK transmits the third handshake ACK with its stage-ACK
+// options (both keys for MP_CAPABLE, the full HMAC for MP_JOIN).
+func (sf *Subflow) sendHandshakeACK() {
+	ack := seg.Shared.Get()
+	ack.Tuple = sf.tuple
+	ack.Seq = sf.sndNxt
+	ack.Ack = sf.rcv.nxt
+	ack.Flags = seg.ACK
+	ack.Window = sf.cfg.RcvWnd
+	ack.AppendOptions(sf.owner.HandshakeOptions(sf, StageACK))
+	sf.transmit(ack)
 }
 
 // handleSYN performs the passive open for an inbound SYN.
@@ -402,16 +445,7 @@ func (sf *Subflow) handleSYN(s *seg.Segment) {
 	sf.sndUna = sf.iss
 	sf.sndNxt = sf.iss + 1
 	sf.state = StateSynRcvd
-	synack := &seg.Segment{
-		Tuple:   sf.tuple,
-		Seq:     sf.iss,
-		Ack:     sf.rcv.nxt,
-		Flags:   seg.SYN | seg.ACK,
-		Window:  sf.cfg.RcvWnd,
-		Options: sf.owner.HandshakeOptions(sf, StageSYNACK),
-	}
-	sf.lastSYN = synack
-	sf.transmitCopy(synack)
+	sf.sendSYN()
 	sf.armSynTimer()
 }
 
@@ -434,7 +468,7 @@ func (sf *Subflow) onSynTimeout() {
 	}
 	sf.stats.Retrans++
 	sf.cfg.Metrics.Retrans.Inc()
-	sf.transmitCopy(sf.lastSYN)
+	sf.sendSYN()
 	sf.armSynTimer()
 }
 
@@ -623,12 +657,6 @@ func (sf *Subflow) transmit(s *seg.Segment) {
 	sf.out(s)
 }
 
-// transmitCopy transmits a pooled clone of a segment the subflow retains
-// (the handshake segments kept for retransmission).
-func (sf *Subflow) transmitCopy(s *seg.Segment) {
-	sf.transmit(s.Clone())
-}
-
 // --- Close paths ---
 
 // Close requests a graceful close: queued data drains, then a FIN.
@@ -732,18 +760,10 @@ func (sf *Subflow) handleSynSent(s *seg.Segment) {
 		// The SYN↔SYN+ACK exchange is a clean RTT sample (Karn holds).
 		sf.rtt.Sample(time.Duration(sf.sim.Now() - sf.synSentAt))
 	}
-	// Third handshake ACK, carrying stage-ACK options (both keys for
-	// MP_CAPABLE, the full HMAC for MP_JOIN). It must be transmitted
-	// before OnEstablished runs: a path manager may react by opening a
-	// join, and that SYN must not overtake this ACK on the wire.
-	ack := seg.Shared.Get()
-	ack.Tuple = sf.tuple
-	ack.Seq = sf.sndNxt
-	ack.Ack = sf.rcv.nxt
-	ack.Flags = seg.ACK
-	ack.Window = sf.cfg.RcvWnd
-	ack.Options = append(ack.Options, sf.owner.HandshakeOptions(sf, StageACK)...)
-	sf.transmit(ack)
+	// The third handshake ACK must be transmitted before OnEstablished
+	// runs: a path manager may react by opening a join, and that SYN must
+	// not overtake this ACK on the wire.
+	sf.sendHandshakeACK()
 	sf.becomeEstablished()
 }
 
@@ -756,7 +776,7 @@ func (sf *Subflow) handleSynRcvd(s *seg.Segment) {
 		// Duplicate SYN: retransmit our SYN+ACK.
 		sf.stats.Retrans++
 		sf.cfg.Metrics.Retrans.Inc()
-		sf.transmitCopy(sf.lastSYN)
+		sf.sendSYN()
 		return
 	}
 	if !s.Is(seg.ACK) || s.Ack != sf.sndNxt {
@@ -800,16 +820,9 @@ func (sf *Subflow) handleEstablished(s *seg.Segment) {
 	if s.Is(seg.SYN | seg.ACK) {
 		// Duplicate SYN+ACK: our third handshake ACK was lost. Re-send it
 		// (with its stage-ACK options) so the passive side can establish.
-		ack := seg.Shared.Get()
-		ack.Tuple = sf.tuple
-		ack.Seq = sf.sndNxt
-		ack.Ack = sf.rcv.nxt
-		ack.Flags = seg.ACK
-		ack.Window = sf.cfg.RcvWnd
-		ack.Options = append(ack.Options, sf.owner.HandshakeOptions(sf, StageACK)...)
 		sf.stats.Retrans++
 		sf.cfg.Metrics.Retrans.Inc()
-		sf.transmit(ack)
+		sf.sendHandshakeACK()
 		return
 	}
 	if s.Is(seg.ACK) {
