@@ -137,7 +137,10 @@ smoke-workspace:
 # require `mpexp diff` at tolerance 0 on every pair across the two —
 # metrics.json included. Then compare `mpexp report -json` of a traced
 # fig2a, scale and fleet run: the analysis must be byte-identical even
-# where the raw trace orders its shards differently.
+# where the raw trace orders its shards differently. Every pair is
+# compared; under each run that differs the keys that do are listed, and
+# the target fails at the end if any did — so a change that is meant to
+# move some runtime counters (and nothing else) can show exactly that.
 smoke-ref:
 	@test -n "$(REF)" || { echo "usage: make smoke-ref REF=<commit>"; exit 2; }
 	@set -e; \
@@ -162,17 +165,28 @@ smoke-ref:
 		  done ); \
 	done; \
 	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2"; \
+	differing=0; \
 	for s in $$names; do \
 		for n in 001 002 003; do \
-			echo "== smoke-ref: $$s-$$n"; \
-			out=$$($$tmp/mpexp-head diff $$tmp/ref-ws/.mpexp/runs/$$s-$$n $$tmp/head-ws/.mpexp/runs/$$s-$$n) || \
-				{ echo "$$out"; exit 1; }; \
+			if out=$$($$tmp/mpexp-head diff $$tmp/ref-ws/.mpexp/runs/$$s-$$n $$tmp/head-ws/.mpexp/runs/$$s-$$n); then \
+				echo "== smoke-ref: $$s-$$n identical"; \
+			else \
+				echo "== smoke-ref: $$s-$$n DIFFERS in:"; \
+				echo "$$out" | sed -n 's/^  \([^:]*\):.*/     \1/p'; \
+				differing=$$((differing+1)); \
+			fi; \
 		done; \
 	done; \
 	for s in fig2a scale fleet; do \
-		echo "== smoke-ref: traced $$s, report -json"; \
-		cmp $$tmp/ref-ws/$$s.report.json $$tmp/head-ws/$$s.report.json; \
-	done
+		if cmp -s $$tmp/ref-ws/$$s.report.json $$tmp/head-ws/$$s.report.json; then \
+			echo "== smoke-ref: traced $$s, report -json identical"; \
+		else \
+			echo "== smoke-ref: traced $$s, report -json DIFFERS"; \
+			differing=$$((differing+1)); \
+		fi; \
+	done; \
+	echo "== smoke-ref: $$differing of $$(( $$(echo $$names | wc -w) * 3 + 3 )) comparisons differ"; \
+	test $$differing -eq 0
 
 # Build and RUN every example end to end; any non-zero exit fails. The
 # examples are the facade's acceptance surface, so they are executed,

@@ -13,10 +13,10 @@ import (
 )
 
 // TestLinkDeliveryAllocFree pins the tentpole property: once pools are
-// warm, pushing a pooled segment through host→link→host (serialisation +
-// propagation events included) performs no heap allocation. A regression
-// here means a make([]byte)/closure/Event allocation crept back into the
-// per-packet path.
+// warm, pushing a pooled segment through host→link→host (the reserved
+// serialisation end and the delivery event included) performs no heap
+// allocation. A regression here means a make([]byte)/closure/Event
+// allocation crept back into the per-packet path.
 func TestLinkDeliveryAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
@@ -45,7 +45,7 @@ func TestLinkDeliveryAllocFree(t *testing.T) {
 		d := sg.ScratchDSS()
 		d.HasMap, d.DataSeq, d.MapLen = true, 99, 1380
 		tx.Send(NewPacket(sg))
-		s.RunFor(5 * time.Millisecond) // drain serialisation + delivery
+		s.RunFor(5 * time.Millisecond) // past serialisation and delivery
 	}
 
 	// Warm the segment/packet/event pools.

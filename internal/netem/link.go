@@ -27,25 +27,29 @@ type LinkStats struct {
 // A duplex link is simply a pair. Loss and up/down state can change while
 // the simulation runs (the experiments in §4.2/§4.3 raise the loss ratio
 // mid-transfer).
+//
+// A packet costs one event, its delivery; the end of its serialisation is a
+// reserved key, not an event (DESIGN.md "Events per hop").
 type Link struct {
-	clock    sim.Clock // the source side's loop: owns the transmitter state
-	dstClock sim.Clock // the destination node's loop: owns delivery
-	name     string
-	dst      Node
-	rate     float64 // bits per second; 0 means infinite
-	delay    time.Duration
-	loss     float64 // probability in [0,1]
-	qcap     int     // max queued packets awaiting serialisation
-	up       bool    // reconfigured only at barriers (globals) or while paused
+	clock sim.Clock // the source side's loop: owns the transmitter state
+	name  string
+	dst   Node
+	rate  float64 // bits per second; 0 means infinite
+	delay time.Duration
+	loss  float64 // probability in [0,1]
+	qcap  int     // max queued packets awaiting serialisation
+	up    bool    // reconfigured only at barriers (globals) or while paused
 
 	busyUntil sim.Time // when the transmitter frees up
-	queued    int      // packets scheduled but not yet serialised
+	// Reserved serialisation ends, oldest first from serHead on; the ones
+	// not passed yet are the packets still queued. At most qcap are live.
+	ser     []serEnd
+	serHead int
 
-	// Preallocated event callbacks and names: every packet schedules two
-	// events (serialisation-done, delivery), and reusing one func value and
-	// one name string per link keeps the per-packet path allocation-free.
-	serName, dlvName string
-	serFn, dlvFn     func(any)
+	// Packets in flight, in Send order and so in key order; the relay's one
+	// event carries the head's key. Both belong to the destination's loop.
+	head, tail *Packet
+	relay      sim.Relay
 
 	// Trace recording (nil shard = off): enqueue/drop/deliver events
 	// for the per-link utilisation and drop analysis.
@@ -53,6 +57,12 @@ type Link struct {
 	tid uint32
 
 	Stats LinkStats
+}
+
+// serEnd is the reserved key of one packet's end of serialisation.
+type serEnd struct {
+	at  sim.Time
+	seq uint64
 }
 
 // LinkConfig bundles the constructor parameters for a Link.
@@ -79,39 +89,24 @@ func NewLink(c sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
 		qcap = DefaultQueueCap
 	}
 	l := &Link{
-		clock:    c.Derive("link:" + name),
-		dstClock: dst.Clock(),
-		name:     name,
-		dst:      dst,
-		rate:     cfg.RateBps,
-		delay:    cfg.Delay,
-		loss:     cfg.Loss,
-		qcap:     qcap,
-		up:       true,
+		clock: c.Derive("link:" + name),
+		name:  name,
+		dst:   dst,
+		rate:  cfg.RateBps,
+		delay: cfg.Delay,
+		loss:  cfg.Loss,
+		qcap:  qcap,
+		up:    true,
 	}
 	if w := sim.WorldOf(l.clock); w != nil {
-		w.Crossing(name, l.clock, l.dstClock, cfg.Delay)
+		w.Crossing(name, l.clock, dst.Clock(), cfg.Delay)
 	}
-	l.serName = "link.serialized:" + name
-	l.dlvName = "link.deliver:" + name
-	l.serFn = func(any) { l.queued-- }
-	l.dlvFn = func(a any) {
-		// Runs on the destination's loop; it may only touch
-		// delivery-owned state (Sent/Bytes/DropCut, the packet, dst).
-		pkt := a.(*Packet)
-		if !l.up { // cut while in flight
-			l.Stats.DropCut++
-			l.trace(trace.KLinkDrop, pkt.Size, trace.DropDown)
-			pkt.Release()
-			return
-		}
-		l.Stats.Sent++
-		l.Stats.Bytes += uint64(pkt.Size)
-		l.trace(trace.KLinkDlv, pkt.Size, 0)
-		l.dst.Input(pkt)
-	}
+	l.relay.Init(l.clock, dst.Clock(), "link.deliver", deliverHead, l)
 	return l
 }
+
+// String names the link where the relay's event has to describe itself.
+func (l *Link) String() string { return l.name }
 
 // SetTrace binds the link to a trace shard under the given entity id
 // (nil shard = tracing off).
@@ -161,7 +156,18 @@ func (l *Link) Send(pkt *Packet) {
 		pkt.Release()
 		return
 	}
-	if l.queued >= l.qcap {
+	// Retire the serialisations that have ended; once more are dead than
+	// live close the gap, so the slice stops growing at the deepest queue.
+	i := l.serHead
+	for i < len(l.ser) && l.clock.Passed(l.ser[i].at, l.ser[i].seq) {
+		i++
+	}
+	if i > len(l.ser)-i {
+		l.ser = l.ser[:copy(l.ser, l.ser[i:])]
+		i = 0
+	}
+	l.serHead = i
+	if len(l.ser)-i >= l.qcap {
 		l.Stats.DropQueue++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropQueue)
 		pkt.Release()
@@ -181,18 +187,56 @@ func (l *Link) Send(pkt *Packet) {
 		ser = time.Duration(float64(pkt.Size*8) / l.rate * float64(time.Second))
 	}
 	l.busyUntil = start.Add(ser)
-	l.queued++
-	deliverAt := l.busyUntil.Add(l.delay)
-	l.clock.ScheduleArg(l.busyUntil, l.serName, l.serFn, nil)
+	l.ser = append(l.ser, serEnd{l.busyUntil, l.clock.Reserve()})
 	if lost {
 		l.Stats.LostRand++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropLoss)
 		pkt.Release()
 		return
 	}
-	// Delivery runs on the destination's loop; SendTo posts it through
-	// the cross-shard mailbox when that loop is another shard.
-	l.clock.SendTo(l.dstClock, deliverAt, l.dlvName, l.dlvFn, pkt)
+	// The rest runs on the destination's loop; the relay carries the packet
+	// through the cross-shard mailbox when that loop is another shard.
+	pkt.link, pkt.due, pkt.seq = l, l.busyUntil.Add(l.delay), l.clock.Reserve()
+	l.relay.Hand(pkt.due, arrive, pkt)
+}
+
+// arrive appends a packet to its link's in-flight FIFO. Keys grow along the
+// FIFO — busyUntil never decreases, the delay is fixed, sequence numbers
+// increase — so only the head's needs to be in the event queue.
+func arrive(a any) {
+	pkt := a.(*Packet)
+	l := pkt.link
+	if l.tail == nil {
+		l.head = pkt
+		l.relay.Arm(pkt.due, pkt.seq)
+	} else {
+		l.tail.next = pkt
+	}
+	l.tail = pkt
+}
+
+// deliverHead fires under the head packet's key: it moves the relay on to
+// the next packet's, then delivers. It may only touch delivery-owned state
+// (the FIFO, Sent/Bytes/DropCut, the packet, dst).
+func deliverHead(a any) {
+	l := a.(*Link)
+	pkt := l.head
+	if l.head = pkt.next; l.head != nil {
+		l.relay.Arm(l.head.due, l.head.seq)
+	} else {
+		l.tail = nil
+	}
+	pkt.link, pkt.next = nil, nil
+	if !l.up { // cut while in flight
+		l.Stats.DropCut++
+		l.trace(trace.KLinkDrop, pkt.Size, trace.DropDown)
+		pkt.Release()
+		return
+	}
+	l.Stats.Sent++
+	l.Stats.Bytes += uint64(pkt.Size)
+	l.trace(trace.KLinkDlv, pkt.Size, 0)
+	l.dst.Input(pkt)
 }
 
 // Duplex is a bidirectional link: two independent unidirectional halves

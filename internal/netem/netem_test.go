@@ -416,3 +416,32 @@ func TestDuplex(t *testing.T) {
 		t.Fatal("SetUp(false) incomplete")
 	}
 }
+
+// TestOneEventPerHop pins the event count: one event per delivered packet
+// per link, none for a packet the link drops.
+func TestOneEventPerHop(t *testing.T) {
+	s := sim.New(1)
+	rx := &sink{name: "rx", sim: s}
+	mid := NewRouter(s, "mid", 1)
+	hop2 := NewLink(s, "hop2", rx, LinkConfig{RateBps: 8e6, Delay: time.Millisecond})
+	mid.SetDefault(hop2)
+	hop1 := NewLink(s, "hop1", mid, LinkConfig{RateBps: 8e6, Delay: time.Millisecond, QueueCap: 4})
+	for i := 0; i < 10; i++ { // six of the ten overflow hop1's queue
+		hop1.Send(mkpkt(ipA, ipB, 1000))
+	}
+	s.Run()
+	if hop1.Stats.DropQueue != 6 || len(rx.got) != 4 {
+		t.Fatalf("hop1 dropped %d, rx got %d, want 6 and 4", hop1.Stats.DropQueue, len(rx.got))
+	}
+	if s.Processed() != 8 {
+		t.Fatalf("%d events for 4 packets over 2 hops, want 8", s.Processed())
+	}
+	lossy := NewLink(s, "lossy", rx, LinkConfig{RateBps: 8e6, Loss: 1})
+	hop1.SetUp(false)
+	hop1.Send(mkpkt(ipA, ipB, 1000))
+	lossy.Send(mkpkt(ipA, ipB, 1000))
+	s.Run()
+	if s.Processed() != 8 || hop1.Stats.DropDown != 1 || lossy.Stats.LostRand != 1 {
+		t.Fatalf("%d events after two dropped packets, want 8 still", s.Processed())
+	}
+}

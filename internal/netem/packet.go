@@ -28,6 +28,13 @@ type Packet struct {
 	Src, Dst netip.Addr
 	Seg      *seg.Segment
 	Size     int // total wire bytes incl. IP overhead
+
+	// While in flight on a Link: the link, the delivery key it reserved,
+	// and the packet sent after this one.
+	link *Link
+	due  sim.Time
+	seq  uint64
+	next *Packet
 }
 
 // packetPool recycles packet shells across all simulations (sync.Pool is

@@ -37,22 +37,32 @@ type Clock interface {
 	// Reschedule cancels e (if pending) and schedules fn at when.
 	Reschedule(e *Event, when Time, name string, fn func()) *Event
 	// SendTo schedules a pooled event onto dst's event loop, ordered by
-	// THIS clock's identity. It is the one legal way to schedule work for
-	// an entity that may live on another shard (netem links use it for
-	// packet delivery); when src and dst share a loop it degenerates to
-	// ScheduleArg. The destination timestamp must be at least one
-	// cross-shard lookahead in the future, which link propagation delays
-	// guarantee by construction.
+	// THIS clock's identity. It is the one legal way to schedule a single
+	// event for an entity that may live on another shard (an ordered stream
+	// of them, a netem link's packets, goes through a Relay); when src and
+	// dst share a loop it degenerates to ScheduleArg. The destination
+	// timestamp must be at least one cross-shard lookahead in the future.
 	SendTo(dst Clock, when Time, name string, fn func(any), arg any)
 	// Derive creates a sibling clock on the same event loop with its own
 	// identity and random stream — links derive theirs from the source
 	// node's clock. On a bare Simulator it returns the simulator itself.
 	Derive(name string) Clock
+	// Reserve draws the ordering sequence the clock's next event would get
+	// and schedules nothing: the caller owns the key (when, this clock,
+	// seq) and either asks Passed about it or hands it to a Relay.
+	Reserve() uint64
+	// Passed reports whether an event of this clock keyed (when, seq)
+	// would have fired by now: the key orders below the event now running,
+	// or no event is running (between runs, inside a World's global
+	// events) and when is not in the future. Keys decide, not pop order:
+	// the answer is the same at any shard count.
+	Passed(when Time, seq uint64) bool
 
 	rearmOwned(e *Event, when Time)
 	cancelOwned(e *Event)
 	loop() (*Simulator, int)
 	world() *World
+	entity() uint64
 }
 
 // Fabric hands out per-entity clocks during topology construction. Hosts
@@ -195,20 +205,12 @@ func (c *entityClock) SendTo(dst Clock, when Time, name string, fn func(any), ar
 
 func (c *entityClock) Derive(name string) Clock { return c.w.deriveClock(c.shard, name) }
 
-func (c *entityClock) rearmOwned(e *Event, when Time) {
-	if when < c.sh.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.label(), when, c.sh.now))
-	}
-	e.when = when
-	e.ent = c.ent
-	e.seq = c.next()
-	if e.idx >= 0 {
-		c.sh.queue.fix(e.idx)
-		return
-	}
-	c.sh.queue.push(e)
-}
+func (c *entityClock) Reserve() uint64 { return c.next() }
 
-func (c *entityClock) cancelOwned(e *Event)    { c.sh.cancelOwned(e) }
-func (c *entityClock) loop() (*Simulator, int) { return c.sh, c.shard }
-func (c *entityClock) world() *World           { return c.w }
+func (c *entityClock) Passed(when Time, seq uint64) bool { return c.sh.passed(when, c.ent, seq) }
+
+func (c *entityClock) rearmOwned(e *Event, when Time) { c.sh.armOwned(e, when, c.ent, c.next()) }
+func (c *entityClock) cancelOwned(e *Event)           { c.sh.cancelOwned(e) }
+func (c *entityClock) loop() (*Simulator, int)        { return c.sh, c.shard }
+func (c *entityClock) world() *World                  { return c.w }
+func (c *entityClock) entity() uint64                 { return c.ent }

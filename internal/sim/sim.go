@@ -49,8 +49,8 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 //     the caller, never recycled;
 //   - pooled events (ScheduleArg): drawn from the simulator's free list
 //     and recycled immediately after firing — no handle, no cancellation;
-//   - owned events (Timer/Ticker): embedded in their owner and re-armed
-//     in place for the owner's whole lifetime.
+//   - owned events (Timer/Ticker/Relay): embedded in their owner and
+//     re-armed in place for the owner's whole lifetime.
 type Event struct {
 	when Time
 	ent  uint64 // owning entity ordinal (0 on a bare Simulator)
@@ -62,7 +62,8 @@ type Event struct {
 	argFn  func(any) // pooled events and timers: preallocated callback
 	arg    any       // its state (a pointer, no boxing)
 	pooled bool      // recycle onto the free list after firing
-	owned  bool      // callback survives firing (Timer/Ticker re-arm in place)
+	owned  bool      // callback survives firing (Timer/Ticker/Relay re-arm in place)
+	firing bool      // owned event inside its callback, not re-armed yet
 }
 
 // label names the event for the scheduling-in-the-past panic: its name,
@@ -194,6 +195,10 @@ type Simulator struct {
 	free      []*Event // recycled pooled events (ScheduleArg)
 	processed uint64
 
+	// (ent, seq) of the event now running; idleKey in both while no event
+	// runs, so that every key at the current instant has passed.
+	curEnt, curSeq uint64
+
 	// Pooled-event free-list traffic. Single-writer (the loop's own
 	// goroutine), harvested between runs via EventPoolStats.
 	evGets uint64 // pooled events drawn (free list or fresh)
@@ -205,10 +210,13 @@ type Simulator struct {
 // is returned to the garbage collector.
 const maxFreeEvents = 1 << 14
 
+// idleKey is the running key's ordinal and sequence between events.
+const idleKey = ^uint64(0)
+
 // New returns a simulator whose random source is seeded with seed.
 // The same seed always yields the same run.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), curEnt: idleKey, curSeq: idleKey}
 }
 
 // Now reports the current virtual time.
@@ -234,8 +242,7 @@ func (s *Simulator) Schedule(when Time, name string, fn func()) *Event {
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
 	}
-	e := &Event{when: when, seq: s.nextSeq, fn: fn, name: name}
-	s.nextSeq++
+	e := &Event{when: when, seq: s.Reserve(), fn: fn, name: name}
 	s.queue.push(e)
 	return e
 }
@@ -254,22 +261,7 @@ func (s *Simulator) After(d time.Duration, name string, fn func()) *Event {
 // The backing Event comes from a free list and is recycled right after
 // firing, so no handle is returned and the event cannot be cancelled.
 func (s *Simulator) ScheduleArg(when Time, name string, fn func(any), arg any) {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
-	}
-	var e *Event
-	s.evGets++
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		s.evNews++
-		e = &Event{pooled: true}
-	}
-	e.when, e.seq, e.name, e.argFn, e.arg = when, s.nextSeq, name, fn, arg
-	s.nextSeq++
-	s.queue.push(e)
+	s.scheduleArgKeyed(when, 0, s.Reserve(), name, fn, arg)
 }
 
 // AfterArg is ScheduleArg relative to the current time.
@@ -302,17 +294,17 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 	s.queue.push(e)
 }
 
-// rearmOwned (re)schedules a caller-owned event (sim.Timer / Ticker): if
-// pending it is re-keyed and sifted in place (eventHeap.fix), otherwise it
-// is pushed afresh. The event's callback survives firing, so one Event
-// serves its owner's whole lifetime without allocation.
-func (s *Simulator) rearmOwned(e *Event, when Time) {
+// armOwned (re)schedules a caller-owned event (Timer/Ticker/Relay) under
+// the key (when, ent, seq). Pending or inside its own callback it is still
+// at a heap slot, so it is re-keyed and sifted from there (eventHeap.fix);
+// otherwise it is pushed afresh. The event's callback survives firing, so
+// one Event serves its owner's whole lifetime without allocation.
+func (s *Simulator) armOwned(e *Event, when Time, ent, seq uint64) {
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.label(), when, s.now))
 	}
-	e.when = when
-	e.seq = s.nextSeq
-	s.nextSeq++
+	e.when, e.ent, e.seq = when, ent, seq
+	e.firing = false
 	if e.idx >= 0 {
 		s.queue.fix(e.idx)
 		return
@@ -320,9 +312,13 @@ func (s *Simulator) rearmOwned(e *Event, when Time) {
 	s.queue.push(e)
 }
 
-// cancelOwned removes a pending owned event without clearing its fn.
+func (s *Simulator) rearmOwned(e *Event, when Time) { s.armOwned(e, when, 0, s.Reserve()) }
+
+// cancelOwned removes a pending owned event without clearing its fn. Inside
+// the event's own callback there is nothing pending to cancel: step removes
+// the event when the callback returns without having re-armed it.
 func (s *Simulator) cancelOwned(e *Event) {
-	if e.idx < 0 {
+	if e.idx < 0 || e.firing {
 		return
 	}
 	s.queue.remove(e.idx)
@@ -353,21 +349,31 @@ func (s *Simulator) step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.queue.pop()
+	e := s.queue[0]
 	if e.when < s.now {
 		panic("sim: time went backwards")
 	}
 	s.now = e.when
+	s.curEnt, s.curSeq = e.ent, e.seq
 	s.processed++
-	switch {
-	case e.owned:
-		// The callback is preserved: the owner re-arms this very event.
+	if e.owned {
+		// The event keeps its heap slot while its callback runs, so the
+		// owner re-arming this very event costs one sift from that slot
+		// instead of a removal and a push.
+		e.firing = true
 		if e.argFn != nil {
 			e.argFn(e.arg)
 		} else if e.fn != nil {
 			e.fn()
 		}
-	case e.argFn != nil:
+		if e.firing {
+			e.firing = false
+			s.queue.remove(e.idx)
+		}
+		return true
+	}
+	s.queue.remove(0)
+	if e.argFn != nil {
 		fn, arg := e.argFn, e.arg
 		e.argFn, e.arg = nil, nil
 		fn(arg)
@@ -375,14 +381,29 @@ func (s *Simulator) step() bool {
 			s.evPuts++
 			s.free = append(s.free, e)
 		}
-	default:
-		fn := e.fn
+	} else if fn := e.fn; fn != nil {
 		e.fn = nil
-		if fn != nil {
-			fn()
-		}
+		fn()
 	}
 	return true
+}
+
+// Reserve implements Clock: on one loop every key has ordinal 0.
+func (s *Simulator) Reserve() uint64 {
+	n := s.nextSeq
+	s.nextSeq++
+	return n
+}
+
+// Passed implements Clock.
+func (s *Simulator) Passed(when Time, seq uint64) bool { return s.passed(when, 0, seq) }
+
+// passed reports whether (when, ent, seq) orders below the running key.
+func (s *Simulator) passed(when Time, ent, seq uint64) bool {
+	if when != s.now {
+		return when < s.now
+	}
+	return ent < s.curEnt || ent == s.curEnt && seq < s.curSeq
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -390,6 +411,7 @@ func (s *Simulator) Run() {
 	s.stopped = false
 	for !s.stopped && s.step() {
 	}
+	s.curEnt, s.curSeq = idleKey, idleKey
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
@@ -405,6 +427,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 	if s.now < deadline {
 		s.now = deadline
 	}
+	s.curEnt, s.curSeq = idleKey, idleKey
 }
 
 // RunFor advances the clock by d, executing everything due in the window.
@@ -426,6 +449,7 @@ func (s *Simulator) runWindow(limit Time, inclusive bool) {
 	if s.now < limit {
 		s.now = limit
 	}
+	s.curEnt, s.curSeq = idleKey, idleKey
 }
 
 // The bare Simulator is also the trivial sharded world: every entity
@@ -455,3 +479,4 @@ func (s *Simulator) ScheduleGlobal(when Time, name string, fn func()) {
 
 func (s *Simulator) loop() (*Simulator, int) { return s, 0 }
 func (s *Simulator) world() *World           { return nil }
+func (s *Simulator) entity() uint64          { return 0 }

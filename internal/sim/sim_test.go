@@ -325,3 +325,100 @@ func TestQuickCancelProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A firing timer keeps its heap slot while its callback runs, but to its
+// owner it has fired: not armed, no deadline, nothing for Stop to cancel —
+// armRTO and the pacer branch on exactly that — and a Reset inside the
+// callback is the firing that counts.
+func TestTimerArmedInsideOwnCallback(t *testing.T) {
+	s := New(1)
+	s.Schedule(50, "bystander", func() {})
+	var fired []Time
+	var tm *Timer
+	tm = NewTimer(s, "t", func() {
+		fired = append(fired, s.Now())
+		if tm.Armed() || tm.Deadline() != -1 {
+			t.Fatalf("inside its callback: Armed %v, Deadline %v", tm.Armed(), tm.Deadline())
+		}
+		tm.Stop() // a no-op: must not disturb the queue or a later Reset
+		switch len(fired) {
+		case 1:
+			tm.Reset(30 * time.Nanosecond)
+			if !tm.Armed() || tm.Deadline() != 40 {
+				t.Fatalf("after Reset in the callback: Armed %v, Deadline %v", tm.Armed(), tm.Deadline())
+			}
+		case 2:
+			tm.Reset(5 * time.Nanosecond)
+			tm.Stop() // now there is a firing to cancel
+		}
+	})
+	tm.Reset(10 * time.Nanosecond)
+	s.Run()
+	if len(fired) != 2 || fired[0] != 10 || fired[1] != 40 {
+		t.Fatalf("fired at %v, want [10 40]", fired)
+	}
+	if tm.Armed() || s.Now() != 50 || s.Processed() != 3 {
+		t.Fatalf("after the run: Armed %v, now %v, %d events", tm.Armed(), s.Now(), s.Processed())
+	}
+
+	// A Ticker re-arms inside its callback; Stop from there cancels the
+	// next tick, and the period holds until then.
+	var ticks []Time
+	var tk *Ticker
+	tk = NewTicker(s, 7*time.Nanosecond, "tick", func() {
+		if ticks = append(ticks, s.Now()); len(ticks) == 3 {
+			tk.Stop()
+		}
+	})
+	s.Run()
+	if len(ticks) != 3 || ticks[0] != 57 || ticks[1] != 64 || ticks[2] != 71 {
+		t.Fatalf("ticks at %v, want [57 64 71]", ticks)
+	}
+}
+
+// Passed compares a reserved key with the running event's. While no event
+// runs — between runs, after RunUntil, inside a World's global event — the
+// running key is above every key, so a reservation at the current instant
+// has passed; inside an event the keys decide.
+func TestRunningKeyIdleIsInfinite(t *testing.T) {
+	s := New(1)
+	if k := s.Reserve(); !s.Passed(0, k) || s.Passed(1, k) {
+		t.Fatal("before the first run: a key at now must have passed, a later one not")
+	}
+	early, late := s.Reserve(), uint64(0)
+	s.Schedule(10, "e", func() {
+		late = s.Reserve()
+		if !s.Passed(9, late) || !s.Passed(10, early) || s.Passed(10, late) || s.Passed(11, early) {
+			t.Fatal("inside an event: only keys below the running one have passed")
+		}
+	})
+	s.RunUntil(10)
+	if !s.Passed(10, late) || s.Passed(11, early) {
+		t.Fatal("after RunUntil(10): every key at 10 must have passed, none at 11")
+	}
+
+	w := NewWorld(1, 2)
+	lo, hi := w.HostClock(0, "lo"), w.HostClock(1, "hi")
+	w.Crossing("x", lo, hi, time.Millisecond)
+	klo, khi := lo.Reserve(), hi.Reserve()
+	var ranLo, ranHi, ranGlobal bool // one per shard: the two events run concurrently
+	lo.Schedule(10, "lo", func() {
+		if ranLo = true; lo.Passed(10, lo.Reserve()) || !lo.Passed(10, klo) {
+			t.Error("inside lo's event: its earlier key has passed, a fresh one has not")
+		}
+	})
+	hi.Schedule(10, "hi", func() {
+		if ranHi = true; hi.Passed(10, hi.Reserve()) || !hi.Passed(10, khi) {
+			t.Error("inside hi's event: its earlier key has passed, a fresh one has not")
+		}
+	})
+	w.ScheduleGlobal(10, "g", func() {
+		if ranGlobal = true; !lo.Passed(10, lo.Reserve()) || !hi.Passed(10, hi.Reserve()) || lo.Passed(11, klo) {
+			t.Error("inside a global event: every key at now has passed on every shard, none later")
+		}
+	})
+	w.RunUntil(10)
+	if !ranLo || !ranHi || !ranGlobal || !hi.Passed(10, hi.Reserve()) {
+		t.Fatal("a check did not run, or after the run a key at now has not passed")
+	}
+}

@@ -52,8 +52,9 @@ func (t *Timer) Stop() {
 	t.clock.cancelOwned(&t.ev)
 }
 
-// Armed reports whether the timer currently has a pending firing.
-func (t *Timer) Armed() bool { return t.ev.idx >= 0 }
+// Armed reports whether the timer currently has a pending firing. Inside
+// the timer's own callback it has none until the callback re-arms it.
+func (t *Timer) Armed() bool { return t.ev.idx >= 0 && !t.ev.firing }
 
 // Deadline reports when the timer will fire; valid only if Armed.
 func (t *Timer) Deadline() Time {
@@ -91,3 +92,41 @@ func NewTicker(c Clock, period time.Duration, name string, fn func()) *Ticker {
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() { t.clock.cancelOwned(&t.ev) }
+
+// Relay is the receiving end of an ordered hand-off from one clock to the
+// loop of another (a netem link's packets). The source reserves one key per
+// item, in increasing order, and hands the items over; the destination
+// keeps them in a FIFO of its own and only the oldest one's key in its event
+// queue, on the relay's single owned event.
+type Relay struct {
+	ent   uint64     // the source clock's ordinal, part of every key
+	dst   *Simulator // the loop the event fires on
+	cross *World     // set when the source runs on another shard
+	shard int        // the destination's shard
+	ev    Event
+}
+
+// Init binds the relay to run fn(arg) on dst's loop each time it fires.
+func (r *Relay) Init(src, dst Clock, name string, fn func(any), arg any) {
+	r.ent = src.entity()
+	r.dst, r.shard = dst.loop()
+	if _, sshard := src.loop(); sshard != r.shard {
+		r.cross = src.world()
+	}
+	r.ev = Event{idx: -1, name: name, argFn: fn, arg: arg, owned: true}
+}
+
+// Hand passes arg to put on the destination's loop, from the source's: at
+// once when the two share a loop, otherwise through the cross-shard mailbox,
+// drained before the destination runs anything at or after when.
+func (r *Relay) Hand(when Time, put func(any), arg any) {
+	if r.cross == nil {
+		put(arg)
+		return
+	}
+	r.cross.post(r.shard, crossMsg{when: when, name: r.ev.name, fn: put, arg: arg, hand: true})
+}
+
+// Arm keys the relay's event (when, source, seq), a key the source reserved;
+// the callback arms it again for the next item in line. Destination loop only.
+func (r *Relay) Arm(when Time, seq uint64) { r.dst.armOwned(&r.ev, when, r.ent, seq) }

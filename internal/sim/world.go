@@ -66,13 +66,16 @@ type World struct {
 }
 
 // crossMsg is a pooled event in flight between shards: the sender computes
-// the full ordering key, the receiver replays it through its free list.
+// the full ordering key, the receiver replays it through its free list. A
+// Relay's hand-off travels the same way but is no event: the receiver calls
+// fn(arg) as it drains, and when only bounds the window.
 type crossMsg struct {
 	when     Time
 	ent, seq uint64
 	name     string
 	fn       func(any)
 	arg      any
+	hand     bool
 }
 
 // maxTime is the idle sentinel for nextEventTime.
@@ -223,7 +226,11 @@ func (w *World) drain(i int) {
 		if m.when < sh.now {
 			panic(fmt.Sprintf("sim: cross-shard lookahead violated: %q at %v arrived with shard at %v", m.name, m.when, sh.now))
 		}
-		sh.scheduleArgKeyed(m.when, m.ent, m.seq, m.name, m.fn, m.arg)
+		if m.hand {
+			m.fn(m.arg)
+		} else {
+			sh.scheduleArgKeyed(m.when, m.ent, m.seq, m.name, m.fn, m.arg)
+		}
 		*m = crossMsg{}
 	}
 	w.spare[i] = msgs[:0]

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/seg"
 	"repro/internal/sim"
@@ -36,6 +37,14 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 	}
 	if avg != 2 {
 		t.Fatalf("NewSubflow allocates %.0f objects, want 2 (Subflow, Reno)", avg)
+	}
+	// The runtime puts an 8-byte header on a pointerful object this big and
+	// rounds to a size class: 896 holds a Subflow of up to 888 bytes, the
+	// next class is 1024 — 128 bytes more on each of the tens of thousands
+	// of subflows a churn iteration creates, past alloc_mb_per_op's 2 %
+	// bound. A new field has to find a hole.
+	if sz := unsafe.Sizeof(*sf); sz > 888 {
+		t.Fatalf("Subflow is %d bytes, over the 896-byte size class", sz)
 	}
 }
 

@@ -81,7 +81,9 @@ func putChunks(cs []*Chunk) {
 // transition, which is why the chunk flags are written only by the
 // methods below.
 type sendQueue struct {
-	chunks  []*Chunk
+	chunks  []*Chunk // the queue: buf[head:]
+	buf     []*Chunk // its backing slice, acked slots included
+	head    int      // acked slots at the front of buf, all nil
 	scratch []*Chunk // result buffer shared by ackThrough and applySACK
 
 	inFlight    int // bytes sent, not lost, not sacked (the RFC 6675 "pipe")
@@ -92,7 +94,8 @@ type sendQueue struct {
 
 // push appends a never-sent chunk.
 func (q *sendQueue) push(c *Chunk) {
-	q.chunks = append(q.chunks, c)
+	q.buf = append(q.buf, c)
+	q.chunks = q.buf[q.head:]
 	q.unsent += c.Len
 }
 func (q *sendQueue) empty() bool   { return len(q.chunks) == 0 }
@@ -103,11 +106,12 @@ func (q *sendQueue) front() *Chunk { return q.chunks[0] }
 // ackThrough removes chunks fully covered by the cumulative ack and returns
 // them (for RTT sampling and data-level bookkeeping). The returned slice is
 // the per-queue scratch, valid until the next ackThrough or applySACK (the
-// subflow is done with one result before it asks for the next): survivors
-// are compacted to the front of the same backing array instead of
-// re-slicing past them, so the push/ack steady state never erodes capacity
-// and never reallocates — the send queue's share of the 0 allocs/op data
-// path.
+// subflow is done with one result before it asks for the next). The queue
+// steps over the acked slots and moves the survivors back to the front of
+// the backing array only once the acked slots outnumber them: an ack costs
+// amortised O(1) however long the flight, and the push/ack steady state
+// never erodes capacity and never reallocates — the send queue's share of
+// the 0 allocs/op data path.
 func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 	i := 0
 	for i < q.firstUnsent { // only sent data can be acknowledged
@@ -129,11 +133,14 @@ func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 	q.firstUnsent -= i
 	acked := append(q.scratch[:0], q.chunks[:i]...)
 	q.scratch = acked
-	n := copy(q.chunks, q.chunks[i:])
-	for j := n; j < len(q.chunks); j++ {
-		q.chunks[j] = nil // drop references to chunks headed for the pool
+	clear(q.chunks[:i]) // drop references to chunks headed for the pool
+	q.head += i
+	if live := len(q.buf) - q.head; q.head > live {
+		copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:]) // the slots the survivors left
+		q.buf, q.head = q.buf[:live], 0
 	}
-	q.chunks = q.chunks[:n]
+	q.chunks = q.buf[q.head:]
 	return acked
 }
 

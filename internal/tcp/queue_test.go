@@ -131,6 +131,51 @@ func TestSendQueueAckThrough(t *testing.T) {
 	}
 }
 
+// A cumulative ack must not cost O(flight): with 20 k chunks in flight and
+// one acked (and one pushed) at a time, the survivors are moved only when
+// the acked slots outnumber them, so the moves stay within twice the
+// pushes — compacting on every ack would move 20 k per ack — and once the
+// backing array has its size the cycle allocates nothing.
+func TestAckThroughMovesAmortised(t *testing.T) {
+	const flight, rounds = 20000, 4
+	q := sendQueue{}
+	chunks := make([]Chunk, flight*(1+rounds))
+	pushes, acks, moves := 0, 0, 0
+	push := func() {
+		c := &chunks[pushes]
+		c.SubSeq, c.Len = uint32(pushes*100), 100
+		q.push(c)
+		q.transmitted(c, 0)
+		pushes++
+	}
+	round := func() {
+		for i := 0; i < flight; i++ {
+			head := q.head
+			if got := q.ackThrough(uint32((acks + 1) * 100)); len(got) != 1 || got[0] != &chunks[acks] {
+				t.Fatalf("ack %d returned %d chunks", acks, len(got))
+			}
+			if q.head != head+1 { // compacted: every survivor moved once
+				moves += q.len()
+			}
+			acks++
+			push()
+			if q.len() != flight || q.front() != &chunks[acks] || q.flight() != flight*100 {
+				t.Fatalf("after ack %d: len %d, flight %d", acks, q.len(), q.flight())
+			}
+		}
+	}
+	for pushes < flight {
+		push()
+	}
+	round() // warm: the array grows to its steady size
+	if n := testing.AllocsPerRun(rounds-2, round); n != 0 {
+		t.Fatalf("warm ack/push cycle allocates %.0f times a round", n)
+	}
+	if moves == 0 || moves > 2*pushes {
+		t.Fatalf("%d element moves for %d pushes, want within (0, 2x]", moves, pushes)
+	}
+}
+
 func TestSendQueueFlightAndLost(t *testing.T) {
 	q := sendQueue{}
 	a := pushChunk(&q, 0, true)

@@ -174,10 +174,10 @@ type Subflow struct {
 	sndNxt   uint32
 	rcv      rcvQueue
 	peerWnd  uint32
+	pushNxt  uint32 // next subflow sequence number to assign to pushed data
 
-	sq      sendQueue
-	pushNxt uint32 // next subflow sequence number to assign to pushed data
-	cc      Cong
+	sq sendQueue
+	cc Cong
 	// The estimator and the three timers live in the subflow, not behind
 	// pointers: a subflow is one object, and creating one allocates it and
 	// its congestion controller and nothing else.
@@ -199,9 +199,9 @@ type Subflow struct {
 
 	closing  bool // local Close requested
 	finSent  bool
-	finSeq   uint32
 	finAcked bool
 	finRcvd  bool
+	finSeq   uint32
 	stats    Stats
 
 	sackScratch []sackRange // reused per-ACK SACK block buffer
