@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref
+.PHONY: build test race fuzz bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,20 @@ test: build
 # detector.
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target in the module, each on its own for FUZZTIME: `go test
+# -list` prints a package's targets and then its "ok <pkg>" line, and -fuzz
+# takes one target of one package at a time. Plain `go test` only replays
+# the seed corpora.
+FUZZTIME ?= 5s
+fuzz:
+	@set -e; \
+	$(GO) test -list '^Fuzz' ./... \
+	| awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' \
+	| while read pkg f; do \
+		echo "== fuzz: $$pkg $$f ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # The repo's benchmark (BENCHMARK.json, bench/README.md): four
 # closed-loop workloads with per-layer probes, every iteration's result

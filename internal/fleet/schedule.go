@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/netem"
@@ -27,13 +28,15 @@ type Device struct {
 	Handovers int
 	Offline   time.Duration
 
-	events []scenario.Event
+	wifiLink, lteLink string
+	events            []scenario.Event
 }
 
 // WiFiLink and LTELink name the device's two access links in the built
-// topology ("wifi<ordinal>", "lte<ordinal>").
-func (d *Device) WiFiLink() string { return fmt.Sprintf("wifi%d", d.Ordinal) }
-func (d *Device) LTELink() string  { return fmt.Sprintf("lte%d", d.Ordinal) }
+// topology ("wifi<ordinal>", "lte<ordinal>"). genDevice formats them once:
+// every timeline event names one.
+func (d *Device) WiFiLink() string { return d.wifiLink }
+func (d *Device) LTELink() string  { return d.lteLink }
 
 // Events returns the device's compiled scenario events.
 func (d *Device) Events() []scenario.Event { return d.events }
@@ -72,6 +75,7 @@ func genDevice(i int, cfg GenConfig) *Device {
 	s := DeviceStream(i)
 	p := pick(cfg.Mix, s)
 	d := &Device{Ordinal: i, Profile: p, WiFi: p.WiFi.draw(s), LTE: p.LTE.draw(s)}
+	d.wifiLink, d.lteLink = "wifi"+strconv.Itoa(i), "lte"+strconv.Itoa(i)
 
 	rate := cfg.HandoverRate
 	dwell := func(r Ranged) time.Duration {
@@ -126,9 +130,17 @@ func setLinkLoss(link string, loss float64) func(rt *scenario.Run) {
 // for a RunSpec, dropping events past the corpus duration (the stop
 // horizon would never fire them anyway).
 func CollectEvents(devs []*Device, duration time.Duration) []scenario.Event {
-	var out []scenario.Event
+	n := 0
 	for _, d := range devs {
-		for _, ev := range d.Events() {
+		for i := range d.events {
+			if d.events[i].At <= duration {
+				n++
+			}
+		}
+	}
+	out := make([]scenario.Event, 0, n)
+	for _, d := range devs {
+		for _, ev := range d.events {
 			if ev.At <= duration {
 				out = append(out, ev)
 			}

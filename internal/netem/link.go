@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -251,8 +250,8 @@ type Duplex struct {
 // shard boundary cleanly when a and b live on different shards.
 func NewDuplex(name string, a, b Node, cfg LinkConfig) *Duplex {
 	return &Duplex{
-		AB: NewLink(a.Clock(), fmt.Sprintf("%s:%s->%s", name, a.Name(), b.Name()), b, cfg),
-		BA: NewLink(b.Clock(), fmt.Sprintf("%s:%s->%s", name, b.Name(), a.Name()), a, cfg),
+		AB: NewLink(a.Clock(), name+":"+a.Name()+"->"+b.Name(), b, cfg),
+		BA: NewLink(b.Clock(), name+":"+b.Name()+"->"+a.Name(), a, cfg),
 	}
 }
 

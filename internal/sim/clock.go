@@ -137,7 +137,8 @@ type entityClock struct {
 	shard int
 	ent   uint64
 	seq   uint64
-	rng   *rand.Rand // created by the first Rand call
+	src   lazySource // the stream itself; no register until draw 274 (rng.go)
+	rng   *rand.Rand // wraps src; created by the first Rand call
 	name  string
 }
 
@@ -149,13 +150,14 @@ func (c *entityClock) next() uint64 {
 
 func (c *entityClock) Now() Time { return c.sh.now }
 
-// Rand seeds the entity's stream on first use: a seeded source is 4.9 KB,
-// and most clocks (lossless links, routers) never draw. The seed depends
-// only on the run seed and the entity ordinal, so when the first draw
-// happens does not change what it returns.
+// Rand wraps the entity's stream on first use; the 48-byte wrapper is all
+// a clock that draws allocates until its 274th draw (lazySource). The seed
+// depends only on the run seed and the entity ordinal, so when the first
+// draw happens does not change what it returns.
 func (c *entityClock) Rand() *rand.Rand {
 	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(entitySeed(c.w.seed, c.ent)))
+		c.src.Seed(entitySeed(c.w.seed, c.ent))
+		c.rng = rand.New(&c.src)
 	}
 	return c.rng
 }

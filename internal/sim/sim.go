@@ -190,7 +190,8 @@ type Simulator struct {
 	now       Time
 	queue     eventHeap
 	nextSeq   uint64
-	rng       *rand.Rand
+	src       lazySource
+	rng       *rand.Rand // wraps src; created by the first Rand call
 	stopped   bool
 	free      []*Event // recycled pooled events (ScheduleArg)
 	processed uint64
@@ -213,10 +214,14 @@ const maxFreeEvents = 1 << 14
 // idleKey is the running key's ordinal and sequence between events.
 const idleKey = ^uint64(0)
 
-// New returns a simulator whose random source is seeded with seed.
-// The same seed always yields the same run.
+// New returns a simulator whose random stream is that of
+// rand.NewSource(seed), held lazily (lazySource): a World's shard loops
+// never draw and pay nothing for it. The same seed always yields the same
+// run.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), curEnt: idleKey, curSeq: idleKey}
+	s := &Simulator{curEnt: idleKey, curSeq: idleKey}
+	s.src.Seed(seed)
+	return s
 }
 
 // Now reports the current virtual time.
@@ -234,7 +239,12 @@ func (s *Simulator) EventPoolStats() (gets, puts, news uint64) {
 
 // Rand exposes the simulation's deterministic random source. All model
 // randomness (loss draws, jitter, port selection) must come from here.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+func (s *Simulator) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(&s.src)
+	}
+	return s.rng
+}
 
 // Schedule runs fn at absolute virtual time when. Scheduling in the past
 // (before Now) panics: it always indicates a model bug.

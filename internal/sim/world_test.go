@@ -162,20 +162,32 @@ func TestWorldRejectsClockCreationWhileRunning(t *testing.T) {
 
 // TestEntityRandSeededOnFirstUse: a clock's stream is created by its first
 // Rand call, from the run seed and the entity ordinal alone, so a clock
-// that never draws costs no source and one that draws late draws what it
-// always drew.
+// that never draws costs nothing and one that draws late draws what it
+// always drew — here 400 numbers each, past the lazy source's hand-over,
+// on two shards drawing at once (under -race: the tables behind the
+// closed form are shared and must be read-only).
 func TestEntityRandSeededOnFirstUse(t *testing.T) {
-	w := NewWorld(42, 1)
+	w := NewWorld(42, 2)
 	a := w.HostClock(0, "a").(*entityClock)
-	b := w.HostClock(0, "b").(*entityClock)
+	b := w.HostClock(1, "b").(*entityClock)
 	if a.rng != nil || b.rng != nil {
 		t.Fatal("stream created before the first draw")
 	}
-	w.RunFor(time.Millisecond)
-	for _, c := range []*entityClock{b, a} {
-		want := rand.New(rand.NewSource(entitySeed(42, c.ent))).Int63()
-		if got := c.Rand().Int63(); got != want {
-			t.Fatalf("%s: first draw %d, want %d", c.name, got, want)
+	var got [2][400]int64
+	for i, c := range []*entityClock{b, a} {
+		c.Schedule(Time(Millisecond), "draw", func() {
+			for k := range got[i] {
+				got[i][k] = c.Rand().Int63()
+			}
+		})
+	}
+	w.RunFor(2 * time.Millisecond)
+	for i, c := range []*entityClock{b, a} {
+		ref := rand.New(rand.NewSource(entitySeed(42, c.ent)))
+		for k, g := range got[i] {
+			if want := ref.Int63(); g != want {
+				t.Fatalf("%s: draw %d is %d, want %d", c.name, k+1, g, want)
+			}
 		}
 	}
 }
