@@ -145,25 +145,31 @@ smoke-workspace:
 	rm -rf $$ws
 
 # Parent-vs-change gate for a refactor that must keep every simulated
-# byte: build cmd/mpexp at REF (in a temporary git worktree, the bench-pair
-# pattern) and from the working tree, run every registered scenario -smoke
-# three ways (plain, -metrics, -shards 2) into one workspace per side, and
-# require `mpexp diff` at tolerance 0 on every pair across the two —
-# metrics.json included. Then compare `mpexp report -json` of a traced
-# fig2a, scale and fleet run: the analysis must be byte-identical even
-# where the raw trace orders its shards differently. Every pair is
-# compared; under each run that differs the keys that do are listed, and
-# the target fails at the end if any did — so a change that is meant to
-# move some runtime counters (and nothing else) can show exactly that.
+# byte: build cmd/mpexp at REF (from a `git archive` of it) and from the
+# working tree, run every registered scenario -smoke three ways (plain,
+# -metrics, -shards 2) into one workspace per side, and require `mpexp
+# diff` at tolerance 0 on every pair across the two — metrics.json
+# included. Then compare `mpexp report -json` of a traced fig2a, scale and
+# fleet run: the analysis must be byte-identical even where the raw trace
+# orders its shards differently. Then the sweep side of the executor: one
+# flag-driven multi-seed sweep, one traced and one -metrics single-seed
+# sweep and every examples/manifests/*.json, each diffed at tolerance 0
+# cell directory by cell directory, and the stdout each side printed
+# compared with cmp. Every pair is compared; under each run that differs
+# the keys that do are listed, and the target fails at the end if any did
+# — so a change that is meant to move some runtime counters (and nothing
+# else) can show exactly that.
 smoke-ref:
 	@test -n "$(REF)" || { echo "usage: make smoke-ref REF=<commit>"; exit 2; }
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force '$$tmp'/ref >/dev/null 2>&1; rm -rf '$$tmp EXIT; \
-	git worktree add --detach $$tmp/ref $(REF) >/dev/null; \
+	trap 'rm -rf '$$tmp EXIT; \
+	mkdir $$tmp/ref; \
+	git archive $(REF) | tar -x -C $$tmp/ref; \
 	( cd $$tmp/ref && $(GO) build -o $$tmp/mpexp-ref ./cmd/mpexp ); \
 	$(GO) build -o $$tmp/mpexp-head ./cmd/mpexp; \
 	names=$$($$tmp/mpexp-head list -names); \
+	manifests=$$(cd examples/manifests && ls *.json | sed 's/\.json$$//'); \
 	for side in ref head; do \
 		bin=$$tmp/mpexp-$$side; \
 		mkdir $$tmp/$$side-ws; \
@@ -176,20 +182,35 @@ smoke-ref:
 		  for s in fig2a scale fleet; do \
 			$$bin run $$s -smoke -ws none -trace $$s.trace >/dev/null 2>&1; \
 			$$bin report $$s.trace -json >$$s.report.json; \
+		  done; \
+		  $$bin sweep fig2b -smoke -controllers fullmesh,stream -vary loss=0.1,0.3 -seeds 2 >fig2b-004.out 2>/dev/null; \
+		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -set trace >fig2a-004.out 2>/dev/null; \
+		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -metrics >fig2a-005.out 2>/dev/null; \
+		  for m in $$manifests; do \
+			$$bin run $(CURDIR)/examples/manifests/$$m.json >$$m-001.out 2>/dev/null; \
 		  done ); \
 	done; \
-	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2"; \
+	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2;"; \
+	echo "== fig2b-004 = sweep -seeds 2, fig2a-004 = traced sweep, fig2a-005 = -metrics sweep, <manifest>-001"; \
 	differing=0; \
-	for s in $$names; do \
-		for n in 001 002 003; do \
-			if out=$$($$tmp/mpexp-head diff $$tmp/ref-ws/.mpexp/runs/$$s-$$n $$tmp/head-ws/.mpexp/runs/$$s-$$n); then \
-				echo "== smoke-ref: $$s-$$n identical"; \
-			else \
-				echo "== smoke-ref: $$s-$$n DIFFERS in:"; \
-				echo "$$out" | sed -n 's/^  \([^:]*\):.*/     \1/p'; \
-				differing=$$((differing+1)); \
-			fi; \
-		done; \
+	runs=$$(for s in $$names; do echo $$s-001 $$s-002 $$s-003; done); \
+	sweeps="fig2b-004 fig2a-004 fig2a-005 $$(for m in $$manifests; do echo $$m-001; done)"; \
+	for r in $$runs $$sweeps; do \
+		if out=$$($$tmp/mpexp-head diff $$tmp/ref-ws/.mpexp/runs/$$r $$tmp/head-ws/.mpexp/runs/$$r); then \
+			echo "== smoke-ref: $$r identical"; \
+		else \
+			echo "== smoke-ref: $$r DIFFERS in:"; \
+			echo "$$out" | sed -n 's/^  \([^:]*\):.*/     \1/p'; \
+			differing=$$((differing+1)); \
+		fi; \
+	done; \
+	for r in $$sweeps; do \
+		if cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
+			echo "== smoke-ref: $$r stdout identical"; \
+		else \
+			echo "== smoke-ref: $$r stdout DIFFERS"; \
+			differing=$$((differing+1)); \
+		fi; \
 	done; \
 	for s in fig2a scale fleet; do \
 		if cmp -s $$tmp/ref-ws/$$s.report.json $$tmp/head-ws/$$s.report.json; then \
@@ -199,7 +220,7 @@ smoke-ref:
 			differing=$$((differing+1)); \
 		fi; \
 	done; \
-	echo "== smoke-ref: $$differing of $$(( $$(echo $$names | wc -w) * 3 + 3 )) comparisons differ"; \
+	echo "== smoke-ref: $$differing of $$(( $$(echo $$runs | wc -w) + 2 * $$(echo $$sweeps | wc -w) + 3 )) comparisons differ"; \
 	test $$differing -eq 0
 
 # Build and RUN every example end to end; any non-zero exit fails. The

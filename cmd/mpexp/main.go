@@ -271,7 +271,7 @@ func (c *cli) stopProfiles() {
 // execute hands one manifest to the executor: into the active workspace
 // when there is one, otherwise straight to stdout. Validation — unknown
 // names and parameters, bad values, the trace/metrics seed rules — is
-// the manifest's, the same for every way of asking.
+// the manifest's plan, the same for every way of asking.
 func (c *cli) execute(rf *runFlags, m *scenario.Manifest) error {
 	opt := workspace.RunOptions{
 		Parallel: *rf.parallel,

@@ -134,3 +134,62 @@ func TestRejections(t *testing.T) {
 		}
 	}
 }
+
+// The three mode rules are each stated once, below every way of asking:
+// a flag, a -set pair, a manifest field and a sweep axis must be refused
+// with the same words and the same exit status.
+func TestModeRulesReachEveryRoute(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "fig2a.json") // the name the flag routes run under
+	tr := filepath.Join(dir, "t")
+	for _, rule := range []struct {
+		wantErr string
+		fields  string              // the manifest-field route
+		routes  map[string][]string // the command-line routes
+	}{
+		{"trace with 2 seeds would write one trace from every seed", `"seeds": 2, "trace_file": "t"`,
+			map[string][]string{
+				"flag": {"fig2a", "-smoke", "-seeds", "2", "-trace", tr},
+				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "trace=" + tr},
+				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "trace=" + tr + "1," + tr + "2"},
+			}},
+		{"metrics with 2 seeds would mix the process-wide pool counters", `"seeds": 2, "metrics": true`,
+			map[string][]string{
+				"flag": {"fig2a", "-smoke", "-seeds", "2", "-metrics"},
+				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "metrics"},
+				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "metrics=" + tr + "1.json," + tr + "2.json"},
+			}},
+		{"tracing is single-shard only (got shards=2)", `"trace": true, "shards": 2`,
+			map[string][]string{
+				"flag": {"fig2a", "-smoke", "-trace", tr, "-shards", "2"},
+				"-set": {"fig2a", "-smoke", "-set", "trace", "-set", "shards=2"},
+				"axis": {"fig2a", "-smoke", "-trace", tr, "-vary", "shards=1,2"},
+			}},
+	} {
+		doc := `{"scenario": "fig2a", "params": {"smoke": true}, ` + rule.fields + `}`
+		if err := os.WriteFile(file, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rule.routes["field"] = []string{file}
+		var first string
+		for route, args := range rule.routes {
+			out, errb, status := mpexp(t, append(append([]string{"sweep"}, args...), "-ws", "none")...)
+			if status != 2 || out != "" || strings.Count(errb, rule.wantErr) != 1 {
+				t.Errorf("%s by %s: exit %d, stdout %q, stderr %q", rule.wantErr, route, status, out, errb)
+			}
+			if first == "" {
+				first = errb
+			}
+			if errb != first {
+				t.Errorf("%s by %s: refused with %q, another route with %q", rule.wantErr, route, errb, first)
+			}
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("a refused command wrote files: %v", entries)
+	}
+	// Shards stay a legitimate axis.
+	if out := mustRun(t, "sweep", "fig2a", "-smoke", "-vary", "shards=1,2,4", "-ws", "none"); !strings.Contains(out, "3 cells") {
+		t.Errorf("-vary shards=1,2,4 did not run three cells:\n%s", out)
+	}
+}

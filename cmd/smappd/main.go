@@ -83,10 +83,7 @@ func main() {
 	flag.Parse()
 
 	sim.SetProfileLabels(*pprofLabels)
-	var reg *metrics.Registry
 	if *metricsAddr != "" {
-		reg = metrics.New(1)
-		metrics.SetLive(reg)
 		addr, err := metrics.Serve(*metricsAddr)
 		if err != nil {
 			log.Fatalf("metrics: %v", err)
@@ -122,17 +119,6 @@ func main() {
 	// The kernel half of the facade: Netlink PM + endpoint. The library —
 	// and every policy decision — lives in the controller process.
 	k := smapp.NewKernel(n.Client, tr, mptcp.Config{})
-	if reg != nil {
-		k.PM.SetMetrics(core.CtlMetrics{
-			EventsSent:      reg.Counter("ctl_events_sent", 0),
-			EventsMasked:    reg.Counter("ctl_events_masked", 0),
-			EventsCoalesced: reg.Counter("ctl_events_coalesced", 0),
-			EventsDropped:   reg.Counter("ctl_events_dropped", 0),
-			Flushes:         reg.Counter("ctl_flushes", 0),
-			Commands:        reg.Counter("ctl_commands", 0),
-			QueueHW:         reg.Gauge("ctl_queue_hw", 0),
-		})
-	}
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
 	sink := app.NewSink(world, 1<<40, nil)
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
@@ -155,13 +141,19 @@ func main() {
 	}()
 
 	// Real-time pacing loop: drain pending commands, advance virtual time
-	// one step, sleep the same step of wall time.
+	// one step, sleep the same step of wall time. The live endpoint gets a
+	// fresh harvest of the Netlink counters once per virtual second.
 	const step = 5 * time.Millisecond
 	deadline := sim.Time(*runFor)
 	for world.Now() < deadline {
 		if !inject.drain() {
 			log.Printf("smappd: shutting down")
 			return
+		}
+		if *metricsAddr != "" && world.Now()%sim.Second == 0 {
+			reg := metrics.New(1)
+			k.PM.HarvestInto(reg, 0)
+			metrics.SetLive(reg)
 		}
 		world.RunFor(step)
 		time.Sleep(step)

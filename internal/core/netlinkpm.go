@@ -43,7 +43,7 @@ type NetlinkPM struct {
 	msgScratch nlmsg.Message
 	cmdScratch nlmsg.Command
 
-	// Stats counters.
+	// Stats counters; HarvestInto exports them as the ctl_* metrics.
 	EventsSent      uint64
 	EventsMasked    uint64
 	EventsCoalesced uint64
@@ -51,25 +51,25 @@ type NetlinkPM struct {
 	Flushes         uint64
 	CommandsRun     uint64
 	QueueHighWater  uint64 // max pending events observed in the coalescing queue
-
-	// Live metric handles (SetMetrics); all-nil records nothing.
-	m CtlMetrics
 }
 
-// CtlMetrics bundles live metric handles for the control plane. Handles
-// must be bound to the slot of the shard the kernel host runs on.
-type CtlMetrics struct {
-	EventsSent      *metrics.Counter
-	EventsMasked    *metrics.Counter
-	EventsCoalesced *metrics.Counter
-	EventsDropped   *metrics.Counter
-	Flushes         *metrics.Counter
-	Commands        *metrics.Counter
-	QueueHW         *metrics.Gauge
+// HarvestInto folds the counters into slot of r as the seven ctl_* metrics
+// — the slot of the shard the kernel host runs on. The counters are the
+// one place the control plane counts; a metered run harvests them once,
+// when it ends. A nil PM (a stack with an in-kernel path manager) still
+// registers the names, all zero.
+func (pm *NetlinkPM) HarvestInto(r *metrics.Registry, slot int) {
+	if pm == nil {
+		pm = &NetlinkPM{}
+	}
+	r.Counter("ctl_events_sent", slot).Add(pm.EventsSent)
+	r.Counter("ctl_events_masked", slot).Add(pm.EventsMasked)
+	r.Counter("ctl_events_coalesced", slot).Add(pm.EventsCoalesced)
+	r.Counter("ctl_events_dropped", slot).Add(pm.EventsDropped)
+	r.Counter("ctl_flushes", slot).Add(pm.Flushes)
+	r.Counter("ctl_commands", slot).Add(pm.CommandsRun)
+	r.Gauge("ctl_queue_hw", slot).SetMax(pm.QueueHighWater)
 }
-
-// SetMetrics installs live metric handles mirroring the public counters.
-func (pm *NetlinkPM) SetMetrics(m CtlMetrics) { pm.m = m }
 
 // DefaultCtlQueue is the per-subscriber event queue bound used when
 // SetCoalescing is given a non-positive queue size.
@@ -115,7 +115,6 @@ func (pm *NetlinkPM) SetCoalescing(window time.Duration, queueCap int) {
 func (pm *NetlinkPM) send(e *nlmsg.Event) {
 	if !pm.mask.Has(e.Kind) {
 		pm.EventsMasked++
-		pm.m.EventsMasked.Inc()
 		return
 	}
 	e.At = time.Duration(pm.sim.Now())
@@ -124,7 +123,6 @@ func (pm *NetlinkPM) send(e *nlmsg.Event) {
 		return
 	}
 	pm.EventsSent++
-	pm.m.EventsSent.Inc()
 	pm.tr.ToUser.Send(e.AppendMarshal(nlmsg.Wire.Get(), 0, pm.pid))
 }
 
@@ -145,7 +143,6 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 		if i := pm.findQueuedSub(nlmsg.EvSubEstablished, e.Token, e.Tuple); i >= 0 {
 			pm.removeQueued(i)
 			pm.EventsCoalesced += 2
-			pm.m.EventsCoalesced.Add(2)
 			return
 		}
 	case nlmsg.EvClosed:
@@ -158,7 +155,6 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 						sawCreated = true
 					}
 					pm.EventsCoalesced++
-					pm.m.EventsCoalesced.Inc()
 					continue
 				}
 				pm.queue[n] = pm.queue[i]
@@ -167,7 +163,6 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 			pm.queue = pm.queue[:n]
 			if sawCreated {
 				pm.EventsCoalesced++
-				pm.m.EventsCoalesced.Inc()
 				return
 			}
 		}
@@ -175,14 +170,12 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 		if i := pm.findQueuedAddr(nlmsg.EvLocalAddrDown, e.Addr); i >= 0 {
 			pm.removeQueued(i)
 			pm.EventsCoalesced += 2
-			pm.m.EventsCoalesced.Add(2)
 			return
 		}
 	case nlmsg.EvLocalAddrDown:
 		if i := pm.findQueuedAddr(nlmsg.EvLocalAddrUp, e.Addr); i >= 0 {
 			pm.removeQueued(i)
 			pm.EventsCoalesced += 2
-			pm.m.EventsCoalesced.Add(2)
 			return
 		}
 	}
@@ -190,13 +183,11 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 		copy(pm.queue, pm.queue[1:])
 		pm.queue = pm.queue[:len(pm.queue)-1]
 		pm.EventsDropped++
-		pm.m.EventsDropped.Inc()
 	}
 	pm.queue = append(pm.queue, *e)
 	if n := uint64(len(pm.queue)); n > pm.QueueHighWater {
 		pm.QueueHighWater = n
 	}
-	pm.m.QueueHW.SetMax(uint64(len(pm.queue)))
 	if !pm.flushArmed {
 		pm.flushArmed = true
 		pm.sim.Schedule(pm.sim.Now().Add(pm.flushEvery), "netlink.flush", pm.flushFn)
@@ -240,8 +231,6 @@ func (pm *NetlinkPM) flush() {
 	}
 	pm.EventsSent += uint64(len(pm.queue))
 	pm.Flushes++
-	pm.m.EventsSent.Add(uint64(len(pm.queue)))
-	pm.m.Flushes.Inc()
 	pm.queue = pm.queue[:0]
 	pm.tr.ToUser.Send(buf)
 }
@@ -329,7 +318,6 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 	}
 	cmd := &pm.cmdScratch
 	pm.CommandsRun++
-	pm.m.Commands.Inc()
 	switch cmd.Kind {
 	case nlmsg.CmdSubscribe:
 		pm.mask = cmd.Mask

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/pm"
@@ -59,9 +60,17 @@ func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 	policy := ""
 	variant := "kernel"
 	var kernelPM func() mptcp.PathManager
+	var stackConfig func(*scenario.Run, int, *smapp.Config)
 	if userspace {
 		policy = cfg.Policy
 		variant = "userspace"
+		if cfg.Stressed {
+			// On the client's own clock, where smapp.New puts the default
+			// transport.
+			stackConfig = func(rt *scenario.Run, i int, c *smapp.Config) {
+				c.Transport = core.NewStressedSimTransport(rt.ClientClock(i))
+			}
+		}
 	} else {
 		kernelPM = func() mptcp.PathManager { return pm.NewNDiffPorts(2) }
 	}
@@ -75,21 +84,19 @@ func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 			ClientProc: scenario.Proc{Base: 40 * time.Microsecond, Jitter: 30 * time.Microsecond},
 			ServerProc: scenario.Proc{Base: 50 * time.Microsecond, Jitter: 40 * time.Microsecond},
 		},
-		Workload:  wl,
-		Sched:     cfg.Sched,
-		Policy:    policy,
-		PolicyCfg: smapp.ControllerConfig{Subflows: 2},
-		KernelPM:  kernelPM,
-		Settle:    time.Millisecond,
+		Workload:    wl,
+		Sched:       cfg.Sched,
+		Policy:      policy,
+		PolicyCfg:   smapp.ControllerConfig{Subflows: 2},
+		KernelPM:    kernelPM,
+		StackConfig: stackConfig,
+		Settle:      time.Millisecond,
 		Probes: []scenario.Probe{
 			{Name: variant, Collect: func(rt *scenario.Run) {
 				rt.Result.Samples[variant] = wl.Delays
 			}},
 		},
 		// The workload drives the simulation; no Stop condition.
-	}
-	if cfg.Stressed {
-		run.StackConfig = func(_ *scenario.Run, _ int, c *smapp.Config) { c.Stressed = true }
 	}
 	return run, wl
 }

@@ -17,7 +17,7 @@ import (
 //
 // Manifests load through the exact same typed-Params validation as `-set`
 // flags: unknown scenarios, unknown parameter keys, and unparseable
-// values die in Validate with the same errors `scenario.Build` raises on
+// values die in Plan with the same errors `scenario.Build` raises on
 // the command line, so a manifest cannot drift from what the registry
 // accepts. Parameter values may be written as JSON strings, numbers, or
 // booleans; numbers keep their literal spelling (0.30 stays "0.30"), so
@@ -33,7 +33,7 @@ type Manifest struct {
 	// Params are the scenario's key=value knobs — exactly what `-set`
 	// carries. The reserved keys "trace", "trace_cap", "shards", and
 	// "metrics" must use the dedicated manifest fields instead.
-	Params map[string]string `json:"params,omitempty"`
+	Params ParamValues `json:"params,omitempty"`
 
 	// Seed is the base simulation seed (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -81,14 +81,9 @@ type ManifestSweep struct {
 // list (not a JSON object) so the cell enumeration order — and with it
 // cell ids and trace suffixes — is explicit in the file.
 type ManifestAxis struct {
-	Key    string   `json:"key"`
-	Values []string `json:"values"`
+	Key    string     `json:"key"`
+	Values AxisValues `json:"values"`
 }
-
-// reservedParamKeys are manifest fields that must not be smuggled in as
-// scenario parameters: the dedicated fields exist so the workspace can
-// resolve them (trace file placement, shard plumbing) uniformly.
-var reservedParamKeys = []string{"trace", "trace_cap", "shards", "metrics"}
 
 // Set stores one knob the way `-set key=value` spells it: scenario
 // parameters go to Params, and the reserved keys land on the manifest
@@ -118,112 +113,74 @@ func (m *Manifest) Set(key, val string) error {
 	return nil
 }
 
-// manifestJSON mirrors Manifest for decoding: params and axis values
-// accept JSON strings, numbers, and booleans, normalised to the string
-// forms Params parses. Unknown top-level fields are rejected so a typo
-// ("shard" for "shards") cannot silently change what runs.
-type manifestJSON struct {
-	Name        string               `json:"name"`
-	Scenario    string               `json:"scenario"`
-	Params      map[string]flexValue `json:"params"`
-	Seed        int64                `json:"seed"`
-	Seeds       int                  `json:"seeds"`
-	Shards      int                  `json:"shards"`
-	Trace       bool                 `json:"trace"`
-	TraceFile   string               `json:"trace_file"`
-	TraceCap    int                  `json:"trace_cap"`
-	Metrics     bool                 `json:"metrics"`
-	MetricsFile string               `json:"metrics_file"`
-	Sweep       *manifestSweepJSON   `json:"sweep"`
+// scalar is one parameter value as a manifest may spell it: a JSON
+// string, number or boolean. A number keeps its literal text, so "loss":
+// 0.30 reaches the typed Params as the string "0.30" — the same bytes
+// `-set loss=0.30` would carry.
+type scalar string
+
+func (v *scalar) UnmarshalJSON(buf []byte) error {
+	switch buf[0] {
+	case '"':
+		return json.Unmarshal(buf, (*string)(v))
+	case '{', '[', 'n':
+		return fmt.Errorf("parameter value %s: want a JSON string, number, or boolean", buf)
+	}
+	*v = scalar(buf)
+	return nil
 }
 
-type manifestSweepJSON struct {
-	Schedulers []string           `json:"schedulers"`
-	Ctls       []string           `json:"controllers"`
-	Vary       []manifestAxisJSON `json:"vary"`
-}
+// ParamValues is a manifest's params object: plain strings in Go, any
+// scalar in the file.
+type ParamValues map[string]string
 
-type manifestAxisJSON struct {
-	Key    string      `json:"key"`
-	Values []flexValue `json:"values"`
-}
-
-// flexValue is a scalar parameter value: JSON string, number, or bool.
-// Numbers keep their literal text (json.Number), so "loss": 0.30 reaches
-// the typed Params as the string "0.30" — the same bytes `-set loss=0.30`
-// would carry.
-type flexValue struct {
-	s string
-}
-
-func (v *flexValue) UnmarshalJSON(buf []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(buf))
-	dec.UseNumber()
-	var raw any
-	if err := dec.Decode(&raw); err != nil {
+func (pv *ParamValues) UnmarshalJSON(buf []byte) error {
+	var raw map[string]scalar
+	if err := json.Unmarshal(buf, &raw); err != nil {
 		return err
 	}
-	switch x := raw.(type) {
-	case string:
-		v.s = x
-	case json.Number:
-		v.s = x.String()
-	case bool:
-		v.s = fmt.Sprintf("%v", x)
-	default:
-		return fmt.Errorf("parameter value %s: want a JSON string, number, or boolean", buf)
+	*pv = make(ParamValues, len(raw))
+	for k, v := range raw {
+		(*pv)[k] = string(v)
+	}
+	return nil
+}
+
+// AxisValues is the value list of one sweep axis, decoded like ParamValues.
+type AxisValues []string
+
+func (av *AxisValues) UnmarshalJSON(buf []byte) error {
+	var raw []scalar
+	if err := json.Unmarshal(buf, &raw); err != nil {
+		return err
+	}
+	*av = make(AxisValues, len(raw))
+	for i, v := range raw {
+		(*av)[i] = string(v)
 	}
 	return nil
 }
 
 // ParseManifest decodes manifest JSON. Decoding is strict — unknown
-// fields anywhere in the document are errors — but semantic validation
-// (registered scenario, parameter keys/values) happens in Validate, so
+// fields anywhere in the document are errors, so a typo ("shard" for
+// "shards") cannot silently change what runs — but semantic validation
+// (registered scenario, parameter keys/values) happens in Plan, so
 // callers can distinguish "not a manifest" from "a manifest that asks
 // for something invalid".
 func ParseManifest(buf []byte) (*Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(buf))
 	dec.DisallowUnknownFields()
-	mj := &manifestJSON{}
-	if err := dec.Decode(mj); err != nil {
+	m := &Manifest{}
+	if err := dec.Decode(m); err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	// A trailing second document is a malformed file, not extra config.
 	if dec.More() {
 		return nil, fmt.Errorf("manifest: trailing data after the JSON document")
 	}
-	m := &Manifest{
-		Name:        mj.Name,
-		Scenario:    mj.Scenario,
-		Seed:        mj.Seed,
-		Seeds:       mj.Seeds,
-		Shards:      mj.Shards,
-		Trace:       mj.Trace || mj.TraceFile != "",
-		TraceFile:   mj.TraceFile,
-		TraceCap:    mj.TraceCap,
-		Metrics:     mj.Metrics || mj.MetricsFile != "",
-		MetricsFile: mj.MetricsFile,
-	}
-	if len(mj.Params) > 0 {
-		m.Params = make(map[string]string, len(mj.Params))
-		for k, v := range mj.Params {
-			m.Params[k] = v.s
-		}
-	}
-	if mj.Sweep != nil {
-		ms := &ManifestSweep{
-			Schedulers:  mj.Sweep.Schedulers,
-			Controllers: mj.Sweep.Ctls,
-		}
-		for _, ax := range mj.Sweep.Vary {
-			vals := make([]string, len(ax.Values))
-			for i, v := range ax.Values {
-				vals[i] = v.s
-			}
-			ms.Vary = append(ms.Vary, ManifestAxis{Key: ax.Key, Values: vals})
-		}
-		m.Sweep = ms
-	}
+	// Naming a file implies the artifact.
+	m.Trace = m.Trace || m.TraceFile != ""
+	m.Metrics = m.Metrics || m.MetricsFile != ""
 	return m, nil
 }
 
@@ -255,50 +212,6 @@ func (m *Manifest) RunName() string {
 	return m.Scenario
 }
 
-// RunParams converts the manifest into the Params a run hands to Build:
-// the params map, the shards field and, where the manifest enables them,
-// tracing into traceFile and metrics into metricsFile. The files are the
-// caller's to place (a workspace run directory, or the manifest's own
-// TraceFile/MetricsFile); "" records in memory / into the report only.
-func (m *Manifest) RunParams(traceFile, metricsFile string) *Params {
-	p := NewParams(m.Params)
-	if m.Shards != 0 {
-		p.Set("shards", strconv.Itoa(m.Shards))
-	}
-	if m.Trace {
-		p.Set("trace", traceFile)
-		if m.TraceCap != 0 {
-			p.Set("trace_cap", strconv.Itoa(m.TraceCap))
-		}
-	}
-	if m.Metrics {
-		p.Set("metrics", metricsFile)
-	}
-	return p
-}
-
-// SweepConfig converts a sweep manifest into the SweepConfig Sweep
-// executes, tracing and metrics armed as the manifest names them.
-// Parallel bounds concurrent seeds per cell (0 = GOMAXPROCS). The caller
-// owns the per-cell TraceFile/MetricsFile/OnCell wiring.
-func (m *Manifest) SweepConfig(parallel int) SweepConfig {
-	cfg := SweepConfig{
-		Scenario: m.Scenario,
-		Base:     m.RunParams(m.TraceFile, m.MetricsFile),
-		Seeds:    m.EffectiveSeeds(),
-		BaseSeed: m.BaseSeed(),
-		Parallel: parallel,
-	}
-	if m.Sweep != nil {
-		cfg.Schedulers = m.Sweep.Schedulers
-		cfg.Controllers = m.Sweep.Controllers
-		for _, ax := range m.Sweep.Vary {
-			cfg.Axes = append(cfg.Axes, Axis{Key: ax.Key, Values: ax.Values})
-		}
-	}
-	return cfg
-}
-
 // BaseSeed returns the effective base seed (manifest zero = seed 1, the
 // same default as the CLI's -seed flag).
 func (m *Manifest) BaseSeed() int64 {
@@ -316,55 +229,6 @@ func (m *Manifest) EffectiveSeeds() int {
 	return m.Seeds
 }
 
-// Validate checks the manifest against the live registry by building
-// every run it would start — the single-run spec, or every sweep cell —
-// through the same Build path `-set` flags take. It returns the first
-// error: unknown scenario, unknown parameter key, bad value, shard/trace
-// conflicts, malformed axes.
-func (m *Manifest) Validate() error {
-	if m.Scenario == "" {
-		return fmt.Errorf("manifest %s: missing required field \"scenario\"", m.RunName())
-	}
-	for _, k := range reservedParamKeys {
-		if _, clash := m.Params[k]; clash {
-			return fmt.Errorf("manifest %s: parameter %q is reserved; use the top-level %q field", m.RunName(), k, k)
-		}
-	}
-	if m.Seed < 0 {
-		return fmt.Errorf("manifest %s: seed %d: must be non-negative", m.RunName(), m.Seed)
-	}
-	if m.Seeds < 0 {
-		return fmt.Errorf("manifest %s: seeds %d: must be non-negative", m.RunName(), m.Seeds)
-	}
-	if m.Trace {
-		if m.EffectiveSeeds() > 1 {
-			return fmt.Errorf("manifest %s: trace with %d seeds would write one trace from every seed concurrently; use one seed per traced run", m.RunName(), m.EffectiveSeeds())
-		}
-		if m.Shards > 1 {
-			return fmt.Errorf("manifest %s: tracing is single-shard only (got shards=%d)", m.RunName(), m.Shards)
-		}
-	}
-	if m.Metrics && m.EffectiveSeeds() > 1 {
-		return fmt.Errorf("manifest %s: metrics with %d seeds would mix the process-wide pool counters across concurrent seeds; use one seed per metered run", m.RunName(), m.EffectiveSeeds())
-	}
-	if m.Sweep == nil {
-		_, err := Build(m.Scenario, m.RunParams(m.TraceFile, m.MetricsFile))
-		return err
-	}
-	// Validate every cell exactly as Sweep would, without running any.
-	cfg := m.SweepConfig(0)
-	cells, err := cfg.cells()
-	if err != nil {
-		return fmt.Errorf("manifest %s: %w", m.RunName(), err)
-	}
-	for _, overrides := range cells {
-		if _, err := Build(m.Scenario, cfg.cellParams(overrides)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Snapshot renders the resolved manifest — every field explicit, params
 // sorted — as the manifest.json a workspace run directory stores. It is
 // deterministic for a given manifest, so two identical runs snapshot
@@ -376,33 +240,9 @@ func (m *Manifest) Snapshot() ([]byte, error) {
 	c.Name = m.RunName()
 	c.Seed = m.BaseSeed()
 	c.Seeds = m.EffectiveSeeds()
-	if len(c.Params) > 0 {
-		// Maps marshal with sorted keys; copy so the snapshot cannot
-		// alias the live manifest.
-		params := make(map[string]string, len(c.Params))
-		for k, v := range c.Params {
-			params[k] = v
-		}
-		c.Params = params
-	}
 	buf, err := json.MarshalIndent(&c, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("manifest %s: snapshot: %w", m.RunName(), err)
 	}
 	return append(buf, '\n'), nil
-}
-
-// CellIDs enumerates the sweep's cell identifiers in execution order
-// (empty for a non-sweep manifest) — the names of the per-cell
-// directories a workspace run produces.
-func (m *Manifest) CellIDs() []string {
-	if m.Sweep == nil {
-		return nil
-	}
-	cells, _ := m.SweepConfig(0).cells() // a malformed axis has no cells
-	ids := make([]string, len(cells))
-	for i, overrides := range cells {
-		ids[i] = CellID(overrides)
-	}
-	return ids
 }

@@ -157,8 +157,8 @@ func TestLoadManifestNameDefault(t *testing.T) {
 }
 
 // The rejection table: every way a manifest can ask for something the
-// registry (or the trace/shard rules) forbids, each dying in Validate
-// with the same error class the CLI raises.
+// registry (or the trace/shard rules) forbids, each dying in Plan with
+// the same error class the CLI raises.
 func TestManifestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -176,7 +176,11 @@ func TestManifestValidateRejects(t *testing.T) {
 		{"negative seed", &Manifest{Scenario: "test-manifest-bulk", Seed: -1}, "non-negative"},
 		{"negative seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: -2}, "non-negative"},
 		{"trace with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
-			Trace: true, Seeds: 4}, "seeds"},
+			Trace: true, Seeds: 4}, "trace with 4 seeds"},
+		{"metrics with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
+			Metrics: true, Seeds: 2}, "metrics with 2 seeds"},
+		{"trace axis with multiple seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: 2,
+			Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "trace", Values: []string{"a", "b"}}}}}, "trace with 2 seeds"},
 		{"trace with shards", &Manifest{Scenario: "test-manifest-bulk",
 			Trace: true, Shards: 4}, "single-shard"},
 		{"unknown param key", &Manifest{Scenario: "test-manifest-bulk",
@@ -189,7 +193,7 @@ func TestManifestValidateRejects(t *testing.T) {
 			Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "bytes", Values: []string{"1024", "nope"}}}}}, "bytes"},
 	}
 	for _, tc := range cases {
-		if err := tc.m.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		if _, err := tc.m.Plan(nil); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
 		}
 	}
@@ -202,7 +206,7 @@ func TestManifestValidateOK(t *testing.T) {
 		Seeds:    3,
 		Shards:   2,
 	}
-	if err := m.Validate(); err != nil {
+	if _, err := m.Plan(nil); err != nil {
 		t.Fatal(err)
 	}
 	sweep := &Manifest{
@@ -212,7 +216,7 @@ func TestManifestValidateOK(t *testing.T) {
 			Vary:       []ManifestAxis{{Key: "bytes", Values: []string{"1024", "2048"}}},
 		},
 	}
-	if err := sweep.Validate(); err != nil {
+	if _, err := sweep.Plan(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,27 +240,31 @@ func TestManifestCellIDs(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
 		Sweep: &ManifestSweep{
-			Controllers: []string{"a", "b"},
+			Controllers: []string{"fullmesh", "stream"},
 			Vary:        []ManifestAxis{{Key: "bytes", Values: []string{"1", "2"}}},
 		},
 	}
-	ids := m.CellIDs()
-	want := []string{
-		CellID([]string{"policy=a", "bytes=1"}),
-		CellID([]string{"policy=a", "bytes=2"}),
-		CellID([]string{"policy=b", "bytes=1"}),
-		CellID([]string{"policy=b", "bytes=2"}),
+	cells, err := m.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ids) != len(want) {
-		t.Fatalf("got %d cell ids, want %d", len(ids), len(want))
+	want := []string{
+		CellID([]string{"policy=fullmesh", "bytes=1"}),
+		CellID([]string{"policy=fullmesh", "bytes=2"}),
+		CellID([]string{"policy=stream", "bytes=1"}),
+		CellID([]string{"policy=stream", "bytes=2"}),
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(want))
 	}
 	for i := range want {
-		if ids[i] != want[i] {
-			t.Errorf("cell %d = %q, want %q", i, ids[i], want[i])
+		if cells[i].ID != want[i] {
+			t.Errorf("cell %d = %q, want %q", i, cells[i].ID, want[i])
 		}
 	}
-	if (&Manifest{Scenario: "test-manifest-bulk"}).CellIDs() != nil {
-		t.Fatal("non-sweep manifest should have no cell ids")
+	cells, err = (&Manifest{Scenario: "test-manifest-bulk"}).Plan(nil)
+	if err != nil || len(cells) != 1 || cells[0].ID != "defaults" || cells[0].Label != "(defaults)" {
+		t.Fatalf("a manifest without a sweep is the one defaults cell, got %+v, %v", cells, err)
 	}
 }
 
@@ -283,8 +291,8 @@ func TestManifestSnapshot(t *testing.T) {
 	}
 }
 
-// RunParams carries params + shards, and arms tracing — with the
-// caller-chosen file — only on a manifest that asks for it.
+// The plan's cell carries params + shards, and arms tracing — with the
+// caller-placed file — only on a manifest that asks for it.
 func TestManifestBuildAndTraceParams(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
@@ -292,22 +300,31 @@ func TestManifestBuildAndTraceParams(t *testing.T) {
 		Shards:   4,
 		TraceCap: 99,
 	}
-	p := m.RunParams("/tmp/t", "/tmp/m")
+	place := func(_, key, _ string) string { return "/tmp/" + key }
+	params := func() *Params {
+		t.Helper()
+		cells, err := m.Plan(place)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells[0].Params
+	}
+	p := params()
 	if p.Has("trace") || p.Has("trace_cap") || p.Has("metrics") {
-		t.Fatal("RunParams armed tracing or metrics on a manifest that enables neither")
+		t.Fatal("the plan armed tracing or metrics on a manifest that enables neither")
 	}
 	if got := p.Clone().Int("shards", 0); got != 4 {
 		t.Fatalf("shards = %d, want 4", got)
 	}
-	m.Trace = true
-	p = m.RunParams("/tmp/t", "")
-	if got := p.Clone().Str("trace", ""); got != "/tmp/t" {
+	m.Trace, m.Shards = true, 0 // tracing is single-shard
+	p = params()
+	if got := p.Clone().Str("trace", ""); got != "/tmp/trace" {
 		t.Fatalf("trace = %q", got)
 	}
 	if got := p.Clone().Int("trace_cap", 0); got != 99 {
 		t.Fatalf("trace_cap = %d", got)
 	}
 	if p.Has("metrics") {
-		t.Fatal("RunParams armed metrics on an unmetered manifest")
+		t.Fatal("the plan armed metrics on an unmetered manifest")
 	}
 }

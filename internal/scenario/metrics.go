@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
@@ -97,28 +96,10 @@ func (rt *Run) mptcpMetrics(c sim.Clock) mptcp.Metrics {
 	}
 }
 
-// ctlMetrics builds the control-plane metric bundle for clock c's shard
-// (zero bundle with metrics off).
-func (rt *Run) ctlMetrics(c sim.Clock) core.CtlMetrics {
-	r := rt.Registry
-	if r == nil {
-		return core.CtlMetrics{}
-	}
-	slot := sim.ShardIndex(c)
-	return core.CtlMetrics{
-		EventsSent:      r.Counter("ctl_events_sent", slot),
-		EventsMasked:    r.Counter("ctl_events_masked", slot),
-		EventsCoalesced: r.Counter("ctl_events_coalesced", slot),
-		EventsDropped:   r.Counter("ctl_events_dropped", slot),
-		Flushes:         r.Counter("ctl_flushes", slot),
-		Commands:        r.Counter("ctl_commands", slot),
-		QueueHW:         r.Gauge("ctl_queue_hw", slot),
-	}
-}
-
 // metricsProbe is the Metrics probe kind: Collect harvests the runtime
 // counters the simulation accumulated outside the registry (simulator
-// windows/barriers, pool traffic, link drops), renders the sorted text
+// windows/barriers, pool traffic, link drops, the Netlink control plane),
+// renders the sorted text
 // snapshot into the report under title, and writes metrics.json.
 func metricsProbe(file, title string) Probe {
 	return Probe{
@@ -131,6 +112,7 @@ func metricsProbe(file, title string) Probe {
 			rt.harvestRuntime()
 			rt.harvestPools()
 			rt.harvestLinks()
+			rt.harvestControlPlane()
 			snap := r.Snapshot()
 			rt.Result.Section(title)
 			rt.Result.Printf("%s", snap.Text())
@@ -220,4 +202,18 @@ func (rt *Run) harvestLinks() {
 	r.Counter("netem_drop_queue", 0).Add(queue)
 	r.Counter("netem_drop_down", 0).Add(down)
 	r.Counter("netem_drop_cut", 0).Add(cut)
+}
+
+// harvestControlPlane folds every client stack's Netlink counters into
+// the slot of its host's shard. A stack with an explicit in-kernel path
+// manager has no Netlink PM and registers the ctl_* names all zero; a
+// KernelPolicy cell has no control plane to speak of, and its snapshot
+// leaves the names out.
+func (rt *Run) harvestControlPlane() {
+	if rt.Spec.Policy == KernelPolicy {
+		return
+	}
+	for _, st := range rt.Stacks {
+		st.PM.HarvestInto(rt.Registry, sim.ShardIndex(st.Host.Clock()))
+	}
 }

@@ -172,7 +172,8 @@ func Build(name string, p *Params) (*Spec, error) {
 	// `shards=N` shards every run of the scenario across N worker event
 	// loops (results are bit-identical at any N). Consumed here so no
 	// factory needs shard-specific code. Tracing assumes one loop, so the
-	// combination is rejected rather than silently corrupting traces.
+	// combination is rejected rather than silently corrupting traces —
+	// here and nowhere else: Build is the lowest point every caller passes.
 	if shards := p.Int("shards", 0); shards != 0 {
 		if shards < 0 {
 			return nil, fmt.Errorf("scenario %s: shards=%d: must be positive", name, shards)
@@ -194,7 +195,7 @@ func Build(name string, p *Params) (*Spec, error) {
 		if _, err := mptcp.LookupScheduler(rs.Sched); err != nil {
 			return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 		}
-		if _, policy, _ := rs.controlPlane(); policy != "" {
+		if _, policy := rs.controlPlane(); policy != "" {
 			if _, err := smapp.LookupController(policy); err != nil {
 				return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 			}
@@ -205,7 +206,7 @@ func Build(name string, p *Params) (*Spec, error) {
 
 // Job returns a per-seed job for the multi-seed runner: each seed builds
 // a fresh spec from a clone of p (specs hold per-run workload state) and
-// executes it. The caller should Build once up front to surface parameter
+// executes it. Manifest.Plan has built p once up front to surface parameter
 // errors before fanning out; inside the job they panic, which the runner
 // reports as that seed's failure.
 func Job(name string, p *Params) func(seed int64) *stats.Result {

@@ -10,9 +10,9 @@
 //	events → run to the stop condition → collect probes → render
 //
 // Specs are registered by name (Register) and parameterised by string
-// key=value Params, which is what makes `mpexp run <scenario>` and the
-// Sweep combinator possible: every scenario is runnable, listable, and
-// sweepable without scenario-specific CLI code.
+// key=value Params, which is what makes `mpexp run <scenario>` and sweep
+// manifests (Manifest.Plan) possible: every scenario is runnable, listable,
+// and sweepable without scenario-specific CLI code.
 package scenario
 
 import (
@@ -197,18 +197,15 @@ const KernelPolicy = "kernel"
 // controlPlane resolves the run's policy into what its stacks are built
 // and dialed with: the in-kernel path manager (nil = the Netlink control
 // plane) and the controller name bound at dial. KernelPolicy is a KernelPM
-// stack dialed with the nil policy; nothing else knows the name. ctl
-// reports whether the stacks' metrics carry the Netlink counters: always
-// (all zero on a KernelPM baseline), except in a KernelPolicy cell, whose
-// metrics.json never had them.
-func (rs *RunSpec) controlPlane() (kernelPM func() mptcp.PathManager, policy string, ctl bool) {
+// stack dialed with the nil policy.
+func (rs *RunSpec) controlPlane() (kernelPM func() mptcp.PathManager, policy string) {
 	if rs.Policy != KernelPolicy {
-		return rs.KernelPM, rs.Policy, true
+		return rs.KernelPM, rs.Policy
 	}
 	if rs.KernelPM != nil {
-		return rs.KernelPM, "", false
+		return rs.KernelPM, ""
 	}
-	return func() mptcp.PathManager { return pm.NewFullMesh() }, "", false
+	return func() mptcp.PathManager { return pm.NewFullMesh() }, ""
 }
 
 // mptcpConfig is the endpoint configuration of every stack of the run,
@@ -230,12 +227,8 @@ func (rt *Run) newStack(i int) *smapp.Stack {
 	h := rt.Net.Clients[i].Host
 	cfg := smapp.Config{MPTCP: rt.mptcpConfig(h)}
 	cfg.Trace = cfg.MPTCP.Trace
-	kernelPM, _, ctl := rt.Spec.controlPlane()
-	if kernelPM != nil {
+	if kernelPM, _ := rt.Spec.controlPlane(); kernelPM != nil {
 		cfg.KernelPM = kernelPM()
-	}
-	if ctl {
-		cfg.CtlMetrics = rt.ctlMetrics(h.Clock())
 	}
 	if rt.Spec.StackConfig != nil {
 		rt.Spec.StackConfig(rt, i, &cfg)
@@ -250,7 +243,7 @@ func (rt *Run) newStack(i int) *smapp.Stack {
 // per-seed errors.
 func (rt *Run) dial(i int, cb mptcp.ConnCallbacks) *mptcp.Connection {
 	cl := rt.Net.Clients[i]
-	_, policy, _ := rt.Spec.controlPlane()
+	_, policy := rt.Spec.controlPlane()
 	pcfg := rt.Spec.PolicyCfg
 	if len(pcfg.Addrs) == 0 {
 		pcfg.Addrs = cl.Addrs

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/runner"
 )
 
 func init() {
@@ -32,56 +33,93 @@ func init() {
 	})
 }
 
-func TestSweepCrossesAxes(t *testing.T) {
-	sr, err := Sweep(SweepConfig{
-		Scenario:   "test-sweep-bulk",
-		Schedulers: []string{"lowest-rtt", "round-robin"},
-		Axes:       []Axis{{Key: "rate_mbps", Values: []string{"10", "100"}}},
-		Seeds:      2,
-		BaseSeed:   1,
-	})
+// runPlan executes every cell of a plan on the multi-seed runner, the way
+// the workspace executor does.
+func runPlan(t *testing.T, m *Manifest) ([]Cell, []*runner.Multi) {
+	t.Helper()
+	cells, err := m.Plan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(sr.Cells))
-	}
-	// First axis varies slowest: lowest-rtt cells first.
-	if !strings.Contains(sr.Cells[0].Label, "sched=lowest-rtt") ||
-		!strings.Contains(sr.Cells[0].Label, "rate_mbps=10") {
-		t.Fatalf("cell order wrong: %q", sr.Cells[0].Label)
-	}
-	for _, c := range sr.Cells {
-		if failed := c.Multi.Failed(); len(failed) != 0 {
+	multis := make([]*runner.Multi, len(cells))
+	for i, c := range cells {
+		multis[i] = runner.Run(m.Scenario+" "+c.Label,
+			runner.Config{Seeds: m.EffectiveSeeds(), BaseSeed: m.BaseSeed()}, Job(m.Scenario, c.Params))
+		if failed := multis[i].Failed(); len(failed) != 0 {
 			t.Fatalf("cell %s failed: %v", c.Label, failed[0].Err)
 		}
-		if c.Multi.ScalarSummary()["done_s"].N() != 2 {
+	}
+	return cells, multis
+}
+
+func TestSweepCrossesAxes(t *testing.T) {
+	cells, multis := runPlan(t, &Manifest{
+		Scenario: "test-sweep-bulk",
+		Seeds:    2,
+		Sweep: &ManifestSweep{
+			Schedulers: []string{"lowest-rtt", "round-robin"},
+			Vary:       []ManifestAxis{{Key: "rate_mbps", Values: []string{"10", "100"}}},
+		},
+	})
+	// First axis varies slowest: lowest-rtt cells first.
+	wantLabels := []string{
+		"sched=lowest-rtt rate_mbps=10", "sched=lowest-rtt rate_mbps=100",
+		"sched=round-robin rate_mbps=10", "sched=round-robin rate_mbps=100",
+	}
+	if len(cells) != len(wantLabels) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(wantLabels))
+	}
+	for i, c := range cells {
+		if c.Label != wantLabels[i] || c.ID != CellID(strings.Fields(wantLabels[i])) {
+			t.Fatalf("cell %d = %q (id %q), want %q", i, c.Label, c.ID, wantLabels[i])
+		}
+		if multis[i].ScalarSummary()["done_s"].N() != 2 {
 			t.Fatalf("cell %s did not aggregate 2 seeds", c.Label)
 		}
 	}
 	// The slow link must finish later than the fast one, per scheduler.
-	slow := sr.Cells[0].Multi.ScalarSummary()["done_s"].Mean()
-	fast := sr.Cells[1].Multi.ScalarSummary()["done_s"].Mean()
+	slow := multis[0].ScalarSummary()["done_s"].Mean()
+	fast := multis[1].ScalarSummary()["done_s"].Mean()
 	if slow <= fast {
 		t.Fatalf("10 Mbps (%.3fs) should be slower than 100 Mbps (%.3fs)", slow, fast)
-	}
-	rep := sr.Report()
-	for _, want := range []string{"sweep: test-sweep-bulk", "cell comparison", "done_s"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q:\n%s", want, rep)
-		}
 	}
 }
 
 func TestSweepRejectsInvalidCellUpFront(t *testing.T) {
-	if _, err := Sweep(SweepConfig{
-		Scenario: "test-sweep-bulk",
-		Axes:     []Axis{{Key: "rate_mbps", Values: []string{"10", "oops"}}},
-		Seeds:    1,
-	}); err == nil {
-		t.Fatal("expected the malformed cell to be rejected before running")
+	for name, m := range map[string]*Manifest{
+		"malformed cell": {Scenario: "test-sweep-bulk", Sweep: &ManifestSweep{
+			Vary: []ManifestAxis{{Key: "rate_mbps", Values: []string{"10", "oops"}}}}},
+		"unknown scenario": {Scenario: "nosuch", Sweep: &ManifestSweep{}},
+		"empty axis": {Scenario: "test-sweep-bulk", Sweep: &ManifestSweep{
+			Vary: []ManifestAxis{{Key: "rate_mbps"}}}},
+	} {
+		if _, err := m.Plan(nil); err == nil {
+			t.Errorf("%s: expected the plan to be rejected before running", name)
+		}
 	}
-	if _, err := Sweep(SweepConfig{Scenario: "nosuch", Seeds: 1}); err == nil {
-		t.Fatal("expected unknown scenario error")
+}
+
+// A plan builds every cell once; the per-seed builds are the jobs'.
+func TestPlanBuildsEachCellOnce(t *testing.T) {
+	builds := 0
+	Register("test-plan-count", "test-only build counter", func(p *Params) (*Spec, error) {
+		builds++
+		p.Str("knob", "")
+		return &Spec{Name: "test-plan-count"}, nil
+	})
+	cells, err := (&Manifest{Scenario: "test-plan-count", Seeds: 3, Sweep: &ManifestSweep{
+		Vary: []ManifestAxis{{Key: "knob", Values: []string{"a", "b", "c"}}}}}).Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 || builds != 3 {
+		t.Fatalf("planning %d cells built %d specs, want one build per cell", len(cells), builds)
+	}
+	builds = 0
+	if cells, err = (&Manifest{Scenario: "test-plan-count"}).Plan(nil); err != nil || len(cells) != 1 || builds != 1 {
+		t.Fatalf("a run is one cell built once: cells %d, builds %d, err %v", len(cells), builds, err)
+	}
+	if cells[0].ID != "defaults" {
+		t.Fatalf("the cell of a manifest without axes is %q, want defaults", cells[0].ID)
 	}
 }

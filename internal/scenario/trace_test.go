@@ -89,40 +89,53 @@ func TestUntracedRunHasNoTracer(t *testing.T) {
 }
 
 // TestSweepTracePerCell pins the clobbering guards: a traced sweep
-// suffixes the file per cell, and a traced multi-seed sweep is rejected
-// up front (concurrent seeds would race on one file).
+// suffixes the named file per cell, a one-cell plan keeps the name, a
+// caller that places files is asked per cell, and a traced multi-seed
+// sweep is rejected up front (concurrent seeds would race on one file).
 func TestSweepTracePerCell(t *testing.T) {
 	Register("trace-sweep-test", "test scenario", func(p *Params) (*Spec, error) {
 		p.Str("knob", "a") // consume the axis key
 		return traceTestSpec(1), nil
 	})
-	base := filepath.Join(t.TempDir(), "sweep.trace")
-	p := NewParams(map[string]string{"trace": base})
-	sr, err := Sweep(SweepConfig{
+	dir := t.TempDir()
+	base := filepath.Join(dir, "sweep.trace")
+	m := &Manifest{
 		Scenario: "trace-sweep-test",
-		Base:     p,
-		Axes:     []Axis{{Key: "knob", Values: []string{"a", "b"}}},
-		Seeds:    1,
-		BaseSeed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+		Trace:    true, TraceFile: base,
+		Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "knob", Values: []string{"a", "b"}}}},
 	}
-	if len(sr.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(sr.Cells))
+	cells, _ := runPlan(t, m)
+	if len(cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(cells))
 	}
 	for _, suffix := range []string{".knob-a", ".knob-b"} {
 		if _, err := trace.ReadFile(base + suffix); err != nil {
 			t.Fatalf("per-cell trace file missing: %v", err)
 		}
 	}
-	if _, err := Sweep(SweepConfig{
-		Scenario: "trace-sweep-test",
-		Base:     p,
-		Axes:     []Axis{{Key: "knob", Values: []string{"a"}}},
-		Seeds:    4,
-		BaseSeed: 1,
-	}); err == nil {
+
+	m.Sweep.Vary[0].Values = []string{"a"}
+	if cells, _ = runPlan(t, m); cells[0].Params.Clone().Str("trace", "") != base {
+		t.Fatalf("a one-cell plan must keep the named file, got %v", cells[0].Params.Map())
+	}
+
+	var asked []string
+	cells, err := m.Plan(func(cellID, key, named string) string {
+		asked = append(asked, cellID+" "+key+" "+named)
+		return filepath.Join(dir, cellID+"."+key)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "knob-a trace " + base; len(asked) != 1 || asked[0] != want {
+		t.Fatalf("place was asked %q, want one call %q", asked, want)
+	}
+	if got, want := cells[0].Params.Clone().Str("trace", ""), filepath.Join(dir, "knob-a.trace"); got != want {
+		t.Fatalf("placed trace = %q, want %q", got, want)
+	}
+
+	m.Seeds = 4
+	if _, err := m.Plan(nil); err == nil {
 		t.Fatal("traced multi-seed sweep must be rejected")
 	}
 }

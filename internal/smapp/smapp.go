@@ -38,8 +38,6 @@ type Config struct {
 	// transport, no library, no policies — the baselines the paper
 	// compares against. Only the nil policy works on such a stack.
 	KernelPM mptcp.PathManager
-	// Stressed uses the CPU-stressed Netlink latency model of §4.5.
-	Stressed bool
 	// Transport overrides the kernel↔controller channel (nil = the
 	// simulated Netlink transport with the default latency model).
 	Transport *core.Transport
@@ -56,10 +54,6 @@ type Config struct {
 	// controller command into this shard (the kernel-side protocol
 	// events ride on MPTCP.Trace, usually the same shard).
 	Trace *trace.Shard
-	// CtlMetrics carries live control-plane metric handles for the
-	// kernel-side Netlink PM; the zero value records nothing. Data-plane
-	// handles ride on MPTCP.Metrics / MPTCP.TCP.Metrics.
-	CtlMetrics core.CtlMetrics
 }
 
 // StackStats counts facade activity.
@@ -105,7 +99,7 @@ type binding struct {
 }
 
 // New builds the full in-process stack for a host: simulated Netlink
-// transport (or the stressed/custom one), kernel-side PM, userspace
+// transport (or a custom one), kernel-side PM, userspace
 // library on the sim clock, and the MPTCP endpoint — the paper's Figure 1
 // in one constructor.
 func New(host *netem.Host, cfg Config) *Stack {
@@ -121,15 +115,10 @@ func New(host *netem.Host, cfg Config) *Stack {
 	s := host.Clock()
 	tr := cfg.Transport
 	if tr == nil {
-		if cfg.Stressed {
-			tr = core.NewStressedSimTransport(s)
-		} else {
-			tr = core.NewSimTransport(s)
-		}
+		tr = core.NewSimTransport(s)
 	}
 	st.Transport = tr
 	st.PM = core.NewNetlinkPM(s, tr)
-	st.PM.SetMetrics(cfg.CtlMetrics)
 	if cfg.CtlFlush > 0 {
 		st.PM.SetCoalescing(cfg.CtlFlush, cfg.CtlQueue)
 	}

@@ -191,30 +191,17 @@ func (opt RunOptions) progress(format string, args ...any) {
 // where the manifest names one. It reports whether every seed of every
 // cell succeeded.
 func Execute(m *scenario.Manifest, opt RunOptions) (bool, error) {
-	if err := m.Validate(); err != nil {
-		return false, err
-	}
 	return execute(m, "", opt)
 }
 
 // Run executes a manifest into a fresh run directory: validates it
 // against the live scenario registry (the same Build path `-set` flags
-// take), snapshots the resolved manifest, runs the scenario (or every
-// sweep cell), and writes result.json/summary.json, report.txt, and the
-// trace file per run or cell, then regenerates the workspace index.
+// take), snapshots the resolved manifest, runs every cell of its plan,
+// and writes result.json/summary.json, report.txt, and the trace and
+// metrics files per run or cell, then regenerates the workspace index.
 func (ws *Workspace) Run(m *scenario.Manifest, opt RunOptions) (*RunInfo, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	snapshot, err := m.Snapshot()
-	if err != nil {
-		return nil, err
-	}
 	id, dir, err := ws.createRunDir(m.RunName())
 	if err != nil {
-		return nil, err
-	}
-	if err := writeFile(dir, ManifestFile, snapshot); err != nil {
 		return nil, err
 	}
 	info := &RunInfo{ID: id, Dir: dir}
@@ -227,93 +214,138 @@ func (ws *Workspace) Run(m *scenario.Manifest, opt RunOptions) (*RunInfo, error)
 	return info, nil
 }
 
+// artifactFile is the name a cell's trace or metrics file gets inside its
+// directory, by the key scenario.Manifest.Plan asks about.
+var artifactFile = map[string]string{"trace": TraceFile, "metrics": MetricsFile}
+
 // execute is the one manifest executor behind every `mpexp run`, `sweep`
-// and `all`: a validated manifest becomes one run or one sweep on the
-// multi-seed runner. dir is the artifact directory; "" stores nothing.
+// and `all`: the manifest's plan, cell by cell on the multi-seed runner.
+// dir is the artifact directory; "" stores nothing. A run is the one-cell
+// plan whose artifacts land in dir itself; a sweep's cells get
+// cells/<cellID>/ each, holding the same artifact set, next to the sweep
+// table. What else differs is presentation: a run prints its cell's
+// report and a progress line per seed, a sweep the table over all cells
+// and a progress line per cell.
 func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
-	if m.Sweep != nil {
-		return executeSweep(m, dir, opt)
-	}
-	p := m.RunParams(artifactPath(m.TraceFile, dir, TraceFile), artifactPath(m.MetricsFile, dir, MetricsFile))
-	multi := runner.Run(m.RunName(), runner.Config{
-		Seeds:    m.EffectiveSeeds(),
-		BaseSeed: m.BaseSeed(),
-		Parallel: opt.Parallel,
-		OnDone: func(sr runner.SeedResult) {
-			opt.progress("[seed %d done]", sr.Seed)
-		},
-	}, scenario.Job(m.Scenario, p))
-	report := reportOf(multi)
-	opt.echo(report)
-	return len(multi.Failed()) == 0, store(dir, m.RunName(), report, multi)
-}
-
-// artifactPath places a run's trace or metrics file: the path the
-// manifest names wins, otherwise the file gets its default name inside
-// dir — or "" (record in memory only) when there is no directory.
-func artifactPath(explicit, dir, base string) string {
-	if explicit != "" || dir == "" {
-		return explicit
-	}
-	return filepath.Join(dir, base)
-}
-
-// executeSweep runs a sweep manifest. With a directory, every cell gets
-// cells/<cellID>/ holding the same artifact set as a single run, next to
-// the top-level sweep report.
-func executeSweep(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
-	cfg := m.SweepConfig(opt.Parallel)
-	cfg.OnCell = func(c *scenario.Cell) {
-		opt.progress("[cell %s done]", c.Label)
-	}
-	var mkdirErr error
-	cellFile := func(cellID, base string) string {
-		cdir := filepath.Join(dir, cellsDir, cellID)
-		if err := os.MkdirAll(cdir, 0o755); err != nil && mkdirErr == nil {
-			mkdirErr = err
+	sweep := m.Sweep != nil
+	cellDir := func(cellID string) string {
+		if dir == "" || !sweep {
+			return dir
 		}
-		return filepath.Join(cdir, base)
+		return filepath.Join(dir, cellsDir, cellID)
 	}
-	if dir != "" && m.Trace {
-		// One trace per cell, inside the cell's directory. The cell dirs
-		// are created here — during sweep validation, before anything
-		// simulates — so the trace writer finds them in place.
-		cfg.TraceFile = func(cellID string) string { return cellFile(cellID, TraceFile) }
-	}
-	if dir != "" && m.Metrics {
-		cfg.MetricsFile = func(cellID string) string { return cellFile(cellID, MetricsFile) }
-	}
-	sr, err := scenario.Sweep(cfg)
+	// A file the manifest names is honoured where there is no directory,
+	// and for a run; a captured sweep keeps every cell's set complete.
+	cells, err := m.Plan(func(cellID, key, named string) string {
+		if dir == "" || named != "" && !sweep {
+			return named
+		}
+		return filepath.Join(cellDir(cellID), artifactFile[key])
+	})
 	if err != nil {
+		if dir != "" {
+			os.Remove(dir) // still empty: an invalid manifest leaves no run behind
+		}
 		return false, err
 	}
-	if mkdirErr != nil {
-		return false, fmt.Errorf("workspace: %w", mkdirErr)
-	}
-	report := sr.Report()
-	opt.echo(report)
-	ok := true
-	for _, c := range sr.Cells {
-		if len(c.Multi.Failed()) > 0 {
-			ok = false
+	if dir != "" {
+		snapshot, err := m.Snapshot()
+		if err != nil {
+			return false, err
 		}
-	}
-	if dir == "" {
-		return ok, nil
-	}
-	if err := writeReport(dir, report); err != nil {
-		return false, err
-	}
-	for _, c := range sr.Cells {
-		cdir := filepath.Join(dir, cellsDir, c.ID)
-		if err := os.MkdirAll(cdir, 0o755); err != nil {
-			return false, fmt.Errorf("workspace: %w", err)
-		}
-		if err := store(cdir, cfg.Scenario+" "+c.Label, reportOf(c.Multi), c.Multi); err != nil {
+		if err := writeFile(dir, ManifestFile, snapshot); err != nil {
 			return false, err
 		}
 	}
+	ok := true
+	multis := make([]*runner.Multi, len(cells))
+	for i, c := range cells {
+		name := m.RunName()
+		cfg := runner.Config{Seeds: m.EffectiveSeeds(), BaseSeed: m.BaseSeed(), Parallel: opt.Parallel}
+		if sweep {
+			name = m.Scenario + " " + c.Label
+		} else {
+			cfg.OnDone = func(sr runner.SeedResult) { opt.progress("[seed %d done]", sr.Seed) }
+		}
+		cdir := cellDir(c.ID)
+		if cdir != "" {
+			// Before the cell runs: its trace and metrics land here.
+			if err := os.MkdirAll(cdir, 0o755); err != nil {
+				return false, fmt.Errorf("workspace: %w", err)
+			}
+		}
+		multi := runner.Run(name, cfg, scenario.Job(m.Scenario, c.Params))
+		multis[i] = multi
+		ok = ok && len(multi.Failed()) == 0
+		report := reportOf(multi)
+		if sweep {
+			opt.progress("[cell %s done]", c.Label)
+		} else {
+			opt.echo(report)
+		}
+		if err := store(cdir, name, report, multi); err != nil {
+			return false, err
+		}
+	}
+	if sweep {
+		report := sweepReport(m, cells, multis)
+		opt.echo(report)
+		if dir != "" {
+			return ok, writeReport(dir, report)
+		}
+	}
 	return ok, nil
+}
+
+// sweepReport renders a sweep: one scalar-summary block per cell, then a
+// cross-cell comparison table over the scalars every cell shares.
+func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.Multi) string {
+	var b strings.Builder
+	seeds := m.EffectiveSeeds()
+	fmt.Fprintf(&b, "===== sweep: %s × %d cells × %d seeds =====\n", m.Scenario, len(cells), seeds)
+
+	// Aggregate each cell once; the scalars present in every cell feed
+	// the comparison table.
+	summaries := make([]map[string]*stats.Sample, len(cells))
+	shared := map[string]int{}
+	for i, multi := range multis {
+		summaries[i] = multi.ScalarSummary()
+		for k := range summaries[i] {
+			shared[k]++
+		}
+	}
+	var keys []string
+	for k, n := range shared {
+		if n == len(cells) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+
+	for i, c := range cells {
+		fmt.Fprintf(&b, "\n-- %s --\n", c.Label)
+		for _, k := range keys {
+			fmt.Fprintf(&b, "   %-32s mean %12.4f\n", k, summaries[i][k].Mean())
+		}
+		if failed := multis[i].Failed(); len(failed) > 0 {
+			fmt.Fprintf(&b, "   FAILED seeds: %d (first: %v)\n", len(failed), failed[0].Err)
+		}
+	}
+
+	if len(keys) > 0 && len(cells) > 1 {
+		fmt.Fprintf(&b, "\n== cell comparison (means over %d seeds) ==\n", seeds)
+		width := 0
+		for _, c := range cells {
+			width = max(width, len(c.Label))
+		}
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s:\n", k)
+			for i, c := range cells {
+				fmt.Fprintf(&b, "   %-*s %12.4f\n", width, c.Label, summaries[i][k].Mean())
+			}
+		}
+	}
+	return b.String()
 }
 
 // reportOf renders what one run (or sweep cell) prints: the seed's own

@@ -199,13 +199,32 @@ func TestSweepRunCellsAndDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.CellIDs()
-	if len(cells) != len(want) {
-		t.Fatalf("cells = %v, want ids %v", cells, want)
+	plan, err := m.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(plan) {
+		t.Fatalf("cells = %v, want the %d of the plan", cells, len(plan))
+	}
+	for i, c := range plan {
+		if cells[i] != c.ID { // loss-0.1 < loss-0.3: plan order is directory order here
+			t.Errorf("cell directory %d = %q, want %q", i, cells[i], c.ID)
+		}
 	}
 	for _, c := range cells {
 		if _, err := os.Stat(filepath.Join(a.Dir, "cells", c, workspace.ResultFile)); err != nil {
 			t.Errorf("cell %s missing result.json: %v", c, err)
+		}
+	}
+
+	// The run directory's own report is the sweep table.
+	table, err := os.ReadFile(filepath.Join(a.Dir, workspace.ReportFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sweep: fig2a × 2 cells × 1 seeds", "-- loss=0.1 --", "cell comparison", "switch_delay_s"} {
+		if !strings.Contains(string(table), want) {
+			t.Fatalf("sweep report missing %q:\n%s", want, table)
 		}
 	}
 
@@ -227,6 +246,54 @@ func TestSweepRunCellsAndDiff(t *testing.T) {
 	}
 	if rep.Clean() || !strings.Contains(rep.String(), "only in") {
 		t.Fatalf("missing cell not flagged:\n%s", rep)
+	}
+}
+
+// A run is a one-cell sweep: the same manifest with and without an (empty)
+// sweep block simulates the same thing, stored in the run directory for
+// the one and in cells/defaults/ for the other.
+func TestRunIsOneCellSweep(t *testing.T) {
+	ws := mustInit(t)
+	for _, name := range []string{"fig2a", "fig2b"} {
+		m := &scenario.Manifest{Scenario: name, Params: map[string]string{"smoke": "true"}}
+		run := mustRun(t, ws, m)
+		m.Sweep = &scenario.ManifestSweep{}
+		sweep := mustRun(t, ws, m)
+
+		cells, err := workspace.CellDirs(sweep.Dir)
+		if err != nil || len(cells) != 1 || cells[0] != "defaults" {
+			t.Fatalf("%s: sweep without axes has cells %v (%v), want [defaults]", name, cells, err)
+		}
+		for _, f := range []string{workspace.ResultFile, workspace.ReportFile} {
+			a, err := os.ReadFile(filepath.Join(run.Dir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(sweep.Dir, "cells", "defaults", f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: %s of the run and of the sweep's one cell differ", name, f)
+			}
+		}
+	}
+}
+
+// A manifest that does not validate leaves no run directory behind, and
+// the next run gets the ordinal it would have had.
+func TestInvalidManifestLeavesNoRun(t *testing.T) {
+	ws := mustInit(t)
+	bad := fig2aManifest()
+	bad.Params["nosuch"] = "1"
+	if _, err := ws.Run(bad, workspace.RunOptions{}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("err = %v, want the unknown parameter", err)
+	}
+	if _, err := os.Stat(ws.RunDir("fig2a-001")); !os.IsNotExist(err) {
+		t.Fatalf("rejected manifest left a run directory behind (stat: %v)", err)
+	}
+	if info := mustRun(t, ws, fig2aManifest()); info.ID != "fig2a-001" {
+		t.Fatalf("first valid run id = %q, want fig2a-001", info.ID)
 	}
 }
 
