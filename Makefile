@@ -93,7 +93,11 @@ smoke:
 # core's cross-shard synchronisation. Per-seed results are bit-identical
 # at any shard count, so any divergence or data race here is a bug in
 # the lookahead windows, not the model. Tracing is single-shard only
-# (rejected with -shards > 1), so the traced run stays in `smoke`.
+# (rejected with -shards > 1), so the traced run stays in `smoke` and a
+# manifest that asks for a trace is skipped here. Every other committed
+# manifest runs too: the controller, scheduler and fleet sweeps are data
+# (examples/manifests/), and this is where their every cell meets the
+# sharded core.
 smoke-shards:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -106,7 +110,15 @@ smoke-shards:
 	echo "== smoke (-race, -shards 4): mpexp run fleet (64 devices)"; \
 	$$bin run fleet -smoke -shards 4 -set devices=64 >/dev/null; \
 	echo "== smoke (-race, -shards 4): mpexp run ctlstress (8 conns)"; \
-	$$bin run ctlstress -smoke -shards 4 -set conns=8 >/dev/null
+	$$bin run ctlstress -smoke -shards 4 -set conns=8 >/dev/null; \
+	for m in examples/manifests/*.json; do \
+		if grep -q '"trace' $$m; then \
+			echo "== smoke (-race, -shards 4): skipping $$m (traced: single-shard only)"; \
+			continue; \
+		fi; \
+		echo "== smoke (-race, -shards 4): mpexp run $$m"; \
+		$$bin run $$m -shards 4 -ws none >/dev/null; \
+	done
 
 # Workspace round-trip gate: init a temp .mpexp workspace, run every
 # registered scenario twice (same seed, captured into the workspace) and
@@ -155,10 +167,13 @@ smoke-workspace:
 # flag-driven multi-seed sweep, one traced and one -metrics single-seed
 # sweep and every examples/manifests/*.json, each diffed at tolerance 0
 # cell directory by cell directory, and the stdout each side printed
-# compared with cmp. Every pair is compared; under each run that differs
-# the keys that do are listed, and the target fails at the end if any did
-# — so a change that is meant to move some runtime counters (and nothing
-# else) can show exactly that.
+# compared with cmp (a difference is sized as lines added and removed).
+# The scenario and manifest lists are the working tree's. A scenario only
+# one side registers, and a manifest over such a scenario, cannot be
+# compared: it is named, not failed on. Every other pair is compared;
+# under each run that differs the keys that do are listed, and the target
+# fails at the end if any did — so a change that is meant to move some
+# runtime counters (and nothing else) can show exactly that.
 smoke-ref:
 	@test -n "$(REF)" || { echo "usage: make smoke-ref REF=<commit>"; exit 2; }
 	@set -e; \
@@ -168,8 +183,20 @@ smoke-ref:
 	git archive $(REF) | tar -x -C $$tmp/ref; \
 	( cd $$tmp/ref && $(GO) build -o $$tmp/mpexp-ref ./cmd/mpexp ); \
 	$(GO) build -o $$tmp/mpexp-head ./cmd/mpexp; \
-	names=$$($$tmp/mpexp-head list -names); \
-	manifests=$$(cd examples/manifests && ls *.json | sed 's/\.json$$//'); \
+	$$tmp/mpexp-ref list -names | sort >$$tmp/names-ref; \
+	$$tmp/mpexp-head list -names | sort >$$tmp/names-head; \
+	names=$$(comm -12 $$tmp/names-ref $$tmp/names-head); \
+	for n in $$(comm -23 $$tmp/names-ref $$tmp/names-head); do echo "== smoke-ref: scenario $$n only at $(REF), not compared"; done; \
+	for n in $$(comm -13 $$tmp/names-ref $$tmp/names-head); do echo "== smoke-ref: scenario $$n only in the working tree, not compared"; done; \
+	manifests=; \
+	for m in $$(cd examples/manifests && ls *.json | sed 's/\.json$$//'); do \
+		scn=$$(sed -n 's/.*"scenario": *"\([^"]*\)".*/\1/p' examples/manifests/$$m.json); \
+		if echo "$$names" | grep -qx "$$scn"; then \
+			manifests="$$manifests $$m"; \
+		else \
+			echo "== smoke-ref: manifest $$m runs $$scn, which only one side has, not compared"; \
+		fi; \
+	done; \
 	for side in ref head; do \
 		bin=$$tmp/mpexp-$$side; \
 		mkdir $$tmp/$$side-ws; \
@@ -208,7 +235,8 @@ smoke-ref:
 		if cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
 			echo "== smoke-ref: $$r stdout identical"; \
 		else \
-			echo "== smoke-ref: $$r stdout DIFFERS"; \
+			d=$$(diff $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out || true); \
+			echo "== smoke-ref: $$r stdout DIFFERS: $$(echo "$$d" | grep -c '^>') lines added, $$(echo "$$d" | grep -c '^<') removed"; \
 			differing=$$((differing+1)); \
 		fi; \
 	done; \

@@ -135,9 +135,10 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// The three mode rules are each stated once, below every way of asking:
-// a flag, a -set pair, a manifest field and a sweep axis must be refused
-// with the same words and the same exit status.
+// The three mode rules and the one-directory-per-cell rule are each stated
+// once, below every way of asking: a flag, a -set pair, a manifest field
+// and a sweep axis must be refused with the same words and the same exit
+// status.
 func TestModeRulesReachEveryRoute(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "fig2a.json") // the name the flag routes run under
@@ -164,6 +165,12 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 				"flag": {"fig2a", "-smoke", "-trace", tr, "-shards", "2"},
 				"-set": {"fig2a", "-smoke", "-set", "trace", "-set", "shards=2"},
 				"axis": {"fig2a", "-smoke", "-trace", tr, "-vary", "shards=1,2"},
+			}},
+		{`cells "policy=backup" and "policy=backup" both resolve to cell id "policy-backup"`,
+			`"sweep": {"controllers": ["backup", "backup"]}`,
+			map[string][]string{
+				"flag": {"fig2a", "-smoke", "-controllers", "backup,backup"},
+				"axis": {"fig2a", "-smoke", "-vary", "policy=backup,backup"},
 			}},
 	} {
 		doc := `{"scenario": "fig2a", "params": {"smoke": true}, ` + rule.fields + `}`

@@ -169,20 +169,18 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 					frames += tp.frames
 					commands += tp.commands
 				}
-				var ctl smapp.CtlStats
+				var sent, coalesced, dropped, flushes, queueHW uint64
 				for _, st := range rt.Stacks {
 					if st.PM == nil {
 						continue // policy=kernel: no Netlink path to count
 					}
-					ctl.EventsSent += st.PM.EventsSent
-					ctl.EventsCoalesced += st.PM.EventsCoalesced
-					ctl.EventsDropped += st.PM.EventsDropped
-					ctl.Flushes += st.PM.Flushes
+					sent += st.PM.EventsSent
+					coalesced += st.PM.EventsCoalesced
+					dropped += st.PM.EventsDropped
+					flushes += st.PM.Flushes
 					// Queue high-water is a depth, not a count: the worst
 					// backlog any one client's queue reached.
-					if st.PM.QueueHighWater > ctl.QueueHW {
-						ctl.QueueHW = st.PM.QueueHighWater
-					}
+					queueHW = max(queueHW, st.PM.QueueHighWater)
 				}
 				var p50, p99 float64
 				if lat.N() > 0 {
@@ -194,22 +192,22 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 				res.Scalars[key+"_decision_p99_us"] = p99
 				res.Scalars[key+"_decision_n"] = float64(lat.N())
 				res.Scalars[key+"_event_frames"] = float64(frames)
-				res.Scalars[key+"_events_sent"] = float64(ctl.EventsSent)
-				res.Scalars[key+"_events_coalesced"] = float64(ctl.EventsCoalesced)
-				res.Scalars[key+"_events_dropped"] = float64(ctl.EventsDropped)
-				res.Scalars[key+"_flushes"] = float64(ctl.Flushes)
-				res.Scalars[key+"_ctl_queue_hw"] = float64(ctl.QueueHW)
+				res.Scalars[key+"_events_sent"] = float64(sent)
+				res.Scalars[key+"_events_coalesced"] = float64(coalesced)
+				res.Scalars[key+"_events_dropped"] = float64(dropped)
+				res.Scalars[key+"_flushes"] = float64(flushes)
+				res.Scalars[key+"_ctl_queue_hw"] = float64(queueHW)
 				res.Printf("%-10s %6d %7.1fus %7.1fus %8d %9d %9d %7d %7d %7d %5d\n",
-					key, lat.N(), p50, p99, frames, ctl.EventsSent,
-					ctl.EventsCoalesced, ctl.EventsDropped, ctl.Flushes, commands, ctl.QueueHW)
+					key, lat.N(), p50, p99, frames, sent,
+					coalesced, dropped, flushes, commands, queueHW)
 				// The headline scalars track the coalesced cell when it
 				// exists (the last run), the immediate cell otherwise.
 				res.Scalars["decision_p50_us"] = p50
 				res.Scalars["decision_p99_us"] = p99
 				res.Scalars["decision_n"] = float64(lat.N())
-				res.Scalars["events_coalesced"] = float64(ctl.EventsCoalesced)
-				res.Scalars["events_dropped"] = float64(ctl.EventsDropped)
-				res.Scalars["ctl_queue_hw"] = float64(ctl.QueueHW)
+				res.Scalars["events_coalesced"] = float64(coalesced)
+				res.Scalars["events_dropped"] = float64(dropped)
+				res.Scalars["ctl_queue_hw"] = float64(queueHW)
 			}
 		},
 	}, nil

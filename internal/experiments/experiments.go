@@ -15,7 +15,12 @@
 //
 // Beyond the paper, the scale experiment stresses the pooled data path:
 // N concurrent connections × M subflows through a shared bottleneck,
-// swept over schedulers and controllers (see scale.go).
+// swept over schedulers and controllers (see scale.go) — the one
+// scenario that still crosses policies itself, because the benchmark
+// pins its matrix. Everywhere else a scenario is one configuration (the
+// stream scenario is one §4.3 session) and crossing it over schedulers,
+// controllers or parameters is a sweep manifest's job
+// (examples/manifests/).
 //
 // Every experiment is expressed as a declarative scenario spec (see
 // internal/scenario) registered under its figure name, so cmd/mpexp can
@@ -29,9 +34,9 @@
 package experiments
 
 import (
-	// The fleet corpus registers its "fleet"/"fleetsweep" scenarios at
-	// init; importing it here puts them on every surface that iterates
-	// the registry — mpexp run/sweep/list/all, the smoke targets, and
+	// The fleet corpus registers its "fleet" scenario at init; importing
+	// it here puts it on every surface that iterates the registry — mpexp
+	// run/sweep/list/all, the smoke targets, and
 	// TestEveryScenarioDeterministic.
 	_ "repro/internal/fleet"
 )

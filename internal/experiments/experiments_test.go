@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mptcp"
 	"repro/internal/scenario"
-	"repro/internal/smapp"
 )
 
 // These tests assert the SHAPE of the paper's §4 results on scaled-down
@@ -187,56 +185,6 @@ func TestReportsRenderable(t *testing.T) {
 	cfg3.Requests = 10
 	if !strings.Contains(scenario.Execute(fig3Spec(cfg3), cfg3.Seed).Report, "userspace penalty") {
 		t.Fatal("fig3 report incomplete")
-	}
-}
-
-func TestSchedSweepCoversAllSchedulers(t *testing.T) {
-	cfg := DefaultStreamSweep()
-	cfg.Blocks = 10
-	r := scenario.Execute(schedSweep.spec(cfg), cfg.Seed)
-	names := mptcp.SchedulerNames()
-	if len(names) < 4 {
-		t.Fatalf("registry too small: %v", names)
-	}
-	for _, name := range names {
-		s, ok := r.Samples[name]
-		if !ok {
-			t.Fatalf("scheduler %q missing from samples", name)
-		}
-		if s.N() != cfg.Blocks {
-			t.Fatalf("scheduler %q: %d blocks sampled, want %d", name, s.N(), cfg.Blocks)
-		}
-		if _, ok := r.Scalars[name+"_p90_s"]; !ok {
-			t.Fatalf("scheduler %q missing p90 scalar", name)
-		}
-		if !strings.Contains(r.Report, name) {
-			t.Fatalf("report missing scheduler %q", name)
-		}
-	}
-}
-
-func TestCtlSweepCoversAllControllers(t *testing.T) {
-	cfg := DefaultStreamSweep()
-	cfg.Blocks = 10
-	r := scenario.Execute(ctlSweep.spec(cfg), cfg.Seed)
-	names := smapp.ControllerNames()
-	if len(names) < 5 {
-		t.Fatalf("registry too small: %v", names)
-	}
-	for _, name := range append(names, "none") {
-		s, ok := r.Samples[name]
-		if !ok {
-			t.Fatalf("controller %q missing from samples", name)
-		}
-		if s.N() != cfg.Blocks {
-			t.Fatalf("controller %q: %d blocks sampled, want %d", name, s.N(), cfg.Blocks)
-		}
-		if _, ok := r.Scalars[name+"_p90_s"]; !ok {
-			t.Fatalf("controller %q missing p90 scalar", name)
-		}
-		if !strings.Contains(r.Report, name) {
-			t.Fatalf("report missing controller %q", name)
-		}
 	}
 }
 

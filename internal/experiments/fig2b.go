@@ -68,13 +68,33 @@ func init() {
 		scenario.ParamDoc{Key: "block_size", Type: "int", Default: "65536", Desc: "bytes per block"},
 		scenario.ParamDoc{Key: "probe_at", Type: "duration", Default: "500ms", Desc: "when, within a block, the stream controller probes the second path"},
 	)
+
+	scenario.Register("stream",
+		"one §4.3 streaming session: 64 KB blocks over two 5 Mbps paths, loss on the primary, under one scheduler and one subflow controller",
+		func(p *scenario.Params) (*scenario.Spec, error) {
+			cfg := DefaultFig2b()
+			cfg.Sched = p.Str("sched", cfg.Sched)
+			cfg.Policy = p.Str("policy", scenario.KernelPolicy)
+			cfg.SmartLoss = p.Float("loss", cfg.SmartLoss)
+			cfg.Blocks = p.Int("blocks", cfg.Blocks)
+			if p.Bool("smoke", false) {
+				cfg.Blocks = 10
+			}
+			return streamSpec(cfg), nil
+		})
+	scenario.RegisterParams("stream",
+		scenario.ParamDoc{Key: "loss", Type: "float", Default: "0.30", Desc: "primary-path loss ratio"},
+		scenario.ParamDoc{Key: "blocks", Type: "int", Default: "120", Desc: "blocks streamed"},
+	)
 }
 
 // streamRun declares one §4.3 streaming session: the two-path topology,
 // the block-streaming workload, loss on the primary path from LossAt on,
 // and the per-block delays collected under the given curve name. The
-// empty policy runs the in-kernel full-mesh baseline. fig2b, ctlsweep,
-// and schedsweep all sweep the policy space through this one run shape.
+// empty policy runs the in-kernel full-mesh baseline. fig2b draws several
+// of these on one figure; stream is exactly one, so that crossing it over
+// schedulers and controllers is a sweep's job (examples/manifests/
+// ctlsweep.json, schedsweep.json), not a scenario's.
 func streamRun(cfg Fig2bConfig, loss float64, policy, curve string) *scenario.RunSpec {
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	wl := &scenario.BlockStream{Period: cfg.Period, BlockSize: cfg.BlockSize, Blocks: cfg.Blocks}
@@ -146,6 +166,37 @@ func fig2bSpec(cfg Fig2bConfig) *scenario.Spec {
 			if worst, ok := res.Samples[fmt.Sprintf("fullmesh %.0f%% loss", cfg.SmartLoss*100)]; ok {
 				res.Scalars["fullmesh_same_loss_p90_s"] = worst.Quantile(0.9)
 			}
+		},
+	}
+}
+
+// streamCurve names the one distribution a stream run collects. Every
+// cell of a sweep over stream uses it, which is what lets the sweep report
+// draw the cells' CDFs on one axis.
+const streamCurve = "block completion time (s)"
+
+// streamSpec declares one streaming session under cfg.Policy at
+// cfg.SmartLoss: the single configuration the controller and scheduler
+// sweeps re-run per cell.
+func streamSpec(cfg Fig2bConfig) *scenario.Spec {
+	return &scenario.Spec{
+		Name:  "stream",
+		Title: "Streaming session — §4.3 workload under one policy",
+		Desc: fmt.Sprintf("2 x 5 Mbps, 10 ms paths; %d B block every %v; %d blocks; %.0f%% loss; policy %s",
+			cfg.BlockSize, cfg.Period, cfg.Blocks, cfg.SmartLoss*100, cfg.Policy),
+		Runs: []*scenario.RunSpec{streamRun(cfg, cfg.SmartLoss, cfg.Policy, streamCurve)},
+		Render: func(res *stats.Result, _ []*scenario.Run) {
+			res.Section("CDF of block completion time (seconds)")
+			res.RenderCDFs(streamCurve)
+
+			s := res.Samples[streamCurve]
+			res.Section("summary")
+			res.Printf("median %.2fs  p90 %.2fs  p99 %.2fs  max %.2fs\n",
+				s.Median(), s.Quantile(0.9), s.Quantile(0.99), s.Max())
+			res.Scalars["median_s"] = s.Median()
+			res.Scalars["p90_s"] = s.Quantile(0.9)
+			res.Scalars["p99_s"] = s.Quantile(0.99)
+			res.Scalars["max_s"] = s.Max()
 		},
 	}
 }

@@ -12,13 +12,13 @@ import (
 
 // runFleet builds and executes the registered fleet scenario with the
 // given extra parameters at the given shard count (0 = engine default).
-func runFleet(t *testing.T, name string, extra map[string]string, shards int) *stats.Result {
+func runFleet(t *testing.T, extra map[string]string, shards int) *stats.Result {
 	t.Helper()
 	p := scenario.NewParams(extra)
 	if shards > 0 {
 		p.Set("shards", strconv.Itoa(shards))
 	}
-	sp, err := scenario.Build(name, p)
+	sp, err := scenario.Build("fleet", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,48 +52,17 @@ func TestFleetDeterminism1000Devices(t *testing.T) {
 		"kb":       "8",
 		"duration": "3s",
 	}
-	a := runFleet(t, "fleet", params, 0)
+	a := runFleet(t, params, 0)
 	if a.Scalars["completed"] == 0 {
 		t.Fatal("no device completed its upload")
 	}
 	if a.Scalars["handovers_scheduled"] == 0 {
 		t.Fatal("corpus scheduled no handovers")
 	}
-	checkSame(t, "repeat", a, runFleet(t, "fleet", params, 0))
+	checkSame(t, "repeat", a, runFleet(t, params, 0))
 	for _, shards := range []int{1, 2, 8} {
 		checkSame(t, fmt.Sprintf("shards=%d", shards), a,
-			runFleet(t, "fleet", params, shards))
-	}
-}
-
-// TestFleetSweepFullTableDeterministic runs the whole 5-controller ×
-// 4-scheduler survival matrix (tiny corpus) and demands the same table
-// twice and at 4 shards, with every cell present.
-func TestFleetSweepFullTableDeterministic(t *testing.T) {
-	params := map[string]string{
-		"devices":  "4",
-		"kb":       "16",
-		"duration": "4s",
-	}
-	a := runFleet(t, "fleetsweep", params, 0)
-	checkSame(t, "repeat", a, runFleet(t, "fleetsweep", params, 0))
-	checkSame(t, "shards=4", a, runFleet(t, "fleetsweep", params, 4))
-	cells := 0
-	for k := range a.Scalars {
-		if strings.HasSuffix(k, "_completed") {
-			cells++
-		}
-	}
-	if cells != 20 {
-		t.Fatalf("survival matrix has %d cells, want 5 controllers x 4 schedulers = 20", cells)
-	}
-	for _, ctl := range []string{"backup", "fullmesh", "ndiffports", "refresh", "stream"} {
-		if _, ok := a.Scalars[ctl+"/lowest-rtt_completed"]; !ok {
-			t.Fatalf("survival matrix missing controller %s cells", ctl)
-		}
-		if !strings.Contains(a.Report, ctl) {
-			t.Fatalf("survival table missing controller row %q:\n%s", ctl, a.Report)
-		}
+			runFleet(t, params, shards))
 	}
 }
 

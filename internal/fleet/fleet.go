@@ -12,7 +12,6 @@ import (
 
 // Config parameterises one fleet run.
 type Config struct {
-	Seed         int64
 	Devices      int
 	Servers      int           // server hosts, dialed round-robin (0 = 1)
 	Bytes        int           // upload size per device
@@ -28,7 +27,6 @@ type Config struct {
 // 64 KB each through a 400 Mbps aggregation while they roam.
 func DefaultFleet() Config {
 	return Config{
-		Seed:         1,
 		Devices:      64,
 		Bytes:        64 << 10,
 		Duration:     20 * time.Second,
@@ -124,7 +122,7 @@ func fleetSpec(cfg Config) (*scenario.Spec, error) {
 			cfg.Devices, cfg.Mix, cfg.Bytes>>10, cfg.HandoverRate, cfg.Duration),
 		Runs: []*scenario.RunSpec{run},
 		Render: func(res *stats.Result, runs []*scenario.Run) {
-			renderFleet(res, devs, wl, cfg, true)
+			renderFleet(res, devs, wl, cfg)
 		},
 	}, nil
 }
@@ -133,7 +131,7 @@ func fleetSpec(cfg Config) (*scenario.Spec, error) {
 // window: 16 blocks per device, so every transfer is still in flight
 // when the handover timelines start firing, and the remaining 40% is
 // slack for stall recovery. An upload that would finish instantly tells
-// the survival table nothing.
+// a policy comparison nothing.
 func pacedLoad(bytes int, duration time.Duration) *Load {
 	const chunks = 16
 	return &Load{
@@ -184,7 +182,7 @@ func reduce(devs []*Device, wl *Load) fleetOutcome {
 
 // renderFleet writes the fleet sections and scalars. The samples land
 // under stable names so multi-seed runs pool them across seeds.
-func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config, sections bool) {
+func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config) {
 	o := reduce(devs, wl)
 	res.Scalars["completed"] = float64(o.completed)
 	res.Scalars["handovers_scheduled"] = float64(o.handovers)
@@ -196,9 +194,6 @@ func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config, sectio
 	res.Scalars["goodput_p90_mbps"] = o.goodput.Quantile(0.90)
 	res.Sample("device goodput (Mb/s)").Add(o.goodput.Values()...)
 	res.Sample("device worst stall (s)").Add(o.stall.Values()...)
-	if !sections {
-		return
-	}
 
 	counts := map[string]int{}
 	hos := map[string]int{}
@@ -222,14 +217,4 @@ func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config, sectio
 		o.stall.Median(), o.stall.Quantile(0.99), o.stall.Max())
 	res.Printf("goodput       p10 %6.2f   p50 %6.2f   p90 %6.2f Mb/s\n",
 		o.goodput.Quantile(0.10), o.goodput.Median(), o.goodput.Quantile(0.90))
-}
-
-// Fleet runs one fleet corpus (see fleetSpec) — the typed front door for
-// tests and benchmarks.
-func Fleet(cfg Config) *stats.Result {
-	sp, err := fleetSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

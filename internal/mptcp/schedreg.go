@@ -20,9 +20,11 @@ var schedRegistry = struct {
 }{factories: make(map[string]SchedulerFactory), descs: make(map[string]string)}
 
 // RegisterScheduler makes a scheduler available by name to endpoint
-// configuration, cmd/mpexp -sched, and the schedsweep experiment. It
-// panics on an empty name or a duplicate registration — both are
-// programming errors, caught at init time.
+// configuration, cmd/mpexp -sched, and sweep axes; the committed
+// scheduler sweeps (examples/manifests/schedsweep.json, fleetsweep.json)
+// must list it, which a test checks. It panics on an empty name or a
+// duplicate registration — both are programming errors, caught at init
+// time.
 func RegisterScheduler(name string, f SchedulerFactory) {
 	RegisterSchedulerDesc(name, "", f)
 }

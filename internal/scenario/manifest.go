@@ -154,9 +154,11 @@ func (av *AxisValues) UnmarshalJSON(buf []byte) error {
 	if err := json.Unmarshal(buf, &raw); err != nil {
 		return err
 	}
-	*av = make(AxisValues, len(raw))
-	for i, v := range raw {
-		(*av)[i] = string(v)
+	// An absent, null or empty list all decode to nil, so a snapshot
+	// reloads to the same snapshot (Plan refuses the axis either way).
+	*av = nil
+	for _, v := range raw {
+		*av = append(*av, string(v))
 	}
 	return nil
 }

@@ -72,6 +72,7 @@ func FuzzManifestLoad(f *testing.F) {
 	f.Add([]byte(valueFormsDoc))
 	f.Add([]byte(traceSweepDoc))
 	f.Add([]byte(`{"name": "n", "scenario": "s", "seed": 3, "seeds": 4, "shards": 2, "trace": true, "trace_cap": 9, "metrics_file": "m.json"}`))
+	f.Add([]byte(`{"scenario": "s", "sweep": {"vary": [{"key": "k"}, {"key": "l", "values": []}]}}`)) // found by the fuzzer: null vs []
 	for _, tc := range manifestRejects {
 		f.Add([]byte(tc.doc))
 	}

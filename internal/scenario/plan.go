@@ -48,8 +48,8 @@ var reservedParamKeys = []string{"trace", "trace_cap", "shards", "metrics"}
 // them against each cell's resolved Params, so a flag, a `-set`, a
 // manifest field and a sweep axis all meet the same check. Every cell is
 // built once, through the Build path `-set` flags take: the first unknown
-// scenario or parameter key, bad value, or trace/shard conflict aborts
-// the plan before anything simulates.
+// scenario or parameter key, bad value, trace/shard conflict, or pair of
+// cells that would share one id aborts the plan before anything simulates.
 //
 // place names the file a cell's trace (key "trace") or metrics (key
 // "metrics") is written to. named is what the manifest itself says: its
@@ -77,11 +77,19 @@ func (m *Manifest) Plan(place func(cellID, key, named string) string) ([]Cell, e
 		return nil, fmt.Errorf("manifest %s: %w", m.RunName(), err)
 	}
 	cells := make([]Cell, len(cross))
+	labelOf := make(map[string]string, len(cross))
 	for i, overrides := range cross {
 		c := Cell{ID: CellID(overrides), Label: strings.Join(overrides, " "), Params: NewParams(m.Params)}
 		if c.Label == "" {
 			c.Label = "(defaults)"
 		}
+		// The id names the cell's directory and file suffixes: a repeated
+		// axis value, or two values sanitizeLabel folds together, would
+		// have the later cell overwrite the earlier one's artifacts.
+		if first, dup := labelOf[c.ID]; dup {
+			return nil, fmt.Errorf("manifest %s: cells %q and %q both resolve to cell id %q", m.RunName(), first, c.Label, c.ID)
+		}
+		labelOf[c.ID] = c.Label
 		p := c.Params
 		if m.Shards != 0 {
 			p.Set("shards", strconv.Itoa(m.Shards))

@@ -32,7 +32,9 @@ import (
 // Spec is one named scenario: a report header, one or more simulation
 // runs, and a Render hook that turns the collected samples into the
 // report's sections. Single-figure scenarios have one run; CDF figures
-// (one run per curve or trial) and sweep matrices have many.
+// have one per curve or trial. A Spec is one configuration: running it
+// once per scheduler, controller or parameter value is Manifest.Plan's
+// cross product, not more runs here.
 type Spec struct {
 	Name  string
 	Title string // report header title ("" = no header)

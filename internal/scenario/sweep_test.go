@@ -97,6 +97,16 @@ func TestSweepRejectsInvalidCellUpFront(t *testing.T) {
 			t.Errorf("%s: expected the plan to be rejected before running", name)
 		}
 	}
+	// Two cells may not share one id — one directory, one file suffix —
+	// whether a value repeats or two values sanitise to the same text.
+	for _, values := range [][]string{{"10", "10"}, {"1e+1", "1e-1"}} {
+		m := &Manifest{Scenario: "test-sweep-bulk", Sweep: &ManifestSweep{
+			Vary: []ManifestAxis{{Key: "rate_mbps", Values: values}}}}
+		_, err := m.Plan(nil)
+		if err == nil || !strings.Contains(err.Error(), `"rate_mbps=`+values[0]+`" and "rate_mbps=`+values[1]+`"`) {
+			t.Errorf("values %q: err = %v, want both overrides named", values, err)
+		}
+	}
 }
 
 // A plan builds every cell once; the per-seed builds are the jobs'.

@@ -49,9 +49,11 @@ var ctlRegistry = struct {
 }{factories: make(map[string]ControllerFactory), descs: make(map[string]string)}
 
 // RegisterController makes a subflow-controller policy available by name
-// to Stack.Dial/Listen/SwitchPolicy, cmd/mpexp -controller, and the
-// ctlsweep experiment. It panics on an empty name or a duplicate
-// registration — both are programming errors, caught at init time.
+// to Stack.Dial/Listen/SwitchPolicy, cmd/mpexp -controller, and sweep
+// axes; the committed controller sweeps (examples/manifests/ctlsweep.json,
+// fleetsweep.json) must list it, which a test checks. It panics on an
+// empty name or a duplicate registration — both are programming errors,
+// caught at init time.
 func RegisterController(name string, f ControllerFactory) {
 	RegisterControllerDesc(name, "", f)
 }

@@ -257,22 +257,6 @@ type Info struct {
 	// Wire is the Netlink-schema subflow view, index-aligned with
 	// Subflows.
 	Wire []nlmsg.SubflowInfo
-	// Ctl is the stack-wide control-plane delivery picture (all zeros on a
-	// KernelPM stack, which has no Netlink path).
-	Ctl CtlStats
-}
-
-// CtlStats surfaces the kernel-side event delivery counters, so an
-// application can see whether its controller fan-out is keeping up:
-// Coalesced events were superseded inside one flush window (benign churn),
-// Dropped events fell off a full queue (the controller was outrun).
-type CtlStats struct {
-	EventsSent      uint64
-	EventsMasked    uint64
-	EventsCoalesced uint64
-	EventsDropped   uint64
-	Flushes         uint64
-	QueueHW         uint64 // coalescing-queue high-water mark
 }
 
 // Info snapshots a connection through the facade.
@@ -280,16 +264,6 @@ func (st *Stack) Info(conn *mptcp.Connection) Info {
 	in := Info{Info: conn.Info(), Policy: st.PolicyName(conn)}
 	if w := core.WireInfo(conn); w != nil {
 		in.Wire = w.Subflows
-	}
-	if st.PM != nil {
-		in.Ctl = CtlStats{
-			EventsSent:      st.PM.EventsSent,
-			EventsMasked:    st.PM.EventsMasked,
-			EventsCoalesced: st.PM.EventsCoalesced,
-			EventsDropped:   st.PM.EventsDropped,
-			Flushes:         st.PM.Flushes,
-			QueueHW:         st.PM.QueueHighWater,
-		}
 	}
 	return in
 }

@@ -24,7 +24,6 @@ type ResultData struct {
 	Scalars map[string]float64   `json:"scalars,omitempty"`
 	Samples map[string][]float64 `json:"samples,omitempty"`
 	Series  []SeriesData         `json:"series,omitempty"`
-	Tables  map[string]*Table    `json:"tables,omitempty"`
 	// Wall lists scalar keys tagged wall-clock-valued (MarkWallClock):
 	// host-speed-dependent numbers diff tools must not compare.
 	Wall []string `json:"wall_clock,omitempty"`
@@ -66,19 +65,6 @@ func (r *Result) Data() *ResultData {
 			}
 		}
 		d.Series = append(d.Series, sd)
-	}
-	if len(r.Tables) > 0 {
-		d.Tables = make(map[string]*Table, len(r.Tables))
-		for k, t := range r.Tables {
-			ct := &Table{
-				Columns: append([]string(nil), t.Columns...),
-				Keys:    append([]string(nil), t.Keys...),
-			}
-			for _, row := range t.Rows {
-				ct.Rows = append(ct.Rows, append([]float64(nil), row...))
-			}
-			d.Tables[k] = ct
-		}
 	}
 	return d
 }

@@ -16,9 +16,6 @@ func sampleResult() *Result {
 	s.Append(0, 10, "")
 	s.Append(1, 20, "loss")
 	r.Series = append(r.Series, s)
-	tbl := r.Table("survival", "completed", "gap_p50_s")
-	tbl.AddRow("fullmesh/lowest-rtt", 16, 0.2)
-	tbl.AddRow("backup/lowest-rtt", 14, 0.5)
 	return r
 }
 
@@ -47,13 +44,6 @@ func TestResultDataRoundTrip(t *testing.T) {
 	if len(got.Series) != 1 || got.Series[0].Labels[1] != "loss" {
 		t.Fatalf("round-trip lost series labels: %+v", got.Series)
 	}
-	tbl, ok := got.Tables["survival"]
-	if !ok || len(tbl.Rows) != 2 {
-		t.Fatalf("round-trip lost table: %+v", got.Tables)
-	}
-	if row, ok := tbl.Row("backup/lowest-rtt"); !ok || row[1] != 0.5 {
-		t.Fatalf("table row lookup after round-trip: %v %v", row, ok)
-	}
 }
 
 // The whole point of the encoding: two Data()+Encode() passes over the
@@ -80,23 +70,9 @@ func TestResultDataCopies(t *testing.T) {
 	r := sampleResult()
 	d := r.Data()
 	r.Sample("rtt_ms").Add(999)
-	r.Table("survival").AddRow("extra/row", 0, 0)
 	if len(d.Samples["rtt_ms"]) != 4 {
 		t.Fatal("Data() aliases the live sample slice")
 	}
-	if len(d.Tables["survival"].Rows) != 2 {
-		t.Fatal("Data() aliases the live table")
-	}
-}
-
-func TestTableAddRowPanicsOnArityMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddRow with wrong value count must panic")
-		}
-	}()
-	tbl := &Table{Columns: []string{"a", "b"}}
-	tbl.AddRow("k", 1)
 }
 
 func TestSummaryDataRoundTrip(t *testing.T) {

@@ -17,7 +17,6 @@ type Result struct {
 	Samples map[string]*Sample // raw distributions keyed by curve name
 	Series  []*Series          // time series (Fig. 2a)
 	Scalars map[string]float64 // headline numbers for quick checks
-	Tables  map[string]*Table  // structured matrices (fleetsweep survival)
 
 	wall map[string]struct{} // scalar keys whose values depend on host wall clock
 }
@@ -55,51 +54,6 @@ func NewResult(name string) *Result {
 		Samples: make(map[string]*Sample),
 		Scalars: make(map[string]float64),
 	}
-}
-
-// Table is a structured numeric matrix: named columns, one keyed row per
-// entry (the fleetsweep survival matrix keys rows "controller/scheduler").
-// Unlike report text it survives the JSON encoding machine-readably, so
-// `mpexp diff` can compare sweeps table-by-table instead of scraping the
-// rendered report.
-type Table struct {
-	Columns []string    `json:"columns"`
-	Keys    []string    `json:"keys"`
-	Rows    [][]float64 `json:"rows"`
-}
-
-// Table returns the named table, creating it on first use.
-func (r *Result) Table(name string, columns ...string) *Table {
-	t, ok := r.Tables[name]
-	if !ok {
-		t = &Table{Columns: columns}
-		if r.Tables == nil {
-			r.Tables = make(map[string]*Table)
-		}
-		r.Tables[name] = t
-	}
-	return t
-}
-
-// AddRow appends one keyed row. The value count must match the column
-// count; a mismatch is a programming error in the emitting scenario.
-func (t *Table) AddRow(key string, vals ...float64) {
-	if len(vals) != len(t.Columns) {
-		panic(fmt.Sprintf("stats: table row %q has %d values for %d columns",
-			key, len(vals), len(t.Columns)))
-	}
-	t.Keys = append(t.Keys, key)
-	t.Rows = append(t.Rows, vals)
-}
-
-// Row returns the row for key and whether it exists.
-func (t *Table) Row(key string) ([]float64, bool) {
-	for i, k := range t.Keys {
-		if k == key {
-			return t.Rows[i], true
-		}
-	}
-	return nil, false
 }
 
 // Sample returns the named distribution, creating it on first use.

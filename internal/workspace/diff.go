@@ -13,11 +13,11 @@ import (
 )
 
 // This file implements `mpexp diff`: comparing two run directories
-// scalar-by-scalar (and table-by-table, and per sweep cell) with a
-// configurable relative tolerance. Two same-seed runs of a deterministic
-// scenario must diff clean at tolerance 0 — that is the workspace's
-// regression gate: any drift is either a code change or a determinism
-// bug, and both deserve a nonzero exit.
+// scalar-by-scalar (and per sweep cell) with a configurable relative
+// tolerance. Two same-seed runs of a deterministic scenario must diff
+// clean at tolerance 0 — that is the workspace's regression gate: any
+// drift is either a code change or a determinism bug, and both deserve a
+// nonzero exit.
 
 // DiffOptions tune the comparison.
 type DiffOptions struct {
@@ -50,8 +50,8 @@ func wallKeys(lists ...[]string) wallSet {
 type DiffReport struct {
 	// Lines describe every difference, in deterministic order.
 	Lines []string
-	// Compared counts the values examined (scalars, table cells, summary
-	// stats) across both runs.
+	// Compared counts the values examined (scalars, summary stats,
+	// metrics) across both runs.
 	Compared int
 }
 
@@ -241,11 +241,10 @@ func loadSummary(dir string) (*stats.SummaryData, error) {
 	return d, nil
 }
 
-// diffResults compares two single-seed results: every scalar key, every
-// table cell. Samples and series are deliberately NOT value-compared —
-// their headline statistics already surface as scalars — but a changed
-// observation count is reported, since it means the runs took different
-// paths.
+// diffResults compares two single-seed results scalar key by scalar key.
+// Samples and series are deliberately NOT value-compared — their headline
+// statistics already surface as scalars — but a changed observation count
+// is reported, since it means the runs took different paths.
 func diffResults(d *DiffReport, a, b *stats.ResultData, prefix string, opt DiffOptions) {
 	wall := wallKeys(a.Wall, b.Wall)
 	for _, k := range unionKeys(a.Scalars, b.Scalars) {
@@ -273,43 +272,6 @@ func diffResults(d *DiffReport, a, b *stats.ResultData, prefix string, opt DiffO
 		d.Compared++
 		if len(sa) != len(sb) {
 			d.addf("%ssample %s: %d observations -> %d", prefix, k, len(sa), len(sb))
-		}
-	}
-	for _, name := range unionKeys(a.Tables, b.Tables) {
-		ta, inA := a.Tables[name]
-		tb, inB := b.Tables[name]
-		if !inA || !inB {
-			d.addf("%stable %s: only in %s", prefix, name, pick(inA, "A", "B"))
-			continue
-		}
-		diffTables(d, ta, tb, prefix+"table "+name+" ", wall, opt)
-	}
-}
-
-// diffTables compares two tables row-key by row-key, column by column;
-// columns named by a wall-clock-tagged key are skipped like scalars.
-func diffTables(d *DiffReport, a, b *stats.Table, prefix string, wall wallSet, opt DiffOptions) {
-	if strings.Join(a.Columns, ",") != strings.Join(b.Columns, ",") {
-		d.addf("%scolumns differ: [%s] vs [%s]", prefix,
-			strings.Join(a.Columns, " "), strings.Join(b.Columns, " "))
-		return
-	}
-	for _, key := range unionSorted(a.Keys, b.Keys) {
-		ra, inA := a.Row(key)
-		rb, inB := b.Row(key)
-		if !inA || !inB {
-			d.addf("%srow %s: only in %s", prefix, key, pick(inA, "A", "B"))
-			continue
-		}
-		for ci, col := range a.Columns {
-			if wall[col] {
-				continue
-			}
-			d.Compared++
-			if !closeEnough(ra[ci], rb[ci], opt.RelTol) {
-				d.addf("%srow %s col %s: %v -> %v (rel %.3g)",
-					prefix, key, col, ra[ci], rb[ci], relDelta(ra[ci], rb[ci]))
-			}
 		}
 	}
 }

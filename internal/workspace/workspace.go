@@ -298,29 +298,21 @@ func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
 }
 
 // sweepReport renders a sweep: one scalar-summary block per cell, then a
-// cross-cell comparison table over the scalars every cell shares.
+// cross-cell comparison table over the scalars every cell shares, then —
+// for each raw distribution every cell collected — the cells' CDFs on one
+// axis.
 func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.Multi) string {
 	var b strings.Builder
 	seeds := m.EffectiveSeeds()
 	fmt.Fprintf(&b, "===== sweep: %s × %d cells × %d seeds =====\n", m.Scenario, len(cells), seeds)
 
-	// Aggregate each cell once; the scalars present in every cell feed
-	// the comparison table.
+	// Aggregate each cell once; only the scalars every cell has can be
+	// compared.
 	summaries := make([]map[string]*stats.Sample, len(cells))
-	shared := map[string]int{}
 	for i, multi := range multis {
 		summaries[i] = multi.ScalarSummary()
-		for k := range summaries[i] {
-			shared[k]++
-		}
 	}
-	var keys []string
-	for k, n := range shared {
-		if n == len(cells) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	keys := sharedKeys(summaries)
 
 	for i, c := range cells {
 		fmt.Fprintf(&b, "\n-- %s --\n", c.Label)
@@ -331,8 +323,11 @@ func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.M
 			fmt.Fprintf(&b, "   FAILED seeds: %d (first: %v)\n", len(failed), failed[0].Err)
 		}
 	}
+	if len(cells) < 2 {
+		return b.String()
+	}
 
-	if len(keys) > 0 && len(cells) > 1 {
+	if len(keys) > 0 {
 		fmt.Fprintf(&b, "\n== cell comparison (means over %d seeds) ==\n", seeds)
 		width := 0
 		for _, c := range cells {
@@ -345,7 +340,38 @@ func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.M
 			}
 		}
 	}
+	// Likewise the raw distributions, pooled over each cell's seeds.
+	samples := make([]map[string]*stats.Sample, len(cells))
+	for i, multi := range multis {
+		samples[i] = multi.MergedSamples()
+	}
+	for _, name := range sharedKeys(samples) {
+		curves := make(map[string]*stats.Sample, len(cells))
+		for i, c := range cells {
+			curves[c.Label] = samples[i][name]
+		}
+		fmt.Fprintf(&b, "\n== %s: CDF per cell ==\n", name)
+		b.WriteString(stats.RenderCDFs(64, 16, curves))
+	}
 	return b.String()
+}
+
+// sharedKeys lists, sorted, the keys present in every one of the maps.
+func sharedKeys(maps []map[string]*stats.Sample) []string {
+	count := map[string]int{}
+	for _, m := range maps {
+		for k := range m {
+			count[k]++
+		}
+	}
+	var keys []string
+	for k, n := range count {
+		if n == len(maps) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // reportOf renders what one run (or sweep cell) prints: the seed's own
