@@ -66,6 +66,12 @@ type meshConn struct {
 	live    map[meshKey]seg.FourTuple
 	pending map[meshKey]func() // scheduled retries, cancellable
 	closed  bool
+	// creating holds the keys of the create commands not yet acked, oldest
+	// first: a library acks one connection's commands in send order, so
+	// created — the one done callback every create of this connection
+	// passes — takes the head, and a create costs no closure.
+	creating []meshKey
+	created  func(errno uint32)
 }
 
 // hasRemote reports whether the remote is already part of the mesh.
@@ -160,6 +166,7 @@ func (f *FullMesh) onCreated(ev *nlmsg.Event) {
 	// The created event carries the initial subflow's 4-tuple; mark it
 	// live so the mesh does not duplicate it.
 	mc.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
+	mc.created = func(errno uint32) { f.createAcked(mc, errno) }
 	if i, have := slices.BinarySearch(f.tokens, ev.Token); !have {
 		f.tokens = slices.Insert(f.tokens, i, ev.Token)
 	}
@@ -237,12 +244,21 @@ func (f *FullMesh) scheduleRetry(mc *meshConn, key meshKey, delay time.Duration)
 func (f *FullMesh) create(mc *meshConn, key meshKey) {
 	ft := seg.FourTuple{SrcIP: key.local, DstIP: key.remote.Addr(), SrcPort: 0, DstPort: key.remote.Port()}
 	f.Stats.SubflowsCreated++
-	f.lib.CreateSubflow(mc.token, ft, false, func(errno uint32) {
-		if errno != 0 && !mc.closed {
-			// Creation failed (e.g. interface flapped again): back off.
-			f.scheduleRetry(mc, key, f.RetryAfterUnreach)
-		}
-	})
+	mc.creating = append(mc.creating, key) // first: a Lib may ack before it returns
+	f.lib.CreateSubflow(mc.token, ft, false, mc.created)
+}
+
+// createAcked handles the ack of mc's oldest outstanding create.
+func (f *FullMesh) createAcked(mc *meshConn, errno uint32) {
+	if len(mc.creating) == 0 {
+		return // an ack no create is waiting for
+	}
+	key := mc.creating[0]
+	mc.creating = slices.Delete(mc.creating, 0, 1)
+	if errno != 0 && !mc.closed {
+		// Creation failed (e.g. interface flapped again): back off.
+		f.scheduleRetry(mc, key, f.RetryAfterUnreach)
+	}
 }
 
 func (f *FullMesh) onAddAddr(ev *nlmsg.Event) {

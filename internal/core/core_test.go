@@ -647,3 +647,79 @@ func TestLibraryTimer(t *testing.T) {
 		t.Fatalf("clock = %v", lib.Clock().Now())
 	}
 }
+
+// TestLibraryPendingFIFO drives the library's pending-reply FIFO with acks
+// in and out of order. A reply matches its command wherever it sits in the
+// queue, each done runs once with its own errno, a reply for a seq nobody
+// waits for (never sent, or already answered) is an orphan, and a command
+// whose reply never comes stays queued without blocking the ones behind it.
+func TestLibraryPendingFIFO(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		acks     []uint32 // seqs acked, in arrival order; command k has seq k
+		want     []uint32 // commands whose done ran, in order
+		orphaned uint64
+		left     int // commands still pending at the end
+	}{
+		{"in order", []uint32{1, 2, 3, 4}, []uint32{1, 2, 3, 4}, 0, 0},
+		{"swapped", []uint32{2, 1, 4, 3}, []uint32{2, 1, 4, 3}, 0, 0},
+		{"reversed", []uint32{4, 3, 2, 1}, []uint32{4, 3, 2, 1}, 0, 0},
+		{"duplicated", []uint32{1, 1, 2, 3, 2, 4}, []uint32{1, 2, 3, 4}, 2, 0},
+		{"missing head", []uint32{2, 3, 4}, []uint32{2, 3, 4}, 0, 1},
+		{"missing middle", []uint32{1, 3, 4}, []uint32{1, 3, 4}, 0, 1},
+		{"unknown seq", []uint32{1, 999, 2, 3, 4}, []uint32{1, 2, 3, 4}, 1, 0},
+	} {
+		s := sim.New(13)
+		lib := NewLibrary(NewSimTransport(s), SimClock{s}, 1)
+		var got []uint32
+		for k := uint32(1); k <= 4; k++ {
+			lib.CreateSubflow(7, seg.FourTuple{SrcPort: uint16(k)}, false, func(errno uint32) {
+				if errno != 100+k {
+					t.Errorf("%s: command %d got errno %d", tc.name, k, errno)
+				}
+				got = append(got, k)
+			})
+		}
+		for _, seq := range tc.acks {
+			lib.OnMessage(nlmsg.AppendAck(nil, 100+seq, seq, 1))
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: done ran for %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: done ran for %v, want %v", tc.name, got, tc.want)
+			}
+		}
+		if lib.Stats.RepliesMatched != uint64(len(tc.want)) || lib.Stats.RepliesOrphaned != tc.orphaned {
+			t.Fatalf("%s: matched %d orphaned %d, want %d and %d", tc.name,
+				lib.Stats.RepliesMatched, lib.Stats.RepliesOrphaned, len(tc.want), tc.orphaned)
+		}
+		if n := len(lib.pending); n != tc.left {
+			t.Fatalf("%s: %d commands left pending, want %d", tc.name, n, tc.left)
+		}
+		// Whatever is stuck, a later command is answered.
+		late := false
+		lib.RemoveSubflow(7, seg.FourTuple{}, func(uint32) { late = true })
+		lib.OnMessage(nlmsg.AppendAck(nil, 0, 5, 1))
+		if !late {
+			t.Fatalf("%s: a command sent after the table was not answered", tc.name)
+		}
+	}
+}
+
+// TestLibraryPendingStaysBounded keeps one command unanswered while many
+// more come and go: the queue holds the live entries and nothing else.
+func TestLibraryPendingStaysBounded(t *testing.T) {
+	s := sim.New(14)
+	lib := NewLibrary(NewSimTransport(s), SimClock{s}, 1)
+	lib.CreateSubflow(7, seg.FourTuple{}, false, nil) // seq 1: never answered
+	for seq := uint32(2); seq < 5000; seq++ {
+		lib.CreateSubflow(7, seg.FourTuple{}, false, nil)
+		lib.OnMessage(nlmsg.AppendAck(nil, 0, seq, 1))
+	}
+	if lib.Stats.RepliesMatched != 4998 || len(lib.pending) != 1 || cap(lib.pending) > 16 {
+		t.Fatalf("matched %d, %d live entries in a queue of capacity %d",
+			lib.Stats.RepliesMatched, len(lib.pending), cap(lib.pending))
+	}
+}

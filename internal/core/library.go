@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/nlmsg"
@@ -146,7 +147,13 @@ type Library struct {
 	cbs      Callbacks
 	pid      uint32
 	nextSeq  uint32
-	pending  map[uint32]func(*nlmsg.Message)
+
+	// Commands awaiting their reply, oldest first. The kernel answers one
+	// library's commands in the order it got them, so a reply almost always
+	// matches the first; the scan goes on past it, so a reply that never
+	// comes costs later ones a comparison, not their match. A handful are
+	// outstanding at a time, so taking one out shifts next to nothing.
+	pending []pendingReply
 
 	// Scratch for in-place frame decoding: attr views alias the wire
 	// buffer and the Event is reused per message, so callbacks must copy
@@ -157,13 +164,20 @@ type Library struct {
 	Stats LibStats
 }
 
+// pendingReply is one sent command's continuation: done takes the errno of
+// its ack, reply (GetInfo) the whole message. Both may be nil.
+type pendingReply struct {
+	seq   uint32
+	done  func(errno uint32)
+	reply func(*nlmsg.Message)
+}
+
 // NewLibrary attaches a library to the controller end of a transport.
 func NewLibrary(tr *Transport, clock Clock, pid uint32) *Library {
 	l := &Library{
 		clock:    clock,
 		toKernel: tr.ToKernel,
 		pid:      pid,
-		pending:  make(map[uint32]func(*nlmsg.Message)),
 	}
 	tr.ToUser.SetReceiver(l.OnMessage)
 	return l
@@ -177,46 +191,36 @@ func (l *Library) Clock() Clock { return l.clock }
 // the subscription.
 func (l *Library) Register(cbs Callbacks, done func(errno uint32)) {
 	l.cbs = cbs
-	cmd := &nlmsg.Command{Kind: nlmsg.CmdSubscribe, Pid: l.pid, Mask: cbs.mask()}
-	l.sendCmd(cmd, func(m *nlmsg.Message) {
-		if done == nil {
-			return
-		}
-		errno, err := nlmsg.ParseAck(m)
-		if err != nil {
-			errno = errnoEINVAL
-		}
-		done(errno)
-	})
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdSubscribe, Pid: l.pid, Mask: cbs.mask()}, done, nil)
 }
 
 // CreateSubflow asks the kernel to open a subflow for the connection
 // identified by token, from an arbitrary 4-tuple (SrcPort 0 lets the
 // kernel pick an ephemeral port). done (optional) receives the errno.
 func (l *Library) CreateSubflow(token uint32, ft seg.FourTuple, backup bool, done func(errno uint32)) {
-	l.sendAcked(&nlmsg.Command{Kind: nlmsg.CmdCreateSubflow, Pid: l.pid, Token: token, Tuple: ft, Backup: backup}, done)
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdCreateSubflow, Pid: l.pid, Token: token, Tuple: ft, Backup: backup}, done, nil)
 }
 
 // RemoveSubflow asks the kernel to remove (RST) an established subflow.
 func (l *Library) RemoveSubflow(token uint32, ft seg.FourTuple, done func(errno uint32)) {
-	l.sendAcked(&nlmsg.Command{Kind: nlmsg.CmdRemoveSubflow, Pid: l.pid, Token: token, Tuple: ft}, done)
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdRemoveSubflow, Pid: l.pid, Token: token, Tuple: ft}, done, nil)
 }
 
 // SetBackup changes a subflow's backup priority (MP_PRIO).
 func (l *Library) SetBackup(token uint32, ft seg.FourTuple, backup bool, done func(errno uint32)) {
-	l.sendAcked(&nlmsg.Command{Kind: nlmsg.CmdSetBackup, Pid: l.pid, Token: token, Tuple: ft, Backup: backup}, done)
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdSetBackup, Pid: l.pid, Token: token, Tuple: ft, Backup: backup}, done, nil)
 }
 
 // AnnounceAddr advertises a local address on the connection (ADD_ADDR).
 func (l *Library) AnnounceAddr(token uint32, addr netip.Addr, port uint16, done func(errno uint32)) {
-	l.sendAcked(&nlmsg.Command{Kind: nlmsg.CmdAnnounceAddr, Pid: l.pid, Token: token,
-		Addr: addr, Port: port}, done)
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdAnnounceAddr, Pid: l.pid, Token: token,
+		Addr: addr, Port: port}, done, nil)
 }
 
 // GetInfo retrieves the TCP_INFO-like snapshot of a connection and its
 // subflows. done receives nil if the connection is gone.
 func (l *Library) GetInfo(token uint32, done func(info *nlmsg.ConnInfo)) {
-	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdGetInfo, Pid: l.pid, Token: token}, func(m *nlmsg.Message) {
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdGetInfo, Pid: l.pid, Token: token}, nil, func(m *nlmsg.Message) {
 		if m.Cmd != nlmsg.ReplyInfo {
 			done(nil)
 			return
@@ -236,27 +240,26 @@ func (l *Library) After(d time.Duration, fn func()) (cancel func()) {
 	return l.clock.After(d, fn)
 }
 
-func (l *Library) sendAcked(cmd *nlmsg.Command, done func(uint32)) {
-	l.sendCmd(cmd, func(m *nlmsg.Message) {
-		if done == nil {
-			return
-		}
-		errno, err := nlmsg.ParseAck(m)
-		if err != nil {
-			errno = errnoEINVAL
-		}
-		done(errno)
-	})
-}
-
-func (l *Library) sendCmd(cmd *nlmsg.Command, reply func(*nlmsg.Message)) {
+// sendCmd sends one command and queues its continuation (see pendingReply).
+func (l *Library) sendCmd(cmd *nlmsg.Command, done func(uint32), reply func(*nlmsg.Message)) {
 	l.nextSeq++
 	cmd.Seq = l.nextSeq
-	if reply != nil {
-		l.pending[cmd.Seq] = reply
-	}
+	l.pending = append(l.pending, pendingReply{cmd.Seq, done, reply})
 	l.Stats.CommandsSent++
 	l.toKernel.Send(cmd.AppendMarshal(nlmsg.Wire.Get()))
+}
+
+// takePending removes and returns the continuation of the command numbered
+// seq: the first in the usual case, else whichever entry the scan finds.
+func (l *Library) takePending(seq uint32) (pendingReply, bool) {
+	for i := range l.pending {
+		if l.pending[i].seq == seq {
+			p := l.pending[i]
+			l.pending = slices.Delete(l.pending, i, i+1)
+			return p, true
+		}
+	}
+	return pendingReply{}, false
 }
 
 // OnMessage is the transport receiver: it decodes every message in the
@@ -279,12 +282,21 @@ func (l *Library) OnMessage(b []byte) {
 func (l *Library) dispatch(m *nlmsg.Message) {
 	switch m.Cmd {
 	case nlmsg.ReplyAck, nlmsg.ReplyInfo:
-		if fn, ok := l.pending[m.Seq]; ok {
-			delete(l.pending, m.Seq)
-			l.Stats.RepliesMatched++
-			fn(m)
-		} else {
+		p, ok := l.takePending(m.Seq)
+		if !ok {
 			l.Stats.RepliesOrphaned++
+			return
+		}
+		l.Stats.RepliesMatched++
+		switch {
+		case p.reply != nil:
+			p.reply(m)
+		case p.done != nil:
+			errno, err := nlmsg.ParseAck(m)
+			if err != nil {
+				errno = errnoEINVAL
+			}
+			p.done(errno)
 		}
 		return
 	}

@@ -36,7 +36,6 @@ type NetlinkPM struct {
 	queueCap   int
 	queue      []nlmsg.Event
 	flushArmed bool
-	flushFn    func()
 
 	// Scratch for in-place command decoding; safe because frames are
 	// handled one at a time on the kernel host's shard.
@@ -106,9 +105,6 @@ func (pm *NetlinkPM) SetCoalescing(window time.Duration, queueCap int) {
 		queueCap = DefaultCtlQueue
 	}
 	pm.queueCap = queueCap
-	if pm.flushFn == nil {
-		pm.flushFn = pm.flush
-	}
 }
 
 // send encodes and emits an event if the controller subscribed to it.
@@ -190,7 +186,7 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 	}
 	if !pm.flushArmed {
 		pm.flushArmed = true
-		pm.sim.Schedule(pm.sim.Now().Add(pm.flushEvery), "netlink.flush", pm.flushFn)
+		pm.sim.AfterArg(pm.flushEvery, "netlink.flush", flushQueue, pm)
 	}
 }
 
@@ -216,6 +212,8 @@ func (pm *NetlinkPM) removeQueued(i int) {
 	copy(pm.queue[i:], pm.queue[i+1:])
 	pm.queue = pm.queue[:len(pm.queue)-1]
 }
+
+func flushQueue(pm any) { pm.(*NetlinkPM).flush() }
 
 // flush marshals the whole pending window into one pooled frame and sends
 // it as a single transport crossing. Event timestamps keep their emission
@@ -382,12 +380,7 @@ func (pm *NetlinkPM) findSubflow(token uint32, ft seg.FourTuple) (*mptcp.Connect
 	if !ok {
 		return nil, nil
 	}
-	for _, sf := range c.Subflows() {
-		if sf.Tuple() == ft {
-			return c, sf
-		}
-	}
-	return c, nil
+	return c, c.SubflowByTuple(ft)
 }
 
 func errnoOf(err error) uint32 {

@@ -99,7 +99,7 @@ func fig2aSpec(cfg Fig2aConfig) *scenario.Spec {
 		// baseline variant is not byte-pinned, and its minutes-scale RTO
 		// shape is insensitive to the shift.
 		pre := scenario.Event{At: 200 * time.Millisecond, Name: "fig2a.preestablish",
-			Do: func(rt *scenario.Run) {
+			Fn: func(rt *scenario.Run, _ scenario.EventArg) {
 				ep := rt.Net.Client()
 				if _, err := rt.Conn.OpenSubflow(ep.Addrs[1], 0, rt.Net.ServerAddr, 80, true); err != nil {
 					panic(err)

@@ -53,7 +53,8 @@ func TestEveryClientStackIsWired(t *testing.T) {
 					}
 				}
 				for at := 10 * time.Millisecond; at <= 500*time.Millisecond; at += 10 * time.Millisecond {
-					rs.Events = append(rs.Events, scenario.Event{At: at, Name: "test.sample", Do: sample})
+					rs.Events = append(rs.Events, scenario.Event{At: at, Name: "test.sample",
+						Fn: func(rt *scenario.Run, _ scenario.EventArg) { sample(rt) }})
 				}
 				rs.Probes = append(rs.Probes, scenario.Probe{Name: "wired", Collect: func(rt *scenario.Run) {
 					sample(rt)

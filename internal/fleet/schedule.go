@@ -90,12 +90,11 @@ func genDevice(i int, cfg GenConfig) *Device {
 		for k := 1; k <= p.FadeSteps; k++ {
 			frac := float64(k) / float64(p.FadeSteps)
 			loss := d.WiFi.Loss + frac*(p.FadeLoss-d.WiFi.Loss)
-			d.event(t-fadeLead+time.Duration(k-1)*p.FadeStep, "fleet.fade",
-				setLinkLoss(d.WiFiLink(), loss))
+			d.setLoss(t-fadeLead+time.Duration(k-1)*p.FadeStep, "fleet.fade", d.wifiLink, loss)
 		}
 		out := dwell(p.LTEDwell)
 		d.events = append(d.events, scenario.FlapClientIface(t, out, i, 0)...)
-		d.event(t+out, "fleet.recover", setLinkLoss(d.WiFiLink(), d.WiFi.Loss))
+		d.setLoss(t+out, "fleet.recover", d.wifiLink, d.WiFi.Loss)
 		d.Handovers++
 		d.Offline += out
 		t += out + fadeLead + dwell(p.WiFiDwell)
@@ -107,24 +106,23 @@ func genDevice(i int, cfg GenConfig) *Device {
 		for ct < cfg.Duration {
 			loss := s.Range(p.CrossLoss[0], p.CrossLoss[1])
 			dur := s.Between(p.CrossDur[0], p.CrossDur[1])
-			d.event(ct, "fleet.cross", setLinkLoss(d.LTELink(), loss))
-			d.event(ct+dur, "fleet.calm", setLinkLoss(d.LTELink(), d.LTE.Loss))
+			d.setLoss(ct, "fleet.cross", d.lteLink, loss)
+			d.setLoss(ct+dur, "fleet.calm", d.lteLink, d.LTE.Loss)
 			ct += dur + s.Between(p.CrossEvery[0], p.CrossEvery[1])
 		}
 	}
 	return d
 }
 
-func (d *Device) event(at time.Duration, name string, do func(rt *scenario.Run)) {
-	d.events = append(d.events, scenario.Event{At: at, Name: name, Do: do})
+// setLoss appends the event that, at `at`, sets both directions of the
+// named link to the given loss ratio — a radio fade degrades uplink and
+// downlink alike, unlike the egress-qdisc loss steps of the paper figures.
+func (d *Device) setLoss(at time.Duration, name, link string, loss float64) {
+	d.events = append(d.events, scenario.Event{At: at, Name: name, Fn: setLinkLoss,
+		Arg: scenario.EventArg{Name: link, Loss: loss}})
 }
 
-// setLinkLoss sets both directions of a named link to the given loss
-// ratio — a radio fade degrades uplink and downlink alike, unlike the
-// egress-qdisc loss steps of the paper figures.
-func setLinkLoss(link string, loss float64) func(rt *scenario.Run) {
-	return func(rt *scenario.Run) { rt.Net.Link(link).SetLoss(loss) }
-}
+func setLinkLoss(rt *scenario.Run, a scenario.EventArg) { rt.Net.Link(a.Name).SetLoss(a.Loss) }
 
 // CollectEvents concatenates every device's timeline into one event list
 // for a RunSpec, dropping events past the corpus duration (the stop

@@ -67,6 +67,10 @@ type Connection struct {
 	subflows              []*tcp.Subflow
 	meta                  []sfMeta      // meta[i] belongs to subflows[i]
 	coupled               *coupledGroup // non-nil when LIA coupling is on
+	// Where subflows and meta start: room for the usual handful inside the
+	// connection, so only a wider mesh grows them on the heap.
+	sfRoom   [4]*tcp.Subflow
+	metaRoom [4]sfMeta
 
 	// Handshake-option scratch lent to the subflow engine by
 	// HandshakeOptions, which copies it into the segment at once.
@@ -137,6 +141,18 @@ func (c *Connection) Subflows() []*tcp.Subflow {
 		return nil
 	}
 	return append([]*tcp.Subflow(nil), c.subflows...)
+}
+
+// SubflowByTuple returns the live subflow bound to the 4-tuple, nil when
+// the connection has none — Subflows without the copy, for a caller that
+// wants one subflow and keeps nothing.
+func (c *Connection) SubflowByTuple(ft seg.FourTuple) *tcp.Subflow {
+	for _, sf := range c.subflows {
+		if sf.Tuple() == ft {
+			return sf
+		}
+	}
+	return nil
 }
 
 // SndUna reports connection-level cumulatively acknowledged payload bytes —

@@ -157,6 +157,7 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 		initialTuple: initial,
 		remoteAddrs:  make(map[uint8]netip.AddrPort),
 	}
+	c.subflows, c.meta = c.sfRoom[:0], c.metaRoom[:0]
 	if c.mss == 0 {
 		c.mss = 1380 // mirror tcp.Config default
 	}

@@ -304,7 +304,7 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 				}
 				for i, when := range cuts {
 					up := i%2 == 1
-					r.runner.ScheduleGlobal(when, "cut", func() { r.link.SetUp(up) })
+					r.runner.ScheduleGlobal(when, "cut", func(any) { r.link.SetUp(up) }, nil)
 				}
 				for i, leg := range legs {
 					r.runner.RunUntil(leg) // legs[1] == legs[0]: a run that executes nothing

@@ -106,11 +106,51 @@ type RunSpec struct {
 }
 
 // Event is a scheduled network change: a loss step, an interface flap, a
-// middlebox reconfiguration.
+// middlebox reconfiguration. It is data: Fn is a package-level function for
+// every event the timelines repeat (flaps, loss steps, fleet fades) and what
+// it acts on rides in Arg, so a timeline of ten thousand events is one slice
+// and no closures. A one-off intervention may still pass a closure as Fn and
+// ignore Arg.
 type Event struct {
 	At   time.Duration
 	Name string
-	Do   func(rt *Run)
+	Fn   func(rt *Run, a EventArg)
+	Arg  EventArg
+}
+
+// Do applies the event to a run.
+func (e Event) Do(rt *Run) { e.Fn(rt, e.Arg) }
+
+// EventArg is what an Event acts on; each Fn reads the fields it needs.
+type EventArg struct {
+	Name   string  // a link name, or a client host name ("" = use Client)
+	Client int32   // client ordinal in the topology
+	Addr   int32   // index into the client's interface addresses
+	Loss   float64 // loss ratio to install
+}
+
+// armedEvent is one scheduled Event's state: armEvents cuts a run's from
+// one slab and hands the engine pointers into it.
+type armedEvent struct {
+	rt *Run
+	ev *Event
+}
+
+func fireEvent(x any) {
+	a := x.(*armedEvent)
+	a.ev.Do(a.rt)
+}
+
+// armEvents schedules the spec's events. Interventions touch entities on
+// arbitrary shards, so they run as global events: all shards parked at the
+// event's timestamp.
+func (rt *Run) armEvents() {
+	evs := rt.Spec.Events
+	armed := make([]armedEvent, len(evs))
+	for i := range evs {
+		armed[i] = armedEvent{rt, &evs[i]}
+		rt.Sim.ScheduleGlobal(sim.Time(evs[i].At), evs[i].Name, fireEvent, &armed[i])
+	}
 }
 
 // Stop declares when a run ends. Zero value: the workload drives the
@@ -334,12 +374,7 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 			p.Arm(rt)
 		}
 	}
-	for _, ev := range rs.Events {
-		ev := ev
-		// Interventions touch entities on arbitrary shards, so they run
-		// as global events: all shards parked at the event's timestamp.
-		rt.Sim.ScheduleGlobal(sim.Time(ev.At), ev.Name, func() { ev.Do(rt) })
-	}
+	rt.armEvents()
 	rs.Stop.run(rt)
 	for _, p := range rs.Probes {
 		if p.Collect != nil {
@@ -354,10 +389,10 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 // the forward (client→server) loss ratio of the named link — a netem
 // qdisc on the degraded egress, as in the paper's Mininet setups.
 func SetLossAt(at time.Duration, link string, loss float64) Event {
-	return Event{At: at, Name: "degrade", Do: func(rt *Run) {
-		rt.Net.Link(link).AB.SetLoss(loss)
-	}}
+	return Event{At: at, Name: "degrade", Fn: setForwardLoss, Arg: EventArg{Name: link, Loss: loss}}
 }
+
+func setForwardLoss(rt *Run, a EventArg) { rt.Net.Link(a.Name).AB.SetLoss(a.Loss) }
 
 // LossRamp returns one degrade event per step: the named link's forward
 // loss walks through losses, starting at `start`, one step every `step`.
@@ -380,30 +415,35 @@ func FlapIface(at, dur time.Duration, addrIdx int) []Event {
 // back up `dur` later. Fleet mobility schedules compile their WiFi↔LTE
 // handovers down to this primitive, one flap per device.
 func FlapClientIface(at, dur time.Duration, client, addrIdx int) []Event {
-	set := func(up bool) func(rt *Run) {
-		return func(rt *Run) {
-			ep := rt.Net.ClientAt(client)
-			ep.Host.SetIfaceUp(ep.Addrs[addrIdx], up)
-		}
-	}
-	return []Event{
-		{At: at, Name: "if.down", Do: set(false)},
-		{At: at + dur, Name: "if.up", Do: set(true)},
-	}
+	return flap(at, dur, EventArg{Client: int32(client), Addr: int32(addrIdx)})
 }
 
 // FlapHostIface flaps the addrIdx-th interface of the named client host —
 // for topologies addressed by host name (the declarative Builder) rather
 // than client order.
 func FlapHostIface(at, dur time.Duration, host string, addrIdx int) []Event {
-	set := func(up bool) func(rt *Run) {
-		return func(rt *Run) {
-			ep := rt.Net.ClientNamed(host)
-			ep.Host.SetIfaceUp(ep.Addrs[addrIdx], up)
-		}
-	}
+	return flap(at, dur, EventArg{Name: host, Addr: int32(addrIdx)})
+}
+
+// flap is the one interface-outage constructor: the client a names (by host
+// name when it has one, by ordinal otherwise) loses interface a.Addr at
+// `at` and gets it back `dur` later.
+func flap(at, dur time.Duration, a EventArg) []Event {
 	return []Event{
-		{At: at, Name: "if.down", Do: set(false)},
-		{At: at + dur, Name: "if.up", Do: set(true)},
+		{At: at, Name: "if.down", Fn: ifaceDown, Arg: a},
+		{At: at + dur, Name: "if.up", Fn: ifaceUp, Arg: a},
 	}
+}
+
+func ifaceDown(rt *Run, a EventArg) { setIface(rt, a, false) }
+func ifaceUp(rt *Run, a EventArg)   { setIface(rt, a, true) }
+
+func setIface(rt *Run, a EventArg, up bool) {
+	var ep Endpoint
+	if a.Name != "" {
+		ep = rt.Net.ClientNamed(a.Name)
+	} else {
+		ep = rt.Net.ClientAt(int(a.Client))
+	}
+	ep.Host.SetIfaceUp(ep.Addrs[a.Addr], up)
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/pm"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/testutil"
 )
 
 // bulkSpec builds a minimal one-run scenario: a bulk transfer over the
@@ -274,5 +276,48 @@ func TestKernelCellIsKernelPM(t *testing.T) {
 	userspace := encode(func(rs *RunSpec) { rs.Policy = "fullmesh" })
 	if userspace == byName || !strings.Contains(userspace, `"netlink_stacks":4`) {
 		t.Fatalf("the fullmesh controller cell is not a userspace run:\n%s", userspace)
+	}
+}
+
+// TestScenarioEventsAllocConstant arms and fires a 10 000-event timeline of
+// the repeating kinds (flaps, loss steps). Events are data and the run's
+// state for all of them is one slab, so what arming allocates does not
+// grow with the timeline beyond the engine's own event slabs (one per 256)
+// and heap doublings: well under a hundred objects where a closure per
+// constructor and per armed event made it 15 000.
+func TestScenarioEventsAllocConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts differ under -race instrumentation")
+	}
+	const n = 10000
+	var evs []Event
+	for i := 0; len(evs) < n; i++ {
+		at := time.Duration(i) * time.Millisecond
+		evs = append(evs, FlapClientIface(at, time.Millisecond, i%3, 1)...)
+		evs = append(evs, SetLossAt(at, "bottleneck", 0.5), SetLossAt(at+time.Millisecond, "bottleneck", 0))
+	}
+	w := sim.NewWorld(1, 1)
+	net := Star{
+		Clients: 3, Ifaces: 2,
+		Access:     netem.LinkConfig{RateBps: 10e6, Delay: time.Millisecond},
+		Bottleneck: netem.LinkConfig{RateBps: 100e6, Delay: time.Millisecond},
+	}.Build(w, 1).normalize()
+	rt := &Run{Spec: &RunSpec{Events: evs}, Sim: w, Net: net}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt.armEvents()
+	w.RunFor(n * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if done := w.RuntimeStats().Globals; done != n {
+		t.Fatalf("%d of %d events fired", done, n)
+	}
+	if got := after.Mallocs - before.Mallocs; got > 100 {
+		t.Fatalf("arming and firing %d events allocated %d objects", n, got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { evs[0] = SetLossAt(0, "bottleneck", 0.5) }); avg != 0 {
+		t.Fatalf("SetLossAt allocates %.0f objects", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { evs = FlapClientIface(0, time.Second, 2, 1) }); avg != 1 {
+		t.Fatalf("FlapClientIface allocates %.0f objects, want 1 (the two-event slice)", avg)
 	}
 }

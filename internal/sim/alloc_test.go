@@ -184,14 +184,15 @@ func TestGlobalEventOrderAndSlabs(t *testing.T) {
 	const n = 3*globalSlab + 17
 	w := NewWorld(1, 1)
 	var got []int
-	record := make([]func(), n)
-	for i := range record {
-		record[i] = func() { got = append(got, i) }
+	ids := make([]int, n) // each event's state: a pointer into one slab
+	for i := range ids {
+		ids[i] = i
 	}
+	record := func(id any) { got = append(got, *id.(*int)) }
 	schedule := func() {
 		for i := 0; i < n; i++ {
 			// Times descend in blocks of eight; within a block they tie.
-			w.ScheduleGlobal(w.Now()+Time((n-i)/8+1), "g", record[i])
+			w.ScheduleGlobal(w.Now()+Time((n-i)/8+1), "g", record, &ids[i])
 		}
 	}
 	schedule()

@@ -91,11 +91,12 @@ type Runner interface {
 	RunFor(d time.Duration)
 	// Processed counts events executed since construction.
 	Processed() uint64
-	// ScheduleGlobal schedules fn at when with a whole-simulation barrier:
-	// fn runs after every event at or before when, with all shards paused,
-	// so it may touch state owned by any shard (loss steps, interface
-	// flaps). On a bare Simulator it is a plain Schedule.
-	ScheduleGlobal(when Time, name string, fn func())
+	// ScheduleGlobal schedules fn(arg) at when with a whole-simulation
+	// barrier: it runs after every event at or before when, with all shards
+	// paused, so it may touch state owned by any shard (loss steps,
+	// interface flaps). fn and arg follow ScheduleArg's rules. On a bare
+	// Simulator it is a ScheduleArg.
+	ScheduleGlobal(when Time, name string, fn func(any), arg any)
 }
 
 // WorldOf reports the sharded world a clock belongs to, or nil for a bare

@@ -482,9 +482,9 @@ func (s *Simulator) SendTo(dst Clock, when Time, name string, fn func(any), arg 
 func (s *Simulator) HostClock(group int, name string) Clock { return s }
 
 // ScheduleGlobal implements Runner: with one loop a global event needs no
-// barrier and is a plain Schedule.
-func (s *Simulator) ScheduleGlobal(when Time, name string, fn func()) {
-	s.Schedule(when, name, fn)
+// barrier and is a pooled event (the counter draw of a plain Schedule).
+func (s *Simulator) ScheduleGlobal(when Time, name string, fn func(any), arg any) {
+	s.ScheduleArg(when, name, fn, arg)
 }
 
 func (s *Simulator) loop() (*Simulator, int) { return s, 0 }

@@ -412,7 +412,7 @@ func TestRunningKeyIdleIsInfinite(t *testing.T) {
 			t.Error("inside hi's event: its earlier key has passed, a fresh one has not")
 		}
 	})
-	w.ScheduleGlobal(10, "g", func() {
+	w.ScheduleGlobal(10, "g", callFunc, func() {
 		if ranGlobal = true; !lo.Passed(10, lo.Reserve()) || !hi.Passed(10, hi.Reserve()) || lo.Passed(11, klo) {
 			t.Error("inside a global event: every key at now has passed on every shard, none later")
 		}

@@ -38,8 +38,8 @@ type World struct {
 	running  bool
 	buildErr error
 
-	// Global events are classic Events keyed (when, ent 0, seq), so they
-	// queue on the shard loops' own heap code. A scenario schedules its
+	// Global events are Events keyed (when, ent 0, seq), so they queue on
+	// the shard loops' own heap code. A scenario schedules its
 	// whole intervention timeline (tens of thousands of flaps or handovers)
 	// before the first window runs, so the events are cut from slabs
 	// instead of allocated one by one.
@@ -185,11 +185,14 @@ func (w *World) Finalize() error {
 	return nil
 }
 
-// ScheduleGlobal schedules fn to run at when on the controller goroutine
-// with every shard parked at a barrier, after all events at or before
-// when on every shard. Global events may touch state owned by any shard;
-// scenario-level interventions (loss steps, interface flaps) run here.
-func (w *World) ScheduleGlobal(when Time, name string, fn func()) {
+// ScheduleGlobal schedules fn(arg) to run at when on the controller
+// goroutine with every shard parked at a barrier, after all events at or
+// before when on every shard. Global events may touch state owned by any
+// shard; scenario-level interventions (loss steps, interface flaps) run
+// here. As with ScheduleArg, fn is a preallocated func value and the
+// per-event state rides in arg (a pointer), so scheduling allocates nothing
+// beyond the slab.
+func (w *World) ScheduleGlobal(when Time, name string, fn func(any), arg any) {
 	if when < w.now {
 		panic(fmt.Sprintf("sim: scheduling global %q at %v before now %v", name, when, w.now))
 	}
@@ -198,7 +201,7 @@ func (w *World) ScheduleGlobal(when Time, name string, fn func()) {
 	}
 	e := &w.gslab[0]
 	w.gslab = w.gslab[1:]
-	e.when, e.seq, e.name, e.fn = when, w.gseq, name, fn
+	e.when, e.seq, e.name, e.argFn, e.arg = when, w.gseq, name, fn, arg
 	w.gseq++
 	w.globals.push(e)
 }
@@ -394,10 +397,10 @@ func (w *World) RunUntil(deadline Time) {
 		w.now = limit
 		for len(w.globals) > 0 && w.globals[0].when <= limit {
 			e := w.globals.pop()
-			fn := e.fn
-			e.fn = nil // the slab outlives the event; its closure need not
+			fn, arg := e.argFn, e.arg
+			e.argFn, e.arg = nil, nil // the slab outlives the event; its state need not
 			w.gdone++
-			fn()
+			fn(arg)
 		}
 		if limit >= deadline {
 			break

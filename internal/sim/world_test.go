@@ -57,7 +57,7 @@ func pingPongTrace(t *testing.T, seed int64, shards int) []string {
 
 	// A global intervention mid-run: cuts the chains after every event at
 	// 8ms has executed, whatever the sharding.
-	w.ScheduleGlobal(Time(8*Millisecond), "cut", func() {
+	w.ScheduleGlobal(Time(8*Millisecond), "cut", callFunc, func() {
 		dropped = true
 		record(ca, "global", "cut")
 	})
@@ -139,7 +139,7 @@ func TestWorldGlobalEventBarrier(t *testing.T) {
 		b.Schedule(Time(2*Millisecond), "eb", func() { countB++ })
 		a.SendTo(b, Time(2*Millisecond), "x", func(any) { countB++ }, nil)
 		sawAtBarrier := -1
-		w.ScheduleGlobal(Time(2*Millisecond), "g", func() { sawAtBarrier = countA + countB })
+		w.ScheduleGlobal(Time(2*Millisecond), "g", callFunc, func() { sawAtBarrier = countA + countB })
 		w.RunFor(3 * time.Millisecond)
 		if sawAtBarrier != 3 {
 			t.Fatalf("shards=%d: global saw %d of 3 events at its own timestamp", n, sawAtBarrier)

@@ -84,6 +84,9 @@ type Stack struct {
 	bindings map[uint32]*binding
 	order    []uint32 // binding tokens in attach order (deterministic fan-out)
 	pending  map[uint32][]*nlmsg.Event
+	// A fan-out in progress walks order[fanPos:fanEnd] (both 0 otherwise);
+	// unbind moves them with the elements, so the walk needs no copy.
+	fanPos, fanEnd int
 
 	tsh *trace.Shard // policy-event recording (nil = off)
 
@@ -329,6 +332,12 @@ func (st *Stack) unbind(token uint32) {
 	for i, t := range st.order {
 		if t == token {
 			st.order = append(st.order[:i], st.order[i+1:]...)
+			if i < st.fanEnd {
+				st.fanEnd--
+				if i <= st.fanPos {
+					st.fanPos-- // the walk's next step lands on what slid into i
+				}
+			}
 			break
 		}
 	}
@@ -337,15 +346,20 @@ func (st *Stack) unbind(token uint32) {
 // route is the mux: global events fan out to every bound controller in
 // attach order (map iteration would break determinism); token events go
 // to the owning binding, or into the per-token buffer until one appears.
+// The fan-out reaches exactly the bindings that exist when it starts and
+// still do at their turn: one unbound by an earlier handler is skipped, one
+// bound by a handler waits for the next event.
 func (st *Stack) route(ev *nlmsg.Event) {
 	switch ev.Kind {
 	case nlmsg.EvLocalAddrUp, nlmsg.EvLocalAddrDown:
-		for _, token := range append([]uint32(nil), st.order...) {
-			if b := st.bindings[token]; b != nil {
+		st.fanEnd = len(st.order)
+		for st.fanPos = 0; st.fanPos < st.fanEnd; st.fanPos++ {
+			if b := st.bindings[st.order[st.fanPos]]; b != nil {
 				st.Stats.EventsDispatched++
 				b.host.cbs.Dispatch(ev)
 			}
 		}
+		st.fanPos, st.fanEnd = 0, 0
 		return
 	}
 	b := st.bindings[ev.Token]

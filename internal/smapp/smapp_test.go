@@ -1,15 +1,19 @@
 package smapp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
+	"repro/internal/nlmsg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
+	"repro/internal/testutil"
 	"repro/internal/topo"
 )
 
@@ -323,5 +327,132 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	p2, e2 := run()
 	if p1 != p2 || e1 != e2 {
 		t.Fatalf("identical seeds diverged: pushed %d/%d, events %d/%d", p1, p2, e1, e2)
+	}
+}
+
+// TestFlapCycleAllocBudget pins what one interface outage costs a
+// 2-interface stack end to end — address-down event, FullMesh dismissing
+// the lost subflow, address-up event, the create command, its ack, the
+// re-join — through the real NetlinkPM → SimPipe → Library → FullMesh
+// path, with immediate and with coalesced event delivery. The cycle creates
+// two subflows, the client's and the server's end of the re-join, and each
+// is one object; nothing else is allocated per event, command, ack or
+// flush: the constant on top is 0. (AllocsPerRun reports whole objects per
+// run, so the one thing that still grows, amortised — the server keeps its
+// half-open end of every dismissed subflow, DESIGN.md "Known model gaps",
+// and its subflow list and tuple table double now and then — stays under
+// the count.)
+func TestFlapCycleAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts differ under -race instrumentation")
+	}
+	for _, flush := range []time.Duration{0, 200 * time.Microsecond} {
+		p := netem.LinkConfig{RateBps: 50e6, Delay: 2 * time.Millisecond}
+		r := newRig(21, p, Config{CtlFlush: flush})
+		r.sep.Listen(80, nil)
+		conn, err := r.st.Dial(r.net.ClientAddrs[0], r.net.ServerAddr, 80,
+			"fullmesh", ControllerConfig{}, mptcp.ConnCallbacks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], false)
+			r.net.Sim.RunFor(20 * time.Millisecond)
+			r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], true)
+			r.net.Sim.RunFor(30 * time.Millisecond)
+		}
+		r.net.Sim.RunFor(50 * time.Millisecond)
+		cycle() // warm the pools and the command/ack queues
+		opened := conn.Stats().SubflowsOpened
+		const cycles = 200
+		avg := testing.AllocsPerRun(cycles, cycle)
+		if got := conn.Stats().SubflowsOpened - opened; got != cycles+1 || len(conn.Subflows()) != 2 {
+			t.Fatalf("flush %v: %d re-joins in %d cycles, %d subflows live", flush, got, cycles+1, len(conn.Subflows()))
+		}
+		if avg != 2 {
+			t.Fatalf("flush %v: a flap cycle allocates %.0f objects, want the 2 subflows it creates", flush, avg)
+		}
+	}
+}
+
+// fanCtl is a controller that logs the address events it gets and, on its
+// first one, closes the connections named in closes — as a controller whose
+// connection ends inside the handler would, over a transport that delivers
+// the closed event at once — and binds a new one per token in binds.
+type fanCtl struct {
+	st            *Stack
+	token         uint32
+	closes, binds []uint32
+	log           *[]uint32
+}
+
+func (c *fanCtl) Name() string { return "fan" }
+func (c *fanCtl) Detach()      {}
+func (c *fanCtl) Attach(lib core.Lib) {
+	lib.Register(core.Callbacks{LocalAddrDown: func(*nlmsg.Event) {
+		*c.log = append(*c.log, c.token)
+		for _, t := range c.closes {
+			c.st.route(&nlmsg.Event{Kind: nlmsg.EvClosed, Token: t})
+		}
+		for _, t := range c.binds {
+			c.st.bind(t, "fan", &fanCtl{st: c.st, token: t, log: c.log})
+		}
+		c.closes, c.binds = nil, nil
+	}}, nil)
+}
+
+// TestRouteUnbindDuringFanOut unbinds connections from inside a fan-out —
+// the walker's own, earlier ones, later ones, all of them. The walk copies
+// nothing, and must still deliver to exactly the bindings the copying loop
+// it replaced did, in its order: no binding skipped because the list slid
+// under the cursor, none visited twice, a closed one not at all, one bound
+// during the walk from the next event on.
+func TestRouteUnbindDuringFanOut(t *testing.T) {
+	// The loop route used to run, kept here as the referee.
+	copying := func(st *Stack, ev *nlmsg.Event) {
+		for _, token := range append([]uint32(nil), st.order...) {
+			if b := st.bindings[token]; b != nil {
+				b.host.cbs.Dispatch(ev)
+			}
+		}
+	}
+	p := netem.LinkConfig{RateBps: 50e6, Delay: time.Millisecond}
+	for _, tc := range []struct {
+		closer uint32
+		closes []uint32
+		binds  []uint32
+		want   []uint32 // first event's deliveries, then the second's
+	}{
+		{3, []uint32{3}, nil, []uint32{1, 2, 3, 4, 5, 1, 2, 4, 5}},
+		{3, []uint32{1}, nil, []uint32{1, 2, 3, 4, 5, 2, 3, 4, 5}},
+		{3, []uint32{5}, nil, []uint32{1, 2, 3, 4, 1, 2, 3, 4}},
+		{3, []uint32{4, 1}, nil, []uint32{1, 2, 3, 5, 2, 3, 5}},
+		{2, []uint32{2, 3}, nil, []uint32{1, 2, 4, 5, 1, 4, 5}},
+		{5, []uint32{5, 4}, nil, []uint32{1, 2, 3, 4, 5, 1, 2, 3}},
+		{1, []uint32{1, 2, 3, 4, 5}, nil, []uint32{1}},
+		{2, nil, []uint32{6}, []uint32{1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 6}},
+		{4, []uint32{4, 2}, []uint32{6, 7}, []uint32{1, 2, 3, 4, 5, 1, 3, 5, 6, 7}},
+	} {
+		var logs [2][]uint32
+		for side, fanOut := range []func(*Stack, *nlmsg.Event){(*Stack).route, copying} {
+			st := newRig(31, p, Config{}).st
+			for token := uint32(1); token <= 5; token++ {
+				ctl := &fanCtl{st: st, token: token, log: &logs[side]}
+				if token == tc.closer {
+					ctl.closes, ctl.binds = tc.closes, tc.binds
+				}
+				st.bind(token, "fan", ctl)
+			}
+			ev := &nlmsg.Event{Kind: nlmsg.EvLocalAddrDown}
+			fanOut(st, ev)
+			fanOut(st, ev)
+			if st.fanPos != 0 || st.fanEnd != 0 {
+				t.Fatalf("%d closes %v: cursor left at %d/%d after the walk", tc.closer, tc.closes, st.fanPos, st.fanEnd)
+			}
+		}
+		if !slices.Equal(logs[0], tc.want) || !slices.Equal(logs[1], tc.want) {
+			t.Fatalf("%d closes %v: route delivered to %v, the copying loop to %v, want %v",
+				tc.closer, tc.closes, logs[0], logs[1], tc.want)
+		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // TestNewSubflowAllocBudget pins what creating a subflow costs: the
-// Subflow and its congestion controller. The estimator and the three
-// timers lie in the Subflow, their callbacks are package-level functions
-// and their names constants, where each used to be an object (30 in all
-// with these addresses, most of them the 4-tuple formatted three times
-// over).
+// Subflow. The default congestion controller, the estimator and the timers
+// lie in the Subflow, their callbacks are package-level functions and
+// their names constants, where each used to be an object (30 in all with
+// these addresses, most of them the 4-tuple formatted three times over). A
+// Config.NewCong controller is still its factory's to allocate.
 func TestNewSubflowAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
@@ -32,18 +32,31 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		sf = NewSubflow(s, Config{}, tup, out, owner)
 	})
-	if sf.rtt.RTO() != InitialRTO || sf.rtoTimer.Armed() {
-		t.Fatal("fresh subflow's estimator or timer not in its initial state")
+	if sf.rtt.RTO() != InitialRTO || sf.rtoTimer.Armed() || sf.cc != Cong(&sf.reno) || sf.cc.Cwnd() != 13800 {
+		t.Fatal("fresh subflow's estimator, timer or congestion controller not in its initial state")
 	}
-	if avg != 2 {
-		t.Fatalf("NewSubflow allocates %.0f objects, want 2 (Subflow, Reno)", avg)
+	if avg != 1 {
+		t.Fatalf("NewSubflow allocates %.0f objects, want 1 (the Subflow)", avg)
 	}
-	// The runtime puts an 8-byte header on a pointerful object this big and
-	// rounds to a size class: 896 holds a Subflow of up to 888 bytes, the
-	// next class is 1024 — 128 bytes more on each of the tens of thousands
-	// of subflows a churn iteration creates, past alloc_mb_per_op's 2 %
-	// bound. A new field has to find a hole.
-	if sz := unsafe.Sizeof(*sf); sz > 888 {
+	custom := Config{NewCong: func(mss, iw int) Cong { return NewReno(mss, iw) }}
+	if avg := testing.AllocsPerRun(1000, func() { sf = NewSubflow(s, custom, tup, out, owner) }); avg != 2 {
+		t.Fatalf("NewSubflow with Config.NewCong allocates %.0f objects, want 2 (Subflow, the factory's)", avg)
+	}
+	if sf.cc == Cong(&sf.reno) {
+		t.Fatal("Config.NewCong ignored")
+	}
+}
+
+// TestSubflowSizeClass pins the Subflow, its Reno inside, to the 896-byte
+// size class. The runtime puts an 8-byte header on a pointerful object this
+// big and rounds up, so 896 holds a Subflow of up to 888 bytes; the next
+// class is 1024 — 128 bytes more on each of the 28.8 k subflows a churn
+// iteration creates, +3.7 MB or +6.8 % of its alloc_mb_per_op against a 2 %
+// bound. A new field has to find a hole (the 32-byte Reno took the one the
+// SYN timer left when it merged into rtoTimer).
+func TestSubflowSizeClass(t *testing.T) {
+	var sf Subflow
+	if sz := unsafe.Sizeof(sf); sz > 888 || unsafe.Sizeof(sf.reno) == 0 {
 		t.Fatalf("Subflow is %d bytes, over the 896-byte size class", sz)
 	}
 }

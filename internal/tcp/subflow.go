@@ -116,8 +116,10 @@ type Config struct {
 	MaxBackoffs   int    // consecutive RTO backoffs before death (default 15)
 	SynRetries    int    // SYN (or SYN+ACK) retransmissions before death (default 6)
 	NoPacing      bool   // disable sk_pacing_rate-style send pacing (ablation)
-	NewCong       func(mss, initialWindowSegs int) Cong
-	Metrics       Metrics // live metric handles; zero value records nothing
+	// NewCong builds the congestion controller; nil means Reno, which the
+	// Subflow holds itself.
+	NewCong func(mss, initialWindowSegs int) Cong
+	Metrics Metrics // live metric handles; zero value records nothing
 }
 
 func (c Config) withDefaults() Config {
@@ -135,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SynRetries == 0 {
 		c.SynRetries = 6
-	}
-	if c.NewCong == nil {
-		c.NewCong = func(mss, iw int) Cong { return NewReno(mss, iw) }
 	}
 	return c
 }
@@ -177,13 +176,17 @@ type Subflow struct {
 	pushNxt  uint32 // next subflow sequence number to assign to pushed data
 
 	sq sendQueue
-	cc Cong
-	// The estimator and the three timers live in the subflow, not behind
-	// pointers: a subflow is one object, and creating one allocates it and
-	// its congestion controller and nothing else.
-	rtt       RTTEstimator
+	// The default congestion controller, the estimator and the timers live
+	// in the subflow, not behind pointers: a subflow is one object, and
+	// creating one allocates it and nothing else (cc == &reno unless
+	// Config.NewCong supplied another controller).
+	cc   Cong
+	reno Reno
+	rtt  RTTEstimator
+	// rtoTimer is the SYN retransmission timer until the handshake ends
+	// and the data RTO from then on: becomeEstablished stops the one before
+	// anything can arm the other, so the two never needed an Event each.
 	rtoTimer  sim.Timer
-	synTimer  sim.Timer
 	paceTimer sim.Timer
 	backoffs  int
 	dupAcks   int
@@ -223,23 +226,32 @@ func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner 
 		out:     out,
 		owner:   owner,
 		tuple:   tuple,
-		cc:      cfg.NewCong(cfg.MSS, cfg.InitialWindow),
 		rtt:     *NewRTTEstimator(),
 		peerWnd: cfg.RcvWnd,
+	}
+	if cfg.NewCong != nil {
+		sf.cc = cfg.NewCong(cfg.MSS, cfg.InitialWindow)
+	} else {
+		sf.reno = *NewReno(cfg.MSS, cfg.InitialWindow)
+		sf.cc = &sf.reno
 	}
 	// Constant names: a name is read only when scheduling in the past
 	// panics, and that message gets the tuple from String below.
 	sf.rtoTimer.Init(c, "tcp.rto", fireRTO, sf)
-	sf.synTimer.Init(c, "tcp.syn-rto", fireSynTimeout, sf)
 	sf.paceTimer.Init(c, "tcp.pace", firePace, sf)
 	return sf
 }
 
 // The timer callbacks are package-level functions taking the subflow, so
 // binding them allocates no method closure.
-func fireRTO(sf any)        { sf.(*Subflow).onRTO() }
-func fireSynTimeout(sf any) { sf.(*Subflow).onSynTimeout() }
-func firePace(sf any)       { sf.(*Subflow).sendLoop() }
+func fireRTO(x any) {
+	if sf := x.(*Subflow); sf.Established() {
+		sf.onRTO()
+	} else {
+		sf.onSynTimeout()
+	}
+}
+func firePace(sf any) { sf.(*Subflow).sendLoop() }
 
 // String identifies the subflow by its 4-tuple.
 func (sf *Subflow) String() string { return sf.tuple.String() }
@@ -454,7 +466,7 @@ func (sf *Subflow) armSynTimer() {
 	for i := 0; i < sf.synRexmits; i++ {
 		d *= 2
 	}
-	sf.synTimer.Reset(d)
+	sf.rtoTimer.Reset(d)
 }
 
 func (sf *Subflow) onSynTimeout() {
@@ -700,7 +712,6 @@ func (sf *Subflow) die(reason Errno) {
 	}
 	sf.state = StateDead
 	sf.rtoTimer.Stop()
-	sf.synTimer.Stop()
 	sf.paceTimer.Stop()
 	sf.owner.OnClosed(sf, reason)
 	// The owner has reinjected whatever it wanted (OnClosed reads
@@ -805,7 +816,7 @@ func (sf *Subflow) becomeEstablished() {
 	sf.state = StateEstablished
 	sf.estabAt = sf.sim.Now()
 	sf.synRexmits = 0
-	sf.synTimer.Stop()
+	sf.rtoTimer.Stop() // the SYN timer; see the field
 	sf.pushNxt = sf.sndNxt
 	sf.traceCC() // first RTT sample (handshake) and the initial window
 	sf.owner.OnEstablished(sf)
