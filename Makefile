@@ -62,9 +62,11 @@ fmt:
 # Run EVERY registered scenario end to end with -smoke (reduced
 # durations/sizes/seeds); any non-zero exit fails. The list is taken from
 # the scenario registry itself, so a newly registered scenario is smoked
-# automatically — no Makefile edit needed. The last step exercises the
-# tracing pipeline end to end: record a traced fig2a run and analyse it
-# with `mpexp report` (text, JSON, and CSV exports all must succeed).
+# automatically — no Makefile edit needed. An explicit -set beats the
+# smoke size of its key, and the larger fleet cell checks that it ran the
+# 48 devices it names. The last step exercises the tracing pipeline end to
+# end: record a traced fig2a run and analyse it with `mpexp report` (text,
+# JSON, and CSV exports all must succeed).
 smoke:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -75,7 +77,7 @@ smoke:
 		$$bin run $$s -smoke >/dev/null; \
 	done; \
 	echo "== smoke: mpexp run fleet (48 devices, 2x handover rate)"; \
-	$$bin run fleet -smoke -set devices=48 -set handover_rate=2 >/dev/null; \
+	$$bin run fleet -smoke -set devices=48 -set handover_rate=2 | grep '^48 devices' >/dev/null; \
 	echo "== smoke: mpexp run ctlstress (wide window, tight queue)"; \
 	$$bin run ctlstress -smoke -set window=1ms -set queue=16 >/dev/null; \
 	tdir=$$(mktemp -d); \
@@ -95,9 +97,10 @@ smoke:
 # the lookahead windows, not the model. Tracing is single-shard only
 # (rejected with -shards > 1), so the traced run stays in `smoke` and a
 # manifest that asks for a trace is skipped here. Every other committed
-# manifest runs too: the controller, scheduler and fleet sweeps are data
-# (examples/manifests/), and this is where their every cell meets the
-# sharded core.
+# manifest runs too: the controller, scheduler, fleet and scale sweeps are
+# data (examples/manifests/), and this is where their every cell meets the
+# sharded core. The two explicit cells are larger than their scenario's
+# smoke size (-set beats -smoke); the fleet one checks it ran 64 devices.
 smoke-shards:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -108,7 +111,7 @@ smoke-shards:
 		$$bin run $$s -smoke -shards 4 >/dev/null; \
 	done; \
 	echo "== smoke (-race, -shards 4): mpexp run fleet (64 devices)"; \
-	$$bin run fleet -smoke -shards 4 -set devices=64 >/dev/null; \
+	$$bin run fleet -smoke -shards 4 -set devices=64 | grep '^64 devices' >/dev/null; \
 	echo "== smoke (-race, -shards 4): mpexp run ctlstress (8 conns)"; \
 	$$bin run ctlstress -smoke -shards 4 -set conns=8 >/dev/null; \
 	for m in examples/manifests/*.json; do \
@@ -126,9 +129,10 @@ smoke-shards:
 # between two identical runs is a determinism regression. The committed
 # example manifests (examples/manifests/) are also run twice and diffed,
 # gating the manifest loader and the sweep cell layout end to end. The
-# final fleet pair runs with -metrics, so the diff also covers the two
-# captured metrics.json snapshots (wall-clock-tagged metrics excluded,
-# everything else compared at tolerance 0).
+# final fleet and ctlstress pairs run with -metrics, so the diff also
+# covers the captured metrics snapshots — fleet's metrics.json and the
+# metrics.json.immediate/.coalesced a two-run spec writes (wall-clock-tagged
+# metrics excluded, everything else compared at tolerance 0).
 smoke-workspace:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -153,7 +157,12 @@ smoke-workspace:
 	  $$bin run fleet -smoke -metrics >/dev/null; \
 	  $$bin run fleet -smoke -metrics >/dev/null; \
 	  test -s .mpexp/runs/fleet-003/metrics.json; \
-	  $$bin diff fleet-003 fleet-004 ); \
+	  $$bin diff fleet-003 fleet-004; \
+	  echo "== workspace smoke: ctlstress -metrics (run twice + diff metrics.json.<run>)"; \
+	  $$bin run ctlstress -smoke -metrics >/dev/null; \
+	  $$bin run ctlstress -smoke -metrics >/dev/null; \
+	  test -s .mpexp/runs/ctlstress-003/metrics.json.coalesced; \
+	  $$bin diff ctlstress-003 ctlstress-004 ); \
 	rm -rf $$ws
 
 # Parent-vs-change gate for a refactor that must keep every simulated
@@ -167,7 +176,9 @@ smoke-workspace:
 # flag-driven multi-seed sweep, one traced and one -metrics single-seed
 # sweep and every examples/manifests/*.json, each diffed at tolerance 0
 # cell directory by cell directory, and the stdout each side printed
-# compared with cmp (a difference is sized as lines added and removed).
+# compared with cmp (a difference is sized as lines added and removed; a
+# sweep over scale prints its wall-clock throughput scalars, so only its
+# cells are compared).
 # The scenario and manifest lists are the working tree's. A scenario only
 # one side registers, and a manifest over such a scenario, cannot be
 # compared: it is named, not failed on. Every other pair is compared;
@@ -238,7 +249,9 @@ smoke-ref:
 		fi; \
 	done; \
 	for r in $$sweeps; do \
-		if cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
+		if grep -q '_per_wall_s ' $$tmp/head-ws/$$r.out; then \
+			echo "== smoke-ref: $$r stdout prints wall-clock scalars (host speed), not compared"; \
+		elif cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
 			echo "== smoke-ref: $$r stdout identical"; \
 		else \
 			d=$$(diff $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out || true); \

@@ -420,7 +420,8 @@ func (c *cli) cmdList(args []string) error {
 	fmt.Fprintln(c.stdout, "scenarios (mpexp run <name>):")
 	for _, in := range scenario.Scenarios() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
-		for _, d := range scenario.ParamDocs(in.Name) {
+		own, _ := scenario.ParamDocs(in.Name)
+		for _, d := range own {
 			fmt.Fprintf(c.stdout, "  %-12s   -set %-14s %s\n", "", d.Key, d.Desc)
 		}
 	}

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/workspace"
 )
 
@@ -80,6 +82,56 @@ func TestRunSpellingsAgree(t *testing.T) {
 	for _, id := range []string{"fig2a-001", "fig2a-smoke-001"} {
 		if _, err := os.Stat(filepath.Join(ws.RunDir(id), workspace.TraceFile)); err != nil {
 			t.Errorf("%s: captured run stored no trace: %v", id, err)
+		}
+	}
+}
+
+// The listing is derived from the factories' own getter calls; this pins
+// what the derivation owes its readers. Every scenario lists keys of its
+// own, in the order its factory reads them and the same on every call;
+// every key has a type and a doc; and the listed default is a value Build
+// accepts for that key.
+func TestListingContract(t *testing.T) {
+	type param struct{ Key, Type, Default, Doc string }
+	var listing struct {
+		Scenarios []struct {
+			Name   string
+			Params []param
+		}
+		CommonParams []param `json:"common_params"`
+	}
+	out := mustRun(t, "list", "-json")
+	if again := mustRun(t, "list", "-json"); again != out {
+		t.Fatal("two `list -json` calls differ")
+	}
+	if err := json.Unmarshal([]byte(out), &listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Scenarios) != len(scenario.Names()) || len(listing.CommonParams) == 0 {
+		t.Fatalf("listing has %d scenarios and %d common keys", len(listing.Scenarios), len(listing.CommonParams))
+	}
+	text := mustRun(t, "list")
+	for _, sc := range listing.Scenarios {
+		var keys []string
+		for _, d := range sc.Params {
+			keys = append(keys, d.Key)
+			if !strings.Contains(text, "-set "+d.Key+" ") {
+				t.Errorf("%s: `list` does not print %s", sc.Name, d.Key)
+			}
+		}
+		if len(keys) <= len([]string{"sched", "policy"}) {
+			t.Errorf("%s lists no key of its own: %v", sc.Name, keys)
+		}
+		if got := strings.Join(keys, " "); sc.Name == "scale" && got != "conns subflows servers kb sched policy wall" {
+			t.Errorf("scale lists %q, not its factory's read order", got)
+		}
+		for _, d := range append(sc.Params, listing.CommonParams...) {
+			if d.Key == "" || d.Type == "" || d.Doc == "" {
+				t.Errorf("%s: incomplete entry %+v", sc.Name, d)
+			}
+			if _, err := scenario.Build(sc.Name, scenario.NewParams(map[string]string{d.Key: d.Default})); err != nil {
+				t.Errorf("%s: listed default %s=%q rejected: %v", sc.Name, d.Key, d.Default, err)
+			}
 		}
 	}
 }

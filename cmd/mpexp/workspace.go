@@ -165,25 +165,26 @@ func (c *cli) cmdDiff(args []string) error {
 }
 
 // listJSON is the machine-readable `mpexp list -json` dump: every
-// registered scenario with its typed parameter docs, the common
-// parameters Build accepts on all of them, and the scheduler/controller
-// registries — enough to author and validate manifests against the live
-// binary.
+// registered scenario with its typed parameters as its factory declares
+// them, the common parameters Build reads on all of them, and the
+// scheduler/controller registries — enough to author and validate
+// manifests against the live binary.
 func (c *cli) listJSON() error {
 	type entry struct {
 		Name   string              `json:"name"`
 		Desc   string              `json:"desc"`
 		Params []scenario.ParamDoc `json:"params,omitempty"`
 	}
-	out := struct {
+	var out struct {
 		Scenarios    []entry             `json:"scenarios"`
 		CommonParams []scenario.ParamDoc `json:"common_params"`
 		Schedulers   []entry             `json:"schedulers"`
 		Controllers  []entry             `json:"controllers"`
-	}{CommonParams: scenario.CommonParamDocs()}
+	}
 	for _, in := range scenario.Scenarios() {
-		out.Scenarios = append(out.Scenarios, entry{
-			Name: in.Name, Desc: in.Desc, Params: scenario.ParamDocs(in.Name)})
+		var own []scenario.ParamDoc
+		own, out.CommonParams = scenario.ParamDocs(in.Name) // common: the same for every scenario
+		out.Scenarios = append(out.Scenarios, entry{Name: in.Name, Desc: in.Desc, Params: own})
 	}
 	for _, in := range mptcp.Schedulers() {
 		out.Schedulers = append(out.Schedulers, entry{Name: in.Name, Desc: in.Desc})

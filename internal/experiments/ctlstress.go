@@ -7,7 +7,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/mptcp"
-	"repro/internal/netem"
 	"repro/internal/nlmsg"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -15,83 +14,50 @@ import (
 	"repro/internal/stats"
 )
 
-// CtlStressConfig parameterises the control-plane stress scenario: N
+// ctlStressConfig parameterises the control-plane stress scenario: N
 // long-lived connections × M subflows with a fullmesh controller attached
 // to each, while per-client interface flaps churn the subflow set. The
 // measurement is policy-decision latency — the delay from a kernel event
 // being emitted to the controller's resulting command being applied back
 // in the kernel — under the immediate and the coalesced delivery modes.
-type CtlStressConfig struct {
-	Seed         int64
-	Sched        string        // packet scheduler ("" = lowest-rtt)
+// The default is bench-sized: 8 clients flapping their second interface
+// every 150 ms for 2 s.
+type ctlStressConfig struct {
+	Sched        string
 	Policy       string        // the subflow controller under stress
 	Conns        int           // concurrent connections, one client host each
 	Subflows     int           // interfaces per client (≥2; iface 1 is flapped)
-	Servers      int           // server hosts, dialed round-robin (0 = 1)
+	Servers      int           // server hosts, dialed round-robin
 	BytesPerConn int           // initial payload (the connection stays open after)
 	FlapEvery    time.Duration // per-client churn period
 	FlapDown     time.Duration // outage length within each period
 	Window       time.Duration // coalescing flush window of the coalesced cell
-	Queue        int           // pending-event queue bound (≤0 = core default)
-	AccessBps    float64       // per-interface access rate
-	Bottleneck   float64       // shared bottleneck rate
-	Delay        time.Duration // one-way access-path delay
+	Queue        int           // pending-event queue bound
 	Horizon      time.Duration // simulation cutoff
-}
-
-// DefaultCtlStress returns the bench-sized control-plane stress run: 8
-// clients flapping their second interface every 150 ms for 2 s.
-func DefaultCtlStress() CtlStressConfig {
-	return CtlStressConfig{
-		Seed:         1,
-		Policy:       "fullmesh",
-		Conns:        8,
-		Subflows:     2,
-		BytesPerConn: 64 << 10,
-		FlapEvery:    150 * time.Millisecond,
-		FlapDown:     60 * time.Millisecond,
-		Window:       200 * time.Microsecond,
-		AccessBps:    50e6,
-		Bottleneck:   200e6,
-		Delay:        10 * time.Millisecond,
-		Horizon:      2 * time.Second,
-	}
 }
 
 func init() {
 	scenario.Register("ctlstress",
 		"control-plane stress: flap-driven subflow churn under a fullmesh controller, measuring event→command decision latency",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultCtlStress()
-			// Smoke shrinks the defaults first, so an explicit -set still
-			// wins (the shard smoke cell runs `-smoke -set conns=8`).
-			if p.Bool("smoke", false) {
-				cfg.Conns = 4
-				cfg.BytesPerConn = 32 << 10
+			cfg := ctlStressConfig{
+				Sched:        p.Sched(),
+				Policy:       p.Str("policy", "fullmesh", "registered subflow controller under stress"),
+				Conns:        p.Int("conns", 8, "concurrent connections, one client host each", 4),
+				Subflows:     p.Int("subflows", 2, "interfaces per client, >= 2; iface 1 is flapped"),
+				Servers:      p.Int("servers", 1, "server hosts, dialed round-robin"),
+				BytesPerConn: p.Int("kb", 64, "initial payload per connection in KB", 32) << 10,
+				FlapEvery:    p.Duration("flap_every", 150*time.Millisecond, "per-client churn period"),
+				FlapDown:     p.Duration("flap_down", 60*time.Millisecond, "outage length within each period"),
+				Window:       p.Duration("window", 200*time.Microsecond, "coalescing flush window of the coalesced cell"),
+				Queue:        p.Int("queue", core.DefaultCtlQueue, "pending-event queue bound, drop-oldest overflow"),
+				Horizon:      2 * time.Second,
+			}
+			if p.Smoke() {
 				cfg.Horizon = time.Second
 			}
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Conns = p.Int("conns", cfg.Conns)
-			cfg.Subflows = p.Int("subflows", cfg.Subflows)
-			cfg.Servers = p.Int("servers", cfg.Servers)
-			cfg.BytesPerConn = p.Int("kb", cfg.BytesPerConn>>10) << 10
-			cfg.FlapEvery = p.Duration("flap_every", cfg.FlapEvery)
-			cfg.FlapDown = p.Duration("flap_down", cfg.FlapDown)
-			cfg.Window = p.Duration("window", cfg.Window)
-			cfg.Queue = p.Int("queue", cfg.Queue)
 			return ctlStressSpec(cfg)
 		})
-	scenario.RegisterParams("ctlstress",
-		scenario.ParamDoc{Key: "conns", Type: "int", Default: "8", Desc: "concurrent connections, one client host each"},
-		scenario.ParamDoc{Key: "subflows", Type: "int", Default: "2", Desc: "interfaces per client, >= 2; iface 1 is flapped"},
-		scenario.ParamDoc{Key: "kb", Type: "int", Default: "64", Desc: "initial payload per connection in KB"},
-		scenario.ParamDoc{Key: "flap_every", Type: "duration", Default: "150ms", Desc: "per-client churn period"},
-		scenario.ParamDoc{Key: "flap_down", Type: "duration", Default: "60ms", Desc: "outage length within each period"},
-		scenario.ParamDoc{Key: "window", Type: "duration", Default: "200µs", Desc: "coalescing flush window of the coalesced cell"},
-		scenario.ParamDoc{Key: "queue", Type: "int", Default: "128", Desc: "pending-event queue bound, drop-oldest overflow"},
-		scenario.ParamDoc{Key: "servers", Type: "int", Default: "1", Desc: "server hosts, dialed round-robin"},
-	)
 }
 
 // ctlStressSpec declares two runs of the same churn workload on fresh star
@@ -99,19 +65,11 @@ func init() {
 // "coalesced" batches events per flush window into pooled multi-message
 // frames. Every scalar is simulated — no wall-clock output — so the run is
 // byte-identical at any shard count.
-func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
+func ctlStressSpec(cfg ctlStressConfig) (*scenario.Spec, error) {
 	if cfg.Subflows < 2 {
 		return nil, fmt.Errorf("ctlstress: need subflows >= 2 (iface 1 is flapped), got %d", cfg.Subflows)
 	}
-	star := scenario.Star{
-		Clients: cfg.Conns,
-		Ifaces:  cfg.Subflows,
-		Servers: cfg.Servers,
-		Access:  netem.LinkConfig{RateBps: cfg.AccessBps, Delay: cfg.Delay},
-		Bottleneck: netem.LinkConfig{
-			RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond,
-		},
-	}
+	star := stressStar(cfg.Conns, cfg.Subflows, cfg.Servers)
 	// Per-client flap schedule: client i's second interface goes down at
 	// 50ms + i*7ms and then every FlapEvery, each outage FlapDown long.
 	// The 7 ms stagger keeps the flap bursts from phase-locking across

@@ -42,16 +42,27 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// build declares a registered scenario the way every user does: through
+// scenario.Build, from key=value pairs (`mpexp run name -set key=value`).
+func build(t *testing.T, name string, sets ...string) *scenario.Spec {
+	t.Helper()
+	p, err := scenario.ParseSets(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scenario.Build(name, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 func TestFig2aGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Seed = 1
-	checkGolden(t, "fig2a_seed1", scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report)
+	checkGolden(t, "fig2a_seed1", scenario.Execute(build(t, "fig2a"), 1).Report)
 }
 
 func TestLongLivedGoldenSeed1(t *testing.T) {
-	cfg := DefaultLongLived()
-	cfg.Seed = 1
-	checkGolden(t, "longlived_seed1", scenario.Execute(longLivedSpec(cfg), cfg.Seed).Report)
+	checkGolden(t, "longlived_seed1", scenario.Execute(build(t, "longlived"), 1).Report)
 }
 
 // The fig2b/fig2c goldens pin the post-scenario-refactor output on
@@ -61,28 +72,19 @@ func TestLongLivedGoldenSeed1(t *testing.T) {
 // shows up here.
 
 func TestFig2bGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2b()
-	cfg.Seed = 1
-	cfg.Blocks = 40
-	checkGolden(t, "fig2b_seed1", scenario.Execute(fig2bSpec(cfg), cfg.Seed).Report)
+	checkGolden(t, "fig2b_seed1", scenario.Execute(build(t, "fig2b", "blocks=40"), 1).Report)
 }
 
 func TestFig2cGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2c()
-	cfg.Seed = 1
-	cfg.Trials = 3
-	cfg.FileBytes = 25 << 20
-	checkGolden(t, "fig2c_seed1", scenario.Execute(fig2cSpec(cfg), cfg.Seed).Report)
+	checkGolden(t, "fig2c_seed1", scenario.Execute(build(t, "fig2c", "trials=3", "mb=25"), 1).Report)
 }
 
 // TestGoldenRunsAreRepeatable guards the golden tests themselves: two
 // fresh runs at the same seed must agree before comparing to disk, so a
 // golden failure always means divergence, never flakiness.
 func TestGoldenRunsAreRepeatable(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Seed = 7
-	a := scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report
-	b := scenario.Execute(fig2aSpec(cfg), cfg.Seed).Report
+	a := scenario.Execute(build(t, "fig2a"), 7).Report
+	b := scenario.Execute(build(t, "fig2a"), 7).Report
 	if a != b {
 		t.Fatal("two fig2a runs at the same seed disagree")
 	}

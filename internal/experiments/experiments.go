@@ -14,20 +14,17 @@
 //     timeouts, userspace full-mesh controller vs the plain stack.
 //
 // Beyond the paper, the scale experiment stresses the pooled data path:
-// N concurrent connections × M subflows through a shared bottleneck,
-// swept over schedulers and controllers (see scale.go) — the one
-// scenario that still crosses policies itself, because the benchmark
-// pins its matrix. Everywhere else a scenario is one configuration (the
-// stream scenario is one §4.3 session) and crossing it over schedulers,
-// controllers or parameters is a sweep manifest's job
-// (examples/manifests/).
+// N concurrent connections × M subflows through a shared bottleneck (see
+// scale.go). A scenario is one configuration (the stream scenario is one
+// §4.3 session); crossing it over schedulers, controllers or parameters
+// is a sweep manifest's job (examples/manifests/).
 //
 // Every experiment is expressed as a declarative scenario spec (see
 // internal/scenario) registered under its figure name, so cmd/mpexp can
 // run it generically (`mpexp run fig2a -set loss=0.4`) and sweeps can
 // cross it with any scheduler or controller. The registry is the only
-// way in: the package exports the config types the specs are built from,
-// no entry points of its own.
+// way in: the package exports nothing, and each scenario's parameters are
+// declared by the getter calls of its factory (scenario.Params).
 //
 // Every experiment is deterministic given its seed and returns both a
 // human-readable report and the raw samples/series.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -13,8 +12,7 @@ import (
 // fall — not absolute testbed numbers.
 
 func TestFig2aSmartSwitchesFast(t *testing.T) {
-	cfg := DefaultFig2a()
-	r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	r := scenario.Execute(build(t, "fig2a"), 1)
 	delay := r.Scalars["switch_delay_s"]
 	if delay <= 0 {
 		t.Fatal("backup never used")
@@ -37,10 +35,7 @@ func TestFig2aSmartSwitchesFast(t *testing.T) {
 }
 
 func TestFig2aBaselineTakesMinutes(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Baseline = true
-	cfg.LossRatio = 1.0 // radio blackout
-	r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	r := scenario.Execute(build(t, "fig2a", "baseline"), 1) // implies a radio blackout
 	first := r.Scalars["backup_first_data_s"]
 	// The kernel needs its RTO backoff budget (≈15 doublings) before the
 	// pre-established backup carries data: minutes, not seconds. The
@@ -51,12 +46,10 @@ func TestFig2aBaselineTakesMinutes(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	cfg := DefaultFig2b()
 	// Full-length stream (the default 120 blocks): shorter runs sample
 	// too little of the loss tail for the 4x growth assertion to be
 	// stable across RNG layouts.
-	cfg.LossLevels = []float64{0.10, 0.40}
-	r := scenario.Execute(fig2bSpec(cfg), cfg.Seed)
+	r := scenario.Execute(build(t, "fig2b", "loss_levels=0.10,0.40"), 1)
 	smart := r.Samples["smart stream"]
 	low := r.Samples["fullmesh 10% loss"]
 	high := r.Samples["fullmesh 40% loss"]
@@ -79,12 +72,8 @@ func TestFig2bSmartLossInvariance(t *testing.T) {
 	// "our controller provides almost the same CDF of the block delays
 	// for packet loss ratios in the 10-40% range."
 	var p90s []float64
-	for _, loss := range []float64{0.10, 0.40} {
-		cfg := DefaultFig2b()
-		cfg.Blocks = 50
-		cfg.LossLevels = nil
-		cfg.SmartLoss = loss
-		r := scenario.Execute(fig2bSpec(cfg), cfg.Seed)
+	for _, loss := range []string{"loss=0.10", "loss=0.40"} {
+		r := scenario.Execute(build(t, "fig2b", "blocks=50", "loss_levels=", loss), 1)
 		p90s = append(p90s, r.Samples["smart stream"].Quantile(0.9))
 	}
 	if p90s[1] > 4*p90s[0]+1 {
@@ -93,13 +82,10 @@ func TestFig2bSmartLossInvariance(t *testing.T) {
 }
 
 func TestFig2cShape(t *testing.T) {
-	cfg := DefaultFig2c()
-	cfg.Trials = 5
 	// Scaled to 50 MB: completion scales linearly with size, and the
 	// refresh controller needs a handful of 2.5 s polling rounds to
 	// converge, so very small files would mask its advantage.
-	cfg.FileBytes = 50 << 20
-	r := scenario.Execute(fig2cSpec(cfg), cfg.Seed)
+	r := scenario.Execute(build(t, "fig2c", "trials=5", "mb=50"), 1)
 	nd := r.Samples["ndiffports"]
 	rf := r.Samples["refresh"]
 	// Refresh must win on median (it converges towards all four paths).
@@ -107,7 +93,7 @@ func TestFig2cShape(t *testing.T) {
 		t.Fatalf("refresh median %.1fs not better than ndiffports %.1fs", rf.Median(), nd.Median())
 	}
 	// Both stay within the single-path worst bound.
-	worst := float64(cfg.FileBytes*8) / 8e6
+	worst := float64(50<<20*8) / 8e6
 	if nd.Max() > worst*1.2 || rf.Max() > worst*1.2 {
 		t.Fatalf("completion beyond the one-path bound: nd=%.1fs rf=%.1fs worst=%.1fs",
 			nd.Max(), rf.Max(), worst)
@@ -120,9 +106,7 @@ func TestFig2cShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	cfg := DefaultFig3()
-	cfg.Requests = 150
-	r := scenario.Execute(fig3Spec(cfg), cfg.Seed)
+	r := scenario.Execute(build(t, "fig3", "requests=150"), 1)
 	k := r.Samples["kernel"]
 	u := r.Samples["userspace"]
 	if k.N() < 140 || u.N() < 140 {
@@ -139,8 +123,7 @@ func TestFig3Shape(t *testing.T) {
 	}
 	// Under CPU stress the penalty grows but stays bounded (paper: <37µs
 	// on their hardware; our stressed model roughly doubles the base).
-	cfg.Stressed = true
-	rs := scenario.Execute(fig3Spec(cfg), cfg.Seed)
+	rs := scenario.Execute(build(t, "fig3", "requests=150", "stressed"), 1)
 	if rs.Scalars["delta_us"] < delta-10 {
 		t.Fatalf("stress did not increase the penalty: %.1f vs %.1f µs",
 			rs.Scalars["delta_us"], delta)
@@ -151,9 +134,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestLongLivedSmartVsPlain(t *testing.T) {
-	cfg := DefaultLongLived()
-	cfg.Messages = 6
-	smart := scenario.Execute(longLivedSpec(cfg), cfg.Seed)
+	smart := scenario.Execute(build(t, "longlived", "messages=6"), 1)
 	if smart.Scalars["messages_delivered"] != smart.Scalars["messages_sent"] {
 		t.Fatalf("smart controller lost messages: %+v", smart.Scalars)
 	}
@@ -163,8 +144,8 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 	if smart.Scalars["live_subflows_at_end"] == 0 {
 		t.Fatal("no live subflows at the end")
 	}
-	cfg.Policy = "" // the nil policy: same stack, no controller
-	plain := scenario.Execute(longLivedSpec(cfg), cfg.Seed)
+	// The nil policy: same stack, no controller.
+	plain := scenario.Execute(build(t, "longlived", "messages=6", "plain"), 1)
 	if plain.Scalars["messages_delivered"] >= plain.Scalars["messages_sent"] {
 		t.Fatal("plain stack should lose messages once NAT state expires")
 	}
@@ -172,48 +153,38 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 
 func TestReportsRenderable(t *testing.T) {
 	// Every report must include its section headers and summaries.
-	cfg2b := DefaultFig2b()
-	cfg2b.Blocks = 10
-	cfg2b.LossLevels = []float64{0.10}
-	r := scenario.Execute(fig2bSpec(cfg2b), cfg2b.Seed)
+	r := scenario.Execute(build(t, "fig2b", "blocks=10", "loss_levels=0.10"), 1)
 	for _, want := range []string{"Fig. 2b", "CDF", "summary", "smart stream"} {
 		if !strings.Contains(r.Report, want) {
 			t.Fatalf("report missing %q:\n%s", want, r.Report)
 		}
 	}
-	cfg3 := DefaultFig3()
-	cfg3.Requests = 10
-	if !strings.Contains(scenario.Execute(fig3Spec(cfg3), cfg3.Seed).Report, "userspace penalty") {
+	if !strings.Contains(scenario.Execute(build(t, "fig3", "requests=10"), 1).Report, "userspace penalty") {
 		t.Fatal("fig3 report incomplete")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultFig2a()
-	a := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
-	b := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	a := scenario.Execute(build(t, "fig2a"), 1)
+	b := scenario.Execute(build(t, "fig2a"), 1)
 	if a.Scalars["switch_delay_s"] != b.Scalars["switch_delay_s"] {
 		t.Fatal("identical seeds diverged")
 	}
-	cfg.Seed = 2
-	c := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	c := scenario.Execute(build(t, "fig2a"), 2)
 	if a.Scalars["switch_delay_s"] == c.Scalars["switch_delay_s"] {
 		t.Log("note: different seeds produced identical switch delay (possible but unusual)")
 	}
-	_ = c
 }
 
 func TestFig2aThresholdMonotonicity(t *testing.T) {
 	// A larger RTO threshold cannot make the switch happen earlier. An
 	// aggressive 500 ms threshold may even trip on slow-start congestion
 	// BEFORE the radio degrades — a false positive worth documenting.
-	cfg := DefaultFig2a()
-	cfg.Duration = 120 * time.Second // give the 2s threshold time to trip
-	cfg.LossRatio = 0.5              // frequent backoff chains
 	var at []float64
-	for _, th := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
-		cfg.Threshold = th
-		r := scenario.Execute(fig2aSpec(cfg), cfg.Seed)
+	for _, th := range []string{"500ms", "1s", "2s"} {
+		// 120 s gives the 2 s threshold time to trip; 50 % loss makes
+		// backoff chains frequent.
+		r := scenario.Execute(build(t, "fig2a", "duration=120s", "loss=0.5", "threshold="+th), 1)
 		if r.Scalars["switches"] != 1 {
 			t.Fatalf("threshold %v: switches = %v", th, r.Scalars["switches"])
 		}

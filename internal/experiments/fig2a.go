@@ -12,57 +12,36 @@ import (
 	"repro/internal/stats"
 )
 
-// Fig2aConfig parameterises the §4.2 smart-backup experiment.
-type Fig2aConfig struct {
-	Seed      int64
-	Sched     string        // registered scheduler name; "" = lowest-rtt
-	Policy    string        // registered controller for the smart mode (paper: backup)
+// fig2aConfig parameterises the §4.2 smart-backup experiment.
+type fig2aConfig struct {
+	Sched     string
+	Policy    string        // controller of the smart mode (paper: backup)
+	Baseline  bool          // run the in-kernel pre-established-backup baseline instead
 	LossRatio float64       // loss on the primary path after LossAt (paper: 0.30)
 	LossAt    time.Duration // when the radio degrades (paper: 1 s)
 	Threshold time.Duration // controller's RTO threshold (paper: 1 s)
 	Duration  time.Duration // observation window for the trace (paper plots 4 s)
-	Baseline  bool          // run the in-kernel pre-established-backup baseline instead
-}
-
-// DefaultFig2a returns the paper's parameters.
-func DefaultFig2a() Fig2aConfig {
-	return Fig2aConfig{
-		Seed:      1,
-		Policy:    "backup",
-		LossRatio: 0.30,
-		LossAt:    time.Second,
-		Threshold: time.Second,
-		Duration:  8 * time.Second,
-	}
 }
 
 func init() {
 	scenario.Register("fig2a",
 		"smart backup (§4.2): RTO-triggered switch to the backup path vs the in-kernel baseline",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig2a()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Baseline = p.Bool("baseline", false)
+			cfg := fig2aConfig{
+				Sched:    p.Sched(),
+				Policy:   p.Str("policy", "backup", "registered subflow controller of the smart mode"),
+				Baseline: p.Bool("baseline", false, "run the in-kernel pre-established-backup baseline (implies loss=1.0)"),
+			}
+			loss := 0.30
 			if cfg.Baseline {
-				cfg.LossRatio = 1.0 // radio blackout, as the kernel baseline is measured
+				loss = 1.0 // radio blackout, as the kernel baseline is measured
 			}
-			cfg.LossRatio = p.Float("loss", cfg.LossRatio)
-			cfg.LossAt = p.Duration("loss_at", cfg.LossAt)
-			cfg.Threshold = p.Duration("threshold", cfg.Threshold)
-			cfg.Duration = p.Duration("duration", cfg.Duration)
-			if p.Bool("smoke", false) {
-				cfg.Duration = 4 * time.Second
-			}
+			cfg.LossRatio = p.Float("loss", loss, "primary-path loss ratio after loss_at")
+			cfg.LossAt = p.Duration("loss_at", time.Second, "when the primary path degrades")
+			cfg.Threshold = p.Duration("threshold", time.Second, "RTO threshold that triggers the backup subflow")
+			cfg.Duration = p.Duration("duration", 8*time.Second, "observation window", 4*time.Second)
 			return fig2aSpec(cfg), nil
 		})
-	scenario.RegisterParams("fig2a",
-		scenario.ParamDoc{Key: "baseline", Type: "bool", Default: "false", Desc: "run the in-kernel pre-established-backup baseline (implies loss=1.0)"},
-		scenario.ParamDoc{Key: "loss", Type: "float", Default: "0.30", Desc: "primary-path loss ratio after loss_at"},
-		scenario.ParamDoc{Key: "loss_at", Type: "duration", Default: "1s", Desc: "when the primary path degrades"},
-		scenario.ParamDoc{Key: "threshold", Type: "duration", Default: "1s", Desc: "RTO threshold that triggers the backup subflow"},
-		scenario.ParamDoc{Key: "duration", Type: "duration", Default: "8s", Desc: "observation window"},
-	)
 }
 
 // fig2aSpec declares the smart-backup experiment: a bulk transfer over
@@ -73,7 +52,7 @@ func init() {
 // With Baseline the backup subflow is pre-established with the RFC 6824
 // backup flag on a plain kernel stack, and the kernel alone decides —
 // which takes ~15 RTO backoffs (minutes).
-func fig2aSpec(cfg Fig2aConfig) *scenario.Spec {
+func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 	mode := fmt.Sprintf("smart controller (userspace %q policy)", cfg.Policy)
 	policy := cfg.Policy
 	var kernelPM func() mptcp.PathManager

@@ -13,46 +13,31 @@ import (
 	"repro/internal/tcp"
 )
 
-// Fig2cConfig parameterises the §4.4 ECMP experiment.
-type Fig2cConfig struct {
-	Seed      int64
-	Sched     string // registered scheduler name; "" = lowest-rtt
-	Policy    string // registered controller for the smart variant (paper: refresh)
+// fig2cConfig parameterises the §4.4 ECMP experiment. The paper's run is
+// 100 MB over 5 subflows on a 4-path 8 Mbps fabric with 10/20/30/40 ms
+// delays.
+type fig2cConfig struct {
+	Sched     string
+	Policy    string // controller of the smart variant (paper: refresh)
 	Trials    int    // independent runs per variant (different hash seeds/ports)
-	FileBytes int    // 100 MB in the paper
-	Subflows  int    // 5 in the paper
-	Paths     int    // 4 in the paper
-}
-
-// DefaultFig2c returns the paper's parameters: 100 MB over 5 subflows on a
-// 4-path 8 Mbps fabric with 10/20/30/40 ms delays.
-func DefaultFig2c() Fig2cConfig {
-	return Fig2cConfig{Seed: 1, Policy: "refresh", Trials: 20, FileBytes: 100 << 20, Subflows: 5, Paths: 4}
+	FileBytes int
+	Subflows  int
+	Paths     int
 }
 
 func init() {
 	scenario.Register("fig2c",
 		"ECMP load balancing (§4.4): 100 MB completion CDFs, in-kernel ndiffports vs the refresh controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig2c()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Trials = p.Int("trials", cfg.Trials)
-			cfg.FileBytes = p.Int("mb", cfg.FileBytes>>20) << 20
-			cfg.Subflows = p.Int("subflows", cfg.Subflows)
-			cfg.Paths = p.Int("paths", cfg.Paths)
-			if p.Bool("smoke", false) {
-				cfg.Trials = 2
-				cfg.FileBytes = 10 << 20
-			}
-			return fig2cSpec(cfg), nil
+			return fig2cSpec(fig2cConfig{
+				Sched:     p.Sched(),
+				Policy:    p.Str("policy", "refresh", "registered subflow controller of the smart variant"),
+				Trials:    p.Int("trials", 20, "trials per variant", 2),
+				FileBytes: p.Int("mb", 100, "file size in MB", 10) << 20,
+				Subflows:  p.Int("subflows", 5, "subflows per connection"),
+				Paths:     p.Int("paths", 4, "ECMP paths in the fabric"),
+			}), nil
 		})
-	scenario.RegisterParams("fig2c",
-		scenario.ParamDoc{Key: "trials", Type: "int", Default: "20", Desc: "trials per variant"},
-		scenario.ParamDoc{Key: "mb", Type: "int", Default: "100", Desc: "file size in MB"},
-		scenario.ParamDoc{Key: "subflows", Type: "int", Default: "5", Desc: "subflows per connection"},
-		scenario.ParamDoc{Key: "paths", Type: "int", Default: "4", Desc: "ECMP paths in the fabric"},
-	)
 }
 
 // fig2cRun declares one file transfer over the ECMP fabric: the refresh
@@ -60,7 +45,7 @@ func init() {
 // ndiffports path manager. Each trial offsets its seed by 1000 so the
 // fabric hash and source ports draw independent randomness, and both
 // variants of a trial share that seed.
-func fig2cRun(cfg Fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
+func fig2cRun(cfg fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 	var paths []netem.LinkConfig
 	for i := 0; i < cfg.Paths; i++ {
 		paths = append(paths, netem.LinkConfig{
@@ -129,7 +114,7 @@ func fig2cRun(cfg Fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 // ndiffports clustering around 28/37/55 s (5 subflows hashed onto 4/3/2
 // distinct paths) while refresh converges to all four paths; bounds are
 // 27.8 s (four paths) and 111.7 s (one path).
-func fig2cSpec(cfg Fig2cConfig) *scenario.Spec {
+func fig2cSpec(cfg fig2cConfig) *scenario.Spec {
 	var runs []*scenario.RunSpec
 	for trial := 0; trial < cfg.Trials; trial++ {
 		runs = append(runs, fig2cRun(cfg, trial, false), fig2cRun(cfg, trial, true))

@@ -13,41 +13,27 @@ import (
 	"repro/internal/stats"
 )
 
-// Fig3Config parameterises the §4.5 path-manager-cost experiment.
-type Fig3Config struct {
-	Seed     int64
-	Sched    string // registered scheduler name; "" = lowest-rtt
-	Policy   string // registered controller for the userspace variant (paper: ndiffports)
+// fig3Config parameterises the §4.5 path-manager-cost experiment.
+type fig3Config struct {
+	Sched    string
+	Policy   string // controller of the userspace variant (paper: ndiffports)
 	Requests int    // consecutive HTTP/1.0-style GETs (paper: 1000)
 	RespSize int    // 512 KB in the paper
 	Stressed bool   // model the CPU-stressed client of §4.5
-}
-
-// DefaultFig3 returns the paper's parameters.
-func DefaultFig3() Fig3Config {
-	return Fig3Config{Seed: 1, Policy: "ndiffports", Requests: 1000, RespSize: 512 << 10}
 }
 
 func init() {
 	scenario.Register("fig3",
 		"path-manager cost (§4.5): CDFs of the MP_CAPABLE→MP_JOIN SYN delay, kernel vs userspace manager",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig3()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Requests = p.Int("requests", cfg.Requests)
-			cfg.RespSize = p.Int("resp_kb", cfg.RespSize>>10) << 10
-			cfg.Stressed = p.Bool("stressed", cfg.Stressed)
-			if p.Bool("smoke", false) {
-				cfg.Requests = 25
-			}
-			return fig3Spec(cfg), nil
+			return fig3Spec(fig3Config{
+				Sched:    p.Sched(),
+				Policy:   p.Str("policy", "ndiffports", "registered subflow controller of the userspace variant"),
+				Requests: p.Int("requests", 1000, "consecutive GETs", 25),
+				RespSize: p.Int("resp_kb", 512, "response size in KB") << 10,
+				Stressed: p.Bool("stressed", false, "model the CPU-stressed client"),
+			}), nil
 		})
-	scenario.RegisterParams("fig3",
-		scenario.ParamDoc{Key: "requests", Type: "int", Default: "1000", Desc: "consecutive GETs"},
-		scenario.ParamDoc{Key: "resp_kb", Type: "int", Default: "512", Desc: "response size in KB"},
-		scenario.ParamDoc{Key: "stressed", Type: "bool", Default: "false", Desc: "model the CPU-stressed client"},
-	)
 }
 
 // fig3Run declares one GET-loop variant on the direct lab link: the
@@ -56,7 +42,7 @@ func init() {
 // request/response workload drives the simulation itself and samples the
 // delay between the SYN carrying MP_CAPABLE and the SYN carrying MP_JOIN
 // per request.
-func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqResp) {
+func fig3Run(cfg fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqResp) {
 	policy := ""
 	variant := "kernel"
 	var kernelPM func() mptcp.PathManager
@@ -104,7 +90,7 @@ func fig3Run(cfg Fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 // fig3Spec declares the experiment: the kernel and userspace variants
 // back to back, rendered as the paper's CDF. The paper reports the
 // userspace manager adding ≈23 µs on average (< 37 µs under CPU stress).
-func fig3Spec(cfg Fig3Config) *scenario.Spec {
+func fig3Spec(cfg fig3Config) *scenario.Spec {
 	stress := ""
 	if cfg.Stressed {
 		stress = " (CPU-stressed client)"

@@ -10,13 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
-// LongLivedConfig parameterises the §4.1 long-lived-connection experiment.
-type LongLivedConfig struct {
-	Seed        int64
-	Sched       string        // registered scheduler name; "" = lowest-rtt
+// longLivedConfig parameterises the §4.1 long-lived-connection
+// experiment: by default a 180 s NAT timeout against a chat message every
+// 10 minutes — the keepalive battle of §4.1.
+type longLivedConfig struct {
+	Sched       string
 	Policy      string        // registered controller; "" = the plain stack (nil policy)
 	NATTimeout  time.Duration // middlebox idle timeout (deployed boxes: a few hundred seconds)
-	Expiry      netem.ExpiryPolicy
 	MsgInterval time.Duration // application message cadence (sparser than the NAT timeout)
 	Messages    int
 	MsgSize     int
@@ -24,53 +24,25 @@ type LongLivedConfig struct {
 	FlapFor     time.Duration
 }
 
-// DefaultLongLived returns a scenario with a 180 s NAT timeout and a chat
-// message every 10 minutes — the keepalive battle of §4.1.
-func DefaultLongLived() LongLivedConfig {
-	return LongLivedConfig{
-		Seed:        1,
-		Policy:      "fullmesh",
-		NATTimeout:  180 * time.Second,
-		Expiry:      netem.ExpiryRST,
-		MsgInterval: 10 * time.Minute,
-		Messages:    12,
-		MsgSize:     2000,
-		FlapAt:      25 * time.Minute,
-		FlapFor:     2 * time.Minute,
-	}
-}
-
 func init() {
 	scenario.Register("longlived",
 		"long-lived connections (§4.1): chat through a NAT with idle timeouts, smart full-mesh vs plain stack",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultLongLived()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			if p.Bool("plain", false) {
+			cfg := longLivedConfig{
+				Sched:  p.Sched(),
+				Policy: p.Str("policy", "fullmesh", "registered subflow controller"),
+			}
+			if p.Bool("plain", false, "run the nil policy (plain-stack baseline)") {
 				cfg.Policy = "" // the nil policy: same stack, no controller
 			}
-			cfg.NATTimeout = p.Duration("nat_timeout", cfg.NATTimeout)
-			cfg.MsgInterval = p.Duration("interval", cfg.MsgInterval)
-			cfg.Messages = p.Int("messages", cfg.Messages)
-			cfg.MsgSize = p.Int("msg_size", cfg.MsgSize)
-			cfg.FlapAt = p.Duration("flap_at", cfg.FlapAt)
-			cfg.FlapFor = p.Duration("flap_for", cfg.FlapFor)
-			if p.Bool("smoke", false) {
-				cfg.Messages = 4
-				cfg.FlapAt = 15 * time.Minute
-			}
+			cfg.NATTimeout = p.Duration("nat_timeout", 180*time.Second, "NAT idle-entry expiry")
+			cfg.MsgInterval = p.Duration("interval", 10*time.Minute, "message interval")
+			cfg.Messages = p.Int("messages", 12, "messages per direction", 4)
+			cfg.MsgSize = p.Int("msg_size", 2000, "bytes per message")
+			cfg.FlapAt = p.Duration("flap_at", 25*time.Minute, "when the primary interface flaps", 15*time.Minute)
+			cfg.FlapFor = p.Duration("flap_for", 2*time.Minute, "flap outage length")
 			return longLivedSpec(cfg), nil
 		})
-	scenario.RegisterParams("longlived",
-		scenario.ParamDoc{Key: "plain", Type: "bool", Default: "false", Desc: "run the nil policy (plain-stack baseline)"},
-		scenario.ParamDoc{Key: "nat_timeout", Type: "duration", Default: "3m0s", Desc: "NAT idle-entry expiry"},
-		scenario.ParamDoc{Key: "interval", Type: "duration", Default: "10m0s", Desc: "message interval"},
-		scenario.ParamDoc{Key: "messages", Type: "int", Default: "12", Desc: "messages per direction"},
-		scenario.ParamDoc{Key: "msg_size", Type: "int", Default: "2000", Desc: "bytes per message"},
-		scenario.ParamDoc{Key: "flap_at", Type: "duration", Default: "25m0s", Desc: "when the primary interface flaps"},
-		scenario.ParamDoc{Key: "flap_for", Type: "duration", Default: "2m0s", Desc: "flap outage length"},
-	)
 }
 
 // longLivedSpec declares the §4.1 scenario: a chat-style connection
@@ -79,7 +51,7 @@ func init() {
 // re-established with error-specific backoff and every message is
 // eventually delivered; the plain stack loses its only subflow at the
 // first expiry and stalls.
-func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
+func longLivedSpec(cfg longLivedConfig) *scenario.Spec {
 	mode := fmt.Sprintf("userspace %q controller", cfg.Policy)
 	if cfg.Policy == "" {
 		mode = "plain stack (nil policy)"
@@ -96,7 +68,7 @@ func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
 
 	run := &scenario.RunSpec{
 		Label:    "longlived",
-		Topology: scenario.NATPath{P0: p, P1: p, Idle: cfg.NATTimeout, Expiry: cfg.Expiry},
+		Topology: scenario.NATPath{P0: p, P1: p, Idle: cfg.NATTimeout, Expiry: netem.ExpiryRST},
 		Workload: wl,
 		Sched:    cfg.Sched,
 		Policy:   cfg.Policy,
@@ -108,8 +80,8 @@ func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
 	return &scenario.Spec{
 		Name:  "longlived",
 		Title: "§4.1 — smarter long-lived connections",
-		Desc: fmt.Sprintf("NAT idle timeout %v (%s on expiry); message every %v; %s",
-			cfg.NATTimeout, expiryName(cfg.Expiry), cfg.MsgInterval, mode),
+		Desc: fmt.Sprintf("NAT idle timeout %v (RST on expiry); message every %v; %s",
+			cfg.NATTimeout, cfg.MsgInterval, mode),
 		Runs: []*scenario.RunSpec{run},
 		Render: func(res *stats.Result, runs []*scenario.Run) {
 			rt := runs[0]
@@ -144,11 +116,4 @@ func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
 			res.Printf("live subflows at end: %d\n", len(rt.Conn.Subflows()))
 		},
 	}
-}
-
-func expiryName(p netem.ExpiryPolicy) string {
-	if p == netem.ExpiryRST {
-		return "RST"
-	}
-	return "drop"
 }

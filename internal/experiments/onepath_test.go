@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"reflect"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,16 +20,19 @@ import (
 func TestEveryClientStackIsWired(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		params map[string]string
+		policy string // "" = the scenario's own
 	}{
-		{"fig2a", nil},
-		{"scale", map[string]string{"controllers": "kernel,fullmesh"}},
-		{"fleet", nil},
-		{"ctlstress", nil},
+		{"fig2a", ""},
+		{"scale", ""}, // the in-kernel path manager
+		{"scale", "fullmesh"},
+		{"fleet", ""},
+		{"ctlstress", ""},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := scenario.NewParams(tc.params)
-			p.Set("smoke", "true")
+		t.Run(strings.TrimSuffix(tc.name+"/"+tc.policy, "/"), func(t *testing.T) {
+			p := scenario.NewParams(map[string]string{"smoke": "true"})
+			if tc.policy != "" {
+				p.Set("policy", tc.policy)
+			}
 			p.Set("metrics", "")
 			p.Set("trace", "")
 			sp, err := scenario.Build(tc.name, p)
@@ -92,39 +96,54 @@ func TestEveryClientStackIsWired(t *testing.T) {
 	}
 }
 
-// TestDocumentedParamsMatchBuild checks the parameter docs against the
-// factories, registry-wide: Build accepts every documented key (scenario
-// docs and the common ones), and setting a key to its documented default
-// declares the same runs as leaving it out — so a doc that drifts from the
-// code's default fails here. Keys documented without a default are passed
-// bare (the empty value every getter reads as "not given").
-func TestDocumentedParamsMatchBuild(t *testing.T) {
-	shape := func(sp *scenario.Spec) []string {
+// TestExplicitValueBeatsSmoke holds every scenario to the one precedence
+// rule: a key given explicitly keeps its value on a smoke run. For every
+// key that declares a smoke size, `smoke` plus that key at its full-size
+// default declares what `smoke` alone does with that one value restored —
+// not the smoke run unchanged (the value was overwritten), and the same as
+// spelling every other smoke size out by hand.
+func TestExplicitValueBeatsSmoke(t *testing.T) {
+	// shape is what a spec declares, as far as sizes show in it.
+	shape := func(name string, vals map[string]string) string {
+		t.Helper()
+		vals["smoke"] = "true"
+		sp, err := scenario.Build(name, scenario.NewParams(vals))
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, vals, err)
+		}
 		out := []string{sp.Title, sp.Desc}
 		for _, rs := range sp.Runs {
-			out = append(out, rs.Label)
+			out = append(out, fmt.Sprintf("%s: %+v, %+v, %d events (first at %v), stop %v",
+				rs.Label, rs.Topology, rs.Workload, len(rs.Events), append(rs.Events, scenario.Event{})[0].At, rs.Stop.Horizon))
 		}
-		return out
+		return strings.Join(out, "\n")
 	}
 	for _, name := range scenario.Names() {
-		base, err := scenario.Build(name, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		docs := append(scenario.ParamDocs(name), scenario.CommonParamDocs()...)
-		if len(docs) <= len(scenario.CommonParamDocs()) {
-			t.Errorf("%s documents no parameters of its own", name)
-		}
-		for _, d := range docs {
-			sp, err := scenario.Build(name, scenario.NewParams(map[string]string{d.Key: d.Default}))
-			if err != nil {
-				t.Errorf("%s: documented %s=%q rejected: %v", name, d.Key, d.Default, err)
+		own, _ := scenario.ParamDocs(name)
+		sized := 0
+		for _, d := range own {
+			if d.Smoke == "" {
 				continue
 			}
-			if d.Default != "" && !reflect.DeepEqual(shape(sp), shape(base)) {
-				t.Errorf("%s: %s=%q (its documented default) declares\n%q, the real default\n%q",
-					name, d.Key, d.Default, shape(sp), shape(base))
+			sized++
+			smoke := shape(name, map[string]string{})
+			got := shape(name, map[string]string{d.Key: d.Default})
+			if got == smoke {
+				t.Errorf("%s: smoke with %s=%s declares the plain smoke run: the explicit value lost\n%s", name, d.Key, d.Default, got)
 			}
+			spelled := map[string]string{}
+			for _, o := range own {
+				if o.Smoke != "" {
+					spelled[o.Key] = o.Smoke
+				}
+			}
+			spelled[d.Key] = d.Default
+			if want := shape(name, spelled); got != want {
+				t.Errorf("%s: smoke with %s=%s declares\n%s\nwant only that value restored:\n%s", name, d.Key, d.Default, got, want)
+			}
+		}
+		if sized == 0 {
+			t.Errorf("%s declares no smoke size", name)
 		}
 	}
 }

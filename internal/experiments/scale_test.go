@@ -8,23 +8,15 @@ import (
 	"repro/internal/stats"
 )
 
-// runScale executes the stress matrix for cfg, wall-clock scalars included.
-func runScale(cfg ScaleConfig) *stats.Result {
-	return scenario.Execute(scaleSpec(cfg, true), cfg.Seed)
-}
-
-// smallScale keeps the stress matrix test-sized.
-func smallScale(seed int64) ScaleConfig {
-	cfg := DefaultScale()
-	cfg.Seed = seed
-	cfg.Conns = 4
-	cfg.BytesPerConn = 128 << 10
-	cfg.Schedulers = []string{"lowest-rtt"}
-	return cfg
+// runScale executes a test-sized stress cell (4 conns × 128 KB on
+// lowest-rtt), wall-clock scalars included.
+func runScale(t *testing.T, seed int64, sets ...string) *stats.Result {
+	sets = append([]string{"conns=4", "kb=128"}, sets...)
+	return scenario.Execute(build(t, "scale", sets...), seed)
 }
 
 func TestScaleKernelCellCompletes(t *testing.T) {
-	r := runScale(smallScale(1))
+	r := runScale(t, 1)
 	if got := r.Scalars["lowest-rtt/kernel_completed"]; got != 4 {
 		t.Fatalf("completed %v of 4 connections\n%s", got, r.Report)
 	}
@@ -33,16 +25,12 @@ func TestScaleKernelCellCompletes(t *testing.T) {
 	}
 }
 
-// TestScaleControllerCell drives the sweep through the smapp facade: the
+// TestScaleControllerCell drives the cell through the smapp facade: the
 // userspace full-mesh policy must also finish every transfer.
 func TestScaleControllerCell(t *testing.T) {
-	cfg := smallScale(1)
-	cfg.Controllers = []string{scenario.KernelPolicy, "fullmesh"}
-	r := runScale(cfg)
-	for _, key := range []string{"lowest-rtt/kernel_completed", "lowest-rtt/fullmesh_completed"} {
-		if got := r.Scalars[key]; got != 4 {
-			t.Fatalf("%s = %v, want 4\n%s", key, got, r.Report)
-		}
+	r := runScale(t, 1, "policy=fullmesh")
+	if got := r.Scalars["lowest-rtt/fullmesh_completed"]; got != 4 {
+		t.Fatalf("lowest-rtt/fullmesh_completed = %v, want 4\n%s", got, r.Report)
 	}
 }
 
@@ -51,8 +39,8 @@ func TestScaleControllerCell(t *testing.T) {
 // same-seed runs must agree exactly (wall-clock scalars excluded — they
 // measure the host, not the model).
 func TestScaleDeterministicPerSeed(t *testing.T) {
-	a := runScale(smallScale(3))
-	b := runScale(smallScale(3))
+	a := runScale(t, 3)
+	b := runScale(t, 3)
 	for k, v := range a.Scalars {
 		if strings.HasSuffix(k, "_wall_s") {
 			continue

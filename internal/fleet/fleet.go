@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/netem"
@@ -10,72 +11,35 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterises one fleet run.
-type Config struct {
+// config parameterises one fleet run. The default is the paper-sized
+// corpus: 64 mixed devices uploading 64 KB each while they roam.
+type config struct {
 	Devices      int
-	Servers      int           // server hosts, dialed round-robin (0 = 1)
+	Servers      int           // server hosts, dialed round-robin
 	Bytes        int           // upload size per device
 	Duration     time.Duration // corpus window / stop horizon
 	Mix          string        // profile mix spec (see ParseMix)
 	HandoverRate float64       // mobility multiplier (1 = profile cadence)
-	Bottleneck   float64       // per-server bottleneck rate, bits/s
-	Sched        string        // packet scheduler ("" = lowest-rtt)
-	Policy       string        // subflow controller ("" = fullmesh)
-}
-
-// DefaultFleet is the paper-sized corpus: 64 mixed devices uploading
-// 64 KB each through a 400 Mbps aggregation while they roam.
-func DefaultFleet() Config {
-	return Config{
-		Devices:      64,
-		Bytes:        64 << 10,
-		Duration:     20 * time.Second,
-		Mix:          DefaultMix,
-		HandoverRate: 1,
-		Bottleneck:   400e6,
-		Policy:       "fullmesh",
-	}
+	Sched        string        // packet scheduler
+	Policy       string        // subflow controller
 }
 
 func init() {
 	scenario.Register("fleet",
 		"fleet mobility corpus: N heterogeneous devices with per-device WiFi/LTE handover schedules",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFleet()
-			cfg.Devices = p.Int("devices", cfg.Devices)
-			cfg.Servers = p.Int("servers", cfg.Servers)
-			cfg.Bytes = p.Int("kb", cfg.Bytes>>10) << 10
-			cfg.Duration = p.Duration("duration", cfg.Duration)
-			cfg.Mix = p.Str("profile_mix", cfg.Mix)
-			cfg.HandoverRate = p.Float("handover_rate", cfg.HandoverRate)
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			if p.Bool("smoke", false) {
-				cfg.Devices = 12
-				cfg.Bytes = 32 << 10
-				cfg.Duration = 6 * time.Second
-			}
-			return fleetSpec(cfg)
+			return fleetSpec(config{
+				Devices:  p.Int("devices", 64, "fleet size", 12),
+				Servers:  p.Int("servers", 1, "server hosts behind the aggregation"),
+				Bytes:    p.Int("kb", 64, "upload per device in KB", 32) << 10,
+				Duration: p.Duration("duration", 20*time.Second, "corpus window", 6*time.Second),
+				Mix: p.Str("profile_mix", DefaultMix, "weighted device classes, e.g. commuter:3,office:1 (profiles: "+
+					strings.Join(ProfileNames(), ", ")+")"),
+				HandoverRate: p.Float("handover_rate", 1, "mobility multiplier: 2 hands over twice as often"),
+				Sched:        p.Sched(),
+				Policy:       p.Str("policy", "fullmesh", "registered subflow controller"),
+			})
 		})
-	scenario.RegisterParams("fleet",
-		scenario.ParamDoc{Key: "devices", Type: "int", Default: "64", Desc: "fleet size"},
-		scenario.ParamDoc{Key: "profile_mix", Type: "string", Default: DefaultMix, Desc: "weighted device classes, e.g. commuter:3,office:1 (profiles: " + profileList() + ")"},
-		scenario.ParamDoc{Key: "handover_rate", Type: "float", Default: "1", Desc: "mobility multiplier: 2 hands over twice as often"},
-		scenario.ParamDoc{Key: "duration", Type: "duration", Default: "20s", Desc: "corpus window"},
-		scenario.ParamDoc{Key: "kb", Type: "int", Default: "64", Desc: "upload per device in KB"},
-		scenario.ParamDoc{Key: "servers", Type: "int", Default: "1", Desc: "server hosts behind the aggregation"},
-	)
-}
-
-func profileList() string {
-	out := ""
-	for i, n := range ProfileNames() {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
 
 // fleetSpec declares one fleet run: generate the corpus, build the star
@@ -85,7 +49,7 @@ func profileList() string {
 // multi-shard and multi-seed fleets stay legal; a traced single-shard
 // run additionally gets the trace layer's handover-gap samples through
 // the generic trace probe.
-func fleetSpec(cfg Config) (*scenario.Spec, error) {
+func fleetSpec(cfg config) (*scenario.Spec, error) {
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("fleet: devices=%d: need at least one", cfg.Devices)
 	}
@@ -102,8 +66,9 @@ func fleetSpec(cfg Config) (*scenario.Spec, error) {
 	wl := pacedLoad(cfg.Bytes, cfg.Duration)
 	run := &scenario.RunSpec{
 		Label: "fleet",
+		// Every server sits behind a 400 Mbps aggregation trunk.
 		Topology: Star(devs, cfg.Servers, netem.LinkConfig{
-			RateBps: cfg.Bottleneck, Delay: 500 * time.Microsecond,
+			RateBps: 400e6, Delay: 500 * time.Microsecond,
 		}),
 		Workload: wl,
 		Sched:    cfg.Sched,
@@ -182,7 +147,7 @@ func reduce(devs []*Device, wl *Load) fleetOutcome {
 
 // renderFleet writes the fleet sections and scalars. The samples land
 // under stable names so multi-seed runs pool them across seeds.
-func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config) {
+func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg config) {
 	o := reduce(devs, wl)
 	res.Scalars["completed"] = float64(o.completed)
 	res.Scalars["handovers_scheduled"] = float64(o.handovers)

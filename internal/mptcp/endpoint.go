@@ -18,10 +18,6 @@ type Config struct {
 	// Scheduler names a registered packet scheduler (see
 	// RegisterScheduler); empty means the kernel default, lowest-rtt.
 	Scheduler string
-	// NewScheduler builds the per-connection packet scheduler directly and
-	// takes precedence over Scheduler when non-nil. rng is the owning
-	// simulation's deterministic source.
-	NewScheduler SchedulerFactory
 	// Coupled enables LIA coupled congestion control (RFC 6356) across the
 	// subflows of each connection instead of independent Reno.
 	Coupled bool
@@ -44,6 +40,8 @@ type Endpoint struct {
 	cfg  Config
 	pm   PathManager
 	out  tcp.Output // ep.output, bound once: every subflow shares it
+	// newSched is cfg.Scheduler resolved once; every connection gets its own.
+	newSched SchedulerFactory
 
 	listeners map[uint16]func(*Connection)
 	tuples    map[seg.FourTuple]*tcp.Subflow
@@ -63,18 +61,16 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 	if pm == nil {
 		pm = NopPM{}
 	}
-	if cfg.NewScheduler == nil {
-		f, err := LookupScheduler(cfg.Scheduler)
-		if err != nil {
-			panic(err) // misconfiguration; cmd/mpexp validates names up front
-		}
-		cfg.NewScheduler = f
+	newSched, err := LookupScheduler(cfg.Scheduler)
+	if err != nil {
+		panic(err) // misconfiguration; cmd/mpexp validates names up front
 	}
 	ep := &Endpoint{
 		sim:       host.Clock(),
 		host:      host,
 		cfg:       cfg,
 		pm:        pm,
+		newSched:  newSched,
 		listeners: make(map[uint16]func(*Connection)),
 		tuples:    make(map[seg.FourTuple]*tcp.Subflow),
 		tokens:    make(map[uint32]*Connection),
@@ -148,7 +144,7 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 	c := &Connection{
 		ep:           ep,
 		isClient:     isClient,
-		sched:        ep.cfg.NewScheduler(ep.sim.Rand()),
+		sched:        ep.newSched(ep.sim.Rand()),
 		cb:           cb,
 		mss:          ep.cfg.TCP.MSS,
 		localKey:     key,

@@ -13,11 +13,11 @@ import (
 
 func init() {
 	Register("test-manifest-bulk", "test-only manifest scenario", func(p *Params) (*Spec, error) {
-		b := p.Int("bytes", 64<<10)
-		rate := p.Float("rate", 50e6)
-		sched := p.Str("sched", "")
-		p.Str("policy", "")
-		p.Bool("smoke", false)
+		b := p.Int("bytes", 64<<10, "")
+		rate := p.Float("rate", 50e6, "")
+		sched := p.Str("sched", "", "")
+		p.Str("policy", "", "")
+		p.Bool("smoke", false, "")
 		wl := &Bulk{Bytes: b}
 		return &Spec{
 			Name: "test-manifest-bulk",
@@ -314,15 +314,15 @@ func TestManifestBuildAndTraceParams(t *testing.T) {
 	if p.Has("trace") || p.Has("trace_cap") || p.Has("metrics") {
 		t.Fatal("the plan armed tracing or metrics on a manifest that enables neither")
 	}
-	if got := p.Clone().Int("shards", 0); got != 4 {
+	if got := p.Clone().Int("shards", 0, ""); got != 4 {
 		t.Fatalf("shards = %d, want 4", got)
 	}
 	m.Trace, m.Shards = true, 0 // tracing is single-shard
 	p = params()
-	if got := p.Clone().Str("trace", ""); got != "/tmp/trace" {
+	if got := p.Clone().Str("trace", "", ""); got != "/tmp/trace" {
 		t.Fatalf("trace = %q", got)
 	}
-	if got := p.Clone().Int("trace_cap", 0); got != 99 {
+	if got := p.Clone().Int("trace_cap", 0, ""); got != 99 {
 		t.Fatalf("trace_cap = %d", got)
 	}
 	if p.Has("metrics") {

@@ -26,9 +26,7 @@ var registry = struct {
 	sync.RWMutex
 	factories map[string]Factory
 	descs     map[string]string
-	params    map[string][]ParamDoc
-}{factories: make(map[string]Factory), descs: make(map[string]string),
-	params: make(map[string][]ParamDoc)}
+}{factories: make(map[string]Factory), descs: make(map[string]string)}
 
 // Register makes a scenario available by name to `mpexp run`/`sweep`/
 // `list` and to Build. It panics on an empty name or a duplicate
@@ -46,53 +44,19 @@ func Register(name, desc string, f Factory) {
 	registry.descs[name] = desc
 }
 
-// ParamDoc documents one typed parameter a scenario consumes, for
-// listings (`mpexp list` prints them under the scenario) and for
-// authoring manifests against the live registry (`mpexp list -json`).
-// Type and Default are optional metadata: Type names the Params getter
-// that reads the key ("int", "float", "bool", "string", "duration",
-// "list"), Default is the value used when the key is absent.
-type ParamDoc struct {
-	Key     string `json:"key"`
-	Type    string `json:"type,omitempty"`
-	Default string `json:"default,omitempty"`
-	Desc    string `json:"doc"`
-}
-
-// CommonParamDocs documents the parameters Build consumes for every
-// registered scenario, so listings and manifest authors see the full
-// accepted key set, not just the per-scenario ones.
-func CommonParamDocs() []ParamDoc {
-	return []ParamDoc{
-		{Key: "sched", Type: "string", Desc: "registered packet scheduler (default: the scenario's)"},
-		{Key: "policy", Type: "string", Desc: "registered subflow controller (default: the scenario's)"},
-		{Key: "smoke", Type: "bool", Default: "false", Desc: "reduced sizes/durations for CI smoke runs"},
-		{Key: "trace", Type: "string", Desc: "record an event trace (bare = in-memory only, value = file path)"},
-		{Key: "trace_cap", Type: "int", Default: "0", Desc: "trace ring capacity per shard (0 = default)"},
-		{Key: "metrics", Type: "string", Desc: "record runtime metrics (bare = report only, value = metrics.json path)"},
-		{Key: "shards", Type: "int", Default: "1", Desc: "worker event loops per run (results identical at any count)"},
-	}
-}
-
-// RegisterParams attaches parameter documentation to an already
-// registered scenario. Registering docs for an unknown scenario is a
-// programming error (the same init should Register first), caught at
-// init time like a duplicate Register.
-func RegisterParams(name string, docs ...ParamDoc) {
-	registry.Lock()
-	defer registry.Unlock()
-	if _, ok := registry.factories[name]; !ok {
-		panic(fmt.Sprintf("scenario: RegisterParams for unregistered scenario %q", name))
-	}
-	registry.params[name] = append(registry.params[name], docs...)
-}
-
-// ParamDocs returns the documented parameters of a scenario (nil when
-// the scenario registered none).
-func ParamDocs(name string) []ParamDoc {
-	registry.RLock()
-	defer registry.RUnlock()
-	return append([]ParamDoc(nil), registry.params[name]...)
+// ParamDocs derives a scenario's parameter listing from the code that
+// reads the parameters: it builds the scenario once, with nothing set,
+// over a Params that records every getter call. own are the factory's
+// declarations in its read order, common the keys Build itself reads for
+// every scenario. Both are nil for an unknown scenario. Only listings pay
+// for this; a normal Build records nothing.
+func ParamDocs(name string) (own, common []ParamDoc) {
+	p := NewParams(nil)
+	p.docs = &paramDocs{}
+	// The spec is not wanted, and a Build that fails (an unknown name, a
+	// factory rejecting its own defaults) has still recorded what it read.
+	_, _ = Build(name, p)
+	return p.docs.own, p.docs.common
 }
 
 // Lookup resolves a scenario name. Unknown names list what is registered.
@@ -148,7 +112,12 @@ func Build(name string, p *Params) (*Spec, error) {
 	if p == nil {
 		p = NewParams(nil)
 	}
+	// Smoke is resolved here, once and before any key is read, so every
+	// getter applies one rule: an explicit value beats the smoke size.
+	p.smoke = p.Bool("smoke", false, "reduced sizes/durations for CI smoke runs")
+	p.own = true
 	sp, err := f(p)
+	p.own = false
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", name, err)
 	}
@@ -158,14 +127,15 @@ func Build(name string, p *Params) (*Spec, error) {
 	// ring shard. Handled here so no factory needs trace-specific code.
 	// Both keys are consumed unconditionally so `trace_cap` alone never
 	// trips the unknown-parameter check.
-	traceFile, traceCap := p.Str("trace", ""), p.Int("trace_cap", 0)
+	traceFile := p.Str("trace", "", "record an event trace (bare = in-memory only, value = file path)")
+	traceCap := p.Int("trace_cap", 0, "trace ring capacity per shard (0 = default)")
 	if p.Has("trace") {
 		EnableTrace(sp, traceFile, traceCap)
 	}
 	// `metrics=FILE` records runtime metrics and writes the metrics.json
 	// snapshot (bare `metrics` records and renders without a file).
 	// Handled here so no factory needs metrics-specific code.
-	metricsFile := p.Str("metrics", "")
+	metricsFile := p.Str("metrics", "", "record runtime metrics (bare = report only, value = metrics.json path)")
 	if p.Has("metrics") {
 		EnableMetrics(sp, metricsFile)
 	}
@@ -174,7 +144,7 @@ func Build(name string, p *Params) (*Spec, error) {
 	// factory needs shard-specific code. Tracing assumes one loop, so the
 	// combination is rejected rather than silently corrupting traces —
 	// here and nowhere else: Build is the lowest point every caller passes.
-	if shards := p.Int("shards", 0); shards != 0 {
+	if shards := p.Int("shards", 1, "worker event loops per run (results identical at any count)"); shards != 1 {
 		if shards < 0 {
 			return nil, fmt.Errorf("scenario %s: shards=%d: must be positive", name, shards)
 		}

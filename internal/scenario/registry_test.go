@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 // testSpecFactory registers a tiny parameterised scenario under a
 // test-only name.
 func testSpecFactory(p *Params) (*Spec, error) {
-	bytes := p.Int("bytes", 64<<10)
-	sched := p.Str("sched", "")
+	bytes := p.Int("bytes", 64<<10, "bytes to transfer", 8<<10)
+	sched := p.Sched()
 	wl := &Bulk{Bytes: bytes}
 	return &Spec{
 		Name: "test-registry-bulk",
@@ -75,6 +76,55 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	}
 	if _, err := Build("test-registry-bulk", NewParams(map[string]string{"bytes": "1024"})); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A getter call is the parameter's one declaration: the listing is those
+// calls replayed over a recording Params, and on a smoke run an absent key
+// reads its smoke size while an explicit one keeps its value.
+func TestParamDocsAndSmokeComeFromTheGetterCalls(t *testing.T) {
+	own, common := ParamDocs("test-registry-bulk")
+	want := []ParamDoc{
+		{Key: "bytes", Type: "int", Default: "65536", Smoke: "8192", Desc: "bytes to transfer"},
+		{Key: "sched", Type: "string", Default: "lowest-rtt", Desc: "registered packet scheduler"},
+	}
+	if !reflect.DeepEqual(own, want) {
+		t.Errorf("own docs = %+v, want %+v", own, want)
+	}
+	var keys []string
+	for _, d := range common {
+		keys = append(keys, d.Key)
+	}
+	if got := strings.Join(keys, " "); got != "smoke trace trace_cap metrics shards" {
+		t.Errorf("common keys = %q", got)
+	}
+	if own, common := ParamDocs("nosuch"); own != nil || common != nil {
+		t.Errorf("unknown scenario lists %v / %v", own, common)
+	}
+
+	for _, tc := range []struct {
+		sets []string
+		want int
+	}{
+		{nil, 64 << 10},
+		{[]string{"smoke"}, 8 << 10},
+		{[]string{"smoke", "bytes=1024"}, 1024},
+		{[]string{"smoke=false"}, 64 << 10},
+	} {
+		p, err := ParseSets(tc.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := Build("test-registry-bulk", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Runs[0].Workload.(*Bulk).Bytes; got != tc.want {
+			t.Errorf("%v: %d bytes, want %d", tc.sets, got, tc.want)
+		}
+		if p.docs != nil {
+			t.Errorf("%v: a normal Build recorded docs", tc.sets)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ func init() {
 	// A sweepable scenario: one bulk run whose completion time depends on
 	// the link rate parameter.
 	Register("test-sweep-bulk", "test-only sweepable bulk", func(p *Params) (*Spec, error) {
-		rate := p.Float("rate_mbps", 50)
-		sched := p.Str("sched", "")
+		rate := p.Float("rate_mbps", 50, "")
+		sched := p.Str("sched", "", "")
 		wl := &Bulk{Bytes: 256 << 10}
 		return &Spec{
 			Name: "test-sweep-bulk",
@@ -114,7 +114,7 @@ func TestPlanBuildsEachCellOnce(t *testing.T) {
 	builds := 0
 	Register("test-plan-count", "test-only build counter", func(p *Params) (*Spec, error) {
 		builds++
-		p.Str("knob", "")
+		p.Str("knob", "", "")
 		return &Spec{Name: "test-plan-count"}, nil
 	})
 	cells, err := (&Manifest{Scenario: "test-plan-count", Seeds: 3, Sweep: &ManifestSweep{

@@ -94,7 +94,7 @@ func TestUntracedRunHasNoTracer(t *testing.T) {
 // sweep is rejected up front (concurrent seeds would race on one file).
 func TestSweepTracePerCell(t *testing.T) {
 	Register("trace-sweep-test", "test scenario", func(p *Params) (*Spec, error) {
-		p.Str("knob", "a") // consume the axis key
+		p.Str("knob", "a", "") // consume the axis key
 		return traceTestSpec(1), nil
 	})
 	dir := t.TempDir()
@@ -115,7 +115,7 @@ func TestSweepTracePerCell(t *testing.T) {
 	}
 
 	m.Sweep.Vary[0].Values = []string{"a"}
-	if cells, _ = runPlan(t, m); cells[0].Params.Clone().Str("trace", "") != base {
+	if cells, _ = runPlan(t, m); cells[0].Params.Clone().Str("trace", "", "") != base {
 		t.Fatalf("a one-cell plan must keep the named file, got %v", cells[0].Params.Map())
 	}
 
@@ -130,7 +130,7 @@ func TestSweepTracePerCell(t *testing.T) {
 	if want := "knob-a trace " + base; len(asked) != 1 || asked[0] != want {
 		t.Fatalf("place was asked %q, want one call %q", asked, want)
 	}
-	if got, want := cells[0].Params.Clone().Str("trace", ""), filepath.Join(dir, "knob-a.trace"); got != want {
+	if got, want := cells[0].Params.Clone().Str("trace", "", ""), filepath.Join(dir, "knob-a.trace"); got != want {
 		t.Fatalf("placed trace = %q, want %q", got, want)
 	}
 

@@ -133,54 +133,80 @@ func diffDir(d *DiffReport, dirA, dirB, prefix string, opt DiffOptions) error {
 	return diffMetrics(d, dirA, dirB, prefix, opt)
 }
 
-// diffMetrics compares the metrics.json snapshots of two run (or cell)
-// directories metric-by-metric. Metrics tagged wall-clock at record time
-// (barrier waits, pool misses) are skipped — the tag travels in the
-// file, so the exclusion needs no name list here. Everything else must
-// match within tolerance: a deterministic scenario diffs clean at 0.
+// diffMetrics compares the metrics snapshots of two run (or cell)
+// directories metric-by-metric: metrics.json, and every metrics.json.<label>
+// a multi-run spec writes (ctlstress's immediate/coalesced, fig3's
+// kernel/userspace), each named in its lines. Metrics tagged wall-clock at
+// record time (barrier waits, pool misses) are skipped — the tag travels
+// in the file, so the exclusion needs no name list here. Everything else
+// must match within tolerance: a deterministic scenario diffs clean at 0.
 func diffMetrics(d *DiffReport, dirA, dirB, prefix string, opt DiffOptions) error {
-	ma, err := loadMetrics(dirA)
+	filesA, err := metricsFiles(dirA)
 	if err != nil {
 		return err
 	}
-	mb, err := loadMetrics(dirB)
+	filesB, err := metricsFiles(dirB)
 	if err != nil {
 		return err
 	}
-	switch {
-	case ma == nil && mb == nil:
-		return nil
-	case ma == nil || mb == nil:
-		d.addf("%smetrics.json: only in %s", prefix, pick(ma != nil, "A", "B"))
-		return nil
-	}
-	ca, cb := ma.Canonical(), mb.Canonical()
-	for _, name := range unionMetricNames(ca, cb) {
-		a, b := ca.Get(name), cb.Get(name)
-		if a == nil || b == nil {
-			d.addf("%smetric %s: only in %s", prefix, name, pick(a != nil, "A", "B"))
+	for _, file := range unionSorted(filesA, filesB) {
+		inA, inB := contains(filesA, file), contains(filesB, file)
+		if !inA || !inB {
+			d.addf("%s%s: only in %s", prefix, file, pick(inA, "A", "B"))
 			continue
 		}
-		d.Compared++
-		if !closeEnough(float64(a.Value), float64(b.Value), opt.RelTol) {
-			d.addf("%smetric %s: %d -> %d (rel %.3g)", prefix, name,
-				a.Value, b.Value, relDelta(float64(a.Value), float64(b.Value)))
+		ma, err := loadMetrics(dirA, file)
+		if err != nil {
+			return err
+		}
+		mb, err := loadMetrics(dirB, file)
+		if err != nil {
+			return err
+		}
+		where := prefix
+		if file != MetricsFile {
+			where += file + ": "
+		}
+		ca, cb := ma.Canonical(), mb.Canonical()
+		for _, name := range unionMetricNames(ca, cb) {
+			a, b := ca.Get(name), cb.Get(name)
+			if a == nil || b == nil {
+				d.addf("%smetric %s: only in %s", where, name, pick(a != nil, "A", "B"))
+				continue
+			}
+			d.Compared++
+			if !closeEnough(float64(a.Value), float64(b.Value), opt.RelTol) {
+				d.addf("%smetric %s: %d -> %d (rel %.3g)", where, name,
+					a.Value, b.Value, relDelta(float64(a.Value), float64(b.Value)))
+			}
 		}
 	}
 	return nil
 }
 
-func loadMetrics(dir string) (*metrics.Snapshot, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, MetricsFile))
-	if os.IsNotExist(err) {
-		return nil, nil
+// metricsFiles lists the metrics snapshots of one directory by file name.
+func metricsFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("workspace: %w", err)
 	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), MetricsFile) {
+			files = append(files, e.Name())
+		}
+	}
+	return files, nil
+}
+
+func loadMetrics(dir, file string) (*metrics.Snapshot, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
 		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	s, err := metrics.Decode(buf)
 	if err != nil {
-		return nil, fmt.Errorf("workspace: %s: %w", dir, err)
+		return nil, fmt.Errorf("workspace: %s: %w", filepath.Join(dir, file), err)
 	}
 	return s, nil
 }

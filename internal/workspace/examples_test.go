@@ -1,7 +1,6 @@
 package workspace_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -61,16 +60,17 @@ func TestExampleSweepsCoverRegistries(t *testing.T) {
 	}
 }
 
-// cellResults runs m into ws and returns each cell's decoded result.json
-// and its raw bytes, by cell id.
-func cellResults(t *testing.T, ws *workspace.Workspace, m *scenario.Manifest) (map[string]*stats.ResultData, map[string][]byte) {
+// cellResults runs m into ws and returns each cell's decoded result.json,
+// by cell id, without the scalars it tags as wall-clock: those measure the
+// host, not the run (scale's two throughput scalars).
+func cellResults(t *testing.T, ws *workspace.Workspace, m *scenario.Manifest) map[string]*stats.ResultData {
 	t.Helper()
 	info := mustRun(t, ws, m)
 	cells, err := workspace.CellDirs(info.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, raw := map[string]*stats.ResultData{}, map[string][]byte{}
+	results := map[string]*stats.ResultData{}
 	for _, c := range cells {
 		buf, err := os.ReadFile(filepath.Join(info.Dir, "cells", c, workspace.ResultFile))
 		if err != nil {
@@ -79,12 +79,14 @@ func cellResults(t *testing.T, ws *workspace.Workspace, m *scenario.Manifest) (m
 		if results[c], err = stats.DecodeResult(buf); err != nil {
 			t.Fatal(err)
 		}
-		raw[c] = buf
+		for _, k := range results[c].Wall {
+			delete(results[c].Scalars, k)
+		}
 	}
-	return results, raw
+	return results
 }
 
-// The three committed sweeps, planned from the files and run at reduced
+// The four committed sweeps, planned from the files and run at reduced
 // size: every cell ran what it claims to compare, and the whole sweep is
 // bit-identical on a repeat and at four shards.
 func TestExampleSweepsRun(t *testing.T) {
@@ -98,6 +100,7 @@ func TestExampleSweepsRun(t *testing.T) {
 		{"ctlsweep", fewer, streamCells(blocks)},
 		{"schedsweep", fewer, streamCells(blocks)},
 		{"fleetsweep", map[string]string{"devices": "6", "kb": "16", "duration": "4s"}, fleetCells},
+		{"scalesweep", map[string]string{"conns": "4", "kb": "128"}, scaleCells(4)},
 	} {
 		t.Run(tc.manifest, func(t *testing.T) {
 			m := loadExample(t, tc.manifest)
@@ -111,20 +114,20 @@ func TestExampleSweepsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws := mustInit(t)
-			cells, raw := cellResults(t, ws, m)
+			cells := cellResults(t, ws, m)
 			if len(cells) != len(plan) {
 				t.Fatalf("%d cell results for a plan of %d cells", len(cells), len(plan))
 			}
 			tc.check(t, cells)
 
-			_, repeat := cellResults(t, ws, m)
+			repeat := cellResults(t, ws, m)
 			m.Shards = 4
-			_, sharded := cellResults(t, ws, m)
-			for id, want := range raw {
-				if !bytes.Equal(repeat[id], want) {
+			sharded := cellResults(t, ws, m)
+			for id, want := range cells {
+				if !reflect.DeepEqual(repeat[id], want) {
 					t.Errorf("cell %s: result.json differs on a repeat", id)
 				}
-				if !bytes.Equal(sharded[id], want) {
+				if !reflect.DeepEqual(sharded[id], want) {
 					t.Errorf("cell %s: result.json differs at shards=4", id)
 				}
 			}
@@ -142,6 +145,22 @@ func streamCells(blocks int) func(*testing.T, map[string]*stats.ResultData) {
 				if len(xs) != blocks {
 					t.Errorf("cell %s: %d samples of %q, want one per block (%d)", id, len(xs), name, blocks)
 				}
+			}
+		}
+	}
+}
+
+// Every cell of the scale matrix is one scheduler under the in-kernel path
+// manager, and finishes every transfer.
+func scaleCells(conns float64) func(*testing.T, map[string]*stats.ResultData) {
+	return func(t *testing.T, cells map[string]*stats.ResultData) {
+		for _, sched := range []string{"lowest-rtt", "round-robin"} {
+			r := cells[scenario.CellID([]string{"sched=" + sched, "policy=kernel"})]
+			if r == nil {
+				t.Fatalf("sched %s: cell missing from %d cells", sched, len(cells))
+			}
+			if got := r.Scalars[sched+"/kernel_completed"]; got != conns {
+				t.Errorf("sched %s: completed %v of %v connections", sched, got, conns)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	_ "repro/internal/experiments" // register fig2a & friends
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/workspace"
@@ -178,6 +179,50 @@ func TestDiffCatchesPerturbation(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("rel tolerance 0.05 still flags a 1%% nudge:\n%s", rep)
+	}
+}
+
+// A multi-run spec writes one metrics.json.<label> per run; the diff must
+// compare each of them, and name the file a difference is in.
+func TestDiffCoversLabelledMetricsFiles(t *testing.T) {
+	ws := mustInit(t)
+	m := &scenario.Manifest{Scenario: "ctlstress", Params: map[string]string{"smoke": "true"}, Seed: 1, Metrics: true}
+	a, b := mustRun(t, ws, m), mustRun(t, ws, m)
+	rep, err := workspace.DiffRuns(a.Dir, b.Dir, workspace.DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("same-seed metered diff not clean:\n%s", rep)
+	}
+
+	const file = workspace.MetricsFile + ".coalesced"
+	buf, err := os.ReadFile(filepath.Join(b.Dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := metrics.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Get("ctl_flushes").Value++
+	if err := snap.WriteFile(filepath.Join(b.Dir, file)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = workspace.DiffRuns(a.Dir, b.Dir, workspace.DiffOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Lines) != 1 || !strings.HasPrefix(rep.Lines[0], file+": metric ctl_flushes: ") {
+		t.Fatalf("doctored %s reported as:\n%s", file, rep)
+	}
+	if err := os.Remove(filepath.Join(b.Dir, file)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = workspace.DiffRuns(a.Dir, b.Dir, workspace.DiffOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Lines) != 1 || rep.Lines[0] != file+": only in A" {
+		t.Fatalf("missing %s reported as:\n%s", file, rep)
 	}
 }
 
