@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref
+.PHONY: build test race fuzz bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -269,6 +269,28 @@ smoke-ref:
 	done; \
 	echo "== smoke-ref: $$differing of $$(( $$(echo $$runs | wc -w) + 2 * $$(echo $$sweeps | wc -w) + 3 )) comparisons differ"; \
 	test $$differing -eq 0
+
+# The paper's split deployment across a real process boundary, end to end:
+# smappd (the kernel half: a canned two-path world paced on the wall clock)
+# serves its Netlink PM on a Unix socket under a temporary directory, and
+# smappctl attaches from a second process with the fullmesh policy. smappd
+# must run its 3 s to the end and report what the receiver got, and
+# smappctl must have answered the connection's events with at least one
+# command by the time the socket closes. No network: one Unix socket.
+smoke-split:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'kill $$pid 2>/dev/null || true; rm -rf '$$tmp EXIT; \
+	$(GO) build -o $$tmp/smappd ./cmd/smappd; \
+	$(GO) build -o $$tmp/smappctl ./cmd/smappctl; \
+	echo "== smoke-split: smappd -run 3s | smappctl -policy fullmesh"; \
+	$$tmp/smappd -sock $$tmp/s -run 3s >$$tmp/smappd.out 2>$$tmp/smappd.err & pid=$$!; \
+	for i in $$(seq 100); do test -S $$tmp/s && break; sleep 0.1; done; \
+	test -S $$tmp/s || { echo "smappd never opened its socket"; cat $$tmp/smappd.err; exit 1; }; \
+	$$tmp/smappctl -sock $$tmp/s -policy fullmesh >$$tmp/smappctl.out 2>&1; \
+	wait $$pid; \
+	grep 'done; receiver got' $$tmp/smappd.out || { echo "smappd did not finish its run"; cat $$tmp/smappd.err; exit 1; }; \
+	grep -oE 'events=[0-9]+ commands=[1-9][0-9]*' $$tmp/smappctl.out || { echo "smappctl sent no command"; cat $$tmp/smappctl.out; exit 1; }
 
 # Build and RUN every example end to end; any non-zero exit fails. The
 # examples are the facade's acceptance surface, so they are executed,

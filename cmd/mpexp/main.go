@@ -54,7 +54,6 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/smapp"
 	"repro/internal/trace"
 	"repro/internal/workspace"
 )
@@ -191,6 +190,10 @@ type runFlags struct {
 }
 
 func addRunFlags(fs *flag.FlagSet) *runFlags {
+	var policies []string
+	for _, in := range scenario.Policies() {
+		policies = append(policies, in.Name)
+	}
 	rf := &runFlags{
 		fs:       fs,
 		seed:     fs.Int64("seed", 1, "base simulation seed"),
@@ -201,7 +204,7 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 		sched: fs.String("sched", "", fmt.Sprintf("packet scheduler: %s (default lowest-rtt)",
 			strings.Join(mptcp.SchedulerNames(), ", "))),
 		controller: fs.String("controller", "", fmt.Sprintf("subflow controller: %s (default: the scenario's paper policy)",
-			strings.Join(smapp.ControllerNames(), ", "))),
+			strings.Join(policies, ", "))),
 		trace: fs.String("trace", "", "record an event trace to this file (inspect with `mpexp report`; "+
 			"multi-run scenarios and sweeps write one file per run/cell; requires -seeds 1)"),
 		metrics: fs.Bool("metrics", false, "record runtime metrics into the report "+
@@ -430,11 +433,9 @@ func (c *cli) cmdList(args []string) error {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
 	fmt.Fprintln(c.stdout, "\nsubflow controllers (-controller):")
-	for _, in := range smapp.Controllers() {
+	for _, in := range scenario.Policies() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Fprintf(c.stdout, "  %-12s in-kernel full-mesh baseline, no userspace control plane\n",
-		scenario.KernelPolicy)
 	return nil
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/smapp"
 	"repro/internal/workspace"
 )
 
@@ -99,6 +101,7 @@ func TestListingContract(t *testing.T) {
 			Params []param
 		}
 		CommonParams []param `json:"common_params"`
+		Controllers  []struct{ Name, Desc string }
 	}
 	out := mustRun(t, "list", "-json")
 	if again := mustRun(t, "list", "-json"); again != out {
@@ -111,6 +114,29 @@ func TestListingContract(t *testing.T) {
 		t.Fatalf("listing has %d scenarios and %d common keys", len(listing.Scenarios), len(listing.CommonParams))
 	}
 	text := mustRun(t, "list")
+	// Both listings print the policies a run accepts, and only those: a
+	// manifest checked against the JSON dump names no value the binary
+	// refuses and misses none it takes (`kernel` is no registered controller).
+	accepted := append(smapp.ControllerNames(), scenario.KernelPolicy)
+	if _, err := scenario.Build("stream", scenario.NewParams(map[string]string{"policy": "no-such"})); err == nil {
+		t.Error("Build accepted an unlisted policy")
+	}
+	for _, in := range listing.Controllers {
+		if i := slices.Index(accepted, in.Name); i < 0 {
+			t.Errorf("`list -json` prints policy %q, which nothing registers", in.Name)
+		} else {
+			accepted = slices.Delete(accepted, i, i+1)
+		}
+		if in.Desc == "" || !strings.Contains(text, "  "+in.Name+" ") || !strings.Contains(text, in.Desc) {
+			t.Errorf("policy %q: no description, or `list` does not print it", in.Name)
+		}
+		if _, err := scenario.Build("stream", scenario.NewParams(map[string]string{"policy": in.Name})); err != nil {
+			t.Errorf("listed policy %q rejected: %v", in.Name, err)
+		}
+	}
+	if len(accepted) != 0 {
+		t.Errorf("`list -json` omits accepted policies %v", accepted)
+	}
 	for _, sc := range listing.Scenarios {
 		var keys []string
 		for _, d := range sc.Params {

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
-	"repro/internal/smapp"
 	"repro/internal/workspace"
 )
 
@@ -189,7 +188,7 @@ func (c *cli) listJSON() error {
 	for _, in := range mptcp.Schedulers() {
 		out.Schedulers = append(out.Schedulers, entry{Name: in.Name, Desc: in.Desc})
 	}
-	for _, in := range smapp.Controllers() {
+	for _, in := range scenario.Policies() {
 		out.Controllers = append(out.Controllers, entry{Name: in.Name, Desc: in.Desc})
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")

@@ -46,16 +46,16 @@ func main() {
 	cs := smapp.NewControllerStack(tr, smapp.NewWallClock(&mu), 1)
 
 	// Any registered policy, unchanged from the simulation — same code,
-	// different transport and clock. The smappd world is the canned
-	// two-path topology, so its addresses parameterise the controller.
-	ctl, err := cs.Use(*policy, smapp.ControllerConfig{
+	// different transport and clock; each connection smappd opens gets its
+	// own instance. The smappd world is the canned two-path topology, so
+	// its addresses parameterise the controller.
+	if err := cs.Use(*policy, smapp.ControllerConfig{
 		Addrs:     []netip.Addr{topo.ClientAddr1, topo.ClientAddr2},
 		Threshold: *threshold,
-	})
-	if err != nil {
+	}); err != nil {
 		log.Fatalf("smappctl: %v", err)
 	}
-	log.Printf("smappctl: %s controller registered (policy %q)", ctl.Name(), *policy)
+	log.Printf("smappctl: policy %q registered", *policy)
 
 	// Event pump: socket → library, serialised with timer callbacks.
 	err = core.ReadMessages(conn, func(b []byte) {

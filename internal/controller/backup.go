@@ -29,9 +29,12 @@ type Backup struct {
 	// BackupAddr is the local address of the backup interface.
 	BackupAddr netip.Addr
 
-	lib   core.Lib
-	conns map[uint32]*backupState
-	Stats BackupStats
+	lib core.Lib
+	// The connection being managed, from its created event to its closed.
+	open     bool
+	remote   netip.AddrPort
+	switched bool
+	Stats    BackupStats
 }
 
 // BackupStats counts controller activity.
@@ -39,19 +42,9 @@ type BackupStats struct {
 	Switches uint64 // primary→backup switchovers
 }
 
-type backupState struct {
-	primary  seg.FourTuple
-	remote   netip.AddrPort
-	switched bool
-}
-
 // NewBackup builds the controller with the paper's 1-second threshold.
 func NewBackup(backupAddr netip.Addr) *Backup {
-	return &Backup{
-		Threshold:  time.Second,
-		BackupAddr: backupAddr,
-		conns:      make(map[uint32]*backupState),
-	}
+	return &Backup{Threshold: time.Second, BackupAddr: backupAddr}
 }
 
 // Name implements Controller.
@@ -70,19 +63,15 @@ func (b *Backup) Attach(lib core.Lib) {
 }
 
 // Detach implements Controller: the backup policy keeps no timers, so
-// dropping connection state is enough.
-func (b *Backup) Detach() {
-	b.conns = make(map[uint32]*backupState)
-}
+// ending the connection is enough.
+func (b *Backup) Detach() { b.open = false }
 
 func (b *Backup) onCreated(ev *nlmsg.Event) {
-	b.conns[ev.Token] = &backupState{
-		primary: ev.Tuple,
-		remote:  netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort),
-	}
+	b.open, b.switched = true, false
+	b.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
 }
 
-func (b *Backup) onClosed(ev *nlmsg.Event) { delete(b.conns, ev.Token) }
+func (b *Backup) onClosed(*nlmsg.Event) { b.open = false }
 
 // onTimeout implements the paper's policy: "When a retransmission timer
 // expires, it checks the current value of the timer. If the timer becomes
@@ -90,33 +79,31 @@ func (b *Backup) onClosed(ev *nlmsg.Event) { delete(b.conns, ev.Token) }
 // underperforming. The controller then closes the underperforming subflow
 // and creates a subflow over the backup interface."
 func (b *Backup) onTimeout(ev *nlmsg.Event) {
-	st := b.conns[ev.Token]
-	if st == nil || st.switched || ev.RTO <= b.Threshold {
+	if !b.open || b.switched || ev.RTO <= b.Threshold {
 		return
 	}
 	if ev.Tuple.SrcIP == b.BackupAddr {
 		return // the backup itself is struggling; nothing better to do
 	}
-	st.switched = true
-	b.Stats.Switches++
 	b.lib.RemoveSubflow(ev.Token, ev.Tuple, nil)
-	b.lib.CreateSubflow(ev.Token, seg.FourTuple{
-		SrcIP: b.BackupAddr, SrcPort: 0,
-		DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
-	}, false, nil)
+	b.switchOver(ev.Token)
 }
 
 // onSubClosed covers the primary dying outright (RST, kernel gave up)
 // before any timeout crossed the threshold.
 func (b *Backup) onSubClosed(ev *nlmsg.Event) {
-	st := b.conns[ev.Token]
-	if st == nil || st.switched || ev.Tuple.SrcIP == b.BackupAddr {
+	if !b.open || b.switched || ev.Tuple.SrcIP == b.BackupAddr {
 		return
 	}
-	st.switched = true
+	b.switchOver(ev.Token)
+}
+
+// switchOver continues the connection over the backup interface.
+func (b *Backup) switchOver(token uint32) {
+	b.switched = true
 	b.Stats.Switches++
-	b.lib.CreateSubflow(ev.Token, seg.FourTuple{
+	b.lib.CreateSubflow(token, seg.FourTuple{
 		SrcIP: b.BackupAddr, SrcPort: 0,
-		DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
+		DstIP: b.remote.Addr(), DstPort: b.remote.Port(),
 	}, false, nil)
 }

@@ -1,6 +1,8 @@
 // Package controller implements the paper's sample subflow controllers
-// (§4) — userspace policies written against the PM library (core.Library),
-// never touching Netlink bytes or kernel state directly:
+// (§4) — userspace policies written against the PM library (core.Lib),
+// never touching Netlink bytes or kernel state directly. Each is a small
+// policy over one connection's events, its state held in the controller
+// struct itself:
 //
 //   - FullMesh (§4.1): a userspace reimplementation of the kernel
 //     full-mesh path manager, extended with error-aware re-establishment of
@@ -23,13 +25,17 @@ import (
 	"repro/internal/core"
 )
 
-// Controller is a subflow-management policy. Attach registers its event
-// callbacks (and hence its kernel-side subscription) on the library —
-// either the real *core.Library (one policy per host, the paper's split
-// deployment) or a per-connection view handed out by internal/smapp.
-// Detach cancels every pending timer and drops connection state; after
-// Detach the controller takes no further actions, so a live connection
-// can be handed to a replacement policy (smapp.Stack.SwitchPolicy).
+// Controller is a subflow-management policy over ONE connection: a state
+// machine its created event (re)starts and its closed event ends, so an
+// instance may serve connections one after another but never two at once,
+// and ignores events outside that span. Which connection an event belongs
+// to is settled before it gets here (internal/smapp's token table runs one
+// instance per connection); commands carry the token learned at created.
+//
+// Attach registers the event callbacks on lib. Detach cancels every
+// pending timer and ends the connection; after Detach the controller takes
+// no further actions, so a live connection can be handed to a replacement
+// policy (smapp.Stack.SwitchPolicy).
 type Controller interface {
 	Name() string
 	Attach(lib core.Lib)

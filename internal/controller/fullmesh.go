@@ -31,29 +31,14 @@ type FullMesh struct {
 	LocalAddrs []netip.Addr
 
 	lib core.Lib
-	// local (the usable interface addresses) and tokens (the keys of conns)
-	// are kept sorted as they change, because every event walks them in
-	// order: meshing and fan-outs must issue their commands in the same
-	// sequence every run, and sorting a map's keys per event was a tenth
-	// of the controller's allocations. Commands are asynchronous — replies
-	// and events arrive as later callbacks — so neither changes under a
-	// walk.
-	local  []netip.Addr
-	conns  map[uint32]*meshConn
-	tokens []uint32
-	keyBuf []meshKey // onLocalDown's dismissal list, reused
-	Stats  FullMeshStats
-}
+	// local, the usable interface addresses, is kept sorted as it changes:
+	// meshing walks it, and must issue its commands in the same sequence
+	// every run. Commands are asynchronous — replies and events arrive as
+	// later callbacks — so it never changes under a walk.
+	local []netip.Addr
 
-// FullMeshStats counts controller activity.
-type FullMeshStats struct {
-	SubflowsCreated   uint64
-	Reestablishments  uint64
-	RetriesByErrno    map[uint32]uint64
-	SubflowsDismissed uint64 // removed because their interface went away
-}
-
-type meshConn struct {
+	// The connection being managed, from its created event to its closed.
+	open  bool
 	token uint32
 	// remotes is kept as an ordered list (initial destination first,
 	// announcements in arrival order): meshing iterates it, and a map
@@ -65,23 +50,23 @@ type meshConn struct {
 	// fresh ports.
 	live    map[meshKey]seg.FourTuple
 	pending map[meshKey]func() // scheduled retries, cancellable
-	closed  bool
 	// creating holds the keys of the create commands not yet acked, oldest
 	// first: a library acks one connection's commands in send order, so
-	// created — the one done callback every create of this connection
-	// passes — takes the head, and a create costs no closure.
+	// created — the one done callback every create passes — takes the
+	// head, and a create costs no closure.
 	creating []meshKey
 	created  func(errno uint32)
+
+	keyBuf []meshKey // onLocalDown's dismissal list, reused
+	Stats  FullMeshStats
 }
 
-// hasRemote reports whether the remote is already part of the mesh.
-func (mc *meshConn) hasRemote(r netip.AddrPort) bool {
-	for _, have := range mc.remotes {
-		if have == r {
-			return true
-		}
-	}
-	return false
+// FullMeshStats counts controller activity.
+type FullMeshStats struct {
+	SubflowsCreated   uint64
+	Reestablishments  uint64
+	RetriesByErrno    map[uint32]uint64
+	SubflowsDismissed uint64 // removed because their interface went away
 }
 
 type meshKey struct {
@@ -96,7 +81,8 @@ func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
 		RetryAfterTimeout: 3 * time.Second,
 		RetryAfterUnreach: 5 * time.Second,
 		LocalAddrs:        localAddrs,
-		conns:             make(map[uint32]*meshConn),
+		live:              make(map[meshKey]seg.FourTuple),
+		pending:           make(map[meshKey]func()),
 		Stats:             FullMeshStats{RetriesByErrno: make(map[uint32]uint64)},
 	}
 }
@@ -107,6 +93,7 @@ func (f *FullMesh) Name() string { return "user-fullmesh" }
 // Attach implements Controller: it listens to every event of §3.
 func (f *FullMesh) Attach(lib core.Lib) {
 	f.lib = lib
+	f.created = f.createAcked
 	for _, a := range f.LocalAddrs {
 		f.setLocal(a, true)
 	}
@@ -123,20 +110,9 @@ func (f *FullMesh) Attach(lib core.Lib) {
 	}, nil)
 }
 
-// Detach implements Controller: cancel every scheduled retry and forget
-// all connections, so the controller never acts again. (Cancellation has
-// no observable side effects, so map order is harmless here.)
-func (f *FullMesh) Detach() {
-	for _, mc := range f.conns {
-		mc.closed = true
-		for _, cancel := range mc.pending {
-			cancel()
-		}
-		mc.pending = make(map[meshKey]func())
-	}
-	f.conns = make(map[uint32]*meshConn)
-	f.tokens = f.tokens[:0]
-}
+// Detach implements Controller: cancel every scheduled retry and end the
+// connection, so the controller never acts again.
+func (f *FullMesh) Detach() { f.onClosed(nil) }
 
 // hasLocal reports whether addr is a usable local interface address.
 func (f *FullMesh) hasLocal(addr netip.Addr) bool {
@@ -156,56 +132,45 @@ func (f *FullMesh) setLocal(addr netip.Addr, up bool) {
 }
 
 func (f *FullMesh) onCreated(ev *nlmsg.Event) {
+	f.onClosed(nil) // a connection restarted without its closed event
+	f.open, f.token = true, ev.Token
 	remote := netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	mc := &meshConn{
-		token:   ev.Token,
-		remotes: []netip.AddrPort{remote},
-		live:    make(map[meshKey]seg.FourTuple),
-		pending: make(map[meshKey]func()),
-	}
+	f.remotes = append(f.remotes[:0], remote)
+	f.creating = f.creating[:0]
 	// The created event carries the initial subflow's 4-tuple; mark it
 	// live so the mesh does not duplicate it.
-	mc.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
-	mc.created = func(errno uint32) { f.createAcked(mc, errno) }
-	if i, have := slices.BinarySearch(f.tokens, ev.Token); !have {
-		f.tokens = slices.Insert(f.tokens, i, ev.Token)
-	}
-	f.conns[ev.Token] = mc
+	clear(f.live)
+	f.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
 }
 
-func (f *FullMesh) onEstablished(ev *nlmsg.Event) { f.mesh(f.conns[ev.Token]) }
+func (f *FullMesh) onEstablished(*nlmsg.Event) { f.mesh() }
 
-func (f *FullMesh) onClosed(ev *nlmsg.Event) {
-	if mc := f.conns[ev.Token]; mc != nil {
-		mc.closed = true
-		for _, cancel := range mc.pending {
-			cancel()
-		}
+// onClosed cancels every scheduled retry. (Cancellation has no observable
+// side effects, so map order is harmless here.)
+func (f *FullMesh) onClosed(*nlmsg.Event) {
+	f.open = false
+	for _, cancel := range f.pending {
+		cancel()
 	}
-	delete(f.conns, ev.Token)
-	if i, have := slices.BinarySearch(f.tokens, ev.Token); have {
-		f.tokens = slices.Delete(f.tokens, i, i+1)
-	}
+	clear(f.pending)
 }
 
 func (f *FullMesh) onSubEstablished(ev *nlmsg.Event) {
-	mc := f.conns[ev.Token]
-	if mc == nil {
+	if !f.open {
 		return
 	}
 	key := meshKey{ev.Tuple.SrcIP, netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)}
-	mc.live[key] = ev.Tuple
+	f.live[key] = ev.Tuple
 }
 
 // onSubClosed is the heart of §4.1: analyse the error condition and
 // schedule a re-establishment with an error-specific timeout.
 func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
-	mc := f.conns[ev.Token]
-	if mc == nil || mc.closed {
+	if !f.open {
 		return
 	}
 	key := meshKey{ev.Tuple.SrcIP, netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)}
-	delete(mc.live, key)
+	delete(f.live, key)
 	if !f.hasLocal(key.local) {
 		return // interface is gone; LocalAddrUp will rebuild later
 	}
@@ -221,61 +186,60 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 		delay = f.RetryAfterTimeout
 	}
 	f.Stats.RetriesByErrno[ev.Errno]++
-	f.scheduleRetry(mc, key, delay)
+	f.scheduleRetry(key, delay)
 }
 
-func (f *FullMesh) scheduleRetry(mc *meshConn, key meshKey, delay time.Duration) {
-	if _, dup := mc.pending[key]; dup {
+func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
+	if _, dup := f.pending[key]; dup {
 		return
 	}
-	mc.pending[key] = f.lib.After(delay, func() {
-		delete(mc.pending, key)
-		if mc.closed || !f.hasLocal(key.local) {
+	f.pending[key] = f.lib.After(delay, func() {
+		delete(f.pending, key)
+		if !f.open || !f.hasLocal(key.local) {
 			return
 		}
-		if _, alive := mc.live[key]; alive {
+		if _, alive := f.live[key]; alive {
 			return
 		}
 		f.Stats.Reestablishments++
-		f.create(mc, key)
+		f.create(key)
 	})
 }
 
-func (f *FullMesh) create(mc *meshConn, key meshKey) {
+func (f *FullMesh) create(key meshKey) {
 	ft := seg.FourTuple{SrcIP: key.local, DstIP: key.remote.Addr(), SrcPort: 0, DstPort: key.remote.Port()}
 	f.Stats.SubflowsCreated++
-	mc.creating = append(mc.creating, key) // first: a Lib may ack before it returns
-	f.lib.CreateSubflow(mc.token, ft, false, mc.created)
+	f.creating = append(f.creating, key) // first: a Lib may ack before it returns
+	f.lib.CreateSubflow(f.token, ft, false, f.created)
 }
 
-// createAcked handles the ack of mc's oldest outstanding create.
-func (f *FullMesh) createAcked(mc *meshConn, errno uint32) {
-	if len(mc.creating) == 0 {
+// createAcked handles the ack of the oldest outstanding create.
+func (f *FullMesh) createAcked(errno uint32) {
+	if len(f.creating) == 0 {
 		return // an ack no create is waiting for
 	}
-	key := mc.creating[0]
-	mc.creating = slices.Delete(mc.creating, 0, 1)
-	if errno != 0 && !mc.closed {
+	key := f.creating[0]
+	f.creating = slices.Delete(f.creating, 0, 1)
+	if errno != 0 && f.open {
 		// Creation failed (e.g. interface flapped again): back off.
-		f.scheduleRetry(mc, key, f.RetryAfterUnreach)
+		f.scheduleRetry(key, f.RetryAfterUnreach)
 	}
 }
 
 func (f *FullMesh) onAddAddr(ev *nlmsg.Event) {
-	mc := f.conns[ev.Token]
-	if mc == nil {
+	if !f.open {
 		return
 	}
 	port := ev.Port
 	if port == 0 {
 		// Join on the connection's original port when none was announced
 		// (remotes[0] is always the initial destination).
-		port = mc.remotes[0].Port()
+		port = f.remotes[0].Port()
 	}
-	if r := netip.AddrPortFrom(ev.Addr, port); !mc.hasRemote(r) {
-		mc.remotes = append(mc.remotes, r)
+	if r := netip.AddrPortFrom(ev.Addr, port); !slices.Contains(f.remotes, r) {
+		f.remotes = append(f.remotes, r)
 	}
-	f.mesh(mc)
+	f.mesh()
 }
 
 func (f *FullMesh) onRemAddr(ev *nlmsg.Event) {
@@ -286,39 +250,37 @@ func (f *FullMesh) onRemAddr(ev *nlmsg.Event) {
 
 func (f *FullMesh) onLocalUp(ev *nlmsg.Event) {
 	f.setLocal(ev.Addr, true)
-	for _, token := range f.tokens {
-		f.mesh(f.conns[token])
-	}
+	f.mesh()
 }
 
 func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 	f.setLocal(ev.Addr, false)
-	for _, token := range f.tokens {
-		mc := f.conns[token]
-		// Dismiss the lost interface's subflows in a sorted order: the
-		// remove commands race down the Netlink transport, and map
-		// order here would reorder them across runs.
-		keys := f.keyBuf[:0]
-		for key := range mc.live {
-			if key.local == ev.Addr {
-				keys = append(keys, key)
-			}
+	if !f.open {
+		return
+	}
+	// Dismiss the lost interface's subflows in a sorted order: the remove
+	// commands race down the Netlink transport, and map order here would
+	// reorder them across runs.
+	keys := f.keyBuf[:0]
+	for key := range f.live {
+		if key.local == ev.Addr {
+			keys = append(keys, key)
 		}
-		sortMeshKeys(keys)
-		for _, key := range keys {
-			ft := mc.live[key]
-			delete(mc.live, key)
-			f.Stats.SubflowsDismissed++
-			f.lib.RemoveSubflow(mc.token, ft, nil)
-		}
-		f.keyBuf = keys[:0]
-		// Cancel any retry scheduled for the lost interface (cancel
-		// order is unobservable; no sort needed).
-		for key, cancel := range mc.pending {
-			if key.local == ev.Addr {
-				cancel()
-				delete(mc.pending, key)
-			}
+	}
+	sortMeshKeys(keys)
+	for _, key := range keys {
+		ft := f.live[key]
+		delete(f.live, key)
+		f.Stats.SubflowsDismissed++
+		f.lib.RemoveSubflow(f.token, ft, nil)
+	}
+	f.keyBuf = keys[:0]
+	// Cancel any retry scheduled for the lost interface (cancel order is
+	// unobservable; no sort needed).
+	for key, cancel := range f.pending {
+		if key.local == ev.Addr {
+			cancel()
+			delete(f.pending, key)
 		}
 	}
 }
@@ -327,20 +289,20 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 // walked in sorted order and remotes in announcement order, so the
 // create commands (and the random ports they draw) are issued in the
 // same order every run.
-func (f *FullMesh) mesh(mc *meshConn) {
-	if mc == nil || mc.closed {
+func (f *FullMesh) mesh() {
+	if !f.open {
 		return
 	}
 	for _, laddr := range f.local {
-		for _, remote := range mc.remotes {
+		for _, remote := range f.remotes {
 			key := meshKey{laddr, remote}
-			if _, alive := mc.live[key]; alive {
+			if _, alive := f.live[key]; alive {
 				continue
 			}
-			if _, pending := mc.pending[key]; pending {
+			if _, pending := f.pending[key]; pending {
 				continue
 			}
-			f.create(mc, key)
+			f.create(key)
 		}
 	}
 }

@@ -18,9 +18,12 @@ type NDiffPorts struct {
 	// N is the total subflow count per connection.
 	N int
 
-	lib   core.Lib
-	conns map[uint32]*ndpState
-	Stats NDiffPortsStats
+	lib core.Lib
+	// The connection being managed, from its created event to its closed.
+	open   bool
+	local  netip.Addr
+	remote netip.AddrPort
+	Stats  NDiffPortsStats
 }
 
 // NDiffPortsStats counts controller activity.
@@ -28,14 +31,9 @@ type NDiffPortsStats struct {
 	SubflowsRequested uint64
 }
 
-type ndpState struct {
-	local  netip.Addr
-	remote netip.AddrPort
-}
-
 // NewNDiffPorts builds the controller.
 func NewNDiffPorts(n int) *NDiffPorts {
-	return &NDiffPorts{N: n, conns: make(map[uint32]*ndpState)}
+	return &NDiffPorts{N: n}
 }
 
 // Name implements Controller.
@@ -52,30 +50,26 @@ func (p *NDiffPorts) Attach(lib core.Lib) {
 }
 
 // Detach implements Controller: ndiffports acts only on establishment, so
-// dropping connection state is enough.
-func (p *NDiffPorts) Detach() {
-	p.conns = make(map[uint32]*ndpState)
-}
+// ending the connection is enough.
+func (p *NDiffPorts) Detach() { p.open = false }
 
 func (p *NDiffPorts) onCreated(ev *nlmsg.Event) {
-	p.conns[ev.Token] = &ndpState{
-		local:  ev.Tuple.SrcIP,
-		remote: netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort),
-	}
+	p.open = true
+	p.local = ev.Tuple.SrcIP
+	p.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
 }
 
 func (p *NDiffPorts) onEstablished(ev *nlmsg.Event) {
-	st := p.conns[ev.Token]
-	if st == nil {
+	if !p.open {
 		return
 	}
 	for i := 1; i < p.N; i++ {
 		p.Stats.SubflowsRequested++
 		p.lib.CreateSubflow(ev.Token, seg.FourTuple{
-			SrcIP: st.local, SrcPort: 0,
-			DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
+			SrcIP: p.local, SrcPort: 0,
+			DstIP: p.remote.Addr(), DstPort: p.remote.Port(),
 		}, false, nil)
 	}
 }
 
-func (p *NDiffPorts) onClosed(ev *nlmsg.Event) { delete(p.conns, ev.Token) }
+func (p *NDiffPorts) onClosed(*nlmsg.Event) { p.open = false }

@@ -28,9 +28,15 @@ type Refresh struct {
 	// their pacing_rate means anything (one refresh interval).
 	MinLifetime time.Duration
 
-	lib   core.Lib
-	conns map[uint32]*refreshState
-	Stats RefreshStats
+	lib core.Lib
+	// The connection being managed, from its created event to its closed.
+	open     bool
+	token    uint32
+	local    netip.Addr // the initial subflow's; replacements leave from it too
+	remote   netip.AddrPort
+	born     map[seg.FourTuple]time.Duration // creation time per live subflow
+	stopTick func()
+	Stats    RefreshStats
 }
 
 // RefreshStats counts controller activity.
@@ -39,21 +45,13 @@ type RefreshStats struct {
 	Polls     uint64
 }
 
-type refreshState struct {
-	remote   netip.AddrPort
-	initial  seg.FourTuple
-	born     map[seg.FourTuple]time.Duration // creation time per live subflow
-	stopTick func()
-	closed   bool
-}
-
 // NewRefresh builds the controller with the paper's parameters.
 func NewRefresh(n int) *Refresh {
 	return &Refresh{
 		N:           n,
 		Interval:    2500 * time.Millisecond,
 		MinLifetime: 2500 * time.Millisecond,
-		conns:       make(map[uint32]*refreshState),
+		born:        make(map[seg.FourTuple]time.Duration),
 	}
 }
 
@@ -72,83 +70,72 @@ func (r *Refresh) Attach(lib core.Lib) {
 	}, nil)
 }
 
-// Detach implements Controller: stop every refresh ticker and forget all
-// connections. In-flight GetInfo replies see closed state and do nothing.
-func (r *Refresh) Detach() {
-	for _, st := range r.conns {
-		st.closed = true
-		if st.stopTick != nil {
-			st.stopTick()
-		}
-	}
-	r.conns = make(map[uint32]*refreshState)
-}
+// Detach implements Controller: stop the refresh ticker and end the
+// connection. An in-flight GetInfo reply sees it ended and does nothing.
+func (r *Refresh) Detach() { r.onClosed(nil) }
 
 func (r *Refresh) onCreated(ev *nlmsg.Event) {
-	r.conns[ev.Token] = &refreshState{
-		remote:  netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort),
-		initial: ev.Tuple,
-		born:    make(map[seg.FourTuple]time.Duration),
-	}
+	r.onClosed(nil) // a connection restarted without its closed event
+	r.open, r.token = true, ev.Token
+	r.local = ev.Tuple.SrcIP
+	r.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+	clear(r.born)
 }
 
-func (r *Refresh) onEstablished(ev *nlmsg.Event) {
-	st := r.conns[ev.Token]
-	if st == nil {
+func (r *Refresh) onEstablished(*nlmsg.Event) {
+	if !r.open {
 		return
 	}
 	for i := 1; i < r.N; i++ {
-		r.create(ev.Token, st)
+		r.create()
 	}
-	r.tick(ev.Token, st)
+	r.tick()
 }
 
-func (r *Refresh) onClosed(ev *nlmsg.Event) {
-	if st := r.conns[ev.Token]; st != nil {
-		st.closed = true
-		if st.stopTick != nil {
-			st.stopTick()
-		}
+func (r *Refresh) onClosed(*nlmsg.Event) {
+	r.open = false
+	if r.stopTick != nil {
+		r.stopTick()
+		r.stopTick = nil
 	}
-	delete(r.conns, ev.Token)
 }
 
 func (r *Refresh) onSubEstablished(ev *nlmsg.Event) {
-	if st := r.conns[ev.Token]; st != nil {
-		st.born[ev.Tuple] = r.lib.Clock().Now()
+	if r.open {
+		r.born[ev.Tuple] = r.lib.Clock().Now()
 	}
 }
 
 func (r *Refresh) onSubClosed(ev *nlmsg.Event) {
-	if st := r.conns[ev.Token]; st != nil {
-		delete(st.born, ev.Tuple)
+	if r.open {
+		delete(r.born, ev.Tuple)
 	}
 }
 
-func (r *Refresh) create(token uint32, st *refreshState) {
+func (r *Refresh) create() {
 	// Source port 0 → the kernel draws a fresh random ephemeral port,
 	// which is what re-rolls the ECMP dice.
-	r.lib.CreateSubflow(token, seg.FourTuple{
-		SrcIP: st.initial.SrcIP, SrcPort: 0,
-		DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
+	r.lib.CreateSubflow(r.token, seg.FourTuple{
+		SrcIP: r.local, SrcPort: 0,
+		DstIP: r.remote.Addr(), DstPort: r.remote.Port(),
 	}, false, nil)
 }
 
-func (r *Refresh) tick(token uint32, st *refreshState) {
-	st.stopTick = r.lib.After(r.Interval, func() {
-		if st.closed {
+func (r *Refresh) tick() {
+	r.stopTick = r.lib.After(r.Interval, func() {
+		if !r.open {
 			return
 		}
-		r.poll(token, st)
-		r.tick(token, st)
+		r.poll()
+		r.tick()
 	})
 }
 
 // poll compares pacing_rates and replaces the slowest subflow.
-func (r *Refresh) poll(token uint32, st *refreshState) {
+func (r *Refresh) poll() {
 	r.Stats.Polls++
-	r.lib.GetInfo(token, func(info *nlmsg.ConnInfo) {
-		if info == nil || st.closed {
+	r.lib.GetInfo(r.token, func(info *nlmsg.ConnInfo) {
+		if info == nil || !r.open {
 			return
 		}
 		now := r.lib.Clock().Now()
@@ -160,7 +147,7 @@ func (r *Refresh) poll(token uint32, st *refreshState) {
 				continue
 			}
 			established++
-			if born, ok := st.born[sf.Tuple]; ok && now-born < r.MinLifetime {
+			if born, ok := r.born[sf.Tuple]; ok && now-born < r.MinLifetime {
 				continue // too young to judge
 			}
 			if worst == nil || sf.PacingRate < worst.PacingRate {
@@ -172,7 +159,7 @@ func (r *Refresh) poll(token uint32, st *refreshState) {
 			return
 		}
 		r.Stats.Refreshes++
-		r.lib.RemoveSubflow(token, worst.Tuple, nil)
-		r.create(token, st)
+		r.lib.RemoveSubflow(r.token, worst.Tuple, nil)
+		r.create()
 	})
 }

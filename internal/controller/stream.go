@@ -35,9 +35,16 @@ type Stream struct {
 	// SecondAddr is the local address of the other interface.
 	SecondAddr netip.Addr
 
-	lib   core.Lib
-	conns map[uint32]*streamState
-	Stats StreamStats
+	lib core.Lib
+	// The connection being managed, from its created event to its closed.
+	open      bool
+	token     uint32
+	remote    netip.AddrPort
+	startAt   time.Duration // establishment time on the controller clock
+	opened    bool          // second subflow requested
+	nSubflows int
+	stopProbe func()
+	Stats     StreamStats
 }
 
 // StreamStats counts controller activity.
@@ -45,15 +52,6 @@ type StreamStats struct {
 	Probes         uint64
 	SecondOpened   uint64
 	SubflowsKilled uint64
-}
-
-type streamState struct {
-	remote    netip.AddrPort
-	startAt   time.Duration // establishment time on the controller clock
-	opened    bool          // second subflow requested
-	nSubflows int
-	stopProbe func()
-	closed    bool
 }
 
 // NewStream builds the controller with the paper's parameters for a 64 KB
@@ -66,7 +64,6 @@ func NewStream(secondAddr netip.Addr) *Stream {
 		MinProgress: 32 << 10,
 		RTOLimit:    time.Second,
 		SecondAddr:  secondAddr,
-		conns:       make(map[uint32]*streamState),
 	}
 }
 
@@ -86,75 +83,65 @@ func (s *Stream) Attach(lib core.Lib) {
 	}, nil)
 }
 
-// Detach implements Controller: stop every armed probe and forget all
-// connections. In-flight GetInfo replies see closed state and do nothing.
-func (s *Stream) Detach() {
-	for _, st := range s.conns {
-		st.closed = true
-		if st.stopProbe != nil {
-			st.stopProbe()
-		}
-	}
-	s.conns = make(map[uint32]*streamState)
-}
+// Detach implements Controller: stop the armed probe and end the
+// connection. An in-flight GetInfo reply sees it ended and does nothing.
+func (s *Stream) Detach() { s.onClosed(nil) }
 
 func (s *Stream) onCreated(ev *nlmsg.Event) {
-	s.conns[ev.Token] = &streamState{
-		remote: netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort),
-	}
+	s.onClosed(nil) // a connection restarted without its closed event
+	s.open, s.token = true, ev.Token
+	s.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+	s.opened, s.nSubflows = false, 0
 }
 
-func (s *Stream) onEstablished(ev *nlmsg.Event) {
-	st := s.conns[ev.Token]
-	if st == nil {
+func (s *Stream) onEstablished(*nlmsg.Event) {
+	if !s.open {
 		return
 	}
-	st.startAt = s.lib.Clock().Now()
-	s.scheduleProbe(ev.Token, st, 0)
+	s.startAt = s.lib.Clock().Now()
+	s.scheduleProbe(0)
 }
 
-func (s *Stream) onClosed(ev *nlmsg.Event) {
-	if st := s.conns[ev.Token]; st != nil {
-		st.closed = true
-		if st.stopProbe != nil {
-			st.stopProbe()
-		}
-	}
-	delete(s.conns, ev.Token)
-}
-
-func (s *Stream) onSubEstablished(ev *nlmsg.Event) {
-	if st := s.conns[ev.Token]; st != nil {
-		st.nSubflows++
+func (s *Stream) onClosed(*nlmsg.Event) {
+	s.open = false
+	if s.stopProbe != nil {
+		s.stopProbe()
+		s.stopProbe = nil
 	}
 }
 
-func (s *Stream) onSubClosed(ev *nlmsg.Event) {
-	if st := s.conns[ev.Token]; st != nil {
-		st.nSubflows--
+func (s *Stream) onSubEstablished(*nlmsg.Event) {
+	if s.open {
+		s.nSubflows++
+	}
+}
+
+func (s *Stream) onSubClosed(*nlmsg.Event) {
+	if s.open {
+		s.nSubflows--
 	}
 }
 
 // scheduleProbe arms the probe for block k at startAt + k*Period +
 // CheckAfter.
-func (s *Stream) scheduleProbe(token uint32, st *streamState, block uint64) {
-	due := st.startAt + time.Duration(block)*s.Period + s.CheckAfter
+func (s *Stream) scheduleProbe(block uint64) {
+	due := s.startAt + time.Duration(block)*s.Period + s.CheckAfter
 	delay := due - s.lib.Clock().Now()
 	if delay < 0 {
 		delay = 0
 	}
-	st.stopProbe = s.lib.After(delay, func() { s.probe(token, st, block) })
+	s.stopProbe = s.lib.After(delay, func() { s.probe(block) })
 }
 
 // probe implements the mid-block check: expected base is block*BlockSize
 // because the application writes one block per period.
-func (s *Stream) probe(token uint32, st *streamState, block uint64) {
-	if st.closed {
+func (s *Stream) probe(block uint64) {
+	if !s.open {
 		return
 	}
 	s.Stats.Probes++
-	s.lib.GetInfo(token, func(info *nlmsg.ConnInfo) {
-		if info == nil || st.closed {
+	s.lib.GetInfo(s.token, func(info *nlmsg.ConnInfo) {
+		if info == nil || !s.open {
 			return
 		}
 		base := block * s.BlockSize
@@ -173,15 +160,10 @@ func (s *Stream) probe(token uint32, st *streamState, block uint64) {
 		if info.SndUna > base {
 			progress = info.SndUna - base
 		}
-		if written > 0 && progress < required && !st.opened {
-			st.opened = true
-			s.Stats.SecondOpened++
-			s.lib.CreateSubflow(token, seg.FourTuple{
-				SrcIP: s.SecondAddr, SrcPort: 0,
-				DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
-			}, false, nil)
+		if written > 0 && progress < required && !s.opened {
+			s.openSecond()
 		}
-		s.scheduleProbe(token, st, block+1)
+		s.scheduleProbe(block + 1)
 	})
 }
 
@@ -189,23 +171,28 @@ func (s *Stream) probe(token uint32, st *streamState, block uint64) {
 // connection keeps at least one other subflow (or we have already asked
 // for one).
 func (s *Stream) onTimeout(ev *nlmsg.Event) {
-	st := s.conns[ev.Token]
-	if st == nil || st.closed || ev.RTO <= s.RTOLimit {
+	if !s.open || ev.RTO <= s.RTOLimit {
 		return
 	}
-	if st.nSubflows <= 1 && !st.opened {
+	if s.nSubflows <= 1 && !s.opened {
 		// Killing the only subflow would strand the connection; open the
 		// second one instead — the kill will happen on the next timeout.
-		st.opened = true
-		s.Stats.SecondOpened++
-		s.lib.CreateSubflow(ev.Token, seg.FourTuple{
-			SrcIP: s.SecondAddr, SrcPort: 0,
-			DstIP: st.remote.Addr(), DstPort: st.remote.Port(),
-		}, false, nil)
+		s.openSecond()
 		return
 	}
-	if st.nSubflows > 1 {
+	if s.nSubflows > 1 {
 		s.Stats.SubflowsKilled++
 		s.lib.RemoveSubflow(ev.Token, ev.Tuple, nil)
 	}
+}
+
+// openSecond asks, once per connection, for a subflow over the other
+// interface.
+func (s *Stream) openSecond() {
+	s.opened = true
+	s.Stats.SecondOpened++
+	s.lib.CreateSubflow(s.token, seg.FourTuple{
+		SrcIP: s.SecondAddr, SrcPort: 0,
+		DstIP: s.remote.Addr(), DstPort: s.remote.Port(),
+	}, false, nil)
 }

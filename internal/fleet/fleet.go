@@ -106,17 +106,13 @@ func pacedLoad(bytes int, duration time.Duration) *Load {
 	}
 }
 
-// fleetOutcome reduces one fleet run's per-device accounting to the
-// report's distributions.
-type fleetOutcome struct {
-	completed int
-	handovers int
-	goodput   *stats.Sample // per-device delivered Mb/s
-	stall     *stats.Sample // per-device worst data gap, seconds
-}
-
-func reduce(devs []*Device, wl *Load) fleetOutcome {
-	o := fleetOutcome{goodput: &stats.Sample{}, stall: &stats.Sample{}}
+// renderFleet reduces the run's per-device accounting to the report's
+// distributions and writes the fleet sections and scalars. The samples
+// land under stable names so multi-seed runs pool them across seeds.
+func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg config) {
+	completed, handovers := 0, 0
+	goodput := &stats.Sample{} // per-device delivered Mb/s
+	stalls := &stats.Sample{}  // per-device worst data gap, seconds
 	// A paced upload idles for one Period between blocks by design; only
 	// the excess over that floor is a stall the network caused.
 	var floor sim.Time
@@ -124,41 +120,34 @@ func reduce(devs []*Device, wl *Load) fleetOutcome {
 		floor = sim.Time(wl.Period)
 	}
 	for i := range wl.CompletedAt {
-		o.handovers += devs[i].Handovers
+		handovers += devs[i].Handovers
 		end := wl.CompletedAt[i]
 		if end >= 0 {
-			o.completed++
+			completed++
 		} else {
 			end = wl.LastData[i]
 		}
 		if end > wl.DialAt[i] && wl.Recv[i] > 0 {
-			o.goodput.Add(float64(wl.Recv[i]*8) / (end - wl.DialAt[i]).Seconds() / 1e6)
+			goodput.Add(float64(wl.Recv[i]*8) / (end - wl.DialAt[i]).Seconds() / 1e6)
 		} else {
-			o.goodput.Add(0)
+			goodput.Add(0)
 		}
 		stall := wl.MaxGap[i] - floor
 		if stall < 0 {
 			stall = 0
 		}
-		o.stall.Add(stall.Seconds())
+		stalls.Add(stall.Seconds())
 	}
-	return o
-}
-
-// renderFleet writes the fleet sections and scalars. The samples land
-// under stable names so multi-seed runs pool them across seeds.
-func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg config) {
-	o := reduce(devs, wl)
-	res.Scalars["completed"] = float64(o.completed)
-	res.Scalars["handovers_scheduled"] = float64(o.handovers)
-	res.Scalars["gap_p50_s"] = o.stall.Median()
-	res.Scalars["gap_p99_s"] = o.stall.Quantile(0.99)
-	res.Scalars["gap_max_s"] = o.stall.Max()
-	res.Scalars["goodput_p10_mbps"] = o.goodput.Quantile(0.10)
-	res.Scalars["goodput_p50_mbps"] = o.goodput.Median()
-	res.Scalars["goodput_p90_mbps"] = o.goodput.Quantile(0.90)
-	res.Sample("device goodput (Mb/s)").Add(o.goodput.Values()...)
-	res.Sample("device worst stall (s)").Add(o.stall.Values()...)
+	res.Scalars["completed"] = float64(completed)
+	res.Scalars["handovers_scheduled"] = float64(handovers)
+	res.Scalars["gap_p50_s"] = stalls.Median()
+	res.Scalars["gap_p99_s"] = stalls.Quantile(0.99)
+	res.Scalars["gap_max_s"] = stalls.Max()
+	res.Scalars["goodput_p10_mbps"] = goodput.Quantile(0.10)
+	res.Scalars["goodput_p50_mbps"] = goodput.Median()
+	res.Scalars["goodput_p90_mbps"] = goodput.Quantile(0.90)
+	res.Sample("device goodput (Mb/s)").Add(goodput.Values()...)
+	res.Sample("device worst stall (s)").Add(stalls.Values()...)
 
 	counts := map[string]int{}
 	hos := map[string]int{}
@@ -177,9 +166,9 @@ func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg config) {
 
 	res.Section("fleet outcome")
 	res.Printf("completed %d/%d uploads; %d handovers scheduled\n",
-		o.completed, cfg.Devices, o.handovers)
+		completed, cfg.Devices, handovers)
 	res.Printf("worst stall   p50 %6.3fs  p99 %6.3fs  max %6.3fs\n",
-		o.stall.Median(), o.stall.Quantile(0.99), o.stall.Max())
+		stalls.Median(), stalls.Quantile(0.99), stalls.Max())
 	res.Printf("goodput       p10 %6.2f   p50 %6.2f   p90 %6.2f Mb/s\n",
-		o.goodput.Quantile(0.10), o.goodput.Median(), o.goodput.Quantile(0.90))
+		goodput.Quantile(0.10), goodput.Median(), goodput.Quantile(0.90))
 }

@@ -153,4 +153,9 @@ func TestTimelineRespectsFloorAndDuration(t *testing.T) {
 			t.Fatalf("CollectEvents kept %s at %v past the %v window", ev.Name, ev.At, dur)
 		}
 	}
+	for _, d := range devs {
+		if d.Events() != nil {
+			t.Fatalf("device %d still holds %d events the run now owns", d.Ordinal, len(d.Events()))
+		}
+	}
 }

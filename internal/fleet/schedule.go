@@ -38,7 +38,8 @@ type Device struct {
 func (d *Device) WiFiLink() string { return d.wifiLink }
 func (d *Device) LTELink() string  { return d.lteLink }
 
-// Events returns the device's compiled scenario events.
+// Events returns the device's compiled scenario events, until
+// CollectEvents has moved them into a run.
 func (d *Device) Events() []scenario.Event { return d.events }
 
 // GenConfig are the corpus-generation knobs shared by every device.
@@ -124,9 +125,10 @@ func (d *Device) setLoss(at time.Duration, name, link string, loss float64) {
 
 func setLinkLoss(rt *scenario.Run, a scenario.EventArg) { rt.Net.Link(a.Name).SetLoss(a.Loss) }
 
-// CollectEvents concatenates every device's timeline into one event list
-// for a RunSpec, dropping events past the corpus duration (the stop
-// horizon would never fire them anyway).
+// CollectEvents moves every device's timeline into one event list for a
+// RunSpec, dropping events past the corpus duration (the stop horizon
+// would never fire them anyway). The devices give their copies up, so a
+// fleet holds each event once.
 func CollectEvents(devs []*Device, duration time.Duration) []scenario.Event {
 	n := 0
 	for _, d := range devs {
@@ -143,6 +145,7 @@ func CollectEvents(devs []*Device, duration time.Duration) []scenario.Event {
 				out = append(out, ev)
 			}
 		}
+		d.events = nil
 	}
 	return out
 }

@@ -236,6 +236,13 @@ func (rt *Run) Port() uint16 {
 // userspace control plane at all — the baseline cell of the fan-out sweeps.
 const KernelPolicy = "kernel"
 
+// Policies lists every value a run's policy can take, for listings and
+// flag help: the registered controllers, then KernelPolicy.
+func Policies() []smapp.ControllerInfo {
+	return append(smapp.Controllers(), smapp.ControllerInfo{Name: KernelPolicy,
+		Desc: "in-kernel full-mesh baseline, no userspace control plane"})
+}
+
 // controlPlane resolves the run's policy into what its stacks are built
 // and dialed with: the in-kernel path manager (nil = the Netlink control
 // plane) and the controller name bound at dial. KernelPolicy is a KernelPM

@@ -211,7 +211,7 @@ func TestFlagsString(t *testing.T) {
 func TestClone(t *testing.T) {
 	s := &Segment{Tuple: tuple(), Flags: ACK,
 		Options: []Option{&RemoveAddr{AddrIDs: []uint8{1, 2}}}}
-	c := s.Clone()
+	c := Shared.Clone(s)
 	c.Options[0].(*RemoveAddr).AddrIDs[0] = 99
 	if s.Options[0].(*RemoveAddr).AddrIDs[0] == 99 {
 		t.Fatal("Clone shares option state")

@@ -303,14 +303,6 @@ func (s *Segment) WireSize() int {
 	return headerLen + opt + s.PayloadLen
 }
 
-// Clone returns a deep copy (options are copied too) drawn from the
-// shared segment pool. The simulator never shares segment structs across
-// hosts, mirroring the copy a real network performs; ownership of the
-// clone transfers to the caller.
-func (s *Segment) Clone() *Segment {
-	return Shared.Clone(s)
-}
-
 // Equal reports semantic equality: header fields and options compare by
 // value, regardless of whether inline scratch or heap storage backs them.
 func (s *Segment) Equal(o *Segment) bool {

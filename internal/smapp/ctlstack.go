@@ -5,20 +5,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/controller"
 	"repro/internal/core"
 )
 
 // ControllerStack is the controller-process half of the paper's split
-// deployment: a PM library over a caller-provided transport (typically a
-// Unix socket to the kernel half, see cmd/smappd) plus a policy picked
-// from the same registry the in-process Stack uses. In this mode one
-// controller manages every connection of the remote kernel — the classic
-// libpathmanager arrangement — so policies attach directly to the real
-// library and subscribe with their own event masks.
+// deployment: a PM library (Lib) over a caller-provided transport
+// (typically a Unix socket to the kernel half, see cmd/smappd) plus a
+// default policy picked from the same registry the in-process Stack uses.
+// It holds the same token table as Stack: every connection the remote
+// kernel creates gets its own instance of the policy.
 type ControllerStack struct {
-	Lib *core.Library
-	ctl controller.Controller
+	mux
 }
 
 // NewControllerStack attaches a library to the controller end of tr,
@@ -28,35 +25,37 @@ func NewControllerStack(tr *core.Transport, clock core.Clock, pid uint32) *Contr
 	if pid == 0 {
 		pid = 1
 	}
-	return &ControllerStack{Lib: core.NewLibrary(tr, clock, pid)}
+	return &ControllerStack{mux{Lib: core.NewLibrary(tr, clock, pid)}}
 }
 
-// Use instantiates the named policy and attaches it to the library,
-// detaching any previously attached one first (its timers would otherwise
-// keep issuing commands under the replacement). The nil policy is
-// rejected: a controller process exists to run one.
-func (cs *ControllerStack) Use(policy string, cfg ControllerConfig) (controller.Controller, error) {
+// Use makes the named policy the default every created connection is
+// claimed for, detaching the instances of a previously used one first
+// (their timers would otherwise keep issuing commands under the
+// replacement). It subscribes to exactly the events the policy handles,
+// read off the instance that validates cfg, plus created and closed for
+// the token table. The nil policy is rejected: a controller process
+// exists to run one.
+func (cs *ControllerStack) Use(policy string, cfg ControllerConfig) error {
 	factory, err := LookupController(policy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if factory == nil {
-		return nil, fmt.Errorf("smapp: a controller stack needs a concrete policy (have: %v)", ControllerNames())
+		return fmt.Errorf("smapp: a controller stack needs a concrete policy (have: %v)", ControllerNames())
 	}
-	ctl, err := factory(cfg)
+	probe, err := factory(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if cs.ctl != nil {
-		cs.ctl.Detach()
+	for len(cs.order) > 0 {
+		token := cs.order[0]
+		cs.bindings[token].ctl.Detach()
+		cs.unbind(token)
 	}
-	ctl.Attach(cs.Lib)
-	cs.ctl = ctl
-	return ctl, nil
+	cs.fallback = &claim{policy, cfg}
+	cs.subscribe(cs.attach(policy, probe, 0).cbs)
+	return nil
 }
-
-// Controller reports the attached policy (nil before Use).
-func (cs *ControllerStack) Controller() controller.Controller { return cs.ctl }
 
 // WallClock adapts the wall clock to core.Clock for controller processes.
 // Timer callbacks are serialised with the socket event pump through Mu,

@@ -13,6 +13,10 @@
 // differ across connections of one host, and a live connection can swap
 // its policy mid-transfer (SwitchPolicy). Info merges the application-side
 // mptcp snapshot with the Netlink-side wire view into one type.
+//
+// Which connection an event belongs to is resolved once, in the token
+// table Stack and ControllerStack share (mux.go; DESIGN.md, "The policy
+// layer"); a controller never looks a token up again.
 package smapp
 
 import (
@@ -25,7 +29,6 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/nlmsg"
-	"repro/internal/seg"
 	"repro/internal/trace"
 )
 
@@ -56,49 +59,16 @@ type Config struct {
 	Trace *trace.Shard
 }
 
-// StackStats counts facade activity.
-type StackStats struct {
-	PoliciesAttached uint64 // controllers bound via Dial/Listen/SwitchPolicy
-	PoliciesSwitched uint64 // mid-connection policy swaps
-	EventsDispatched uint64 // events routed to a bound controller
-	EventsBuffered   uint64 // events held for a not-yet-bound token
-	EventsDropped    uint64 // events with no binding and a full buffer
-}
-
-// maxPending bounds the per-token event buffer for connections whose
-// policy binds after their first events (server-side accepts).
-const maxPending = 64
-
 // Stack bundles everything one host needs to run smart MPTCP-enabled
-// applications: endpoint, transport, kernel-side Netlink PM, userspace
-// library, and the per-connection policy mux.
+// applications: endpoint, transport, kernel-side Netlink PM, and — through
+// the embedded policy mux — the userspace library (Lib, nil on a KernelPM
+// or kernel-half stack) and the mux's counters (Stats).
 type Stack struct {
 	Host      *netem.Host
 	Endpoint  *mptcp.Endpoint
 	Transport *core.Transport // nil on a KernelPM stack
 	PM        *core.NetlinkPM // nil on a KernelPM stack
-	Lib       *core.Library   // nil on a KernelPM or kernel-half stack
-
-	// The policy mux; the maps exist only on a stack with a library (no
-	// other stack can bind a policy).
-	bindings map[uint32]*binding
-	order    []uint32 // binding tokens in attach order (deterministic fan-out)
-	pending  map[uint32][]*nlmsg.Event
-	// A fan-out in progress walks order[fanPos:fanEnd] (both 0 otherwise);
-	// unbind moves them with the elements, so the walk needs no copy.
-	fanPos, fanEnd int
-
-	tsh *trace.Shard // policy-event recording (nil = off)
-
-	Stats StackStats
-}
-
-// binding ties one connection token to its controller instance.
-type binding struct {
-	policy string
-	ctl    controller.Controller
-	host   *policyHost
-	tid    uint32 // trace entity of this binding (0 = untraced)
+	mux
 }
 
 // New builds the full in-process stack for a host: simulated Netlink
@@ -106,15 +76,12 @@ type binding struct {
 // library on the sim clock, and the MPTCP endpoint — the paper's Figure 1
 // in one constructor.
 func New(host *netem.Host, cfg Config) *Stack {
-	st := &Stack{Host: host, tsh: cfg.Trace}
+	st := &Stack{Host: host}
 	if cfg.KernelPM != nil {
 		st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, cfg.KernelPM)
 		return st
 	}
-	// Only a stack with a library can bind a policy, so only it pays for
-	// the mux tables.
-	st.bindings = make(map[uint32]*binding)
-	st.pending = make(map[uint32][]*nlmsg.Event)
+	st.tsh, st.owner = cfg.Trace, host.Name()
 	s := host.Clock()
 	tr := cfg.Transport
 	if tr == nil {
@@ -127,19 +94,13 @@ func New(host *netem.Host, cfg Config) *Stack {
 	}
 	st.Lib = core.NewLibrary(tr, core.SimClock{S: s}, 1)
 	// One subscription covers every policy the stack will ever host; the
-	// mux below fans events out per connection.
-	st.Lib.Register(core.Callbacks{
-		Created:        st.route,
-		Established:    st.route,
-		Closed:         st.route,
-		SubEstablished: st.route,
-		SubClosed:      st.route,
-		AddAddr:        st.route,
-		RemAddr:        st.route,
-		Timeout:        st.route,
-		LocalAddrUp:    st.route,
-		LocalAddrDown:  st.route,
-	}, nil)
+	// mux fans events out per connection.
+	route := st.route
+	st.subscribe(core.Callbacks{
+		Established: route, SubEstablished: route, SubClosed: route,
+		AddAddr: route, RemAddr: route, Timeout: route,
+		LocalAddrUp: route, LocalAddrDown: route,
+	})
 	st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, st.PM)
 	return st
 }
@@ -175,33 +136,25 @@ func (st *Stack) Dial(laddr, raddr netip.Addr, rport uint16, policy string, pcfg
 	return conn, nil
 }
 
-// Listen accepts connections on a local port, binding a fresh instance of
-// the named policy to each accepted connection before accept runs. Events
-// that raced ahead of the accept (the created event fires at SYN time)
-// are buffered per token and replayed on bind.
+// Listen accepts connections on a local port and claims them for the
+// named policy: each gets a fresh instance when its created event arrives
+// — at SYN time, so before accept runs.
 func (st *Stack) Listen(port uint16, policy string, pcfg ControllerConfig, accept func(*mptcp.Connection)) error {
-	factory, err := st.checkPolicy(policy)
+	// Instantiate once up front so a bad config fails the Listen call, not
+	// every connection.
+	ctl, err := st.buildController(policy, &pcfg)
 	if err != nil {
 		return err
 	}
-	if factory != nil {
-		st.fillDefaults(&pcfg)
-		// Validate once up front so a bad config fails the Listen call,
-		// not every accept.
-		if _, err := factory(pcfg); err != nil {
-			return err
+	if ctl == nil {
+		delete(st.ports, port) // a re-Listen with the nil policy gives the port up
+	} else {
+		if st.ports == nil {
+			st.ports = make(map[uint16]*claim)
 		}
+		st.ports[port] = &claim{policy, pcfg}
 	}
-	st.Endpoint.Listen(port, func(c *mptcp.Connection) {
-		if factory != nil {
-			if ctl, err := factory(pcfg); err == nil {
-				st.bind(c.Token(), policy, ctl)
-			}
-		}
-		if accept != nil {
-			accept(c)
-		}
-	})
+	st.Endpoint.Listen(port, accept)
 	return nil
 }
 
@@ -228,8 +181,7 @@ func (st *Stack) SwitchPolicy(conn *mptcp.Connection, policy string, pcfg Contro
 	if ctl == nil {
 		return nil
 	}
-	st.bind(token, policy, ctl)
-	st.replay(conn)
+	st.replay(conn, st.bind(token, policy, ctl))
 	return nil
 }
 
@@ -273,132 +225,33 @@ func (st *Stack) Info(conn *mptcp.Connection) Info {
 
 // --- policy plumbing ---
 
-// checkPolicy resolves a policy name and verifies this stack can host it.
-func (st *Stack) checkPolicy(policy string) (ControllerFactory, error) {
-	factory, err := LookupController(policy)
-	if err != nil {
-		return nil, err
-	}
-	if factory != nil && st.Lib == nil {
-		return nil, fmt.Errorf("smapp: stack has no userspace control plane; policy %q needs one (only the nil policy works here)", policy)
-	}
-	return factory, nil
-}
-
-// buildController resolves, defaults and instantiates a policy (nil for
-// the nil policy).
+// buildController resolves a policy name, verifies this stack can host it,
+// defaults the config's addresses to the host's interfaces and
+// instantiates it (nil for the nil policy).
 func (st *Stack) buildController(policy string, pcfg *ControllerConfig) (controller.Controller, error) {
-	factory, err := st.checkPolicy(policy)
+	factory, err := LookupController(policy)
 	if err != nil || factory == nil {
 		return nil, err
 	}
-	st.fillDefaults(pcfg)
-	return factory(*pcfg)
-}
-
-// fillDefaults completes a ControllerConfig from the host: controllers
-// that need the local address set get the host's interfaces unless the
-// caller chose explicitly.
-func (st *Stack) fillDefaults(pcfg *ControllerConfig) {
+	if st.Lib == nil {
+		return nil, fmt.Errorf("smapp: stack has no userspace control plane; policy %q needs one (only the nil policy works here)", policy)
+	}
 	if len(pcfg.Addrs) == 0 {
-		pcfg.Addrs = st.Host.Addrs()
+		pcfg.Addrs = st.Host.Addrs() // what fullmesh, backup and stream need
 	}
-}
-
-func (st *Stack) bind(token uint32, policy string, ctl controller.Controller) {
-	h := &policyHost{st: st}
-	b := &binding{policy: policy, ctl: ctl, host: h}
-	if st.tsh != nil {
-		b.tid = st.tsh.Tracer().Register(trace.EntPolicy, 0, st.Host.Name()+"/"+policy)
-		h.tid = b.tid
-		st.tsh.Rec(st.Host.Clock().Now(), trace.KPolicyAttach, b.tid, uint64(token), 0, 0, 0)
-	}
-	ctl.Attach(h)
-	st.bindings[token] = b
-	st.order = append(st.order, token)
-	st.Stats.PoliciesAttached++
-	for _, ev := range st.pending[token] {
-		st.Stats.EventsDispatched++
-		h.cbs.Dispatch(ev)
-	}
-	delete(st.pending, token)
-}
-
-func (st *Stack) unbind(token uint32) {
-	if b := st.bindings[token]; b != nil && b.tid != 0 {
-		st.tsh.Rec(st.Host.Clock().Now(), trace.KPolicyDetach, b.tid, uint64(token), 0, 0, 0)
-	}
-	delete(st.bindings, token)
-	for i, t := range st.order {
-		if t == token {
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			if i < st.fanEnd {
-				st.fanEnd--
-				if i <= st.fanPos {
-					st.fanPos-- // the walk's next step lands on what slid into i
-				}
-			}
-			break
-		}
-	}
-}
-
-// route is the mux: global events fan out to every bound controller in
-// attach order (map iteration would break determinism); token events go
-// to the owning binding, or into the per-token buffer until one appears.
-// The fan-out reaches exactly the bindings that exist when it starts and
-// still do at their turn: one unbound by an earlier handler is skipped, one
-// bound by a handler waits for the next event.
-func (st *Stack) route(ev *nlmsg.Event) {
-	switch ev.Kind {
-	case nlmsg.EvLocalAddrUp, nlmsg.EvLocalAddrDown:
-		st.fanEnd = len(st.order)
-		for st.fanPos = 0; st.fanPos < st.fanEnd; st.fanPos++ {
-			if b := st.bindings[st.order[st.fanPos]]; b != nil {
-				st.Stats.EventsDispatched++
-				b.host.cbs.Dispatch(ev)
-			}
-		}
-		st.fanPos, st.fanEnd = 0, 0
-		return
-	}
-	b := st.bindings[ev.Token]
-	if b == nil {
-		if ev.Kind == nlmsg.EvClosed {
-			delete(st.pending, ev.Token) // nothing will ever bind this token
-			return
-		}
-		if len(st.pending[ev.Token]) >= maxPending {
-			st.Stats.EventsDropped++
-			return
-		}
-		// ev is the library's reused decode scratch — buffer a copy.
-		c := *ev
-		st.pending[ev.Token] = append(st.pending[ev.Token], &c)
-		st.Stats.EventsBuffered++
-		return
-	}
-	st.Stats.EventsDispatched++
-	b.host.cbs.Dispatch(ev)
-	if ev.Kind == nlmsg.EvClosed {
-		st.unbind(ev.Token)
-	}
+	return factory(*pcfg)
 }
 
 // replay synthesises the connection's current state for a freshly bound
 // controller: created (initial tuple), established, and one
 // sub-established per live established subflow — the same event sequence
 // the controller would have seen had it been attached from the start.
-func (st *Stack) replay(conn *mptcp.Connection) {
-	b := st.bindings[conn.Token()]
-	if b == nil {
-		return
-	}
+func (st *Stack) replay(conn *mptcp.Connection, b *binding) {
 	now := st.Lib.Clock().Now()
 	deliver := func(ev *nlmsg.Event) {
 		ev.At = now
 		st.Stats.EventsDispatched++
-		b.host.cbs.Dispatch(ev)
+		b.cbs.Dispatch(ev)
 	}
 	deliver(&nlmsg.Event{Kind: nlmsg.EvCreated, Token: conn.Token(),
 		Tuple: conn.InitialTuple(), HasTuple: true})
@@ -414,67 +267,3 @@ func (st *Stack) replay(conn *mptcp.Connection) {
 		}
 	}
 }
-
-// policyHost is the per-connection core.Lib view handed to a controller:
-// Register captures the callbacks into the mux instead of issuing a
-// kernel subscription per controller (the stack subscribed once for all),
-// and every command passes through to the shared library.
-type policyHost struct {
-	st  *Stack
-	cbs core.Callbacks
-	tid uint32 // trace entity of the binding (0 = untraced)
-}
-
-// traceCmd records one controller command against the binding's policy
-// entity (a nil-guarded store; untraced stacks pay a branch).
-func (h *policyHost) traceCmd(cmd uint8, token uint32) {
-	if h.tid == 0 {
-		return
-	}
-	h.st.tsh.Rec(h.st.Host.Clock().Now(), trace.KPolicyCmd, h.tid, uint64(token), 0, 0, cmd)
-}
-
-// Register implements core.Lib.
-func (h *policyHost) Register(cbs core.Callbacks, done func(errno uint32)) {
-	h.cbs = cbs
-	if done != nil {
-		done(0) // the stack's subscription already covers every event
-	}
-}
-
-// CreateSubflow implements core.Lib.
-func (h *policyHost) CreateSubflow(token uint32, ft seg.FourTuple, backup bool, done func(errno uint32)) {
-	h.traceCmd(trace.CmdCreateSubflow, token)
-	h.st.Lib.CreateSubflow(token, ft, backup, done)
-}
-
-// RemoveSubflow implements core.Lib.
-func (h *policyHost) RemoveSubflow(token uint32, ft seg.FourTuple, done func(errno uint32)) {
-	h.traceCmd(trace.CmdRemoveSubflow, token)
-	h.st.Lib.RemoveSubflow(token, ft, done)
-}
-
-// SetBackup implements core.Lib.
-func (h *policyHost) SetBackup(token uint32, ft seg.FourTuple, backup bool, done func(errno uint32)) {
-	h.traceCmd(trace.CmdSetBackup, token)
-	h.st.Lib.SetBackup(token, ft, backup, done)
-}
-
-// AnnounceAddr implements core.Lib.
-func (h *policyHost) AnnounceAddr(token uint32, addr netip.Addr, port uint16, done func(errno uint32)) {
-	h.traceCmd(trace.CmdAnnounceAddr, token)
-	h.st.Lib.AnnounceAddr(token, addr, port, done)
-}
-
-// GetInfo implements core.Lib.
-func (h *policyHost) GetInfo(token uint32, done func(info *nlmsg.ConnInfo)) {
-	h.st.Lib.GetInfo(token, done)
-}
-
-// After implements core.Lib.
-func (h *policyHost) After(d time.Duration, fn func()) (cancel func()) {
-	return h.st.Lib.After(d, fn)
-}
-
-// Clock implements core.Lib.
-func (h *policyHost) Clock() core.Clock { return h.st.Lib.Clock() }

@@ -111,16 +111,17 @@ func TestKernelPMStackRejectsPolicies(t *testing.T) {
 
 func TestListenBindsPolicyPerAcceptedConnection(t *testing.T) {
 	// The policy runs on the SERVER side here: ndiffports opens extra
-	// subflows back to the client. The created event fires at SYN time,
-	// before the accept callback can bind — the stack must buffer and
-	// replay it.
+	// subflows back to the client. Listen claims the port, so the policy
+	// attaches when the created event arrives — at SYN time: attach now
+	// precedes accept, and nothing is buffered for it.
 	p := netem.LinkConfig{RateBps: 50e6, Delay: 5 * time.Millisecond}
 	net := topo.NewTwoPath(sim.New(5), p, p)
 	sst := New(net.Server, Config{})
 	cep := mptcp.NewEndpoint(net.Client, mptcp.Config{}, nil)
 	var server *mptcp.Connection
+	var policyAtAccept string
 	if err := sst.Listen(80, "ndiffports", ControllerConfig{Subflows: 3},
-		func(c *mptcp.Connection) { server = c }); err != nil {
+		func(c *mptcp.Connection) { server, policyAtAccept = c, sst.PolicyName(c) }); err != nil {
 		t.Fatal(err)
 	}
 	net.Sim.RunFor(time.Millisecond)
@@ -137,8 +138,11 @@ func TestListenBindsPolicyPerAcceptedConnection(t *testing.T) {
 	if sst.PolicyName(server) != "ndiffports" {
 		t.Fatalf("policy = %q", sst.PolicyName(server))
 	}
-	if sst.Stats.EventsBuffered == 0 {
-		t.Fatal("created event should have been buffered until the accept bound the policy")
+	if policyAtAccept != "ndiffports" {
+		t.Fatalf("policy at accept = %q: the created event should have bound it already", policyAtAccept)
+	}
+	if sst.Stats.PoliciesAttached != 1 || sst.Stats.EventsUnclaimed != 0 {
+		t.Fatalf("stats %+v, want one attach and no unclaimed event", sst.Stats)
 	}
 }
 
@@ -230,6 +234,50 @@ func TestSwitchPolicyMidTransfer(t *testing.T) {
 	}
 	if info.Stats.BytesScheduled != total {
 		t.Fatalf("scheduled=%d bytes as fresh data, want exactly %d", info.Stats.BytesScheduled, uint64(total))
+	}
+}
+
+// TestSwitchPolicyFromNilPolicy: a connection nobody claimed costs the mux
+// a counter and nothing else, on the dialling side and behind a nil-policy
+// Listen (the examples/quickstart server) alike, and a policy switched in
+// later is told the connection's state exactly once. (The per-token buffer
+// this replaces delivered created/established twice — replayed on bind,
+// then synthesised — and ndiffports opened 4 extra subflows instead of 2.)
+func TestSwitchPolicyFromNilPolicy(t *testing.T) {
+	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
+	net := topo.NewTwoPath(sim.New(10), p, p)
+	cst, sst := New(net.Client, Config{}), New(net.Server, Config{})
+	if err := sst.Listen(80, "", ControllerConfig{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	net.Sim.RunFor(time.Millisecond)
+	conn, err := cst.Dial(net.ClientAddrs[0], net.ServerAddr, 80, "", ControllerConfig{}, mptcp.ConnCallbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Sim.RunFor(time.Second)
+	for name, st := range map[string]*Stack{"client": cst, "server": sst} {
+		if len(st.bindings)+len(st.order)+len(st.ports) != 0 || st.fallback != nil {
+			t.Fatalf("%s: nil policy left state behind: %d bindings, %d ordered, %d ports",
+				name, len(st.bindings), len(st.order), len(st.ports))
+		}
+		if st.Stats.EventsUnclaimed < 2 || st.Stats.EventsDispatched != 0 {
+			t.Fatalf("%s: stats %+v, want created and established counted as unclaimed", name, st.Stats)
+		}
+	}
+
+	if err := cst.SwitchPolicy(conn, "ndiffports", ControllerConfig{Subflows: 3}); err != nil {
+		t.Fatal(err)
+	}
+	net.Sim.RunFor(time.Second)
+	if got := len(conn.Subflows()); got != 3 {
+		t.Fatalf("ndiffports(3) switched in from the nil policy built %d subflows, want 3", got)
+	}
+	if got := cst.Controller(conn).(*controller.NDiffPorts).Stats.SubflowsRequested; got != 2 {
+		t.Fatalf("ndiffports requested %d subflows, want 2", got)
+	}
+	if cst.Stats.PoliciesSwitched != 0 || cst.Stats.PoliciesAttached != 1 {
+		t.Fatalf("stats %+v, want one attach and no switch (nothing was bound before)", cst.Stats)
 	}
 }
 
@@ -412,7 +460,7 @@ func TestRouteUnbindDuringFanOut(t *testing.T) {
 	copying := func(st *Stack, ev *nlmsg.Event) {
 		for _, token := range append([]uint32(nil), st.order...) {
 			if b := st.bindings[token]; b != nil {
-				b.host.cbs.Dispatch(ev)
+				b.cbs.Dispatch(ev)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func TestHandshakeRetransmitsRebuildIdentical(t *testing.T) {
 			if len(sent[sg.Flags]) == 1 {
 				return // the first of each kind is lost
 			}
-			c := sg.Clone()
+			c := seg.Shared.Clone(sg)
 			s.After(time.Millisecond, "wire", func() { (*to).HandleSegment(c) })
 		}
 	}

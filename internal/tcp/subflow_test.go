@@ -76,14 +76,14 @@ func newPair(t *testing.T, seed int64, delay time.Duration, cfg Config) *pair {
 		if p.dropAtoB != nil && p.dropAtoB(sg) {
 			return
 		}
-		c := sg.Clone()
+		c := seg.Shared.Clone(sg)
 		p.s.After(p.delay, "wire->b", func() { p.b.HandleSegment(c) })
 	}, p.oa)
 	p.b = NewSubflow(p.s, cfg, tup.Reverse(), func(sg *seg.Segment) {
 		if p.dropBtoA != nil && p.dropBtoA(sg) {
 			return
 		}
-		c := sg.Clone()
+		c := seg.Shared.Clone(sg)
 		p.s.After(p.delay, "wire->a", func() { p.a.HandleSegment(c) })
 	}, p.ob)
 	return p
@@ -458,7 +458,7 @@ func TestReorderingToleratedWithoutRetransmit(t *testing.T) {
 	p.dropAtoB = func(s *seg.Segment) bool {
 		if !swapped && s.PayloadLen > 0 {
 			if held == nil {
-				held = s.Clone()
+				held = seg.Shared.Clone(s)
 				return true // hold the first data segment briefly
 			}
 			swapped = true

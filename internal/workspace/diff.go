@@ -27,17 +27,15 @@ type DiffOptions struct {
 	RelTol float64
 }
 
-// wallSet collects the scalar keys either side tagged as wall-clock
+// wallKeys collects the scalar keys either side tagged as wall-clock
 // (stats.Result.MarkWallClock → the "wall_clock" list in result.json /
 // summary.json). Those measure host speed, not simulation output, so
 // they legitimately differ between two identical runs and the diff
 // skips them — host speed is the benchmark's business (bench/).
 // The exclusion is tag-driven: emitters opt out explicitly rather than
 // by a naming convention.
-type wallSet map[string]bool
-
-func wallKeys(lists ...[]string) wallSet {
-	w := wallSet{}
+func wallKeys(lists ...[]string) map[string]bool {
+	w := map[string]bool{}
 	for _, keys := range lists {
 		for _, k := range keys {
 			w[k] = true
