@@ -41,17 +41,19 @@ bench:
 # temporary git worktree) and from the working tree, then alternate the two
 # binaries per workload with tracing off, PAIRS times, and print per
 # metric both sides' medians and quartiles, the pairs the working tree won
-# and REF's own interquartile range (cmd/benchpair). ~3 min per pair.
+# and REF's own interquartile range (cmd/benchpair). ~3 min per pair of all
+# four workloads; WORKLOADS=churn,bulk pairs only those named.
 PAIRS ?= 10
+WORKLOADS ?=
 bench-pair:
-	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [PAIRS=10]"; exit 2; }
+	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [PAIRS=10] [WORKLOADS=a,b]"; exit 2; }
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force '$$tmp'/ref >/dev/null 2>&1; rm -rf '$$tmp EXIT; \
 	git worktree add --detach $$tmp/ref $(REF) >/dev/null; \
 	( cd $$tmp/ref && $(GO) build -o $$tmp/bench-ref ./bench ); \
 	$(GO) build -o $$tmp/bench-head ./bench; \
-	$(GO) run ./cmd/benchpair -ref $$tmp/bench-ref -head $$tmp/bench-head -pairs $(PAIRS)
+	$(GO) run ./cmd/benchpair -ref $$tmp/bench-ref -head $$tmp/bench-head -pairs $(PAIRS) $(if $(WORKLOADS),-workloads $(WORKLOADS))
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

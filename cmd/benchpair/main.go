@@ -6,11 +6,13 @@
 // a real difference has to exceed. `make bench-pair REF=<commit>` builds
 // the two binaries and runs it.
 //
-//	benchpair -ref /tmp/bench-ref -head /tmp/bench-head -pairs 10
+//	benchpair -ref /tmp/bench-ref -head /tmp/bench-head -pairs 10 [-workloads churn,bulk]
 //
 // Workloads, metrics, their direction and their regression bounds are read
 // from BENCHMARK.json in the current directory, so the comparison is over
-// exactly what the benchmark declares.
+// exactly what the benchmark declares. -workloads pairs a subset (a claim's
+// workload and the ones it must not move) in a fraction of the time; a
+// name the benchmark does not declare exits 2.
 package main
 
 import (
@@ -52,34 +54,74 @@ type result struct {
 	} `json:"metrics"`
 }
 
-func main() {
+func main() { os.Exit(benchpair(os.Args[1:], os.Stdout, os.Stderr, "BENCHMARK.json")) }
+
+// benchpair runs the command and returns its exit status: 2 for a usage
+// error, 1 when a run fails.
+func benchpair(args []string, stdout, stderr io.Writer, mfPath string) int {
+	fs := flag.NewFlagSet("benchpair", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ref   = flag.String("ref", "", "benchmark binary built at the reference commit")
-		head  = flag.String("head", "", "benchmark binary built from the change")
-		pairs = flag.Int("pairs", 10, "pairs of runs per workload")
+		ref       = fs.String("ref", "", "benchmark binary built at the reference commit")
+		head      = fs.String("head", "", "benchmark binary built from the change")
+		pairs     = fs.Int("pairs", 10, "pairs of runs per workload")
+		workloads = fs.String("workloads", "", "comma-separated workloads to pair (default: every workload in BENCHMARK.json)")
 	)
-	flag.Parse()
-	if *ref == "" || *head == "" || *pairs < 1 || flag.NArg() > 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil || *ref == "" || *head == "" || *pairs < 1 || fs.NArg() > 0 {
+		fs.Usage()
+		return 2
 	}
-	if err := run(os.Stdout, os.Stderr, *ref, *head, *pairs, "BENCHMARK.json"); err != nil {
-		fmt.Fprintln(os.Stderr, "benchpair:", err)
-		os.Exit(1)
+	m, err := loadManifest(mfPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchpair:", err)
+		return 1
 	}
+	names, err := m.selectWorkloads(*workloads)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchpair:", err)
+		return 2
+	}
+	if err := run(stdout, stderr, *ref, *head, *pairs, m, names); err != nil {
+		fmt.Fprintln(stderr, "benchpair:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(stdout, stderr io.Writer, ref, head string, pairs int, mfPath string) error {
-	buf, err := os.ReadFile(mfPath)
-	if err != nil {
-		return err
-	}
+func loadManifest(path string) (manifest, error) {
 	var m manifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return fmt.Errorf("%s: %w", mfPath, err)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return m, err
 	}
+	if err := json.Unmarshal(buf, &m); err != nil {
+		return m, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// selectWorkloads resolves -workloads: every declared workload when list
+// is empty, otherwise the named ones in the order given, each of which
+// the manifest must declare.
+func (m manifest) selectWorkloads(list string) ([]string, error) {
+	var all []string
 	for _, wl := range m.Workloads {
-		w := wl.Name
+		all = append(all, wl.Name)
+	}
+	if list == "" {
+		return all, nil
+	}
+	names := strings.Split(list, ",")
+	for _, n := range names {
+		if !slices.Contains(all, n) {
+			return nil, fmt.Errorf("unknown workload %q (BENCHMARK.json declares %s)", n, strings.Join(all, ", "))
+		}
+	}
+	return names, nil
+}
+
+func run(stdout, stderr io.Writer, ref, head string, pairs int, m manifest, workloads []string) error {
+	for _, w := range workloads {
 		var refRuns, headRuns []result
 		for i := 0; i < pairs; i++ {
 			// Alternate which side runs first, so drift of the shared box

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -75,8 +76,8 @@ func TestRunAlternatesAndReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	if err := run(&out, &errOut, fake("ref", 1.0), fake("head", 0.4), 2, mf); err != nil {
-		t.Fatal(err)
+	if code := benchpair([]string{"-ref", fake("ref", 1.0), "-head", fake("head", 0.4), "-pairs", "2"}, &out, &errOut, mf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	order, err := os.ReadFile(log)
 	if err != nil {
@@ -89,5 +90,31 @@ func TestRunAlternatesAndReports(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestWorkloadsFlag checks -workloads against the repository's own
+// BENCHMARK.json: the default pairs every declared workload, a list pairs
+// those named in its order, and a name the benchmark does not declare
+// exits 2 before anything runs.
+func TestWorkloadsFlag(t *testing.T) {
+	m, err := loadManifest("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := m.selectWorkloads("")
+	if err != nil || !slices.Equal(all, []string{"bulk", "churn", "ecmp", "fleet"}) {
+		t.Fatalf("default workloads %v (%v), want all four BENCHMARK.json declares", all, err)
+	}
+	if got, err := m.selectWorkloads("churn,bulk"); err != nil || !slices.Equal(got, []string{"churn", "bulk"}) {
+		t.Fatalf("-workloads churn,bulk selects %v (%v)", got, err)
+	}
+	var out, errOut bytes.Buffer
+	args := []string{"-ref", "/nonexistent/ref", "-head", "/nonexistent/head", "-workloads", "churn,nope"}
+	if code := benchpair(args, &out, &errOut, "../../BENCHMARK.json"); code != 2 || !strings.Contains(errOut.String(), `"nope"`) {
+		t.Fatalf("unknown workload: exit %d, stderr %q; want 2 naming it", code, errOut.String())
+	}
+	if code := benchpair([]string{"-head", "x"}, &out, &errOut, "../../BENCHMARK.json"); code != 2 {
+		t.Fatalf("missing -ref: exit %d, want 2", code)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/seg"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
@@ -48,11 +49,17 @@ type sfMeta struct {
 	reqBackup   bool
 }
 
+// spare is a dead subflow and the event count of its loop when it died
+// (sim.EventCount).
+type spare struct {
+	sf     *tcp.Subflow
+	diedAt uint64
+}
+
 // Connection is one Multipath TCP connection: a set of subflows carrying a
 // single bidirectional data stream with connection-level sequencing.
 type Connection struct {
 	ep       *Endpoint
-	isClient bool
 	sched    Scheduler
 	cb       ConnCallbacks
 	onAccept func(*Connection) // listener accept callback (server side)
@@ -62,6 +69,7 @@ type Connection struct {
 	token, remoteToken    uint32
 	localIDSN, remoteIDSN uint64
 	initialTuple          seg.FourTuple
+	isClient              bool
 	established           bool
 	closed                bool
 	subflows              []*tcp.Subflow
@@ -89,8 +97,8 @@ type Connection struct {
 
 	// Receiver state.
 	rcv         reassembly
-	peerFinSeen bool
 	peerFinRel  uint64
+	peerFinSeen bool
 	peerClosed  bool // OnPeerClose delivered
 
 	remoteAddrs map[uint8]netip.AddrPort // peer announcements (ADD_ADDR)
@@ -100,6 +108,13 @@ type Connection struct {
 	TracePush func(sf *tcp.Subflow, rel uint64, ln int, reinjected bool)
 
 	pickBuf []*tcp.Subflow // reused scheduler-target scratch (push)
+
+	// Subflows that died on this connection, kept for newSubflow to reuse
+	// instead of allocating (a flap's re-join). Each is handed out only
+	// once a later event than the one that killed it runs: the handle is
+	// valid until that event returns (tcp.Owner.OnClosed). connClosed
+	// drops them, so a finished connection retains none.
+	spares [2]spare
 
 	// Trace recording (nil shard = off); the connection registers one
 	// trace entity per subflow and records scheduler picks, reassembly
@@ -134,8 +149,11 @@ func (c *Connection) InitialTuple() seg.FourTuple { return c.initialTuple }
 
 // Subflows lists the connection's live subflows in creation order. The
 // returned slice is a defensive copy: callers (controllers, smapp.Info)
-// may keep or reorder it without aliasing the connection's internal state,
-// which mutates as subflows come and go.
+// may reorder it without aliasing the connection's internal state, which
+// mutates as subflows come and go. The snapshot is for use within the
+// current event: a subflow in it that dies is reused for a later join
+// from the next event on (tcp.Owner.OnClosed), so a caller that keeps
+// handles across events must drop each one when it is closed.
 func (c *Connection) Subflows() []*tcp.Subflow {
 	if len(c.subflows) == 0 {
 		return nil
@@ -368,7 +386,12 @@ func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	if c.coupled != nil {
 		cfg.NewCong = c.coupled.newCong
 	}
-	sf := tcp.NewSubflow(c.ep.sim, cfg, tuple, c.ep.out, c)
+	sf := c.takeSpare()
+	if sf != nil {
+		sf.Reuse(c.ep.sim, cfg, tuple, c.ep.out, c)
+	} else {
+		sf = tcp.NewSubflow(c.ep.sim, cfg, tuple, c.ep.out, c)
+	}
 	if c.tsh != nil {
 		sf.SetTrace(c.tsh, c.tsh.Tracer().Register(trace.EntFlow, c.tid,
 			c.ep.host.Name()+"/"+tuple.String()))
@@ -380,6 +403,29 @@ func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	c.meta = append(c.meta, m)
 	c.ep.tuples[tuple] = sf
 	return sf
+}
+
+// takeSpare hands out a spare that died in an earlier event than the one
+// now running, nil if there is none.
+func (c *Connection) takeSpare() *tcp.Subflow {
+	now := sim.EventCount(c.ep.sim)
+	for i, s := range c.spares {
+		if s.sf != nil && s.diedAt != now {
+			c.spares[i] = spare{}
+			return s.sf
+		}
+	}
+	return nil
+}
+
+// retire keeps a dead subflow as a spare while there is room.
+func (c *Connection) retire(sf *tcp.Subflow) {
+	for i, s := range c.spares {
+		if s.sf == nil {
+			c.spares[i] = spare{sf, sim.EventCount(c.ep.sim)}
+			return
+		}
+	}
 }
 
 // acceptJoin creates the passive subflow for an inbound MP_JOIN SYN.
@@ -450,10 +496,11 @@ func (c *Connection) push() {
 		}
 		// The scheduler sees the internal slice (it must not retain it);
 		// targets reuse the connection's scratch buffer so the per-chunk
-		// scheduling step does not allocate.
+		// scheduling step does not allocate, and are cleared once pushed
+		// so the buffer keeps no subflow past its pick.
 		targets := c.pickBuf[:0]
 		if mp != nil {
-			targets = append(targets, mp.PickAll(c.subflows, ln)...)
+			targets = mp.PickAll(targets, c.subflows, ln)
 		} else if sf := c.sched.Pick(c.subflows, ln); sf != nil {
 			targets = append(targets, sf)
 		}
@@ -487,6 +534,7 @@ func (c *Connection) push() {
 				c.TracePush(sf, rel, ln, fromRe)
 			}
 		}
+		clear(targets)
 		if fromRe {
 			c.reinject.remove(rel, rel+uint64(ln))
 			c.stats.BytesReinjected += uint64(ln)
@@ -828,6 +876,9 @@ func (c *Connection) OnClosed(sf *tcp.Subflow, reason tcp.Errno) {
 	c.reinjectSubflowData(sf)
 	c.removeSubflow(sf)
 	c.stats.SubflowsClosed++
+	if !c.closed {
+		c.retire(sf)
+	}
 	c.ep.pm.SubflowClosed(c, sf, reason)
 	if !c.closed {
 		c.push()
@@ -871,6 +922,7 @@ func (c *Connection) connClosed() {
 		return
 	}
 	c.closed = true
+	c.spares = [2]spare{}
 	c.ep.removeConn(c)
 	c.ep.pm.ConnClosed(c)
 	if c.cb.OnClosed != nil {

@@ -16,53 +16,47 @@ import (
 // RFC 6824 backup semantics still hold: backup subflows receive copies
 // only when no regular subflow is established.
 //
-// The scheduler is per-connection and keeps a scratch slice so the
-// per-chunk PickAll does not allocate; callers must consume the returned
-// slice before the next PickAll.
-type Redundant struct {
-	buf []*tcp.Subflow
-}
+// The scheduler keeps no state: PickAll appends to the caller's buffer,
+// so the per-chunk pick does not allocate and no subflow pointer outlives
+// the pick in here.
+type Redundant struct{}
 
 // Name implements Scheduler.
-func (*Redundant) Name() string { return "redundant" }
+func (Redundant) Name() string { return "redundant" }
 
 // Pick implements Scheduler by returning the primary copy's subflow
-// (lowest RTT among the usable set), so Redundant degrades gracefully if
-// a caller ignores PickAll.
-func (r *Redundant) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
-	all := r.PickAll(subflows, want)
-	if len(all) == 0 {
-		return nil
-	}
-	return all[0]
+// (lowest RTT among the usable set, which is LowestRTT's pick), so
+// Redundant degrades gracefully if a caller ignores PickAll.
+func (Redundant) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
+	return LowestRTT{}.Pick(subflows, want)
 }
 
 // PickAll implements MultiPicker: every usable subflow on the allowed
 // priority tier, lowest RTT first (the first entry accounts for the
 // bytes; the rest carry duplicates).
-func (r *Redundant) PickAll(subflows []*tcp.Subflow, want int) []*tcp.Subflow {
+func (Redundant) PickAll(dst, subflows []*tcp.Subflow, want int) []*tcp.Subflow {
 	collect := func(backup bool) []*tcp.Subflow {
-		out := r.buf[:0]
+		out := dst
 		for _, sf := range subflows {
 			if usable(sf, backup, want) {
 				out = append(out, sf)
 			}
 		}
-		r.buf = out[:0]
 		// Insertion sort by SRTT: n is the subflow count (single digits),
 		// and stability keeps equal-RTT subflows in creation order.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && srttOf(out[j]) < srttOf(out[j-1]); j-- {
-				out[j], out[j-1] = out[j-1], out[j]
+		picked := out[len(dst):]
+		for i := 1; i < len(picked); i++ {
+			for j := i; j > 0 && srttOf(picked[j]) < srttOf(picked[j-1]); j-- {
+				picked[j], picked[j-1] = picked[j-1], picked[j]
 			}
 		}
 		return out
 	}
-	if out := collect(false); len(out) > 0 {
+	if out := collect(false); len(out) > len(dst) {
 		return out
 	}
 	if !backupsAllowed(subflows) {
-		return nil
+		return dst
 	}
 	return collect(true)
 }

@@ -24,11 +24,12 @@ type Scheduler interface {
 }
 
 // MultiPicker is an optional Scheduler extension for redundant policies:
-// PickAll returns every subflow that should carry a copy of the chunk.
-// The first subflow is the primary (it accounts for the bytes); the rest
-// receive duplicates. An empty slice means nothing can be sent now.
+// PickAll appends to dst every subflow that should carry a copy of the
+// chunk and returns the extended slice. The first subflow appended is the
+// primary (it accounts for the bytes); the rest receive duplicates.
+// Appending nothing means nothing can be sent now.
 type MultiPicker interface {
-	PickAll(subflows []*tcp.Subflow, want int) []*tcp.Subflow
+	PickAll(dst, subflows []*tcp.Subflow, want int) []*tcp.Subflow
 }
 
 // usable reports whether sf can take a want-byte chunk right now on the

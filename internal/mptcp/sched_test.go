@@ -102,13 +102,13 @@ func TestRedundantPickAll(t *testing.T) {
 	starved := stub(3, false, true, time.Millisecond, 0)
 	bak := stub(4, true, true, time.Millisecond, 1<<20)
 
-	got := (&Redundant{}).PickAll([]*tcp.Subflow{slow, fast, starved, bak}, 1380)
+	got := (Redundant{}).PickAll(nil, []*tcp.Subflow{slow, fast, starved, bak}, 1380)
 	if len(got) != 2 || got[0] != fast || got[1] != slow {
 		t.Fatalf("PickAll returned %d subflows in wrong order", len(got))
 	}
 
 	// With every regular subflow gone, all usable backups are returned.
-	got = (&Redundant{}).PickAll([]*tcp.Subflow{stub(5, false, false, 0, 1<<20), bak}, 1380)
+	got = (Redundant{}).PickAll(nil, []*tcp.Subflow{stub(5, false, false, 0, 1<<20), bak}, 1380)
 	if len(got) != 1 || got[0] != bak {
 		t.Fatalf("backup fallback broken: got %d subflows", len(got))
 	}

@@ -103,7 +103,7 @@ func init() {
 		func(*rand.Rand) Scheduler { return &RoundRobin{} })
 	RegisterSchedulerDesc("redundant",
 		"latency-optimal bound: duplicate every segment on every usable subflow",
-		func(*rand.Rand) Scheduler { return &Redundant{} })
+		func(*rand.Rand) Scheduler { return Redundant{} })
 	RegisterSchedulerDesc("weighted-rtt",
 		"probabilistic middle ground: weight subflow choice by inverse RTT",
 		func(rng *rand.Rand) Scheduler { return &WeightedRTT{rng: rng} })

@@ -41,20 +41,9 @@ func (w *WeightedRTT) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
 			}
 		}
 		w.buf = candidates[:0]
-		switch len(candidates) {
-		case 0:
-			return nil
-		case 1:
-			return candidates[0]
-		}
-		r := w.rng.Float64() * total
-		for _, sf := range candidates {
-			r -= w.weight(sf)
-			if r < 0 {
-				return sf
-			}
-		}
-		return candidates[len(candidates)-1] // float round-off
+		sf := w.draw(candidates, total)
+		clear(candidates) // the scratch keeps no subflow past the pick
+		return sf
 	}
 	if sf := pick(false); sf != nil {
 		return sf
@@ -63,6 +52,25 @@ func (w *WeightedRTT) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
 		return nil
 	}
 	return pick(true)
+}
+
+// draw picks one candidate with probability proportional to its weight;
+// total is the sum of their weights.
+func (w *WeightedRTT) draw(candidates []*tcp.Subflow, total float64) *tcp.Subflow {
+	switch len(candidates) {
+	case 0:
+		return nil
+	case 1:
+		return candidates[0]
+	}
+	r := w.rng.Float64() * total
+	for _, sf := range candidates {
+		r -= w.weight(sf)
+		if r < 0 {
+			return sf
+		}
+	}
+	return candidates[len(candidates)-1] // float round-off
 }
 
 func (w *WeightedRTT) weight(sf *tcp.Subflow) float64 {

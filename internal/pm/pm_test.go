@@ -7,6 +7,7 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/sim"
+	"repro/internal/tcp"
 	"repro/internal/topo"
 )
 
@@ -137,5 +138,65 @@ func TestNDiffPortsServerPassive(t *testing.T) {
 	n.Sim.Run()
 	if len(sconn.Subflows()) != 1 {
 		t.Fatalf("server ndiffports created subflows: %d", len(sconn.Subflows()))
+	}
+}
+
+// replacingMesh is the kernel full mesh plus a path manager that answers
+// every subflow death at once, inside the event that killed it, by opening
+// a replacement from the connection's initial address.
+type replacingMesh struct {
+	*FullMesh
+	t                    *testing.T
+	closed, replacements []*tcp.Subflow
+}
+
+func (p *replacingMesh) SubflowClosed(c *mptcp.Connection, sf *tcp.Subflow, reason tcp.Errno) {
+	p.closed = append(p.closed, sf)
+	init := c.InitialTuple()
+	r, err := c.OpenSubflow(init.SrcIP, 0, init.DstIP, init.DstPort, false)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.replacements = append(p.replacements, r)
+}
+
+// TestSpareNotReusedInsideRetiringEvent flaps an interface under the
+// kernel full mesh. LocalAddrDown closes the subflow on it while ranging
+// over a Subflows() snapshot, and the path manager opens a replacement in
+// that same event: the replacement must be a new object, not the dying
+// subflow a caller up the stack still holds. The re-join, one event later
+// when the interface returns, must reuse it.
+func TestSpareNotReusedInsideRetiringEvent(t *testing.T) {
+	p := &replacingMesh{FullMesh: NewFullMesh(), t: t}
+	n, c, _ := twoPathRig(t, 7, p)
+	n.Sim.Run()
+	if len(c.Subflows()) != 2 {
+		t.Fatalf("initial mesh = %d", len(c.Subflows()))
+	}
+	var lost, rejoin *tcp.Subflow
+	for _, sf := range c.Subflows() {
+		if sf.Tuple().SrcIP == n.ClientAddrs[1] {
+			lost = sf
+		}
+	}
+	n.Sim.After(time.Millisecond, "down", func() { n.Client.SetIfaceUp(n.ClientAddrs[1], false) })
+	n.Sim.After(50*time.Millisecond, "up", func() { n.Client.SetIfaceUp(n.ClientAddrs[1], true) })
+	n.Sim.Run()
+	if len(p.closed) != 1 || p.closed[0] != lost || len(p.replacements) != 1 {
+		t.Fatalf("%d subflows closed, %d replaced; want the one on the downed interface", len(p.closed), len(p.replacements))
+	}
+	if p.replacements[0] == lost {
+		t.Fatal("the replacement opened inside the retiring event reused the dying subflow")
+	}
+	for _, sf := range c.Subflows() {
+		if sf.Tuple().SrcIP == n.ClientAddrs[1] {
+			rejoin = sf
+		}
+	}
+	if len(c.Subflows()) != 3 || rejoin == nil || !rejoin.Established() {
+		t.Fatalf("after the flap: %d subflows, re-join %v", len(c.Subflows()), rejoin)
+	}
+	if rejoin != lost {
+		t.Fatal("the re-join, a later event, did not reuse the spare")
 	}
 }

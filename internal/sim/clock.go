@@ -112,6 +112,16 @@ func ShardIndex(c Clock) int {
 	return sh
 }
 
+// EventCount reports how many events c's loop has executed. It advances
+// once as each event starts, and neither between runs nor in a World's
+// global events, so two reads that agree were made inside one event or with
+// no event run between them. Reading it reserves no key and draws no
+// randomness.
+func EventCount(c Clock) uint64 {
+	s, _ := c.loop()
+	return s.processed
+}
+
 // splitmix64 is the SplitMix64 mixer — cheap, full-period, and good
 // enough to decorrelate per-entity seeds derived from one run seed.
 func splitmix64(x uint64) uint64 {

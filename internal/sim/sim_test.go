@@ -422,3 +422,46 @@ func TestRunningKeyIdleIsInfinite(t *testing.T) {
 		t.Fatal("a check did not run, or after the run a key at now has not passed")
 	}
 }
+
+// TestEventCount checks the stamp the MPTCP layer's spare subflows carry:
+// it holds still for the whole of one event, moves between two events on
+// a loop, holds still in a World's global events and between runs, and
+// reading it reserves no key.
+func TestEventCount(t *testing.T) {
+	s := New(1)
+	var inside []uint64
+	s.Schedule(10, "a", func() {
+		n := EventCount(s)
+		s.Reserve()
+		inside = append(inside, n, EventCount(s))
+	})
+	s.Schedule(10, "b", func() { inside = append(inside, EventCount(s)) })
+	before := EventCount(s)
+	seq := s.nextSeq
+	EventCount(s)
+	if s.nextSeq != seq {
+		t.Fatal("EventCount reserved a key")
+	}
+	s.Run()
+	if len(inside) != 3 || inside[0] != inside[1] || inside[2] <= inside[1] || inside[0] <= before {
+		t.Fatalf("counts %v (before the run %d): want one value inside event a, a later one in b", inside, before)
+	}
+	if EventCount(s) != inside[2] {
+		t.Fatal("count moved after the last event")
+	}
+
+	w := NewWorld(1, 2)
+	lo, hi := w.HostClock(0, "lo"), w.HostClock(1, "hi")
+	if err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var atGlobal [2]uint64
+	lo.Schedule(5, "lo", func() {})
+	w.ScheduleGlobal(10, "g1", callFunc, func() { atGlobal[0] = EventCount(lo) })
+	w.ScheduleGlobal(10, "g2", callFunc, func() { atGlobal[1] = EventCount(lo) })
+	w.RunUntil(10)
+	if atGlobal[0] != 1 || atGlobal[1] != 1 || EventCount(hi) != 0 {
+		t.Fatalf("lo's count in two globals %v, hi's %d: want 1, 1 and 0 (globals do not count, shards count their own)",
+			atGlobal, EventCount(hi))
+	}
+}

@@ -45,15 +45,24 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 	if sf.cc == Cong(&sf.reno) {
 		t.Fatal("Config.NewCong ignored")
 	}
+	// A connection's re-join reuses the subflow it lost: nothing at all.
+	sf = NewSubflow(s, Config{}, tup, out, owner)
+	if avg := testing.AllocsPerRun(1000, func() {
+		sf.Abort(ECONNABORTED)
+		sf.Reuse(s, Config{}, tup, out, owner)
+	}); avg != 0 {
+		t.Fatalf("Reuse allocates %.0f objects, want 0", avg)
+	}
 }
 
 // TestSubflowSizeClass pins the Subflow, its Reno inside, to the 896-byte
 // size class. The runtime puts an 8-byte header on a pointerful object this
 // big and rounds up, so 896 holds a Subflow of up to 888 bytes; the next
-// class is 1024 — 128 bytes more on each of the 28.8 k subflows a churn
-// iteration creates, +3.7 MB or +6.8 % of its alloc_mb_per_op against a 2 %
-// bound. A new field has to find a hole (the 32-byte Reno took the one the
-// SYN timer left when it merged into rtoTimer).
+// class is 1024 — 128 bytes more on each of the ≈ 15.5 k subflows a churn
+// iteration allocates (the other 13.3 k it creates reuse a dead one), +2.0
+// MB or +5.3 % of its 37.5 MB alloc_mb_per_op against a 2 % bound. A new
+// field has to find a hole (the 32-byte Reno took the one the SYN timer
+// left when it merged into rtoTimer).
 func TestSubflowSizeClass(t *testing.T) {
 	var sf Subflow
 	if sz := unsafe.Sizeof(sf); sz > 888 || unsafe.Sizeof(sf.reno) == 0 {

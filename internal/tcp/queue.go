@@ -145,10 +145,11 @@ func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 }
 
 // clear empties the queue (subflow teardown) and returns the chunks it
-// held, for recycling.
+// held, for recycling. The backing arrays stay for a reused subflow, whose
+// reset clears them.
 func (q *sendQueue) clear() []*Chunk {
 	cs := q.chunks
-	*q = sendQueue{scratch: q.scratch}
+	*q = sendQueue{buf: q.buf[:0], scratch: q.scratch}
 	return cs
 }
 

@@ -104,7 +104,10 @@ type Owner interface {
 	// *backed-off* RTO now in force and the consecutive-backoff count.
 	OnTimeout(sf *Subflow, rto time.Duration, backoffs int)
 	// OnClosed fires exactly once when the subflow dies; reason is Ok for
-	// a graceful close.
+	// a graceful close. The handle stays valid until the event that runs
+	// OnClosed returns, and not after: from the next event on, the owner
+	// may hand the object out again (Reuse) as another subflow, so nothing
+	// may keep it past that event.
 	OnClosed(sf *Subflow, reason Errno)
 }
 
@@ -219,15 +222,42 @@ type Subflow struct {
 // Connect for the active side or HandleSegment with the peer's SYN for the
 // passive side.
 func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) *Subflow {
+	sf := new(Subflow)
+	sf.init(c, cfg, tuple, out, owner)
+	return sf
+}
+
+// Reuse turns a dead subflow into what NewSubflow(c, cfg, tuple, out,
+// owner) would return, allocating nothing unless Config.NewCong does. The
+// caller must own the only live handle: every holder of the old one was
+// done with it when the event that ran its OnClosed returned (Owner).
+func (sf *Subflow) Reuse(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) {
+	if sf.state != StateDead {
+		panic("tcp: Reuse of a subflow that is not dead: " + sf.String())
+	}
+	sf.init(c, cfg, tuple, out, owner)
+}
+
+// init resets every field, as a fresh allocation would have them, and
+// keeps only the capacity of the scratch buffers and queue backing arrays
+// (cleared, so a reused subflow holds no stale chunk).
+func (sf *Subflow) init(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) {
 	cfg = cfg.withDefaults()
-	sf := &Subflow{
-		sim:     c,
-		cfg:     cfg,
-		out:     out,
-		owner:   owner,
-		tuple:   tuple,
-		rtt:     *NewRTTEstimator(),
-		peerWnd: cfg.RcvWnd,
+	buf, scratch := sf.sq.buf[:0], sf.sq.scratch[:0]
+	clear(buf[:cap(buf)])
+	clear(scratch[:cap(scratch)])
+	ooo, sack := sf.rcv.ooo[:0], sf.sackScratch[:0]
+	*sf = Subflow{
+		sim:         c,
+		cfg:         cfg,
+		out:         out,
+		owner:       owner,
+		tuple:       tuple,
+		rcv:         rcvQueue{ooo: ooo},
+		peerWnd:     cfg.RcvWnd,
+		sq:          sendQueue{buf: buf, scratch: scratch},
+		rtt:         *NewRTTEstimator(),
+		sackScratch: sack,
 	}
 	if cfg.NewCong != nil {
 		sf.cc = cfg.NewCong(cfg.MSS, cfg.InitialWindow)
@@ -239,7 +269,6 @@ func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner 
 	// panics, and that message gets the tuple from String below.
 	sf.rtoTimer.Init(c, "tcp.rto", fireRTO, sf)
 	sf.paceTimer.Init(c, "tcp.pace", firePace, sf)
-	return sf
 }
 
 // The timer callbacks are package-level functions taking the subflow, so
