@@ -179,8 +179,7 @@ smoke-workspace:
 # sweep and every examples/manifests/*.json, each diffed at tolerance 0
 # cell directory by cell directory, and the stdout each side printed
 # compared with cmp (a difference is sized as lines added and removed; a
-# sweep over scale prints its wall-clock throughput scalars, so only its
-# cells are compared).
+# sweep report prints no wall-clock scalar, so every stdout is compared).
 # The scenario and manifest lists are the working tree's. A scenario only
 # one side registers, and a manifest over such a scenario, cannot be
 # compared: it is named, not failed on. Every other pair is compared;
@@ -251,9 +250,7 @@ smoke-ref:
 		fi; \
 	done; \
 	for r in $$sweeps; do \
-		if grep -q '_per_wall_s ' $$tmp/head-ws/$$r.out; then \
-			echo "== smoke-ref: $$r stdout prints wall-clock scalars (host speed), not compared"; \
-		elif cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
+		if cmp -s $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out; then \
 			echo "== smoke-ref: $$r stdout identical"; \
 		else \
 			d=$$(diff $$tmp/ref-ws/$$r.out $$tmp/head-ws/$$r.out || true); \

@@ -11,12 +11,12 @@ import (
 )
 
 // TestEveryClientStackIsWired holds the engine to building every client's
-// stack with the run's metric handles and trace shard: on a metered,
-// traced smoke run of each fan-out shape (and fig2a, the single-client
-// one), every chunk any connection pushed — client stacks and server
-// endpoints alike — is in the mptcp_sched_picks histogram, and every
-// client host recorded into a shard of its own. A stack built without the
-// wiring would push chunks the histogram never saw.
+// stack with the run's trace shard, and the metrics harvest to reading
+// every endpoint: on a metered, traced smoke run of each fan-out shape
+// (and fig2a, the single-client one), every chunk any connection pushed —
+// client stacks and server endpoints alike — is in the mptcp_sched_picks
+// histogram, and every client host recorded into a shard of its own. An
+// endpoint the harvest skipped would push chunks the histogram never saw.
 func TestEveryClientStackIsWired(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

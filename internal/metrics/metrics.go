@@ -8,9 +8,10 @@
 // gauges take the max.
 //
 // Every handle is nil-safe: methods on a nil *Counter/*Gauge/*Histogram
-// (what a nil *Registry hands out) cost exactly one branch, the same
-// contract as trace.Rec. Instrumented code therefore records
-// unconditionally and never checks whether metrics are enabled.
+// (what a nil *Registry hands out) cost exactly one branch. The protocol
+// stack does not import this package: each layer counts in plain fields
+// of its own, and a metered run harvests those into the registry when it
+// ends (internal/scenario's metrics probe).
 //
 // Metrics carry tags that drive export policy (see snapshot.go):
 //
@@ -25,7 +26,6 @@ package metrics
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -75,7 +75,6 @@ type metric struct {
 	tags    []string
 	slots   []slot
 	hist    [][]uint64 // per-slot buckets (histograms only)
-	log2    bool       // histogram bucketing: log2 of the value vs linear
 	buckets int
 }
 
@@ -108,7 +107,7 @@ func (r *Registry) Slots() int {
 // get returns the named metric, creating it on first use and verifying
 // the kind on later lookups. Tags and bucket shape are fixed by the
 // first caller.
-func (r *Registry) get(name string, kind Kind, buckets int, log2 bool, tags []string) *metric {
+func (r *Registry) get(name string, kind Kind, buckets int, tags []string) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -122,7 +121,6 @@ func (r *Registry) get(name string, kind Kind, buckets int, log2 bool, tags []st
 		kind:    kind,
 		tags:    append([]string(nil), tags...),
 		slots:   make([]slot, r.nslots),
-		log2:    log2,
 		buckets: buckets,
 	}
 	if kind == KindHistogram {
@@ -168,7 +166,7 @@ func (r *Registry) Counter(name string, slot int, tags ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.get(name, KindCounter, 0, false, tags)
+	m := r.get(name, KindCounter, 0, tags)
 	return &Counter{p: &m.slots[r.slotCheck(slot)].v}
 }
 
@@ -199,58 +197,41 @@ func (r *Registry) Gauge(name string, slot int, tags ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.get(name, KindGauge, 0, false, tags)
+	m := r.get(name, KindGauge, 0, tags)
 	return &Gauge{p: &m.slots[r.slotCheck(slot)].v}
 }
 
 // Histogram is a fixed-bucket distribution. Values at or beyond the last
 // bucket clamp into it. Merge across slots: per-bucket sum.
-type Histogram struct {
-	b    []uint64
-	log2 bool
-}
+type Histogram struct{ b []uint64 }
 
 // Observe records one value. Nil-safe.
-func (h *Histogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of one value at once: what a harvest
+// of a layer's own per-value counts adds. Nil-safe.
+func (h *Histogram) ObserveN(v, n uint64) {
 	if h == nil {
 		return
 	}
-	i := int(v)
-	if h.log2 {
-		i = bits.Len64(v) // 0 → bucket 0, [2^k, 2^k+1) → bucket k+1
-	}
-	if i >= len(h.b) {
-		i = len(h.b) - 1
-	}
-	h.b[i]++
+	h.b[min(v, uint64(len(h.b)-1))] += n
 }
 
 // HistogramLinear returns the slot-th handle of a linear histogram with
 // the given bucket count: value v lands in bucket min(v, buckets-1).
 // Right for small ordinal domains like per-subflow scheduler picks.
 func (r *Registry) HistogramLinear(name string, buckets, slot int, tags ...string) *Histogram {
-	return r.histogram(name, buckets, slot, false, tags)
-}
-
-// HistogramLog2 returns the slot-th handle of a log2 histogram: value v
-// lands in bucket min(bits.Len64(v), buckets-1), i.e. bucket k covers
-// [2^(k-1), 2^k). Right for wide ranges like nanosecond durations.
-func (r *Registry) HistogramLog2(name string, buckets, slot int, tags ...string) *Histogram {
-	return r.histogram(name, buckets, slot, true, tags)
-}
-
-func (r *Registry) histogram(name string, buckets, slot int, log2 bool, tags []string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	if buckets < 1 {
 		panic("metrics: histogram needs at least one bucket")
 	}
-	m := r.get(name, KindHistogram, buckets, log2, tags)
-	if m.buckets != buckets || m.log2 != log2 {
+	m := r.get(name, KindHistogram, buckets, tags)
+	if m.buckets != buckets {
 		panic(fmt.Sprintf("metrics: %s bucket shape mismatch", name))
 	}
-	return &Histogram{b: m.hist[r.slotCheck(slot)], log2: log2}
+	return &Histogram{b: m.hist[r.slotCheck(slot)]}
 }
 
 // live is the most recently activated registry, for the process-wide

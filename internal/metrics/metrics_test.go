@@ -83,14 +83,13 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("histogram per-shard totals = %v", m.Shards)
 	}
 
-	log := r.HistogramLog2("ns", 8, 0)
-	log.Observe(0)    // bucket 0
-	log.Observe(1)    // bucket 1
-	log.Observe(3)    // bucket 2
-	log.Observe(1024) // bucket 7 (clamped from 11)
-	lm := r.Snapshot().Get("ns")
-	if lm.Buckets[0] != 1 || lm.Buckets[1] != 1 || lm.Buckets[2] != 1 || lm.Buckets[7] != 1 {
-		t.Fatalf("log2 buckets = %v", lm.Buckets)
+	// A bulk add is n observations of one value, clamped the same way.
+	bulk := r.HistogramLinear("bulk", 4, 0)
+	bulk.ObserveN(1, 5)
+	bulk.ObserveN(9, 2) // clamped into bucket 3
+	bm := r.Snapshot().Get("bulk")
+	if bm.Value != 7 || bm.Buckets[1] != 5 || bm.Buckets[3] != 2 {
+		t.Fatalf("bulk-added histogram = %+v", bm)
 	}
 }
 
@@ -212,13 +211,14 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 	r := New(4)
 	c := r.Counter("c", 3)
 	g := r.Gauge("g", 1)
-	h := r.HistogramLog2("h", 16, 2)
+	h := r.HistogramLinear("h", 8, 2)
 	var nilC *Counter
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.SetMax(9)
-		h.Observe(1 << 20)
+		h.Observe(5)
+		h.ObserveN(1<<20, 3)
 		nilC.Inc()
 	}); n != 0 {
 		t.Fatalf("recording allocates %v per run, want 0", n)

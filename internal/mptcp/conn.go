@@ -511,12 +511,10 @@ func (c *Connection) push() {
 		for i, sf := range targets {
 			sf.Push(c.relToAbs(rel), ln, isFin)
 			c.stats.ChunksPushed++
-			if h := c.ep.cfg.Metrics.SchedPicks; h != nil {
-				h.Observe(uint64(c.subflowIndex(sf)))
-			}
+			picks := &c.ep.totals.Picks
+			picks[min(c.subflowIndex(sf), len(picks)-1)]++
 			if i > 0 {
 				c.stats.BytesDuplicated += uint64(ln)
-				c.ep.cfg.Metrics.DupBytes.Add(uint64(ln))
 			}
 			if c.tsh != nil {
 				var fl uint8
@@ -538,7 +536,6 @@ func (c *Connection) push() {
 		if fromRe {
 			c.reinject.remove(rel, rel+uint64(ln))
 			c.stats.BytesReinjected += uint64(ln)
-			c.ep.cfg.Metrics.ReinjectBytes.Add(uint64(ln))
 		} else if isFin {
 			c.finScheduled = true
 		} else {
@@ -823,9 +820,7 @@ func (c *Connection) handleDSS(sf *tcp.Subflow, s *seg.Segment, d *seg.DSS, hasN
 			c.peerFinRel = hi - 1
 		}
 		advanced := c.rcv.receive(lo, hi)
-		if g := c.ep.cfg.Metrics.ReassemblyOOHW; g != nil {
-			g.SetMax(c.rcv.ooo.bytes())
-		}
+		c.ep.totals.ReassemblyOOHW = max(c.ep.totals.ReassemblyOOHW, c.rcv.ooo.bytes())
 		if c.tsh != nil {
 			var fl uint8
 			if advanced {
@@ -876,6 +871,8 @@ func (c *Connection) OnClosed(sf *tcp.Subflow, reason tcp.Errno) {
 	c.reinjectSubflowData(sf)
 	c.removeSubflow(sf)
 	c.stats.SubflowsClosed++
+	// Fold the subflow's counters before retire: Reuse zeroes them.
+	c.ep.totals.addSubflow(sf.Info().Stats)
 	if !c.closed {
 		c.retire(sf)
 	}
@@ -923,6 +920,7 @@ func (c *Connection) connClosed() {
 	}
 	c.closed = true
 	c.spares = [2]spare{}
+	c.ep.totals.addConn(c.stats)
 	c.ep.removeConn(c)
 	c.ep.pm.ConnClosed(c)
 	if c.cb.OnClosed != nil {

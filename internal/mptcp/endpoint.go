@@ -16,7 +16,7 @@ type Config struct {
 	// TCP configures every subflow (MSS, initial window, RTO limits, ...).
 	TCP tcp.Config
 	// Scheduler names a registered packet scheduler (see
-	// RegisterScheduler); empty means the kernel default, lowest-rtt.
+	// RegisterSchedulerDesc); empty means the kernel default, lowest-rtt.
 	Scheduler string
 	// Coupled enables LIA coupled congestion control (RFC 6356) across the
 	// subflows of each connection instead of independent Reno.
@@ -26,9 +26,6 @@ type Config struct {
 	// per-subflow send/recv/RTT/cwnd) into this shard — by convention
 	// the owning host's shard of a per-run trace.Tracer.
 	Trace *trace.Shard
-	// Metrics carries live connection-level metric handles; the zero
-	// value records nothing. Subflow-level handles go in TCP.Metrics.
-	Metrics Metrics
 }
 
 // Endpoint is the per-host Multipath TCP stack: it owns connections,
@@ -53,6 +50,47 @@ type Endpoint struct {
 	// Stats counters.
 	RSTSent     uint64
 	JoinNoToken uint64
+	// totals holds what closed subflows and connections counted, and the
+	// two facts only the endpoint keeps (picks, reassembly high-water).
+	totals Totals
+}
+
+// Totals is what an endpoint's subflows and connections counted over its
+// life, closed ones included: the figures a metered run exports as its
+// tcp_* and mptcp_* metrics.
+type Totals struct {
+	Retrans, FastRetrans, Timeouts uint64 // summed tcp.Stats
+	Reinjected, Duplicated         uint64 // summed ConnStats bytes
+	// Picks counts scheduler picks by the picked subflow's position among
+	// its connection's live subflows; the last entry absorbs the rest.
+	Picks [8]uint64
+	// ReassemblyOOHW is the largest out-of-order reassembly backlog any
+	// connection held, in bytes.
+	ReassemblyOOHW uint64
+}
+
+func (t *Totals) addSubflow(s tcp.Stats) {
+	t.Retrans += s.Retrans
+	t.FastRetrans += s.FastRetrans
+	t.Timeouts += s.Timeouts
+}
+
+func (t *Totals) addConn(s ConnStats) {
+	t.Reinjected += s.BytesReinjected
+	t.Duplicated += s.BytesDuplicated
+}
+
+// Totals reports the endpoint's totals with its live connections and
+// subflows added in.
+func (ep *Endpoint) Totals() Totals {
+	t := ep.totals
+	for c := range ep.conns {
+		t.addConn(c.stats)
+		for _, sf := range c.subflows {
+			t.addSubflow(sf.Info().Stats)
+		}
+	}
+	return t
 }
 
 // NewEndpoint attaches a Multipath TCP stack to a host. pm may be nil, in

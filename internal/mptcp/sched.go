@@ -12,7 +12,7 @@ import (
 // subflows are used only when no regular subflow is usable (RFC 6824
 // backup semantics).
 //
-// Schedulers are registered by name (see RegisterScheduler) so experiments
+// Schedulers are registered by name (see RegisterSchedulerDesc) so experiments
 // can sweep every known policy; the built-ins are "lowest-rtt",
 // "round-robin", "redundant" and "weighted-rtt".
 type Scheduler interface {

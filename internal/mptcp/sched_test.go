@@ -181,7 +181,7 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	RegisterScheduler("lowest-rtt", func(*rand.Rand) Scheduler { return LowestRTT{} })
+	RegisterSchedulerDesc("lowest-rtt", "", func(*rand.Rand) Scheduler { return LowestRTT{} })
 }
 
 // TestRedundantEndToEnd runs a real two-path transfer under the redundant

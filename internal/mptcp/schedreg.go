@@ -19,21 +19,16 @@ var schedRegistry = struct {
 	descs     map[string]string
 }{factories: make(map[string]SchedulerFactory), descs: make(map[string]string)}
 
-// RegisterScheduler makes a scheduler available by name to endpoint
+// RegisterSchedulerDesc makes a scheduler available by name, with a
+// one-line description for listings (`mpexp list`), to endpoint
 // configuration, cmd/mpexp -sched, and sweep axes; the committed
 // scheduler sweeps (examples/manifests/schedsweep.json, fleetsweep.json)
 // must list it, which a test checks. It panics on an empty name or a
 // duplicate registration — both are programming errors, caught at init
 // time.
-func RegisterScheduler(name string, f SchedulerFactory) {
-	RegisterSchedulerDesc(name, "", f)
-}
-
-// RegisterSchedulerDesc registers a scheduler with a one-line description
-// for listings (`mpexp list`).
 func RegisterSchedulerDesc(name, desc string, f SchedulerFactory) {
 	if name == "" || f == nil {
-		panic("mptcp: RegisterScheduler with empty name or nil factory")
+		panic("mptcp: RegisterSchedulerDesc with empty name or nil factory")
 	}
 	schedRegistry.Lock()
 	defer schedRegistry.Unlock()

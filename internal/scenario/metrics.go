@@ -11,10 +11,10 @@ import (
 )
 
 // MetricsSpec turns on runtime metrics for one run: the engine builds a
-// shard-aware metrics.Registry, hands every stack live nil-safe handles
-// bound to its host's shard slot, and the metrics probe harvests the
-// simulator/pool/link counters at collect time. File, when non-empty, is
-// where the run's metrics.json lands.
+// shard-aware metrics.Registry and the metrics probe harvests into it, at
+// collect time, the plain counters every layer keeps (simulator, pools,
+// links, endpoints, control plane). File, when non-empty, is where the
+// run's metrics.json lands.
 type MetricsSpec struct {
 	File string
 }
@@ -64,43 +64,11 @@ func capturePools() poolBaseline {
 	return b
 }
 
-// tcpMetrics builds the subflow-level metric bundle for a stack running
-// on clock c's shard. With metrics off it returns the zero bundle (nil
-// handles record nothing), so callers wire it unconditionally.
-func (rt *Run) tcpMetrics(c sim.Clock) tcp.Metrics {
-	r := rt.Registry
-	if r == nil {
-		return tcp.Metrics{}
-	}
-	slot := sim.ShardIndex(c)
-	return tcp.Metrics{
-		Retrans:     r.Counter("tcp_retrans_segs", slot),
-		FastRetrans: r.Counter("tcp_fast_retrans", slot),
-		RTOTimeouts: r.Counter("tcp_rto_timeouts", slot),
-	}
-}
-
-// mptcpMetrics builds the connection-level metric bundle for clock c's
-// shard (zero bundle with metrics off).
-func (rt *Run) mptcpMetrics(c sim.Clock) mptcp.Metrics {
-	r := rt.Registry
-	if r == nil {
-		return mptcp.Metrics{}
-	}
-	slot := sim.ShardIndex(c)
-	return mptcp.Metrics{
-		SchedPicks:     r.HistogramLinear("mptcp_sched_picks", 8, slot),
-		ReinjectBytes:  r.Counter("mptcp_reinject_bytes", slot),
-		DupBytes:       r.Counter("mptcp_dup_bytes", slot),
-		ReassemblyOOHW: r.Gauge("mptcp_reassembly_oo_hw", slot),
-	}
-}
-
-// metricsProbe is the Metrics probe kind: Collect harvests the runtime
-// counters the simulation accumulated outside the registry (simulator
-// windows/barriers, pool traffic, link drops, the Netlink control plane),
-// renders the sorted text
-// snapshot into the report under title, and writes metrics.json.
+// metricsProbe is the Metrics probe kind: Collect harvests the counters
+// the simulation accumulated (simulator windows/barriers, pool traffic,
+// link drops, endpoint totals, the Netlink control plane), renders the
+// sorted text snapshot into the report under title, and writes
+// metrics.json.
 func metricsProbe(file, title string) Probe {
 	return Probe{
 		Name: "metrics",
@@ -112,6 +80,7 @@ func metricsProbe(file, title string) Probe {
 			rt.harvestRuntime()
 			rt.harvestPools()
 			rt.harvestLinks()
+			rt.harvestEndpoints()
 			rt.harvestControlPlane()
 			snap := r.Snapshot()
 			rt.Result.Section(title)
@@ -202,6 +171,31 @@ func (rt *Run) harvestLinks() {
 	r.Counter("netem_drop_queue", 0).Add(queue)
 	r.Counter("netem_drop_down", 0).Add(down)
 	r.Counter("netem_drop_cut", 0).Add(cut)
+}
+
+// harvestEndpoints folds every MPTCP endpoint's totals, client stacks'
+// and servers' alike, into the slot of its host's shard.
+func (rt *Run) harvestEndpoints() {
+	for _, st := range rt.Stacks {
+		rt.harvestEndpoint(st.Endpoint)
+	}
+	for _, ep := range rt.ServerEps {
+		rt.harvestEndpoint(ep)
+	}
+}
+
+func (rt *Run) harvestEndpoint(ep *mptcp.Endpoint) {
+	r, slot, t := rt.Registry, sim.ShardIndex(ep.Clock()), ep.Totals()
+	r.Counter("tcp_retrans_segs", slot).Add(t.Retrans)
+	r.Counter("tcp_fast_retrans", slot).Add(t.FastRetrans)
+	r.Counter("tcp_rto_timeouts", slot).Add(t.Timeouts)
+	picks := r.HistogramLinear("mptcp_sched_picks", len(t.Picks), slot)
+	for i, n := range t.Picks {
+		picks.ObserveN(uint64(i), n)
+	}
+	r.Counter("mptcp_reinject_bytes", slot).Add(t.Reinjected)
+	r.Counter("mptcp_dup_bytes", slot).Add(t.Duplicated)
+	r.Gauge("mptcp_reassembly_oo_hw", slot).SetMax(t.ReassemblyOOHW)
 }
 
 // harvestControlPlane folds every client stack's Netlink counters into

@@ -25,7 +25,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -206,8 +205,8 @@ type Run struct {
 	ServerEps []*mptcp.Endpoint
 	Conn      *mptcp.Connection // last connection DialDefault opened
 	Tracer    *trace.Tracer     // nil unless the run is traced
-	// Registry holds the run's metrics (nil unless the run records them;
-	// the bundle helpers in metrics.go treat nil as "record nothing").
+	// Registry holds the run's metrics (nil unless the run records them),
+	// filled by the metrics probe's harvest at collect time.
 	Registry *metrics.Registry
 	poolBase poolBaseline // pool counters at run start (metrics runs only)
 
@@ -258,24 +257,16 @@ func (rs *RunSpec) controlPlane() (kernelPM func() mptcp.PathManager, policy str
 }
 
 // mptcpConfig is the endpoint configuration of every stack of the run,
-// client or server: the run's scheduler, the host's own trace shard (nil
-// when untraced) and metric handles bound to the host's shard slot (zero
-// bundles when the run records none).
+// client or server: the run's scheduler and the host's own trace shard
+// (nil when untraced).
 func (rt *Run) mptcpConfig(h *netem.Host) mptcp.Config {
-	clk := h.Clock()
-	return mptcp.Config{
-		Scheduler: rt.Spec.Sched,
-		Trace:     rt.Tracer.Shard(h.Name()),
-		Metrics:   rt.mptcpMetrics(clk),
-		TCP:       tcp.Config{Metrics: rt.tcpMetrics(clk)},
-	}
+	return mptcp.Config{Scheduler: rt.Spec.Sched, Trace: rt.Tracer.Shard(h.Name())}
 }
 
 // newStack builds client i's stack — the only place a run gets one.
 func (rt *Run) newStack(i int) *smapp.Stack {
 	h := rt.Net.Clients[i].Host
 	cfg := smapp.Config{MPTCP: rt.mptcpConfig(h)}
-	cfg.Trace = cfg.MPTCP.Trace
 	if kernelPM, _ := rt.Spec.controlPlane(); kernelPM != nil {
 		cfg.KernelPM = kernelPM()
 	}

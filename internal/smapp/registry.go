@@ -48,21 +48,16 @@ var ctlRegistry = struct {
 	descs     map[string]string
 }{factories: make(map[string]ControllerFactory), descs: make(map[string]string)}
 
-// RegisterController makes a subflow-controller policy available by name
-// to Stack.Dial/Listen/SwitchPolicy, cmd/mpexp -controller, and sweep
-// axes; the committed controller sweeps (examples/manifests/ctlsweep.json,
+// RegisterControllerDesc makes a subflow-controller policy available by
+// name, with a one-line description for listings (`mpexp list`), to
+// Stack.Dial/Listen/SwitchPolicy, cmd/mpexp -controller, and sweep axes;
+// the committed controller sweeps (examples/manifests/ctlsweep.json,
 // fleetsweep.json) must list it, which a test checks. It panics on an
 // empty name or a duplicate registration — both are programming errors,
 // caught at init time.
-func RegisterController(name string, f ControllerFactory) {
-	RegisterControllerDesc(name, "", f)
-}
-
-// RegisterControllerDesc registers a controller with a one-line
-// description for listings (`mpexp list`).
 func RegisterControllerDesc(name, desc string, f ControllerFactory) {
 	if name == "" || f == nil {
-		panic("smapp: RegisterController with empty name or nil factory")
+		panic("smapp: RegisterControllerDesc with empty name or nil factory")
 	}
 	ctlRegistry.Lock()
 	defer ctlRegistry.Unlock()

@@ -135,7 +135,7 @@ func TestRegisterControllerPanics(t *testing.T) {
 		fn()
 	}
 	dummy := func(ControllerConfig) (controller.Controller, error) { return nil, nil }
-	mustPanic("duplicate registration", func() { RegisterController("fullmesh", dummy) })
-	mustPanic("empty name", func() { RegisterController("", dummy) })
-	mustPanic("nil factory", func() { RegisterController("x", nil) })
+	mustPanic("duplicate registration", func() { RegisterControllerDesc("fullmesh", "", dummy) })
+	mustPanic("empty name", func() { RegisterControllerDesc("", "", dummy) })
+	mustPanic("nil factory", func() { RegisterControllerDesc("x", "", nil) })
 }

@@ -29,12 +29,13 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/nlmsg"
-	"repro/internal/trace"
 )
 
 // Config tunes a Stack.
 type Config struct {
-	// MPTCP configures the endpoint (scheduler, TCP knobs, coupling).
+	// MPTCP configures the endpoint (scheduler, TCP knobs, coupling). Its
+	// Trace shard also records the stack's policy bindings, switches and
+	// every controller command.
 	MPTCP mptcp.Config
 	// KernelPM, when non-nil, replaces the whole userspace control plane
 	// with an in-kernel path manager (internal/pm) or mptcp.NopPM: no
@@ -53,10 +54,6 @@ type Config struct {
 	// CtlQueue bounds the pending-event queue in coalesced mode (≤0 =
 	// core.DefaultCtlQueue); overflow drops the oldest queued event.
 	CtlQueue int
-	// Trace, when non-nil, records policy bindings, switches, and every
-	// controller command into this shard (the kernel-side protocol
-	// events ride on MPTCP.Trace, usually the same shard).
-	Trace *trace.Shard
 }
 
 // Stack bundles everything one host needs to run smart MPTCP-enabled
@@ -81,7 +78,7 @@ func New(host *netem.Host, cfg Config) *Stack {
 		st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, cfg.KernelPM)
 		return st
 	}
-	st.tsh, st.owner = cfg.Trace, host.Name()
+	st.tsh, st.owner = cfg.MPTCP.Trace, host.Name()
 	s := host.Clock()
 	tr := cfg.Transport
 	if tr == nil {

@@ -122,7 +122,6 @@ type Config struct {
 	// NewCong builds the congestion controller; nil means Reno, which the
 	// Subflow holds itself.
 	NewCong func(mss, initialWindowSegs int) Cong
-	Metrics Metrics // live metric handles; zero value records nothing
 }
 
 func (c Config) withDefaults() Config {
@@ -508,7 +507,6 @@ func (sf *Subflow) onSynTimeout() {
 		return
 	}
 	sf.stats.Retrans++
-	sf.cfg.Metrics.Retrans.Inc()
 	sf.sendSYN()
 	sf.armSynTimer()
 }
@@ -599,7 +597,6 @@ func (sf *Subflow) sendChunk(c *Chunk) {
 	if retrans {
 		sf.stats.Retrans++
 		sf.stats.BytesRetrans += uint64(c.Len)
-		sf.cfg.Metrics.Retrans.Inc()
 	} else {
 		if end := c.SubSeq + uint32(c.Len); seqLT(sf.sndNxt, end) {
 			sf.sndNxt = end
@@ -815,7 +812,6 @@ func (sf *Subflow) handleSynRcvd(s *seg.Segment) {
 	if s.Is(seg.SYN) && !s.Is(seg.ACK) {
 		// Duplicate SYN: retransmit our SYN+ACK.
 		sf.stats.Retrans++
-		sf.cfg.Metrics.Retrans.Inc()
 		sf.sendSYN()
 		return
 	}
@@ -861,7 +857,6 @@ func (sf *Subflow) handleEstablished(s *seg.Segment) {
 		// Duplicate SYN+ACK: our third handshake ACK was lost. Re-send it
 		// (with its stage-ACK options) so the passive side can establish.
 		sf.stats.Retrans++
-		sf.cfg.Metrics.Retrans.Inc()
 		sf.sendHandshakeACK()
 		return
 	}
@@ -966,7 +961,6 @@ func (sf *Subflow) processSACK(s *seg.Segment) {
 		sf.inRecovery = true
 		sf.recoveryPoint = sf.sndNxt
 		sf.stats.FastRetrans++
-		sf.cfg.Metrics.FastRetrans.Inc()
 		// ssthresh halves the window outstanding at loss detection, NOT
 		// the post-SACK pipe (which the loss episode already shrank).
 		sf.cc.OnDupAckLoss(sf.outstanding())
@@ -987,7 +981,6 @@ func (sf *Subflow) fastRetransmit() {
 		return
 	}
 	sf.stats.FastRetrans++
-	sf.cfg.Metrics.FastRetrans.Inc()
 	sf.inRecovery = true
 	sf.recoveryPoint = sf.sndNxt
 	sf.cc.OnDupAckLoss(sf.outstanding())
@@ -1043,7 +1036,6 @@ func (sf *Subflow) onRTO() {
 		return
 	}
 	sf.stats.Timeouts++
-	sf.cfg.Metrics.RTOTimeouts.Inc()
 	sf.backoffs++
 	sf.sq.markAllLost()
 	sf.cc.OnRTO(sf.outstanding())
@@ -1068,7 +1060,6 @@ func (sf *Subflow) onRTO() {
 		fin.Flags = seg.FIN | seg.ACK
 		fin.Window = sf.cfg.RcvWnd
 		sf.stats.Retrans++
-		sf.cfg.Metrics.Retrans.Inc()
 		sf.transmit(fin)
 		sf.restartRTO()
 		return

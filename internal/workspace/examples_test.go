@@ -234,3 +234,39 @@ func TestSweepReportEndsWithCrossCellCDF(t *testing.T) {
 		}
 	}
 }
+
+// A sweep report compares cells, and a wall-clock scalar measures the host
+// instead: scale's throughput scalars stay in each cell's result.json and
+// out of the report.
+func TestSweepReportLeavesOutWallScalars(t *testing.T) {
+	m := &scenario.Manifest{
+		Scenario: "scale",
+		Params:   map[string]string{"smoke": "true"},
+		Sweep:    &scenario.ManifestSweep{Schedulers: []string{"lowest-rtt", "round-robin"}},
+	}
+	info := mustRun(t, mustInit(t), m)
+	cells, err := workspace.CellDirs(info.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		buf, err := os.ReadFile(filepath.Join(info.Dir, "cells", c, workspace.ResultFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := stats.DecodeResult(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Wall) == 0 {
+			t.Fatalf("cell %s tags no wall-clock scalar: nothing to leave out", c)
+		}
+	}
+	report, err := os.ReadFile(filepath.Join(info.Dir, workspace.ReportFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(report), "_per_wall_s") {
+		t.Errorf("sweep report prints wall-clock scalars:\n%s", report)
+	}
+}

@@ -300,7 +300,8 @@ func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
 // sweepReport renders a sweep: one scalar-summary block per cell, then a
 // cross-cell comparison table over the scalars every cell shares, then —
 // for each raw distribution every cell collected — the cells' CDFs on one
-// axis.
+// axis. Wall-clock scalars are left out: they measure the host, not the
+// cell, and result.json keeps them.
 func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.Multi) string {
 	var b strings.Builder
 	seeds := m.EffectiveSeeds()
@@ -311,6 +312,9 @@ func sweepReport(m *scenario.Manifest, cells []scenario.Cell, multis []*runner.M
 	summaries := make([]map[string]*stats.Sample, len(cells))
 	for i, multi := range multis {
 		summaries[i] = multi.ScalarSummary()
+		for _, k := range multi.WallKeys() {
+			delete(summaries[i], k)
+		}
 	}
 	keys := sharedKeys(summaries)
 
