@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
+.PHONY: build test race fuzz bench bench-pair fmt loc examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,11 @@ bench-pair:
 	( cd $$tmp/ref && $(GO) build -o $$tmp/bench-ref ./bench ); \
 	$(GO) build -o $$tmp/bench-head ./bench; \
 	$(GO) run ./cmd/benchpair -ref $$tmp/bench-ref -head $$tmp/bench-head -pairs $(PAIRS) $(if $(WORKLOADS),-workloads $(WORKLOADS))
+
+# Non-test Go lines outside bench/: the size figure ROADMAP.md and every
+# CHANGES.md entry report before and after a change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -202,7 +202,7 @@ func addRunFlags(fs *flag.FlagSet) *runFlags {
 		shards: fs.Int("shards", 0, "worker event loops per simulation (0/1 = one loop; "+
 			"results are bit-identical at any shard count)"),
 		sched: fs.String("sched", "", fmt.Sprintf("packet scheduler: %s (default lowest-rtt)",
-			strings.Join(mptcp.SchedulerNames(), ", "))),
+			strings.Join(mptcp.Schedulers.Names(), ", "))),
 		controller: fs.String("controller", "", fmt.Sprintf("subflow controller: %s (default: the scenario's paper policy)",
 			strings.Join(policies, ", "))),
 		trace: fs.String("trace", "", "record an event trace to this file (inspect with `mpexp report`; "+
@@ -412,7 +412,7 @@ func (c *cli) cmdList(args []string) error {
 		return err
 	}
 	if *names {
-		for _, n := range scenario.Names() {
+		for _, n := range scenario.Scenarios.Names() {
 			fmt.Fprintln(c.stdout, n)
 		}
 		return nil
@@ -421,7 +421,7 @@ func (c *cli) cmdList(args []string) error {
 		return c.listJSON()
 	}
 	fmt.Fprintln(c.stdout, "scenarios (mpexp run <name>):")
-	for _, in := range scenario.Scenarios() {
+	for _, in := range scenario.Scenarios.Infos() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 		own, _ := scenario.ParamDocs(in.Name)
 		for _, d := range own {
@@ -429,7 +429,7 @@ func (c *cli) cmdList(args []string) error {
 		}
 	}
 	fmt.Fprintln(c.stdout, "\npacket schedulers (-sched):")
-	for _, in := range mptcp.Schedulers() {
+	for _, in := range mptcp.Schedulers.Infos() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
 	fmt.Fprintln(c.stdout, "\nsubflow controllers (-controller):")
@@ -455,7 +455,7 @@ func (c *cli) cmdAll(args []string) error {
 	// One failed figure must not swallow the rest: every entry runs, and
 	// the exit status is decided after the last one.
 	failed := false
-	for _, name := range scenario.Names() {
+	for _, name := range scenario.Scenarios.Names() {
 		variants := []string{""} // the default configuration
 		if v, ok := allVariants[name]; ok {
 			variants = append(variants, v)

@@ -110,14 +110,14 @@ func TestListingContract(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &listing); err != nil {
 		t.Fatal(err)
 	}
-	if len(listing.Scenarios) != len(scenario.Names()) || len(listing.CommonParams) == 0 {
+	if len(listing.Scenarios) != len(scenario.Scenarios.Names()) || len(listing.CommonParams) == 0 {
 		t.Fatalf("listing has %d scenarios and %d common keys", len(listing.Scenarios), len(listing.CommonParams))
 	}
 	text := mustRun(t, "list")
 	// Both listings print the policies a run accepts, and only those: a
 	// manifest checked against the JSON dump names no value the binary
 	// refuses and misses none it takes (`kernel` is no registered controller).
-	accepted := append(smapp.ControllerNames(), scenario.KernelPolicy)
+	accepted := append(smapp.Controllers.Names(), scenario.KernelPolicy)
 	if _, err := scenario.Build("stream", scenario.NewParams(map[string]string{"policy": "no-such"})); err == nil {
 		t.Error("Build accepted an unlisted policy")
 	}

@@ -180,12 +180,12 @@ func (c *cli) listJSON() error {
 		Schedulers   []entry             `json:"schedulers"`
 		Controllers  []entry             `json:"controllers"`
 	}
-	for _, in := range scenario.Scenarios() {
+	for _, in := range scenario.Scenarios.Infos() {
 		var own []scenario.ParamDoc
 		own, out.CommonParams = scenario.ParamDocs(in.Name) // common: the same for every scenario
 		out.Scenarios = append(out.Scenarios, entry{Name: in.Name, Desc: in.Desc, Params: own})
 	}
-	for _, in := range mptcp.Schedulers() {
+	for _, in := range mptcp.Schedulers.Infos() {
 		out.Schedulers = append(out.Schedulers, entry{Name: in.Name, Desc: in.Desc})
 	}
 	for _, in := range scenario.Policies() {

@@ -27,7 +27,7 @@ import (
 func main() {
 	sock := flag.String("sock", "/tmp/smapp.sock", "smappd's unix socket")
 	policy := flag.String("policy", "backup", "subflow controller policy: "+
-		strings.Join(smapp.ControllerNames(), ", "))
+		strings.Join(smapp.Controllers.Names(), ", "))
 	threshold := flag.Duration("threshold", time.Second, "RTO threshold (backup/stream policies)")
 	flag.Parse()
 

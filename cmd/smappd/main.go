@@ -79,10 +79,8 @@ func main() {
 	sock := flag.String("sock", "/tmp/smapp.sock", "unix socket to expose the Netlink PM on")
 	runFor := flag.Duration("run", 15*time.Second, "how long to run the scenario")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics/expvar/pprof on this address (e.g. :6060)")
-	pprofLabels := flag.Bool("pprof-labels", false, "label simulator goroutines with their shard in CPU profiles")
 	flag.Parse()
 
-	sim.SetProfileLabels(*pprofLabels)
 	if *metricsAddr != "" {
 		addr, err := metrics.Serve(*metricsAddr)
 		if err != nil {

@@ -37,7 +37,7 @@ type ctlStressConfig struct {
 }
 
 func init() {
-	scenario.Register("ctlstress",
+	scenario.Scenarios.Register("ctlstress",
 		"control-plane stress: flap-driven subflow churn under a fullmesh controller, measuring event→command decision latency",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			cfg := ctlStressConfig{

@@ -24,7 +24,7 @@ type fig2aConfig struct {
 }
 
 func init() {
-	scenario.Register("fig2a",
+	scenario.Scenarios.Register("fig2a",
 		"smart backup (§4.2): RTO-triggered switch to the backup path vs the in-kernel baseline",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			cfg := fig2aConfig{

@@ -32,7 +32,7 @@ const (
 )
 
 func init() {
-	scenario.Register("fig2b",
+	scenario.Scenarios.Register("fig2b",
 		"smart streaming (§4.3): CDFs of 64 KB block completion times, full-mesh per loss level vs the stream controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return fig2bSpec(fig2bConfig{

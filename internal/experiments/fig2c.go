@@ -26,7 +26,7 @@ type fig2cConfig struct {
 }
 
 func init() {
-	scenario.Register("fig2c",
+	scenario.Scenarios.Register("fig2c",
 		"ECMP load balancing (§4.4): 100 MB completion CDFs, in-kernel ndiffports vs the refresh controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return fig2cSpec(fig2cConfig{

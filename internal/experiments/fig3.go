@@ -23,7 +23,7 @@ type fig3Config struct {
 }
 
 func init() {
-	scenario.Register("fig3",
+	scenario.Scenarios.Register("fig3",
 		"path-manager cost (§4.5): CDFs of the MP_CAPABLE→MP_JOIN SYN delay, kernel vs userspace manager",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return fig3Spec(fig3Config{

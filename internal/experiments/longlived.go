@@ -25,7 +25,7 @@ type longLivedConfig struct {
 }
 
 func init() {
-	scenario.Register("longlived",
+	scenario.Scenarios.Register("longlived",
 		"long-lived connections (§4.1): chat through a NAT with idle timeouts, smart full-mesh vs plain stack",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			cfg := longLivedConfig{

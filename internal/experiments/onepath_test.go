@@ -118,7 +118,7 @@ func TestExplicitValueBeatsSmoke(t *testing.T) {
 		}
 		return strings.Join(out, "\n")
 	}
-	for _, name := range scenario.Names() {
+	for _, name := range scenario.Scenarios.Names() {
 		own, _ := scenario.ParamDocs(name)
 		sized := 0
 		for _, d := range own {

@@ -45,7 +45,7 @@ func stressStar(clients, ifaces, servers int) scenario.Star {
 }
 
 func init() {
-	scenario.Register("scale",
+	scenario.Scenarios.Register("scale",
 		"scale stress: N conns × M subflows through a shared bottleneck under one scheduler and one controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return scaleSpec(scaleConfig{

@@ -19,7 +19,7 @@ import (
 // not the model, and are excluded; scale's wall-clock report section is
 // disabled via its wall=false parameter.
 func TestEveryScenarioDeterministic(t *testing.T) {
-	names := scenario.Names()
+	names := scenario.Scenarios.Names()
 	if len(names) < 8 {
 		t.Fatalf("registry too small: %v", names)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	scenario.Register("stream",
+	scenario.Scenarios.Register("stream",
 		"one §4.3 streaming session: 64 KB blocks over two 5 Mbps paths, loss on the primary, under one scheduler and one subflow controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return streamSpec(fig2bConfig{

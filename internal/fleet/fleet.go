@@ -25,7 +25,7 @@ type config struct {
 }
 
 func init() {
-	scenario.Register("fleet",
+	scenario.Scenarios.Register("fleet",
 		"fleet mobility corpus: N heterogeneous devices with per-device WiFi/LTE handover schedules",
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return fleetSpec(config{

@@ -15,8 +15,8 @@ import (
 type Config struct {
 	// TCP configures every subflow (MSS, initial window, RTO limits, ...).
 	TCP tcp.Config
-	// Scheduler names a registered packet scheduler (see
-	// RegisterSchedulerDesc); empty means the kernel default, lowest-rtt.
+	// Scheduler names a packet scheduler in the Schedulers table; empty
+	// means the kernel default, lowest-rtt.
 	Scheduler string
 	// Coupled enables LIA coupled congestion control (RFC 6356) across the
 	// subflows of each connection instead of independent Reno.
@@ -297,13 +297,26 @@ func (ep *Endpoint) addrID(addr netip.Addr) uint8 {
 	return id
 }
 
-// allocPort draws a random unused ephemeral port. Randomness matters: §4.4
-// relies on random source ports hashing subflows onto different ECMP paths.
+// allocPort draws a random ephemeral port that no subflow has used and no
+// listener holds, as a kernel does. Randomness matters: §4.4 relies on
+// random source ports hashing subflows onto different ECMP paths. When the
+// draws keep hitting taken ports, a scan finds the last free ones.
 func (ep *Endpoint) allocPort() uint16 {
+	const first, count = 32768, 28232
+	take := func(p uint16) bool {
+		if _, listening := ep.listeners[p]; listening || ep.usedPorts[p] != 0 {
+			return false
+		}
+		ep.usedPorts[p]++
+		return true
+	}
 	for tries := 0; tries < 10000; tries++ {
-		p := uint16(32768 + ep.sim.Rand().Intn(28232))
-		if ep.usedPorts[p] == 0 {
-			ep.usedPorts[p]++
+		if p := uint16(first + ep.sim.Rand().Intn(count)); take(p) {
+			return p
+		}
+	}
+	for p := uint16(first); p < first+count; p++ {
+		if take(p) {
 			return p
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // subflows are used only when no regular subflow is usable (RFC 6824
 // backup semantics).
 //
-// Schedulers are registered by name (see RegisterSchedulerDesc) so experiments
-// can sweep every known policy; the built-ins are "lowest-rtt",
+// Schedulers are registered by name (in the Schedulers table) so
+// experiments can sweep every known policy; the built-ins are "lowest-rtt",
 // "round-robin", "redundant" and "weighted-rtt".
 type Scheduler interface {
 	// Name identifies the scheduler in experiment output.

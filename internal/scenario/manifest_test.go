@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	Register("test-manifest-bulk", "test-only manifest scenario", func(p *Params) (*Spec, error) {
+	Scenarios.Register("test-manifest-bulk", "test-only manifest scenario", func(p *Params) (*Spec, error) {
 		b := p.Int("bytes", 64<<10, "")
 		rate := p.Float("rate", 50e6, "")
 		sched := p.Str("sched", "", "")

@@ -2,11 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/mptcp"
+	"repro/internal/registry"
 	"repro/internal/smapp"
 	"repro/internal/stats"
 )
@@ -16,33 +15,9 @@ import (
 // must not retain p.
 type Factory func(p *Params) (*Spec, error)
 
-// Info describes a registered scenario for listings.
-type Info struct {
-	Name string
-	Desc string
-}
-
-var registry = struct {
-	sync.RWMutex
-	factories map[string]Factory
-	descs     map[string]string
-}{factories: make(map[string]Factory), descs: make(map[string]string)}
-
-// Register makes a scenario available by name to `mpexp run`/`sweep`/
-// `list` and to Build. It panics on an empty name or a duplicate
-// registration — both are programming errors, caught at init time.
-func Register(name, desc string, f Factory) {
-	if name == "" || f == nil {
-		panic("scenario: Register with empty name or nil factory")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.factories[name]; dup {
-		panic(fmt.Sprintf("scenario: %q registered twice", name))
-	}
-	registry.factories[name] = f
-	registry.descs[name] = desc
-}
+// Scenarios is the scenario table: a scenario registered here is
+// available by name to `mpexp run`/`sweep`/`list` and to Build.
+var Scenarios = registry.New[Factory]("scenario", "scenario")
 
 // ParamDocs derives a scenario's parameter listing from the code that
 // reads the parameters: it builds the scenario once, with nothing set,
@@ -59,53 +34,13 @@ func ParamDocs(name string) (own, common []ParamDoc) {
 	return p.docs.own, p.docs.common
 }
 
-// Lookup resolves a scenario name. Unknown names list what is registered.
-func Lookup(name string) (Factory, error) {
-	registry.RLock()
-	defer registry.RUnlock()
-	f, ok := registry.factories[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown scenario %q (registered: %s)",
-			name, strings.Join(namesLocked(), ", "))
-	}
-	return f, nil
-}
-
-// Names lists every registered scenario, sorted.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	names := make([]string, 0, len(registry.factories))
-	for n := range registry.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Scenarios lists every registered scenario with its description, sorted
-// by name.
-func Scenarios() []Info {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Info, 0, len(registry.factories))
-	for _, n := range namesLocked() {
-		out = append(out, Info{Name: n, Desc: registry.descs[n]})
-	}
-	return out
-}
-
 // Build resolves a name and instantiates its spec, rejecting parameters
 // that failed to parse or were never consumed by the factory, and
 // validating every run's scheduler and policy against their registries —
 // so typos die here, before a single simulation (or a whole sweep cell's
 // seed fan-out) runs.
 func Build(name string, p *Params) (*Spec, error) {
-	f, err := Lookup(name)
+	f, err := Scenarios.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +101,7 @@ func Build(name string, p *Params) (*Spec, error) {
 			return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 		}
 		if _, policy := rs.controlPlane(); policy != "" {
-			if _, err := smapp.LookupController(policy); err != nil {
+			if _, err := smapp.Controllers.Lookup(policy); err != nil {
 				return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 			}
 		}

@@ -30,24 +30,24 @@ func testSpecFactory(p *Params) (*Spec, error) {
 }
 
 func init() {
-	Register("test-registry-bulk", "test-only bulk scenario", testSpecFactory)
+	Scenarios.Register("test-registry-bulk", "test-only bulk scenario", testSpecFactory)
 }
 
 func TestRegistryLookupAndNames(t *testing.T) {
-	if _, err := Lookup("test-registry-bulk"); err != nil {
+	if _, err := Scenarios.Lookup("test-registry-bulk"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lookup("nosuch"); err == nil || !strings.Contains(err.Error(), "registered:") {
+	if _, err := Scenarios.Lookup("nosuch"); err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Fatalf("unknown lookup error = %v", err)
 	}
 	found := false
-	for _, in := range Scenarios() {
+	for _, in := range Scenarios.Infos() {
 		if in.Name == "test-registry-bulk" && in.Desc != "" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("Scenarios() missing the registered entry or its description")
+		t.Fatal("Scenarios.Infos() missing the registered entry or its description")
 	}
 }
 
@@ -61,9 +61,9 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("duplicate", func() { Register("test-registry-bulk", "", testSpecFactory) })
-	mustPanic("empty name", func() { Register("", "", testSpecFactory) })
-	mustPanic("nil factory", func() { Register("x", "", nil) })
+	mustPanic("duplicate", func() { Scenarios.Register("test-registry-bulk", "", testSpecFactory) })
+	mustPanic("empty name", func() { Scenarios.Register("", "", testSpecFactory) })
+	mustPanic("nil factory", func() { Scenarios.Register("x", "", nil) })
 }
 
 func TestBuildRejectsBadParams(t *testing.T) {

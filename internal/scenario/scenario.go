@@ -22,6 +22,7 @@ import (
 	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/pm"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -237,8 +238,8 @@ const KernelPolicy = "kernel"
 
 // Policies lists every value a run's policy can take, for listings and
 // flag help: the registered controllers, then KernelPolicy.
-func Policies() []smapp.ControllerInfo {
-	return append(smapp.Controllers(), smapp.ControllerInfo{Name: KernelPolicy,
+func Policies() []registry.Info {
+	return append(smapp.Controllers.Infos(), registry.Info{Name: KernelPolicy,
 		Desc: "in-kernel full-mesh baseline, no userspace control plane"})
 }
 

@@ -12,7 +12,7 @@ import (
 func init() {
 	// A sweepable scenario: one bulk run whose completion time depends on
 	// the link rate parameter.
-	Register("test-sweep-bulk", "test-only sweepable bulk", func(p *Params) (*Spec, error) {
+	Scenarios.Register("test-sweep-bulk", "test-only sweepable bulk", func(p *Params) (*Spec, error) {
 		rate := p.Float("rate_mbps", 50, "")
 		sched := p.Str("sched", "", "")
 		wl := &Bulk{Bytes: 256 << 10}
@@ -112,7 +112,7 @@ func TestSweepRejectsInvalidCellUpFront(t *testing.T) {
 // A plan builds every cell once; the per-seed builds are the jobs'.
 func TestPlanBuildsEachCellOnce(t *testing.T) {
 	builds := 0
-	Register("test-plan-count", "test-only build counter", func(p *Params) (*Spec, error) {
+	Scenarios.Register("test-plan-count", "test-only build counter", func(p *Params) (*Spec, error) {
 		builds++
 		p.Str("knob", "", "")
 		return &Spec{Name: "test-plan-count"}, nil

@@ -93,7 +93,7 @@ func TestUntracedRunHasNoTracer(t *testing.T) {
 // caller that places files is asked per cell, and a traced multi-seed
 // sweep is rejected up front (concurrent seeds would race on one file).
 func TestSweepTracePerCell(t *testing.T) {
-	Register("trace-sweep-test", "test scenario", func(p *Params) (*Spec, error) {
+	Scenarios.Register("trace-sweep-test", "test scenario", func(p *Params) (*Spec, error) {
 		p.Str("knob", "a", "") // consume the axis key
 		return traceTestSpec(1), nil
 	})

@@ -34,8 +34,6 @@ type Clock interface {
 	AfterArg(d time.Duration, name string, fn func(any), arg any)
 	// Cancel removes a pending event scheduled through this clock.
 	Cancel(e *Event)
-	// Reschedule cancels e (if pending) and schedules fn at when.
-	Reschedule(e *Event, when Time, name string, fn func()) *Event
 	// SendTo schedules a pooled event onto dst's event loop, ordered by
 	// THIS clock's identity. It is the one legal way to schedule a single
 	// event for an entity that may live on another shard (an ordered stream
@@ -201,11 +199,6 @@ func (c *entityClock) AfterArg(d time.Duration, name string, fn func(any), arg a
 }
 
 func (c *entityClock) Cancel(e *Event) { c.sh.Cancel(e) }
-
-func (c *entityClock) Reschedule(e *Event, when Time, name string, fn func()) *Event {
-	c.Cancel(e)
-	return c.Schedule(when, name, fn)
-}
 
 func (c *entityClock) SendTo(dst Clock, when Time, name string, fn func(any), arg any) {
 	_, dshard := dst.loop()

@@ -344,13 +344,6 @@ func (s *Simulator) Cancel(e *Event) {
 	e.fn = nil
 }
 
-// Reschedule cancels e (if pending) and schedules fn at when, returning the
-// new event. It is the common pattern for restarting timers.
-func (s *Simulator) Reschedule(e *Event, when Time, name string, fn func()) *Event {
-	s.Cancel(e)
-	return s.Schedule(when, name, fn)
-}
-
 // Stop makes Run/RunUntil return after the currently executing event.
 func (s *Simulator) Stop() { s.stopped = true }
 

@@ -1,7 +1,6 @@
 package smapp
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -33,15 +32,12 @@ func NewControllerStack(tr *core.Transport, clock core.Clock, pid uint32) *Contr
 // (their timers would otherwise keep issuing commands under the
 // replacement). It subscribes to exactly the events the policy handles,
 // read off the instance that validates cfg, plus created and closed for
-// the token table. The nil policy is rejected: a controller process
-// exists to run one.
+// the token table. The nil policy is an unknown name here: a controller
+// process exists to run one.
 func (cs *ControllerStack) Use(policy string, cfg ControllerConfig) error {
-	factory, err := LookupController(policy)
+	factory, err := Controllers.Lookup(policy)
 	if err != nil {
 		return err
-	}
-	if factory == nil {
-		return fmt.Errorf("smapp: a controller stack needs a concrete policy (have: %v)", ControllerNames())
 	}
 	probe, err := factory(cfg)
 	if err != nil {

@@ -173,7 +173,7 @@ func TestEveryControllerServesConnectionsInSequence(t *testing.T) {
 		{Kind: nlmsg.EvLocalAddrUp, Addr: second},
 		{Kind: nlmsg.EvClosed},
 	}
-	for _, name := range ControllerNames() {
+	for _, name := range Controllers.Names() {
 		factory, _ := LookupController(name)
 		ctl, err := factory(ControllerConfig{Addrs: []netip.Addr{first, second}, Subflows: 5})
 		if err != nil {

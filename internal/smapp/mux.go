@@ -126,7 +126,7 @@ func (m *mux) claimed(ev *nlmsg.Event) *binding {
 	if cl == nil {
 		return nil
 	}
-	factory, _ := LookupController(cl.policy)
+	factory, _ := Controllers.Lookup(cl.policy)
 	ctl, err := factory(cl.cfg)
 	if err != nil {
 		return nil // the claimant validated cfg; a factory that fails later claims nothing

@@ -3,12 +3,10 @@ package smapp
 import (
 	"fmt"
 	"net/netip"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/registry"
 )
 
 // ControllerConfig is the uniform knob set every controller factory takes:
@@ -42,49 +40,12 @@ type ControllerConfig struct {
 // Factories validate cfg and must not retain it.
 type ControllerFactory func(cfg ControllerConfig) (controller.Controller, error)
 
-var ctlRegistry = struct {
-	sync.RWMutex
-	factories map[string]ControllerFactory
-	descs     map[string]string
-}{factories: make(map[string]ControllerFactory), descs: make(map[string]string)}
-
-// RegisterControllerDesc makes a subflow-controller policy available by
-// name, with a one-line description for listings (`mpexp list`), to
-// Stack.Dial/Listen/SwitchPolicy, cmd/mpexp -controller, and sweep axes;
-// the committed controller sweeps (examples/manifests/ctlsweep.json,
-// fleetsweep.json) must list it, which a test checks. It panics on an
-// empty name or a duplicate registration — both are programming errors,
-// caught at init time.
-func RegisterControllerDesc(name, desc string, f ControllerFactory) {
-	if name == "" || f == nil {
-		panic("smapp: RegisterControllerDesc with empty name or nil factory")
-	}
-	ctlRegistry.Lock()
-	defer ctlRegistry.Unlock()
-	if _, dup := ctlRegistry.factories[name]; dup {
-		panic(fmt.Sprintf("smapp: controller %q registered twice", name))
-	}
-	ctlRegistry.factories[name] = f
-	ctlRegistry.descs[name] = desc
-}
-
-// ControllerInfo describes a registered controller for listings.
-type ControllerInfo struct {
-	Name string
-	Desc string
-}
-
-// Controllers lists every registered controller with its description,
-// sorted by name.
-func Controllers() []ControllerInfo {
-	ctlRegistry.RLock()
-	defer ctlRegistry.RUnlock()
-	out := make([]ControllerInfo, 0, len(ctlRegistry.factories))
-	for _, n := range controllerNamesLocked() {
-		out = append(out, ControllerInfo{Name: n, Desc: ctlRegistry.descs[n]})
-	}
-	return out
-}
+// Controllers is the subflow-controller table: a policy registered here
+// is available by name to Stack.Dial/Listen/SwitchPolicy, cmd/mpexp
+// -controller, sweep axes and listings (`mpexp list`); the committed
+// controller sweeps (examples/manifests/ctlsweep.json, fleetsweep.json)
+// must list it, which a test checks.
+var Controllers = registry.New[ControllerFactory]("smapp", "controller")
 
 // LookupController resolves a policy name. The empty name is the nil
 // policy — valid, returning a nil factory: the connection runs with no
@@ -94,35 +55,12 @@ func LookupController(name string) (ControllerFactory, error) {
 	if name == "" {
 		return nil, nil
 	}
-	ctlRegistry.RLock()
-	defer ctlRegistry.RUnlock()
-	f, ok := ctlRegistry.factories[name]
-	if !ok {
-		return nil, fmt.Errorf("smapp: unknown controller %q (registered: %s)",
-			name, strings.Join(controllerNamesLocked(), ", "))
-	}
-	return f, nil
-}
-
-// ControllerNames lists every registered controller policy, sorted.
-func ControllerNames() []string {
-	ctlRegistry.RLock()
-	defer ctlRegistry.RUnlock()
-	return controllerNamesLocked()
-}
-
-func controllerNamesLocked() []string {
-	names := make([]string, 0, len(ctlRegistry.factories))
-	for n := range ctlRegistry.factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return Controllers.Lookup(name)
 }
 
 // The five paper controllers self-register under their §4 names.
 func init() {
-	RegisterControllerDesc("fullmesh",
+	Controllers.Register("fullmesh",
 		"§4.1: keep a subflow over every local interface, re-establishing with error-specific backoff",
 		func(cfg ControllerConfig) (controller.Controller, error) {
 			if len(cfg.Addrs) == 0 {
@@ -130,7 +68,7 @@ func init() {
 			}
 			return controller.NewFullMesh(cfg.Addrs), nil
 		})
-	RegisterControllerDesc("backup",
+	Controllers.Register("backup",
 		"§4.2: create the backup subflow only when the primary's RTO crosses the threshold",
 		func(cfg ControllerConfig) (controller.Controller, error) {
 			if len(cfg.Addrs) < 2 {
@@ -142,7 +80,7 @@ func init() {
 			}
 			return b, nil
 		})
-	RegisterControllerDesc("stream",
+	Controllers.Register("stream",
 		"§4.3: kill and replace subflows that stall a block past the intra-block probe point",
 		func(cfg ControllerConfig) (controller.Controller, error) {
 			if len(cfg.Addrs) < 2 {
@@ -164,7 +102,7 @@ func init() {
 			}
 			return s, nil
 		})
-	RegisterControllerDesc("refresh",
+	Controllers.Register("refresh",
 		"§4.4: replace the slowest subflow until all ECMP paths carry traffic",
 		func(cfg ControllerConfig) (controller.Controller, error) {
 			n := cfg.Subflows
@@ -176,7 +114,7 @@ func init() {
 			}
 			return controller.NewRefresh(n), nil
 		})
-	RegisterControllerDesc("ndiffports",
+	Controllers.Register("ndiffports",
 		"§4.5: open N subflows over the same address pair on distinct ports",
 		func(cfg ControllerConfig) (controller.Controller, error) {
 			n := cfg.Subflows

@@ -91,7 +91,7 @@ func TestLookupControllerUnknown(t *testing.T) {
 		t.Fatal("unknown controller accepted")
 	}
 	// The error must list what IS registered, so typos are self-serving.
-	for _, name := range ControllerNames() {
+	for _, name := range Controllers.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list %q", err, name)
 		}
@@ -106,7 +106,7 @@ func TestLookupControllerNilPolicy(t *testing.T) {
 }
 
 func TestControllerNamesCoverThePaper(t *testing.T) {
-	names := ControllerNames()
+	names := Controllers.Names()
 	for _, want := range []string{"backup", "fullmesh", "ndiffports", "refresh", "stream"} {
 		found := false
 		for _, n := range names {
@@ -135,7 +135,7 @@ func TestRegisterControllerPanics(t *testing.T) {
 		fn()
 	}
 	dummy := func(ControllerConfig) (controller.Controller, error) { return nil, nil }
-	mustPanic("duplicate registration", func() { RegisterControllerDesc("fullmesh", "", dummy) })
-	mustPanic("empty name", func() { RegisterControllerDesc("", "", dummy) })
-	mustPanic("nil factory", func() { RegisterControllerDesc("x", "", nil) })
+	mustPanic("duplicate registration", func() { Controllers.Register("fullmesh", "", dummy) })
+	mustPanic("empty name", func() { Controllers.Register("", "", dummy) })
+	mustPanic("nil factory", func() { Controllers.Register("x", "", nil) })
 }

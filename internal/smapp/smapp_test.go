@@ -95,6 +95,37 @@ func TestDialErrors(t *testing.T) {
 	}
 }
 
+// TestNilPolicyDialSkipsListenPorts: a dialled connection never draws a
+// port a Listen holds, so the mux cannot claim it for the listener's
+// policy. With every ephemeral port but one listened on, the nil-policy
+// Dial gets that one and stays unmanaged.
+func TestNilPolicyDialSkipsListenPorts(t *testing.T) {
+	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
+	r := newRig(11, p, Config{})
+	const free = 45000
+	for port := 32768; port < 32768+28232; port++ {
+		if port == free {
+			continue
+		}
+		if err := r.st.Listen(uint16(port), "fullmesh", ControllerConfig{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.sep.Listen(80, nil)
+	conn, err := r.st.Dial(r.net.ClientAddrs[0], r.net.ServerAddr, 80,
+		"", ControllerConfig{}, mptcp.ConnCallbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.Sim.RunFor(time.Second)
+	if got := conn.InitialTuple().SrcPort; got != free {
+		t.Fatalf("dial drew port %d, want the one free port %d", got, free)
+	}
+	if got := r.st.PolicyName(conn); got != "" {
+		t.Fatalf("nil-policy dial claimed by the %q listener", got)
+	}
+}
+
 func TestKernelPMStackRejectsPolicies(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
 	r := newRig(4, p, Config{KernelPM: mptcp.NopPM{}})

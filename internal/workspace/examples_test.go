@@ -35,7 +35,7 @@ func sorted(names []string) []string { return slices.Sorted(slices.Values(names)
 // Registering a controller or scheduler fails this test until the
 // committed sweeps list it.
 func TestExampleSweepsCoverRegistries(t *testing.T) {
-	controllers, schedulers := smapp.ControllerNames(), mptcp.SchedulerNames()
+	controllers, schedulers := smapp.Controllers.Names(), mptcp.Schedulers.Names()
 	for _, tc := range []struct {
 		manifest, scenario      string
 		controllers, schedulers []string
@@ -175,7 +175,7 @@ func fleetCells(t *testing.T, cells map[string]*stats.ResultData) {
 			t.Errorf("cell %s: no handover scheduled — the cell compares nothing", id)
 		}
 	}
-	for _, sched := range mptcp.SchedulerNames() {
+	for _, sched := range mptcp.Schedulers.Names() {
 		id := func(policy string) string {
 			return scenario.CellID([]string{"sched=" + sched, "policy=" + policy})
 		}
