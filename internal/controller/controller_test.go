@@ -87,7 +87,7 @@ func TestUserFullMeshReestablishesAfterRST(t *testing.T) {
 	if len(r.client.Subflows()) != 1 {
 		t.Fatalf("subflows right after RST = %d, want 1", len(r.client.Subflows()))
 	}
-	// After RetryAfterRST (1s) the controller re-establishes it.
+	// After retryAfterRST (1s) the controller re-establishes it.
 	r.net.Sim.RunFor(2 * time.Second)
 	if len(r.client.Subflows()) != 2 {
 		t.Fatalf("subflows after retry window = %d, want 2", len(r.client.Subflows()))

@@ -20,12 +20,6 @@ import (
 // notifications) alive through aggressive NAT/firewall idle timeouts
 // without blind periodic keepalives.
 type FullMesh struct {
-	// RetryAfterRST is the re-establishment delay after ECONNRESET.
-	RetryAfterRST time.Duration
-	// RetryAfterTimeout is the delay after ETIMEDOUT.
-	RetryAfterTimeout time.Duration
-	// RetryAfterUnreach is the delay after ENETUNREACH / ICMP errors.
-	RetryAfterUnreach time.Duration
 	// LocalAddrs seeds the set of local interface addresses (kept current
 	// afterwards via new_local_addr / del_local_addr events).
 	LocalAddrs []netip.Addr
@@ -74,16 +68,21 @@ type meshKey struct {
 	remote netip.AddrPort
 }
 
+// The paper's re-establishment delays, by the error that killed the
+// subflow.
+const (
+	retryAfterRST     = time.Second     // ECONNRESET
+	retryAfterTimeout = 3 * time.Second // ETIMEDOUT
+	retryAfterUnreach = 5 * time.Second // ENETUNREACH / ICMP errors
+)
+
 // NewFullMesh builds the controller with the paper's retry behaviour.
 func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
 	return &FullMesh{
-		RetryAfterRST:     time.Second,
-		RetryAfterTimeout: 3 * time.Second,
-		RetryAfterUnreach: 5 * time.Second,
-		LocalAddrs:        localAddrs,
-		live:              make(map[meshKey]seg.FourTuple),
-		pending:           make(map[meshKey]func()),
-		Stats:             FullMeshStats{RetriesByErrno: make(map[uint32]uint64)},
+		LocalAddrs: localAddrs,
+		live:       make(map[meshKey]seg.FourTuple),
+		pending:    make(map[meshKey]func()),
+		Stats:      FullMeshStats{RetriesByErrno: make(map[uint32]uint64)},
 	}
 }
 
@@ -177,13 +176,13 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 	var delay time.Duration
 	switch ev.Errno {
 	case uint32(104): // ECONNRESET — middlebox dropped state; rebuild fast
-		delay = f.RetryAfterRST
+		delay = retryAfterRST
 	case uint32(110): // ETIMEDOUT
-		delay = f.RetryAfterTimeout
+		delay = retryAfterTimeout
 	case uint32(101), uint32(111): // ENETUNREACH / ECONNREFUSED
-		delay = f.RetryAfterUnreach
+		delay = retryAfterUnreach
 	default:
-		delay = f.RetryAfterTimeout
+		delay = retryAfterTimeout
 	}
 	f.Stats.RetriesByErrno[ev.Errno]++
 	f.scheduleRetry(key, delay)
@@ -222,7 +221,7 @@ func (f *FullMesh) createAcked(errno uint32) {
 	f.creating = slices.Delete(f.creating, 0, 1)
 	if errno != 0 && f.open {
 		// Creation failed (e.g. interface flapped again): back off.
-		f.scheduleRetry(key, f.RetryAfterUnreach)
+		f.scheduleRetry(key, retryAfterUnreach)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Refresh is the §4.4 controller: smarter exploitation of flow-based load
 // balancing. When the connection starts it opens N subflows with random
 // source ports so ECMP spreads them over the available paths. Every
-// Interval it queries the pacing_rate of each subflow, removes the one
+// 2.5 s it queries the pacing_rate of each subflow, removes the one
 // with the lowest rate and immediately creates a replacement on a fresh
 // random port. Two subflows hashed onto the same path share its capacity
 // and therefore show roughly half the pacing_rate of a subflow alone on a
@@ -22,11 +22,6 @@ import (
 type Refresh struct {
 	// N is the number of concurrent subflows (5 in Fig. 2c).
 	N int
-	// Interval is the refresh period (2.5 s in the paper).
-	Interval time.Duration
-	// MinLifetime protects just-created subflows from being judged before
-	// their pacing_rate means anything (one refresh interval).
-	MinLifetime time.Duration
 
 	lib core.Lib
 	// The connection being managed, from its created event to its closed.
@@ -45,13 +40,19 @@ type RefreshStats struct {
 	Polls     uint64
 }
 
+const (
+	// refreshInterval is the refresh period (2.5 s in the paper).
+	refreshInterval = 2500 * time.Millisecond
+	// minLifetime protects just-created subflows from being judged before
+	// their pacing_rate means anything (one refresh interval).
+	minLifetime = refreshInterval
+)
+
 // NewRefresh builds the controller with the paper's parameters.
 func NewRefresh(n int) *Refresh {
 	return &Refresh{
-		N:           n,
-		Interval:    2500 * time.Millisecond,
-		MinLifetime: 2500 * time.Millisecond,
-		born:        make(map[seg.FourTuple]time.Duration),
+		N:    n,
+		born: make(map[seg.FourTuple]time.Duration),
 	}
 }
 
@@ -122,7 +123,7 @@ func (r *Refresh) create() {
 }
 
 func (r *Refresh) tick() {
-	r.stopTick = r.lib.After(r.Interval, func() {
+	r.stopTick = r.lib.After(refreshInterval, func() {
 		if !r.open {
 			return
 		}
@@ -147,7 +148,7 @@ func (r *Refresh) poll() {
 				continue
 			}
 			established++
-			if born, ok := r.born[sf.Tuple]; ok && now-born < r.MinLifetime {
+			if born, ok := r.born[sf.Tuple]; ok && now-born < minLifetime {
 				continue // too young to judge
 			}
 			if worst == nil || sf.PacingRate < worst.PacingRate {

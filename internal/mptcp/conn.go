@@ -73,8 +73,7 @@ type Connection struct {
 	established           bool
 	closed                bool
 	subflows              []*tcp.Subflow
-	meta                  []sfMeta      // meta[i] belongs to subflows[i]
-	coupled               *coupledGroup // non-nil when LIA coupling is on
+	meta                  []sfMeta // meta[i] belongs to subflows[i]
 	// Where subflows and meta start: room for the usual handful inside the
 	// connection, so only a wider mesh grows them on the heap.
 	sfRoom   [4]*tcp.Subflow
@@ -382,22 +381,15 @@ func (c *Connection) WithdrawAddr(addr netip.Addr) {
 // newSubflow wires a tcp.Subflow into this connection and the endpoint's
 // demux table.
 func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
-	cfg := c.ep.cfg.TCP
-	if c.coupled != nil {
-		cfg.NewCong = c.coupled.newCong
-	}
 	sf := c.takeSpare()
 	if sf != nil {
-		sf.Reuse(c.ep.sim, cfg, tuple, c.ep.out, c)
+		sf.Reuse(c.ep.sim, c.ep.cfg.TCP, tuple, c.ep.out, c)
 	} else {
-		sf = tcp.NewSubflow(c.ep.sim, cfg, tuple, c.ep.out, c)
+		sf = tcp.NewSubflow(c.ep.sim, c.ep.cfg.TCP, tuple, c.ep.out, c)
 	}
 	if c.tsh != nil {
 		sf.SetTrace(c.tsh, c.tsh.Tracer().Register(trace.EntFlow, c.tid,
 			c.ep.host.Name()+"/"+tuple.String()))
-	}
-	if c.coupled != nil {
-		c.coupled.bind(sf)
 	}
 	c.subflows = append(c.subflows, sf)
 	c.meta = append(c.meta, m)
@@ -472,9 +464,6 @@ func (c *Connection) removeSubflow(sf *tcp.Subflow) {
 		}
 	}
 	delete(c.ep.tuples, sf.Tuple())
-	if c.coupled != nil {
-		c.coupled.unbind(sf)
-	}
 }
 
 // --- Scheduling ---

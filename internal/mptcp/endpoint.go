@@ -18,9 +18,6 @@ type Config struct {
 	// Scheduler names a packet scheduler in the Schedulers table; empty
 	// means the kernel default, lowest-rtt.
 	Scheduler string
-	// Coupled enables LIA coupled congestion control (RFC 6356) across the
-	// subflows of each connection instead of independent Reno.
-	Coupled bool
 	// Trace, when non-nil, records every connection's protocol events
 	// (scheduler picks, reinjections, DSS reassembly, subflow churn,
 	// per-subflow send/recv/RTT/cwnd) into this shard — by convention
@@ -194,9 +191,6 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 	c.subflows, c.meta = c.sfRoom[:0], c.metaRoom[:0]
 	if c.mss == 0 {
 		c.mss = 1380 // mirror tcp.Config default
-	}
-	if ep.cfg.Coupled {
-		c.coupled = newCoupledGroup(c.mss, ep.cfg.TCP.InitialWindow)
 	}
 	if sh := ep.cfg.Trace; sh != nil {
 		c.tsh = sh

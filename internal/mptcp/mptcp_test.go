@@ -467,28 +467,6 @@ func TestBidirectionalTransfer(t *testing.T) {
 	}
 }
 
-func TestCoupledLIALimitsAggregate(t *testing.T) {
-	// Two subflows sharing one bottleneck: coupled CC should push the pair
-	// to roughly a single flow's throughput, i.e. the transfer should not
-	// be meaningfully faster than with one subflow, and cwnd growth in CA
-	// should be bounded. We verify the transfer completes and that LIA's
-	// alpha stays finite/sane.
-	cfgLink := netem.LinkConfig{RateBps: 10e6, Delay: 20 * time.Millisecond, QueueCap: 50}
-	r := newRig(t, 16, cfgLink, cfgLink, Config{Coupled: true})
-	r.net.Sim.Run()
-	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
-	r.client.Write(2 << 20)
-	r.net.Sim.Run()
-	if r.rcvTotal != 2<<20 {
-		t.Fatalf("received %d", r.rcvTotal)
-	}
-	alpha, total := r.client.coupled.alpha()
-	if total <= 0 || alpha < 0 {
-		t.Fatalf("alpha=%f total=%d", alpha, total)
-	}
-}
-
 func TestRoundRobinSpreadsLoad(t *testing.T) {
 	p0 := netem.LinkConfig{RateBps: 100e6, Delay: 5 * time.Millisecond}
 	p1 := netem.LinkConfig{RateBps: 100e6, Delay: 5 * time.Millisecond}

@@ -32,51 +32,6 @@ func TestDataFINSurvivesSubflowDeath(t *testing.T) {
 	}
 }
 
-// TestLIACongestionAvoidanceCoupling verifies RFC 6356's core property at
-// the controller level: in congestion avoidance, the combined increase of
-// two equal-RTT coupled subflows per window of ACKs stays at roughly ONE
-// MSS (a single TCP's aggressiveness), where two independent Renos gain
-// two.
-func TestLIACongestionAvoidanceCoupling(t *testing.T) {
-	const mss = 1000
-	g := newCoupledGroup(mss, 10)
-	a := g.newCong(mss, 10).(*liaCong)
-	b := g.newCong(mss, 10).(*liaCong)
-	rtt := func() time.Duration { return 50 * time.Millisecond }
-	a.srtt, b.srtt = rtt, rtt
-	// Force congestion-avoidance at 30 kB windows.
-	for _, lc := range []*liaCong{a, b} {
-		lc.cwnd = 30 * mss
-		lc.ssthresh = lc.cwnd / 2
-	}
-	before := a.Cwnd() + b.Cwnd()
-	// One full window of ACKs on each subflow.
-	for i := 0; i < 30; i++ {
-		a.OnAck(mss, a.Cwnd())
-		b.OnAck(mss, b.Cwnd())
-	}
-	growth := a.Cwnd() + b.Cwnd() - before
-	// Two Renos would add ≈ 2*mss; coupling must keep it ≈ 1*mss.
-	if growth > mss+mss/4 {
-		t.Fatalf("coupled growth %dB per RTT, want ≈ %dB (one MSS)", growth, mss)
-	}
-	if growth < mss/4 {
-		t.Fatalf("coupled growth %dB per RTT: starved", growth)
-	}
-	// Loss responses stay per-subflow.
-	a.OnDupAckLoss(30 * mss)
-	if a.Cwnd() != 15*mss {
-		t.Fatalf("halving wrong: %d", a.Cwnd())
-	}
-	if b.Cwnd() < 30*mss {
-		t.Fatalf("peer subflow punished for a's loss: %d", b.Cwnd())
-	}
-	a.OnRTO(15 * mss)
-	if a.Cwnd() != mss {
-		t.Fatalf("RTO collapse wrong: %d", a.Cwnd())
-	}
-}
-
 // TestManyConnectionsOneEndpoint: a path manager serves every connection of
 // the endpoint ("manage the connections established by several
 // applications").

@@ -85,8 +85,6 @@ type RunSpec struct {
 	// Shards > 1 at build time. Usually set by the `shards=` parameter.
 	Shards int
 
-	// Port is the server's listen port (0 = 80).
-	Port uint16
 	// Settle runs the simulation between Listen and the first dial, so
 	// the listener exists before SYNs arrive (the paper runs use 1 ms).
 	Settle time.Duration
@@ -223,13 +221,8 @@ func (rt *Run) ClientClock(i int) sim.Clock { return rt.Net.Clients[i].Host.Cloc
 // ServerClock returns the (first) server's host clock.
 func (rt *Run) ServerClock() sim.Clock { return rt.Net.Server.Clock() }
 
-// Port returns the run's server port.
-func (rt *Run) Port() uint16 {
-	if rt.Spec.Port != 0 {
-		return rt.Spec.Port
-	}
-	return 80
-}
+// listenPort is the port every server listens on and every client dials.
+const listenPort = 80
 
 // KernelPolicy is the one pseudo-policy every run accepts next to the
 // registered controllers: the in-kernel full-mesh path manager with no
@@ -290,7 +283,7 @@ func (rt *Run) dial(i int, cb mptcp.ConnCallbacks) *mptcp.Connection {
 		pcfg.Addrs = cl.Addrs
 	}
 	conn, err := rt.Stacks[i].Dial(cl.Addrs[0], rt.Net.ServerAddrs[i%len(rt.Net.ServerAddrs)],
-		rt.Port(), policy, pcfg, cb)
+		listenPort, policy, pcfg, cb)
 	if err != nil {
 		panic(err)
 	}

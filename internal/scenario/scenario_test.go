@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -319,5 +320,43 @@ func TestScenarioEventsAllocConstant(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { evs = FlapClientIface(0, time.Second, 2, 1) }); avg != 1 {
 		t.Fatalf("FlapClientIface allocates %.0f objects, want 1 (the two-event slice)", avg)
+	}
+}
+
+// TestStarRefusesAddressOverflow: a Star past its address plan (255
+// interfaces or servers, 51 000 clients) would wrap an address byte and
+// give two hosts one address; Build panics instead, and on a client count
+// before it builds any host.
+func TestStarRefusesAddressOverflow(t *testing.T) {
+	build := func(s Star) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		s.Build(sim.New(1), 1)
+		return "no panic"
+	}
+	links := make([]StarLink, 256)
+	for j := range links {
+		links[j].Name = fmt.Sprintf("l%d", j)
+	}
+	for _, c := range []struct {
+		name string
+		star Star
+		want string
+	}{
+		{"ifaces", Star{Clients: 1, Ifaces: 256}, "256 interfaces is over its address plan's 255"},
+		{"host links", Star{Clients: 1, Hosts: func(int) StarHost { return StarHost{Name: "h", Links: links} }}, "256 interfaces is over its address plan's 255"},
+		{"servers", Star{Clients: 1, Servers: 256}, "256 servers is over its address plan's 255"},
+	} {
+		if msg := build(c.star); !strings.Contains(msg, c.want) {
+			t.Errorf("%s: Build = %q, want a panic saying %q", c.name, msg, c.want)
+		}
+	}
+	built := 0
+	msg := build(Star{Clients: 51001, Hosts: func(int) StarHost { built++; panic("host built") }})
+	if built != 0 || !strings.Contains(msg, "51001 clients is over its address plan's 51000") {
+		t.Fatalf("51001 clients: Build = %q after %d hosts, want an address-plan panic before any", msg, built)
 	}
 }

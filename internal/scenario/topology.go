@@ -121,21 +121,16 @@ func (t TwoPath) Build(f sim.Fabric, _ int64) *Net {
 }
 
 // ECMP is the §4.4 fabric: N parallel paths between two routers that
-// load-balance flows by hashing the 4-tuple. A zero HashSeed derives the
-// hash from the run seed, standing in for the unpredictable per-router
-// hashing of real networks.
+// load-balance flows by hashing the 4-tuple. The hash is seeded from the
+// run seed, standing in for the unpredictable per-router hashing of real
+// networks.
 type ECMP struct {
-	Paths    []netem.LinkConfig
-	HashSeed uint64
+	Paths []netem.LinkConfig
 }
 
 // Build implements Topology.
 func (t ECMP) Build(f sim.Fabric, seed int64) *Net {
-	hs := t.HashSeed
-	if hs == 0 {
-		hs = uint64(seed)
-	}
-	tp := topo.NewECMP(f, t.Paths, hs)
+	tp := topo.NewECMP(f, t.Paths, uint64(seed))
 	links := make(map[string]*netem.Duplex, len(tp.Paths))
 	for i, d := range tp.Paths {
 		links[fmt.Sprintf("path%d", i)] = d
@@ -248,12 +243,33 @@ type StarLink struct {
 	Cfg  netem.LinkConfig
 }
 
-// Build implements Topology.
+// The bounds of Star's address plan: client i's interface j is
+// 10.(1+i/200).(1+i%200).(1+j) and server k is 10.255.0.(1+k), so past
+// these a byte wraps and two hosts would share an address.
+const (
+	maxStarClients = 255 * 200
+	maxStarIfaces  = 255
+	maxStarServers = 255
+)
+
+// checkStarBound panics when a Star has more of what than its address plan
+// holds.
+func checkStarBound(what string, n, limit int) {
+	if n > limit {
+		panic(fmt.Sprintf("scenario: Star with %d %s is over its address plan's %d", n, what, limit))
+	}
+}
+
+// Build implements Topology. It panics, before it creates any host, on a
+// star larger than its address plan.
 func (t Star) Build(f sim.Fabric, seed int64) *Net {
 	nsrv := t.Servers
 	if nsrv < 1 {
 		nsrv = 1
 	}
+	checkStarBound("clients", t.Clients, maxStarClients)
+	checkStarBound("interfaces", t.Ifaces, maxStarIfaces)
+	checkStarBound("servers", nsrv, maxStarServers)
 	agg := netem.NewRouter(f.HostClock(0, "agg"), "agg", uint64(seed))
 	n := &Net{Links: make(map[string]*netem.Duplex)}
 	for k := 0; k < nsrv; k++ {
@@ -278,6 +294,7 @@ func (t Star) Build(f sim.Fabric, seed int64) *Net {
 		if t.Hosts != nil {
 			sh = t.Hosts(i)
 			nif = len(sh.Links)
+			checkStarBound("interfaces", nif, maxStarIfaces)
 		} else {
 			sh.Name = fmt.Sprintf("c%d", i)
 		}

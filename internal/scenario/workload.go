@@ -44,7 +44,7 @@ func (w *Bulk) Server(rt *Run) {
 		expect = uint64(w.Bytes)
 	}
 	w.Sink = app.NewSink(rt.ServerClock(), expect, nil)
-	rt.ServerEp.Listen(rt.Port(), func(c *mptcp.Connection) { c.SetCallbacks(w.Sink.Callbacks()) })
+	rt.ServerEp.Listen(listenPort, func(c *mptcp.Connection) { c.SetCallbacks(w.Sink.Callbacks()) })
 }
 
 // Client implements Workload.
@@ -72,7 +72,7 @@ type BlockStream struct {
 // Server implements Workload.
 func (w *BlockStream) Server(rt *Run) {
 	w.Sink = app.NewBlockSink(rt.ServerClock(), w.BlockSize)
-	rt.ServerEp.Listen(rt.Port(), func(c *mptcp.Connection) { c.SetCallbacks(w.Sink.Callbacks()) })
+	rt.ServerEp.Listen(listenPort, func(c *mptcp.Connection) { c.SetCallbacks(w.Sink.Callbacks()) })
 }
 
 // Client implements Workload.
@@ -114,7 +114,7 @@ type OnOff struct {
 func (w *OnOff) Server(rt *Run) {
 	msgBytes := uint64(w.Size)
 	sclk := rt.ServerClock()
-	rt.ServerEp.Listen(rt.Port(), func(c *mptcp.Connection) {
+	rt.ServerEp.Listen(listenPort, func(c *mptcp.Connection) {
 		c.SetCallbacks(mptcp.ConnCallbacks{
 			OnData: func(_ *mptcp.Connection, total uint64) {
 				for uint64(len(w.Arrivals)+1)*msgBytes <= total {
@@ -157,7 +157,7 @@ type ReqResp struct {
 // Server implements Workload.
 func (w *ReqResp) Server(rt *Run) {
 	w.Srv = app.NewReqRespServer(w.ReqSize, w.RespSize)
-	rt.ServerEp.Listen(rt.Port(), w.Srv.Accept)
+	rt.ServerEp.Listen(listenPort, w.Srv.Accept)
 }
 
 // Client implements Workload.
@@ -257,7 +257,7 @@ func (rt *Run) FanOutListen(accept func(i int, sclk sim.Clock, c *mptcp.Connecti
 	}
 	for si, ep := range rt.ServerEps {
 		sclk := rt.Net.Servers[si].Clock()
-		ep.Listen(rt.Port(), func(c *mptcp.Connection) {
+		ep.Listen(listenPort, func(c *mptcp.Connection) {
 			if i, ok := clientIdx[c.InitialTuple().DstIP]; ok {
 				accept(i, sclk, c)
 			}

@@ -33,7 +33,7 @@ import (
 
 // Config tunes a Stack.
 type Config struct {
-	// MPTCP configures the endpoint (scheduler, TCP knobs, coupling). Its
+	// MPTCP configures the endpoint (scheduler, TCP knobs). Its
 	// Trace shard also records the stack's policy bindings, switches and
 	// every controller command.
 	MPTCP mptcp.Config

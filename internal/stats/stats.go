@@ -48,21 +48,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Stddev reports the sample standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
 // Min reports the smallest observation (0 if empty).
 func (s *Sample) Min() float64 {
 	s.sort()
@@ -118,23 +103,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(s.xs))
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	P float64
-}
-
-// CDF returns the full empirical distribution as (value, probability)
-// steps — the series the paper's CDF figures plot.
-func (s *Sample) CDF() []CDFPoint {
-	s.sort()
-	out := make([]CDFPoint, len(s.xs))
-	for i, x := range s.xs {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s.xs))}
-	}
-	return out
 }
 
 // Summary formats n/mean/median/p90/min/max on one line.
@@ -220,45 +188,6 @@ func RenderCDFs(width, height int, samples map[string]*Sample) string {
 	fmt.Fprintf(&b, "      %-*.4g%*.4g\n", width/2, lo, width/2, hi)
 	for si, name := range names {
 		fmt.Fprintf(&b, "      [%c] %s  %s\n", marks[si%len(marks)], name, samples[name].Summary(""))
-	}
-	return b.String()
-}
-
-// Histogram renders value counts in fixed-width buckets (used for quick
-// terminal inspection of samples).
-func Histogram(s *Sample, buckets int) string {
-	if s.N() == 0 || buckets <= 0 {
-		return "(no data)\n"
-	}
-	lo, hi := s.Min(), s.Max()
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, buckets)
-	for _, x := range s.Values() {
-		i := int(float64(buckets) * (x - lo) / (hi - lo))
-		if i >= buckets {
-			i = buckets - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		counts[i]++
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		bl := lo + (hi-lo)*float64(i)/float64(buckets)
-		bar := ""
-		if maxC > 0 {
-			bar = strings.Repeat("#", c*40/maxC)
-		}
-		fmt.Fprintf(&b, "%10.4g |%-40s %d\n", bl, bar, c)
 	}
 	return b.String()
 }

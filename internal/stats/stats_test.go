@@ -22,9 +22,6 @@ func TestBasicMoments(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 {
 		t.Fatalf("min/max = %f/%f", s.Min(), s.Max())
 	}
-	if math.Abs(s.Stddev()-math.Sqrt(2.5)) > 1e-9 {
-		t.Fatalf("stddev = %f", s.Stddev())
-	}
 	if s.N() != 5 {
 		t.Fatalf("n = %d", s.N())
 	}
@@ -32,14 +29,11 @@ func TestBasicMoments(t *testing.T) {
 
 func TestEmptySampleSafe(t *testing.T) {
 	s := &Sample{}
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
 		t.Fatal("empty sample not zero-valued")
 	}
 	if s.CDFAt(1) != 0 {
 		t.Fatal("empty CDF nonzero")
-	}
-	if len(s.CDF()) != 0 {
-		t.Fatal("empty CDF has points")
 	}
 }
 
@@ -65,20 +59,6 @@ func TestCDFAt(t *testing.T) {
 		if got := s.CDFAt(c.x); got != c.want {
 			t.Fatalf("CDFAt(%f) = %f, want %f", c.x, got, c.want)
 		}
-	}
-}
-
-func TestCDFSeries(t *testing.T) {
-	s := sampleOf(3, 1, 2)
-	pts := s.CDF()
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 1 || pts[2].X != 3 {
-		t.Fatal("CDF not sorted")
-	}
-	if pts[2].P != 1.0 {
-		t.Fatalf("final P = %f", pts[2].P)
 	}
 }
 
@@ -113,16 +93,6 @@ func TestRenderCDFs(t *testing.T) {
 	}
 	if RenderCDFs(40, 10, map[string]*Sample{"e": {}}) != "(no data)\n" {
 		t.Fatal("empty render wrong")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	out := Histogram(sampleOf(1, 1, 1, 5), 4)
-	if !strings.Contains(out, "#") {
-		t.Fatalf("no bars:\n%s", out)
-	}
-	if Histogram(&Sample{}, 4) != "(no data)\n" {
-		t.Fatal("empty histogram wrong")
 	}
 }
 

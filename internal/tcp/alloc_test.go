@@ -12,11 +12,10 @@ import (
 )
 
 // TestNewSubflowAllocBudget pins what creating a subflow costs: the
-// Subflow. The default congestion controller, the estimator and the timers
-// lie in the Subflow, their callbacks are package-level functions and
-// their names constants, where each used to be an object (30 in all with
-// these addresses, most of them the 4-tuple formatted three times over). A
-// Config.NewCong controller is still its factory's to allocate.
+// Subflow. The congestion controller, the estimator and the timers lie in
+// the Subflow, their callbacks are package-level functions and their names
+// constants, where each used to be an object (30 in all with these
+// addresses, most of them the 4-tuple formatted three times over).
 func TestNewSubflowAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
@@ -32,18 +31,11 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		sf = NewSubflow(s, Config{}, tup, out, owner)
 	})
-	if sf.rtt.RTO() != InitialRTO || sf.rtoTimer.Armed() || sf.cc != Cong(&sf.reno) || sf.cc.Cwnd() != 13800 {
+	if sf.rtt.RTO() != InitialRTO || sf.rtoTimer.Armed() || sf.reno.Cwnd() != 13800 || !sf.reno.InSlowStart() {
 		t.Fatal("fresh subflow's estimator, timer or congestion controller not in its initial state")
 	}
 	if avg != 1 {
 		t.Fatalf("NewSubflow allocates %.0f objects, want 1 (the Subflow)", avg)
-	}
-	custom := Config{NewCong: func(mss, iw int) Cong { return NewReno(mss, iw) }}
-	if avg := testing.AllocsPerRun(1000, func() { sf = NewSubflow(s, custom, tup, out, owner) }); avg != 2 {
-		t.Fatalf("NewSubflow with Config.NewCong allocates %.0f objects, want 2 (Subflow, the factory's)", avg)
-	}
-	if sf.cc == Cong(&sf.reno) {
-		t.Fatal("Config.NewCong ignored")
 	}
 	// A connection's re-join reuses the subflow it lost: nothing at all.
 	sf = NewSubflow(s, Config{}, tup, out, owner)
@@ -56,17 +48,17 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 }
 
 // TestSubflowSizeClass pins the Subflow, its Reno and Config inside, to
-// its 792 bytes. That is inside the 896-byte size class (the runtime puts
-// an 8-byte header on a pointerful object this big, so the class holds up
-// to 888); the next class is 1024 — 128 bytes more on each of the ≈ 15.5 k
-// subflows a churn iteration allocates (the other 13.3 k it creates reuse
-// a dead one), +2.0 MB or +5.3 % of its 37.5 MB alloc_mb_per_op against a
-// 2 % bound. The pin is the exact size, not the class, so a field added
-// to Subflow or its Config is noticed before the class is spent.
+// its 760 bytes. The runtime puts an 8-byte malloc header on a pointerful
+// object this big, so 760 B fills the 768-byte size class exactly; the
+// next class is 896 — 128 bytes more on each of the ≈ 15.5 k subflows a
+// churn iteration allocates (the other 13.3 k it creates reuse a dead
+// one), ≈ +2 MB of its alloc_mb_per_op against a 2 % bound. The pin is the
+// exact size, not the class, so a field added to Subflow or its Config is
+// noticed before the class is spent.
 func TestSubflowSizeClass(t *testing.T) {
 	var sf Subflow
-	if sz := unsafe.Sizeof(sf); sz > 792 || unsafe.Sizeof(sf.reno) == 0 {
-		t.Fatalf("Subflow is %d bytes, over its pinned 792", sz)
+	if sz := unsafe.Sizeof(sf); sz > 760 || unsafe.Sizeof(sf.reno) == 0 {
+		t.Fatalf("Subflow is %d bytes, over its pinned 760", sz)
 	}
 }
 

@@ -1,31 +1,11 @@
 package tcp
 
-// Cong is the congestion-control interface a subflow drives. Implementations
-// own the congestion window; the subflow reports ACK, dup-ACK-loss and RTO
-// events and asks for the current window when deciding whether to transmit.
-//
-// The stock implementation is Reno (what the paper's Mininet experiments
-// run per subflow); internal/mptcp adds the coupled LIA controller that
-// shares state across the subflows of a connection.
-type Cong interface {
-	// Cwnd reports the congestion window in bytes.
-	Cwnd() int
-	// SSThresh reports the slow-start threshold in bytes.
-	SSThresh() int
-	// InSlowStart reports whether the controller is in slow start.
-	InSlowStart() bool
-	// OnAck processes acked bytes of new data; flight is the bytes in
-	// flight before the ACK.
-	OnAck(acked, flight int)
-	// OnDupAckLoss processes a fast-retransmit loss event.
-	OnDupAckLoss(flight int)
-	// OnRTO processes a retransmission timeout.
-	OnRTO(flight int)
-}
-
 // Reno is classic NewReno-style congestion control: slow start doubling,
 // AIMD congestion avoidance, halving on fast retransmit, collapse to one
-// MSS on RTO.
+// MSS on RTO. Every subflow runs its own, uncoupled, which is what the
+// paper's Mininet experiments run per subflow. It owns the congestion
+// window; the subflow reports ACK, dup-ACK-loss and RTO events and asks for
+// the current window when deciding whether to transmit.
 type Reno struct {
 	mss      int
 	cwnd     int
@@ -46,17 +26,17 @@ func NewReno(mss, initialWindowSegs int) *Reno {
 	}
 }
 
-// Cwnd implements Cong.
+// Cwnd reports the congestion window in bytes.
 func (r *Reno) Cwnd() int { return r.cwnd }
 
-// SSThresh implements Cong.
+// SSThresh reports the slow-start threshold in bytes.
 func (r *Reno) SSThresh() int { return r.ssthresh }
 
-// InSlowStart implements Cong.
+// InSlowStart reports whether the controller is in slow start.
 func (r *Reno) InSlowStart() bool { return r.cwnd < r.ssthresh }
 
-// OnAck implements Cong.
-func (r *Reno) OnAck(acked, flight int) {
+// OnAck processes acked bytes of new data.
+func (r *Reno) OnAck(acked int) {
 	if acked <= 0 {
 		return
 	}
@@ -75,23 +55,17 @@ func (r *Reno) OnAck(acked, flight int) {
 	}
 }
 
-// OnDupAckLoss implements Cong: multiplicative decrease.
+// OnDupAckLoss processes a fast-retransmit loss event: multiplicative
+// decrease.
 func (r *Reno) OnDupAckLoss(flight int) {
 	r.ssthresh = max(flight/2, 2*r.mss)
 	r.cwnd = r.ssthresh
 	r.caAccum = 0
 }
 
-// OnRTO implements Cong: collapse to one segment.
+// OnRTO processes a retransmission timeout: collapse to one segment.
 func (r *Reno) OnRTO(flight int) {
 	r.ssthresh = max(flight/2, 2*r.mss)
 	r.cwnd = r.mss
 	r.caAccum = 0
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,7 +13,7 @@ func TestRenoSlowStart(t *testing.T) {
 	if !r.InSlowStart() {
 		t.Fatal("should start in slow start")
 	}
-	r.OnAck(10000, 10000) // a full window acked
+	r.OnAck(10000) // a full window acked
 	if r.Cwnd() != 20000 {
 		t.Fatalf("cwnd after full-window ack = %d, want 20000 (doubling)", r.Cwnd())
 	}
@@ -26,7 +26,7 @@ func TestRenoCongestionAvoidance(t *testing.T) {
 		t.Fatal("should be in congestion avoidance after loss")
 	}
 	start := r.Cwnd()
-	r.OnAck(start, start) // one full window of acks
+	r.OnAck(start) // one full window of acks
 	growth := r.Cwnd() - start
 	if growth < 500 || growth > 2000 {
 		t.Fatalf("CA growth per RTT = %d, want ≈ 1 MSS (1000)", growth)
@@ -56,7 +56,7 @@ func TestRenoLossAndRTO(t *testing.T) {
 func TestRenoZeroAckIgnored(t *testing.T) {
 	r := NewReno(1000, 10)
 	before := r.Cwnd()
-	r.OnAck(0, 5000)
+	r.OnAck(0)
 	if r.Cwnd() != before {
 		t.Fatal("zero-byte ack changed cwnd")
 	}

@@ -144,30 +144,6 @@ func TestPacingSpacesTransmissions(t *testing.T) {
 	}
 }
 
-// TestNoPacingAblation: with NoPacing the whole window leaves in one burst.
-func TestNoPacingAblation(t *testing.T) {
-	var times []sim.Time
-	p := newPair(t, 35, 20*time.Millisecond, Config{MSS: 1000, InitialWindow: 20, NoPacing: true})
-	p.dropAtoB = func(s *seg.Segment) bool {
-		if s.PayloadLen > 0 {
-			times = append(times, p.s.Now())
-		}
-		return false
-	}
-	p.a.Connect()
-	p.s.Run()
-	push(p.a, 0, 20_000)
-	p.s.Run()
-	if len(times) < 20 {
-		t.Fatalf("sent %d segments", len(times))
-	}
-	for i := 1; i < 20; i++ {
-		if times[i] != times[0] {
-			t.Fatalf("unpaced initial window not a burst: %v vs %v", times[i], times[0])
-		}
-	}
-}
-
 // TestPeerWindowLimitsSender: a tiny advertised receive window caps the
 // flight regardless of cwnd.
 func TestPeerWindowLimitsSender(t *testing.T) {

@@ -118,10 +118,6 @@ type Config struct {
 	RcvWnd        uint32 // advertised receive window bytes (default 4 MiB)
 	MaxBackoffs   int    // consecutive RTO backoffs before death (default 15)
 	SynRetries    int    // SYN (or SYN+ACK) retransmissions before death (default 6)
-	NoPacing      bool   // disable sk_pacing_rate-style send pacing (ablation)
-	// NewCong builds the congestion controller; nil means Reno, which the
-	// Subflow holds itself.
-	NewCong func(mss, initialWindowSegs int) Cong
 }
 
 func (c Config) withDefaults() Config {
@@ -178,11 +174,9 @@ type Subflow struct {
 	pushNxt  uint32 // next subflow sequence number to assign to pushed data
 
 	sq sendQueue
-	// The default congestion controller, the estimator and the timers live
-	// in the subflow, not behind pointers: a subflow is one object, and
-	// creating one allocates it and nothing else (cc == &reno unless
-	// Config.NewCong supplied another controller).
-	cc   Cong
+	// The congestion controller, the estimator and the timers live in the
+	// subflow, not behind pointers: a subflow is one object, and creating
+	// one allocates it and nothing else.
 	reno Reno
 	rtt  RTTEstimator
 	// rtoTimer is the SYN retransmission timer until the handshake ends
@@ -227,7 +221,7 @@ func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner 
 }
 
 // Reuse turns a dead subflow into what NewSubflow(c, cfg, tuple, out,
-// owner) would return, allocating nothing unless Config.NewCong does. The
+// owner) would return, allocating nothing. The
 // caller must own the only live handle: every holder of the old one was
 // done with it when the event that ran its OnClosed returned (Owner).
 func (sf *Subflow) Reuse(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) {
@@ -255,14 +249,9 @@ func (sf *Subflow) init(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output
 		rcv:         rcvQueue{ooo: ooo},
 		peerWnd:     cfg.RcvWnd,
 		sq:          sendQueue{buf: buf, scratch: scratch},
+		reno:        *NewReno(cfg.MSS, cfg.InitialWindow),
 		rtt:         *NewRTTEstimator(),
 		sackScratch: sack,
-	}
-	if cfg.NewCong != nil {
-		sf.cc = cfg.NewCong(cfg.MSS, cfg.InitialWindow)
-	} else {
-		sf.reno = *NewReno(cfg.MSS, cfg.InitialWindow)
-		sf.cc = &sf.reno
 	}
 	// Constant names: a name is read only when scheduling in the past
 	// panics, and that message gets the tuple from String below.
@@ -307,7 +296,7 @@ func (sf *Subflow) traceCC() {
 		return
 	}
 	sf.tsh.Rec(sf.sim.Now(), trace.KCC, sf.tid,
-		uint64(sf.rtt.SRTT()), uint32(sf.sq.flight()), uint64(sf.cc.Cwnd()), 0)
+		uint64(sf.rtt.SRTT()), uint32(sf.sq.flight()), uint64(sf.reno.Cwnd()), 0)
 }
 
 // State reports the current TCP state.
@@ -362,7 +351,7 @@ func (sf *Subflow) AvailableCwnd() int {
 	if !sf.Established() || sf.closing {
 		return 0
 	}
-	wnd := sf.cc.Cwnd()
+	wnd := sf.reno.Cwnd()
 	if int(sf.peerWnd) < wnd {
 		wnd = int(sf.peerWnd)
 	}
@@ -386,10 +375,10 @@ func (sf *Subflow) PacingRate() float64 {
 		return 0
 	}
 	factor := 1.2
-	if sf.cc.InSlowStart() {
+	if sf.reno.InSlowStart() {
 		factor = 2.0
 	}
-	return factor * float64(sf.cc.Cwnd()) / srtt.Seconds()
+	return factor * float64(sf.reno.Cwnd()) / srtt.Seconds()
 }
 
 // Info returns a TCP_INFO-style snapshot (what the paper's get-info command
@@ -402,8 +391,8 @@ func (sf *Subflow) Info() Info {
 		SndUna:        sf.sndUna,
 		SndNxt:        sf.sndNxt,
 		RcvNxt:        sf.rcv.nxt,
-		Cwnd:          sf.cc.Cwnd(),
-		SSThresh:      sf.cc.SSThresh(),
+		Cwnd:          sf.reno.Cwnd(),
+		SSThresh:      sf.reno.SSThresh(),
 		SRTT:          sf.rtt.SRTT(),
 		RTTVar:        sf.rtt.RTTVar(),
 		RTO:           sf.CurrentRTO(),
@@ -528,7 +517,7 @@ func (sf *Subflow) Push(dataSeq uint64, ln int, dataFIN bool) *Chunk {
 
 // trySend transmits whatever the congestion and peer windows allow,
 // retransmitting lost chunks first. Transmissions are paced at the
-// sk_pacing_rate estimate (unless Config.NoPacing), which is what keeps
+// sk_pacing_rate estimate, which is what keeps
 // the stack from dumping window-sized bursts into drop-tail queues — the
 // behaviour of Linux since the pacing work the paper cites [4].
 func (sf *Subflow) trySend() {
@@ -553,7 +542,7 @@ func (sf *Subflow) sendLoop() {
 		if c == nil {
 			break
 		}
-		wnd := sf.cc.Cwnd()
+		wnd := sf.reno.Cwnd()
 		if int(sf.peerWnd) < wnd {
 			wnd = int(sf.peerWnd)
 		}
@@ -572,11 +561,8 @@ func (sf *Subflow) sendLoop() {
 }
 
 // paceGap computes the inter-segment spacing for the pacer; ok is false
-// when pacing is off or no rate estimate exists yet (initial-window burst).
+// when no rate estimate exists yet (initial-window burst).
 func (sf *Subflow) paceGap(segLen int) (time.Duration, bool) {
-	if sf.cfg.NoPacing {
-		return 0, false
-	}
 	rate := sf.PacingRate()
 	if rate <= 0 {
 		return 0, false
@@ -892,7 +878,6 @@ func (sf *Subflow) processAck(s *seg.Segment) {
 	sf.processSACK(s)
 	switch {
 	case seqLT(sf.sndUna, s.Ack) && seqLEQ(s.Ack, sf.sndNxt):
-		flightBefore := sf.sq.flight()
 		acked := sf.sq.ackThrough(s.Ack)
 		payloadAcked := 0
 		for _, c := range acked {
@@ -913,7 +898,7 @@ func (sf *Subflow) processAck(s *seg.Segment) {
 		if sf.finSent && seqLT(sf.finSeq, s.Ack) {
 			sf.finAcked = true
 		}
-		sf.cc.OnAck(payloadAcked, flightBefore)
+		sf.reno.OnAck(payloadAcked)
 		sf.traceCC()
 		sf.restartRTO()
 		sf.trySend()
@@ -963,7 +948,7 @@ func (sf *Subflow) processSACK(s *seg.Segment) {
 		sf.stats.FastRetrans++
 		// ssthresh halves the window outstanding at loss detection, NOT
 		// the post-SACK pipe (which the loss episode already shrank).
-		sf.cc.OnDupAckLoss(sf.outstanding())
+		sf.reno.OnDupAckLoss(sf.outstanding())
 		sf.traceCC()
 	}
 	// SACKed bytes left the pipe: retransmit holes / send new data.
@@ -983,7 +968,7 @@ func (sf *Subflow) fastRetransmit() {
 	sf.stats.FastRetrans++
 	sf.inRecovery = true
 	sf.recoveryPoint = sf.sndNxt
-	sf.cc.OnDupAckLoss(sf.outstanding())
+	sf.reno.OnDupAckLoss(sf.outstanding())
 	sf.traceCC()
 	front := sf.sq.front()
 	if front.sent && !front.sacked {
@@ -1038,7 +1023,7 @@ func (sf *Subflow) onRTO() {
 	sf.stats.Timeouts++
 	sf.backoffs++
 	sf.sq.markAllLost()
-	sf.cc.OnRTO(sf.outstanding())
+	sf.reno.OnRTO(sf.outstanding())
 	sf.traceCC()
 	sf.dupAcks = 0
 	sf.inRecovery = false // the RTO supersedes any SACK recovery episode
