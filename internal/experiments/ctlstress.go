@@ -73,11 +73,18 @@ func ctlStressSpec(cfg ctlStressConfig) (*scenario.Spec, error) {
 	// Per-client flap schedule: client i's second interface goes down at
 	// 50ms + i*7ms and then every FlapEvery, each outage FlapDown long.
 	// The 7 ms stagger keeps the flap bursts from phase-locking across
-	// clients while staying deterministic.
-	var events []scenario.Event
+	// clients while staying deterministic. The flaps are counted first so
+	// the schedule is allocated once, not grown by append.
+	start := func(i int) time.Duration { return 50*time.Millisecond + time.Duration(i)*7*time.Millisecond }
+	flaps := 0
 	for i := 0; i < cfg.Conns; i++ {
-		start := 50*time.Millisecond + time.Duration(i)*7*time.Millisecond
-		for at := start; at+cfg.FlapDown < cfg.Horizon; at += cfg.FlapEvery {
+		for at := start(i); at+cfg.FlapDown < cfg.Horizon; at += cfg.FlapEvery {
+			flaps++
+		}
+	}
+	events := make([]scenario.Event, 0, 2*flaps)
+	for i := 0; i < cfg.Conns; i++ {
+		for at := start(i); at+cfg.FlapDown < cfg.Horizon; at += cfg.FlapEvery {
 			events = append(events, scenario.FlapClientIface(at, cfg.FlapDown, i, 1)...)
 		}
 	}

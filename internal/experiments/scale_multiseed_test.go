@@ -12,8 +12,8 @@ import (
 
 // TestScaleMultiSeed runs the scale experiment across seeds on the
 // concurrent multi-seed runner — under `make race` (CI) this is the race
-// gate for the pooled segment/chunk/event lifecycle, whose sync.Pools are
-// the only state shared between worker goroutines.
+// gate for the pooled segment/chunk/event lifecycle, whose free lists'
+// mutexes guard the only state shared between worker goroutines.
 func TestScaleMultiSeed(t *testing.T) {
 	// smoke = 4 conns × 128 KB on lowest-rtt.
 	job := scenario.Job("scale", scenario.NewParams(map[string]string{"smoke": "true"}))

@@ -15,9 +15,10 @@
 //
 // Metrics carry tags that drive export policy (see snapshot.go):
 //
-//   - TagWall marks host-wall-clock-valued metrics (barrier wait times,
-//     GC-dependent pool misses). They legitimately differ between two
-//     identical runs, so diffs always skip them.
+//   - TagWall marks metrics that depend on the host rather than the run:
+//     wall-clock values (barrier wait times) and pool misses, which
+//     depend on what ran earlier in the process. They legitimately
+//     differ between two identical runs, so diffs always skip them.
 //   - TagLayout marks metrics that are deterministic at a fixed shard
 //     count but depend on how the world was sharded (lookahead windows,
 //     cross-shard sends). Same-shard-count diffs compare them exactly;
@@ -33,7 +34,7 @@ import (
 // Tags recognised by the export policy.
 const (
 	// TagWall marks a metric whose value depends on host wall-clock
-	// speed or GC timing; diffs skip it.
+	// speed or on what ran earlier in the process; diffs skip it.
 	TagWall = "wall"
 	// TagLayout marks a metric that is deterministic for a fixed shard
 	// count but varies across shard counts.

@@ -8,9 +8,8 @@ package netem
 
 import (
 	"net/netip"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/freelist"
 	"repro/internal/seg"
 	"repro/internal/sim"
 )
@@ -37,30 +36,21 @@ type Packet struct {
 	next *Packet
 }
 
-// packetPool recycles packet shells across all simulations (sync.Pool is
-// safe under the concurrent multi-seed runner).
-var packetPool = sync.Pool{New: func() any {
-	packetPoolNews.Add(1)
-	return new(Packet)
-}}
+// packetPool recycles packet shells across all simulations.
+var packetPool = freelist.List[*Packet]{
+	New: func() *Packet { return new(Packet) },
+	Max: 1 << 14,
+}
 
-// Packet-shell pool traffic, process-wide like the pool itself. Atomics
-// keep them safe under the concurrent multi-seed runner without adding
-// allocation to the forwarding path.
-var packetPoolGets, packetPoolPuts, packetPoolNews atomic.Uint64
-
-// PacketPoolStats snapshots the packet-shell pool counters: shells
-// handed out, shells retired, and Gets that heap-allocated (News is
-// GC-dependent, so treat it as a wall-clock-class value).
-func PacketPoolStats() (gets, puts, news uint64) {
-	return packetPoolGets.Load(), packetPoolPuts.Load(), packetPoolNews.Load()
+// PacketPoolStats snapshots the packet-shell pool counters.
+func PacketPoolStats() freelist.Stats {
+	return packetPool.Stats()
 }
 
 // NewPacket wraps a segment, computing the wire size. The shell comes
 // from a pool; ownership of s transfers to the packet.
 func NewPacket(s *seg.Segment) *Packet {
-	packetPoolGets.Add(1)
-	p := packetPool.Get().(*Packet)
+	p := packetPool.Get()
 	p.Src = s.Tuple.SrcIP
 	p.Dst = s.Tuple.DstIP
 	p.Seg = s
@@ -82,7 +72,6 @@ func (p *Packet) Release() {
 	}
 	p.Src, p.Dst = netip.Addr{}, netip.Addr{}
 	p.Size = 0
-	packetPoolPuts.Add(1)
 	packetPool.Put(p)
 }
 

@@ -44,7 +44,7 @@ func TestAppendInfoAllocFree(t *testing.T) {
 	for len(info.Subflows) < 8 {
 		info.Subflows = append(info.Subflows, info.Subflows[1])
 	}
-	buf := (&Pool{}).Get()
+	buf := newPool().Get()
 	avg := testing.AllocsPerRun(100, func() {
 		buf = AppendInfo(buf[:0], info, 7, 1)
 	})
@@ -139,7 +139,7 @@ func TestPooledRoundTripAllocFree(t *testing.T) {
 // TestPoolRecycles pins the Get→Put cycle itself at zero steady-state
 // allocations and checks the traffic counters move the right way.
 func TestPoolRecycles(t *testing.T) {
-	p := &Pool{}
+	p := newPool()
 	avg := testing.AllocsPerRun(100, func() {
 		b := p.Get()
 		b = append(b, 1, 2, 3)
@@ -156,8 +156,8 @@ func TestPoolRecycles(t *testing.T) {
 		t.Fatalf("steady state minted %d fresh buffers, want ≤ 1: %+v", st.News, st)
 	}
 	// Oversized buffers must not be hoarded.
-	p.Put(make([]byte, 0, poolMaxKeep+1))
-	if b := p.Get(); cap(b) > poolMaxKeep {
+	p.Put(make([]byte, 0, wireBufCap+1))
+	if b := p.Get(); cap(b) > wireBufCap {
 		t.Fatalf("pool kept an oversized buffer (cap %d)", cap(b))
 	}
 }

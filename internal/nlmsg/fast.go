@@ -96,7 +96,7 @@ func finishHdr(dst []byte, start int) []byte {
 }
 
 // AppendMarshal appends the event's wire encoding to dst and returns the
-// extended slice; dst is typically a Pool buffer already carrying earlier
+// extended slice; dst is typically a Wire buffer already carrying earlier
 // messages of a frame.
 func (e *Event) AppendMarshal(dst []byte, seq, pid uint32) []byte {
 	dst, start := appendHdr(dst, e.Kind, seq, pid)
@@ -184,7 +184,7 @@ func AppendInfo(dst []byte, info *ConnInfo, seq, pid uint32) []byte {
 
 // UnmarshalInto decodes one message in place and returns the bytes
 // consumed. Attr Data slices alias b directly — zero copies — so they
-// are only valid while the caller holds b; once b goes back to a Pool
+// are only valid while the caller holds b; once b goes back to Wire
 // the views are dead. Inline scratch covers every event and command
 // (≤ msgInlineAttrs attributes); larger messages (info replies) spill
 // their attr slice to the heap.

@@ -1,8 +1,8 @@
 package nlmsg
 
-import "sync"
+import "repro/internal/freelist"
 
-// Pool recycles wire buffers for the append-style codec. A buffer's
+// wirePool recycles wire buffers for the append-style codec. A buffer's
 // lifecycle is: Get → AppendMarshal one or more messages into it → hand
 // it to a transport Send (which owns it from that point) → the transport
 // calls Put once the receive callback has returned. Between Get and Put
@@ -10,23 +10,12 @@ import "sync"
 // the next Get, so nothing parsed in place from the buffer (Message attr
 // Data views) may outlive it.
 //
-// A mutex free-list is deliberate instead of sync.Pool: storing a []byte
-// in a sync.Pool boxes the slice header on every Put, which would defeat
-// the zero-allocation steady state. Control-plane message rates (tens of
-// thousands of events per simulated second) make an uncontended mutex
-// negligible.
-type Pool struct {
-	mu   sync.Mutex
-	free [][]byte
-	gets uint64
-	puts uint64
-	news uint64
-}
-
-// PoolStats is a snapshot of pool traffic; News counts Gets that missed
-// the free list. In steady state News stays flat while Gets climbs.
-type PoolStats struct {
-	Gets, Puts, News uint64
+// It is a freelist.List of buffers (see that package for why not a
+// sync.Pool) that keeps only buffers no larger than a fresh one. The type
+// is unexported because a usable pool needs newPool's New and Max; Wire
+// is the one instance.
+type wirePool struct {
+	l freelist.List[[]byte]
 }
 
 const (
@@ -34,53 +23,43 @@ const (
 	// multi-event frame (an event is ≤ ~80 bytes on the wire) so steady
 	// state never grows a pooled buffer.
 	wireBufCap = 2048
-	// poolMaxFree caps the free list; beyond it Put drops the buffer for
-	// the GC rather than hoard an arbitrarily deep stack.
-	poolMaxFree = 256
-	// poolMaxKeep rejects oversized buffers (huge info replies) so one
-	// outlier doesn't pin memory in the free list forever.
-	poolMaxKeep = 1 << 16
+	// poolMax caps each free-list stripe (one per P) at 4 k buffers of at
+	// most wireBufCap bytes, an 8 MB ceiling per P, above the ~1 k a
+	// 1000-stack fleet holds at once.
+	poolMax = 1 << 12
 )
+
+func newPool() *wirePool {
+	return &wirePool{l: freelist.List[[]byte]{
+		New: func() []byte { return make([]byte, 0, wireBufCap) },
+		Max: poolMax,
+	}}
+}
 
 // Get returns an empty buffer with capacity for a typical frame. The
 // caller owns it until it is handed to a transport or returned with Put.
-func (p *Pool) Get() []byte {
-	p.mu.Lock()
-	p.gets++
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return b[:0]
-	}
-	p.news++
-	p.mu.Unlock()
-	return make([]byte, 0, wireBufCap)
+func (p *wirePool) Get() []byte {
+	return p.l.Get()
 }
 
 // Put recycles a buffer. The caller must not touch b afterwards — any
 // attr views parsed from it are dead. Buffers that never came from Get
-// are accepted too (the socket read path hands its frames here).
-func (p *Pool) Put(b []byte) {
-	if cap(b) == 0 || cap(b) > poolMaxKeep {
+// are accepted too (the socket read path hands its frames here). A buffer
+// grown past wireBufCap (a large info reply) is dropped for the GC, so the
+// list's ceiling holds.
+func (p *wirePool) Put(b []byte) {
+	if cap(b) == 0 || cap(b) > wireBufCap {
 		return
 	}
-	p.mu.Lock()
-	p.puts++
-	if len(p.free) < poolMaxFree {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
+	p.l.Put(b[:0])
 }
 
-// Stats snapshots pool traffic counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{Gets: p.gets, Puts: p.puts, News: p.news}
+// Stats snapshots pool traffic counters. In steady state News stays flat
+// while Gets climbs.
+func (p *wirePool) Stats() freelist.Stats {
+	return p.l.Stats()
 }
 
 // Wire is the shared wire-buffer pool used by the simulated and socket
 // transports and by everything that marshals control-plane messages.
-var Wire = &Pool{}
+var Wire = newPool()

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"repro/internal/freelist"
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
@@ -41,26 +42,29 @@ func EnableMetrics(sp *Spec, file string) {
 	}
 }
 
-// poolBaseline snapshots the process-wide pool counters at run start, so
-// the probe can report per-run deltas. The pools are global (sync.Pool
-// and shared free lists), which is also why `metrics=` refuses to run
-// under the concurrent multi-seed runner: parallel seeds would bleed
-// into each other's deltas.
-type poolBaseline struct {
-	segGets, segPuts, segNews       uint64
-	pktGets, pktPuts, pktNews       uint64
-	chunkGets, chunkPuts, chunkNews uint64
-	wireGets, wirePuts, wireNews    uint64
+// pools names the process-wide free lists whose traffic a metered run
+// harvests, in harvest order.
+var pools = [...]struct {
+	name  string
+	stats func() freelist.Stats
+}{
+	{"seg", seg.Shared.Stats},
+	{"packet", netem.PacketPoolStats},
+	{"chunk", tcp.ChunkPoolStats},
+	{"wire", nlmsg.Wire.Stats},
 }
+
+// poolBaseline snapshots the pools' counters at run start, so the probe
+// can report per-run deltas. The pools are process-wide, which is also
+// why `metrics=` refuses to run under the concurrent multi-seed runner:
+// parallel seeds would bleed into each other's deltas.
+type poolBaseline [len(pools)]freelist.Stats
 
 func capturePools() poolBaseline {
 	var b poolBaseline
-	s := seg.Shared.Stats()
-	b.segGets, b.segPuts, b.segNews = s.Gets, s.Puts, s.News
-	b.pktGets, b.pktPuts, b.pktNews = netem.PacketPoolStats()
-	b.chunkGets, b.chunkPuts, b.chunkNews = tcp.ChunkPoolStats()
-	w := nlmsg.Wire.Stats()
-	b.wireGets, b.wirePuts, b.wireNews = w.Gets, w.Puts, w.News
+	for i, p := range pools {
+		b[i] = p.stats()
+	}
 	return b
 }
 
@@ -130,26 +134,19 @@ func (rt *Run) harvestRuntime() {
 	}
 }
 
-// harvestPools folds the per-run deltas of the process-wide object pools
+// harvestPools folds the per-run deltas of the process-wide free lists
 // into the registry. Gets/puts are deterministic protocol behaviour;
-// news (pool misses that heap-allocated) depend on GC timing, so they
-// carry the wall tag.
+// news (Gets that found the list empty) depend on what ran earlier in
+// the process, so they carry the wall tag.
 func (rt *Run) harvestPools() {
 	r := rt.Registry
 	now := capturePools()
-	b := rt.poolBase
-	r.Counter("pool_seg_gets", 0).Add(now.segGets - b.segGets)
-	r.Counter("pool_seg_puts", 0).Add(now.segPuts - b.segPuts)
-	r.Counter("pool_seg_news", 0, metrics.TagWall).Add(now.segNews - b.segNews)
-	r.Counter("pool_packet_gets", 0).Add(now.pktGets - b.pktGets)
-	r.Counter("pool_packet_puts", 0).Add(now.pktPuts - b.pktPuts)
-	r.Counter("pool_packet_news", 0, metrics.TagWall).Add(now.pktNews - b.pktNews)
-	r.Counter("pool_chunk_gets", 0).Add(now.chunkGets - b.chunkGets)
-	r.Counter("pool_chunk_puts", 0).Add(now.chunkPuts - b.chunkPuts)
-	r.Counter("pool_chunk_news", 0, metrics.TagWall).Add(now.chunkNews - b.chunkNews)
-	r.Counter("pool_wire_gets", 0).Add(now.wireGets - b.wireGets)
-	r.Counter("pool_wire_puts", 0).Add(now.wirePuts - b.wirePuts)
-	r.Counter("pool_wire_news", 0, metrics.TagWall).Add(now.wireNews - b.wireNews)
+	for i, p := range pools {
+		n, b := now[i], rt.poolBase[i]
+		r.Counter("pool_"+p.name+"_gets", 0).Add(n.Gets - b.Gets)
+		r.Counter("pool_"+p.name+"_puts", 0).Add(n.Puts - b.Puts)
+		r.Counter("pool_"+p.name+"_news", 0, metrics.TagWall).Add(n.News - b.News)
+	}
 }
 
 // harvestLinks sums every link's drop counters by cause. Totals over

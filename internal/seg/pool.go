@@ -1,14 +1,11 @@
 package seg
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/freelist"
 
 // Pool recycles Segments so the simulator's data path runs without heap
-// allocation in steady state. It is safe for concurrent use (the
-// multi-seed runner drives many independent simulations at once), built
-// on sync.Pool's per-P lock-free caches.
+// allocation in steady state. It is a freelist.List, safe for concurrent
+// use (the multi-seed runner drives many independent simulations at
+// once), and keeps what it is given across GCs.
 //
 // Ownership rules (see DESIGN.md "Segment ownership"): a segment obtained
 // from Get is exclusively owned by the caller until handed off — to a
@@ -17,31 +14,20 @@ import (
 // pooling can never leak one run's bytes into another: a pooled run is
 // bit-for-bit identical to an unpooled one.
 type Pool struct {
-	p sync.Pool
-
-	gets atomic.Uint64
-	puts atomic.Uint64
-	news atomic.Uint64
+	l freelist.List[*Segment]
 }
 
-// PoolStats is a snapshot of pool traffic. Gets-News is the number of
-// reuses; a warm steady state has News ≈ 0.
-type PoolStats struct {
-	Gets uint64 // segments handed out
-	Puts uint64 // segments retired
-	News uint64 // segments freshly heap-allocated
-}
-
-// NewPool returns an empty segment pool.
+// NewPool returns an empty segment pool. It keeps up to 1 << 14
+// segments per P, the same bound as the simulator's event free list.
 func NewPool() *Pool {
-	p := &Pool{}
-	p.p.New = func() any {
-		p.news.Add(1)
-		s := &Segment{}
-		s.Reset()
-		return s
-	}
-	return p
+	return &Pool{l: freelist.List[*Segment]{
+		New: func() *Segment {
+			s := &Segment{}
+			s.Reset()
+			return s
+		},
+		Max: 1 << 14,
+	}}
 }
 
 // Shared is the process-wide segment pool used by the simulator's data
@@ -51,8 +37,7 @@ var Shared = NewPool()
 
 // Get returns a fully reset segment owned by the caller.
 func (p *Pool) Get() *Segment {
-	p.gets.Add(1)
-	return p.p.Get().(*Segment)
+	return p.l.Get()
 }
 
 // Put retires a segment. The caller must hold exclusive ownership and
@@ -62,8 +47,7 @@ func (p *Pool) Put(s *Segment) {
 		return
 	}
 	s.Reset()
-	p.puts.Add(1)
-	p.p.Put(s)
+	p.l.Put(s)
 }
 
 // Clone returns a pooled deep copy of s. Cloning a typical data segment
@@ -75,7 +59,7 @@ func (p *Pool) Clone(s *Segment) *Segment {
 	return c
 }
 
-// Stats snapshots the pool counters.
-func (p *Pool) Stats() PoolStats {
-	return PoolStats{Gets: p.gets.Load(), Puts: p.puts.Load(), News: p.news.Load()}
+// Stats snapshots the pool counters. A warm steady state has News ≈ 0.
+func (p *Pool) Stats() freelist.Stats {
+	return p.l.Stats()
 }

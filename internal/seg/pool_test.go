@@ -28,8 +28,7 @@ func TestPoolResetClears(t *testing.T) {
 	Shared.Put(s)
 	g := Shared.Get()
 	defer Shared.Put(g)
-	// g may or may not be the same object (sync.Pool), but any pooled
-	// segment must come out pristine.
+	// The pool is LIFO, so g is s: it must come out pristine.
 	if g.Seq != 0 || g.Ack != 0 || g.Flags != 0 || g.Window != 0 || g.PayloadLen != 0 {
 		t.Fatalf("pooled segment not reset: %+v", g)
 	}

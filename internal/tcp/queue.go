@@ -3,9 +3,8 @@ package tcp
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/freelist"
 	"repro/internal/sim"
 )
 
@@ -31,29 +30,20 @@ type Chunk struct {
 }
 
 // chunkPool recycles chunks so the scheduling hot path (one chunk per MSS
-// of payload) does not allocate in steady state. sync.Pool keeps it safe
-// under the concurrent multi-seed runner.
-var chunkPool = sync.Pool{New: func() any {
-	chunkPoolNews.Add(1)
-	return new(Chunk)
-}}
+// of payload) does not allocate in steady state.
+var chunkPool = freelist.List[*Chunk]{
+	New: func() *Chunk { return new(Chunk) },
+	Max: 1 << 14,
+}
 
-// Chunk pool traffic, process-wide like the pool itself. Atomics keep
-// them safe under the concurrent multi-seed runner without adding
-// allocation to the scheduling path.
-var chunkPoolGets, chunkPoolPuts, chunkPoolNews atomic.Uint64
-
-// ChunkPoolStats snapshots the chunk pool counters: chunks handed out,
-// chunks retired, and Gets that heap-allocated (News is GC-dependent, so
-// treat it as a wall-clock-class value).
-func ChunkPoolStats() (gets, puts, news uint64) {
-	return chunkPoolGets.Load(), chunkPoolPuts.Load(), chunkPoolNews.Load()
+// ChunkPoolStats snapshots the chunk pool counters.
+func ChunkPoolStats() freelist.Stats {
+	return chunkPool.Stats()
 }
 
 // newChunk draws a chunk from the pool, fully reinitialised.
 func newChunk(subSeq uint32, ln int, dataSeq uint64, dataFIN bool) *Chunk {
-	chunkPoolGets.Add(1)
-	c := chunkPool.Get().(*Chunk)
+	c := chunkPool.Get()
 	*c = Chunk{SubSeq: subSeq, Len: ln, DataSeq: dataSeq, DataFIN: dataFIN}
 	return c
 }
@@ -62,7 +52,6 @@ func newChunk(subSeq uint32, ln int, dataSeq uint64, dataFIN bool) *Chunk {
 // still queued on a subflow that died (after the owner reinjected them).
 // Callers must not touch the chunks afterwards.
 func putChunks(cs []*Chunk) {
-	chunkPoolPuts.Add(uint64(len(cs)))
 	for _, c := range cs {
 		*c = Chunk{}
 		chunkPool.Put(c)
