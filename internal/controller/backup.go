@@ -54,24 +54,28 @@ func (b *Backup) Name() string { return "smart-backup" }
 // connection lifecycle, timeout events, and subflow closures.
 func (b *Backup) Attach(lib core.Lib) {
 	b.lib = lib
-	lib.Register(core.Callbacks{
-		Created:   b.onCreated,
-		Closed:    b.onClosed,
-		Timeout:   b.onTimeout,
-		SubClosed: b.onSubClosed,
-	}, nil)
+	h := b.handle
+	lib.Register(core.Callbacks{Created: h, Closed: h, Timeout: h, SubClosed: h}, nil)
+}
+
+// handle is the one event handler Attach registers.
+func (b *Backup) handle(ev *nlmsg.Event) {
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		b.open, b.switched = true, false
+		b.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+	case nlmsg.EvClosed:
+		b.open = false
+	case nlmsg.EvTimeout:
+		b.onTimeout(ev)
+	case nlmsg.EvSubClosed:
+		b.onSubClosed(ev)
+	}
 }
 
 // Detach implements Controller: the backup policy keeps no timers, so
 // ending the connection is enough.
 func (b *Backup) Detach() { b.open = false }
-
-func (b *Backup) onCreated(ev *nlmsg.Event) {
-	b.open, b.switched = true, false
-	b.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-}
-
-func (b *Backup) onClosed(*nlmsg.Event) { b.open = false }
 
 // onTimeout implements the paper's policy: "When a retransmission timer
 // expires, it checks the current value of the timer. If the timer becomes

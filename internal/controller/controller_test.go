@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -265,3 +266,13 @@ func TestNDiffPortsUserCreatesSubflows(t *testing.T) {
 
 // netip2 builds the local-address slice (keeps call sites short).
 func netip2(a, b netip.Addr) []netip.Addr { return []netip.Addr{a, b} }
+
+// TestFreshFullMeshRetriesFormat: RetriesByErrno stays nil until the first
+// retry, and a nil map prints as an empty one does, so the longlived
+// report line reads the same as when the map was made up front.
+func TestFreshFullMeshRetriesFormat(t *testing.T) {
+	ctl := NewFullMesh(netip2(topo.ClientAddr1, topo.ClientAddr2))
+	if got := fmt.Sprintf("%v", ctl.Stats.RetriesByErrno); got != "map[]" {
+		t.Fatalf("fresh RetriesByErrno formats as %q, want map[]", got)
+	}
+}

@@ -43,7 +43,7 @@ type FullMesh struct {
 	// deliberately not part of the key — re-established subflows use
 	// fresh ports.
 	live    map[meshKey]seg.FourTuple
-	pending map[meshKey]func() // scheduled retries, cancellable
+	pending map[meshKey]func() // scheduled retries, cancellable (nil until the first)
 	// creating holds the keys of the create commands not yet acked, oldest
 	// first: a library acks one connection's commands in send order, so
 	// created — the one done callback every create passes — takes the
@@ -59,13 +59,17 @@ type FullMesh struct {
 type FullMeshStats struct {
 	SubflowsCreated   uint64
 	Reestablishments  uint64
-	RetriesByErrno    map[uint32]uint64
-	SubflowsDismissed uint64 // removed because their interface went away
+	RetriesByErrno    map[uint32]uint64 // nil until the first retry
+	SubflowsDismissed uint64            // removed because their interface went away
 }
 
 type meshKey struct {
 	local  netip.Addr
 	remote netip.AddrPort
+}
+
+func keyOf(ft seg.FourTuple) meshKey {
+	return meshKey{ft.SrcIP, netip.AddrPortFrom(ft.DstIP, ft.DstPort)}
 }
 
 // The paper's re-establishment delays, by the error that killed the
@@ -77,41 +81,66 @@ const (
 )
 
 // NewFullMesh builds the controller with the paper's retry behaviour.
+// pending and Stats.RetriesByErrno stay nil until a subflow dies: most
+// connections never lose one.
 func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
 	return &FullMesh{
 		LocalAddrs: localAddrs,
+		local:      make([]netip.Addr, 0, len(localAddrs)),
 		live:       make(map[meshKey]seg.FourTuple),
-		pending:    make(map[meshKey]func()),
-		Stats:      FullMeshStats{RetriesByErrno: make(map[uint32]uint64)},
 	}
 }
 
 // Name implements Controller.
 func (f *FullMesh) Name() string { return "user-fullmesh" }
 
-// Attach implements Controller: it listens to every event of §3.
+// Attach implements Controller: it listens to every event of §3, all
+// through one handler.
 func (f *FullMesh) Attach(lib core.Lib) {
 	f.lib = lib
 	f.created = f.createAcked
 	for _, a := range f.LocalAddrs {
 		f.setLocal(a, true)
 	}
+	h := f.handle
 	lib.Register(core.Callbacks{
-		Created:        f.onCreated,
-		Established:    f.onEstablished,
-		Closed:         f.onClosed,
-		SubEstablished: f.onSubEstablished,
-		SubClosed:      f.onSubClosed,
-		AddAddr:        f.onAddAddr,
-		RemAddr:        f.onRemAddr,
-		LocalAddrUp:    f.onLocalUp,
-		LocalAddrDown:  f.onLocalDown,
+		Created: h, Established: h, Closed: h, SubEstablished: h, SubClosed: h,
+		AddAddr: h, RemAddr: h, LocalAddrUp: h, LocalAddrDown: h,
 	}, nil)
+}
+
+// handle is the one event handler Attach registers.
+func (f *FullMesh) handle(ev *nlmsg.Event) {
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		f.onCreated(ev)
+	case nlmsg.EvEstablished:
+		f.mesh()
+	case nlmsg.EvClosed:
+		f.onClosed()
+	case nlmsg.EvSubEstablished:
+		if f.open {
+			f.live[keyOf(ev.Tuple)] = ev.Tuple
+		}
+	case nlmsg.EvSubClosed:
+		f.onSubClosed(ev)
+	case nlmsg.EvAddAddr:
+		f.onAddAddr(ev)
+	case nlmsg.EvRemAddr:
+		// Address IDs arrive without the address; a production controller
+		// would keep an ID→addr map. We conservatively leave existing
+		// subflows alone (the peer will RST them if truly gone).
+	case nlmsg.EvLocalAddrUp:
+		f.setLocal(ev.Addr, true)
+		f.mesh()
+	case nlmsg.EvLocalAddrDown:
+		f.onLocalDown(ev)
+	}
 }
 
 // Detach implements Controller: cancel every scheduled retry and end the
 // connection, so the controller never acts again.
-func (f *FullMesh) Detach() { f.onClosed(nil) }
+func (f *FullMesh) Detach() { f.onClosed() }
 
 // hasLocal reports whether addr is a usable local interface address.
 func (f *FullMesh) hasLocal(addr netip.Addr) bool {
@@ -131,7 +160,7 @@ func (f *FullMesh) setLocal(addr netip.Addr, up bool) {
 }
 
 func (f *FullMesh) onCreated(ev *nlmsg.Event) {
-	f.onClosed(nil) // a connection restarted without its closed event
+	f.onClosed() // a connection restarted without its closed event
 	f.open, f.token = true, ev.Token
 	remote := netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
 	f.remotes = append(f.remotes[:0], remote)
@@ -142,24 +171,14 @@ func (f *FullMesh) onCreated(ev *nlmsg.Event) {
 	f.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
 }
 
-func (f *FullMesh) onEstablished(*nlmsg.Event) { f.mesh() }
-
 // onClosed cancels every scheduled retry. (Cancellation has no observable
 // side effects, so map order is harmless here.)
-func (f *FullMesh) onClosed(*nlmsg.Event) {
+func (f *FullMesh) onClosed() {
 	f.open = false
 	for _, cancel := range f.pending {
 		cancel()
 	}
 	clear(f.pending)
-}
-
-func (f *FullMesh) onSubEstablished(ev *nlmsg.Event) {
-	if !f.open {
-		return
-	}
-	key := meshKey{ev.Tuple.SrcIP, netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)}
-	f.live[key] = ev.Tuple
 }
 
 // onSubClosed is the heart of §4.1: analyse the error condition and
@@ -168,7 +187,7 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 	if !f.open {
 		return
 	}
-	key := meshKey{ev.Tuple.SrcIP, netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)}
+	key := keyOf(ev.Tuple)
 	delete(f.live, key)
 	if !f.hasLocal(key.local) {
 		return // interface is gone; LocalAddrUp will rebuild later
@@ -184,6 +203,9 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 	default:
 		delay = retryAfterTimeout
 	}
+	if f.Stats.RetriesByErrno == nil {
+		f.Stats.RetriesByErrno = make(map[uint32]uint64)
+	}
 	f.Stats.RetriesByErrno[ev.Errno]++
 	f.scheduleRetry(key, delay)
 }
@@ -191,6 +213,9 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
 	if _, dup := f.pending[key]; dup {
 		return
+	}
+	if f.pending == nil {
+		f.pending = make(map[meshKey]func())
 	}
 	f.pending[key] = f.lib.After(delay, func() {
 		delete(f.pending, key)
@@ -238,17 +263,6 @@ func (f *FullMesh) onAddAddr(ev *nlmsg.Event) {
 	if r := netip.AddrPortFrom(ev.Addr, port); !slices.Contains(f.remotes, r) {
 		f.remotes = append(f.remotes, r)
 	}
-	f.mesh()
-}
-
-func (f *FullMesh) onRemAddr(ev *nlmsg.Event) {
-	// Address IDs arrive without the address; a production controller
-	// would keep an ID→addr map. We conservatively leave existing
-	// subflows alone (the peer will RST them if truly gone).
-}
-
-func (f *FullMesh) onLocalUp(ev *nlmsg.Event) {
-	f.setLocal(ev.Addr, true)
 	f.mesh()
 }
 

@@ -39,25 +39,31 @@ func NewNDiffPorts(n int) *NDiffPorts {
 // Name implements Controller.
 func (p *NDiffPorts) Name() string { return "user-ndiffports" }
 
-// Attach implements Controller. It needs only two events.
+// Attach implements Controller. It needs only establishment, besides the
+// connection's lifecycle.
 func (p *NDiffPorts) Attach(lib core.Lib) {
 	p.lib = lib
-	lib.Register(core.Callbacks{
-		Created:     p.onCreated,
-		Established: p.onEstablished,
-		Closed:      p.onClosed,
-	}, nil)
+	h := p.handle
+	lib.Register(core.Callbacks{Created: h, Established: h, Closed: h}, nil)
+}
+
+// handle is the one event handler Attach registers.
+func (p *NDiffPorts) handle(ev *nlmsg.Event) {
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		p.open = true
+		p.local = ev.Tuple.SrcIP
+		p.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+	case nlmsg.EvEstablished:
+		p.onEstablished(ev)
+	case nlmsg.EvClosed:
+		p.open = false
+	}
 }
 
 // Detach implements Controller: ndiffports acts only on establishment, so
 // ending the connection is enough.
 func (p *NDiffPorts) Detach() { p.open = false }
-
-func (p *NDiffPorts) onCreated(ev *nlmsg.Event) {
-	p.open = true
-	p.local = ev.Tuple.SrcIP
-	p.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-}
 
 func (p *NDiffPorts) onEstablished(ev *nlmsg.Event) {
 	if !p.open {
@@ -71,5 +77,3 @@ func (p *NDiffPorts) onEstablished(ev *nlmsg.Event) {
 		}, false, nil)
 	}
 }
-
-func (p *NDiffPorts) onClosed(*nlmsg.Event) { p.open = false }

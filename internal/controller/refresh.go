@@ -62,54 +62,50 @@ func (r *Refresh) Name() string { return "refresh" }
 // Attach implements Controller.
 func (r *Refresh) Attach(lib core.Lib) {
 	r.lib = lib
+	h := r.handle
 	lib.Register(core.Callbacks{
-		Created:        r.onCreated,
-		Established:    r.onEstablished,
-		Closed:         r.onClosed,
-		SubEstablished: r.onSubEstablished,
-		SubClosed:      r.onSubClosed,
+		Created: h, Established: h, Closed: h, SubEstablished: h, SubClosed: h,
 	}, nil)
 }
 
 // Detach implements Controller: stop the refresh ticker and end the
 // connection. An in-flight GetInfo reply sees it ended and does nothing.
-func (r *Refresh) Detach() { r.onClosed(nil) }
+func (r *Refresh) Detach() { r.onClosed() }
 
-func (r *Refresh) onCreated(ev *nlmsg.Event) {
-	r.onClosed(nil) // a connection restarted without its closed event
-	r.open, r.token = true, ev.Token
-	r.local = ev.Tuple.SrcIP
-	r.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	clear(r.born)
+// handle is the one event handler Attach registers.
+func (r *Refresh) handle(ev *nlmsg.Event) {
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		r.onClosed() // a connection restarted without its closed event
+		r.open, r.token = true, ev.Token
+		r.local = ev.Tuple.SrcIP
+		r.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+		clear(r.born)
+	case nlmsg.EvEstablished:
+		if r.open {
+			for i := 1; i < r.N; i++ {
+				r.create()
+			}
+			r.tick()
+		}
+	case nlmsg.EvClosed:
+		r.onClosed()
+	case nlmsg.EvSubEstablished:
+		if r.open {
+			r.born[ev.Tuple] = r.lib.Clock().Now()
+		}
+	case nlmsg.EvSubClosed:
+		if r.open {
+			delete(r.born, ev.Tuple)
+		}
+	}
 }
 
-func (r *Refresh) onEstablished(*nlmsg.Event) {
-	if !r.open {
-		return
-	}
-	for i := 1; i < r.N; i++ {
-		r.create()
-	}
-	r.tick()
-}
-
-func (r *Refresh) onClosed(*nlmsg.Event) {
+func (r *Refresh) onClosed() {
 	r.open = false
 	if r.stopTick != nil {
 		r.stopTick()
 		r.stopTick = nil
-	}
-}
-
-func (r *Refresh) onSubEstablished(ev *nlmsg.Event) {
-	if r.open {
-		r.born[ev.Tuple] = r.lib.Clock().Now()
-	}
-}
-
-func (r *Refresh) onSubClosed(ev *nlmsg.Event) {
-	if r.open {
-		delete(r.born, ev.Tuple)
 	}
 }
 

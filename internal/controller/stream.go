@@ -73,52 +73,49 @@ func (s *Stream) Name() string { return "smart-stream" }
 // Attach implements Controller.
 func (s *Stream) Attach(lib core.Lib) {
 	s.lib = lib
+	h := s.handle
 	lib.Register(core.Callbacks{
-		Created:        s.onCreated,
-		Established:    s.onEstablished,
-		Closed:         s.onClosed,
-		SubEstablished: s.onSubEstablished,
-		SubClosed:      s.onSubClosed,
-		Timeout:        s.onTimeout,
+		Created: h, Established: h, Closed: h, SubEstablished: h, SubClosed: h, Timeout: h,
 	}, nil)
 }
 
 // Detach implements Controller: stop the armed probe and end the
 // connection. An in-flight GetInfo reply sees it ended and does nothing.
-func (s *Stream) Detach() { s.onClosed(nil) }
+func (s *Stream) Detach() { s.onClosed() }
 
-func (s *Stream) onCreated(ev *nlmsg.Event) {
-	s.onClosed(nil) // a connection restarted without its closed event
-	s.open, s.token = true, ev.Token
-	s.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	s.opened, s.nSubflows = false, 0
-}
-
-func (s *Stream) onEstablished(*nlmsg.Event) {
-	if !s.open {
-		return
+// handle is the one event handler Attach registers.
+func (s *Stream) handle(ev *nlmsg.Event) {
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		s.onClosed() // a connection restarted without its closed event
+		s.open, s.token = true, ev.Token
+		s.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
+		s.opened, s.nSubflows = false, 0
+	case nlmsg.EvEstablished:
+		if s.open {
+			s.startAt = s.lib.Clock().Now()
+			s.scheduleProbe(0)
+		}
+	case nlmsg.EvClosed:
+		s.onClosed()
+	case nlmsg.EvSubEstablished:
+		if s.open {
+			s.nSubflows++
+		}
+	case nlmsg.EvSubClosed:
+		if s.open {
+			s.nSubflows--
+		}
+	case nlmsg.EvTimeout:
+		s.onTimeout(ev)
 	}
-	s.startAt = s.lib.Clock().Now()
-	s.scheduleProbe(0)
 }
 
-func (s *Stream) onClosed(*nlmsg.Event) {
+func (s *Stream) onClosed() {
 	s.open = false
 	if s.stopProbe != nil {
 		s.stopProbe()
 		s.stopProbe = nil
-	}
-}
-
-func (s *Stream) onSubEstablished(*nlmsg.Event) {
-	if s.open {
-		s.nSubflows++
-	}
-}
-
-func (s *Stream) onSubClosed(*nlmsg.Event) {
-	if s.open {
-		s.nSubflows--
 	}
 }
 

@@ -631,6 +631,42 @@ func TestBackpressureDropsOldest(t *testing.T) {
 	}
 }
 
+// TestBackpressureKeepsCreated overflows a full queue behind a created: the
+// timeouts behind it are dropped oldest first, and the created, which no
+// later event can stand in for, is delivered.
+func TestBackpressureKeepsCreated(t *testing.T) {
+	w := newCtlWorld(t, 23)
+	w.pm.SetCoalescing(time.Millisecond, 4)
+	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvCreated, Token: 100})
+	for i := 1; i <= 5; i++ {
+		w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: uint32(i), RTO: time.Second})
+	}
+	w.s.Run()
+	if w.pm.EventsDropped != 2 {
+		t.Fatalf("dropped = %d, want 2", w.pm.EventsDropped)
+	}
+	want := []uint32{100, 3, 4, 5}
+	if len(w.events) != len(want) {
+		t.Fatalf("delivered %+v, want tokens %v", w.events, want)
+	}
+	for i, ev := range w.events {
+		if ev.Token != want[i] || (i == 0) != (ev.Kind == nlmsg.EvCreated) {
+			t.Fatalf("delivered %+v, want the created (token 100), then timeouts 3..5", w.events)
+		}
+	}
+
+	// A queue that holds only createds drops its oldest.
+	w = newCtlWorld(t, 23)
+	w.pm.SetCoalescing(time.Millisecond, 4)
+	for i := 1; i <= 6; i++ {
+		w.pm.send(&nlmsg.Event{Kind: nlmsg.EvCreated, Token: uint32(i)})
+	}
+	w.s.Run()
+	if w.pm.EventsDropped != 2 || len(w.events) != 4 || w.events[0].Token != 3 {
+		t.Fatalf("all createds: dropped %d, delivered %+v; want 2 dropped, tokens 3..6", w.pm.EventsDropped, w.events)
+	}
+}
+
 func TestLibraryTimer(t *testing.T) {
 	s := sim.New(13)
 	tr := NewSimTransport(s)

@@ -96,9 +96,10 @@ func (pm *NetlinkPM) Name() string { return "netlink" }
 // within window of each other leave as one pooled multi-message frame (one
 // transport crossing), superseded events coalesce away, and the pending
 // queue is bounded at queueCap (≤0 means DefaultCtlQueue) with drop-oldest
-// backpressure. window 0 restores the default immediate one-frame-per-event
-// delivery — which is also what every golden experiment runs, since
-// batching changes how many latency draws the transport makes.
+// backpressure that spares created events. window 0 restores the default
+// immediate one-frame-per-event delivery — which is also what every golden
+// experiment runs, since batching changes how many latency draws the
+// transport makes.
 func (pm *NetlinkPM) SetCoalescing(window time.Duration, queueCap int) {
 	pm.flushEvery = window
 	if queueCap <= 0 {
@@ -176,8 +177,18 @@ func (pm *NetlinkPM) enqueue(e *nlmsg.Event) {
 		}
 	}
 	if len(pm.queue) >= pm.queueCap {
-		copy(pm.queue, pm.queue[1:])
-		pm.queue = pm.queue[:len(pm.queue)-1]
+		// Drop the oldest event that is not a created: any other is
+		// overtaken by later state, but a lost created leaves its
+		// connection unmanaged for good. A queue of createds drops its
+		// oldest.
+		drop := 0
+		for i := range pm.queue {
+			if pm.queue[i].Kind != nlmsg.EvCreated {
+				drop = i
+				break
+			}
+		}
+		pm.removeQueued(drop)
 		pm.EventsDropped++
 	}
 	pm.queue = append(pm.queue, *e)

@@ -134,20 +134,24 @@ const (
 // NewSimTransport builds the standard simulated transport with the default
 // (unloaded-host) latency model.
 func NewSimTransport(c sim.Clock) *Transport {
-	lat := LatencyModel(c.Rand(), DefaultNetlinkBase, DefaultNetlinkJitter)
-	return &Transport{
-		ToUser:   NewSimPipe(c, lat),
-		ToKernel: NewSimPipe(c, lat),
-	}
+	return newSimTransport(c, LatencyModel(c.Rand(), DefaultNetlinkBase, DefaultNetlinkJitter))
 }
 
 // NewStressedSimTransport models the CPU-stressed host of §4.5.
 func NewStressedSimTransport(c sim.Clock) *Transport {
-	lat := LatencyModel(c.Rand(), StressedNetlinkBase, StressedNetlinkJitter)
-	return &Transport{
-		ToUser:   NewSimPipe(c, lat),
-		ToKernel: NewSimPipe(c, lat),
-	}
+	return newSimTransport(c, LatencyModel(c.Rand(), StressedNetlinkBase, StressedNetlinkJitter))
+}
+
+// simTransport is a Transport together with its two pipes: one object.
+type simTransport struct {
+	Transport
+	toUser, toKernel SimPipe
+}
+
+func newSimTransport(c sim.Clock, lat func() time.Duration) *Transport {
+	t := &simTransport{toUser: SimPipe{sim: c, latency: lat}, toKernel: SimPipe{sim: c, latency: lat}}
+	t.ToUser, t.ToKernel = &t.toUser, &t.toKernel
+	return &t.Transport
 }
 
 // SocketPipe carries the same Netlink bytes over a real byte stream (an OS

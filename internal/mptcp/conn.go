@@ -100,7 +100,7 @@ type Connection struct {
 	peerFinSeen bool
 	peerClosed  bool // OnPeerClose delivered
 
-	remoteAddrs map[uint8]netip.AddrPort // peer announcements (ADD_ADDR)
+	remoteAddrs map[uint8]netip.AddrPort // peer announcements (ADD_ADDR); nil until the first
 
 	// TracePush, when set, observes every chunk handed to a subflow: the
 	// Fig. 2a experiment uses it to plot data sequence vs time per subflow.
@@ -762,8 +762,10 @@ func (c *Connection) OnSegment(sf *tcp.Subflow, s *seg.Segment, hasNew bool) {
 		case *seg.DSS:
 			c.handleDSS(sf, s, opt, hasNew)
 		case *seg.AddAddr:
-			ap := netip.AddrPortFrom(opt.Addr, opt.Port)
-			c.remoteAddrs[opt.AddrID] = ap
+			if c.remoteAddrs == nil {
+				c.remoteAddrs = make(map[uint8]netip.AddrPort)
+			}
+			c.remoteAddrs[opt.AddrID] = netip.AddrPortFrom(opt.Addr, opt.Port)
 			c.ep.pm.AddrAnnounced(c, opt.AddrID, opt.Addr, opt.Port)
 		case *seg.RemoveAddr:
 			for _, id := range opt.AddrIDs {

@@ -37,10 +37,9 @@ type Endpoint struct {
 	// newSched is cfg.Scheduler resolved once; every connection gets its own.
 	newSched SchedulerFactory
 
-	listeners map[uint16]func(*Connection)
+	listeners map[uint16]func(*Connection) // nil until the first Listen
 	tuples    map[seg.FourTuple]*tcp.Subflow
-	tokens    map[uint32]*Connection
-	conns     map[*Connection]struct{}
+	tokens    map[uint32]*Connection // the live connections, by token
 	addrIDs   map[netip.Addr]uint8
 	usedPorts map[uint16]int
 
@@ -81,7 +80,7 @@ func (t *Totals) addConn(s ConnStats) {
 // subflows added in.
 func (ep *Endpoint) Totals() Totals {
 	t := ep.totals
-	for c := range ep.conns {
+	for _, c := range ep.tokens {
 		t.addConn(c.stats)
 		for _, sf := range c.subflows {
 			t.addSubflow(sf.Info().Stats)
@@ -106,10 +105,8 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 		cfg:       cfg,
 		pm:        pm,
 		newSched:  newSched,
-		listeners: make(map[uint16]func(*Connection)),
 		tuples:    make(map[seg.FourTuple]*tcp.Subflow),
 		tokens:    make(map[uint32]*Connection),
-		conns:     make(map[*Connection]struct{}),
 		addrIDs:   make(map[netip.Addr]uint8),
 		usedPorts: make(map[uint16]int),
 	}
@@ -136,8 +133,8 @@ func (ep *Endpoint) PathManager() PathManager { return ep.pm }
 
 // Conns lists the endpoint's live connections (order unspecified).
 func (ep *Endpoint) Conns() []*Connection {
-	out := make([]*Connection, 0, len(ep.conns))
-	for c := range ep.conns {
+	out := make([]*Connection, 0, len(ep.tokens))
+	for _, c := range ep.tokens {
 		out = append(out, c)
 	}
 	return out
@@ -146,6 +143,9 @@ func (ep *Endpoint) Conns() []*Connection {
 // Listen accepts MP_CAPABLE connections on a local port; accept runs when a
 // connection's handshake completes.
 func (ep *Endpoint) Listen(port uint16, accept func(*Connection)) {
+	if ep.listeners == nil {
+		ep.listeners = make(map[uint16]func(*Connection))
+	}
 	ep.listeners[port] = accept
 }
 
@@ -186,7 +186,6 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 		token:        token,
 		localIDSN:    seg.IDSN(key),
 		initialTuple: initial,
-		remoteAddrs:  make(map[uint8]netip.AddrPort),
 	}
 	c.subflows, c.meta = c.sfRoom[:0], c.metaRoom[:0]
 	if c.mss == 0 {
@@ -198,14 +197,12 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 			fmt.Sprintf("%s/conn-%08x", ep.host.Name(), token))
 	}
 	ep.tokens[token] = c
-	ep.conns[c] = struct{}{}
 	return c
 }
 
 // removeConn forgets a fully closed connection.
 func (ep *Endpoint) removeConn(c *Connection) {
 	delete(ep.tokens, c.token)
-	delete(ep.conns, c)
 }
 
 // input demultiplexes an inbound packet. The endpoint owns the packet: it
@@ -319,5 +316,5 @@ func (ep *Endpoint) allocPort() uint16 {
 
 // String describes the endpoint.
 func (ep *Endpoint) String() string {
-	return fmt.Sprintf("mptcp endpoint on %s (%d conns)", ep.host.Name(), len(ep.conns))
+	return fmt.Sprintf("mptcp endpoint on %s (%d conns)", ep.host.Name(), len(ep.tokens))
 }

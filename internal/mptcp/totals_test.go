@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -106,4 +107,60 @@ func TestEndpointTotalsSurviveReuse(t *testing.T) {
 		add(&dead, sf.Info().Stats)
 	}
 	check("connection closed")
+}
+
+// TestEndpointTotalsTwoConns runs two redundant connections from one
+// endpoint and closes one. Conns must list exactly the live one, and
+// Totals must count each connection's bytes exactly once: the live one's
+// from the connection, the closed one's from what it left behind.
+func TestEndpointTotalsTwoConns(t *testing.T) {
+	p0, p1 := fastPaths()
+	r := newRig(t, 3, p0, p1, Config{Scheduler: "redundant"})
+	r.net.Sim.Run()
+	first := r.client
+	second, err := r.cep.Connect(r.net.ClientAddrs[0], r.net.ServerAddr, 80, ConnCallbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.net.Sim.Run()
+	for _, c := range []*Connection{first, second} {
+		if _, err := c.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.net.Sim.Run()
+	for _, c := range []*Connection{first, second} {
+		if err := c.Write(256 << 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.net.Sim.Run()
+	for _, c := range []*Connection{first, second} {
+		if c.Stats().BytesDuplicated == 0 {
+			t.Fatal("a redundant connection duplicated nothing")
+		}
+	}
+	check := func(when string, live ...*Connection) {
+		t.Helper()
+		want := first.Stats().BytesDuplicated + second.Stats().BytesDuplicated
+		if got := r.cep.Totals().Duplicated; got != want {
+			t.Fatalf("%s: totals count %d duplicated bytes, the connections %d", when, got, want)
+		}
+		conns := r.cep.Conns()
+		if len(conns) != len(live) {
+			t.Fatalf("%s: Conns lists %d connections, want %d", when, len(conns), len(live))
+		}
+		for _, c := range live {
+			if !slices.Contains(conns, c) {
+				t.Fatalf("%s: Conns misses a live connection", when)
+			}
+		}
+	}
+	check("both open", first, second)
+	first.Close()
+	r.net.Sim.Run()
+	if !first.Closed() || second.Closed() {
+		t.Fatal("closing the first connection did not close exactly it")
+	}
+	check("first closed", second)
 }

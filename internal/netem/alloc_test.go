@@ -189,3 +189,33 @@ func TestECMPForwardAllocFree(t *testing.T) {
 		t.Fatalf("ECMP forwarding allocates %.2f allocs/op, want ~0", avg)
 	}
 }
+
+// TestDuplexIsOneObject pins what a duplex link costs to build: one object
+// holding both halves, whose names are spelled out only when asked for. On
+// a World each half also derives its own clock, and nothing more.
+func TestDuplexIsOneObject(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts differ under -race instrumentation")
+	}
+	s := sim.New(1)
+	a, b := NewHost(s, "a"), NewHost(s, "b")
+	cfg := LinkConfig{RateBps: 1e6, Delay: time.Millisecond}
+	var d *Duplex
+	if n := testing.AllocsPerRun(100, func() { d = NewDuplex("wan", a, b, cfg) }); n != 1 {
+		t.Errorf("NewDuplex on a Simulator: %v objects, want 1", n)
+	}
+	for _, c := range []struct {
+		l    *Link
+		want string
+	}{{d.AB, "wan:a->b"}, {d.BA, "wan:b->a"}} {
+		if c.l.Name() != c.want || c.l.String() != c.want {
+			t.Errorf("half named %q / %q, want %q", c.l.Name(), c.l.String(), c.want)
+		}
+	}
+
+	w := sim.NewWorld(1, 1)
+	wa, wb := NewHost(w.HostClock(0, "a"), "a"), NewHost(w.HostClock(0, "b"), "b")
+	if n := testing.AllocsPerRun(100, func() { NewDuplex("wan", wa, wb, cfg) }); n != 3 {
+		t.Errorf("NewDuplex on a World: %v objects, want 3 (the duplex and two clocks)", n)
+	}
+}

@@ -31,7 +31,10 @@ type LinkStats struct {
 // reserved key, not an event (DESIGN.md "Events per hop").
 type Link struct {
 	clock sim.Clock // the source side's loop: owns the transmitter state
+	// name is the link's own name, or its duplex's when src is set: a
+	// duplex half spells out "name:src->dst" only when asked (Name).
 	name  string
+	src   Node
 	dst   Node
 	rate  float64 // bits per second; 0 means infinite
 	delay time.Duration
@@ -83,13 +86,22 @@ const DefaultQueueCap = 100
 // cross-shard crossing whose propagation delay bounds the world's
 // conservative lookahead.
 func NewLink(c sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
+	l := new(Link)
+	l.init(c, name, nil, dst, cfg)
+	return l
+}
+
+// init sets up l in place: NewLink's link, or one half of a Duplex (src
+// set, name the duplex's).
+func (l *Link) init(c sim.Clock, name string, src, dst Node, cfg LinkConfig) {
 	qcap := cfg.QueueCap
 	if qcap == 0 {
 		qcap = DefaultQueueCap
 	}
-	l := &Link{
-		clock: c.Derive("link:" + name),
+	*l = Link{
+		clock: c.Derive(name),
 		name:  name,
+		src:   src,
 		dst:   dst,
 		rate:  cfg.RateBps,
 		delay: cfg.Delay,
@@ -97,15 +109,16 @@ func NewLink(c sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
 		qcap:  qcap,
 		up:    true,
 	}
-	if w := sim.WorldOf(l.clock); w != nil {
-		w.Crossing(name, l.clock, dst.Clock(), cfg.Delay)
+	// Only a link between two shards is a crossing, and only a crossing
+	// can need its name (in a build error), so only it spells one out.
+	if w := sim.WorldOf(l.clock); w != nil && sim.ShardIndex(l.clock) != sim.ShardIndex(dst.Clock()) {
+		w.Crossing(l.Name(), l.clock, dst.Clock(), cfg.Delay)
 	}
 	l.relay.Init(l.clock, dst.Clock(), "link.deliver", deliverHead, l)
-	return l
 }
 
 // String names the link where the relay's event has to describe itself.
-func (l *Link) String() string { return l.name }
+func (l *Link) String() string { return l.Name() }
 
 // SetTrace binds the link to a trace shard under the given entity id
 // (nil shard = tracing off).
@@ -124,8 +137,14 @@ func (l *Link) trace(k trace.Kind, size int, flag uint8) {
 	l.tsh.Rec(l.clock.Now(), k, l.tid, 0, uint32(size), 0, flag)
 }
 
-// Name identifies the link in traces.
-func (l *Link) Name() string { return l.name }
+// Name identifies the link in traces: a duplex half is "name:a->b", named
+// after its duplex and its two ends.
+func (l *Link) Name() string {
+	if l.src == nil {
+		return l.name
+	}
+	return l.name + ":" + l.src.Name() + "->" + l.dst.Name()
+}
 
 // Dst reports the node this link delivers to.
 func (l *Link) Dst() Node { return l.dst }
@@ -239,20 +258,24 @@ func deliverHead(a any) {
 }
 
 // Duplex is a bidirectional link: two independent unidirectional halves
-// with (usually) identical configuration.
+// with (usually) identical configuration. The halves live inside the
+// Duplex, so a duplex link is one allocation; AB and BA point at them.
 type Duplex struct {
 	AB *Link // a → b
 	BA *Link // b → a
+
+	ab, ba Link
 }
 
 // NewDuplex wires two nodes together with symmetric characteristics. Each
 // half schedules on its transmitting node's clock, so the pair straddles a
 // shard boundary cleanly when a and b live on different shards.
 func NewDuplex(name string, a, b Node, cfg LinkConfig) *Duplex {
-	return &Duplex{
-		AB: NewLink(a.Clock(), name+":"+a.Name()+"->"+b.Name(), b, cfg),
-		BA: NewLink(b.Clock(), name+":"+b.Name()+"->"+a.Name(), a, cfg),
-	}
+	d := new(Duplex)
+	d.ab.init(a.Clock(), name, a, b, cfg)
+	d.ba.init(b.Clock(), name, b, a, cfg)
+	d.AB, d.BA = &d.ab, &d.ba
+	return d
 }
 
 // SetLoss sets the loss probability on both directions.

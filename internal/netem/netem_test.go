@@ -3,6 +3,7 @@ package netem
 import (
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -443,5 +444,18 @@ func TestOneEventPerHop(t *testing.T) {
 	s.Run()
 	if s.Processed() != 8 || hop1.Stats.DropDown != 1 || lossy.Stats.LostRand != 1 {
 		t.Fatalf("%d events after two dropped packets, want 8 still", s.Processed())
+	}
+}
+
+// TestCrossShardDuplexNamesItself: a duplex half spells out its name only
+// when something asks for it, and the one thing a build asks for it is a
+// zero-delay half between two shards, which the World rejects by name.
+func TestCrossShardDuplexNamesItself(t *testing.T) {
+	w := sim.NewWorld(1, 2)
+	a, b := NewHost(w.HostClock(0, "a"), "a"), NewHost(w.HostClock(1, "b"), "b")
+	NewDuplex("wan", a, b, LinkConfig{})
+	err := w.Finalize()
+	if err == nil || !strings.Contains(err.Error(), `"wan:a->b"`) {
+		t.Fatalf("Finalize = %v, want the zero-delay half wan:a->b named", err)
 	}
 }

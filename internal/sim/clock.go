@@ -44,6 +44,7 @@ type Clock interface {
 	// Derive creates a sibling clock on the same event loop with its own
 	// identity and random stream — links derive theirs from the source
 	// node's clock. On a bare Simulator it returns the simulator itself.
+	// name labels the call site only: no clock keeps it.
 	Derive(name string) Clock
 	// Reserve draws the ordering sequence the clock's next event would get
 	// and schedules nothing: the caller owns the key (when, this clock,
@@ -70,7 +71,7 @@ type Clock interface {
 type Fabric interface {
 	// HostClock returns the clock for a host in the given placement
 	// group. Groups are stable topology-level labels; the fabric decides
-	// how they fold onto shards.
+	// how they fold onto shards. As with Derive, name is not kept.
 	HostClock(group int, name string) Clock
 }
 
@@ -148,7 +149,6 @@ type entityClock struct {
 	seq   uint64
 	src   lazySource // the stream itself; no register until draw 274 (rng.go)
 	rng   *rand.Rand // wraps src; created by the first Rand call
-	name  string
 }
 
 func (c *entityClock) next() uint64 {
@@ -209,7 +209,7 @@ func (c *entityClock) SendTo(dst Clock, when Time, name string, fn func(any), ar
 	c.w.post(dshard, crossMsg{when: when, ent: c.ent, seq: c.next(), name: name, fn: fn, arg: arg})
 }
 
-func (c *entityClock) Derive(name string) Clock { return c.w.deriveClock(c.shard, name) }
+func (c *entityClock) Derive(string) Clock { return c.w.deriveClock(c.shard) }
 
 func (c *entityClock) Reserve() uint64 { return c.next() }
 

@@ -121,12 +121,12 @@ func heapDelta(fn func()) (objs, bytes uint64) {
 
 // TestEntityRandFootprint pins what a drawing entity costs: the rand.Rand
 // wrapper and nothing else for 273 draws, then the one seeded register;
-// an entityClock that still fits the 96-byte size class (a fleet run holds
+// an entityClock that fits the 80-byte size class (a fleet run holds
 // ~10 k of them); and a bare Simulator — every World shard loop is one —
 // that never allocates a register at all.
 func TestEntityRandFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(entityClock{}); size > 96 {
-		t.Errorf("entityClock is %d bytes, want <= 96", size)
+	if size := unsafe.Sizeof(entityClock{}); size > 80 {
+		t.Errorf("entityClock is %d bytes, want <= 80", size)
 	}
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")

@@ -130,10 +130,10 @@ func (w *World) Processed() uint64 {
 func (w *World) HostClock(group int, name string) Clock {
 	n := len(w.shards)
 	shard := ((group % n) + n) % n
-	return w.deriveClock(shard, name)
+	return w.deriveClock(shard)
 }
 
-func (w *World) deriveClock(shard int, name string) *entityClock {
+func (w *World) deriveClock(shard int) *entityClock {
 	if w.running {
 		panic("sim: clocks must be created while the world is paused")
 	}
@@ -144,7 +144,6 @@ func (w *World) deriveClock(shard int, name string) *entityClock {
 		sh:    w.shards[shard],
 		shard: shard,
 		ent:   w.nextEnt,
-		name:  name,
 	}
 }
 

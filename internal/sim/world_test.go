@@ -186,7 +186,7 @@ func TestEntityRandSeededOnFirstUse(t *testing.T) {
 		ref := rand.New(rand.NewSource(entitySeed(42, c.ent)))
 		for k, g := range got[i] {
 			if want := ref.Int63(); g != want {
-				t.Fatalf("%s: draw %d is %d, want %d", c.name, k+1, g, want)
+				t.Fatalf("entity %d: draw %d is %d, want %d", c.ent, k+1, g, want)
 			}
 		}
 	}

@@ -92,15 +92,20 @@ func New(host *netem.Host, cfg Config) *Stack {
 	st.Lib = core.NewLibrary(tr, core.SimClock{S: s}, 1)
 	// One subscription covers every policy the stack will ever host; the
 	// mux fans events out per connection.
-	route := st.route
-	st.subscribe(core.Callbacks{
-		Established: route, SubEstablished: route, SubClosed: route,
-		AddAddr: route, RemAddr: route, Timeout: route,
-		LocalAddrUp: route, LocalAddrDown: route,
-	})
+	st.subscribe(everyEvent)
 	st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, st.PM)
 	return st
 }
+
+// everyEvent names every event kind for subscribe, which reads only which
+// handlers are set: a static func costs nothing to set.
+var everyEvent = core.Callbacks{
+	Established: ignore, SubEstablished: ignore, SubClosed: ignore,
+	AddAddr: ignore, RemAddr: ignore, Timeout: ignore,
+	LocalAddrUp: ignore, LocalAddrDown: ignore,
+}
+
+func ignore(*nlmsg.Event) {}
 
 // NewKernel builds the kernel half alone over a caller-provided transport:
 // Netlink PM plus endpoint, with the library living in another process
