@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -180,6 +181,23 @@ func numbered(id, size int) *Packet {
 	return p
 }
 
+// linkCut takes the link down or brings it up at a time.
+type linkCut struct {
+	at sim.Time
+	up bool
+}
+
+// linkCuts is a World timeline of link cuts, in time order.
+type linkCuts struct {
+	link wire
+	cuts []linkCut
+}
+
+func (l linkCuts) Len() int          { return len(l.cuts) }
+func (l linkCuts) At(k int) sim.Time { return l.cuts[k].at }
+func (l linkCuts) Name(int) string   { return "cut" }
+func (l linkCuts) Fire(k int)        { l.link.SetUp(l.cuts[k].up) }
+
 // linkRun is one side of the differential: a fabric, two sending entities
 // around one link — early is created before the link, so its ordinal is
 // below the link's under a World, late after — and the recorder behind it.
@@ -220,7 +238,7 @@ func newLinkRun(ref bool, shards int, seed int64, cfg LinkConfig) *linkRun {
 // on a World at one and two shards: sends from events of a lower and of a
 // higher ordinal than the link's and from outside any event, queue
 // capacities from 1 to 100, loss, and the link cut and restored in flight
-// by global events. Each sender's events schedule the next one as they run,
+// by timeline entries. Each sender's events schedule the next one as they run,
 // before or after they send, so sender and link draw their sequence numbers
 // interleaved; and two packets in three are followed by one aimed at the
 // very nanosecond their serialisation ends — the tie that decides whether
@@ -241,7 +259,7 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 			}
 			var chains [2][]send // by sender: early, late
 			var outside []send
-			var cuts []sim.Time // the link goes down at cuts[2k], up at cuts[2k+1]
+			var cuts []linkCut
 			at := sim.Time(0)
 			for id := 0; id < 400; id++ {
 				// Bursts at one instant, gaps of about a packet, and
@@ -253,8 +271,8 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 				default:
 					at += sim.Time(rng.Intn(1500)) * sim.Microsecond
 				}
-				if rng.Intn(100) == 0 {
-					cuts = append(cuts, at+sim.Time(rng.Intn(3000))*sim.Microsecond)
+				if rng.Intn(100) == 0 { // down, then up, then down...
+					cuts = append(cuts, linkCut{at + sim.Time(rng.Intn(3000))*sim.Microsecond, len(cuts)%2 == 1})
 				}
 				sd := send{at, id, 40 + rng.Intn(1461)}
 				if id%7 == 0 {
@@ -264,6 +282,7 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 					chains[c] = append(chains[c], sd)
 				}
 			}
+			sort.SliceStable(cuts, func(i, j int) bool { return cuts[i].at < cuts[j].at })
 			legs := []sim.Time{at / 3, at / 3, 2 * at / 3, at + sim.Second, at + 2*sim.Second}
 
 			run := func(ref bool) (log []string, st LinkStats, draw int64, events uint64) {
@@ -302,9 +321,13 @@ func TestLinkMatchesTwoEventReference(t *testing.T) {
 						step(c, 0)
 					}
 				}
-				for i, when := range cuts {
-					up := i%2 == 1
-					r.runner.ScheduleGlobal(when, "cut", func(any) { r.link.SetUp(up) }, nil)
+				plan := linkCuts{link: r.link, cuts: cuts}
+				if w, ok := r.runner.(*sim.World); ok {
+					w.Walk(plan)
+				} else {
+					for k := range cuts {
+						r.runner.(*sim.Simulator).ScheduleArg(cuts[k].at, "cut", func(any) { plan.Fire(k) }, nil)
+					}
 				}
 				for i, leg := range legs {
 					r.runner.RunUntil(leg) // legs[1] == legs[0]: a run that executes nothing

@@ -6,8 +6,8 @@
 // byte-compatible with the reports the golden tests pin:
 //
 //	build topology → client stacks (one per endpoint) → server endpoints →
-//	workload.Server → settle → workload.Client → arm probes → schedule
-//	events → run to the stop condition → collect probes → render
+//	workload.Server → settle → arm events → workload.Client → arm probes →
+//	run to the stop condition → collect probes → render
 //
 // Specs are registered by name (Register) and parameterised by string
 // key=value Params, which is what makes `mpexp run <scenario>` and sweep
@@ -16,6 +16,8 @@
 package scenario
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -127,27 +129,54 @@ type EventArg struct {
 	Loss   float64 // loss ratio to install
 }
 
-// armedEvent is one scheduled Event's state: armEvents cuts a run's from
-// one slab and hands the engine pointers into it.
-type armedEvent struct {
-	rt *Run
-	ev *Event
+// timeline is a run's Events as its World walks them: entry k is
+// evs[order[k]]. order is a stable sort of the spec's indices by At, made
+// per run because the spec's slice is shared by runs and by parallel seeds,
+// and made on the first read, which is the World's first run after arming:
+// for a run its Stop drives that is after the probes' Arm, so the sort is
+// not set-up work.
+type timeline struct {
+	rt    *Run
+	evs   []Event
+	order []int32
 }
 
-func fireEvent(x any) {
-	a := x.(*armedEvent)
-	a.ev.Do(a.rt)
+func (t *timeline) Len() int          { return len(t.evs) }
+func (t *timeline) Name(k int) string { return t.evs[t.order[k]].Name }
+func (t *timeline) Fire(k int)        { t.evs[t.order[k]].Do(t.rt) }
+
+func (t *timeline) At(k int) sim.Time {
+	if t.order == nil {
+		t.sort()
+	}
+	return sim.Time(t.evs[t.order[k]].At)
 }
 
-// armEvents schedules the spec's events. Interventions touch entities on
-// arbitrary shards, so they run as global events: all shards parked at the
-// event's timestamp.
-func (rt *Run) armEvents() {
-	evs := rt.Spec.Events
-	armed := make([]armedEvent, len(evs))
-	for i := range evs {
-		armed[i] = armedEvent{rt, &evs[i]}
-		rt.Sim.ScheduleGlobal(sim.Time(evs[i].At), evs[i].Name, fireEvent, &armed[i])
+// sort computes the firing order; it is the only allocation a timeline
+// makes, whatever its length.
+func (t *timeline) sort() {
+	evs := t.evs
+	t.order = make([]int32, len(evs))
+	for i := range t.order {
+		t.order[i] = int32(i)
+	}
+	slices.SortFunc(t.order, func(a, b int32) int {
+		if c := cmp.Compare(evs[a].At, evs[b].At); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// armEvents hands the spec's events to the world as its timeline, before
+// the workload dials: a workload that drives the simulation itself sees
+// them fire too. Interventions touch entities on arbitrary shards, so they
+// fire with all shards parked at the event's timestamp, and equal
+// timestamps fire in spec order.
+func (rt *Run) armEvents(w *sim.World) {
+	if len(rt.Spec.Events) > 0 {
+		rt.timeline = timeline{rt: rt, evs: rt.Spec.Events}
+		w.Walk(&rt.timeline)
 	}
 }
 
@@ -208,6 +237,7 @@ type Run struct {
 	// filled by the metrics probe's harvest at collect time.
 	Registry *metrics.Registry
 	poolBase poolBaseline // pool counters at run start (metrics runs only)
+	timeline timeline     // Spec.Events in firing order (armEvents)
 
 	Result *stats.Result
 	Wall   time.Duration // wall-clock cost of the whole run
@@ -360,13 +390,13 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	if rs.Settle > 0 {
 		rt.Sim.RunFor(rs.Settle)
 	}
+	rt.armEvents(w)
 	rs.Workload.Client(rt)
 	for _, p := range rs.Probes {
 		if p.Arm != nil {
 			p.Arm(rt)
 		}
 	}
-	rt.armEvents()
 	rs.Stop.run(rt)
 	for _, p := range rs.Probes {
 		if p.Collect != nil {

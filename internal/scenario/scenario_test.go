@@ -3,7 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -280,41 +280,57 @@ func TestKernelCellIsKernelPM(t *testing.T) {
 	}
 }
 
-// TestScenarioEventsAllocConstant arms and fires a 10 000-event timeline of
-// the repeating kinds (flaps, loss steps). Events are data and the run's
-// state for all of them is one slab, so what arming allocates does not
-// grow with the timeline beyond the engine's own event slabs (one per 256)
-// and heap doublings: well under a hundred objects where a closure per
-// constructor and per armed event made it 15 000.
+// TestScenarioEventsAllocConstant arms and walks timelines of 100 and
+// 100 000 events of the repeating kinds (flaps, loss steps). Events are
+// data and the World walks the spec's slice in place, so a timeline
+// allocates its firing order (on the first run after arming) and nothing
+// per entry: the same count at either length. One engine event per entry
+// and a closure per constructor made it 15 000 objects for 10 000 events.
 func TestScenarioEventsAllocConstant(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
-	const n = 10000
-	var evs []Event
-	for i := 0; len(evs) < n; i++ {
-		at := time.Duration(i) * time.Millisecond
-		evs = append(evs, FlapClientIface(at, time.Millisecond, i%3, 1)...)
-		evs = append(evs, SetLossAt(at, "bottleneck", 0.5), SetLossAt(at+time.Millisecond, "bottleneck", 0))
+	timeline := func(n int) []Event {
+		var evs []Event
+		for i := 0; len(evs) < n; i++ {
+			at := time.Duration(i) * time.Millisecond
+			evs = append(evs, FlapClientIface(at, time.Millisecond, i%3, 1)...)
+			evs = append(evs, SetLossAt(at, "bottleneck", 0.5), SetLossAt(at+time.Millisecond, "bottleneck", 0))
+		}
+		return evs
 	}
-	w := sim.NewWorld(1, 1)
-	net := Star{
-		Clients: 3, Ifaces: 2,
-		Access:     netem.LinkConfig{RateBps: 10e6, Delay: time.Millisecond},
-		Bottleneck: netem.LinkConfig{RateBps: 100e6, Delay: time.Millisecond},
-	}.Build(w, 1).normalize()
-	rt := &Run{Spec: &RunSpec{Events: evs}, Sim: w, Net: net}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rt.armEvents()
-	w.RunFor(n * time.Millisecond)
-	runtime.ReadMemStats(&after)
-	if done := w.RuntimeStats().Globals; done != n {
-		t.Fatalf("%d of %d events fired", done, n)
+	// Each measured pass gets a fresh run: arming is once per run.
+	allocs := func(evs []Event) float64 {
+		const passes = 4
+		var rts []*Run
+		for range passes + 1 { // AllocsPerRun warms up with one more
+			w := sim.NewWorld(1, 1)
+			net := Star{
+				Clients: 3, Ifaces: 2,
+				Access:     netem.LinkConfig{RateBps: 10e6, Delay: time.Millisecond},
+				Bottleneck: netem.LinkConfig{RateBps: 100e6, Delay: time.Millisecond},
+			}.Build(w, 1).normalize()
+			rts = append(rts, &Run{Spec: &RunSpec{Events: evs}, Sim: w, Net: net})
+		}
+		all := rts
+		avg := testing.AllocsPerRun(passes, func() {
+			w := rts[0].Sim.(*sim.World)
+			rts[0].armEvents(w)
+			w.RunFor(time.Duration(len(evs)) * time.Millisecond)
+			rts = rts[1:]
+		})
+		for _, rt := range all {
+			if done := rt.Sim.(*sim.World).RuntimeStats().Globals; done != uint64(len(evs)) {
+				t.Fatalf("%d of %d events fired", done, len(evs))
+			}
+		}
+		return avg
 	}
-	if got := after.Mallocs - before.Mallocs; got > 100 {
-		t.Fatalf("arming and firing %d events allocated %d objects", n, got)
+	if small, big := allocs(timeline(100)), allocs(timeline(100000)); small > 1 || big != small {
+		t.Fatalf("arming and walking 100 events allocated %.0f objects, 100 000 events %.0f: want at most 1 (the firing order) for both",
+			small, big)
 	}
+	evs := timeline(4)
 	if avg := testing.AllocsPerRun(100, func() { evs[0] = SetLossAt(0, "bottleneck", 0.5) }); avg != 0 {
 		t.Fatalf("SetLossAt allocates %.0f objects", avg)
 	}
@@ -358,5 +374,74 @@ func TestStarRefusesAddressOverflow(t *testing.T) {
 	msg := build(Star{Clients: 51001, Hosts: func(int) StarHost { built++; panic("host built") }})
 	if built != 0 || !strings.Contains(msg, "51001 clients is over its address plan's 51000") {
 		t.Fatalf("51001 clients: Build = %q after %d hosts, want an address-plan panic before any", msg, built)
+	}
+}
+
+// tickWorkload drives the simulation itself, as a request/response loop
+// does: every client ticks at 10, 20 and 30 ms (each client's count is its
+// own entity's), and Client runs the world to 40 ms in 5 ms steps.
+type tickWorkload struct{ ticks []int }
+
+func (w *tickWorkload) Server(*Run) {}
+
+func (w *tickWorkload) Client(rt *Run) {
+	w.ticks = make([]int, len(rt.Net.Clients))
+	for i := range rt.Net.Clients {
+		c := rt.ClientClock(i)
+		for _, at := range []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond} {
+			c.Schedule(at, "tick", func() { w.ticks[i]++ })
+		}
+	}
+	for rt.Sim.Now() < sim.Time(40*time.Millisecond) {
+		rt.Sim.RunFor(5 * time.Millisecond)
+	}
+}
+
+// TestTimelineOrder runs a timeline listed out of time order under a
+// workload that drives the simulation itself (zero Stop): every entry
+// fires; entries fire by time and, at equal times, in spec order; an entry
+// at t sees every client's tick at or before t; the history is the same
+// at 1 and 4 shards; and an entry already in the past when the timeline
+// is first read panics, naming itself.
+func TestTimelineOrder(t *testing.T) {
+	run := func(shards int, settle time.Duration) []string {
+		wl := &tickWorkload{}
+		var log []string
+		at := func(ms int, name string) Event {
+			return Event{At: time.Duration(ms) * time.Millisecond, Name: name, Fn: func(rt *Run, _ EventArg) {
+				n := 0
+				for _, k := range wl.ticks {
+					n += k
+				}
+				log = append(log, fmt.Sprintf("%s@%v saw %d", name, rt.Sim.Now(), n))
+			}}
+		}
+		rs := &RunSpec{
+			Topology: Star{
+				Clients: 3, Ifaces: 1,
+				Access:     netem.LinkConfig{RateBps: 10e6, Delay: time.Millisecond},
+				Bottleneck: netem.LinkConfig{RateBps: 100e6, Delay: time.Millisecond},
+			},
+			Workload: wl,
+			Shards:   shards,
+			Settle:   settle,
+			Events:   []Event{at(30, "late"), at(20, "a"), at(10, "first"), at(20, "b"), at(2, "early"), at(20, "c")},
+		}
+		Execute(&Spec{Name: "test-timeline", Runs: []*RunSpec{rs}}, 1)
+		return log
+	}
+	want := []string{"early@2ms saw 0", "first@10ms saw 3", "a@20ms saw 6", "b@20ms saw 6", "c@20ms saw 6", "late@30ms saw 9"}
+	for _, shards := range []int{1, 4} {
+		if got := run(shards, time.Millisecond); !slices.Equal(got, want) {
+			t.Errorf("shards=%d: fired %q, want %q", shards, got, want)
+		}
+	}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		run(1, 5*time.Millisecond)
+		return
+	}()
+	if !strings.Contains(msg, `timeline entry "early" at 2ms before now 5ms`) {
+		t.Fatalf("an entry before the settle time: panic %q, want one naming it", msg)
 	}
 }

@@ -177,45 +177,47 @@ func TestTimerPastPanicNamesOwner(t *testing.T) {
 	}
 }
 
-// TestGlobalEventOrderAndSlabs checks the global-event queue on the
-// shared heap code: time order, schedule order among equal times, across
-// more events than one slab holds, with nothing allocated per event.
-func TestGlobalEventOrderAndSlabs(t *testing.T) {
-	const n = 3*globalSlab + 17
-	w := NewWorld(1, 1)
-	var got []int
-	ids := make([]int, n) // each event's state: a pointer into one slab
-	for i := range ids {
-		ids[i] = i
-	}
-	record := func(id any) { got = append(got, *id.(*int)) }
-	schedule := func() {
-		for i := 0; i < n; i++ {
-			// Times descend in blocks of eight; within a block they tie.
-			w.ScheduleGlobal(w.Now()+Time((n-i)/8+1), "g", record, &ids[i])
+// indexLog is a test timeline that records which entries fired.
+type indexLog struct {
+	at  []Time
+	got []int
+}
+
+func (l *indexLog) Len() int          { return len(l.at) }
+func (l *indexLog) At(k int) Time     { return l.at[k] }
+func (l *indexLog) Name(k int) string { return "entry" }
+func (l *indexLog) Fire(k int)        { l.got = append(l.got, k) }
+
+// TestTimelineWalkAllocatesNothing walks timelines of 100 and 100 000
+// entries, eight to an instant: every entry fires once and in index order,
+// is counted in Globals and Processed, and neither Walk nor the walk
+// allocates, whatever the length.
+func TestTimelineWalkAllocatesNothing(t *testing.T) {
+	for _, n := range []int{100, 100000} {
+		w := NewWorld(1, 1)
+		tl := &indexLog{at: make([]Time, n), got: make([]int, 0, n)}
+		walk := func() {
+			for k := range tl.at {
+				tl.at[k] = w.Now() + Time(k/8+1)
+			}
+			tl.got = tl.got[:0]
+			w.Walk(tl)
+			w.RunFor(time.Second)
 		}
-	}
-	schedule()
-	w.RunFor(time.Second)
-	if len(got) != n || w.RuntimeStats().Globals != n {
-		t.Fatalf("ran %d of %d globals", len(got), n)
-	}
-	for k := 1; k < n; k++ {
-		a, b := got[k-1], got[k]
-		if ta, tb := (n-a)/8, (n-b)/8; ta > tb || ta == tb && a > b {
-			t.Fatalf("global %d ran before global %d", a, b)
+		walk()
+		if st := w.RuntimeStats(); len(tl.got) != n || st.Globals != uint64(n) || w.Processed() != uint64(n) {
+			t.Fatalf("n=%d: fired %d entries, counted %d globals and %d events", n, len(tl.got), st.Globals, w.Processed())
 		}
-	}
-	if testutil.RaceEnabled {
-		return // alloc counts differ under -race instrumentation
-	}
-	got = make([]int, 0, 2*n)
-	avg := testing.AllocsPerRun(1, func() {
-		got = got[:0]
-		schedule()
-		w.RunFor(time.Second)
-	})
-	if slabs := float64(n/globalSlab + 1); avg > slabs+2 { // slabs, heap growth
-		t.Fatalf("%d globals cost %.0f allocations, want about %.0f slabs", n, avg, slabs)
+		for k, g := range tl.got {
+			if g != k {
+				t.Fatalf("n=%d: entry %d fired %dth", n, g, k)
+			}
+		}
+		if testutil.RaceEnabled {
+			continue // alloc counts differ under -race instrumentation
+		}
+		if avg := testing.AllocsPerRun(3, walk); avg != 0 {
+			t.Fatalf("n=%d: walking the timeline allocated %.0f objects", n, avg)
+		}
 	}
 }

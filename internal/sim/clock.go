@@ -52,8 +52,8 @@ type Clock interface {
 	Reserve() uint64
 	// Passed reports whether an event of this clock keyed (when, seq)
 	// would have fired by now: the key orders below the event now running,
-	// or no event is running (between runs, inside a World's global
-	// events) and when is not in the future. Keys decide, not pop order:
+	// or no event is running (between runs, inside a World's timeline
+	// entries) and when is not in the future. Keys decide, not pop order:
 	// the answer is the same at any shard count.
 	Passed(when Time, seq uint64) bool
 
@@ -90,12 +90,6 @@ type Runner interface {
 	RunFor(d time.Duration)
 	// Processed counts events executed since construction.
 	Processed() uint64
-	// ScheduleGlobal schedules fn(arg) at when with a whole-simulation
-	// barrier: it runs after every event at or before when, with all shards
-	// paused, so it may touch state owned by any shard (loss steps,
-	// interface flaps). fn and arg follow ScheduleArg's rules. On a bare
-	// Simulator it is a ScheduleArg.
-	ScheduleGlobal(when Time, name string, fn func(any), arg any)
 }
 
 // WorldOf reports the sharded world a clock belongs to, or nil for a bare
@@ -113,7 +107,7 @@ func ShardIndex(c Clock) int {
 
 // EventCount reports how many events c's loop has executed. It advances
 // once as each event starts, and neither between runs nor in a World's
-// global events, so two reads that agree were made inside one event or with
+// timeline entries, so two reads that agree were made inside one event or with
 // no event run between them. Reading it reserves no key and draws no
 // randomness.
 func EventCount(c Clock) uint64 {

@@ -456,8 +456,8 @@ func (s *Simulator) runWindow(limit Time, inclusive bool) {
 }
 
 // The bare Simulator is also the trivial sharded world: every entity
-// shares its single event loop and random stream, SendTo degenerates to a
-// local pooled push, and global events are ordinary events. This keeps the
+// shares its single event loop and random stream, and SendTo degenerates
+// to a local pooled push. This keeps the
 // direct-simulator call sites (unit tests, examples, single-shard runs)
 // byte-for-byte identical to the pre-sharding engine.
 
@@ -473,12 +473,6 @@ func (s *Simulator) SendTo(dst Clock, when Time, name string, fn func(any), arg 
 
 // HostClock implements Fabric: every group maps to the single loop.
 func (s *Simulator) HostClock(group int, name string) Clock { return s }
-
-// ScheduleGlobal implements Runner: with one loop a global event needs no
-// barrier and is a pooled event (the counter draw of a plain Schedule).
-func (s *Simulator) ScheduleGlobal(when Time, name string, fn func(any), arg any) {
-	s.ScheduleArg(when, name, fn, arg)
-}
 
 func (s *Simulator) loop() (*Simulator, int) { return s, 0 }
 func (s *Simulator) world() *World           { return nil }

@@ -412,11 +412,11 @@ func TestRunningKeyIdleIsInfinite(t *testing.T) {
 			t.Error("inside hi's event: its earlier key has passed, a fresh one has not")
 		}
 	})
-	w.ScheduleGlobal(10, "g", callFunc, func() {
+	w.Walk(steps{{10, func() {
 		if ranGlobal = true; !lo.Passed(10, lo.Reserve()) || !hi.Passed(10, hi.Reserve()) || lo.Passed(11, klo) {
-			t.Error("inside a global event: every key at now has passed on every shard, none later")
+			t.Error("inside a timeline entry: every key at now has passed on every shard, none later")
 		}
-	})
+	}}})
 	w.RunUntil(10)
 	if !ranLo || !ranHi || !ranGlobal || !hi.Passed(10, hi.Reserve()) {
 		t.Fatal("a check did not run, or after the run a key at now has not passed")
@@ -425,7 +425,7 @@ func TestRunningKeyIdleIsInfinite(t *testing.T) {
 
 // TestEventCount checks the stamp the MPTCP layer's spare subflows carry:
 // it holds still for the whole of one event, moves between two events on
-// a loop, holds still in a World's global events and between runs, and
+// a loop, holds still in a World's timeline entries and between runs, and
 // reading it reserves no key.
 func TestEventCount(t *testing.T) {
 	s := New(1)
@@ -457,11 +457,10 @@ func TestEventCount(t *testing.T) {
 	}
 	var atGlobal [2]uint64
 	lo.Schedule(5, "lo", func() {})
-	w.ScheduleGlobal(10, "g1", callFunc, func() { atGlobal[0] = EventCount(lo) })
-	w.ScheduleGlobal(10, "g2", callFunc, func() { atGlobal[1] = EventCount(lo) })
+	w.Walk(steps{{10, func() { atGlobal[0] = EventCount(lo) }}, {10, func() { atGlobal[1] = EventCount(lo) }}})
 	w.RunUntil(10)
 	if atGlobal[0] != 1 || atGlobal[1] != 1 || EventCount(hi) != 0 {
-		t.Fatalf("lo's count in two globals %v, hi's %d: want 1, 1 and 0 (globals do not count, shards count their own)",
+		t.Fatalf("lo's count in two timeline entries %v, hi's %d: want 1, 1 and 0 (entries do not count, shards count their own)",
 			atGlobal, EventCount(hi))
 	}
 }

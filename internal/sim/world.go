@@ -38,15 +38,13 @@ type World struct {
 	running  bool
 	buildErr error
 
-	// Global events are Events keyed (when, ent 0, seq), so they queue on
-	// the shard loops' own heap code. A scenario schedules its
-	// whole intervention timeline (tens of thousands of flaps or handovers)
-	// before the first window runs, so the events are cut from slabs
-	// instead of allocated one by one.
-	globals eventHeap
-	gslab   []Event
-	gseq    uint64
-	gdone   uint64
+	// The timeline is the world's only global work, walked in place: next
+	// is the time of entry cursor (maxTime once it is done), gdone counts
+	// the entries fired.
+	tl     Timeline
+	cursor int
+	next   Time
+	gdone  uint64
 
 	// Execution counters (see RuntimeStats): how the span was carved into
 	// windows, how often the shards synchronised, and how much of each
@@ -81,9 +79,6 @@ type crossMsg struct {
 // maxTime is the idle sentinel for nextEventTime.
 const maxTime = Time(1<<63 - 1)
 
-// globalSlab is how many global events one slab allocation holds.
-const globalSlab = 256
-
 // NewWorld creates a sharded world for the given seed. nshards < 1 is
 // treated as 1. Shard counts larger than the number of populated groups
 // are legal; Finalize rejects layouts where more than one shard was
@@ -100,6 +95,7 @@ func NewWorld(seed int64, nshards int) *World {
 		spare:      make([][]crossMsg, nshards),
 		used:       make(map[int]bool),
 		crossSends: make([]uint64, nshards),
+		next:       maxTime,
 	}
 	for i := range w.shards {
 		w.shards[i] = New(entitySeed(seed, uint64(i)^0xD1B54A32D192ED03))
@@ -107,14 +103,11 @@ func NewWorld(seed int64, nshards int) *World {
 	return w
 }
 
-// Shards reports the number of shard event loops.
-func (w *World) Shards() int { return len(w.shards) }
-
 // Now reports the committed global horizon: every event at or before it
 // has executed on every shard.
 func (w *World) Now() Time { return w.now }
 
-// Processed counts events executed across all shards plus global events.
+// Processed counts events executed across all shards plus timeline entries.
 func (w *World) Processed() uint64 {
 	n := w.gdone
 	for _, s := range w.shards {
@@ -184,25 +177,42 @@ func (w *World) Finalize() error {
 	return nil
 }
 
-// ScheduleGlobal schedules fn(arg) to run at when on the controller
-// goroutine with every shard parked at a barrier, after all events at or
-// before when on every shard. Global events may touch state owned by any
-// shard; scenario-level interventions (loss steps, interface flaps) run
-// here. As with ScheduleArg, fn is a preallocated func value and the
-// per-event state rides in arg (a pointer), so scheduling allocates nothing
-// beyond the slab.
-func (w *World) ScheduleGlobal(when Time, name string, fn func(any), arg any) {
-	if when < w.now {
-		panic(fmt.Sprintf("sim: scheduling global %q at %v before now %v", name, when, w.now))
+// Timeline is a World's global work: entries that may touch state owned by
+// any shard (scenario interventions: loss steps, interface flaps). The World
+// fires entry k at At(k) on the controller goroutine with every shard
+// parked, after every shard event at or before At(k). Entries fire in index
+// order, so At must not decrease with k; equal times fire in index order.
+// The World reads the timeline in place through a cursor and copies nothing.
+type Timeline interface {
+	Len() int
+	At(k int) Time
+	Name(k int) string
+	Fire(k int)
+}
+
+// Walk makes tl the timeline the world's runs fire. The world reads no entry
+// before its next run, so a timeline may be armed before it is ready to be
+// read (a scenario sorts its events there, not while it builds). An entry
+// already in the past panics, naming itself, as does a second timeline
+// while the first still has entries to fire.
+func (w *World) Walk(tl Timeline) {
+	if w.tl != nil {
+		panic("sim: walking a second timeline before the first is done")
 	}
-	if len(w.gslab) == 0 {
-		w.gslab = make([]Event, globalSlab)
+	w.tl, w.cursor = tl, 0
+}
+
+// advance loads the time of the entry at the cursor into next, or drops
+// the timeline when it is done. Loading the same entry again is harmless.
+func (w *World) advance() {
+	if w.cursor >= w.tl.Len() {
+		w.tl, w.next = nil, maxTime
+		return
 	}
-	e := &w.gslab[0]
-	w.gslab = w.gslab[1:]
-	e.when, e.seq, e.name, e.argFn, e.arg = when, w.gseq, name, fn, arg
-	w.gseq++
-	w.globals.push(e)
+	w.next = w.tl.At(w.cursor)
+	if w.next < w.now {
+		panic(fmt.Sprintf("sim: timeline entry %q at %v before now %v", w.tl.Name(w.cursor), w.next, w.now))
+	}
 }
 
 // post enqueues a cross-shard message for the destination shard. It is the
@@ -331,7 +341,7 @@ func (w *World) nextEventTime() Time {
 }
 
 // RunUntil advances the world to deadline. The loop carves the span into
-// conservative windows; the stretch ending at a global event or at the
+// conservative windows; the stretch ending at a timeline entry or at the
 // deadline itself runs in two phases — strictly below the boundary, then
 // a barrier to exchange boundary messages, then inclusively through it —
 // so that events exactly at an inclusive boundary still see every
@@ -351,10 +361,13 @@ func (w *World) RunUntil(deadline Time) {
 	}
 	w.running = true
 	defer func() { w.running = false }()
+	if w.tl != nil {
+		w.advance()
+	}
 	for {
 		limit := deadline
-		if len(w.globals) > 0 && w.globals[0].when < limit {
-			limit = w.globals[0].when
+		if w.next < limit {
+			limit = w.next
 		}
 		idle := false
 		if len(w.shards) > 1 {
@@ -373,7 +386,7 @@ func (w *World) RunUntil(deadline Time) {
 			}
 			idle = next > limit
 		}
-		// Boundary stretch ending at limit (a global event or the
+		// Boundary stretch ending at limit (a timeline entry or the
 		// deadline): run below it, then through it inclusively. Messages
 		// posted below limit arrive at >= limit (the interior loop above
 		// guarantees limit-next <= lookahead here) and are drained before
@@ -394,12 +407,12 @@ func (w *World) RunUntil(deadline Time) {
 			w.phase(limit, true)
 		}
 		w.now = limit
-		for len(w.globals) > 0 && w.globals[0].when <= limit {
-			e := w.globals.pop()
-			fn, arg := e.argFn, e.arg
-			e.argFn, e.arg = nil, nil // the slab outlives the event; its state need not
+		for w.tl != nil && w.next <= limit {
+			tl, k := w.tl, w.cursor
+			w.cursor++
+			w.advance()
 			w.gdone++
-			fn(arg)
+			tl.Fire(k)
 		}
 		if limit >= deadline {
 			break
@@ -430,7 +443,7 @@ type RuntimeStats struct {
 	// Barriers counts shard synchronisation points (phase executions on
 	// a multi-shard world).
 	Barriers uint64
-	// Globals counts executed global (all-shards-parked) events.
+	// Globals counts fired timeline (all-shards-parked) entries.
 	Globals uint64
 	// ShardEvents is the per-shard executed event count.
 	ShardEvents []uint64

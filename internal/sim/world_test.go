@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -57,10 +58,10 @@ func pingPongTrace(t *testing.T, seed int64, shards int) []string {
 
 	// A global intervention mid-run: cuts the chains after every event at
 	// 8ms has executed, whatever the sharding.
-	w.ScheduleGlobal(Time(8*Millisecond), "cut", callFunc, func() {
+	w.Walk(steps{{Time(8 * Millisecond), func() {
 		dropped = true
 		record(ca, "global", "cut")
-	})
+	}}})
 
 	w.RunFor(12 * time.Millisecond)
 	w.RunFor(12 * time.Millisecond) // second leg: resuming mid-history must also be stable
@@ -77,6 +78,17 @@ func pingPongTrace(t *testing.T, seed int64, shards int) []string {
 	out = append(out, fmt.Sprintf("end now=%v processed=%d", w.Now(), w.Processed()))
 	return out
 }
+
+// steps is a test timeline: entry k runs fn at at.
+type steps []struct {
+	at Time
+	fn func()
+}
+
+func (s steps) Len() int          { return len(s) }
+func (s steps) At(k int) Time     { return s[k].at }
+func (s steps) Name(k int) string { return fmt.Sprintf("step %d", k) }
+func (s steps) Fire(k int)        { s[k].fn() }
 
 func TestWorldShardCountInvariance(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42} {
@@ -126,9 +138,9 @@ func TestWorldFinalizeRejectsZeroDelayCrossing(t *testing.T) {
 }
 
 func TestWorldGlobalEventBarrier(t *testing.T) {
-	// A global at time g must observe every shard event with when <= g,
-	// including ones at exactly g delivered from another shard's entity.
-	// Each counter is owned by one entity; only the global reads both.
+	// A timeline entry at time g must observe every shard event with
+	// when <= g, including ones at exactly g delivered from another shard's
+	// entity. Each counter is owned by one entity; only the entry reads both.
 	for _, n := range []int{1, 2, 4} {
 		w := NewWorld(3, n)
 		a := w.HostClock(0, "a")
@@ -139,11 +151,39 @@ func TestWorldGlobalEventBarrier(t *testing.T) {
 		b.Schedule(Time(2*Millisecond), "eb", func() { countB++ })
 		a.SendTo(b, Time(2*Millisecond), "x", func(any) { countB++ }, nil)
 		sawAtBarrier := -1
-		w.ScheduleGlobal(Time(2*Millisecond), "g", callFunc, func() { sawAtBarrier = countA + countB })
+		w.Walk(steps{{Time(2 * Millisecond), func() { sawAtBarrier = countA + countB }}})
 		w.RunFor(3 * time.Millisecond)
 		if sawAtBarrier != 3 {
-			t.Fatalf("shards=%d: global saw %d of 3 events at its own timestamp", n, sawAtBarrier)
+			t.Fatalf("shards=%d: timeline entry saw %d of 3 events at its own timestamp", n, sawAtBarrier)
 		}
+	}
+}
+
+// TestWalkRefusesThePast: a timeline entry before now panics and names
+// itself, the first entry at the run after Walk before time moves and a
+// later one at its turn, and so does a second timeline while the first has
+// entries left.
+func TestWalkRefusesThePast(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	w := NewWorld(1, 1)
+	w.RunFor(time.Millisecond)
+	w.Walk(steps{{0, nil}})
+	if msg := panicOf(func() { w.RunFor(time.Millisecond) }); !strings.Contains(msg, `"step 0" at 0s before now 1ms`) || w.Now() != Time(Millisecond) {
+		t.Errorf("walking a past entry: panic %q, now %v", msg, w.Now())
+	}
+	w = NewWorld(1, 1)
+	w.Walk(steps{{2, func() {}}, {1, nil}})
+	if msg := panicOf(func() { w.RunFor(time.Millisecond) }); !strings.Contains(msg, `"step 1" at 1ns before now 2ns`) {
+		t.Errorf("an entry earlier than the one before it: panic %q", msg)
+	}
+	w = NewWorld(1, 1)
+	w.Walk(steps{{5, nil}})
+	if msg := panicOf(func() { w.Walk(steps{{6, nil}}) }); !strings.Contains(msg, "second timeline") {
+		t.Errorf("a second timeline: panic %q", msg)
 	}
 }
 
