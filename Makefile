@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt loc examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
+.PHONY: build test race fuzz bench bench-pair fmt loc cover examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,21 @@ bench-pair:
 # CHANGES.md entry report before and after a change.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# Statement coverage of internal/ and cmd/ by every test of both: the total,
+# then the count and names of the functions no test runs. Report only; the
+# profile lives in a temporary directory.
+cover:
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf '$$tmp EXIT; \
+	$(GO) test -coverpkg=./internal/...,./cmd/... -coverprofile=$$tmp/cover.out ./internal/... ./cmd/... >$$tmp/test.log 2>&1 \
+		|| { cat $$tmp/test.log; exit 1; }; \
+	$(GO) tool cover -func=$$tmp/cover.out >$$tmp/func.txt; \
+	grep '^total:' $$tmp/func.txt | awk '{ print "statement coverage: " $$NF }'; \
+	grep -v '^total:' $$tmp/func.txt | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print "  " $$1 " " $$2 }' >$$tmp/zero.txt; \
+	echo "functions at 0%: $$(wc -l <$$tmp/zero.txt)"; \
+	cat $$tmp/zero.txt
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -123,6 +123,40 @@ func TestUserFullMeshInterfaceFlap(t *testing.T) {
 	}
 }
 
+// TestUserFullMeshJoinsAnnouncedAddr runs the paper's add_addr event end to
+// end. The client has one interface, so its mesh is the initial subflow
+// until the server announces a second address with ADD_ADDR: the Netlink PM
+// forwards it as an add_addr event, FullMesh opens a subflow to it, and the
+// subflow establishes.
+func TestUserFullMeshJoinsAnnouncedAddr(t *testing.T) {
+	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
+	ctl := NewFullMesh([]netip.Addr{topo.ClientAddr1})
+	r := newCtlRig(t, 5, p, p, ctl, tcp.Config{})
+	second := netip.MustParseAddr("10.99.0.2")
+	trunk := netem.NewDuplex("trunk2", r.net.Router, r.net.Server, netem.LinkConfig{RateBps: 1e9, Delay: 100 * time.Microsecond})
+	r.net.Server.AddIface("eth1", second, trunk.BA)
+	r.net.Router.AddRoute(second, trunk.AB)
+	r.listen(nil)
+	r.connect(t, mptcp.ConnCallbacks{})
+	r.net.Sim.Run()
+	if n := len(r.client.Subflows()); n != 1 || ctl.Stats.SubflowsCreated != 0 {
+		t.Fatalf("before the announcement: %d subflows, %d created by the controller; want 1 and 0", n, ctl.Stats.SubflowsCreated)
+	}
+	r.server.AnnounceAddr(second, 0)
+	r.net.Sim.Run()
+	want := netip.AddrPortFrom(second, 80)
+	var joined []string
+	for _, sf := range r.client.Subflows() {
+		if ft := sf.Tuple(); netip.AddrPortFrom(ft.DstIP, ft.DstPort) == want && sf.Established() {
+			joined = append(joined, ft.String())
+		}
+	}
+	if len(joined) != 1 || ctl.Stats.SubflowsCreated != 1 {
+		t.Fatalf("after ADD_ADDR %v: established subflows to it %v, %d created by the controller; want one of each",
+			want, joined, ctl.Stats.SubflowsCreated)
+	}
+}
+
 func TestBackupSwitchesOnRTOThreshold(t *testing.T) {
 	// The Fig. 2a scenario: transfer starts on the primary; after 1s the
 	// primary's loss jumps to 30%; the controller must close it once the

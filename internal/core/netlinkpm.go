@@ -89,9 +89,6 @@ func NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
 	return pm
 }
 
-// Name implements mptcp.PathManager.
-func (pm *NetlinkPM) Name() string { return "netlink" }
-
 // SetCoalescing switches event delivery to batched mode: events emitted
 // within window of each other leave as one pooled multi-message frame (one
 // transport crossing), superseded events coalesce away, and the pending

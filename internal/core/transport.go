@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -194,16 +195,20 @@ func ReadMessages(r io.Reader, fn func([]byte)) error {
 		if total < 20 || total > 1<<20 {
 			return io.ErrUnexpectedEOF
 		}
-		buf := nlmsg.Wire.Get()
-		if cap(buf) < int(total) {
-			buf = make([]byte, total)
-		} else {
-			buf = buf[:total]
-		}
-		copy(buf, hdr[:])
-		if _, err := io.ReadFull(r, buf[4:]); err != nil {
-			nlmsg.Wire.Put(buf)
-			return err
+		buf := append(nlmsg.Wire.Get(), hdr[:]...)
+		for len(buf) < int(total) {
+			// The length is the peer's claim: grow by at most what has
+			// arrived, so a lying header costs no more than its bytes.
+			buf = slices.Grow(buf, min(int(total)-len(buf), len(buf)))
+			end := min(cap(buf), int(total))
+			if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+				nlmsg.Wire.Put(buf)
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF // inside a frame
+				}
+				return err
+			}
+			buf = buf[:end]
 		}
 		fn(buf)
 		nlmsg.Wire.Put(buf)

@@ -201,9 +201,6 @@ func (c *Connection) Stats() ConnStats { return c.stats }
 // callbacks.
 func (c *Connection) SetCallbacks(cb ConnCallbacks) { c.cb = cb }
 
-// Scheduler reports the scheduler in use.
-func (c *Connection) Scheduler() Scheduler { return c.sched }
-
 // Info is a connection-level snapshot including all subflow snapshots —
 // what the paper's get-info command returns.
 type Info struct {

@@ -128,9 +128,6 @@ func (ep *Endpoint) Clock() sim.Clock { return ep.sim }
 // Host exposes the underlying netem host.
 func (ep *Endpoint) Host() *netem.Host { return ep.host }
 
-// PathManager reports the attached path manager.
-func (ep *Endpoint) PathManager() PathManager { return ep.pm }
-
 // Conns lists the endpoint's live connections (order unspecified).
 func (ep *Endpoint) Conns() []*Connection {
 	out := make([]*Connection, 0, len(ep.tokens))

@@ -29,7 +29,6 @@ type recPM struct {
 
 func newRecPM() *recPM { return &recPM{subClosed: make(map[*tcp.Subflow]tcp.Errno)} }
 
-func (p *recPM) Name() string              { return "recorder" }
 func (p *recPM) ConnCreated(c *Connection) { p.created++ }
 func (p *recPM) ConnEstablished(c *Connection) {
 	p.estab++

@@ -18,9 +18,6 @@ import (
 // kernel) and core.NetlinkPM, which forwards every hook as a Netlink event
 // to a userspace subflow controller.
 type PathManager interface {
-	// Name identifies the path manager in experiment output.
-	Name() string
-
 	// ConnCreated fires when a connection comes into existence (SYN sent
 	// on the client, SYN received on the server).
 	ConnCreated(c *Connection)
@@ -55,9 +52,6 @@ type PathManager interface {
 // subflows their peers create. It is the "default" baseline and a
 // convenient embedding for managers that care about few hooks.
 type NopPM struct{}
-
-// Name implements PathManager.
-func (NopPM) Name() string { return "default" }
 
 // ConnCreated implements PathManager.
 func (NopPM) ConnCreated(*Connection) {}

@@ -96,9 +96,6 @@ func (h *Host) Iface(addr netip.Addr) *Iface {
 	return nil
 }
 
-// Ifaces lists all interfaces in attachment order.
-func (h *Host) Ifaces() []*Iface { return h.ifaces }
-
 // Addrs lists the addresses of all up interfaces, in attachment order.
 func (h *Host) Addrs() []netip.Addr {
 	var out []netip.Addr

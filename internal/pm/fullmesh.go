@@ -38,9 +38,6 @@ func NewFullMesh() *FullMesh {
 	return &FullMesh{}
 }
 
-// Name implements mptcp.PathManager.
-func (*FullMesh) Name() string { return "fullmesh" }
-
 // ConnCreated implements mptcp.PathManager.
 func (f *FullMesh) ConnCreated(c *mptcp.Connection) { f.conns = append(f.conns, c) }
 

@@ -18,9 +18,6 @@ type NDiffPorts struct {
 // NewNDiffPorts returns an ndiffports manager creating n subflows total.
 func NewNDiffPorts(n int) *NDiffPorts { return &NDiffPorts{N: n} }
 
-// Name implements mptcp.PathManager.
-func (*NDiffPorts) Name() string { return "ndiffports" }
-
 // ConnEstablished implements mptcp.PathManager.
 func (p *NDiffPorts) ConnEstablished(c *mptcp.Connection) {
 	if !c.IsClient() {

@@ -184,12 +184,12 @@ func Read(r io.Reader) (*Data, error) {
 	if _, err := io.ReadFull(br, scratch[:8]); err != nil {
 		return nil, fmt.Errorf("trace: reading record count: %w", err)
 	}
-	nRecs := int(le.Uint64(scratch[:8]))
-	// The count is untrusted input: cap the preallocation so a corrupt
-	// header cannot panic makeslice or balloon memory — a truncated
-	// stream still fails cleanly in the ReadFull below.
-	d.Records = make([]Record, 0, min(nRecs, 1<<20))
-	for i := 0; i < nRecs; i++ {
+	nRecs := le.Uint64(scratch[:8])
+	// The count is untrusted input: preallocate a little and let append
+	// grow with the records that really arrive, so a corrupt header costs
+	// no more than the bytes behind it before the ReadFull below fails.
+	d.Records = make([]Record, 0, min(nRecs, 1<<10))
+	for i := uint64(0); i < nRecs; i++ {
 		if _, err := io.ReadFull(br, scratch[:recordSize]); err != nil {
 			return nil, fmt.Errorf("trace: reading record %d of %d: %w", i, nRecs, err)
 		}
