@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,16 +24,16 @@ func FuzzReadMessages(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0x0f, 0x00}) // a 1 MB frame's header and nothing else
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames := 0
-		if err := testutil.CheckAllocBound(len(data), 8, 64<<10, func() {
-			ReadMessages(bytes.NewReader(data), func(b []byte) {
-				if len(b) < 20 {
-					t.Fatalf("frame of %d bytes handed on", len(b))
-				}
-				frames++
-			})
-		}); err != nil {
-			t.Fatalf("%d frames: %v", frames, err)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ReadMessages(bytes.NewReader(data), func(b []byte) {
+			if len(b) < 20 {
+				t.Fatalf("frame of %d bytes handed on", len(b))
+			}
+		})
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; !testutil.RaceEnabled && got > uint64(8*len(data)+64<<10) {
+			t.Fatalf("%d input bytes cost %d allocated bytes", len(data), got)
 		}
 	})
 }

@@ -146,9 +146,6 @@ func (l *Link) Name() string {
 	return l.name + ":" + l.src.Name() + "->" + l.dst.Name()
 }
 
-// Dst reports the node this link delivers to.
-func (l *Link) Dst() Node { return l.dst }
-
 // Delay reports the configured propagation delay.
 func (l *Link) Delay() time.Duration { return l.delay }
 

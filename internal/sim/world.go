@@ -38,9 +38,9 @@ type World struct {
 	running  bool
 	buildErr error
 
-	// The timeline is the world's only global work, walked in place: next
-	// is the time of entry cursor (maxTime once it is done), gdone counts
-	// the entries fired.
+	// tl is the world's only global work, read in place: cursor is the
+	// entry to fire next and next its time (maxTime when there is none);
+	// gdone counts the entries fired.
 	tl     Timeline
 	cursor int
 	next   Time
@@ -76,7 +76,7 @@ type crossMsg struct {
 	hand     bool
 }
 
-// maxTime is the idle sentinel for nextEventTime.
+// maxTime is the idle sentinel for nextEventTime and World.next.
 const maxTime = Time(1<<63 - 1)
 
 // NewWorld creates a sharded world for the given seed. nshards < 1 is
@@ -191,10 +191,9 @@ type Timeline interface {
 }
 
 // Walk makes tl the timeline the world's runs fire. The world reads no entry
-// before its next run, so a timeline may be armed before it is ready to be
-// read (a scenario sorts its events there, not while it builds). An entry
-// already in the past panics, naming itself, as does a second timeline
-// while the first still has entries to fire.
+// before its next run, so whoever arms a timeline may put off ordering it
+// until that first read. An entry already in the past panics, naming
+// itself, as does a second timeline while the first has entries left.
 func (w *World) Walk(tl Timeline) {
 	if w.tl != nil {
 		panic("sim: walking a second timeline before the first is done")
@@ -408,11 +407,10 @@ func (w *World) RunUntil(deadline Time) {
 		}
 		w.now = limit
 		for w.tl != nil && w.next <= limit {
-			tl, k := w.tl, w.cursor
 			w.cursor++
-			w.advance()
 			w.gdone++
-			tl.Fire(k)
+			w.tl.Fire(w.cursor - 1)
+			w.advance()
 		}
 		if limit >= deadline {
 			break

@@ -312,9 +312,6 @@ func (sf *Subflow) SetBackup(b bool) { sf.backup = b }
 // MSS reports the configured segment payload size.
 func (sf *Subflow) MSS() int { return sf.cfg.MSS }
 
-// SndUna reports the lowest unacknowledged subflow sequence number.
-func (sf *Subflow) SndUna() uint32 { return sf.sndUna }
-
 // SynSentAt reports when the SYN was first transmitted (Fig. 3 measures
 // from this instant).
 func (sf *Subflow) SynSentAt() sim.Time { return sf.synSentAt }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	_ "repro/internal/experiments" // registers the scenarios
@@ -36,10 +37,12 @@ func FuzzTraceRead(f *testing.F) {
 	// Magic, no entities, no shards, and a count of 2^20 records.
 	f.Add(append([]byte("MPTRACE1\x00\x00\x00\x00\x00\x00\x00\x00"), 0, 0, 0x10, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := testutil.CheckAllocBound(len(data), 16, 256<<10, func() {
-			trace.Read(bytes.NewReader(data))
-		}); err != nil {
-			t.Fatal(err)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		trace.Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; !testutil.RaceEnabled && got > uint64(16*len(data)+256<<10) {
+			t.Fatalf("%d input bytes cost %d allocated bytes", len(data), got)
 		}
 	})
 }

@@ -239,26 +239,6 @@ func (t *Tracer) Register(kind EntKind, parent uint32, name string) uint32 {
 	return id
 }
 
-// Entities returns the entity table (shared; callers must not mutate).
-func (t *Tracer) Entities() []Entity {
-	if t == nil {
-		return nil
-	}
-	return t.ents
-}
-
-// Dropped sums the drop-oldest counters across shards.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	var n uint64
-	for _, sh := range t.shards {
-		n += sh.Dropped()
-	}
-	return n
-}
-
 // Shard is one preallocated ring of records. Records within a shard are
 // naturally time-ordered (the simulation clock is monotonic); a full
 // ring overwrites the oldest record and counts it as dropped.
