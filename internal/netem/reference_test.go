@@ -238,11 +238,12 @@ func newLinkRun(ref bool, shards int, seed int64, cfg LinkConfig) *linkRun {
 // on a World at one and two shards: sends from events of a lower and of a
 // higher ordinal than the link's and from outside any event, queue
 // capacities from 1 to 100, loss, and the link cut and restored in flight
-// by timeline entries. Each sender's events schedule the next one as they run,
-// before or after they send, so sender and link draw their sequence numbers
-// interleaved; and two packets in three are followed by one aimed at the
-// very nanosecond their serialisation ends — the tie that decides whether
-// a full queue of one has room.
+// (by the World's timeline, or by plain events on the bare Simulator).
+// Each sender's events schedule the next one as they run, before or after
+// they send, so sender and link draw their sequence numbers interleaved;
+// and two packets in three are followed by one aimed at the very
+// nanosecond their serialisation ends — the tie that decides whether a
+// full queue of one has room.
 func TestLinkMatchesTwoEventReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		for _, shards := range []int{0, 1, 2} {

@@ -107,8 +107,8 @@ func ShardIndex(c Clock) int {
 
 // EventCount reports how many events c's loop has executed. It advances
 // once as each event starts, and neither between runs nor in a World's
-// timeline entries, so two reads that agree were made inside one event or with
-// no event run between them. Reading it reserves no key and draws no
+// timeline entries, so two reads that agree were made inside one event or
+// with no event run between them. Reading it reserves no key and draws no
 // randomness.
 func EventCount(c Clock) uint64 {
 	s, _ := c.loop()

@@ -457,9 +457,9 @@ func (s *Simulator) runWindow(limit Time, inclusive bool) {
 
 // The bare Simulator is also the trivial sharded world: every entity
 // shares its single event loop and random stream, and SendTo degenerates
-// to a local pooled push. This keeps the
-// direct-simulator call sites (unit tests, examples, single-shard runs)
-// byte-for-byte identical to the pre-sharding engine.
+// to a local pooled push. This keeps the direct-simulator call sites (unit
+// tests, examples, single-shard runs) byte-for-byte identical to the
+// pre-sharding engine.
 
 // Derive returns the simulator itself: on a single loop all entities share
 // one identity and one random stream.
