@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt loc cover examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
+.PHONY: build test race fuzz bench bench-pair fmt loc cover cover-ref examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,31 @@ cover:
 	grep -v '^total:' $$tmp/func.txt | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print "  " $$1 " " $$2 }' >$$tmp/zero.txt; \
 	echo "functions at 0%: $$(wc -l <$$tmp/zero.txt)"; \
 	cat $$tmp/zero.txt
+
+# The rule that a change may not raise the number of functions no test
+# runs: `make cover` on the working tree and on REF (unpacked from a `git
+# archive` of it and covered by this Makefile's recipe, so a REF older than
+# the target works too), both counts printed, and the target fails when the
+# working tree's is higher, naming the functions only it lists.
+cover-ref:
+	@test -n "$(REF)" || { echo "usage: make cover-ref REF=<commit>"; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf '$$tmp EXIT; \
+	mkdir $$tmp/ref; \
+	git archive $(REF) | tar -x -C $$tmp/ref; \
+	$(MAKE) -s --no-print-directory -C $$tmp/ref -f $(CURDIR)/Makefile cover >$$tmp/ref.txt || { cat $$tmp/ref.txt; exit 1; }; \
+	$(MAKE) -s --no-print-directory cover >$$tmp/head.txt || { cat $$tmp/head.txt; exit 1; }; \
+	ref=$$(sed -n 's/^functions at 0%: //p' $$tmp/ref.txt); \
+	head=$$(sed -n 's/^functions at 0%: //p' $$tmp/head.txt); \
+	echo "== cover-ref: functions at 0%: $$ref at $(REF), $$head in the working tree"; \
+	if [ "$$head" -gt "$$ref" ]; then \
+		grep '^  ' $$tmp/ref.txt | sort >$$tmp/ref.list; \
+		grep '^  ' $$tmp/head.txt | sort >$$tmp/head.list; \
+		echo "== cover-ref: the never-run count rose; at 0% only in the working tree:"; \
+		comm -13 $$tmp/ref.list $$tmp/head.list; \
+		exit 1; \
+	fi
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -63,7 +63,6 @@ type Connection struct {
 	sched    Scheduler
 	cb       ConnCallbacks
 	onAccept func(*Connection) // listener accept callback (server side)
-	mss      int
 
 	localKey, remoteKey   uint64
 	token, remoteToken    uint32
@@ -316,7 +315,7 @@ func (c *Connection) OpenSubflow(laddr netip.Addr, lport uint16, raddr netip.Add
 		lport = c.ep.allocPort()
 	}
 	tuple := seg.FourTuple{SrcIP: laddr, DstIP: raddr, SrcPort: lport, DstPort: rport}
-	if _, busy := c.ep.tuples[tuple]; busy {
+	if _, busy := c.ep.tuples[keyOf(tuple)]; busy {
 		return nil, fmt.Errorf("mptcp: tuple %v already in use", tuple)
 	}
 	sf := c.newSubflow(tuple, sfMeta{
@@ -380,9 +379,9 @@ func (c *Connection) WithdrawAddr(addr netip.Addr) {
 func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	sf := c.takeSpare()
 	if sf != nil {
-		sf.Reuse(c.ep.sim, c.ep.cfg.TCP, tuple, c.ep.out, c)
+		sf.Reuse(c.ep.sim, &c.ep.tcp, tuple, c)
 	} else {
-		sf = tcp.NewSubflow(c.ep.sim, c.ep.cfg.TCP, tuple, c.ep.out, c)
+		sf = c.ep.tcp.NewSubflow(c.ep.sim, tuple, c)
 	}
 	if c.tsh != nil {
 		sf.SetTrace(c.tsh, c.tsh.Tracer().Register(trace.EntFlow, c.tid,
@@ -390,7 +389,7 @@ func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	}
 	c.subflows = append(c.subflows, sf)
 	c.meta = append(c.meta, m)
-	c.ep.tuples[tuple] = sf
+	c.ep.tuples[keyOf(tuple)] = sf
 	return sf
 }
 
@@ -460,7 +459,7 @@ func (c *Connection) removeSubflow(sf *tcp.Subflow) {
 			break
 		}
 	}
-	delete(c.ep.tuples, sf.Tuple())
+	delete(c.ep.tuples, keyOf(sf.Tuple()))
 }
 
 // --- Scheduling ---
@@ -533,6 +532,7 @@ func (c *Connection) push() {
 
 // nextRange picks the next chunk to schedule.
 func (c *Connection) nextRange() (rel uint64, ln int, isFin, fromReinject bool) {
+	mss := uint64(c.ep.tcp.Config().MSS)
 	for {
 		iv, ok := c.reinject.first()
 		if !ok {
@@ -547,17 +547,13 @@ func (c *Connection) nextRange() (rel uint64, ln int, isFin, fromReinject bool) 
 			lo = c.sndUna
 		}
 		n := iv.hi - lo
-		if n > uint64(c.mss) {
-			n = uint64(c.mss)
-		}
+		n = min(n, mss)
 		fin := c.finQueued && lo+n == c.finRel+1
 		return lo, int(n), fin, true
 	}
 	if c.schedNxt < c.appNxt {
 		n := c.appNxt - c.schedNxt
-		if n > uint64(c.mss) {
-			n = uint64(c.mss)
-		}
+		n = min(n, mss)
 		return c.schedNxt, int(n), false, false
 	}
 	if c.finQueued && !c.finScheduled {

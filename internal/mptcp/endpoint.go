@@ -31,17 +31,20 @@ type Config struct {
 type Endpoint struct {
 	sim  sim.Clock
 	host *netem.Host
-	cfg  Config
 	pm   PathManager
-	out  tcp.Output // ep.output, bound once: every subflow shares it
-	// newSched is cfg.Scheduler resolved once; every connection gets its own.
+	// tcp is what every subflow shares: Config.TCP with its defaults
+	// applied, ep.output bound once, and the per-ACK scratch.
+	tcp   tcp.Shared
+	trace *trace.Shard // Config.Trace
+	// newSched is Config.Scheduler resolved once; every connection gets
+	// its own.
 	newSched SchedulerFactory
 
 	listeners map[uint16]func(*Connection) // nil until the first Listen
-	tuples    map[seg.FourTuple]*tcp.Subflow
+	tuples    map[tupleKey]*tcp.Subflow
 	tokens    map[uint32]*Connection // the live connections, by token
 	addrIDs   map[netip.Addr]uint8
-	usedPorts map[uint16]int
+	usedPorts map[uint16]struct{} // every port allocPort handed out
 
 	// Stats counters.
 	RSTSent     uint64
@@ -49,6 +52,29 @@ type Endpoint struct {
 	// totals holds what closed subflows and connections counted, and the
 	// two facts only the endpoint keeps (picks, reassembly high-water).
 	totals Totals
+}
+
+// tupleKey is a 4-tuple as the demux table keys it: both addresses in their
+// 16-byte form, the ports, and which addresses are IPv4 (As16 maps those
+// into IPv6). It is 38 bytes with no pointer where a seg.FourTuple is 56
+// with two (netip.Addr's zone), so the table's buckets are smaller and the
+// garbage collector never scans them. Zones are dropped: no simulated host
+// has two interfaces that differ only by zone.
+type tupleKey struct {
+	src, dst     [16]byte
+	sport, dport uint16
+	v4           uint8 // bit 0: src is IPv4; bit 1: dst is
+}
+
+func keyOf(t seg.FourTuple) tupleKey {
+	k := tupleKey{src: t.SrcIP.As16(), dst: t.DstIP.As16(), sport: t.SrcPort, dport: t.DstPort}
+	if t.SrcIP.Is4() {
+		k.v4 |= 1
+	}
+	if t.DstIP.Is4() {
+		k.v4 |= 2
+	}
+	return k
 }
 
 // Totals is what an endpoint's subflows and connections counted over its
@@ -102,15 +128,15 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 	ep := &Endpoint{
 		sim:       host.Clock(),
 		host:      host,
-		cfg:       cfg,
 		pm:        pm,
+		trace:     cfg.Trace,
 		newSched:  newSched,
-		tuples:    make(map[seg.FourTuple]*tcp.Subflow),
+		tuples:    make(map[tupleKey]*tcp.Subflow),
 		tokens:    make(map[uint32]*Connection),
 		addrIDs:   make(map[netip.Addr]uint8),
-		usedPorts: make(map[uint16]int),
+		usedPorts: make(map[uint16]struct{}),
 	}
-	ep.out = ep.output
+	ep.tcp.Init(cfg.TCP, ep.output)
 	host.SetHandler(ep.input)
 	host.WatchAddrs(func(addr netip.Addr, up bool) {
 		if up {
@@ -178,17 +204,13 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 		isClient:     isClient,
 		sched:        ep.newSched(ep.sim.Rand()),
 		cb:           cb,
-		mss:          ep.cfg.TCP.MSS,
 		localKey:     key,
 		token:        token,
 		localIDSN:    seg.IDSN(key),
 		initialTuple: initial,
 	}
 	c.subflows, c.meta = c.sfRoom[:0], c.metaRoom[:0]
-	if c.mss == 0 {
-		c.mss = 1380 // mirror tcp.Config default
-	}
-	if sh := ep.cfg.Trace; sh != nil {
+	if sh := ep.trace; sh != nil {
 		c.tsh = sh
 		c.tid = sh.Tracer().Register(trace.EntConn, 0,
 			fmt.Sprintf("%s/conn-%08x", ep.host.Name(), token))
@@ -217,7 +239,7 @@ func (ep *Endpoint) input(pkt *netem.Packet) {
 // and must not be retained by anything downstream.
 func (ep *Endpoint) handleSegment(sg *seg.Segment) {
 	key := sg.Tuple.Reverse() // local-perspective tuple
-	if sf, ok := ep.tuples[key]; ok {
+	if sf, ok := ep.tuples[keyOf(key)]; ok {
 		sf.HandleSegment(sg)
 		return
 	}
@@ -292,10 +314,11 @@ func (ep *Endpoint) addrID(addr netip.Addr) uint8 {
 func (ep *Endpoint) allocPort() uint16 {
 	const first, count = 32768, 28232
 	take := func(p uint16) bool {
-		if _, listening := ep.listeners[p]; listening || ep.usedPorts[p] != 0 {
+		_, listening := ep.listeners[p]
+		if _, used := ep.usedPorts[p]; listening || used {
 			return false
 		}
-		ep.usedPorts[p]++
+		ep.usedPorts[p] = struct{}{}
 		return true
 	}
 	for tries := 0; tries < 10000; tries++ {

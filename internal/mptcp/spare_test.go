@@ -1,10 +1,13 @@
 package mptcp
 
 import (
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/seg"
 	"repro/internal/tcp"
 )
 
@@ -15,6 +18,54 @@ import (
 func TestConnectionSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(Connection{}); sz > 704 {
 		t.Fatalf("Connection is %d bytes, over the 704-byte size class", sz)
+	}
+}
+
+// TestTupleKeyPointerFree pins the endpoint's demux key at 40 bytes or
+// less with no pointer in it, field by field, so the tuple table's buckets
+// stay small and unscanned; and checks that it tells apart what a 4-tuple
+// does: each address, port and direction, and an IPv4 address from its
+// IPv4-mapped IPv6 form, which As16 alone would merge.
+func TestTupleKeyPointerFree(t *testing.T) {
+	var k tupleKey
+	if sz := unsafe.Sizeof(k); sz > 40 {
+		t.Fatalf("tupleKey is %d bytes, over its pinned 40", sz)
+	}
+	var scalar func(reflect.Type) bool
+	scalar = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		case reflect.Array:
+			return scalar(ty.Elem())
+		}
+		return false
+	}
+	ty := reflect.TypeOf(k)
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); !scalar(f.Type) {
+			t.Errorf("tupleKey.%s is a %v, which is or holds a pointer", f.Name, f.Type)
+		}
+	}
+
+	v4, v4b := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	base := seg.FourTuple{SrcIP: v4, DstIP: v4b, SrcPort: 40000, DstPort: 80}
+	if keyOf(base) != keyOf(seg.FourTuple{SrcIP: v4, DstIP: v4b, SrcPort: 40000, DstPort: 80}) {
+		t.Fatal("equal tuples give different keys")
+	}
+	mapped := base
+	mapped.SrcIP = netip.AddrFrom16(v4.As16())
+	for _, other := range []seg.FourTuple{
+		base.Reverse(),
+		{SrcIP: v4b, DstIP: v4b, SrcPort: 40000, DstPort: 80},
+		{SrcIP: v4, DstIP: v4, SrcPort: 40000, DstPort: 80},
+		{SrcIP: v4, DstIP: v4b, SrcPort: 40001, DstPort: 80},
+		{SrcIP: v4, DstIP: v4b, SrcPort: 40000, DstPort: 81},
+		mapped,
+	} {
+		if keyOf(other) == keyOf(base) {
+			t.Errorf("%v and %v share a key", other, base)
+		}
 	}
 }
 

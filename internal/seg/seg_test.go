@@ -218,6 +218,82 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestCopyFromDeepCopiesEveryOption copies a segment carrying every option
+// type, plus a second DSS, SACK, MP_JOIN and MP_CAPABLE: the first of each
+// of those four lands in a scratch slot, everything else takes the clone
+// path. The copy must equal the source, share no option with it, and keep
+// its values when every source option is then mutated in place.
+func TestCopyFromDeepCopiesEveryOption(t *testing.T) {
+	build := func() *Segment {
+		s := &Segment{Tuple: tuple(), Flags: ACK, Seq: 7, Ack: 9, Window: 1 << 16, PayloadLen: 100}
+		for i := uint64(0); i < 2; i++ {
+			s.Options = append(s.Options,
+				&DSS{HasDataAck: true, DataAck: 100 + i, HasMap: true, DataSeq: 200 + i, SubflowSeq: 3, MapLen: 10, DataFIN: i == 1},
+				&SACK{Blocks: []SackBlock{{Lo: 10, Hi: 20 + uint32(i)}, {Lo: 30, Hi: 40}}},
+				&MPJoin{Form: JoinSYN, Token: 0xabcd, Nonce: uint32(i), AddrID: 2},
+				&MPCapable{Version: 0, SenderKey: 0x1111 + i, ReceiverKey: 0x2222, HasReceiver: true},
+			)
+		}
+		s.Options = append(s.Options,
+			&AddAddr{AddrID: 3, Addr: ip6, Port: 8080, HasPort: true},
+			&RemoveAddr{AddrIDs: []uint8{4, 5}},
+			&MPPrio{Backup: true, AddrID: 6, HasAddrID: true},
+			&MPFail{DataSeq: 77},
+			&FastClose{ReceiverKey: 0x3333},
+		)
+		return s
+	}
+	src, want := build(), build()
+	kinds := map[Subtype]bool{}
+	for _, o := range src.Options {
+		kinds[o.Subtype()] = true
+	}
+	if len(kinds) != 9 {
+		t.Fatalf("the source carries %d option types, want all 9", len(kinds))
+	}
+
+	dst := Shared.Get()
+	defer Shared.Put(dst)
+	dst.CopyFrom(src)
+	if !dst.Equal(want) {
+		t.Fatalf("copy %v\n differs from %v", dst, want)
+	}
+	for i, o := range dst.Options {
+		if o == src.Options[i] {
+			t.Fatalf("option %d (%v) is the source's own", i, o)
+		}
+	}
+
+	for _, o := range src.Options {
+		switch o := o.(type) {
+		case *DSS:
+			o.DataAck++
+		case *SACK:
+			o.Blocks[0].Hi++
+		case *MPJoin:
+			o.Nonce++
+		case *MPCapable:
+			o.SenderKey++
+		case *AddAddr:
+			o.Port++
+		case *RemoveAddr:
+			o.AddrIDs[0]++
+		case *MPPrio:
+			o.Backup = !o.Backup
+		case *MPFail:
+			o.DataSeq++
+		case *FastClose:
+			o.ReceiverKey++
+		}
+	}
+	if src.Equal(want) {
+		t.Fatal("the mutations changed nothing: the check below checks nothing")
+	}
+	if !dst.Equal(want) {
+		t.Fatalf("mutating the source changed the copy:\n got %v\nwant %v", dst, want)
+	}
+}
+
 func TestTokenAndIDSN(t *testing.T) {
 	// Determinism and distinctness; plus the RFC property that token and
 	// IDSN come from disjoint parts of the same digest.

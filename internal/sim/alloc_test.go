@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/testutil"
 )
@@ -136,7 +137,7 @@ func fireEmbedded(x any) { x.(*embedded).fired++ }
 func TestTimerInitAllocFree(t *testing.T) {
 	s := New(1)
 	o := &embedded{}
-	bind := func() { o.tm.Init(s, "t", fireEmbedded, o) }
+	bind := func() { o.tm.Init(s, fireEmbedded, o) }
 	bind()
 	o.tm.Reset(time.Microsecond)
 	o.tm.Reset(2 * time.Microsecond)
@@ -152,8 +153,9 @@ func TestTimerInitAllocFree(t *testing.T) {
 	}
 }
 
-// TestTimerPastPanicNamesOwner checks that a timer with a constant name
-// still says whose it is when arming it in the past panics.
+// TestTimerPastPanicNamesOwner checks that a timer, which keeps no name,
+// still says what it runs and whose it is when arming it in the past
+// panics: the callback's symbol and the owner's String.
 func TestTimerPastPanicNamesOwner(t *testing.T) {
 	for _, shards := range []int{0, 1} { // bare simulator, entity clock
 		var c Clock = New(1)
@@ -163,17 +165,29 @@ func TestTimerPastPanicNamesOwner(t *testing.T) {
 			c, run = w.HostClock(0, "h"), func() { w.RunFor(time.Millisecond) }
 		}
 		o := &embedded{}
-		o.tm.Init(c, "tcp.rto", fireEmbedded, o)
+		o.tm.Init(c, fireEmbedded, o)
 		run()
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, `"tcp.rto owner-7"`) {
-					t.Fatalf("shards=%d: panic %q does not name the timer and its owner", shards, msg)
+				if !strings.Contains(msg, `"repro/internal/sim.fireEmbedded owner-7"`) {
+					t.Fatalf("shards=%d: panic %q does not name the callback and its owner", shards, msg)
 				}
 			}()
 			o.tm.ResetAt(0)
 		}()
+	}
+}
+
+// TestEventSize pins the Event at 56 bytes: every tcp.Subflow embeds two
+// (its timers), so each byte here is two on every subflow. The layout is
+// when, ent, seq, fn, arg, an int32 heap index and three flags.
+func TestEventSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz > 56 {
+		t.Fatalf("Event is %d bytes, over its pinned 56", sz)
+	}
+	if sz := unsafe.Sizeof(Timer{}); sz > 72 {
+		t.Fatalf("Timer is %d bytes, over its pinned 72", sz)
 	}
 }
 

@@ -169,7 +169,7 @@ func (c *entityClock) Schedule(when Time, name string, fn func()) *Event {
 	if when < c.sh.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, c.sh.now))
 	}
-	e := &Event{when: when, ent: c.ent, seq: c.next(), fn: fn, name: name}
+	e := &Event{when: when, ent: c.ent, seq: c.next(), fn: callFunc, arg: fn}
 	c.sh.queue.push(e)
 	return e
 }

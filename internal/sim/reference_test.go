@@ -31,12 +31,12 @@ func (h refEventHeap) Less(i, j int) bool {
 }
 func (h refEventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 func (h *refEventHeap) Push(x any) {
 	e := x.(*Event)
-	e.idx = len(*h)
+	e.idx = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *refEventHeap) Pop() any {
@@ -70,7 +70,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 				return
 			}
 		}
-		t.Fatalf("event %q left the heap but was not queued", e.name)
+		t.Fatalf("event (%d,%d,%d) left the heap but was not queued", e.when, e.ent, e.seq)
 	}
 	for step := 0; step < 30000; step++ {
 		switch op := rng.Intn(12); {
@@ -95,12 +95,12 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			p := live[rng.Intn(len(live))]
 			key(p[0])
 			p[1].when, p[1].ent, p[1].seq = p[0].when, p[0].ent, p[0].seq
-			got.fix(p[0].idx)
-			heap.Fix(&ref, p[1].idx)
+			got.fix(int(p[0].idx))
+			heap.Fix(&ref, int(p[1].idx))
 		case op < 10: // remove
 			p := live[rng.Intn(len(live))]
-			got.remove(p[0].idx)
-			heap.Remove(&ref, p[1].idx)
+			got.remove(int(p[0].idx))
+			heap.Remove(&ref, int(p[1].idx))
 			if p[0].idx != -1 {
 				t.Fatalf("step %d: removed event has idx %d, want -1", step, p[0].idx)
 			}
@@ -124,10 +124,10 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			if rng.Intn(2) == 0 { // re-armed: one fix from wherever it sits now
 				key(a)
 				b.when, b.ent, b.seq = a.when, a.ent, a.seq
-				got.fix(a.idx)
+				got.fix(int(a.idx))
 				heap.Push(&ref, b)
 			} else { // stopped or left alone: removed afterwards
-				got.remove(a.idx)
+				got.remove(int(a.idx))
 				unlive(a)
 			}
 		}
@@ -135,7 +135,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			t.Fatalf("step %d: %d queued, container/heap has %d", step, len(got), len(ref))
 		}
 		for i, e := range got {
-			if e.idx != i {
+			if int(e.idx) != i {
 				t.Fatalf("step %d: event at position %d has idx %d", step, i, e.idx)
 			}
 			if i > 0 && eventLess(e, got[(i-1)/heapArity]) {
@@ -167,7 +167,7 @@ type refLoop struct {
 
 func (r *refLoop) arm(e *Event, ent uint64, d time.Duration) {
 	if e.idx >= 0 {
-		heap.Remove(&r.q, e.idx)
+		heap.Remove(&r.q, int(e.idx))
 	}
 	e.when, e.ent, e.seq = r.now.Add(d), ent, r.seq[ent]
 	r.seq[ent]++
@@ -176,18 +176,18 @@ func (r *refLoop) arm(e *Event, ent uint64, d time.Duration) {
 func (r *refLoop) reset(id int, d time.Duration) { r.arm(r.timers[id], r.timers[id].ent, d) }
 func (r *refLoop) stop(id int) {
 	if e := r.timers[id]; e.idx >= 0 {
-		heap.Remove(&r.q, e.idx)
+		heap.Remove(&r.q, int(e.idx))
 	}
 }
 func (r *refLoop) armed(id int) bool { return r.timers[id].idx >= 0 }
 func (r *refLoop) oneShot(ent uint64, id int) {
-	r.arm(&Event{idx: -1, fn: func() { r.fire(id) }}, ent, 0)
+	r.arm(&Event{idx: -1, fn: callFunc, arg: func() { r.fire(id) }}, ent, 0)
 }
 func (r *refLoop) run(until Time) {
 	for len(r.q) > 0 && r.q[0].when <= until {
 		e := heap.Pop(&r.q).(*Event)
 		r.now = e.when
-		e.fn()
+		e.fn(e.arg)
 	}
 }
 
@@ -254,7 +254,7 @@ func TestOwnedDispatchMatchesPopThenPush(t *testing.T) {
 		r.fire = program(r, func() Time { return r.now }, rand.New(rand.NewSource(seed)), &refLog)
 		for id := 0; id < nTimers; id++ {
 			id := id
-			r.timers = append(r.timers, &Event{idx: -1, ent: uint64(1 + id%nEnts), fn: func() { r.fire(id) }})
+			r.timers = append(r.timers, &Event{idx: -1, ent: uint64(1 + id%nEnts), fn: callFunc, arg: func() { r.fire(id) }})
 		}
 
 		l := &simLoop{w: NewWorld(seed, 1)}

@@ -11,6 +11,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"time"
 )
 
@@ -51,28 +53,44 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 //     and recycled immediately after firing — no handle, no cancellation;
 //   - owned events (Timer/Ticker/Relay): embedded in their owner and
 //     re-armed in place for the owner's whole lifetime.
+//
+// Every flavour calls fn(arg); a classic event's func() rides in arg behind
+// callFunc, and boxing a func value allocates nothing. The event keeps no
+// name: only the scheduling-in-the-past panic would read one, and label
+// derives as much from fn's symbol and arg. Every tcp.Subflow embeds two
+// (its timers), which is why the layout is held at 56 bytes (TestEventSize).
 type Event struct {
 	when Time
 	ent  uint64 // owning entity ordinal (0 on a bare Simulator)
 	seq  uint64 // tie-break: FIFO among equal (when, ent)
-	fn   func()
-	idx  int // heap index, -1 once removed
-	name string
+	fn   func(any)
+	arg  any   // fn's state (a pointer or a func value: no boxing)
+	idx  int32 // heap index, -1 once removed
 
-	argFn  func(any) // pooled events and timers: preallocated callback
-	arg    any       // its state (a pointer, no boxing)
-	pooled bool      // recycle onto the free list after firing
-	owned  bool      // callback survives firing (Timer/Ticker/Relay re-arm in place)
-	firing bool      // owned event inside its callback, not re-armed yet
+	pooled bool // recycle onto the free list after firing
+	owned  bool // callback survives firing (Timer/Ticker/Relay re-arm in place)
+	firing bool // owned event inside its callback, not re-armed yet
 }
 
-// label names the event for the scheduling-in-the-past panic: its name,
-// plus the owner behind a timer when that can describe itself.
+// callFunc runs a classic event's, or a NewTimer timer's, func().
+func callFunc(fn any) { fn.(func())() }
+
+// label names the event for the scheduling-in-the-past panic: the symbol of
+// its callback (of the func() a classic event wraps), plus its state when
+// that can describe itself, such as the owner behind a timer.
 func (e *Event) label() string {
-	if s, ok := e.arg.(fmt.Stringer); ok {
-		return e.name + " " + s.String()
+	var fn any = e.fn
+	if f, ok := e.arg.(func()); ok {
+		fn = f
 	}
-	return e.name
+	name := "?"
+	if f := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()); f != nil {
+		name = f.Name()
+	}
+	if s, ok := e.arg.(fmt.Stringer); ok {
+		return name + " " + s.String()
+	}
+	return name
 }
 
 // Cancelled reports whether the event has been cancelled or already fired.
@@ -150,11 +168,11 @@ func (h eventHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = p
 	}
 	h[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }
 
 // down sifts the event at i towards the leaves.
@@ -176,11 +194,11 @@ func (h eventHeap) down(i int) {
 			break
 		}
 		h[i] = h[m]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = m
 	}
 	h[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }
 
 // Simulator owns the virtual clock and the pending event queue.
@@ -252,7 +270,7 @@ func (s *Simulator) Schedule(when Time, name string, fn func()) *Event {
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
 	}
-	e := &Event{when: when, seq: s.Reserve(), fn: fn, name: name}
+	e := &Event{when: when, seq: s.Reserve(), fn: callFunc, arg: fn}
 	s.queue.push(e)
 	return e
 }
@@ -300,7 +318,7 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 		s.evNews++
 		e = &Event{pooled: true}
 	}
-	e.when, e.ent, e.seq, e.name, e.argFn, e.arg = when, ent, seqn, name, fn, arg
+	e.when, e.ent, e.seq, e.fn, e.arg = when, ent, seqn, fn, arg
 	s.queue.push(e)
 }
 
@@ -316,7 +334,7 @@ func (s *Simulator) armOwned(e *Event, when Time, ent, seq uint64) {
 	e.when, e.ent, e.seq = when, ent, seq
 	e.firing = false
 	if e.idx >= 0 {
-		s.queue.fix(e.idx)
+		s.queue.fix(int(e.idx))
 		return
 	}
 	s.queue.push(e)
@@ -331,7 +349,7 @@ func (s *Simulator) cancelOwned(e *Event) {
 	if e.idx < 0 || e.firing {
 		return
 	}
-	s.queue.remove(e.idx)
+	s.queue.remove(int(e.idx))
 }
 
 // Cancel removes a pending event. Cancelling a fired or already-cancelled
@@ -340,8 +358,8 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	s.queue.remove(e.idx)
-	e.fn = nil
+	s.queue.remove(int(e.idx))
+	e.fn, e.arg = nil, nil
 }
 
 // Stop makes Run/RunUntil return after the currently executing event.
@@ -364,29 +382,20 @@ func (s *Simulator) step() bool {
 		// owner re-arming this very event costs one sift from that slot
 		// instead of a removal and a push.
 		e.firing = true
-		if e.argFn != nil {
-			e.argFn(e.arg)
-		} else if e.fn != nil {
-			e.fn()
-		}
+		e.fn(e.arg)
 		if e.firing {
 			e.firing = false
-			s.queue.remove(e.idx)
+			s.queue.remove(int(e.idx))
 		}
 		return true
 	}
 	s.queue.remove(0)
-	if e.argFn != nil {
-		fn, arg := e.argFn, e.arg
-		e.argFn, e.arg = nil, nil
-		fn(arg)
-		if e.pooled && len(s.free) < maxFreeEvents {
-			s.evPuts++
-			s.free = append(s.free, e)
-		}
-	} else if fn := e.fn; fn != nil {
-		e.fn = nil
-		fn()
+	fn, arg := e.fn, e.arg
+	e.fn, e.arg = nil, nil
+	fn(arg)
+	if e.pooled && len(s.free) < maxFreeEvents {
+		s.evPuts++
+		s.free = append(s.free, e)
 	}
 	return true
 }

@@ -14,25 +14,29 @@ type Timer struct {
 	ev    Event
 }
 
-// NewTimer returns a stopped timer that runs fn when it fires.
+// NewTimer returns a stopped timer that runs fn when it fires. name labels
+// the call site only: no timer keeps it (the scheduling-in-the-past panic
+// names fn's symbol instead).
 func NewTimer(c Clock, name string, fn func()) *Timer {
 	t := &Timer{}
-	t.Init(c, name, callFunc, fn)
+	t.Init(c, callFunc, fn)
 	return t
 }
-
-func callFunc(fn any) { fn.(func())() }
 
 // Init binds a Timer embedded in its owner, stopped, to run fn(arg) when
 // it fires. With a package-level fn and the owner as arg, a struct that
 // holds its timers by value creates them without allocating: no Timer
-// object and no bound-method closure. Pass a constant name — it is read
-// only by the scheduling-in-the-past panic, which also prints arg when it
-// is a fmt.Stringer, so the owner's identity costs nothing until then.
-func (t *Timer) Init(c Clock, name string, fn func(any), arg any) {
+// object and no bound-method closure. The timer keeps no name: the
+// scheduling-in-the-past panic names fn's symbol and prints arg when it is
+// a fmt.Stringer, so the owner's identity costs nothing until then.
+func (t *Timer) Init(c Clock, fn func(any), arg any) {
 	t.clock = c
-	t.ev = Event{idx: -1, name: name, argFn: fn, arg: arg, owned: true}
+	t.ev = Event{idx: -1, fn: fn, arg: arg, owned: true}
 }
+
+// Clock reports the clock the timer was bound to, so that an owner holding
+// its timer by value need not keep the clock a second time.
+func (t *Timer) Clock() Clock { return t.clock }
 
 // Reset (re)arms the timer to fire d from now, replacing any pending firing.
 func (t *Timer) Reset(d time.Duration) {
@@ -73,14 +77,15 @@ type Ticker struct {
 	ev     Event
 }
 
-// NewTicker starts a ticker whose first tick is one period from now.
+// NewTicker starts a ticker whose first tick is one period from now. As
+// with NewTimer, name labels the call site only.
 func NewTicker(c Clock, period time.Duration, name string, fn func()) *Ticker {
 	if period < 0 {
 		period = 0
 	}
 	t := &Ticker{clock: c, period: period}
-	t.ev = Event{idx: -1, name: name, owned: true}
-	t.ev.fn = func() {
+	t.ev = Event{idx: -1, fn: callFunc, owned: true}
+	t.ev.arg = func() {
 		// Re-arm before running fn, mirroring the pre-pool behaviour where
 		// the next tick was scheduled ahead of the callback.
 		t.clock.rearmOwned(&t.ev, t.clock.Now().Add(t.period))
@@ -103,6 +108,7 @@ type Relay struct {
 	dst   *Simulator // the loop the event fires on
 	cross *World     // set when the source runs on another shard
 	shard int        // the destination's shard
+	name  string     // labels a cross-shard hand-off's lookahead panic
 	ev    Event
 }
 
@@ -113,7 +119,8 @@ func (r *Relay) Init(src, dst Clock, name string, fn func(any), arg any) {
 	if _, sshard := src.loop(); sshard != r.shard {
 		r.cross = src.world()
 	}
-	r.ev = Event{idx: -1, name: name, argFn: fn, arg: arg, owned: true}
+	r.name = name
+	r.ev = Event{idx: -1, fn: fn, arg: arg, owned: true}
 }
 
 // Hand passes arg to put on the destination's loop, from the source's: at
@@ -124,7 +131,7 @@ func (r *Relay) Hand(when Time, put func(any), arg any) {
 		put(arg)
 		return
 	}
-	r.cross.post(r.shard, crossMsg{when: when, name: r.ev.name, fn: put, arg: arg, hand: true})
+	r.cross.post(r.shard, crossMsg{when: when, name: r.name, fn: put, arg: arg, hand: true})
 }
 
 // Arm keys the relay's event (when, source, seq), a key the source reserved;

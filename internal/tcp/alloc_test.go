@@ -12,10 +12,11 @@ import (
 )
 
 // TestNewSubflowAllocBudget pins what creating a subflow costs: the
-// Subflow. The congestion controller, the estimator and the timers lie in
-// the Subflow, their callbacks are package-level functions and their names
-// constants, where each used to be an object (30 in all with these
-// addresses, most of them the 4-tuple formatted three times over).
+// Subflow, with a standalone one's Shared allocated in the same object. The
+// congestion controller, the estimator and the timers lie in the Subflow
+// and their callbacks are package-level functions, where each used to be an
+// object (30 in all with these addresses, most of them the 4-tuple
+// formatted three times over).
 func TestNewSubflowAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
@@ -37,28 +38,35 @@ func TestNewSubflowAllocBudget(t *testing.T) {
 	if avg != 1 {
 		t.Fatalf("NewSubflow allocates %.0f objects, want 1 (the Subflow)", avg)
 	}
+	// A subflow of an endpoint's Shared is the Subflow alone.
+	var sh Shared
+	sh.Init(Config{}, out)
+	if avg := testing.AllocsPerRun(1000, func() {
+		sf = sh.NewSubflow(s, tup, owner)
+	}); avg != 1 {
+		t.Fatalf("Shared.NewSubflow allocates %.0f objects, want 1 (the Subflow)", avg)
+	}
 	// A connection's re-join reuses the subflow it lost: nothing at all.
-	sf = NewSubflow(s, Config{}, tup, out, owner)
 	if avg := testing.AllocsPerRun(1000, func() {
 		sf.Abort(ECONNABORTED)
-		sf.Reuse(s, Config{}, tup, out, owner)
+		sf.Reuse(s, &sh, tup, owner)
 	}); avg != 0 {
 		t.Fatalf("Reuse allocates %.0f objects, want 0", avg)
 	}
 }
 
-// TestSubflowSizeClass pins the Subflow, its Reno and Config inside, to
-// its 760 bytes. The runtime puts an 8-byte malloc header on a pointerful
-// object this big, so 760 B fills the 768-byte size class exactly; the
-// next class is 896 — 128 bytes more on each of the ≈ 15.5 k subflows a
-// churn iteration allocates (the other 13.3 k it creates reuse a dead
-// one), ≈ +2 MB of its alloc_mb_per_op against a 2 % bound. The pin is the
-// exact size, not the class, so a field added to Subflow or its Config is
-// noticed before the class is spent.
+// TestSubflowSizeClass pins the Subflow, its Reno, estimator and timers
+// inside, to 512 bytes. A pointerful object over 512 B carries an 8-byte
+// malloc header and lands in the 576- or 768-byte class; at 512 it has no
+// header and fills the 512-byte class exactly. A churn iteration allocates
+// ≈ 12.2 k subflows (the others it creates reuse a dead one), so each
+// class step up costs it 0.8 MB or more of alloc_mb_per_op against a 2 %
+// bound. The pin is the exact size, not the class, so a field added to
+// Subflow is noticed before the class is spent.
 func TestSubflowSizeClass(t *testing.T) {
 	var sf Subflow
-	if sz := unsafe.Sizeof(sf); sz > 760 || unsafe.Sizeof(sf.reno) == 0 {
-		t.Fatalf("Subflow is %d bytes, over its pinned 760", sz)
+	if sz := unsafe.Sizeof(sf); sz > 512 || unsafe.Sizeof(sf.reno) == 0 {
+		t.Fatalf("Subflow is %d bytes, over its pinned 512", sz)
 	}
 }
 

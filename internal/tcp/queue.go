@@ -70,41 +70,38 @@ func putChunks(cs []*Chunk) {
 // transition, which is why the chunk flags are written only by the
 // methods below.
 type sendQueue struct {
-	chunks  []*Chunk // the queue: buf[head:]
-	buf     []*Chunk // its backing slice, acked slots included
-	head    int      // acked slots at the front of buf, all nil
-	scratch []*Chunk // result buffer shared by ackThrough and applySACK
+	buf  []*Chunk // the queue is buf[head:]
+	head int      // acked slots at the front of buf, all nil
 
 	inFlight    int // bytes sent, not lost, not sacked (the RFC 6675 "pipe")
 	unsent      int // bytes never transmitted
 	nLost       int // chunks marked lost
-	firstUnsent int // index of the first unsent chunk; len(chunks) if none
+	firstUnsent int // index in all() of the first unsent chunk; len() if none
 }
 
 // push appends a never-sent chunk.
 func (q *sendQueue) push(c *Chunk) {
 	q.buf = append(q.buf, c)
-	q.chunks = q.buf[q.head:]
 	q.unsent += c.Len
 }
-func (q *sendQueue) empty() bool   { return len(q.chunks) == 0 }
-func (q *sendQueue) len() int      { return len(q.chunks) }
-func (q *sendQueue) all() []*Chunk { return q.chunks }
-func (q *sendQueue) front() *Chunk { return q.chunks[0] }
+func (q *sendQueue) empty() bool   { return len(q.buf) == q.head }
+func (q *sendQueue) len() int      { return len(q.buf) - q.head }
+func (q *sendQueue) all() []*Chunk { return q.buf[q.head:] }
+func (q *sendQueue) front() *Chunk { return q.buf[q.head] }
 
 // ackThrough removes chunks fully covered by the cumulative ack and returns
-// them (for RTT sampling and data-level bookkeeping). The returned slice is
-// the per-queue scratch, valid until the next ackThrough or applySACK (the
-// subflow is done with one result before it asks for the next). The queue
-// steps over the acked slots and moves the survivors back to the front of
-// the backing array only once the acked slots outnumber them: an ack costs
-// amortised O(1) however long the flight, and the push/ack steady state
-// never erodes capacity and never reallocates — the send queue's share of
-// the 0 allocs/op data path.
-func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
+// them (for RTT sampling and data-level bookkeeping), appended to into: the
+// caller's scratch, emptied (Shared says why the subflows of one endpoint
+// can share it). The queue steps over the acked slots and moves the
+// survivors back to the front of the backing array only once the acked
+// slots outnumber them: an ack costs amortised O(1) however long the
+// flight, and the push/ack steady state never erodes capacity and never
+// reallocates — the send queue's share of the 0 allocs/op data path.
+func (q *sendQueue) ackThrough(ack uint32, into []*Chunk) []*Chunk {
+	chunks := q.all()
 	i := 0
 	for i < q.firstUnsent { // only sent data can be acknowledged
-		c := q.chunks[i]
+		c := chunks[i]
 		if !seqLEQ(c.SubSeq+uint32(c.Len), ack) {
 			break
 		}
@@ -117,19 +114,17 @@ func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 		i++
 	}
 	if i == 0 {
-		return nil
+		return into
 	}
 	q.firstUnsent -= i
-	acked := append(q.scratch[:0], q.chunks[:i]...)
-	q.scratch = acked
-	clear(q.chunks[:i]) // drop references to chunks headed for the pool
+	acked := append(into, chunks[:i]...)
+	clear(chunks[:i]) // drop references to chunks headed for the pool
 	q.head += i
 	if live := len(q.buf) - q.head; q.head > live {
 		copy(q.buf, q.buf[q.head:])
 		clear(q.buf[live:]) // the slots the survivors left
 		q.buf, q.head = q.buf[:live], 0
 	}
-	q.chunks = q.buf[q.head:]
 	return acked
 }
 
@@ -137,8 +132,8 @@ func (q *sendQueue) ackThrough(ack uint32) []*Chunk {
 // held, for recycling. The backing arrays stay for a reused subflow, whose
 // reset clears them.
 func (q *sendQueue) clear() []*Chunk {
-	cs := q.chunks
-	*q = sendQueue{buf: q.buf[:0], scratch: q.scratch}
+	cs := q.all()
+	*q = sendQueue{buf: q.buf[:0]}
 	return cs
 }
 
@@ -147,15 +142,16 @@ func (q *sendQueue) clear() []*Chunk {
 // SACKed chunks never retransmit. Only while a chunk is marked lost does
 // it scan, and then only the sent prefix.
 func (q *sendQueue) nextToSend() *Chunk {
+	chunks := q.all()
 	if q.nLost > 0 {
-		for _, c := range q.chunks[:q.firstUnsent] {
+		for _, c := range chunks[:q.firstUnsent] {
 			if c.lost {
 				return c
 			}
 		}
 	}
-	if q.firstUnsent < len(q.chunks) {
-		return q.chunks[q.firstUnsent]
+	if q.firstUnsent < len(chunks) {
+		return chunks[q.firstUnsent]
 	}
 	return nil
 }
@@ -181,7 +177,7 @@ func (q *sendQueue) transmitted(c *Chunk, now sim.Time) (retrans bool) {
 			q.inFlight += c.Len
 		}
 	} else {
-		if q.chunks[q.firstUnsent] != c {
+		if q.all()[q.firstUnsent] != c {
 			panic("tcp: first transmission out of queue order")
 		}
 		c.sent = true
@@ -208,17 +204,17 @@ func (q *sendQueue) markLost(c *Chunk) bool {
 // markAllLost flags every sent, un-SACKed chunk for retransmission (after
 // an RTO).
 func (q *sendQueue) markAllLost() {
-	for _, c := range q.chunks[:q.firstUnsent] {
+	for _, c := range q.all()[:q.firstUnsent] {
 		q.markLost(c)
 	}
 }
 
 // applySACK marks chunks covered by the blocks as delivered. It returns the
 // highest sequence number newly SACKed and the newly SACKed chunks (for RTT
-// sampling) in the scratch ackThrough also uses.
-func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) {
-	newly = q.scratch[:0]
-	for _, c := range q.chunks[:q.firstUnsent] {
+// sampling), appended to into, the scratch ackThrough also uses.
+func (q *sendQueue) applySACK(blocks []sackRange, into []*Chunk) (high uint32, newly []*Chunk) {
+	newly = into
+	for _, c := range q.all()[:q.firstUnsent] {
 		if c.sacked {
 			continue
 		}
@@ -240,7 +236,6 @@ func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) 
 			}
 		}
 	}
-	q.scratch = newly
 	return high, newly
 }
 
@@ -254,7 +249,7 @@ func (q *sendQueue) applySACK(blocks []sackRange) (high uint32, newly []*Chunk) 
 // whether any chunk was newly marked.
 func (q *sendQueue) markSACKHoles(highSacked uint32, threshBytes int) bool {
 	marked := false
-	for _, c := range q.chunks[:q.firstUnsent] {
+	for _, c := range q.all()[:q.firstUnsent] {
 		if c.rexmits > 0 {
 			continue
 		}

@@ -118,14 +118,14 @@ func TestSendQueueAckThrough(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pushChunk(&q, uint32(i*100), true)
 	}
-	acked := q.ackThrough(250) // covers chunks 0,1 fully; chunk 2 partially
+	acked := q.ackThrough(250, nil) // covers chunks 0,1 fully; chunk 2 partially
 	if len(acked) != 2 {
 		t.Fatalf("acked %d chunks, want 2", len(acked))
 	}
 	if q.len() != 3 {
 		t.Fatalf("remaining %d, want 3", q.len())
 	}
-	acked = q.ackThrough(500)
+	acked = q.ackThrough(500, nil)
 	if len(acked) != 3 || !q.empty() {
 		t.Fatalf("acked %d, remaining %d", len(acked), q.len())
 	}
@@ -141,6 +141,7 @@ func TestAckThroughMovesAmortised(t *testing.T) {
 	q := sendQueue{}
 	chunks := make([]Chunk, flight*(1+rounds))
 	pushes, acks, moves := 0, 0, 0
+	var scratch []*Chunk
 	push := func() {
 		c := &chunks[pushes]
 		c.SubSeq, c.Len = uint32(pushes*100), 100
@@ -151,8 +152,9 @@ func TestAckThroughMovesAmortised(t *testing.T) {
 	round := func() {
 		for i := 0; i < flight; i++ {
 			head := q.head
-			if got := q.ackThrough(uint32((acks + 1) * 100)); len(got) != 1 || got[0] != &chunks[acks] {
-				t.Fatalf("ack %d returned %d chunks", acks, len(got))
+			scratch = q.ackThrough(uint32((acks+1)*100), scratch[:0])
+			if len(scratch) != 1 || scratch[0] != &chunks[acks] {
+				t.Fatalf("ack %d returned %d chunks", acks, len(scratch))
 			}
 			if q.head != head+1 { // compacted: every survivor moved once
 				moves += q.len()

@@ -15,7 +15,7 @@ import (
 )
 
 func refNextToSend(q *sendQueue) *Chunk {
-	for _, c := range q.chunks {
+	for _, c := range q.all() {
 		if c.sacked {
 			continue
 		}
@@ -28,7 +28,7 @@ func refNextToSend(q *sendQueue) *Chunk {
 
 func refFlight(q *sendQueue) int {
 	n := 0
-	for _, c := range q.chunks {
+	for _, c := range q.all() {
 		if c.sent && !c.lost && !c.sacked {
 			n += c.Len
 		}
@@ -38,7 +38,7 @@ func refFlight(q *sendQueue) int {
 
 func refUnsentBytes(q *sendQueue) int {
 	n := 0
-	for _, c := range q.chunks {
+	for _, c := range q.all() {
 		if !c.sent {
 			n += c.Len
 		}
@@ -59,15 +59,15 @@ func checkSendQueue(t *testing.T, step int, op string, q *sendQueue) {
 	if got, want := q.nextToSend(), refNextToSend(q); got != want {
 		t.Fatalf("step %d (%s): nextToSend = %+v, scan says %+v", step, op, got, want)
 	}
-	lost, firstUnsent := 0, len(q.chunks)
-	for i, c := range q.chunks {
+	lost, firstUnsent := 0, len(q.all())
+	for i, c := range q.all() {
 		if c.lost {
 			lost++
 			if !c.sent || c.sacked {
 				t.Fatalf("step %d (%s): chunk %d lost with sent=%v sacked=%v", step, op, i, c.sent, c.sacked)
 			}
 		}
-		if !c.sent && firstUnsent == len(q.chunks) {
+		if !c.sent && firstUnsent == len(q.all()) {
 			firstUnsent = i
 		}
 		if c.sent && i > firstUnsent {
@@ -116,10 +116,10 @@ func (d *sendQueueDriver) step() string {
 		for n := 1 + d.rng.Intn(2); n > 0; n-- {
 			i := d.rng.Intn(q.firstUnsent)
 			j := i + d.rng.Intn(min(4, q.firstUnsent-i))
-			last := q.chunks[j]
-			d.blocks = append(d.blocks, sackRange{lo: q.chunks[i].SubSeq, hi: last.SubSeq + uint32(last.Len)})
+			last := q.all()[j]
+			d.blocks = append(d.blocks, sackRange{lo: q.all()[i].SubSeq, hi: last.SubSeq + uint32(last.Len)})
 		}
-		high, newly := q.applySACK(d.blocks)
+		high, newly := q.applySACK(d.blocks, nil)
 		if len(newly) > 0 {
 			q.markSACKHoles(high, 2*1460)
 		}
@@ -129,12 +129,12 @@ func (d *sendQueueDriver) step() string {
 			return "ack (nothing sent)"
 		}
 		// Up to the end of a sent chunk, sometimes landing inside it.
-		c := q.chunks[d.rng.Intn(min(6, q.firstUnsent))]
+		c := q.all()[d.rng.Intn(min(6, q.firstUnsent))]
 		ack := c.SubSeq + uint32(c.Len)
 		if d.rng.Intn(4) == 0 {
 			ack -= uint32(d.rng.Intn(c.Len))
 		}
-		q.ackThrough(ack)
+		q.ackThrough(ack, nil)
 		return "ack"
 	case op < 94:
 		q.markAllLost()
@@ -172,10 +172,11 @@ func TestSendQueueSteadyStateAllocFree(t *testing.T) {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
 	var (
-		q      sendQueue
-		next   uint32
-		chunks [16]Chunk
-		blocks = make([]sackRange, 1)
+		q       sendQueue
+		scratch []*Chunk // the Shared's, which the queue results land in
+		next    uint32
+		chunks  [16]Chunk
+		blocks  = make([]sackRange, 1)
 	)
 	window := func() {
 		base := next
@@ -190,12 +191,13 @@ func TestSendQueueSteadyStateAllocFree(t *testing.T) {
 		// The receiver holds everything above a hole at chunk 3; the hole
 		// is inferred, retransmitted and the window acked.
 		blocks[0] = sackRange{lo: base + 400, hi: next}
-		high, _ := q.applySACK(blocks)
+		high, newly := q.applySACK(blocks, scratch[:0])
+		scratch = newly
 		q.markSACKHoles(high, 200)
 		for c := q.nextToSend(); c != nil; c = q.nextToSend() {
 			q.transmitted(c, 0)
 		}
-		if len(q.ackThrough(next)) != len(chunks) || q.flight() != 0 {
+		if scratch = q.ackThrough(next, scratch[:0]); len(scratch) != len(chunks) || q.flight() != 0 {
 			t.Fatal("window was not fully acknowledged")
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // scratchFields are the Subflow fields whose capacity a reused subflow
 // keeps; their contents are compared separately (empty, no stale chunk).
-var scratchFields = map[string]bool{"rcv": true, "sq": true, "sackScratch": true}
+var scratchFields = map[string]bool{"rcv": true, "sq": true}
 
 // TestRecycledSubflowMatchesFresh drives a subflow through the handshake,
 // data, a SACK recovery episode, retransmission timeouts, the peer's FIN
@@ -48,7 +48,7 @@ func TestRecycledSubflowMatchesFresh(t *testing.T) {
 	a := p.a
 	if st := a.Info().Stats; a.State() != StateDead || p.oa.closeReason != ECONNRESET ||
 		st.FastRetrans == 0 || st.Timeouts == 0 || a.backoffs == 0 || !a.finRcvd || !a.closing ||
-		cap(a.sq.buf) == 0 || cap(a.sackScratch) == 0 {
+		cap(a.sq.buf) == 0 || cap(a.sh.sack) == 0 {
 		t.Fatalf("subflow did not go through the whole life: state %v, reason %v, stats %+v, backoffs %d, finRcvd %v, closing %v",
 			a.State(), p.oa.closeReason, st, a.backoffs, a.finRcvd, a.closing)
 	}
@@ -59,9 +59,10 @@ func TestRecycledSubflowMatchesFresh(t *testing.T) {
 	}
 	out := func(*seg.Segment) {}
 	owner := &mockOwner{}
-	cfg := Config{MSS: 1200}
-	a.Reuse(p.s, cfg, tup, out, owner)
-	fresh := NewSubflow(p.s, cfg, tup, out, owner)
+	var sh Shared
+	sh.Init(Config{MSS: 1200}, out)
+	a.Reuse(p.s, &sh, tup, owner)
+	fresh := sh.NewSubflow(p.s, tup, owner)
 
 	if diff := diffSubflows(a, fresh); len(diff) > 0 {
 		t.Fatalf("reused subflow differs from a fresh one in %v", diff)
@@ -71,13 +72,8 @@ func TestRecycledSubflowMatchesFresh(t *testing.T) {
 			t.Fatal("reused send queue still points at a chunk")
 		}
 	}
-	for _, c := range a.sq.scratch[:cap(a.sq.scratch)] {
-		if c != nil {
-			t.Fatal("reused send-queue scratch still points at a chunk")
-		}
-	}
-	if len(a.sq.buf) != 0 || len(a.sq.scratch) != 0 || len(a.rcv.ooo) != 0 || len(a.sackScratch) != 0 ||
-		a.rcv.nxt != 0 || a.sq.chunks != nil || a.sq.head != 0 || a.sq.inFlight != 0 ||
+	if len(a.sq.buf) != 0 || len(a.rcv.ooo) != 0 ||
+		a.rcv.nxt != 0 || a.sq.head != 0 || a.sq.inFlight != 0 ||
 		a.sq.unsent != 0 || a.sq.nLost != 0 || a.sq.firstUnsent != 0 {
 		t.Fatal("reused queues are not empty")
 	}

@@ -28,10 +28,9 @@ const (
 // RTTEstimator implements the RFC 6298 smoothed RTT / RTT variance
 // estimator with Linux's clamping rules.
 type RTTEstimator struct {
-	srtt   time.Duration
+	srtt   time.Duration // 0 until the first sample, > 0 from then on
 	rttvar time.Duration
 	rto    time.Duration
-	seen   bool
 }
 
 // NewRTTEstimator returns an estimator whose RTO starts at InitialRTO.
@@ -45,10 +44,9 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = time.Microsecond
 	}
-	if !e.seen {
+	if e.srtt == 0 {
 		e.srtt = rtt
 		e.rttvar = rtt / 2
-		e.seen = true
 	} else {
 		// RFC 6298: rttvar = 3/4 rttvar + 1/4 |srtt - rtt|
 		//           srtt   = 7/8 srtt   + 1/8 rtt
@@ -78,7 +76,7 @@ func (e *RTTEstimator) RTTVar() time.Duration { return e.rttvar }
 func (e *RTTEstimator) RTO() time.Duration { return e.rto }
 
 // HasSample reports whether at least one measurement has been taken.
-func (e *RTTEstimator) HasSample() bool { return e.seen }
+func (e *RTTEstimator) HasSample() bool { return e.srtt > 0 }
 
 func clampRTO(rto time.Duration) time.Duration {
 	if rto < MinRTO {

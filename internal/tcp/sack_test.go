@@ -203,7 +203,7 @@ func TestSackedChunksNeverRetransmit(t *testing.T) {
 	a := pushChunk(&q, 0, true)
 	b := pushChunk(&q, 100, true)
 	c := pushChunk(&q, 200, true)
-	q.applySACK([]sackRange{{lo: 100, hi: 200}})
+	q.applySACK([]sackRange{{lo: 100, hi: 200}}, nil)
 	q.markAllLost()
 	if b.lost {
 		t.Fatal("SACKed chunk marked lost")
@@ -225,7 +225,7 @@ func TestApplySACKBounds(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pushChunk(&q, uint32(i*100), i < 4) // last unsent
 	}
-	high, newly := q.applySACK([]sackRange{{lo: 100, hi: 300}})
+	high, newly := q.applySACK([]sackRange{{lo: 100, hi: 300}}, nil)
 	if len(newly) != 2 {
 		t.Fatalf("newly = %d, want chunks 1,2", len(newly))
 	}
@@ -233,12 +233,12 @@ func TestApplySACKBounds(t *testing.T) {
 		t.Fatalf("high = %d", high)
 	}
 	// Partial coverage does not SACK a chunk.
-	_, newly = q.applySACK([]sackRange{{lo: 300, hi: 350}})
+	_, newly = q.applySACK([]sackRange{{lo: 300, hi: 350}}, nil)
 	if len(newly) != 0 {
 		t.Fatal("partially covered chunk SACKed")
 	}
 	// Unsent chunks are never SACKed (data the peer cannot have).
-	_, newly = q.applySACK([]sackRange{{lo: 400, hi: 500}})
+	_, newly = q.applySACK([]sackRange{{lo: 400, hi: 500}}, nil)
 	if len(newly) != 0 {
 		t.Fatal("unsent chunk SACKed")
 	}
@@ -249,7 +249,7 @@ func TestMarkSACKHolesThreshold(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pushChunk(&q, uint32(i*100), true)
 	}
-	q.applySACK([]sackRange{{lo: 500, hi: 600}})
+	q.applySACK([]sackRange{{lo: 500, hi: 600}}, nil)
 	// Threshold 200: only chunks ending ≤ 400 qualify (0..3).
 	if !q.markSACKHoles(600, 200) {
 		t.Fatal("no holes marked")

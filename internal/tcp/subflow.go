@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/seg"
@@ -9,7 +10,7 @@ import (
 )
 
 // State is the subflow TCP state (a pragmatic subset of RFC 793).
-type State int
+type State uint8
 
 // Subflow states.
 const (
@@ -116,9 +117,14 @@ type Config struct {
 	MSS           int    // payload bytes per segment (default 1380)
 	InitialWindow int    // initial cwnd in segments (default 10)
 	RcvWnd        uint32 // advertised receive window bytes (default 4 MiB)
-	MaxBackoffs   int    // consecutive RTO backoffs before death (default 15)
-	SynRetries    int    // SYN (or SYN+ACK) retransmissions before death (default 6)
+	MaxBackoffs   int    // consecutive RTO backoffs before death (default 15, at most maxRetries)
+	SynRetries    int    // SYN (or SYN+ACK) retransmissions before death (default 6, at most maxRetries)
 }
+
+// maxRetries bounds MaxBackoffs and SynRetries: a subflow counts both in a
+// byte, as Linux does (icsk_backoff, icsk_retransmits), and the count runs
+// one past the limit before the subflow dies.
+const maxRetries = math.MaxUint8 - 1
 
 func (c Config) withDefaults() Config {
 	if c.MSS == 0 {
@@ -136,7 +142,49 @@ func (c Config) withDefaults() Config {
 	if c.SynRetries == 0 {
 		c.SynRetries = 6
 	}
+	c.MaxBackoffs = min(c.MaxBackoffs, maxRetries)
+	c.SynRetries = min(c.SynRetries, maxRetries)
 	return c
+}
+
+// Shared is what every subflow of one endpoint has in common: the
+// configuration, defaults applied once, the output, and the scratch buffers
+// an ACK is processed in. An mptcp.Endpoint holds one by value, so each of
+// its subflows pays one pointer for it and no allocation.
+//
+// The scratch cannot be re-entered. A subflow fills it only while it
+// handles an inbound ACK (processSACK, then processAck, both reached only
+// from HandleSegment) and is done with it when HandleSegment returns.
+// Inside that span it calls its owner (OnAckAdvance, and OnClosed if it
+// dies), and the owner may push onto, close or abort any subflow of the
+// endpoint: all of that sends, and none of it handles a segment. Segments
+// reach a subflow only from the network's own events, never from inside
+// another subflow's call, so no two subflows of one Shared are inside
+// HandleSegment at once. An Output that delivered synchronously into a
+// subflow of the same Shared would break this; netem never does.
+type Shared struct {
+	cfg Config
+	out Output
+
+	chunks []*Chunk    // ackThrough's and applySACK's result
+	sack   []sackRange // the SACK blocks of the segment being handled
+}
+
+// Init sets up a Shared for subflows configured by cfg that transmit
+// through out.
+func (sh *Shared) Init(cfg Config, out Output) {
+	*sh = Shared{cfg: cfg.withDefaults(), out: out}
+}
+
+// Config reports the configuration, with its defaults applied.
+func (sh *Shared) Config() Config { return sh.cfg }
+
+// NewSubflow creates a subflow bound to tuple that shares sh; see the
+// package-level NewSubflow.
+func (sh *Shared) NewSubflow(c sim.Clock, tuple seg.FourTuple, owner Owner) *Subflow {
+	sf := new(Subflow)
+	sf.init(c, sh, tuple, owner)
+	return sf
 }
 
 // Stats counts subflow activity (a subset of what TCP_INFO exposes).
@@ -152,26 +200,29 @@ type Stats struct {
 }
 
 // Subflow is one TCP subflow of a Multipath TCP connection.
+//
+// At 512 bytes it fills the 512-byte size class with no malloc header
+// (TestSubflowSizeClass), one byte more moves every subflow up a class, so
+// what the subflows of an endpoint share sits behind sh, the clock is read
+// through rtoTimer, and the counters whose bound is structural are bytes.
 type Subflow struct {
-	sim    sim.Clock
-	cfg    Config
-	out    Output
-	owner  Owner
-	tuple  seg.FourTuple
-	backup bool
+	sh    *Shared
+	owner Owner
+	tuple seg.FourTuple
 
 	// Address IDs used in MP_JOIN / ADD_ADDR bookkeeping.
 	LocalAddrID  uint8
 	RemoteAddrID uint8
 
-	state State
+	state  State
+	backup bool
 
-	iss, irs uint32 // initial send / receive sequence numbers
-	sndUna   uint32
-	sndNxt   uint32
-	rcv      rcvQueue
-	peerWnd  uint32
-	pushNxt  uint32 // next subflow sequence number to assign to pushed data
+	iss     uint32 // initial send sequence number
+	sndUna  uint32
+	sndNxt  uint32
+	rcv     rcvQueue
+	peerWnd uint32
+	pushNxt uint32 // next subflow sequence number to assign to pushed data
 
 	sq sendQueue
 	// The congestion controller, the estimator and the timers live in the
@@ -182,82 +233,79 @@ type Subflow struct {
 	// rtoTimer is the SYN retransmission timer until the handshake ends
 	// and the data RTO from then on: becomeEstablished stops the one before
 	// anything can arm the other, so the two never needed an Event each.
-	rtoTimer  sim.Timer
-	paceTimer sim.Timer
-	backoffs  int
-	dupAcks   int
+	rtoTimer   sim.Timer
+	paceTimer  sim.Timer
+	backoffs   uint8
+	dupAcks    uint8
+	synRexmits uint8
 
 	// SACK-based loss recovery (RFC 2018 / RFC 6675).
 	inRecovery    bool
 	recoveryPoint uint32
 	highSacked    uint32
 
-	synRexmits int
-	synSentAt  sim.Time
-	estabAt    sim.Time
-
 	closing  bool // local Close requested
 	finSent  bool
 	finAcked bool
 	finRcvd  bool
 	finSeq   uint32
-	stats    Stats
+	tid      uint32 // trace entity id, with tsh
 
-	sackScratch []sackRange // reused per-ACK SACK block buffer
+	synSentAt sim.Time
+	estabAt   sim.Time
+	stats     Stats
 
 	// Trace recording (nil shard = tracing off; every hook is a
 	// nil-guarded store into a preallocated ring, never an allocation).
 	tsh *trace.Shard
-	tid uint32
 }
 
-// NewSubflow creates a subflow bound to tuple. It starts closed; call
-// Connect for the active side or HandleSegment with the peer's SYN for the
-// passive side.
+// NewSubflow creates a subflow bound to tuple, with a Shared of its own
+// allocated with it: still one object. It starts closed; call Connect for
+// the active side or HandleSegment with the peer's SYN for the passive side.
 func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) *Subflow {
-	sf := new(Subflow)
-	sf.init(c, cfg, tuple, out, owner)
-	return sf
+	own := new(struct {
+		Subflow
+		sh Shared
+	})
+	own.sh.Init(cfg, out)
+	own.init(c, &own.sh, tuple, owner)
+	return &own.Subflow
 }
 
-// Reuse turns a dead subflow into what NewSubflow(c, cfg, tuple, out,
-// owner) would return, allocating nothing. The
-// caller must own the only live handle: every holder of the old one was
-// done with it when the event that ran its OnClosed returned (Owner).
-func (sf *Subflow) Reuse(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) {
+// Reuse turns a dead subflow into what sh.NewSubflow(c, tuple, owner) would
+// return, allocating nothing. The caller must own the only live handle:
+// every holder of the old one was done with it when the event that ran its
+// OnClosed returned (Owner).
+func (sf *Subflow) Reuse(c sim.Clock, sh *Shared, tuple seg.FourTuple, owner Owner) {
 	if sf.state != StateDead {
 		panic("tcp: Reuse of a subflow that is not dead: " + sf.String())
 	}
-	sf.init(c, cfg, tuple, out, owner)
+	sf.init(c, sh, tuple, owner)
 }
 
 // init resets every field, as a fresh allocation would have them, and
-// keeps only the capacity of the scratch buffers and queue backing arrays
-// (cleared, so a reused subflow holds no stale chunk).
-func (sf *Subflow) init(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) {
-	cfg = cfg.withDefaults()
-	buf, scratch := sf.sq.buf[:0], sf.sq.scratch[:0]
+// keeps only the capacity of the queues' backing arrays (cleared, so a
+// reused subflow holds no stale chunk).
+func (sf *Subflow) init(c sim.Clock, sh *Shared, tuple seg.FourTuple, owner Owner) {
+	buf, ooo := sf.sq.buf[:0], sf.rcv.ooo[:0]
 	clear(buf[:cap(buf)])
-	clear(scratch[:cap(scratch)])
-	ooo, sack := sf.rcv.ooo[:0], sf.sackScratch[:0]
 	*sf = Subflow{
-		sim:         c,
-		cfg:         cfg,
-		out:         out,
-		owner:       owner,
-		tuple:       tuple,
-		rcv:         rcvQueue{ooo: ooo},
-		peerWnd:     cfg.RcvWnd,
-		sq:          sendQueue{buf: buf, scratch: scratch},
-		reno:        *NewReno(cfg.MSS, cfg.InitialWindow),
-		rtt:         *NewRTTEstimator(),
-		sackScratch: sack,
+		sh:      sh,
+		owner:   owner,
+		tuple:   tuple,
+		rcv:     rcvQueue{ooo: ooo},
+		peerWnd: sh.cfg.RcvWnd,
+		sq:      sendQueue{buf: buf},
+		reno:    *NewReno(sh.cfg.MSS, sh.cfg.InitialWindow),
+		rtt:     *NewRTTEstimator(),
 	}
-	// Constant names: a name is read only when scheduling in the past
-	// panics, and that message gets the tuple from String below.
-	sf.rtoTimer.Init(c, "tcp.rto", fireRTO, sf)
-	sf.paceTimer.Init(c, "tcp.pace", firePace, sf)
+	sf.rtoTimer.Init(c, fireRTO, sf)
+	sf.paceTimer.Init(c, firePace, sf)
 }
+
+// clock is the subflow's clock, which its timers hold already.
+func (sf *Subflow) clock() sim.Clock { return sf.rtoTimer.Clock() }
 
 // The timer callbacks are package-level functions taking the subflow, so
 // binding them allocates no method closure.
@@ -295,7 +343,7 @@ func (sf *Subflow) traceCC() {
 	if sf.tsh == nil {
 		return
 	}
-	sf.tsh.Rec(sf.sim.Now(), trace.KCC, sf.tid,
+	sf.tsh.Rec(sf.clock().Now(), trace.KCC, sf.tid,
 		uint64(sf.rtt.SRTT()), uint32(sf.sq.flight()), uint64(sf.reno.Cwnd()), 0)
 }
 
@@ -310,7 +358,7 @@ func (sf *Subflow) Backup() bool { return sf.backup }
 func (sf *Subflow) SetBackup(b bool) { sf.backup = b }
 
 // MSS reports the configured segment payload size.
-func (sf *Subflow) MSS() int { return sf.cfg.MSS }
+func (sf *Subflow) MSS() int { return sf.sh.cfg.MSS }
 
 // SynSentAt reports when the SYN was first transmitted (Fig. 3 measures
 // from this instant).
@@ -330,11 +378,11 @@ func (sf *Subflow) SRTT() time.Duration { return sf.rtt.SRTT() }
 // CurrentRTO reports the retransmission timeout now in force, including
 // exponential backoff — the value the paper's timeout event reports.
 func (sf *Subflow) CurrentRTO() time.Duration {
-	return BackoffRTO(sf.rtt.RTO(), sf.backoffs)
+	return BackoffRTO(sf.rtt.RTO(), int(sf.backoffs))
 }
 
 // Backoffs reports the consecutive RTO backoff count.
-func (sf *Subflow) Backoffs() int { return sf.backoffs }
+func (sf *Subflow) Backoffs() int { return int(sf.backoffs) }
 
 // Flight reports bytes in flight (sent, unacked, not marked lost).
 func (sf *Subflow) Flight() int { return sf.sq.flight() }
@@ -393,7 +441,7 @@ func (sf *Subflow) Info() Info {
 		SRTT:          sf.rtt.SRTT(),
 		RTTVar:        sf.rtt.RTTVar(),
 		RTO:           sf.CurrentRTO(),
-		Backoffs:      sf.backoffs,
+		Backoffs:      int(sf.backoffs),
 		PacingRate:    sf.PacingRate(),
 		Flight:        sf.Flight(),
 		QueuedUnsent:  sf.QueuedUnsent(),
@@ -410,11 +458,11 @@ func (sf *Subflow) Connect() {
 	if sf.state != StateClosed {
 		return
 	}
-	sf.iss = uint32(sf.sim.Rand().Int63())
+	sf.iss = uint32(sf.clock().Rand().Int63())
 	sf.sndUna = sf.iss
 	sf.sndNxt = sf.iss + 1
 	sf.state = StateSynSent
-	sf.synSentAt = sf.sim.Now()
+	sf.synSentAt = sf.clock().Now()
 	sf.sendSYN()
 	sf.armSynTimer()
 }
@@ -429,7 +477,7 @@ func (sf *Subflow) sendSYN() {
 	s.Tuple = sf.tuple
 	s.Seq = sf.iss
 	s.Flags = seg.SYN
-	s.Window = sf.cfg.RcvWnd
+	s.Window = sf.sh.cfg.RcvWnd
 	st := StageSYN
 	if sf.state == StateSynRcvd {
 		s.Ack = sf.rcv.nxt
@@ -448,7 +496,7 @@ func (sf *Subflow) sendHandshakeACK() {
 	ack.Seq = sf.sndNxt
 	ack.Ack = sf.rcv.nxt
 	ack.Flags = seg.ACK
-	ack.Window = sf.cfg.RcvWnd
+	ack.Window = sf.sh.cfg.RcvWnd
 	ack.AppendOptions(sf.owner.HandshakeOptions(sf, StageACK))
 	sf.transmit(ack)
 }
@@ -463,11 +511,10 @@ func (sf *Subflow) handleSYN(s *seg.Segment) {
 	case Ignore:
 		return
 	}
-	sf.synSentAt = sf.sim.Now()
-	sf.irs = s.Seq
+	sf.synSentAt = sf.clock().Now()
 	sf.rcv.nxt = s.Seq + 1
 	sf.peerWnd = s.Window
-	sf.iss = uint32(sf.sim.Rand().Int63())
+	sf.iss = uint32(sf.clock().Rand().Int63())
 	sf.sndUna = sf.iss
 	sf.sndNxt = sf.iss + 1
 	sf.state = StateSynRcvd
@@ -477,7 +524,7 @@ func (sf *Subflow) handleSYN(s *seg.Segment) {
 
 func (sf *Subflow) armSynTimer() {
 	d := InitialRTO
-	for i := 0; i < sf.synRexmits; i++ {
+	for i := 0; i < int(sf.synRexmits); i++ {
 		d *= 2
 	}
 	sf.rtoTimer.Reset(d)
@@ -488,7 +535,7 @@ func (sf *Subflow) onSynTimeout() {
 		return
 	}
 	sf.synRexmits++
-	if sf.synRexmits > sf.cfg.SynRetries {
+	if int(sf.synRexmits) > sf.sh.cfg.SynRetries {
 		sf.die(ETIMEDOUT)
 		return
 	}
@@ -576,7 +623,7 @@ func (sf *Subflow) paceGap(segLen int) (time.Duration, bool) {
 }
 
 func (sf *Subflow) sendChunk(c *Chunk) {
-	retrans := sf.sq.transmitted(c, sf.sim.Now())
+	retrans := sf.sq.transmitted(c, sf.clock().Now())
 	if retrans {
 		sf.stats.Retrans++
 		sf.stats.BytesRetrans += uint64(c.Len)
@@ -598,7 +645,7 @@ func (sf *Subflow) sendChunk(c *Chunk) {
 	s.Seq = c.SubSeq
 	s.Ack = sf.rcv.nxt
 	s.Flags = seg.ACK | seg.PSH
-	s.Window = sf.cfg.RcvWnd
+	s.Window = sf.sh.cfg.RcvWnd
 	s.PayloadLen = c.Len
 	dss := s.ScratchDSS()
 	dss.HasMap = true
@@ -626,7 +673,7 @@ func (sf *Subflow) maybeSendFIN() {
 	fin.Seq = sf.finSeq
 	fin.Ack = sf.rcv.nxt
 	fin.Flags = seg.FIN | seg.ACK
-	fin.Window = sf.cfg.RcvWnd
+	fin.Window = sf.sh.cfg.RcvWnd
 	sf.transmit(fin)
 }
 
@@ -636,7 +683,7 @@ func (sf *Subflow) sendAck() {
 	s.Seq = sf.sndNxt
 	s.Ack = sf.rcv.nxt
 	s.Flags = seg.ACK
-	s.Window = sf.cfg.RcvWnd
+	s.Window = sf.sh.cfg.RcvWnd
 	if ack, ok := sf.owner.CurrentDataAck(); ok {
 		d := s.ScratchDSS()
 		d.HasDataAck = true
@@ -665,7 +712,7 @@ func (sf *Subflow) SendOptions(opts ...seg.Option) {
 	s.Seq = sf.sndNxt
 	s.Ack = sf.rcv.nxt
 	s.Flags = seg.ACK
-	s.Window = sf.cfg.RcvWnd
+	s.Window = sf.sh.cfg.RcvWnd
 	s.Options = append(s.Options, opts...)
 	sf.transmit(s)
 }
@@ -675,7 +722,7 @@ func (sf *Subflow) SendOptions(opts ...seg.Option) {
 // segment pool once handled).
 func (sf *Subflow) transmit(s *seg.Segment) {
 	sf.stats.SegsSent++
-	sf.out(s)
+	sf.sh.out(s)
 }
 
 // --- Close paths ---
@@ -735,7 +782,7 @@ func (sf *Subflow) die(reason Errno) {
 func (sf *Subflow) HandleSegment(s *seg.Segment) {
 	sf.stats.SegsRcvd++
 	if sf.tsh != nil {
-		sf.tsh.Rec(sf.sim.Now(), trace.KRecv, sf.tid, uint64(s.Seq), uint32(s.PayloadLen), uint64(s.Ack), 0)
+		sf.tsh.Rec(sf.clock().Now(), trace.KRecv, sf.tid, uint64(s.Seq), uint32(s.PayloadLen), uint64(s.Ack), 0)
 	}
 	switch sf.state {
 	case StateClosed:
@@ -772,13 +819,12 @@ func (sf *Subflow) handleSynSent(s *seg.Segment) {
 	case Ignore:
 		return
 	}
-	sf.irs = s.Seq
 	sf.rcv.nxt = s.Seq + 1
 	sf.sndUna = s.Ack
 	sf.peerWnd = s.Window
 	if sf.synRexmits == 0 {
 		// The SYN↔SYN+ACK exchange is a clean RTT sample (Karn holds).
-		sf.rtt.Sample(time.Duration(sf.sim.Now() - sf.synSentAt))
+		sf.rtt.Sample(time.Duration(sf.clock().Now() - sf.synSentAt))
 	}
 	// The third handshake ACK must be transmitted before OnEstablished
 	// runs: a path manager may react by opening a join, and that SYN must
@@ -812,7 +858,7 @@ func (sf *Subflow) handleSynRcvd(s *seg.Segment) {
 	sf.sndUna = s.Ack
 	sf.peerWnd = s.Window
 	if sf.synRexmits == 0 {
-		sf.rtt.Sample(time.Duration(sf.sim.Now() - sf.synSentAt))
+		sf.rtt.Sample(time.Duration(sf.clock().Now() - sf.synSentAt))
 	}
 	sf.becomeEstablished()
 	if s.PayloadLen > 0 || len(s.Options) > 0 {
@@ -822,7 +868,7 @@ func (sf *Subflow) handleSynRcvd(s *seg.Segment) {
 
 func (sf *Subflow) becomeEstablished() {
 	sf.state = StateEstablished
-	sf.estabAt = sf.sim.Now()
+	sf.estabAt = sf.clock().Now()
 	sf.synRexmits = 0
 	sf.rtoTimer.Stop() // the SYN timer; see the field
 	sf.pushNxt = sf.sndNxt
@@ -875,14 +921,15 @@ func (sf *Subflow) processAck(s *seg.Segment) {
 	sf.processSACK(s)
 	switch {
 	case seqLT(sf.sndUna, s.Ack) && seqLEQ(s.Ack, sf.sndNxt):
-		acked := sf.sq.ackThrough(s.Ack)
+		acked := sf.sq.ackThrough(s.Ack, sf.sh.chunks[:0])
+		sf.sh.chunks = acked
 		payloadAcked := 0
 		for _, c := range acked {
 			payloadAcked += c.Len
 			// Chunks SACKed earlier were timed at SACK arrival; timing
 			// them again here would fold in queue-wait, not path RTT.
 			if c.rexmits == 0 && !c.sacked {
-				sf.rtt.Sample(time.Duration(sf.sim.Now() - c.sentAt))
+				sf.rtt.Sample(time.Duration(sf.clock().Now() - c.sentAt))
 			}
 		}
 		sf.stats.BytesAcked += uint64(payloadAcked)
@@ -905,7 +952,9 @@ func (sf *Subflow) processAck(s *seg.Segment) {
 		// the OnAckAdvance callback, so they go back to the pool.
 		putChunks(acked)
 	case s.Ack == sf.sndUna && sf.sq.flight() > 0 && s.PayloadLen == 0 && !s.Is(seg.SYN) && !s.Is(seg.FIN):
-		sf.dupAcks++
+		if sf.dupAcks < math.MaxUint8 { // saturates: only the third one counts
+			sf.dupAcks++
+		}
 		if sf.dupAcks == 3 && !sf.inRecovery {
 			sf.fastRetransmit()
 		}
@@ -920,12 +969,13 @@ func (sf *Subflow) processSACK(s *seg.Segment) {
 	if sk == nil || len(sk.Blocks) == 0 {
 		return
 	}
-	blocks := sf.sackScratch[:0]
+	blocks := sf.sh.sack[:0]
 	for _, b := range sk.Blocks {
 		blocks = append(blocks, sackRange{lo: b.Lo, hi: b.Hi})
 	}
-	sf.sackScratch = blocks[:0]
-	high, newly := sf.sq.applySACK(blocks)
+	sf.sh.sack = blocks
+	high, newly := sf.sq.applySACK(blocks, sf.sh.chunks[:0])
+	sf.sh.chunks = newly
 	if len(newly) == 0 {
 		return
 	}
@@ -933,13 +983,13 @@ func (sf *Subflow) processSACK(s *seg.Segment) {
 		if c.rexmits == 0 {
 			// A fresh SACK is a clean delivery timestamp: sample RTT now,
 			// not when the cumulative ACK finally sweeps past.
-			sf.rtt.Sample(time.Duration(sf.sim.Now() - c.sentAt))
+			sf.rtt.Sample(time.Duration(sf.clock().Now() - c.sentAt))
 		}
 	}
 	if seqLT(sf.highSacked, high) {
 		sf.highSacked = high
 	}
-	if sf.sq.markSACKHoles(sf.highSacked, 2*sf.cfg.MSS) && !sf.inRecovery {
+	if sf.sq.markSACKHoles(sf.highSacked, 2*sf.sh.cfg.MSS) && !sf.inRecovery {
 		sf.inRecovery = true
 		sf.recoveryPoint = sf.sndNxt
 		sf.stats.FastRetrans++
@@ -1025,11 +1075,11 @@ func (sf *Subflow) onRTO() {
 	sf.dupAcks = 0
 	sf.inRecovery = false // the RTO supersedes any SACK recovery episode
 	rto := sf.CurrentRTO()
-	sf.owner.OnTimeout(sf, rto, sf.backoffs)
+	sf.owner.OnTimeout(sf, rto, int(sf.backoffs))
 	if sf.state == StateDead {
 		return // the owner (path manager) may have removed us
 	}
-	if sf.backoffs > sf.cfg.MaxBackoffs {
+	if int(sf.backoffs) > sf.sh.cfg.MaxBackoffs {
 		sf.die(ETIMEDOUT)
 		return
 	}
@@ -1040,7 +1090,7 @@ func (sf *Subflow) onRTO() {
 		fin.Seq = sf.finSeq
 		fin.Ack = sf.rcv.nxt
 		fin.Flags = seg.FIN | seg.ACK
-		fin.Window = sf.cfg.RcvWnd
+		fin.Window = sf.sh.cfg.RcvWnd
 		sf.stats.Retrans++
 		sf.transmit(fin)
 		sf.restartRTO()
