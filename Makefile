@@ -176,10 +176,12 @@ smoke-shards:
 # between two identical runs is a determinism regression. The committed
 # example manifests (examples/manifests/) are also run twice and diffed,
 # gating the manifest loader and the sweep cell layout end to end. The
-# final fleet and ctlstress pairs run with -metrics, so the diff also
-# covers the captured metrics snapshots — fleet's metrics.json and the
+# fleet and ctlstress pairs run with -metrics, so the diff also covers the
+# captured metrics snapshots — fleet's metrics.json and the
 # metrics.json.immediate/.coalesced a two-run spec writes (wall-clock-tagged
-# metrics excluded, everything else compared at tolerance 0).
+# metrics excluded, everything else compared at tolerance 0). The last pair
+# runs fig2b over two seeds, so the diff pairs the result.json.seed1 and
+# result.json.seed2 each multi-seed run stores.
 smoke-workspace:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -209,7 +211,12 @@ smoke-workspace:
 	  $$bin run ctlstress -smoke -metrics >/dev/null; \
 	  $$bin run ctlstress -smoke -metrics >/dev/null; \
 	  test -s .mpexp/runs/ctlstress-003/metrics.json.coalesced; \
-	  $$bin diff ctlstress-003 ctlstress-004 ); \
+	  $$bin diff ctlstress-003 ctlstress-004; \
+	  echo "== workspace smoke: fig2b -seeds 2 (run twice + diff result.json.seed<N>)"; \
+	  $$bin run fig2b -smoke -seeds 2 >/dev/null; \
+	  $$bin run fig2b -smoke -seeds 2 >/dev/null; \
+	  test -s .mpexp/runs/fig2b-003/result.json.seed2; \
+	  $$bin diff fig2b-003 fig2b-004 ); \
 	rm -rf $$ws
 
 # Parent-vs-change gate for a refactor that must keep every simulated
@@ -225,9 +232,11 @@ smoke-workspace:
 # cell directory by cell directory, and the stdout each side printed
 # compared with cmp (a difference is sized as lines added and removed; a
 # sweep report prints no wall-clock scalar, so every stdout is compared).
-# The scenario and manifest lists are the working tree's. A scenario only
-# one side registers, and a manifest over such a scenario, cannot be
-# compared: it is named, not failed on. Every other pair is compared;
+# The scenario and manifest lists are the working tree's, and each side
+# runs its own copy of a manifest, spelled as its loader reads it. A
+# scenario only one side registers, and a manifest only the working tree
+# has or over such a scenario, cannot be compared: it is named, not
+# failed on. Every other pair is compared;
 # under each run that differs the keys that do are listed, and the target
 # fails at the end if any did — so a change that is meant to move some
 # runtime counters (and nothing else) can show exactly that. One kind of
@@ -235,6 +244,11 @@ smoke-workspace:
 # a `pool_*` metric. Those count free-list traffic — how the allocator was
 # used, not what was simulated — and move whenever an event or buffer
 # starts or stops being pooled.
+#
+# A REF from before multi-seed runs stored one result.json.seed<N> per seed
+# (it stored one summary.json) differs on fig2b-004 in result shape only:
+# its result.json.seed1 and result.json.seed2 are "only in B", and its
+# stdout is identical.
 smoke-ref:
 	@test -n "$(REF)" || { echo "usage: make smoke-ref REF=<commit>"; exit 2; }
 	@set -e; \
@@ -252,7 +266,9 @@ smoke-ref:
 	manifests=; \
 	for m in $$(cd examples/manifests && ls *.json | sed 's/\.json$$//'); do \
 		scn=$$(sed -n 's/.*"scenario": *"\([^"]*\)".*/\1/p' examples/manifests/$$m.json); \
-		if echo "$$names" | grep -qx "$$scn"; then \
+		if [ ! -f $$tmp/ref/examples/manifests/$$m.json ]; then \
+			echo "== smoke-ref: manifest $$m only in the working tree, not compared"; \
+		elif echo "$$names" | grep -qx "$$scn"; then \
 			manifests="$$manifests $$m"; \
 		else \
 			echo "== smoke-ref: manifest $$m runs $$scn, which only one side has, not compared"; \
@@ -260,6 +276,8 @@ smoke-ref:
 	done; \
 	for side in ref head; do \
 		bin=$$tmp/mpexp-$$side; \
+		mdir=$(CURDIR)/examples/manifests; \
+		if [ $$side = ref ]; then mdir=$$tmp/ref/examples/manifests; fi; \
 		mkdir $$tmp/$$side-ws; \
 		( cd $$tmp/$$side-ws; $$bin init >/dev/null; \
 		  for s in $$names; do \
@@ -275,7 +293,7 @@ smoke-ref:
 		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -set trace >fig2a-004.out 2>/dev/null; \
 		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -metrics >fig2a-005.out 2>/dev/null; \
 		  for m in $$manifests; do \
-			$$bin run $(CURDIR)/examples/manifests/$$m.json >$$m-001.out 2>/dev/null; \
+			$$bin run $$mdir/$$m.json >$$m-001.out 2>/dev/null; \
 		  done ); \
 	done; \
 	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2;"; \

@@ -471,11 +471,10 @@ func (c *cli) cmdAll(args []string) error {
 			}
 			// One trace/metrics file per entry, so the sequential runs
 			// don't overwrite each other's output.
-			if m.TraceFile != "" {
-				m.TraceFile += "." + m.Name
-			}
-			if m.MetricsFile != "" {
-				m.MetricsFile += "." + m.Name
+			for _, key := range scenario.ArtifactKeys {
+				if f := m.Params[key]; f != "" {
+					m.Params[key] = scenario.PartFile(f, m.Name)
+				}
 			}
 			if err := c.execute(rf, m); err != nil {
 				var exit exitError

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/smapp"
 	"repro/internal/workspace"
@@ -196,7 +198,7 @@ func TestRejections(t *testing.T) {
 		{"unknown scenario", []string{"run", "nosuch", "-ws", "none"}, 2, "unknown scenario"},
 		{"unknown parameter", []string{"run", "fig2a", "-set", "nosuch=1", "-ws", "none"}, 2, "unknown parameter"},
 		{"unknown scheduler", []string{"run", "fig2a", "-sched", "bogus", "-ws", "none"}, 2, "unknown scheduler"},
-		{"bad reserved value", []string{"run", "fig2a", "-set", "shards=two", "-ws", "none"}, 2, "shards"},
+		{"bad shards value", []string{"run", "fig2a", "-set", "shards=two", "-ws", "none"}, 2, "shards"},
 		{"unknown flag", []string{"run", "fig2a", "-nosuch"}, 2, "flag provided but not defined"},
 		{"malformed axis", []string{"sweep", "fig2a", "-vary", "loss", "-ws", "none"}, 2, "malformed -vary"},
 	} {
@@ -214,44 +216,45 @@ func TestRejections(t *testing.T) {
 }
 
 // The three mode rules and the one-directory-per-cell rule are each stated
-// once, below every way of asking: a flag, a -set pair, a manifest field
-// and a sweep axis must be refused with the same words and the same exit
-// status.
+// once, below every way of asking: a flag, a -set pair, a manifest (its
+// params, its seeds and its sweep block) and a sweep axis must be refused
+// with the same words and the same exit status.
 func TestModeRulesReachEveryRoute(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "fig2a.json") // the name the flag routes run under
 	tr := filepath.Join(dir, "t")
 	for _, rule := range []struct {
 		wantErr string
-		fields  string              // the manifest-field route
+		params  string              // the manifest route: its params,
+		fields  string              // and its other fields
 		routes  map[string][]string // the command-line routes
 	}{
-		{"trace with 2 seeds would write one trace from every seed", `"seeds": 2, "trace_file": "t"`,
+		{"trace with 2 seeds would write one trace from every seed", `, "trace": "t"`, `, "seeds": 2`,
 			map[string][]string{
 				"flag": {"fig2a", "-smoke", "-seeds", "2", "-trace", tr},
 				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "trace=" + tr},
 				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "trace=" + tr + "1," + tr + "2"},
 			}},
-		{"metrics with 2 seeds would mix the process-wide pool counters", `"seeds": 2, "metrics": true`,
+		{"metrics with 2 seeds would mix the process-wide pool counters", `, "metrics": ""`, `, "seeds": 2`,
 			map[string][]string{
 				"flag": {"fig2a", "-smoke", "-seeds", "2", "-metrics"},
 				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "metrics"},
 				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "metrics=" + tr + "1.json," + tr + "2.json"},
 			}},
-		{"tracing is single-shard only (got shards=2)", `"trace": true, "shards": 2`,
+		{"tracing is single-shard only (got shards=2)", `, "trace": "", "shards": 2`, "",
 			map[string][]string{
 				"flag": {"fig2a", "-smoke", "-trace", tr, "-shards", "2"},
 				"-set": {"fig2a", "-smoke", "-set", "trace", "-set", "shards=2"},
 				"axis": {"fig2a", "-smoke", "-trace", tr, "-vary", "shards=1,2"},
 			}},
 		{`cells "policy=backup" and "policy=backup" both resolve to cell id "policy-backup"`,
-			`"sweep": {"controllers": ["backup", "backup"]}`,
+			"", `, "sweep": {"controllers": ["backup", "backup"]}`,
 			map[string][]string{
 				"flag": {"fig2a", "-smoke", "-controllers", "backup,backup"},
 				"axis": {"fig2a", "-smoke", "-vary", "policy=backup,backup"},
 			}},
 	} {
-		doc := `{"scenario": "fig2a", "params": {"smoke": true}, ` + rule.fields + `}`
+		doc := `{"scenario": "fig2a", "params": {"smoke": true` + rule.params + `}` + rule.fields + `}`
 		if err := os.WriteFile(file, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -276,5 +279,75 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 	// Shards stay a legitimate axis.
 	if out := mustRun(t, "sweep", "fig2a", "-smoke", "-vary", "shards=1,2,4", "-ws", "none"); !strings.Contains(out, "3 cells") {
 		t.Errorf("-vary shards=1,2,4 did not run three cells:\n%s", out)
+	}
+}
+
+// Every key `list -json` names as common is an ordinary parameter: a
+// manifest sets each of them in its params, plans and runs, and stores the
+// result.json, metrics.json and trace the same run spelled with flags and
+// -set stores. The metrics are compared without their wall-clock-tagged
+// entries (pool misses depend on what earlier runs left in the pools).
+func TestCommonParamsInManifest(t *testing.T) {
+	var listing struct {
+		CommonParams []struct{ Key string } `json:"common_params"`
+	}
+	if err := json.Unmarshal([]byte(mustRun(t, "list", "-json")), &listing); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ws, err := workspace.Init(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The manifest's value of each key, and the flag or -set pair that
+	// spells it on the command line. Files are named relative to dir.
+	spell := map[string]struct {
+		value string
+		flags []string
+	}{
+		"smoke":     {"true", []string{"-smoke"}},
+		"trace":     {`"m.trace"`, []string{"-trace", "f.trace"}},
+		"trace_cap": {"4096", []string{"-set", "trace_cap=4096"}},
+		"metrics":   {`"m.metrics.json"`, []string{"-metrics-out", "f.metrics.json"}},
+		"shards":    {"1", []string{"-shards", "1"}},
+	}
+	var params []string
+	args := []string{"run", "fig2a", "-ws", ws.Root}
+	for _, p := range listing.CommonParams {
+		s, ok := spell[p.Key]
+		if !ok {
+			t.Fatalf("common parameter %q has no spelling in this test", p.Key)
+		}
+		params = append(params, fmt.Sprintf("%q: %s", p.Key, s.value))
+		args = append(args, s.flags...)
+	}
+	manifest := filepath.Join(dir, "common.json")
+	doc := `{"scenario": "fig2a", "params": {` + strings.Join(params, ", ") + `}}`
+	if err := os.WriteFile(manifest, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	mustRun(t, "run", manifest, "-ws", ws.Root)
+	mustRun(t, args...)
+	if a, b := readFile(t, ws.RunDir("common-001"), workspace.ResultFile),
+		readFile(t, ws.RunDir("fig2a-001"), workspace.ResultFile); a != b {
+		t.Error("result.json differs between the manifest and the flags")
+	}
+	canonical := func(file string) string {
+		s, err := metrics.Decode([]byte(readFile(t, dir, file)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := s.Canonical().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
+	}
+	if canonical("m.metrics.json") != canonical("f.metrics.json") {
+		t.Error("metrics.json differs between the manifest and the flags")
+	}
+	if a, b := mustRun(t, "report", "m.trace", "-json"), mustRun(t, "report", "f.trace", "-json"); a != b {
+		t.Error("the traces' report -json differs between the manifest and the flags")
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/mptcp"
@@ -49,9 +51,10 @@ func resolveWorkspace(wsFlag string) (*workspace.Workspace, error) {
 // arg names, or a fresh manifest for the scenario arg names, with every
 // -set pair and every flag the user actually passed (flag.Visit) layered
 // on top — the file is the default, the command line wins, and a flag
-// beats a -set of the same knob. A flag-driven run and its equivalent
-// manifest file are therefore the same Manifest and produce
-// byte-identical reports and result.json files.
+// beats a -set of the same knob. Every flag but -seed and -seeds writes a
+// parameter, so a flag-driven run and its equivalent manifest file are
+// the same Manifest and produce byte-identical reports and result.json
+// files.
 func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
 	m := &scenario.Manifest{Name: arg, Scenario: arg}
 	if isManifestPath(arg) {
@@ -67,9 +70,11 @@ func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	for k, v := range sets.Map() {
-		if err := m.Set(k, v); err != nil {
-			return nil, err
+	maps.Copy(m.Params, sets.Map())
+	// on turns a bare artifact parameter on, keeping a file already named.
+	on := func(key string) {
+		if _, set := m.Params[key]; !set {
+			m.Params[key] = ""
 		}
 	}
 	rf.fs.Visit(func(f *flag.Flag) {
@@ -79,23 +84,27 @@ func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
 		case "seeds":
 			m.Seeds = *rf.seeds
 		case "shards":
-			m.Shards = *rf.shards
+			m.Params["shards"] = strconv.Itoa(*rf.shards)
 		case "sched":
 			m.Params["sched"] = *rf.sched
 		case "controller":
 			m.Params["policy"] = *rf.controller
 		case "smoke":
-			m.Params["smoke"] = fmt.Sprint(*rf.smoke)
+			m.Params["smoke"] = strconv.FormatBool(*rf.smoke)
 		case "trace":
-			m.Trace, m.TraceFile = true, *rf.trace
+			m.Params["trace"] = *rf.trace
 		case "metrics":
-			m.Metrics = *rf.metrics
+			if *rf.metrics {
+				on("metrics")
+			} else {
+				delete(m.Params, "metrics")
+			}
 		case "metrics-out":
-			m.Metrics, m.MetricsFile = true, *rf.metricsOut
+			m.Params["metrics"] = *rf.metricsOut
 		case "metrics-addr":
 			// Runtime-only: the endpoint serves whatever run is live, but
 			// the registry only exists on a metered run.
-			m.Metrics = true
+			on("metrics")
 		}
 	})
 	return m, nil

@@ -21,9 +21,6 @@ import (
 // the pick in here.
 type Redundant struct{}
 
-// Name implements Scheduler.
-func (Redundant) Name() string { return "redundant" }
-
 // Pick implements Scheduler by returning the primary copy's subflow
 // (lowest RTT among the usable set, which is LowestRTT's pick), so
 // Redundant degrades gracefully if a caller ignores PickAll.

@@ -16,8 +16,6 @@ import (
 // experiments can sweep every known policy; the built-ins are "lowest-rtt",
 // "round-robin", "redundant" and "weighted-rtt".
 type Scheduler interface {
-	// Name identifies the scheduler in experiment output.
-	Name() string
 	// Pick returns the subflow to send on, or nil if none can take data
 	// now. want is the chunk size the connection would like to place.
 	Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow
@@ -56,9 +54,6 @@ func backupsAllowed(subflows []*tcp.Subflow) bool {
 // Non-backup subflows always win over backup subflows.
 type LowestRTT struct{}
 
-// Name implements Scheduler.
-func (LowestRTT) Name() string { return "lowest-rtt" }
-
 // Pick implements Scheduler.
 func (LowestRTT) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
 	pick := func(backup bool) *tcp.Subflow {
@@ -92,9 +87,6 @@ func (LowestRTT) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {
 type RoundRobin struct {
 	last int
 }
-
-// Name implements Scheduler.
-func (*RoundRobin) Name() string { return "round-robin" }
 
 // Pick implements Scheduler.
 func (r *RoundRobin) Pick(subflows []*tcp.Subflow, want int) *tcp.Subflow {

@@ -170,8 +170,8 @@ func TestSchedulerRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := f(rand.New(rand.NewSource(1))); s.Name() != "lowest-rtt" {
-		t.Fatalf("empty name resolved to %q", s.Name())
+	if s := f(rand.New(rand.NewSource(1))); s != (LowestRTT{}) {
+		t.Fatalf("empty name resolved to %T, want LowestRTT", s)
 	}
 	if _, err := LookupScheduler("no-such-sched"); err == nil {
 		t.Fatal("unknown scheduler did not error")

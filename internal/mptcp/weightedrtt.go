@@ -21,9 +21,6 @@ type WeightedRTT struct {
 // NewWeightedRTT builds the scheduler around a deterministic source.
 func NewWeightedRTT(rng *rand.Rand) *WeightedRTT { return &WeightedRTT{rng: rng} }
 
-// Name implements Scheduler.
-func (*WeightedRTT) Name() string { return "weighted-rtt" }
-
 // minWeightRTT floors the SRTT used for weighting: a subflow with no RTT
 // sample yet (SRTT 0) would otherwise get infinite weight and starve
 // every measured path.

@@ -30,7 +30,8 @@ func (m *Multi) ScalarSummary() map[string]*stats.Sample {
 }
 
 // WallKeys unions the wall-clock scalar tags of every successful seed
-// (stats.Result.MarkWallClock), sorted — what SummaryData.Wall stores.
+// (stats.Result.MarkWallClock), sorted — the scalars a sweep report
+// leaves out.
 func (m *Multi) WallKeys() []string {
 	set := make(map[string]struct{})
 	for _, sr := range m.PerSeed {

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
 // A Manifest is the on-disk declarative form of one experiment: the
-// scenario to run, its typed parameters, the seeds/shards/trace settings,
-// and (optionally) sweep axes — everything `mpexp run`/`sweep` would
-// otherwise take as flags, as one reviewable, committable JSON file.
+// scenario to run, its typed parameters, the seeds, and (optionally) sweep
+// axes — everything `mpexp run`/`sweep` would otherwise take as flags, as
+// one reviewable, committable JSON file.
 //
 // Manifests load through the exact same typed-Params validation as `-set`
 // flags: unknown scenarios, unknown parameter keys, and unparseable
@@ -31,39 +30,16 @@ type Manifest struct {
 	// Scenario is the registered scenario to run (required).
 	Scenario string `json:"scenario"`
 	// Params are the scenario's key=value knobs — exactly what `-set`
-	// carries. The reserved keys "trace", "trace_cap", "shards", and
-	// "metrics" must use the dedicated manifest fields instead.
+	// carries, including the keys Build reads for every scenario: "trace"
+	// and "metrics" (a file path; "" names none, and a workspace run then
+	// stores the file in its run or cell directory), "trace_cap" and
+	// "shards".
 	Params ParamValues `json:"params,omitempty"`
 
 	// Seed is the base simulation seed (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Seeds is the number of independent seeds (0 = 1).
 	Seeds int `json:"seeds,omitempty"`
-	// Shards is the worker-loop count per simulation (0 = 1; results are
-	// bit-identical at any count).
-	Shards int `json:"shards,omitempty"`
-
-	// Trace records an event trace. In a workspace run the trace file
-	// lands in the run (or sweep-cell) directory; outside one, TraceFile
-	// names it. Tracing is single-seed and single-shard.
-	Trace bool `json:"trace,omitempty"`
-	// TraceFile overrides where the trace is written (empty = decided by
-	// the runner: the workspace cell directory, or in-memory analysis
-	// only). Setting it implies Trace.
-	TraceFile string `json:"trace_file,omitempty"`
-	// TraceCap bounds each trace ring shard (0 = default).
-	TraceCap int `json:"trace_cap,omitempty"`
-
-	// Metrics records runtime metrics. In a workspace run the metrics.json
-	// lands in the run (or sweep-cell) directory; outside one, MetricsFile
-	// names it. Metrics are per-run and single-seed (the object pools are
-	// process-wide, so concurrent seeds would bleed into each other's
-	// counters), but work at any shard count.
-	Metrics bool `json:"metrics,omitempty"`
-	// MetricsFile overrides where metrics.json is written (empty = decided
-	// by the runner: the workspace cell directory, or report-only). Setting
-	// it implies Metrics.
-	MetricsFile string `json:"metrics_file,omitempty"`
 
 	// Sweep, when present, crosses the scenario over schedulers ×
 	// controllers × parameter axes; each cell runs Seeds seeds.
@@ -83,34 +59,6 @@ type ManifestSweep struct {
 type ManifestAxis struct {
 	Key    string     `json:"key"`
 	Values AxisValues `json:"values"`
-}
-
-// Set stores one knob the way `-set key=value` spells it: scenario
-// parameters go to Params, and the reserved keys land on the manifest
-// field that owns them (trace[=FILE], trace_cap=N, shards=N,
-// metrics[=FILE]) — so the command line can keep saying `-set shards=2`
-// while every run is a Manifest.
-func (m *Manifest) Set(key, val string) error {
-	var err error
-	switch key {
-	case "trace":
-		m.Trace, m.TraceFile = true, val
-	case "metrics":
-		m.Metrics, m.MetricsFile = true, val
-	case "trace_cap":
-		m.TraceCap, err = strconv.Atoi(val)
-	case "shards":
-		m.Shards, err = strconv.Atoi(val)
-	default:
-		if m.Params == nil {
-			m.Params = make(map[string]string)
-		}
-		m.Params[key] = val
-	}
-	if err != nil {
-		return fmt.Errorf("manifest %s: parameter %s=%q: %v", m.RunName(), key, val, err)
-	}
-	return nil
 }
 
 // scalar is one parameter value as a manifest may spell it: a JSON
@@ -164,8 +112,8 @@ func (av *AxisValues) UnmarshalJSON(buf []byte) error {
 }
 
 // ParseManifest decodes manifest JSON. Decoding is strict — unknown
-// fields anywhere in the document are errors, so a typo ("shard" for
-// "shards") cannot silently change what runs — but semantic validation
+// fields anywhere in the document are errors, so a typo ("param" for
+// "params") cannot silently change what runs — but semantic validation
 // (registered scenario, parameter keys/values) happens in Plan, so
 // callers can distinguish "not a manifest" from "a manifest that asks
 // for something invalid".
@@ -180,9 +128,6 @@ func ParseManifest(buf []byte) (*Manifest, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("manifest: trailing data after the JSON document")
 	}
-	// Naming a file implies the artifact.
-	m.Trace = m.Trace || m.TraceFile != ""
-	m.Metrics = m.Metrics || m.MetricsFile != ""
 	return m, nil
 }
 

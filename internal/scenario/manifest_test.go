@@ -42,7 +42,7 @@ const (
 	}`
 	traceSweepDoc = `{
 		"scenario": "test-manifest-bulk",
-		"trace_file": "/tmp/x.trace",
+		"params": {"trace": "/tmp/x.trace"},
 		"sweep": {
 			"schedulers": ["lowest-rtt", "round-robin"],
 			"vary": [
@@ -57,6 +57,7 @@ var manifestRejects = []struct {
 	name, doc, wantErr string
 }{
 	{"unknown top-level field", `{"scenario": "x", "shard": 4}`, "shard"},
+	{"trace outside params", `{"scenario": "x", "trace": true}`, "trace"},
 	{"unknown sweep field", `{"scenario": "x", "sweep": {"contollers": ["a"]}}`, "contollers"},
 	{"trailing data", `{"scenario": "x"} {"scenario": "y"}`, "trailing"},
 	{"array param value", `{"scenario": "x", "params": {"bytes": [1, 2]}}`, "string, number, or boolean"},
@@ -71,7 +72,7 @@ var manifestRejects = []struct {
 func FuzzManifestLoad(f *testing.F) {
 	f.Add([]byte(valueFormsDoc))
 	f.Add([]byte(traceSweepDoc))
-	f.Add([]byte(`{"name": "n", "scenario": "s", "seed": 3, "seeds": 4, "shards": 2, "trace": true, "trace_cap": 9, "metrics_file": "m.json"}`))
+	f.Add([]byte(`{"name": "n", "scenario": "s", "seed": 3, "seeds": 4, "params": {"shards": 2, "trace": "", "trace_cap": 9, "metrics": "m.json"}}`))
 	f.Add([]byte(`{"scenario": "s", "sweep": {"vary": [{"key": "k"}, {"key": "l", "values": []}]}}`)) // found by the fuzzer: null vs []
 	for _, tc := range manifestRejects {
 		f.Add([]byte(tc.doc))
@@ -117,14 +118,14 @@ func TestParseManifestValueForms(t *testing.T) {
 	}
 }
 
-// Setting trace_file implies trace; sweep axes keep file order.
+// A trace file is an ordinary parameter; sweep axes keep file order.
 func TestParseManifestTraceAndSweep(t *testing.T) {
 	m, err := ParseManifest([]byte(traceSweepDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Trace || m.TraceFile != "/tmp/x.trace" {
-		t.Fatalf("trace_file did not imply Trace: %+v", m)
+	if got, ok := m.Params["trace"]; !ok || got != "/tmp/x.trace" {
+		t.Fatalf("trace parameter = %q (set %v), want /tmp/x.trace", got, ok)
 	}
 	if len(m.Sweep.Vary) != 2 || m.Sweep.Vary[0].Key != "bytes" || m.Sweep.Vary[1].Key != "rate" {
 		t.Fatalf("vary axes out of order: %+v", m.Sweep.Vary)
@@ -168,22 +169,20 @@ func TestManifestValidateRejects(t *testing.T) {
 	}{
 		{"missing scenario", &Manifest{}, "missing required field"},
 		{"unknown scenario", &Manifest{Scenario: "nosuch"}, "unknown scenario"},
-		{"reserved trace param", &Manifest{Scenario: "test-manifest-bulk",
-			Params: map[string]string{"trace": "f"}}, "reserved"},
-		{"reserved shards param", &Manifest{Scenario: "test-manifest-bulk",
-			Params: map[string]string{"shards": "4"}}, "reserved"},
-		{"reserved trace_cap param", &Manifest{Scenario: "test-manifest-bulk",
-			Params: map[string]string{"trace_cap": "9"}}, "reserved"},
+		{"bad shards value", &Manifest{Scenario: "test-manifest-bulk",
+			Params: map[string]string{"shards": "four"}}, "shards"},
+		{"bad trace_cap value", &Manifest{Scenario: "test-manifest-bulk",
+			Params: map[string]string{"trace": "", "trace_cap": "nine"}}, "trace_cap"},
 		{"negative seed", &Manifest{Scenario: "test-manifest-bulk", Seed: -1}, "non-negative"},
 		{"negative seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: -2}, "non-negative"},
 		{"trace with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
-			Trace: true, Seeds: 4}, "trace with 4 seeds"},
+			Params: map[string]string{"trace": ""}, Seeds: 4}, "trace with 4 seeds"},
 		{"metrics with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
-			Metrics: true, Seeds: 2}, "metrics with 2 seeds"},
+			Params: map[string]string{"metrics": ""}, Seeds: 2}, "metrics with 2 seeds"},
 		{"trace axis with multiple seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: 2,
 			Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "trace", Values: []string{"a", "b"}}}}}, "trace with 2 seeds"},
 		{"trace with shards", &Manifest{Scenario: "test-manifest-bulk",
-			Trace: true, Shards: 4}, "single-shard"},
+			Params: map[string]string{"trace": "", "shards": "4"}}, "single-shard"},
 		{"unknown param key", &Manifest{Scenario: "test-manifest-bulk",
 			Params: map[string]string{"bites": "1"}}, "bites"},
 		{"bad param value", &Manifest{Scenario: "test-manifest-bulk",
@@ -203,9 +202,8 @@ func TestManifestValidateRejects(t *testing.T) {
 func TestManifestValidateOK(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
-		Params:   map[string]string{"bytes": "1024", "rate": "25e6"},
+		Params:   map[string]string{"bytes": "1024", "rate": "25e6", "shards": "2"},
 		Seeds:    3,
-		Shards:   2,
 	}
 	if _, err := m.Plan(nil); err != nil {
 		t.Fatal(err)
@@ -292,14 +290,13 @@ func TestManifestSnapshot(t *testing.T) {
 	}
 }
 
-// The plan's cell carries params + shards, and arms tracing — with the
-// caller-placed file — only on a manifest that asks for it.
+// The plan's cell carries every parameter as the manifest spells it, and
+// places the trace file — with the caller's place — only on a manifest
+// that asks for one.
 func TestManifestBuildAndTraceParams(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
-		Params:   map[string]string{"bytes": "1024"},
-		Shards:   4,
-		TraceCap: 99,
+		Params:   map[string]string{"bytes": "1024", "shards": "4", "trace_cap": "99"},
 	}
 	place := func(_, key, _ string) string { return "/tmp/" + key }
 	params := func() *Params {
@@ -311,13 +308,14 @@ func TestManifestBuildAndTraceParams(t *testing.T) {
 		return cells[0].Params
 	}
 	p := params()
-	if p.Has("trace") || p.Has("trace_cap") || p.Has("metrics") {
+	if p.Has("trace") || p.Has("metrics") {
 		t.Fatal("the plan armed tracing or metrics on a manifest that enables neither")
 	}
 	if got := p.Clone().Int("shards", 0, ""); got != 4 {
 		t.Fatalf("shards = %d, want 4", got)
 	}
-	m.Trace, m.Shards = true, 0 // tracing is single-shard
+	m.Params["trace"] = ""
+	delete(m.Params, "shards") // tracing is single-shard
 	p = params()
 	if got := p.Clone().Str("trace", "", ""); got != "/tmp/trace" {
 		t.Fatalf("trace = %q", got)

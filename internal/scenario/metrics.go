@@ -23,18 +23,16 @@ type MetricsSpec struct {
 // EnableMetrics arms metrics on every run of a spec and appends the
 // metrics probe that folds the registry snapshot into the report and
 // writes the metrics.json file. Multi-run specs write one file per run,
-// suffixed with the run's label (the same convention as EnableTrace);
-// file "" collects and renders without writing a file. Build calls this
-// for the `metrics=` parameter every registered scenario accepts.
+// the PartFile of the run's label (as EnableTrace does); file "" collects
+// and renders without writing a file. Build calls this for the `metrics=`
+// parameter every registered scenario accepts.
 func EnableMetrics(sp *Spec, file string) {
 	multi := len(sp.Runs) > 1
 	for _, rs := range sp.Runs {
 		f := file
 		title := "Runtime metrics"
 		if multi && rs.Label != "" {
-			if f != "" {
-				f += "." + sanitizeLabel(rs.Label)
-			}
+			f = PartFile(f, rs.Label)
 			title += " — " + rs.Label
 		}
 		rs.Metrics = &MetricsSpec{File: f}

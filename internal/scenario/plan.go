@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -20,21 +19,45 @@ type Cell struct {
 }
 
 // CellID derives the canonical filesystem-safe identifier of a sweep
-// cell from its axis overrides ("key=value" in axis order). It is THE
-// one place cell naming happens: per-cell trace-file suffixes and
-// workspace cell directories both derive from it, so the two can never
-// skew. The empty cell (no axes) is "defaults".
+// cell from its axis overrides ("key=value" in axis order): the cell's
+// workspace directory and the part its named files carry (PartFile). The
+// empty cell (no axes) is "defaults".
 func CellID(overrides []string) string {
 	if len(overrides) == 0 {
 		return "defaults"
 	}
-	return sanitizeLabel(strings.Join(overrides, "_"))
+	return SafeName(strings.Join(overrides, "_"))
 }
 
-// reservedParamKeys are manifest fields that must not be smuggled in as
-// scenario parameters: the dedicated fields exist so Plan can resolve
-// them (file placement, shard plumbing) uniformly.
-var reservedParamKeys = []string{"trace", "trace_cap", "shards", "metrics"}
+// PartFile is the one naming rule for a level that writes several files
+// where one would do — a plan's cells, a spec's runs, `mpexp all`'s
+// entries, a workspace's seeds: file, a dot, and the part made safe as a
+// filename ("trace" and cell "loss-0.1" make "trace.loss-0.1"). An empty
+// file names nothing and stays empty.
+func PartFile(file, part string) string {
+	if file == "" {
+		return ""
+	}
+	return file + "." + SafeName(part)
+}
+
+// SafeName makes a label safe as a filename or a part of one: every rune
+// but ASCII letters, digits, '-', '_' and '.' becomes '-'. Cell ids, file
+// parts and workspace run directories are all spelled with it.
+func SafeName(label string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '_', r == '.':
+			return r
+		}
+		return '-'
+	}, label)
+}
+
+// ArtifactKeys are the parameters that name a file a run writes; Plan
+// gives each cell its own.
+var ArtifactKeys = [...]string{"trace", "metrics"}
 
 // Plan resolves the manifest, once, into the ordered cells it runs: the
 // cross product of the sweep axes — Schedulers (as "sched"), then
@@ -42,29 +65,25 @@ var reservedParamKeys = []string{"trace", "trace_cap", "shards", "metrics"}
 // or the single "defaults" cell of a manifest without a sweep block, so a
 // run is a one-cell sweep.
 //
-// It is the only place that enumerates axes, that turns the manifest's
-// Shards/Trace/TraceFile/TraceCap/Metrics/MetricsFile fields into the
-// keys Build consumes, and that states the two seeds rules; it checks
+// It is the only place that enumerates axes, that places each cell's
+// trace and metrics files, and that states the two seeds rules; it checks
 // them against each cell's resolved Params, so a flag, a `-set`, a
-// manifest field and a sweep axis all meet the same check. Every cell is
-// built once, through the Build path `-set` flags take: the first unknown
-// scenario or parameter key, bad value, trace/shard conflict, or pair of
-// cells that would share one id aborts the plan before anything simulates.
+// manifest parameter and a sweep axis all meet the same check. Every cell
+// is built once, through the Build path `-set` flags take: the first
+// unknown scenario or parameter key, bad value, trace/shard conflict, or
+// pair of cells that would share one id aborts the plan before anything
+// simulates.
 //
 // place names the file a cell's trace (key "trace") or metrics (key
-// "metrics") is written to. named is what the manifest itself says: its
-// TraceFile/MetricsFile, suffixed with the cell id when the plan has
-// several cells so they cannot overwrite each other, "" when it names
-// none. A nil place keeps named; "" records in memory / into the report
-// only.
+// "metrics") is written to, for each of the two the manifest's Params
+// set. named is what the manifest itself says: the parameter's value,
+// made the cell's PartFile when the plan has several cells so they cannot
+// overwrite each other, "" when it names none. A nil place keeps named;
+// "" records in memory / into the report only. A sweep axis over either
+// key sets its value as it is.
 func (m *Manifest) Plan(place func(cellID, key, named string) string) ([]Cell, error) {
 	if m.Scenario == "" {
 		return nil, fmt.Errorf("manifest %s: missing required field \"scenario\"", m.RunName())
-	}
-	for _, k := range reservedParamKeys {
-		if _, clash := m.Params[k]; clash {
-			return nil, fmt.Errorf("manifest %s: parameter %q is reserved; use the top-level %q field", m.RunName(), k, k)
-		}
 	}
 	if m.Seed < 0 {
 		return nil, fmt.Errorf("manifest %s: seed %d: must be non-negative", m.RunName(), m.Seed)
@@ -84,33 +103,25 @@ func (m *Manifest) Plan(place func(cellID, key, named string) string) ([]Cell, e
 			c.Label = "(defaults)"
 		}
 		// The id names the cell's directory and file suffixes: a repeated
-		// axis value, or two values sanitizeLabel folds together, would
+		// axis value, or two values SafeName folds together, would
 		// have the later cell overwrite the earlier one's artifacts.
 		if first, dup := labelOf[c.ID]; dup {
 			return nil, fmt.Errorf("manifest %s: cells %q and %q both resolve to cell id %q", m.RunName(), first, c.Label, c.ID)
 		}
 		labelOf[c.ID] = c.Label
 		p := c.Params
-		if m.Shards != 0 {
-			p.Set("shards", strconv.Itoa(m.Shards))
-		}
-		artifact := func(key, named string) {
-			if named != "" && len(cross) > 1 {
-				named += "." + c.ID
+		for _, key := range ArtifactKeys {
+			named, on := m.Params[key]
+			if !on {
+				continue
+			}
+			if len(cross) > 1 {
+				named = PartFile(named, c.ID)
 			}
 			if place != nil {
 				named = place(c.ID, key, named)
 			}
 			p.Set(key, named)
-		}
-		if m.Trace {
-			artifact("trace", m.TraceFile)
-			if m.TraceCap != 0 {
-				p.Set("trace_cap", strconv.Itoa(m.TraceCap))
-			}
-		}
-		if m.Metrics {
-			artifact("metrics", m.MetricsFile)
 		}
 		for _, kv := range overrides {
 			k, v, _ := strings.Cut(kv, "=")

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/trace"
 )
@@ -19,7 +18,7 @@ type TraceSpec struct {
 
 // EnableTrace arms tracing on every run of a spec and appends the trace
 // probe that folds the analysis summaries into the Result and writes
-// the trace file. Multi-run specs write one file per run, suffixed with
+// the trace file. Multi-run specs write one file per run, the PartFile of
 // the run's label; file "" records and analyses without writing a file.
 // Build calls this for the `trace=`/`trace_cap=` parameters every
 // registered scenario accepts, so any scenario (and any sweep cell) can
@@ -30,26 +29,12 @@ func EnableTrace(sp *Spec, file string, cap int) {
 		f := file
 		prefix := "trace_"
 		if multi && rs.Label != "" {
-			if f != "" {
-				f += "." + sanitizeLabel(rs.Label)
-			}
-			prefix = sanitizeLabel(rs.Label) + "_trace_"
+			f = PartFile(f, rs.Label)
+			prefix = SafeName(rs.Label) + "_trace_"
 		}
 		rs.Trace = &TraceSpec{File: f, Cap: cap}
 		rs.Probes = append(rs.Probes, traceProbe(f, prefix))
 	}
-}
-
-// sanitizeLabel makes a run label safe as a filename suffix.
-func sanitizeLabel(label string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '-'
-	}, label)
 }
 
 // traceProbe is the Trace probe kind: Collect snapshots the run's

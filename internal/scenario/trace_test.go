@@ -101,8 +101,8 @@ func TestSweepTracePerCell(t *testing.T) {
 	base := filepath.Join(dir, "sweep.trace")
 	m := &Manifest{
 		Scenario: "trace-sweep-test",
-		Trace:    true, TraceFile: base,
-		Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "knob", Values: []string{"a", "b"}}}},
+		Params:   ParamValues{"trace": base},
+		Sweep:    &ManifestSweep{Vary: []ManifestAxis{{Key: "knob", Values: []string{"a", "b"}}}},
 	}
 	cells, _ := runPlan(t, m)
 	if len(cells) != 2 {

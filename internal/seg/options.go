@@ -39,6 +39,8 @@ func (s Subtype) String() string {
 		return "MP_FAIL"
 	case SubFastClose:
 		return "MP_FASTCLOSE"
+	case SubSACK:
+		return "SACK"
 	}
 	return fmt.Sprintf("MPTCP(0x%x)", uint8(s))
 }

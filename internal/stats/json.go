@@ -6,14 +6,16 @@ import (
 )
 
 // This file is the stable on-disk encoding of experiment results: the
-// `result.json` (one simulation run) and `summary.json` (multi-seed
-// aggregate) files an experiment workspace stores per run directory.
-// The encoding is deterministic for a given Result — encoding/json sorts
-// map keys, slices keep insertion order, and float64 values render with
-// Go's shortest round-trippable representation — so two runs of the same
-// scenario at the same seed produce byte-identical files, and `mpexp
-// diff` can compare run directories scalar-by-scalar with confidence
-// that any byte difference is a real numeric difference.
+// `result.json` an experiment workspace stores for one simulated seed —
+// in the run directory for a single seed, as `result.json.seed<N>` for
+// seed N of several (the cross-seed aggregate is the rendered
+// report.txt). The encoding is deterministic for a given Result —
+// encoding/json sorts map keys, slices keep insertion order, and float64
+// values render with Go's shortest round-trippable representation — so
+// two runs of the same scenario at the same seed produce byte-identical
+// files, and `mpexp diff` can compare run directories seed by seed and
+// scalar by scalar with confidence that any byte difference is a real
+// numeric difference.
 
 // ResultData is the serializable form of one Result. Samples flatten to
 // their raw observations (insertion order); the rendered report text is
@@ -84,61 +86,6 @@ func DecodeResult(buf []byte) (*ResultData, error) {
 	d := &ResultData{}
 	if err := json.Unmarshal(buf, d); err != nil {
 		return nil, fmt.Errorf("stats: decode result: %w", err)
-	}
-	return d, nil
-}
-
-// ScalarStats is the per-key aggregate a multi-seed run stores: the same
-// five-number summary the aggregate report prints.
-type ScalarStats struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	Median float64 `json:"median"`
-	P90    float64 `json:"p90"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-}
-
-// SummarizeScalar reduces one cross-seed sample to its stored summary.
-func SummarizeScalar(s *Sample) ScalarStats {
-	return ScalarStats{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		Median: s.Median(),
-		P90:    s.Quantile(0.9),
-		Min:    s.Min(),
-		Max:    s.Max(),
-	}
-}
-
-// SummaryData is the serializable aggregate of a multi-seed run — the
-// summary.json a workspace run directory stores when seeds > 1 (a single
-// seed stores the full ResultData instead).
-type SummaryData struct {
-	Name     string                 `json:"name"`
-	Seeds    int                    `json:"seeds"`
-	BaseSeed int64                  `json:"base_seed"`
-	Failed   int                    `json:"failed,omitempty"`
-	Scalars  map[string]ScalarStats `json:"scalars,omitempty"`
-	// Wall lists scalar keys tagged wall-clock-valued across the seeds
-	// (union of the per-seed MarkWallClock tags).
-	Wall []string `json:"wall_clock,omitempty"`
-}
-
-// Encode renders the summary as indented JSON with a trailing newline.
-func (d *SummaryData) Encode() ([]byte, error) {
-	buf, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("stats: encode summary %q: %w", d.Name, err)
-	}
-	return append(buf, '\n'), nil
-}
-
-// DecodeSummary parses summary.json bytes back into SummaryData.
-func DecodeSummary(buf []byte) (*SummaryData, error) {
-	d := &SummaryData{}
-	if err := json.Unmarshal(buf, d); err != nil {
-		return nil, fmt.Errorf("stats: decode summary: %w", err)
 	}
 	return d, nil
 }

@@ -74,37 +74,3 @@ func TestResultDataCopies(t *testing.T) {
 		t.Fatal("Data() aliases the live sample slice")
 	}
 }
-
-func TestSummaryDataRoundTrip(t *testing.T) {
-	s := &Sample{}
-	s.Add(1, 2, 3, 4, 5)
-	d := &SummaryData{
-		Name:     "agg",
-		Seeds:    5,
-		BaseSeed: 7,
-		Failed:   1,
-		Scalars:  map[string]ScalarStats{"goodput": SummarizeScalar(s)},
-	}
-	buf, err := d.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSummary(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seeds != 5 || got.BaseSeed != 7 || got.Failed != 1 {
-		t.Fatalf("round-trip lost run shape: %+v", got)
-	}
-	st := got.Scalars["goodput"]
-	if st.N != 5 || st.Mean != 3 || st.Median != 3 || st.Min != 1 || st.Max != 5 {
-		t.Fatalf("round-trip lost stats: %+v", st)
-	}
-	b2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, b2) {
-		t.Fatal("summary re-encode not byte-identical")
-	}
-}

@@ -2,10 +2,11 @@ package workspace
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -28,10 +29,10 @@ type DiffOptions struct {
 }
 
 // wallKeys collects the scalar keys either side tagged as wall-clock
-// (stats.Result.MarkWallClock → the "wall_clock" list in result.json /
-// summary.json). Those measure host speed, not simulation output, so
-// they legitimately differ between two identical runs and the diff
-// skips them — host speed is the benchmark's business (bench/).
+// (stats.Result.MarkWallClock → the "wall_clock" list in result.json).
+// Those measure host speed, not simulation output, so they legitimately
+// differ between two identical runs and the diff skips them — host speed
+// is the benchmark's business (bench/).
 // The exclusion is tag-driven: emitters opt out explicitly rather than
 // by a naming convention.
 func wallKeys(lists ...[]string) map[string]bool {
@@ -48,8 +49,8 @@ func wallKeys(lists ...[]string) map[string]bool {
 type DiffReport struct {
 	// Lines describe every difference, in deterministic order.
 	Lines []string
-	// Compared counts the values examined (scalars, summary stats,
-	// metrics) across both runs.
+	// Compared counts the values examined (scalars, samples, metrics)
+	// across both runs.
 	Compared int
 }
 
@@ -70,7 +71,7 @@ func (d *DiffReport) String() string {
 }
 
 // DiffRuns compares two run directories (as produced by Workspace.Run):
-// their result.json or summary.json, and — for sweeps — every cell
+// their result and metrics files, and — for sweeps — every cell
 // directory pairwise, flagging cells present on only one side.
 func DiffRuns(dirA, dirB string, opt DiffOptions) (*DiffReport, error) {
 	for _, dir := range []string{dirA, dirB} {
@@ -91,7 +92,7 @@ func DiffRuns(dirA, dirB string, opt DiffOptions) (*DiffReport, error) {
 		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	for _, cell := range unionSorted(cellsA, cellsB) {
-		inA, inB := contains(cellsA, cell), contains(cellsB, cell)
+		inA, inB := slices.Contains(cellsA, cell), slices.Contains(cellsB, cell)
 		if !inA || !inB {
 			d.addf("cell %s: only in %s", cell, pick(inA, dirA, dirB))
 			continue
@@ -105,167 +106,128 @@ func DiffRuns(dirA, dirB string, opt DiffOptions) (*DiffReport, error) {
 	return d, nil
 }
 
-// diffDir compares one directory level: result.json against result.json,
-// summary.json against summary.json, mixed shapes are themselves a
-// difference (one run was single-seed, the other multi-seed).
+// diffDir compares one directory level: its result files (result.json,
+// or one result.json.seed<N> per seed of a multi-seed run) and its
+// metrics snapshots (metrics.json, and every metrics.json.<label> a
+// multi-run spec writes — ctlstress's immediate/coalesced, fig3's
+// kernel/userspace). A sweep's top level has neither.
 func diffDir(d *DiffReport, dirA, dirB, prefix string, opt DiffOptions) error {
-	resA, errA := loadResult(dirA)
-	resB, errB := loadResult(dirB)
-	sumA, serrA := loadSummary(dirA)
-	sumB, serrB := loadSummary(dirB)
-	for _, err := range []error{errA, errB, serrA, serrB} {
-		if err != nil {
-			return err
-		}
-	}
-	switch {
-	case resA != nil && resB != nil:
-		diffResults(d, resA, resB, prefix, opt)
-	case sumA != nil && sumB != nil:
-		diffSummaries(d, sumA, sumB, prefix, opt)
-	case resA == nil && resB == nil && sumA == nil && sumB == nil:
-		// A sweep's top level has only report.txt — nothing numeric here.
-	default:
-		d.addf("%sresult shapes differ (%s vs %s)", prefix, shape(resA, sumA), shape(resB, sumB))
-	}
-	return diffMetrics(d, dirA, dirB, prefix, opt)
-}
-
-// diffMetrics compares the metrics snapshots of two run (or cell)
-// directories metric-by-metric: metrics.json, and every metrics.json.<label>
-// a multi-run spec writes (ctlstress's immediate/coalesced, fig3's
-// kernel/userspace), each named in its lines. Metrics tagged wall-clock at
-// record time (barrier waits, pool misses) are skipped — the tag travels
-// in the file, so the exclusion needs no name list here. Everything else
-// must match within tolerance: a deterministic scenario diffs clean at 0.
-func diffMetrics(d *DiffReport, dirA, dirB, prefix string, opt DiffOptions) error {
-	filesA, err := metricsFiles(dirA)
+	err := diffFiles(d, dirA, dirB, prefix, ResultFile, loadResult,
+		func(a, b *stats.ResultData, where string) { diffResults(d, a, b, where, opt) })
 	if err != nil {
 		return err
 	}
-	filesB, err := metricsFiles(dirB)
+	return diffFiles(d, dirA, dirB, prefix, MetricsFile, loadMetrics,
+		func(a, b *metrics.Snapshot, where string) { diffSnapshots(d, a, b, where, opt) })
+}
+
+// diffFiles pairs the files of two directories named base or, by the
+// scenario.PartFile rule, base.<part>: a file only one side has is a
+// difference naming that side, and each pair is loaded and handed to cmp
+// with the prefix its lines carry — the file's name, unless it is base.
+func diffFiles[T any](d *DiffReport, dirA, dirB, prefix, base string,
+	load func(path string) (T, error), cmp func(a, b T, where string)) error {
+	filesA, err := filesNamed(dirA, base)
+	if err != nil {
+		return err
+	}
+	filesB, err := filesNamed(dirB, base)
 	if err != nil {
 		return err
 	}
 	for _, file := range unionSorted(filesA, filesB) {
-		inA, inB := contains(filesA, file), contains(filesB, file)
+		inA, inB := slices.Contains(filesA, file), slices.Contains(filesB, file)
 		if !inA || !inB {
 			d.addf("%s%s: only in %s", prefix, file, pick(inA, "A", "B"))
 			continue
 		}
-		ma, err := loadMetrics(dirA, file)
+		a, err := load(filepath.Join(dirA, file))
 		if err != nil {
 			return err
 		}
-		mb, err := loadMetrics(dirB, file)
+		b, err := load(filepath.Join(dirB, file))
 		if err != nil {
 			return err
 		}
 		where := prefix
-		if file != MetricsFile {
+		if file != base {
 			where += file + ": "
 		}
-		ca, cb := ma.Canonical(), mb.Canonical()
-		for _, name := range unionMetricNames(ca, cb) {
-			a, b := ca.Get(name), cb.Get(name)
-			if a == nil || b == nil {
-				d.addf("%smetric %s: only in %s", where, name, pick(a != nil, "A", "B"))
-				continue
-			}
-			d.Compared++
-			if !closeEnough(float64(a.Value), float64(b.Value), opt.RelTol) {
-				d.addf("%smetric %s: %d -> %d (rel %.3g)", where, name,
-					a.Value, b.Value, relDelta(float64(a.Value), float64(b.Value)))
-			}
-		}
+		cmp(a, b, where)
 	}
 	return nil
 }
 
-// metricsFiles lists the metrics snapshots of one directory by file name.
-func metricsFiles(dir string) ([]string, error) {
+// filesNamed lists the files of one directory named base or base.<part>.
+func filesNamed(dir, base string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	var files []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), MetricsFile) {
-			files = append(files, e.Name())
+		if n := e.Name(); !e.IsDir() && (n == base || strings.HasPrefix(n, base+".")) {
+			files = append(files, n)
 		}
 	}
 	return files, nil
 }
 
-func loadMetrics(dir, file string) (*metrics.Snapshot, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, file))
+// diffSnapshots compares two metrics snapshots metric by metric. Metrics
+// tagged wall-clock at record time (barrier waits, pool misses) are
+// skipped — the tag travels in the file, so the exclusion needs no name
+// list here. Everything else must match within tolerance: a deterministic
+// scenario diffs clean at 0.
+func diffSnapshots(d *DiffReport, a, b *metrics.Snapshot, where string, opt DiffOptions) {
+	ca, cb := a.Canonical(), b.Canonical()
+	for _, name := range unionSorted(metricNames(ca), metricNames(cb)) {
+		ma, mb := ca.Get(name), cb.Get(name)
+		if ma == nil || mb == nil {
+			d.addf("%smetric %s: only in %s", where, name, pick(ma != nil, "A", "B"))
+			continue
+		}
+		d.Compared++
+		if !closeEnough(float64(ma.Value), float64(mb.Value), opt.RelTol) {
+			d.addf("%smetric %s: %d -> %d (rel %.3g)", where, name,
+				ma.Value, mb.Value, relDelta(float64(ma.Value), float64(mb.Value)))
+		}
+	}
+}
+
+func metricNames(s *metrics.Snapshot) []string {
+	names := make([]string, len(s.Metrics))
+	for i := range s.Metrics {
+		names[i] = s.Metrics[i].Name
+	}
+	return names
+}
+
+func loadMetrics(path string) (*metrics.Snapshot, error) {
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	s, err := metrics.Decode(buf)
 	if err != nil {
-		return nil, fmt.Errorf("workspace: %s: %w", filepath.Join(dir, file), err)
+		return nil, fmt.Errorf("workspace: %s: %w", path, err)
 	}
 	return s, nil
 }
 
-func unionMetricNames(a, b *metrics.Snapshot) []string {
-	seen := map[string]bool{}
-	for i := range a.Metrics {
-		seen[a.Metrics[i].Name] = true
-	}
-	for i := range b.Metrics {
-		seen[b.Metrics[i].Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for k := range seen {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func shape(res *stats.ResultData, sum *stats.SummaryData) string {
-	switch {
-	case res != nil:
-		return "result.json"
-	case sum != nil:
-		return "summary.json"
-	}
-	return "no result"
-}
-
-func loadResult(dir string) (*stats.ResultData, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, ResultFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+func loadResult(path string) (*stats.ResultData, error) {
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("workspace: %w", err)
 	}
 	d, err := stats.DecodeResult(buf)
 	if err != nil {
-		return nil, fmt.Errorf("workspace: %s: %w", dir, err)
+		return nil, fmt.Errorf("workspace: %s: %w", path, err)
 	}
 	return d, nil
 }
 
-func loadSummary(dir string) (*stats.SummaryData, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, SummaryFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("workspace: %w", err)
-	}
-	d, err := stats.DecodeSummary(buf)
-	if err != nil {
-		return nil, fmt.Errorf("workspace: %s: %w", dir, err)
-	}
-	return d, nil
-}
-
-// diffResults compares two single-seed results scalar key by scalar key.
+// diffResults compares two results (one seed's each) scalar key by
+// scalar key.
 // Samples and series are deliberately NOT value-compared — their headline
 // statistics already surface as scalars — but a changed observation count
 // is reported, since it means the runs took different paths.
@@ -300,44 +262,6 @@ func diffResults(d *DiffReport, a, b *stats.ResultData, prefix string, opt DiffO
 	}
 }
 
-// diffSummaries compares two multi-seed aggregates stat-by-stat.
-func diffSummaries(d *DiffReport, a, b *stats.SummaryData, prefix string, opt DiffOptions) {
-	if a.Seeds != b.Seeds {
-		d.addf("%sseeds differ: %d vs %d", prefix, a.Seeds, b.Seeds)
-	}
-	if a.Failed != b.Failed {
-		d.addf("%sfailed seeds differ: %d vs %d", prefix, a.Failed, b.Failed)
-	}
-	wall := wallKeys(a.Wall, b.Wall)
-	for _, k := range unionKeys(a.Scalars, b.Scalars) {
-		if wall[k] {
-			continue
-		}
-		sa, inA := a.Scalars[k]
-		sb, inB := b.Scalars[k]
-		if !inA || !inB {
-			d.addf("%sscalar %s: only in %s", prefix, k, pick(inA, "A", "B"))
-			continue
-		}
-		for _, st := range []struct {
-			name string
-			a, b float64
-		}{
-			{"mean", sa.Mean, sb.Mean},
-			{"median", sa.Median, sb.Median},
-			{"p90", sa.P90, sb.P90},
-			{"min", sa.Min, sb.Min},
-			{"max", sa.Max, sb.Max},
-		} {
-			d.Compared++
-			if !closeEnough(st.a, st.b, opt.RelTol) {
-				d.addf("%sscalar %s %s: %v -> %v (rel %.3g)",
-					prefix, k, st.name, st.a, st.b, relDelta(st.a, st.b))
-			}
-		}
-	}
-}
-
 // closeEnough implements the relative-tolerance equality: exact when
 // tol == 0, |a-b| <= tol*max(|a|,|b|) otherwise.
 func closeEnough(a, b, tol float64) bool {
@@ -358,45 +282,16 @@ func relDelta(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
+// unionKeys lists, sorted, the keys of either map.
 func unionKeys[V any](a, b map[string]V) []string {
-	seen := map[string]bool{}
-	for k := range a {
-		seen[k] = true
-	}
-	for k := range b {
-		seen[k] = true
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return unionSorted(slices.Collect(maps.Keys(a)), slices.Collect(maps.Keys(b)))
 }
 
+// unionSorted lists, sorted and once each, the strings of either slice.
 func unionSorted(a, b []string) []string {
-	seen := map[string]bool{}
-	for _, k := range a {
-		seen[k] = true
-	}
-	for _, k := range b {
-		seen[k] = true
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	all := slices.Concat(a, b)
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 func pick(inA bool, a, b string) string {

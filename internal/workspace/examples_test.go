@@ -104,10 +104,11 @@ func TestExampleSweepsRun(t *testing.T) {
 	} {
 		t.Run(tc.manifest, func(t *testing.T) {
 			m := loadExample(t, tc.manifest)
+			if m.Params == nil {
+				m.Params = map[string]string{}
+			}
 			for k, v := range tc.reduce {
-				if err := m.Set(k, v); err != nil {
-					t.Fatal(err)
-				}
+				m.Params[k] = v
 			}
 			plan, err := m.Plan(nil)
 			if err != nil {
@@ -121,7 +122,7 @@ func TestExampleSweepsRun(t *testing.T) {
 			tc.check(t, cells)
 
 			repeat := cellResults(t, ws, m)
-			m.Shards = 4
+			m.Params["shards"] = "4"
 			sharded := cellResults(t, ws, m)
 			for id, want := range cells {
 				if !reflect.DeepEqual(repeat[id], want) {

@@ -1,10 +1,11 @@
 // Package workspace is the on-disk experiment workspace behind
 // `mpexp init/run/diff`: a `.mpexp/` directory holding authored scenario
 // manifests and one directory per executed run (or per sweep cell), each
-// with the machine-readable result, the rendered report, the trace file
-// when enabled, and a snapshot of the resolved manifest — plus a
-// generated top-level index of everything that ran. Sweep outputs stop
-// vanishing into stdout: every run is a durable, diffable artifact.
+// with the machine-readable result of every seed, the rendered report, the
+// trace and metrics files when enabled, and a snapshot of the resolved
+// manifest — plus a generated top-level index of everything that ran.
+// Sweep outputs stop vanishing into stdout: every run is a durable,
+// diffable artifact.
 //
 // Layout:
 //
@@ -17,10 +18,14 @@
 //	      manifest.json    # resolved manifest snapshot (what actually ran)
 //	      report.txt       # rendered report (aggregate for multi-seed)
 //	      result.json      # stats result (single-seed runs)
-//	      summary.json     # cross-seed scalar summary (multi-seed runs)
+//	      result.json.seed<N>  # one per finished seed N (multi-seed runs)
 //	      trace            # binary event trace (when enabled)
 //	      metrics.json     # runtime metrics snapshot (when enabled)
-//	      cells/<cell>/    # sweeps: result/report/summary/trace per cell
+//	      cells/<cell>/    # sweeps: the same artifact set per cell
+//
+// A level that writes several files where one would do names each by
+// scenario.PartFile: result.json.seed3, or metrics.json.coalesced for one
+// run of a multi-run spec; `mpexp diff` pairs them by name.
 //
 // Run directories are append-only: a new run of the same manifest gets
 // the next ordinal (<name>-001, <name>-002, ...), so `mpexp diff` can
@@ -47,7 +52,6 @@ const DirName = ".mpexp"
 const (
 	ManifestFile = "manifest.json"
 	ResultFile   = "result.json"
-	SummaryFile  = "summary.json"
 	ReportFile   = "report.txt"
 	TraceFile    = "trace"
 	MetricsFile  = "metrics.json"
@@ -123,7 +127,9 @@ func (ws *Workspace) RunDir(id string) string { return filepath.Join(ws.Root, ru
 
 // createRunDir allocates the next ordinal run directory for name.
 func (ws *Workspace) createRunDir(name string) (id, dir string, err error) {
-	name = sanitizeName(name)
+	if name = scenario.SafeName(name); name == "" {
+		name = "run"
+	}
 	for n := 1; n < 10000; n++ {
 		id = fmt.Sprintf("%s-%03d", name, n)
 		dir = ws.RunDir(id)
@@ -136,22 +142,6 @@ func (ws *Workspace) createRunDir(name string) (id, dir string, err error) {
 		}
 	}
 	return "", "", fmt.Errorf("workspace: no free run ordinal for %q", name)
-}
-
-// sanitizeName makes a run name safe as a directory component, the same
-// character set scenario cell ids use.
-func sanitizeName(name string) string {
-	if name == "" {
-		return "run"
-	}
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '-'
-	}, name)
 }
 
 // RunInfo describes one completed workspace run.
@@ -197,7 +187,7 @@ func Execute(m *scenario.Manifest, opt RunOptions) (bool, error) {
 // Run executes a manifest into a fresh run directory: validates it
 // against the live scenario registry (the same Build path `-set` flags
 // take), snapshots the resolved manifest, runs every cell of its plan,
-// and writes result.json/summary.json, report.txt, and the trace and
+// and writes the result files, report.txt, and the trace and
 // metrics files per run or cell, then regenerates the workspace index.
 func (ws *Workspace) Run(m *scenario.Manifest, opt RunOptions) (*RunInfo, error) {
 	id, dir, err := ws.createRunDir(m.RunName())
@@ -283,7 +273,7 @@ func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
 		} else {
 			opt.echo(report)
 		}
-		if err := store(cdir, name, report, multi); err != nil {
+		if err := store(cdir, report, multi); err != nil {
 			return false, err
 		}
 	}
@@ -392,27 +382,33 @@ func reportOf(m *runner.Multi) string {
 }
 
 // store writes one run's (or sweep cell's) artifacts into dir: its
-// rendered report as report.txt, plus result.json for a single seed or
-// summary.json for several. It stores nothing when dir is "".
-func store(dir, name, report string, m *runner.Multi) error {
+// rendered report as report.txt, plus each finished seed's result —
+// result.json for a single seed, result.json.seed<N> for seed N of
+// several. It stores nothing when dir is "".
+func store(dir, report string, m *runner.Multi) error {
 	if dir == "" {
 		return nil
 	}
 	if err := writeReport(dir, report); err != nil {
 		return err
 	}
-	if m.Config.Seeds > 1 {
-		return writeSummary(dir, name, m)
+	for _, sr := range m.PerSeed {
+		if sr.Err != nil {
+			continue
+		}
+		buf, err := sr.Result.Data().Encode()
+		if err != nil {
+			return err
+		}
+		name := ResultFile
+		if m.Config.Seeds > 1 {
+			name = scenario.PartFile(name, fmt.Sprintf("seed%d", sr.Seed))
+		}
+		if err := writeFile(dir, name, buf); err != nil {
+			return err
+		}
 	}
-	sr := m.PerSeed[0]
-	if sr.Err != nil {
-		return nil
-	}
-	buf, err := sr.Result.Data().Encode()
-	if err != nil {
-		return err
-	}
-	return writeFile(dir, ResultFile, buf)
+	return nil
 }
 
 func writeReport(dir, report string) error {
@@ -424,28 +420,6 @@ func writeFile(dir, name string, data []byte) error {
 		return fmt.Errorf("workspace: %w", err)
 	}
 	return nil
-}
-
-// writeSummary stores a multi-seed aggregate: summary.json.
-func writeSummary(dir, name string, m *runner.Multi) error {
-	d := &stats.SummaryData{
-		Name:     name,
-		Seeds:    m.Config.Seeds,
-		BaseSeed: m.Config.BaseSeed,
-		Failed:   len(m.Failed()),
-		Wall:     m.WallKeys(),
-	}
-	if sum := m.ScalarSummary(); len(sum) > 0 {
-		d.Scalars = make(map[string]stats.ScalarStats, len(sum))
-		for k, s := range sum {
-			d.Scalars[k] = stats.SummarizeScalar(s)
-		}
-	}
-	buf, err := d.Encode()
-	if err != nil {
-		return err
-	}
-	return writeFile(dir, SummaryFile, buf)
 }
 
 // IndexEntry is one run in the workspace index.
@@ -500,8 +474,8 @@ func (ws *Workspace) WriteIndex() error {
 			ie.Scenario = m.Scenario
 			ie.Name = m.RunName()
 			ie.Seeds = m.EffectiveSeeds()
-			ie.Trace = m.Trace
-			ie.Metrics = m.Metrics
+			_, ie.Trace = m.Params["trace"]
+			_, ie.Metrics = m.Params["metrics"]
 			if m.Sweep != nil {
 				ie.Kind = "sweep"
 				ie.Cells = countDirs(filepath.Join(dir, cellsDir))
@@ -563,7 +537,7 @@ This directory is managed by the mpexp CLI.
       manifest.json  # resolved manifest snapshot (what actually ran)
       report.txt     # rendered report
       result.json    # machine-readable result (single-seed runs)
-      summary.json   # cross-seed scalar summary (multi-seed runs)
+      result.json.seed<N>  # the same, per finished seed N (multi-seed runs)
       trace          # binary event trace (when enabled)
       metrics.json   # runtime metrics snapshot (when enabled)
       cells/<cell>/  # sweeps: the same artifact set per sweep cell
@@ -584,9 +558,9 @@ Manifests are validated against the live scenario registry; see
 const exampleManifest = `{
   "scenario": "fig2a",
   "params": {
-    "smoke": true
+    "smoke": true,
+    "trace": ""
   },
-  "seed": 1,
-  "trace": true
+  "seed": 1
 }
 `

@@ -186,7 +186,7 @@ func TestDiffCatchesPerturbation(t *testing.T) {
 // compare each of them, and name the file a difference is in.
 func TestDiffCoversLabelledMetricsFiles(t *testing.T) {
 	ws := mustInit(t)
-	m := &scenario.Manifest{Scenario: "ctlstress", Params: map[string]string{"smoke": "true"}, Seed: 1, Metrics: true}
+	m := &scenario.Manifest{Scenario: "ctlstress", Params: map[string]string{"smoke": "true", "metrics": ""}, Seed: 1}
 	a, b := mustRun(t, ws, m), mustRun(t, ws, m)
 	rep, err := workspace.DiffRuns(a.Dir, b.Dir, workspace.DiffOptions{})
 	if err != nil {
