@@ -47,6 +47,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	_ "repro/internal/experiments" // registers the paper's scenario specs
@@ -276,10 +277,17 @@ func (c *cli) stopProfiles() {
 // names and parameters, bad values, the trace/metrics seed rules — is
 // the manifest's plan, the same for every way of asking.
 func (c *cli) execute(rf *runFlags, m *scenario.Manifest) error {
+	// Progress lines come from the runner's worker goroutines, and stderr
+	// may be any writer: one line at a time.
+	var progress sync.Mutex
 	opt := workspace.RunOptions{
 		Parallel: *rf.parallel,
 		Echo:     func(report string) { fmt.Fprint(c.stdout, report) },
-		Progress: func(line string) { fmt.Fprintln(c.stderr, line) },
+		Progress: func(line string) {
+			progress.Lock()
+			defer progress.Unlock()
+			fmt.Fprintln(c.stderr, line)
+		},
 	}
 	ws, err := resolveWorkspace(*rf.ws)
 	if err != nil {

@@ -89,7 +89,11 @@ func (l *recLib) deliver(ev nlmsg.Event) {
 		nlmsg.EvClosed:         l.cbs.Closed,
 		nlmsg.EvSubEstablished: l.cbs.SubEstablished,
 		nlmsg.EvSubClosed:      l.cbs.SubClosed,
+		nlmsg.EvAddAddr:        l.cbs.AddAddr,
+		nlmsg.EvRemAddr:        l.cbs.RemAddr,
 		nlmsg.EvTimeout:        l.cbs.Timeout,
+		nlmsg.EvLocalAddrUp:    l.cbs.LocalAddrUp,
+		nlmsg.EvLocalAddrDown:  l.cbs.LocalAddrDown,
 	}[ev.Kind]
 	if fn != nil {
 		fn(&ev)

@@ -39,11 +39,14 @@ type FullMesh struct {
 	// here would issue create-subflow commands in a different order each
 	// run, breaking per-seed determinism.
 	remotes []netip.AddrPort
-	// live subflows by (local addr, remote addrport); the source port is
-	// deliberately not part of the key — re-established subflows use
-	// fresh ports.
-	live    map[meshKey]seg.FourTuple
-	pending map[meshKey]func() // scheduled retries, cancellable (nil until the first)
+	// live holds the live subflows sorted by keyOf — (local addr, remote
+	// addrport); the source port is deliberately not part of the key, as
+	// re-established subflows use fresh ports. A connection has a handful,
+	// so a sorted slice beats a map, and liveRoom holds the usual mesh
+	// without an allocation.
+	live     []seg.FourTuple
+	liveRoom [4]seg.FourTuple
+	pending  map[meshKey]func() // scheduled retries, cancellable (nil until the first)
 	// creating holds the keys of the create commands not yet acked, oldest
 	// first: a library acks one connection's commands in send order, so
 	// created — the one done callback every create passes — takes the
@@ -51,8 +54,7 @@ type FullMesh struct {
 	creating []meshKey
 	created  func(errno uint32)
 
-	keyBuf []meshKey // onLocalDown's dismissal list, reused
-	Stats  FullMeshStats
+	Stats FullMeshStats
 }
 
 // FullMeshStats counts controller activity.
@@ -72,6 +74,40 @@ func keyOf(ft seg.FourTuple) meshKey {
 	return meshKey{ft.SrcIP, netip.AddrPortFrom(ft.DstIP, ft.DstPort)}
 }
 
+// findLive reports where key's subflow is, or would go, in the live set
+// (sorted by local address, then remote address and port), and whether it
+// is there.
+func (f *FullMesh) findLive(key meshKey) (int, bool) {
+	return slices.BinarySearchFunc(f.live, key, func(ft seg.FourTuple, k meshKey) int {
+		if c := ft.SrcIP.Compare(k.local); c != 0 {
+			return c
+		}
+		return netip.AddrPortFrom(ft.DstIP, ft.DstPort).Compare(k.remote)
+	})
+}
+
+// setLive records ft as the live subflow of its key, replacing any other.
+func (f *FullMesh) setLive(ft seg.FourTuple) {
+	if i, ok := f.findLive(keyOf(ft)); ok {
+		f.live[i] = ft
+	} else {
+		f.live = slices.Insert(f.live, i, ft)
+	}
+}
+
+// dropLive forgets key's live subflow, if any.
+func (f *FullMesh) dropLive(key meshKey) {
+	if i, ok := f.findLive(key); ok {
+		f.live = slices.Delete(f.live, i, i+1)
+	}
+}
+
+// isLive reports whether key has a live subflow.
+func (f *FullMesh) isLive(key meshKey) bool {
+	_, ok := f.findLive(key)
+	return ok
+}
+
 // The paper's re-establishment delays, by the error that killed the
 // subflow.
 const (
@@ -84,11 +120,12 @@ const (
 // pending and Stats.RetriesByErrno stay nil until a subflow dies: most
 // connections never lose one.
 func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
-	return &FullMesh{
+	f := &FullMesh{
 		LocalAddrs: localAddrs,
 		local:      make([]netip.Addr, 0, len(localAddrs)),
-		live:       make(map[meshKey]seg.FourTuple),
 	}
+	f.live = f.liveRoom[:0]
+	return f
 }
 
 // Name implements Controller.
@@ -120,7 +157,7 @@ func (f *FullMesh) handle(ev *nlmsg.Event) {
 		f.onClosed()
 	case nlmsg.EvSubEstablished:
 		if f.open {
-			f.live[keyOf(ev.Tuple)] = ev.Tuple
+			f.setLive(ev.Tuple)
 		}
 	case nlmsg.EvSubClosed:
 		f.onSubClosed(ev)
@@ -167,8 +204,7 @@ func (f *FullMesh) onCreated(ev *nlmsg.Event) {
 	f.creating = f.creating[:0]
 	// The created event carries the initial subflow's 4-tuple; mark it
 	// live so the mesh does not duplicate it.
-	clear(f.live)
-	f.live[meshKey{ev.Tuple.SrcIP, remote}] = ev.Tuple
+	f.live = append(f.live[:0], ev.Tuple)
 }
 
 // onClosed cancels every scheduled retry. (Cancellation has no observable
@@ -188,7 +224,7 @@ func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
 		return
 	}
 	key := keyOf(ev.Tuple)
-	delete(f.live, key)
+	f.dropLive(key)
 	if !f.hasLocal(key.local) {
 		return // interface is gone; LocalAddrUp will rebuild later
 	}
@@ -222,7 +258,7 @@ func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
 		if !f.open || !f.hasLocal(key.local) {
 			return
 		}
-		if _, alive := f.live[key]; alive {
+		if f.isLive(key) {
 			return
 		}
 		f.Stats.Reestablishments++
@@ -271,23 +307,20 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 	if !f.open {
 		return
 	}
-	// Dismiss the lost interface's subflows in a sorted order: the remove
-	// commands race down the Netlink transport, and map order here would
-	// reorder them across runs.
-	keys := f.keyBuf[:0]
-	for key := range f.live {
-		if key.local == ev.Addr {
-			keys = append(keys, key)
+	// Dismiss the lost interface's subflows in key order: the live set is
+	// sorted by local address first, so they are the run that starts where
+	// the address would. Each leaves the set before its remove command
+	// goes out, so the walk holds nothing a command could change.
+	for {
+		i, _ := f.findLive(meshKey{local: ev.Addr})
+		if i == len(f.live) || f.live[i].SrcIP != ev.Addr {
+			break
 		}
-	}
-	sortMeshKeys(keys)
-	for _, key := range keys {
-		ft := f.live[key]
-		delete(f.live, key)
+		ft := f.live[i]
+		f.live = slices.Delete(f.live, i, i+1)
 		f.Stats.SubflowsDismissed++
 		f.lib.RemoveSubflow(f.token, ft, nil)
 	}
-	f.keyBuf = keys[:0]
 	// Cancel any retry scheduled for the lost interface (cancel order is
 	// unobservable; no sort needed).
 	for key, cancel := range f.pending {
@@ -309,7 +342,7 @@ func (f *FullMesh) mesh() {
 	for _, laddr := range f.local {
 		for _, remote := range f.remotes {
 			key := meshKey{laddr, remote}
-			if _, alive := f.live[key]; alive {
+			if f.isLive(key) {
 				continue
 			}
 			if _, pending := f.pending[key]; pending {
@@ -318,17 +351,4 @@ func (f *FullMesh) mesh() {
 			f.create(key)
 		}
 	}
-}
-
-// sortMeshKeys orders keys by (local, remote) address and port.
-func sortMeshKeys(keys []meshKey) {
-	slices.SortFunc(keys, func(a, b meshKey) int {
-		if c := a.local.Compare(b.local); c != 0 {
-			return c
-		}
-		if c := a.remote.Addr().Compare(b.remote.Addr()); c != 0 {
-			return c
-		}
-		return int(a.remote.Port()) - int(b.remote.Port())
-	})
 }

@@ -1,0 +1,240 @@
+package controller
+
+import (
+	"net/netip"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/nlmsg"
+	"repro/internal/seg"
+)
+
+// histLib is a recLib that also logs every timer FullMesh arms, with its
+// delay, and holds each create's done callback for the test to ack: the
+// error-specific retry delays and the ack handling are both part of the
+// command log a history pins.
+type histLib struct {
+	recLib
+	acks []func(errno uint32)
+	done func(errno uint32) // the last create's, to ack once more
+}
+
+func (l *histLib) CreateSubflow(token uint32, ft seg.FourTuple, backup bool, done func(uint32)) {
+	l.recLib.CreateSubflow(token, ft, backup, done)
+	l.acks = append(l.acks, done)
+	l.done = done
+}
+
+func (l *histLib) After(d time.Duration, fn func()) func() {
+	l.cmds = append(l.cmds, "timer "+d.String())
+	return l.recLib.After(d, fn)
+}
+
+// ack answers the oldest create not yet acked.
+func (l *histLib) ack(errno uint32) {
+	done := l.acks[0]
+	l.acks = l.acks[1:]
+	done(errno)
+}
+
+var (
+	histServer2 = netip.MustParseAddr("10.9.1.1")
+	histRemote  = netip.AddrPortFrom(detachServer, 80)
+)
+
+func histTuple(local netip.Addr, port uint16, remote netip.AddrPort) seg.FourTuple {
+	return seg.FourTuple{SrcIP: local, DstIP: remote.Addr(), SrcPort: port, DstPort: remote.Port()}
+}
+
+// The events a history is written in.
+func hCreated() func(*histLib) {
+	return func(l *histLib) {
+		l.deliver(nlmsg.Event{Kind: nlmsg.EvCreated, Tuple: histTuple(detachLocal, 40000, histRemote), HasTuple: true})
+	}
+}
+
+func hEstablished() func(*histLib) {
+	return func(l *histLib) {
+		l.deliver(nlmsg.Event{Kind: nlmsg.EvEstablished, Tuple: histTuple(detachLocal, 40000, histRemote), HasTuple: true})
+	}
+}
+
+func hClosed() func(*histLib) {
+	return func(l *histLib) { l.deliver(nlmsg.Event{Kind: nlmsg.EvClosed}) }
+}
+
+func hSubUp(local netip.Addr, port uint16, remote netip.AddrPort) func(*histLib) {
+	return func(l *histLib) {
+		l.deliver(nlmsg.Event{Kind: nlmsg.EvSubEstablished, Tuple: histTuple(local, port, remote), HasTuple: true})
+	}
+}
+
+func hSubClosed(local netip.Addr, port uint16, remote netip.AddrPort, errno uint32) func(*histLib) {
+	return func(l *histLib) {
+		l.deliver(nlmsg.Event{Kind: nlmsg.EvSubClosed, Tuple: histTuple(local, port, remote), HasTuple: true, Errno: errno})
+	}
+}
+
+func hAddAddr(addr netip.Addr, port uint16) func(*histLib) {
+	return func(l *histLib) { l.deliver(nlmsg.Event{Kind: nlmsg.EvAddAddr, AddrID: 1, Addr: addr, Port: port}) }
+}
+
+func hLocal(addr netip.Addr, up bool) func(*histLib) {
+	kind := nlmsg.EvLocalAddrDown
+	if up {
+		kind = nlmsg.EvLocalAddrUp
+	}
+	return func(l *histLib) { l.deliver(nlmsg.Event{Kind: kind, Addr: addr}) }
+}
+
+func hFire() func(*histLib)            { return func(l *histLib) { l.fire() } }
+func hAck(errno uint32) func(*histLib) { return func(l *histLib) { l.ack(errno) } }
+
+// hStep is one step of a history: what happens, and the commands and
+// timers FullMesh issues in answer, in order.
+type hStep struct {
+	name string
+	do   func(*histLib)
+	want []string
+}
+
+// TestFullMeshCommandLog pins FullMesh's commands over whole scripted
+// histories, not only their outcome: every step names the commands and
+// retry timers it must produce, in order. The controller manages two local
+// addresses, 10.0.0.1 (the initial subflow's) and 10.1.0.1.
+func TestFullMeshCommandLog(t *testing.T) {
+	r1 := histRemote
+	r2 := netip.AddrPortFrom(histServer2, 80)
+	l1, l2 := detachLocal, detachSecond
+	histories := []struct {
+		name  string
+		steps []hStep
+		armed int // timers left armed at the end
+	}{
+		{
+			name: "flap-and-retry",
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"sub_established l1", hSubUp(l1, 40000, r1), nil},
+				// Up in the order r2, r1; dismissed in key order.
+				{"sub_established l2 r2", hSubUp(l2, 40005, r2), nil},
+				{"sub_established l2", hSubUp(l2, 40001, r1), nil},
+				{"local_addr_down l2", hLocal(l2, false), []string{
+					"remove 10.1.0.1:40001->10.9.0.1:80",
+					"remove 10.1.0.1:40005->10.9.1.1:80",
+				}},
+				{"sub_closed l1 ECONNRESET", hSubClosed(l1, 40000, r1, 104), []string{"timer 1s"}},
+				{"sub_closed l2 ETIMEDOUT", hSubClosed(l2, 40001, r1, 110), nil},
+				{"sub_closed l1 ECONNREFUSED", hSubClosed(l1, 40002, r1, 111), nil},
+				{"retry timers fire", hFire(), []string{
+					"create 10.0.0.1:0->10.9.0.1:80",
+				}},
+				{"local_addr_up l2", hLocal(l2, true), []string{
+					"create 10.0.0.1:0->10.9.0.1:80",
+					"create 10.1.0.1:0->10.9.0.1:80",
+				}},
+				{"add_addr", hAddAddr(histServer2, 0), []string{
+					"create 10.0.0.1:0->10.9.0.1:80",
+					"create 10.0.0.1:0->10.9.1.1:80",
+					"create 10.1.0.1:0->10.9.0.1:80",
+					"create 10.1.0.1:0->10.9.1.1:80",
+				}},
+				{"closed", hClosed(), nil},
+				{"sub_closed after closed", hSubClosed(l1, 40003, r1, 104), nil},
+				{"add_addr after closed", hAddAddr(histServer2, 8080), nil},
+			},
+		},
+		{
+			name: "errno-specific-delays",
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"ack", hAck(0), nil},
+				{"add_addr", hAddAddr(histServer2, 0), []string{
+					"create 10.0.0.1:0->10.9.1.1:80",
+					"create 10.1.0.1:0->10.9.0.1:80",
+					"create 10.1.0.1:0->10.9.1.1:80",
+				}},
+				{"acks", func(l *histLib) { l.ack(0); l.ack(0); l.ack(0) }, nil},
+				{"sub_established l1 r2", hSubUp(l1, 40010, r2), nil},
+				{"sub_established l2 r1", hSubUp(l2, 40011, r1), nil},
+				{"sub_established l2 r2", hSubUp(l2, 40012, r2), nil},
+				{"sub_closed ECONNRESET", hSubClosed(l1, 40000, r1, 104), []string{"timer 1s"}},
+				{"sub_closed ETIMEDOUT", hSubClosed(l1, 40010, r2, 110), []string{"timer 3s"}},
+				{"sub_closed ECONNREFUSED", hSubClosed(l2, 40011, r1, 111), []string{"timer 5s"}},
+				{"sub_closed other errno", hSubClosed(l2, 40012, r2, 32), []string{"timer 3s"}},
+				{"sub_established l1 r2 before its retry", hSubUp(l1, 40013, r2), nil},
+				{"retry timers fire", hFire(), []string{
+					"create 10.0.0.1:0->10.9.0.1:80",
+					"create 10.1.0.1:0->10.9.0.1:80",
+					"create 10.1.0.1:0->10.9.1.1:80",
+				}},
+				{"local_addr_down l1", hLocal(l1, false), []string{
+					"remove 10.0.0.1:40013->10.9.1.1:80",
+				}},
+				{"closed", hClosed(), nil},
+			},
+		},
+		{
+			name: "late-ack",
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				// The subflow is up before its create is acked.
+				{"sub_established l2", hSubUp(l2, 40001, r1), nil},
+				{"add_addr", hAddAddr(histServer2, 0), []string{
+					"create 10.0.0.1:0->10.9.1.1:80",
+					"create 10.1.0.1:0->10.9.1.1:80",
+				}},
+				{"late ack of the first create", hAck(0), nil},
+				// A failed ack backs off the create it answers, the
+				// second: (10.0.0.1, 10.9.1.1:80).
+				{"failed ack of the second", hAck(101), []string{"timer 5s"}},
+				{"ack of the third", hAck(0), nil},
+				{"an ack no create waits for", func(l *histLib) { l.done(0) }, nil},
+				{"local_addr_down l2", hLocal(l2, false), []string{
+					"remove 10.1.0.1:40001->10.9.0.1:80",
+				}},
+				{"retry fires", hFire(), []string{"create 10.0.0.1:0->10.9.1.1:80"}},
+				{"closed", hClosed(), nil},
+				{"ack after closed fails", hAck(101), nil},
+			},
+		},
+		{
+			name: "failed-ack",
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"failed ack", hAck(101), []string{"timer 5s"}},
+				// The mesh skips a pair whose retry is pending.
+				{"local_addr_up l2 again", hLocal(l2, true), nil},
+				{"retry fires", hFire(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"failed ack again", hAck(110), []string{"timer 5s"}},
+				{"local_addr_down l2", hLocal(l2, false), nil},
+				{"retry fires with l2 gone", hFire(), nil},
+				{"local_addr_up l2", hLocal(l2, true), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"ack", hAck(0), nil},
+				{"sub_established l2", hSubUp(l2, 40001, r1), nil},
+				{"closed", hClosed(), nil},
+			},
+		},
+	}
+	for _, h := range histories {
+		t.Run(h.name, func(t *testing.T) {
+			l := &histLib{}
+			NewFullMesh([]netip.Addr{l2, l1}).Attach(l)
+			l.cmds = nil
+			for _, st := range h.steps {
+				st.do(l)
+				if !slices.Equal(l.cmds, st.want) {
+					t.Fatalf("step %q: commands %q, want %q", st.name, l.cmds, st.want)
+				}
+				l.cmds = nil
+			}
+			if n := l.armed(); n != h.armed {
+				t.Fatalf("%d timers armed at the end, want %d", n, h.armed)
+			}
+		})
+	}
+}

@@ -155,13 +155,32 @@ type Library struct {
 	// outstanding at a time, so taking one out shifts next to nothing.
 	pending []pendingReply
 
-	// Scratch for in-place frame decoding: attr views alias the wire
+	// sc is where frames are decoded in place: attr views alias the wire
 	// buffer and the Event is reused per message, so callbacks must copy
-	// anything they keep past their return (see Callbacks).
-	msgScratch nlmsg.Message
-	evScratch  nlmsg.Event
+	// anything they keep past their return (see Callbacks and Scratch).
+	sc *Scratch
 
 	Stats LibStats
+}
+
+// Scratch is what the Libraries and NetlinkPMs of one simulation loop
+// decode their frames into: a Message and an Event for the library side, a
+// Message and a Command for the kernel side. A frame is decoded and
+// handled message by message, and its handler is done with the scratch
+// when it returns; on one loop every frame is delivered by an event of its
+// own, so no two frames of one side are ever in hand at once, and sharing
+// costs nothing. The two sides keep separate halves, so a command a
+// library handler sends may be decoded at once by a PM without touching
+// the event the handler still reads.
+//
+// One Scratch serves one event loop and never two: a library or PM that
+// runs on its own goroutine (cmd/smappd, smappctl) is built with
+// NewLibrary or NewNetlinkPM, which give it scratch of its own.
+type Scratch struct {
+	libMsg nlmsg.Message
+	ev     nlmsg.Event
+	pmMsg  nlmsg.Message
+	cmd    nlmsg.Command
 }
 
 // pendingReply is one sent command's continuation: done takes the errno of
@@ -172,13 +191,16 @@ type pendingReply struct {
 	reply func(*nlmsg.Message)
 }
 
-// NewLibrary attaches a library to the controller end of a transport.
+// NewLibrary attaches a library to the controller end of a transport, with
+// decode scratch of its own.
 func NewLibrary(tr *Transport, clock Clock, pid uint32) *Library {
-	l := &Library{
-		clock:    clock,
-		toKernel: tr.ToKernel,
-		pid:      pid,
-	}
+	return new(Scratch).NewLibrary(tr, clock, pid)
+}
+
+// NewLibrary attaches a library that decodes into sc, shared with every
+// library on the same event loop (see Scratch).
+func (sc *Scratch) NewLibrary(tr *Transport, clock Clock, pid uint32) *Library {
+	l := &Library{clock: clock, toKernel: tr.ToKernel, pid: pid, sc: sc}
 	tr.ToUser.SetReceiver(l.OnMessage)
 	return l
 }
@@ -269,13 +291,13 @@ func (l *Library) takePending(seq uint32) (pendingReply, bool) {
 // reply callbacks nor event handlers may retain what they are handed.
 func (l *Library) OnMessage(b []byte) {
 	for off := 0; off < len(b); {
-		n, err := nlmsg.UnmarshalInto(b[off:], &l.msgScratch)
+		n, err := nlmsg.UnmarshalInto(b[off:], &l.sc.libMsg)
 		if err != nil {
 			l.Stats.ParseErrors++
 			return
 		}
 		off += n
-		l.dispatch(&l.msgScratch)
+		l.dispatch(&l.sc.libMsg)
 	}
 }
 
@@ -300,10 +322,10 @@ func (l *Library) dispatch(m *nlmsg.Message) {
 		}
 		return
 	}
-	if err := nlmsg.ParseEventInto(m, &l.evScratch); err != nil {
+	if err := nlmsg.ParseEventInto(m, &l.sc.ev); err != nil {
 		l.Stats.ParseErrors++
 		return
 	}
 	l.Stats.EventsReceived++
-	l.cbs.Dispatch(&l.evScratch)
+	l.cbs.Dispatch(&l.sc.ev)
 }

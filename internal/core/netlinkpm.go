@@ -37,10 +37,8 @@ type NetlinkPM struct {
 	queue      []nlmsg.Event
 	flushArmed bool
 
-	// Scratch for in-place command decoding; safe because frames are
-	// handled one at a time on the kernel host's shard.
-	msgScratch nlmsg.Message
-	cmdScratch nlmsg.Command
+	// sc is where command frames are decoded in place (see Scratch).
+	sc *Scratch
 
 	// Stats counters; HarvestInto exports them as the ctl_* metrics.
 	EventsSent      uint64
@@ -83,8 +81,16 @@ const DefaultCtlQueue = 128
 // created/estab events (the subscribe command and the first events race
 // through the two pipe directions; FIFO per direction keeps everything
 // ordered once delivered).
+//
+// The PM's decode scratch is its own.
 func NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
-	pm := &NetlinkPM{sim: c, tr: tr, conns: make(map[uint32]*mptcp.Connection), mask: nlmsg.MaskAll}
+	return new(Scratch).NewNetlinkPM(c, tr)
+}
+
+// NewNetlinkPM creates a kernel part that decodes into sc, shared with
+// every PM on the same event loop (see Scratch).
+func (sc *Scratch) NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
+	pm := &NetlinkPM{sim: c, tr: tr, conns: make(map[uint32]*mptcp.Connection), mask: nlmsg.MaskAll, sc: sc}
 	tr.ToKernel.SetReceiver(pm.handleCommand)
 	return pm
 }
@@ -308,21 +314,21 @@ const (
 // (commands may be batched the same way events are) and executes each.
 func (pm *NetlinkPM) handleCommand(b []byte) {
 	for off := 0; off < len(b); {
-		n, err := nlmsg.UnmarshalInto(b[off:], &pm.msgScratch)
+		n, err := nlmsg.UnmarshalInto(b[off:], &pm.sc.pmMsg)
 		if err != nil {
 			return // a real kernel would NACK; a short message has no seq to ack
 		}
 		off += n
-		pm.runCommand(&pm.msgScratch)
+		pm.runCommand(&pm.sc.pmMsg)
 	}
 }
 
 func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
-	if err := nlmsg.ParseCommandInto(m, &pm.cmdScratch); err != nil {
+	cmd := &pm.sc.cmd
+	if err := nlmsg.ParseCommandInto(m, cmd); err != nil {
 		pm.ack(m.Seq, m.Pid, errnoEINVAL)
 		return
 	}
-	cmd := &pm.cmdScratch
 	pm.CommandsRun++
 	switch cmd.Kind {
 	case nlmsg.CmdSubscribe:

@@ -57,9 +57,8 @@ func fleetSpec(cfg config) (*scenario.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	devs, err := Generate(cfg.Devices, GenConfig{
-		Mix: mix, Duration: cfg.Duration, HandoverRate: cfg.HandoverRate,
-	})
+	gen := GenConfig{Mix: mix, Duration: cfg.Duration, HandoverRate: cfg.HandoverRate}
+	devs, err := Generate(cfg.Devices, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +72,7 @@ func fleetSpec(cfg config) (*scenario.Spec, error) {
 		Workload: wl,
 		Sched:    cfg.Sched,
 		Policy:   cfg.Policy,
-		Events:   CollectEvents(devs, cfg.Duration),
+		Events:   Schedule(devs, gen),
 		Stop: scenario.Stop{
 			Horizon: cfg.Duration,
 			Poll:    50 * time.Millisecond,

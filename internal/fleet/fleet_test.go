@@ -1,8 +1,17 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/testutil"
 )
 
 func TestDeviceStreamDeterministic(t *testing.T) {
@@ -49,13 +58,15 @@ func genCfg(d time.Duration) GenConfig {
 // TestOrdinalStableAcrossFleetSize is the corpus contract: device 7 is
 // the SAME device — profile, link draws, full timeline — whether the
 // fleet has 10 members or 1000. Without this, growing the fleet would
-// silently re-randomise every existing device.
+// silently re-randomise every existing device. The schedule lists devices
+// in order, so the small fleet's must be the start of the big one's.
 func TestOrdinalStableAcrossFleetSize(t *testing.T) {
-	small, err := Generate(10, genCfg(12*time.Second))
+	cfg := genCfg(12 * time.Second)
+	small, err := Generate(10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Generate(1000, genCfg(12*time.Second))
+	big, err := Generate(1000, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +78,15 @@ func TestOrdinalStableAcrossFleetSize(t *testing.T) {
 		if a.Handovers != b.Handovers || a.Offline != b.Offline {
 			t.Fatalf("device %d timeline changed with fleet size", i)
 		}
-		ae, be := a.Events(), b.Events()
-		if len(ae) != len(be) {
-			t.Fatalf("device %d: %d vs %d events", i, len(ae), len(be))
-		}
-		for k := range ae {
-			if ae[k].At != be[k].At || ae[k].Name != be[k].Name {
-				t.Fatalf("device %d event %d: (%v,%s) vs (%v,%s)",
-					i, k, ae[k].At, ae[k].Name, be[k].At, be[k].Name)
-			}
+	}
+	se, be := Schedule(small, cfg), Schedule(big, cfg)
+	if len(se) == 0 || len(se) >= len(be) {
+		t.Fatalf("%d events for 10 devices, %d for 1000", len(se), len(be))
+	}
+	for k := range se {
+		if se[k].At != be[k].At || se[k].Name != be[k].Name || se[k].Arg != be[k].Arg {
+			t.Fatalf("event %d: (%v,%s,%+v) vs (%v,%s,%+v)",
+				k, se[k].At, se[k].Name, se[k].Arg, be[k].At, be[k].Name, be[k].Arg)
 		}
 	}
 }
@@ -131,31 +142,62 @@ func TestHandoverRateScalesMobility(t *testing.T) {
 	}
 }
 
+// TestTimelineRespectsFloorAndDuration: no event comes before the dial
+// floor or after the window, and the schedule is the fleet's one copy of
+// its events: one allocation of exactly the size it holds.
 func TestTimelineRespectsFloorAndDuration(t *testing.T) {
-	dur := 15 * time.Second
-	devs, err := Generate(300, genCfg(dur))
+	cfg := genCfg(15 * time.Second)
+	devs, err := Generate(300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range devs {
-		for _, ev := range d.Events() {
-			if ev.At < firstHandoverFloor {
-				t.Fatalf("device %d schedules %s at %v, before the dial floor", d.Ordinal, ev.Name, ev.At)
-			}
-		}
-	}
-	evs := CollectEvents(devs, dur)
+	evs := Schedule(devs, cfg)
 	if len(evs) == 0 {
-		t.Fatal("no events collected")
+		t.Fatal("no events scheduled")
 	}
 	for _, ev := range evs {
-		if ev.At > dur {
-			t.Fatalf("CollectEvents kept %s at %v past the %v window", ev.Name, ev.At, dur)
+		if ev.At < firstHandoverFloor {
+			t.Fatalf("%s at %v, before the dial floor", ev.Name, ev.At)
+		}
+		if ev.At > cfg.Duration {
+			t.Fatalf("%s at %v, past the %v window", ev.Name, ev.At, cfg.Duration)
 		}
 	}
-	for _, d := range devs {
-		if d.Events() != nil {
-			t.Fatalf("device %d still holds %d events the run now owns", d.Ordinal, len(d.Events()))
-		}
+	if len(evs) != cap(evs) {
+		t.Fatalf("schedule holds %d events in room for %d", len(evs), cap(evs))
+	}
+	if testutil.RaceEnabled {
+		return // alloc counts differ under -race instrumentation
+	}
+	if n := testing.AllocsPerRun(5, func() { Schedule(devs, cfg) }); n != 1 {
+		t.Fatalf("Schedule made %v allocations, want its one list", n)
+	}
+}
+
+// scheduleHash digests every event's (At, Name, Fn symbol, Arg), in list
+// order, as hex sha256.
+func scheduleHash(evs []scenario.Event) string {
+	h := sha256.New()
+	for _, ev := range evs {
+		fn := runtime.FuncForPC(reflect.ValueOf(ev.Fn).Pointer()).Name()
+		fmt.Fprintf(h, "%d %s %s %q %d %d %x\n", ev.At, ev.Name, fn,
+			ev.Arg.Name, ev.Arg.Client, ev.Arg.Addr, math.Float64bits(ev.Arg.Loss))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestScheduleHash pins the compiled schedule of 64 devices over a 20 s
+// window, event by event and in order: a faster way of building it must
+// build the same list.
+func TestScheduleHash(t *testing.T) {
+	const want = "a1080899d81a3869ddbade385434e59c5ff6f201502dc7ba55eca4fadcc4a365"
+	cfg := genCfg(20 * time.Second)
+	devs, err := Generate(64, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := Schedule(devs, cfg)
+	if got := scheduleHash(evs); got != want {
+		t.Fatalf("schedule of %d events hashes to %s, want %s", len(evs), got, want)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // completed its MP_CAPABLE handshake on the still-up primary interface.
 const firstHandoverFloor = 300 * time.Millisecond
 
-// Device is one generated fleet member: its drawn link qualities and its
-// compiled mobility timeline. Everything here is a pure function of
-// (ordinal, mix, handover rate, duration) — see the package doc.
+// Device is one generated fleet member: its drawn link qualities and what
+// it takes to replay its mobility timeline. Everything here is a pure
+// function of (ordinal, mix, handover rate, duration) — see the package
+// doc.
 type Device struct {
 	Ordinal int
 	Profile *Profile
@@ -29,7 +30,12 @@ type Device struct {
 	Offline   time.Duration
 
 	wifiLink, lteLink string
-	events            []scenario.Event
+	// timeline is the device's stream where the timeline draws begin. A
+	// walk draws from a copy, so every walk makes the same events and the
+	// device keeps none of them: Schedule compiles them straight into the
+	// run's list.
+	timeline Stream
+	events   int // how many of them fall inside the corpus window
 }
 
 // WiFiLink and LTELink name the device's two access links in the built
@@ -37,10 +43,6 @@ type Device struct {
 // every timeline event names one.
 func (d *Device) WiFiLink() string { return d.wifiLink }
 func (d *Device) LTELink() string  { return d.lteLink }
-
-// Events returns the device's compiled scenario events, until
-// CollectEvents has moved them into a run.
-func (d *Device) Events() []scenario.Event { return d.events }
 
 // GenConfig are the corpus-generation knobs shared by every device.
 type GenConfig struct {
@@ -55,6 +57,8 @@ type GenConfig struct {
 // and mobility timeline all come from DeviceStream(i), so the corpus is
 // identical for any shard count, any seed, and any total device count
 // (device 17 is the same device in a 20-device and a 10 000-device run).
+// Each device's timeline is walked once here, to count its events and
+// handovers; Schedule walks it again to compile the events.
 func Generate(n int, cfg GenConfig) ([]*Device, error) {
 	if cfg.HandoverRate <= 0 {
 		return nil, fmt.Errorf("fleet: handover_rate %v: must be positive", cfg.HandoverRate)
@@ -75,12 +79,49 @@ func Generate(n int, cfg GenConfig) ([]*Device, error) {
 func genDevice(i int, cfg GenConfig) *Device {
 	s := DeviceStream(i)
 	p := pick(cfg.Mix, s)
-	d := &Device{Ordinal: i, Profile: p, WiFi: p.WiFi.draw(s), LTE: p.LTE.draw(s)}
+	d := &Device{Ordinal: i, Profile: p, WiFi: p.WiFi.draw(s), LTE: p.LTE.draw(s), timeline: *s}
 	d.wifiLink, d.lteLink = "wifi"+strconv.Itoa(i), "lte"+strconv.Itoa(i)
+	d.Handovers, d.Offline = d.walk(cfg, func(scenario.Event) { d.events++ })
+	return d
+}
 
-	rate := cfg.HandoverRate
+// Schedule compiles the fleet's timelines into one event list for a
+// RunSpec, in device order, leaving out events past the corpus window (the
+// stop horizon would never fire them). The list is allocated once at its
+// exact size, from the counts Generate took, and is the only copy of the
+// events: the run takes it as it is. cfg must be the one the devices were
+// generated with.
+func Schedule(devs []*Device, cfg GenConfig) []scenario.Event {
+	n := 0
+	for _, d := range devs {
+		n += d.events
+	}
+	evs := make([]scenario.Event, 0, n)
+	for _, d := range devs {
+		d.walk(cfg, func(ev scenario.Event) { evs = append(evs, ev) })
+	}
+	return evs
+}
+
+// walk replays d's timeline from a copy of its stream and hands emit
+// every event at or before the corpus window's end, in draw order. It
+// returns the handovers the timeline schedules and the WiFi downtime they
+// sum to.
+func (d *Device) walk(cfg GenConfig, emit func(scenario.Event)) (handovers int, offline time.Duration) {
+	s, p, rate := d.timeline, d.Profile, cfg.HandoverRate
 	dwell := func(r Ranged) time.Duration {
 		return time.Duration(float64(s.Between(r[0], r[1])) / rate)
+	}
+	add := func(ev scenario.Event) {
+		if ev.At <= cfg.Duration {
+			emit(ev)
+		}
+	}
+	// setLoss sets both directions of the named link to the given loss
+	// ratio — a radio fade degrades uplink and downlink alike, unlike the
+	// egress-qdisc loss steps of the paper figures.
+	setLoss := func(at time.Duration, name, link string, loss float64) {
+		add(scenario.Event{At: at, Name: name, Fn: setLinkLoss, Arg: scenario.EventArg{Name: link, Loss: loss}})
 	}
 	fadeLead := time.Duration(p.FadeSteps) * p.FadeStep
 
@@ -91,13 +132,15 @@ func genDevice(i int, cfg GenConfig) *Device {
 		for k := 1; k <= p.FadeSteps; k++ {
 			frac := float64(k) / float64(p.FadeSteps)
 			loss := d.WiFi.Loss + frac*(p.FadeLoss-d.WiFi.Loss)
-			d.setLoss(t-fadeLead+time.Duration(k-1)*p.FadeStep, "fleet.fade", d.wifiLink, loss)
+			setLoss(t-fadeLead+time.Duration(k-1)*p.FadeStep, "fleet.fade", d.wifiLink, loss)
 		}
 		out := dwell(p.LTEDwell)
-		d.events = append(d.events, scenario.FlapClientIface(t, out, i, 0)...)
-		d.setLoss(t+out, "fleet.recover", d.wifiLink, d.WiFi.Loss)
-		d.Handovers++
-		d.Offline += out
+		for _, ev := range scenario.FlapClientIface(t, out, d.Ordinal, 0) {
+			add(ev)
+		}
+		setLoss(t+out, "fleet.recover", d.wifiLink, d.WiFi.Loss)
+		handovers++
+		offline += out
 		t += out + fadeLead + dwell(p.WiFiDwell)
 	}
 
@@ -107,45 +150,12 @@ func genDevice(i int, cfg GenConfig) *Device {
 		for ct < cfg.Duration {
 			loss := s.Range(p.CrossLoss[0], p.CrossLoss[1])
 			dur := s.Between(p.CrossDur[0], p.CrossDur[1])
-			d.setLoss(ct, "fleet.cross", d.lteLink, loss)
-			d.setLoss(ct+dur, "fleet.calm", d.lteLink, d.LTE.Loss)
+			setLoss(ct, "fleet.cross", d.lteLink, loss)
+			setLoss(ct+dur, "fleet.calm", d.lteLink, d.LTE.Loss)
 			ct += dur + s.Between(p.CrossEvery[0], p.CrossEvery[1])
 		}
 	}
-	return d
-}
-
-// setLoss appends the event that, at `at`, sets both directions of the
-// named link to the given loss ratio — a radio fade degrades uplink and
-// downlink alike, unlike the egress-qdisc loss steps of the paper figures.
-func (d *Device) setLoss(at time.Duration, name, link string, loss float64) {
-	d.events = append(d.events, scenario.Event{At: at, Name: name, Fn: setLinkLoss,
-		Arg: scenario.EventArg{Name: link, Loss: loss}})
+	return handovers, offline
 }
 
 func setLinkLoss(rt *scenario.Run, a scenario.EventArg) { rt.Net.Link(a.Name).SetLoss(a.Loss) }
-
-// CollectEvents moves every device's timeline into one event list for a
-// RunSpec, dropping events past the corpus duration (the stop horizon
-// would never fire them anyway). The devices give their copies up, so a
-// fleet holds each event once.
-func CollectEvents(devs []*Device, duration time.Duration) []scenario.Event {
-	n := 0
-	for _, d := range devs {
-		for i := range d.events {
-			if d.events[i].At <= duration {
-				n++
-			}
-		}
-	}
-	out := make([]scenario.Event, 0, n)
-	for _, d := range devs {
-		for _, ev := range d.events {
-			if ev.At <= duration {
-				out = append(out, ev)
-			}
-		}
-		d.events = nil
-	}
-	return out
-}

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
@@ -238,6 +239,10 @@ type Run struct {
 	Registry *metrics.Registry
 	poolBase poolBaseline // pool counters at run start (metrics runs only)
 	timeline timeline     // Spec.Events in firing order (armEvents)
+	// scratch is the Netlink decode scratch of each shard's loop, shared
+	// by the control planes of every client stack on it (core.Scratch);
+	// nil until the first stack with one.
+	scratch []core.Scratch
 
 	Result *stats.Result
 	Wall   time.Duration // wall-clock cost of the whole run
@@ -297,7 +302,14 @@ func (rt *Run) newStack(i int) *smapp.Stack {
 	if rt.Spec.StackConfig != nil {
 		rt.Spec.StackConfig(rt, i, &cfg)
 	}
-	return smapp.New(h, cfg)
+	var sc *core.Scratch // a KernelPM stack decodes no Netlink
+	if cfg.KernelPM == nil {
+		if rt.scratch == nil {
+			rt.scratch = make([]core.Scratch, max(rt.Spec.Shards, 1))
+		}
+		sc = &rt.scratch[sim.ShardIndex(h.Clock())]
+	}
+	return smapp.NewSharing(h, cfg, sc)
 }
 
 // dial opens client i's connection — from its first address to server

@@ -71,12 +71,32 @@ type Stack struct {
 // New builds the full in-process stack for a host: simulated Netlink
 // transport (or a custom one), kernel-side PM, userspace
 // library on the sim clock, and the MPTCP endpoint — the paper's Figure 1
-// in one constructor.
+// in one constructor. The PM and the library decode into scratch of the
+// stack's own.
 func New(host *netem.Host, cfg Config) *Stack {
-	st := &Stack{Host: host}
+	own := new(struct {
+		Stack
+		sc core.Scratch
+	})
+	own.init(host, cfg, &own.sc)
+	return &own.Stack
+}
+
+// NewSharing is New for a stack whose PM and library decode into sc, which
+// every stack on host's event loop may share (core.Scratch): a run of many
+// stacks keeps one per loop instead of one per stack. A KernelPM stack
+// decodes nothing, and sc may be nil.
+func NewSharing(host *netem.Host, cfg Config, sc *core.Scratch) *Stack {
+	st := new(Stack)
+	st.init(host, cfg, sc)
+	return st
+}
+
+func (st *Stack) init(host *netem.Host, cfg Config, sc *core.Scratch) {
+	st.Host = host
 	if cfg.KernelPM != nil {
 		st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, cfg.KernelPM)
-		return st
+		return
 	}
 	st.tsh, st.owner = cfg.MPTCP.Trace, host.Name()
 	s := host.Clock()
@@ -85,16 +105,15 @@ func New(host *netem.Host, cfg Config) *Stack {
 		tr = core.NewSimTransport(s)
 	}
 	st.Transport = tr
-	st.PM = core.NewNetlinkPM(s, tr)
+	st.PM = sc.NewNetlinkPM(s, tr)
 	if cfg.CtlFlush > 0 {
 		st.PM.SetCoalescing(cfg.CtlFlush, cfg.CtlQueue)
 	}
-	st.Lib = core.NewLibrary(tr, core.SimClock{S: s}, 1)
+	st.Lib = sc.NewLibrary(tr, core.SimClock{S: s}, 1)
 	// One subscription covers every policy the stack will ever host; the
 	// mux fans events out per connection.
 	st.subscribe(everyEvent)
 	st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, st.PM)
-	return st
 }
 
 // everyEvent names every event kind for subscribe, which reads only which
