@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt loc cover cover-ref examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
+.PHONY: build test race fuzz bench bench-pair fmt loc loc-ref cover cover-ref examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,10 @@ race:
 # Every Fuzz* target in the module, each on its own for FUZZTIME: `go test
 # -list` prints a package's targets and then its "ok <pkg>" line, and -fuzz
 # takes one target of one package at a time. Plain `go test` only replays
-# the seed corpora.
+# the seed corpora. Each input that finds new coverage is minimised in at
+# most 50 runs: by default the engine spends up to a minute per input on it,
+# and a target seeded with a real run's kilobytes (FuzzMetricsDecode,
+# FuzzDecodeResult) then spends its whole FUZZTIME minimising, not fuzzing.
 FUZZTIME ?= 5s
 fuzz:
 	@set -e; \
@@ -27,7 +30,7 @@ fuzz:
 	| awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' \
 	| while read pkg f; do \
 		echo "== fuzz: $$pkg $$f ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 50x $$pkg; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, bench/README.md): four
@@ -59,6 +62,19 @@ bench-pair:
 # CHANGES.md entry report before and after a change.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
+# What a change does to `make loc`: the count at REF (unpacked from a `git
+# archive` of it, as cover-ref does) and in the working tree, and the
+# difference. Report only.
+loc-ref:
+	@test -n "$(REF)" || { echo "usage: make loc-ref REF=<commit>"; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'rm -rf '$$tmp EXIT; \
+	git archive $(REF) | tar -x -C $$tmp; \
+	ref=$$($(MAKE) -s --no-print-directory -C $$tmp -f $(CURDIR)/Makefile loc); \
+	head=$$($(MAKE) -s --no-print-directory loc); \
+	echo "== loc-ref: $$ref lines at $(REF), $$head in the working tree ($$(printf '%+d' $$((head - ref))))"
 
 # Statement coverage of internal/ and cmd/ by every test of both: the total,
 # then the count and names of the functions no test runs. A function with no

@@ -40,20 +40,21 @@ import (
 type chanPipe struct {
 	ch   chan []byte
 	recv func([]byte)
+	err  error // why the socket closed; set before ch is closed
 }
 
 func (p *chanPipe) Send(b []byte)               { p.ch <- b }
 func (p *chanPipe) SetReceiver(fn func([]byte)) { p.recv = fn }
 
 // ingest pumps command frames from the controller's socket into the
-// channel until the socket closes, then closes the channel. ReadMessages
-// recycles each frame the moment the callback returns, and the
-// simulation loop only gets to the channel at its next pacing step, so
-// every frame is copied into a buffer the channel's receiver owns.
-func (p *chanPipe) ingest(r io.Reader) error {
-	err := core.ReadMessages(r, func(b []byte) { p.ch <- append(nlmsg.Wire.Get(), b...) })
+// channel until the socket closes, then records why and closes the
+// channel. ReadMessages recycles each frame the moment the callback
+// returns, and the simulation loop only gets to the channel at its next
+// pacing step, so every frame is copied into a buffer the channel's
+// receiver owns.
+func (p *chanPipe) ingest(r io.Reader) {
+	p.err = core.ReadMessages(r, func(b []byte) { p.ch <- append(nlmsg.Wire.Get(), b...) })
 	close(p.ch)
-	return err
 }
 
 // drain executes every queued command on the calling (simulation) thread
@@ -75,32 +76,48 @@ func (p *chanPipe) drain() bool {
 	}
 }
 
-func main() {
-	sock := flag.String("sock", "/tmp/smapp.sock", "unix socket to expose the Netlink PM on")
-	runFor := flag.Duration("run", 15*time.Second, "how long to run the scenario")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics/expvar/pprof on this address (e.g. :6060)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one smappd command line and returns its exit status: 0
+// once the run's time is up or the controller has gone, 1 when a socket
+// cannot be opened, 2 on a bad flag. The "done" line goes to stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smappd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sock := fs.String("sock", "/tmp/smapp.sock", "unix socket to expose the Netlink PM on")
+	runFor := fs.Duration("run", 15*time.Second, "how long to run the scenario")
+	metricsAddr := fs.String("metrics-addr", "", "serve live metrics/expvar/pprof on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	lg := log.New(stderr, "", log.LstdFlags)
 
 	if *metricsAddr != "" {
 		addr, err := metrics.Serve(*metricsAddr)
 		if err != nil {
-			log.Fatalf("metrics: %v", err)
+			lg.Printf("metrics: %v", err)
+			return 1
 		}
-		log.Printf("smappd: live metrics on http://%s/metrics (pprof under /debug/pprof/)", addr)
+		lg.Printf("smappd: live metrics on http://%s/metrics (pprof under /debug/pprof/)", addr)
 	}
 
 	os.Remove(*sock)
 	l, err := net.Listen("unix", *sock)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		lg.Printf("listen: %v", err)
+		return 1
 	}
 	defer l.Close()
-	log.Printf("smappd: waiting for a subflow controller on %s", *sock)
+	lg.Printf("smappd: waiting for a subflow controller on %s", *sock)
 	conn, err := l.Accept()
 	if err != nil {
-		log.Fatalf("accept: %v", err)
+		lg.Printf("accept: %v", err)
+		return 1
 	}
-	log.Printf("smappd: controller attached; starting the emulated world")
+	lg.Printf("smappd: controller attached; starting the emulated world")
 
 	// The world: two 10 Mbps paths; a bulk transfer starts at t=1s; the
 	// first path degrades badly at t=4s. Whether anything survives is the
@@ -124,18 +141,24 @@ func main() {
 	world.Schedule(sim.Second, "start-transfer", func() {
 		src := app.NewSource(world, 512<<20, false)
 		if _, err := k.Dial(n.ClientAddrs[0], n.ServerAddr, 80, "", smapp.ControllerConfig{}, src.Callbacks()); err != nil {
-			log.Fatalf("connect: %v", err)
+			panic(fmt.Sprintf("smappd: connect: %v", err)) // the canned world always has the route and the port
 		}
-		log.Printf("smappd: transfer started on %s", n.ClientAddrs[0])
+		lg.Printf("smappd: transfer started on %s", n.ClientAddrs[0])
 	})
 	world.Schedule(4*sim.Second, "degrade", func() {
 		n.Path[0].AB.SetLoss(0.5)
-		log.Printf("smappd: path0 degraded to 50%% loss — over to the controller")
+		lg.Printf("smappd: path0 degraded to 50%% loss — over to the controller")
 	})
 
 	// Socket reader: commands go through the channel into the sim thread.
-	go func() {
-		log.Printf("smappd: controller disconnected (%v)", inject.ingest(conn))
+	// When the run ends, the controller's connection is closed and the
+	// reader drained to its end, so nothing outlives run.
+	go inject.ingest(conn)
+	defer func() {
+		conn.Close()
+		for b := range inject.ch {
+			nlmsg.Wire.Put(b)
+		}
 	}()
 
 	// Real-time pacing loop: drain pending commands, advance virtual time
@@ -145,8 +168,9 @@ func main() {
 	deadline := sim.Time(*runFor)
 	for world.Now() < deadline {
 		if !inject.drain() {
-			log.Printf("smappd: shutting down")
-			return
+			lg.Printf("smappd: controller disconnected (%v)", inject.err)
+			lg.Printf("smappd: shutting down")
+			return 0
 		}
 		if *metricsAddr != "" && world.Now()%sim.Second == 0 {
 			reg := metrics.New(1)
@@ -156,6 +180,7 @@ func main() {
 		world.RunFor(step)
 		time.Sleep(step)
 	}
-	fmt.Printf("smappd: done; receiver got %.2f MB in %v of virtual time\n",
+	fmt.Fprintf(stdout, "smappd: done; receiver got %.2f MB in %v of virtual time\n",
 		float64(sink.Received)/1e6, *runFor)
+	return 0
 }

@@ -79,7 +79,7 @@ func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 		// shape is insensitive to the shift.
 		pre := scenario.Event{At: 200 * time.Millisecond, Name: "fig2a.preestablish",
 			Fn: func(rt *scenario.Run, _ scenario.EventArg) {
-				ep := rt.Net.Client()
+				ep := rt.Net.ClientAt(0)
 				if _, err := rt.Conn.OpenSubflow(ep.Addrs[1], 0, rt.Net.ServerAddr, 80, true); err != nil {
 					panic(err)
 				}

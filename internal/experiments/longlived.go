@@ -62,7 +62,7 @@ func longLivedSpec(cfg longLivedConfig) *scenario.Spec {
 
 	var events []scenario.Event
 	if cfg.FlapAt > 0 {
-		events = scenario.FlapIface(cfg.FlapAt, cfg.FlapFor, 0)
+		events = scenario.FlapClientIface(cfg.FlapAt, cfg.FlapFor, 0, 0)
 	}
 	horizon := cfg.MsgInterval*time.Duration(cfg.Messages+1) + 5*time.Minute
 

@@ -282,22 +282,16 @@ func TestRouterSymmetricPaths(t *testing.T) {
 	}
 }
 
-func TestRouterDefaultAndNoRoute(t *testing.T) {
+func TestRouterNoRoute(t *testing.T) {
 	s := sim.New(1)
 	r := NewRouter(s, "r", 0)
-	dst := &sink{name: "dst", sim: s}
+	r.AddRoute(ipA, NewLink(s, "l", &sink{name: "a", sim: s}, LinkConfig{}))
 	r.Input(mkpkt(ipA, ipB, 10))
-	if r.Stats.NoRoute != 1 {
+	if r.Stats.NoRoute != 1 || r.Stats.Forwarded != 0 {
 		t.Fatal("missing route not counted")
 	}
 	if r.PathFor(ipB, mkpkt(ipA, ipB, 1)) != -1 {
 		t.Fatal("PathFor on no route should be -1")
-	}
-	r.SetDefault(NewLink(s, "l", dst, LinkConfig{}))
-	r.Input(mkpkt(ipA, ipB, 10))
-	s.Run()
-	if len(dst.got) != 1 {
-		t.Fatal("default route unused")
 	}
 }
 
@@ -425,7 +419,7 @@ func TestOneEventPerHop(t *testing.T) {
 	rx := &sink{name: "rx", sim: s}
 	mid := NewRouter(s, "mid", 1)
 	hop2 := NewLink(s, "hop2", rx, LinkConfig{RateBps: 8e6, Delay: time.Millisecond})
-	mid.SetDefault(hop2)
+	mid.AddRoute(ipB, hop2)
 	hop1 := NewLink(s, "hop1", mid, LinkConfig{RateBps: 8e6, Delay: time.Millisecond, QueueCap: 4})
 	for i := 0; i < 10; i++ { // six of the ten overflow hop1's queue
 		hop1.Send(mkpkt(ipA, ipB, 1000))

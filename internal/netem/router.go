@@ -21,7 +21,6 @@ type Router struct {
 	clock    sim.Clock
 	name     string
 	routes   map[netip.Addr][]*Link
-	fallback []*Link
 	hashSeed uint64
 
 	Stats RouterStats
@@ -45,17 +44,10 @@ func (r *Router) AddRoute(dst netip.Addr, links ...*Link) {
 	r.routes[dst] = append(r.routes[dst], links...)
 }
 
-// SetDefault installs the fallback ECMP group used when no specific route
-// matches.
-func (r *Router) SetDefault(links ...*Link) { r.fallback = links }
-
 // PathFor reports which ECMP index a tuple hashes to for dst (for tests and
 // experiment ground truth). It returns -1 when no route exists.
 func (r *Router) PathFor(dst netip.Addr, pkt *Packet) int {
 	links := r.routes[dst]
-	if links == nil {
-		links = r.fallback
-	}
 	switch {
 	case len(links) == 0:
 		return -1
@@ -70,9 +62,6 @@ func (r *Router) PathFor(dst netip.Addr, pkt *Packet) int {
 // egress link; unroutable packets are retired).
 func (r *Router) Input(pkt *Packet) {
 	links := r.routes[pkt.Dst]
-	if links == nil {
-		links = r.fallback
-	}
 	if len(links) == 0 {
 		r.Stats.NoRoute++
 		pkt.Release()

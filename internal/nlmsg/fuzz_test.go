@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // exemplarEvents returns one exemplar of all ten events, covering every
@@ -210,6 +213,36 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 			Wire.Put(scr[:0])
 		} else {
 			Wire.Put(pb)
+		}
+	})
+}
+
+// FuzzUnmarshalAttrs feeds arbitrary bytes to the attribute-block decoder
+// that nested attributes (an info reply's per-subflow entries) go through,
+// seeded with the attribute block of every message fuzzSeeds marshals.
+// What it accepts must re-encode to a block that decodes the same, and
+// what it allocates must stay bounded by the input's length.
+func FuzzUnmarshalAttrs(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s[nlHdrLen+genlHdrLen:])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		attrs, err := UnmarshalAttrs(b)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; !testutil.RaceEnabled && got > uint64(64*len(b)+64<<10) {
+			t.Fatalf("%d input bytes cost %d allocated bytes", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalAttrs(MarshalAttrs(attrs))
+		if err != nil {
+			t.Fatalf("a decoded block does not decode once re-encoded: %v", err)
+		}
+		if !reflect.DeepEqual(attrs, again) {
+			t.Fatalf("round trip changed the block:\n in=%v\nout=%v", attrs, again)
 		}
 	})
 }

@@ -62,7 +62,7 @@ func (p *PushTrace) Probe() Probe {
 	return Probe{
 		Name: "push-trace",
 		Arm: func(rt *Run) {
-			split := rt.Net.Client().Addrs[p.BackupAddrIdx]
+			split := rt.Net.ClientAt(0).Addrs[p.BackupAddrIdx]
 			cclk := rt.ClientClock(0) // TracePush fires on the client's loop
 			rt.Conn.TracePush = func(sf *tcp.Subflow, rel uint64, ln int, re bool) {
 				t := cclk.Now()

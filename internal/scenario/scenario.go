@@ -124,7 +124,7 @@ func (e Event) Do(rt *Run) { e.Fn(rt, e.Arg) }
 
 // EventArg is what an Event acts on; each Fn reads the fields it needs.
 type EventArg struct {
-	Name   string  // a link name, or a client host name ("" = use Client)
+	Name   string  // a link name
 	Client int32   // client ordinal in the topology
 	Addr   int32   // index into the client's interface addresses
 	Loss   float64 // loss ratio to install
@@ -438,31 +438,12 @@ func LossRamp(link string, start, step time.Duration, losses ...float64) []Event
 	return evs
 }
 
-// FlapIface takes the first client's addrIdx-th interface down at `at`
-// and back up `dur` later — the §4.1 interface outage.
-func FlapIface(at, dur time.Duration, addrIdx int) []Event {
-	return FlapClientIface(at, dur, 0, addrIdx)
-}
-
-// FlapClientIface is FlapIface generalised to any client endpoint of the
-// topology: client `client`'s addrIdx-th interface goes down at `at` and
-// back up `dur` later. Fleet mobility schedules compile their WiFi↔LTE
-// handovers down to this primitive, one flap per device.
+// FlapClientIface takes client `client`'s addrIdx-th interface down at
+// `at` and back up `dur` later: the §4.1 interface outage. Fleet mobility
+// schedules compile their WiFi↔LTE handovers down to it, one flap per
+// device.
 func FlapClientIface(at, dur time.Duration, client, addrIdx int) []Event {
-	return flap(at, dur, EventArg{Client: int32(client), Addr: int32(addrIdx)})
-}
-
-// FlapHostIface flaps the addrIdx-th interface of the named client host —
-// for topologies addressed by host name (the declarative Builder) rather
-// than client order.
-func FlapHostIface(at, dur time.Duration, host string, addrIdx int) []Event {
-	return flap(at, dur, EventArg{Name: host, Addr: int32(addrIdx)})
-}
-
-// flap is the one interface-outage constructor: the client a names (by host
-// name when it has one, by ordinal otherwise) loses interface a.Addr at
-// `at` and gets it back `dur` later.
-func flap(at, dur time.Duration, a EventArg) []Event {
+	a := EventArg{Client: int32(client), Addr: int32(addrIdx)}
 	return []Event{
 		{At: at, Name: "if.down", Fn: ifaceDown, Arg: a},
 		{At: at + dur, Name: "if.up", Fn: ifaceUp, Arg: a},
@@ -473,11 +454,6 @@ func ifaceDown(rt *Run, a EventArg) { setIface(rt, a, false) }
 func ifaceUp(rt *Run, a EventArg)   { setIface(rt, a, true) }
 
 func setIface(rt *Run, a EventArg, up bool) {
-	var ep Endpoint
-	if a.Name != "" {
-		ep = rt.Net.ClientNamed(a.Name)
-	} else {
-		ep = rt.Net.ClientAt(int(a.Client))
-	}
+	ep := rt.Net.ClientAt(int(a.Client))
 	ep.Host.SetIfaceUp(ep.Addrs[a.Addr], up)
 }

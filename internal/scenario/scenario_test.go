@@ -106,7 +106,7 @@ func TestLossRampBuildsSteps(t *testing.T) {
 	}
 }
 
-func TestFlapIfaceTargetsClientAndHost(t *testing.T) {
+func TestFlapClientIface(t *testing.T) {
 	w := sim.NewWorld(1, 1)
 	net := Star{
 		Clients: 3, Ifaces: 2,
@@ -119,18 +119,18 @@ func TestFlapIfaceTargetsClientAndHost(t *testing.T) {
 		return ep.Host.Iface(ep.Addrs[addrIdx]).Up()
 	}
 
-	// The old signature still flaps the FIRST client.
-	evs := FlapIface(time.Second, time.Second, 1)
+	// Client 0's interface 1 goes down, and only it.
+	evs := FlapClientIface(time.Second, time.Second, 0, 1)
 	evs[0].Do(rt)
-	if up(0, 1) || !up(1, 1) || !up(2, 1) {
-		t.Fatal("FlapIface touched the wrong client interface")
+	if up(0, 1) || !up(1, 1) || !up(2, 1) || !up(0, 0) {
+		t.Fatal("FlapClientIface touched the wrong client interface")
 	}
 	evs[1].Do(rt)
 	if !up(0, 1) {
-		t.Fatal("FlapIface did not restore the interface")
+		t.Fatal("FlapClientIface did not restore the interface")
 	}
 
-	// Indexed: only client 2's interface 0 goes down.
+	// Only client 2's interface 0 goes down.
 	evs = FlapClientIface(time.Second, time.Second, 2, 0)
 	evs[0].Do(rt)
 	if up(2, 0) || !up(0, 0) || !up(1, 0) {
@@ -141,30 +141,41 @@ func TestFlapIfaceTargetsClientAndHost(t *testing.T) {
 		t.Fatal("FlapClientIface did not restore the interface")
 	}
 
-	// Named: Star names its clients c0, c1, ...
-	evs = FlapHostIface(time.Second, time.Second, "c1", 1)
-	evs[0].Do(rt)
-	if up(1, 1) || !up(0, 1) {
-		t.Fatal("FlapHostIface targeted the wrong host")
-	}
-	evs[1].Do(rt)
-	if !up(1, 1) {
-		t.Fatal("FlapHostIface did not restore the interface")
-	}
+	// An out-of-range client index is a scenario bug.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("bad flap target did not panic")
+		}
+	}()
+	FlapClientIface(0, 0, 9, 0)[0].Do(rt)
+}
 
-	// Out-of-range indices and unknown names are scenario bugs.
-	for _, fn := range []func(){
-		func() { FlapClientIface(0, 0, 9, 0)[0].Do(rt) },
-		func() { FlapHostIface(0, 0, "nope", 0)[0].Do(rt) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad flap target did not panic")
-				}
-			}()
-			fn()
-		}()
+// A loss ramp to blackout on both paths of the §4.1 NAT topology stalls a
+// fullmesh bulk transfer that completes well inside the horizon without it.
+func TestNATPathLossRampStallsTransfer(t *testing.T) {
+	link := netem.LinkConfig{RateBps: 20e6, Delay: 10 * time.Millisecond}
+	transfer := func(events []Event) bool {
+		wl := &Bulk{Bytes: 4 << 20}
+		run := &RunSpec{
+			Label:    "nat-ramp",
+			Topology: NATPath{P0: link, P1: link, Idle: 60 * time.Second, Expiry: netem.ExpiryRST},
+			Workload: wl,
+			Policy:   "fullmesh",
+			Settle:   time.Millisecond,
+			Events:   events,
+			Stop:     Stop{Horizon: 5 * time.Second, Poll: 50 * time.Millisecond, Until: wl.Done},
+		}
+		Execute(&Spec{Name: "test-nat-ramp", Runs: []*RunSpec{run}}, 1)
+		return wl.Sink.Done
+	}
+	if !transfer(nil) {
+		t.Fatal("4 MB transfer through the NAT did not complete without a loss ramp")
+	}
+	ramp := append(
+		LossRamp("path0", 100*time.Millisecond, 100*time.Millisecond, 0.5, 1.0),
+		LossRamp("path1", 100*time.Millisecond, 100*time.Millisecond, 0.5, 1.0)...)
+	if transfer(ramp) {
+		t.Fatal("4 MB transfer completed despite the loss ramp to blackout")
 	}
 }
 

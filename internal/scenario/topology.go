@@ -66,11 +66,6 @@ func (n *Net) normalize() *Net {
 	return n
 }
 
-// Client returns the first (usually only) client endpoint.
-func (n *Net) Client() Endpoint {
-	return n.ClientAt(0)
-}
-
 // ClientAt returns the i-th client endpoint; an out-of-range index is a
 // scenario bug.
 func (n *Net) ClientAt(i int) Endpoint {
@@ -78,17 +73,6 @@ func (n *Net) ClientAt(i int) Endpoint {
 		panic(fmt.Sprintf("scenario: topology has no client %d (have %d)", i, len(n.Clients)))
 	}
 	return n.Clients[i]
-}
-
-// ClientNamed returns the client endpoint whose host carries the given
-// name; an unknown name is a scenario bug.
-func (n *Net) ClientNamed(name string) Endpoint {
-	for _, ep := range n.Clients {
-		if ep.Host.Name() == name {
-			return ep
-		}
-	}
-	panic(fmt.Sprintf("scenario: topology has no client host %q", name))
 }
 
 // Link returns a named link; unknown names are a scenario bug.
