@@ -126,7 +126,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Run EVERY registered scenario end to end with -smoke (reduced
+# Run EVERY registered scenario end to end with -set smoke (reduced
 # durations/sizes/seeds); any non-zero exit fails. The list is taken from
 # the scenario registry itself, so a newly registered scenario is smoked
 # automatically — no Makefile edit needed. An explicit -set beats the
@@ -141,53 +141,54 @@ smoke:
 	trap 'rm -f '$$bin EXIT; \
 	for s in $$($$bin list -names); do \
 		echo "== smoke: mpexp run $$s"; \
-		$$bin run $$s -smoke >/dev/null; \
+		$$bin run $$s -set smoke >/dev/null; \
 	done; \
 	echo "== smoke: mpexp run fleet (48 devices, 2x handover rate)"; \
-	$$bin run fleet -smoke -set devices=48 -set handover_rate=2 | grep '^48 devices' >/dev/null; \
+	$$bin run fleet -set smoke -set devices=48 -set handover_rate=2 | grep '^48 devices' >/dev/null; \
 	echo "== smoke: mpexp run ctlstress (wide window, tight queue)"; \
-	$$bin run ctlstress -smoke -set window=1ms -set queue=16 >/dev/null; \
+	$$bin run ctlstress -set smoke -set window=1ms -set queue=16 >/dev/null; \
 	tdir=$$(mktemp -d); \
-	echo "== smoke: mpexp run fleet -metrics-out (runtime metrics export)"; \
-	$$bin run fleet -smoke -metrics-out $$tdir/fleet.metrics.json >/dev/null; \
+	echo "== smoke: mpexp run fleet -set metrics=FILE (runtime metrics export)"; \
+	$$bin run fleet -set smoke -set metrics=$$tdir/fleet.metrics.json >/dev/null; \
 	test -s $$tdir/fleet.metrics.json; \
-	echo "== smoke: mpexp run fig2a -trace && mpexp report"; \
-	$$bin run fig2a -smoke -trace $$tdir/fig2a.trace >/dev/null; \
+	echo "== smoke: mpexp run fig2a -set trace=FILE && mpexp report"; \
+	$$bin run fig2a -set smoke -set trace=$$tdir/fig2a.trace >/dev/null; \
 	$$bin report $$tdir/fig2a.trace -csv $$tdir/csv >/dev/null 2>&1; \
 	$$bin report $$tdir/fig2a.trace -json >/dev/null; \
 	rm -rf $$tdir
 
-# Every registered scenario once more, but with -shards 4 on a
+# Every registered scenario once more, but with shards=4 on a
 # race-instrumented binary: the end-to-end gate for the sharded parallel
 # core's cross-shard synchronisation. Per-seed results are bit-identical
 # at any shard count, so any divergence or data race here is a bug in
 # the lookahead windows, not the model. Tracing is single-shard only
-# (rejected with -shards > 1), so the traced run stays in `smoke` and a
+# (rejected with shards > 1), so the traced run stays in `smoke` and a
 # manifest that asks for a trace is skipped here. Every other committed
 # manifest runs too: the controller, scheduler, fleet and scale sweeps are
 # data (examples/manifests/), and this is where their every cell meets the
 # sharded core. The two explicit cells are larger than their scenario's
-# smoke size (-set beats -smoke); the fleet one checks it ran 64 devices.
+# smoke size (an explicit key beats smoke); the fleet one checks it ran 64
+# devices.
 smoke-shards:
 	@set -e; \
 	bin=$$(mktemp -u); \
 	$(GO) build -race -o $$bin ./cmd/mpexp; \
 	trap 'rm -f '$$bin EXIT; \
 	for s in $$($$bin list -names); do \
-		echo "== smoke (-race, -shards 4): mpexp run $$s"; \
-		$$bin run $$s -smoke -shards 4 >/dev/null; \
+		echo "== smoke (-race, shards=4): mpexp run $$s"; \
+		$$bin run $$s -set smoke -set shards=4 >/dev/null; \
 	done; \
-	echo "== smoke (-race, -shards 4): mpexp run fleet (64 devices)"; \
-	$$bin run fleet -smoke -shards 4 -set devices=64 | grep '^64 devices' >/dev/null; \
-	echo "== smoke (-race, -shards 4): mpexp run ctlstress (8 conns)"; \
-	$$bin run ctlstress -smoke -shards 4 -set conns=8 >/dev/null; \
+	echo "== smoke (-race, shards=4): mpexp run fleet (64 devices)"; \
+	$$bin run fleet -set smoke -set shards=4 -set devices=64 | grep '^64 devices' >/dev/null; \
+	echo "== smoke (-race, shards=4): mpexp run ctlstress (8 conns)"; \
+	$$bin run ctlstress -set smoke -set shards=4 -set conns=8 >/dev/null; \
 	for m in examples/manifests/*.json; do \
 		if grep -q '"trace' $$m; then \
-			echo "== smoke (-race, -shards 4): skipping $$m (traced: single-shard only)"; \
+			echo "== smoke (-race, shards=4): skipping $$m (traced: single-shard only)"; \
 			continue; \
 		fi; \
-		echo "== smoke (-race, -shards 4): mpexp run $$m"; \
-		$$bin run $$m -shards 4 -ws none >/dev/null; \
+		echo "== smoke (-race, shards=4): mpexp run $$m"; \
+		$$bin run $$m -set shards=4 -ws none >/dev/null; \
 	done
 
 # Workspace round-trip gate: init a temp .mpexp workspace, run every
@@ -196,7 +197,7 @@ smoke-shards:
 # between two identical runs is a determinism regression. The committed
 # example manifests (examples/manifests/) are also run twice and diffed,
 # gating the manifest loader and the sweep cell layout end to end. The
-# fleet and ctlstress pairs run with -metrics, so the diff also covers the
+# fleet and ctlstress pairs run with -set metrics, so the diff also covers the
 # captured metrics snapshots — fleet's metrics.json and the
 # metrics.json.immediate/.coalesced a two-run spec writes (wall-clock-tagged
 # metrics excluded, everything else compared at tolerance 0). The last pair
@@ -211,8 +212,8 @@ smoke-workspace:
 	( cd $$ws; $$bin init >/dev/null; \
 	  for s in $$($$bin list -names); do \
 		echo "== workspace smoke: $$s (run twice + diff)"; \
-		$$bin run $$s -smoke >/dev/null; \
-		$$bin run $$s -smoke >/dev/null; \
+		$$bin run $$s -set smoke >/dev/null; \
+		$$bin run $$s -set smoke >/dev/null; \
 		$$bin diff $$s-001 $$s-002; \
 	  done; \
 	  for m in $(CURDIR)/examples/manifests/*.json; do \
@@ -222,32 +223,32 @@ smoke-workspace:
 		$$bin run $$m >/dev/null; \
 		$$bin diff $$n-001 $$n-002; \
 	  done; \
-	  echo "== workspace smoke: fleet -metrics (run twice + diff metrics.json)"; \
-	  $$bin run fleet -smoke -metrics >/dev/null; \
-	  $$bin run fleet -smoke -metrics >/dev/null; \
+	  echo "== workspace smoke: fleet -set metrics (run twice + diff metrics.json)"; \
+	  $$bin run fleet -set smoke -set metrics >/dev/null; \
+	  $$bin run fleet -set smoke -set metrics >/dev/null; \
 	  test -s .mpexp/runs/fleet-003/metrics.json; \
 	  $$bin diff fleet-003 fleet-004; \
-	  echo "== workspace smoke: ctlstress -metrics (run twice + diff metrics.json.<run>)"; \
-	  $$bin run ctlstress -smoke -metrics >/dev/null; \
-	  $$bin run ctlstress -smoke -metrics >/dev/null; \
+	  echo "== workspace smoke: ctlstress -set metrics (run twice + diff metrics.json.<run>)"; \
+	  $$bin run ctlstress -set smoke -set metrics >/dev/null; \
+	  $$bin run ctlstress -set smoke -set metrics >/dev/null; \
 	  test -s .mpexp/runs/ctlstress-003/metrics.json.coalesced; \
 	  $$bin diff ctlstress-003 ctlstress-004; \
 	  echo "== workspace smoke: fig2b -seeds 2 (run twice + diff result.json.seed<N>)"; \
-	  $$bin run fig2b -smoke -seeds 2 >/dev/null; \
-	  $$bin run fig2b -smoke -seeds 2 >/dev/null; \
+	  $$bin run fig2b -set smoke -seeds 2 >/dev/null; \
+	  $$bin run fig2b -set smoke -seeds 2 >/dev/null; \
 	  test -s .mpexp/runs/fig2b-003/result.json.seed2; \
 	  $$bin diff fig2b-003 fig2b-004 ); \
 	rm -rf $$ws
 
 # Parent-vs-change gate for a refactor that must keep every simulated
 # byte: build cmd/mpexp at REF (from a `git archive` of it) and from the
-# working tree, run every registered scenario -smoke three ways (plain,
-# -metrics, -shards 2) into one workspace per side, and require `mpexp
+# working tree, run every registered scenario at smoke size three ways
+# (plain, -set metrics, -set shards=2) into one workspace per side, and require `mpexp
 # diff` at tolerance 0 on every pair across the two — metrics.json
 # included. Then compare `mpexp report -json` of a traced fig2a, scale and
 # fleet run: the analysis must be byte-identical even where the raw trace
 # orders its shards differently. Then the sweep side of the executor: one
-# flag-driven multi-seed sweep, one traced and one -metrics single-seed
+# flag-driven multi-seed sweep, one traced and one metered single-seed
 # sweep and every examples/manifests/*.json, each diffed at tolerance 0
 # cell directory by cell directory, and the stdout each side printed
 # compared with cmp (a difference is sized as lines added and removed; a
@@ -301,23 +302,23 @@ smoke-ref:
 		mkdir $$tmp/$$side-ws; \
 		( cd $$tmp/$$side-ws; $$bin init >/dev/null; \
 		  for s in $$names; do \
-			$$bin run $$s -smoke >/dev/null 2>&1; \
-			$$bin run $$s -smoke -metrics >/dev/null 2>&1; \
-			$$bin run $$s -smoke -shards 2 >/dev/null 2>&1; \
+			$$bin run $$s -set smoke >/dev/null 2>&1; \
+			$$bin run $$s -set smoke -set metrics >/dev/null 2>&1; \
+			$$bin run $$s -set smoke -set shards=2 >/dev/null 2>&1; \
 		  done; \
 		  for s in fig2a scale fleet; do \
-			$$bin run $$s -smoke -ws none -trace $$s.trace >/dev/null 2>&1; \
+			$$bin run $$s -set smoke -ws none -set trace=$$s.trace >/dev/null 2>&1; \
 			$$bin report $$s.trace -json >$$s.report.json; \
 		  done; \
-		  $$bin sweep fig2b -smoke -controllers fullmesh,stream -vary loss=0.1,0.3 -seeds 2 >fig2b-004.out 2>/dev/null; \
-		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -set trace >fig2a-004.out 2>/dev/null; \
-		  $$bin sweep fig2a -smoke -vary loss=0.2,0.4 -metrics >fig2a-005.out 2>/dev/null; \
+		  $$bin sweep fig2b -set smoke -vary policy=fullmesh,stream -vary loss=0.1,0.3 -seeds 2 >fig2b-004.out 2>/dev/null; \
+		  $$bin sweep fig2a -set smoke -vary loss=0.2,0.4 -set trace >fig2a-004.out 2>/dev/null; \
+		  $$bin sweep fig2a -set smoke -vary loss=0.2,0.4 -set metrics >fig2a-005.out 2>/dev/null; \
 		  for m in $$manifests; do \
 			$$bin run $$mdir/$$m.json >$$m-001.out 2>/dev/null; \
 		  done ); \
 	done; \
-	echo "== smoke-ref: runs 001 = plain, 002 = -metrics, 003 = -shards 2;"; \
-	echo "== fig2b-004 = sweep -seeds 2, fig2a-004 = traced sweep, fig2a-005 = -metrics sweep, <manifest>-001"; \
+	echo "== smoke-ref: runs 001 = plain, 002 = -set metrics, 003 = -set shards=2;"; \
+	echo "== fig2b-004 = sweep -seeds 2, fig2a-004 = traced sweep, fig2a-005 = metered sweep, <manifest>-001"; \
 	differing=0; \
 	runs=$$(for s in $$names; do echo $$s-001 $$s-002 $$s-003; done); \
 	sweeps="fig2b-004 fig2a-004 fig2a-005 $$(for m in $$manifests; do echo $$m-001; done)"; \

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -50,7 +51,7 @@ func TestDiffPerSeedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []string{"1", "1", "2"} {
-		mustRun(t, "run", "fig2b", "-smoke", "-seeds", "2", "-seed", seed, "-ws", dir)
+		mustRun(t, "run", "fig2b", "-set", "smoke", "-seeds", "2", "-seed", seed, "-ws", dir)
 	}
 	ws, _ := workspace.Open(dir)
 	entries, err := os.ReadDir(ws.RunDir("fig2b-003"))
@@ -94,7 +95,7 @@ func TestDiffPerSeedResults(t *testing.T) {
 func TestReport(t *testing.T) {
 	dir := t.TempDir()
 	tr := filepath.Join(dir, "fig2a.trace")
-	mustRun(t, "run", "fig2a", "-smoke", "-trace", tr, "-ws", "none")
+	mustRun(t, "run", "fig2a", "-set", "smoke", "-set", "trace="+tr, "-ws", "none")
 	if text := mustRun(t, "report", tr); !strings.Contains(text, "handover") {
 		t.Errorf("text report has no handover section:\n%s", text)
 	}
@@ -121,12 +122,12 @@ func TestReport(t *testing.T) {
 func TestAll(t *testing.T) {
 	var want []string
 	for _, name := range scenario.Scenarios.Names() {
-		want = append(want, headers(mustRun(t, "run", name, "-smoke", "-ws", "none"))...)
+		want = append(want, headers(mustRun(t, "run", name, "-set", "smoke", "-ws", "none"))...)
 		if v, ok := allVariants[name]; ok {
-			want = append(want, headers(mustRun(t, "run", name, "-smoke", "-set", v, "-ws", "none"))...)
+			want = append(want, headers(mustRun(t, "run", name, "-set", "smoke", "-set", v, "-ws", "none"))...)
 		}
 	}
-	if got := headers(mustRun(t, "all", "-smoke", "-ws", "none")); !slices.Equal(got, want) {
+	if got := headers(mustRun(t, "all", "-set", "smoke", "-ws", "none")); !slices.Equal(got, want) {
 		t.Errorf("all printed headers\n%q\nwant\n%q", got, want)
 	}
 }
@@ -153,5 +154,57 @@ func TestExitErrorAndPositionals(t *testing.T) {
 	pos, err := parsePositionalsFirst(fs, []string{"a", "b", "-tol", "0.5", "c"})
 	if err != nil || !slices.Equal(pos, []string{"a", "b", "c"}) || *tol != 0.5 {
 		t.Errorf("parsePositionalsFirst = %v, %v with tol %g", pos, err, *tol)
+	}
+}
+
+// No flag of run, sweep or all spells a scenario knob: every parameter a
+// registered scenario reads, and every key a committed manifest sweeps
+// over, is written with -set (or swept with -vary) and no other way. The
+// flag sets are pinned whole as well, so a second spelling under another
+// name (-controller writing "policy") fails too.
+func TestNoFlagSpellsAParameter(t *testing.T) {
+	keys := map[string]bool{}
+	for _, name := range scenario.Scenarios.Names() {
+		own, common := scenario.ParamDocs(name)
+		for _, d := range append(own, common...) {
+			keys[d.Key] = true
+		}
+	}
+	files, err := filepath.Glob(manifests + "*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example manifests (%v)", err)
+	}
+	for _, f := range files {
+		m, err := scenario.LoadManifest(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sweep != nil {
+			for _, ax := range m.Sweep.Vary {
+				keys[ax.Key] = true
+			}
+		}
+	}
+	for _, key := range []string{"sched", "policy", "smoke", "shards", "trace", "metrics"} {
+		if !keys[key] {
+			t.Fatalf("parameter %q is not listed: the check below checks nothing for it", key)
+		}
+	}
+	common := []string{"cpuprofile", "memprofile", "parallel", "seed", "seeds", "set", "ws"}
+	for cmd, want := range map[string][]string{
+		"run":   common,
+		"sweep": append(slices.Clone(common), "vary"),
+		"all":   common,
+	} {
+		var got []string
+		(&cli{stderr: io.Discard}).newRunFlags(cmd).fs.VisitAll(func(f *flag.Flag) {
+			got = append(got, f.Name)
+			if keys[f.Name] {
+				t.Errorf("%s: flag -%s spells the parameter %q; write it with -set", cmd, f.Name, f.Name)
+			}
+		})
+		if want = slices.Sorted(slices.Values(want)); !slices.Equal(got, want) {
+			t.Errorf("%s takes flags %v, want %v", cmd, got, want)
+		}
 	}
 }

@@ -1,40 +1,47 @@
 // Command mpexp is the scenario-driven CLI over the paper's experiments:
 // every figure is a registered scenario spec (internal/scenario), so one
 // generic `run` subcommand replaces per-figure wiring, `sweep` crosses
-// any scenario over schedulers × controllers × parameter axes, and
-// `list` enumerates what is registered.
+// any scenario over parameter axes, and `list` enumerates what is
+// registered.
 //
 // Usage:
 //
-//	mpexp run <scenario|manifest.json> [-set key=val ...] [-smoke] [common flags]
-//	mpexp sweep <scenario|manifest.json> [-schedulers a,b] [-controllers x,y]
-//	            [-vary key=v1,v2 ...] [-set key=val ...] [common flags]
+//	mpexp run <scenario|manifest.json> [-set key=val ...] [common flags]
+//	mpexp sweep <scenario|manifest.json> [-vary key=v1,v2 ...]
+//	            [-set key=val ...] [common flags]
 //	mpexp list [-names|-json]
-//	mpexp all            (every registered scenario + the paper's
-//	                      baseline variants, honouring the common flags)
+//	mpexp all [-set key=val ...] [common flags]   (every registered
+//	            scenario + the paper's baseline variants)
 //	mpexp init [dir] / mpexp diff <runA> <runB>   (experiment workspace)
 //	mpexp report <tracefile ...> [-csv DIR] [-json]
+//
+// Every scenario knob is a parameter with one spelling: `-set key=val`
+// on the command line, the same key in a manifest's params, or a sweep
+// axis (`-vary key=v1,v2`, a manifest's sweep.vary). The packet
+// scheduler is `sched`, the subflow controller `policy`; `smoke`,
+// `shards`, `trace`, `trace_cap` and `metrics` are read by every
+// scenario. A bare `-set key` stores the empty value: true for a boolean
+// knob, "record, naming no file" for trace and metrics. The flags are
+// only what no scenario reads: -seed, -seeds, -parallel, -ws and the
+// -cpuprofile/-memprofile pprof captures.
 //
 // Every run, sweep and `all` entry has one shape: the command line (or
 // a manifest file, with explicit flags layered over it) becomes a
 // scenario.Manifest, and the one executor in internal/workspace runs it —
 // into the active .mpexp workspace when there is one, to stdout otherwise.
 //
-// Any run can record an event trace (-trace FILE, or the trace=FILE
-// scenario parameter): a binary log of scheduler picks, reinjections,
-// DSS reassembly, per-subflow RTT/cwnd, link-level enqueue/drop/deliver
-// and smapp policy decisions. `mpexp report` turns it into the
-// mptcptrace-style analysis (per-subflow byte split, duplicate and
-// reinjection accounting, handover gaps, link utilisation).
+// Any run can record an event trace (-set trace=FILE): a binary log of
+// scheduler picks, reinjections, DSS reassembly, per-subflow RTT/cwnd,
+// link-level enqueue/drop/deliver and smapp policy decisions. `mpexp
+// report` turns it into the mptcptrace-style analysis (per-subflow byte
+// split, duplicate and reinjection accounting, handover gaps, link
+// utilisation).
 //
 // Every run can fan one scenario out over many seeds (-seeds) on a
 // bounded worker pool (-parallel), turning each figure's point estimate
-// into a distribution, and can swap the packet scheduler (-sched) and
-// the smart mode's subflow controller (-controller) for any registered
-// policy. -cpuprofile/-memprofile FILE capture pprof profiles of any
-// run's hot paths. With -seeds 1 the single run's full report prints;
-// with more, per-seed scalars are aggregated into mean/median/p90/min/
-// max and the raw distributions are pooled across seeds.
+// into a distribution. With -seeds 1 the single run's full report
+// prints; with more, per-seed scalars are aggregated into mean/median/
+// p90/min/max and the raw distributions are pooled across seeds.
 package main
 
 import (
@@ -46,15 +53,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	_ "repro/internal/experiments" // registers the paper's scenario specs
-	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workspace"
 )
@@ -169,63 +175,42 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// runFlags are the flags shared by run, sweep and all.
+// runFlags are the flags of run, sweep and all: what no scenario reads.
+// Every scenario knob is a -set parameter.
 type runFlags struct {
-	fs          *flag.FlagSet
-	seed        *int64
-	seeds       *int
-	parallel    *int
-	shards      *int
-	sched       *string
-	controller  *string
-	trace       *string
-	metrics     *bool
-	metricsOut  *string
-	metricsAddr *string
-	pprofLabels *bool
-	ws          *string
-	cpuprofile  *string
-	memprofile  *string
-	smoke       *bool
-	sets        stringList // -set pairs (run and sweep only)
+	fs         *flag.FlagSet
+	seed       *int64
+	seeds      *int
+	parallel   *int
+	ws         *string
+	cpuprofile *string
+	memprofile *string
+	sets       stringList
+	vary       stringList // sweep only
 }
 
-func addRunFlags(fs *flag.FlagSet) *runFlags {
-	var policies []string
-	for _, in := range scenario.Policies() {
-		policies = append(policies, in.Name)
-	}
+// newRunFlags declares the flags of cmd, one of run, sweep and all.
+func (c *cli) newRunFlags(cmd string) *runFlags {
+	fs := c.newFlagSet(cmd)
 	rf := &runFlags{
 		fs:       fs,
 		seed:     fs.Int64("seed", 1, "base simulation seed"),
 		seeds:    fs.Int("seeds", 1, "independent seeds to run (seed, seed+1, ...)"),
 		parallel: fs.Int("parallel", 0, "concurrent seeds (0 = GOMAXPROCS)"),
-		shards: fs.Int("shards", 0, "worker event loops per simulation (0/1 = one loop; "+
-			"results are bit-identical at any shard count)"),
-		sched: fs.String("sched", "", fmt.Sprintf("packet scheduler: %s (default lowest-rtt)",
-			strings.Join(mptcp.Schedulers.Names(), ", "))),
-		controller: fs.String("controller", "", fmt.Sprintf("subflow controller: %s (default: the scenario's paper policy)",
-			strings.Join(policies, ", "))),
-		trace: fs.String("trace", "", "record an event trace to this file (inspect with `mpexp report`; "+
-			"multi-run scenarios and sweeps write one file per run/cell; requires -seeds 1)"),
-		metrics: fs.Bool("metrics", false, "record runtime metrics into the report "+
-			"(and metrics.json in a workspace run directory; requires -seeds 1)"),
-		metricsOut: fs.String("metrics-out", "", "write the metrics.json snapshot to this file "+
-			"(implies -metrics; multi-run scenarios and sweeps write one file per run/cell)"),
-		metricsAddr: fs.String("metrics-addr", "", "serve live metrics/expvar/pprof on this "+
-			"address while the run executes (e.g. :6060; implies -metrics)"),
-		pprofLabels: fs.Bool("pprof-labels", false, "label simulator goroutines with their shard in CPU profiles"),
 		ws: fs.String("ws", "", "experiment workspace: a directory holding (or being) .mpexp "+
 			"(default: auto-detect .mpexp in the current directory; \"none\" disables capture)"),
 		cpuprofile: fs.String("cpuprofile", "", "write a CPU profile to this file (covers the whole run)"),
 		memprofile: fs.String("memprofile", "", "write a heap profile to this file at exit"),
-		smoke:      fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)"),
+	}
+	fs.Var(&rf.sets, "set", "scenario parameter key=value, or a bare key for the empty value "+
+		"(repeatable; mpexp list names every key)")
+	if cmd == "sweep" {
+		fs.Var(&rf.vary, "vary", "parameter axis key=v1,v2,... (repeatable; the first varies slowest)")
 	}
 	return rf
 }
 
-// arm starts what the runtime-only flags ask for — profiles, shard
-// labels, the live metrics endpoint — once per command, after flag
+// arm starts the profiles the flags ask for, once per command, after flag
 // parsing and before anything simulates.
 func (c *cli) arm(rf *runFlags) error {
 	if *rf.cpuprofile != "" {
@@ -240,14 +225,6 @@ func (c *cli) arm(rf *runFlags) error {
 		c.cpuProfile = f
 	}
 	c.memProfile = *rf.memprofile
-	sim.SetProfileLabels(*rf.pprofLabels)
-	if *rf.metricsAddr != "" {
-		addr, err := metrics.Serve(*rf.metricsAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.stderr, "[live metrics on http://%s/metrics, pprof under /debug/pprof/]\n", addr)
-	}
 	return nil
 }
 
@@ -313,22 +290,14 @@ func (c *cli) execute(rf *runFlags, m *scenario.Manifest) error {
 }
 
 // cmdRun is `mpexp run` and `mpexp sweep`: both turn their command line
-// into a manifest and execute it. sweep adds the axis flags, which
-// override the manifest's axes dimension by dimension, and always runs
-// as a sweep (no axes = one "defaults" cell).
+// into a manifest and execute it. sweep adds -vary, whose axes replace
+// the manifest's axis of the same key (or follow its axes), and always
+// runs as a sweep (no axes = one "defaults" cell).
 func (c *cli) cmdRun(cmd string, args []string) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		return c.usage()
 	}
-	rf := addRunFlags(c.newFlagSet(cmd))
-	rf.fs.Var(&rf.sets, "set", "scenario parameter key=value (repeatable)")
-	var schedulers, controllers string
-	var vary stringList
-	if cmd == "sweep" {
-		rf.fs.StringVar(&schedulers, "schedulers", "", "comma-separated scheduler axis")
-		rf.fs.StringVar(&controllers, "controllers", "", "comma-separated controller axis")
-		rf.fs.Var(&vary, "vary", "parameter axis key=v1,v2,... (repeatable)")
-	}
+	rf := c.newRunFlags(cmd)
 	if err := parse(rf.fs, args[1:]); err != nil {
 		return err
 	}
@@ -339,21 +308,17 @@ func (c *cli) cmdRun(cmd string, args []string) error {
 	if cmd == "sweep" && m.Sweep == nil {
 		m.Sweep = &scenario.ManifestSweep{}
 	}
-	if schedulers != "" {
-		m.Sweep.Schedulers = strings.Split(schedulers, ",")
-	}
-	if controllers != "" {
-		m.Sweep.Controllers = strings.Split(controllers, ",")
-	}
-	if len(vary) > 0 {
-		m.Sweep.Vary = nil
-	}
-	for _, kv := range vary {
+	for _, kv := range rf.vary {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok || k == "" || v == "" {
 			return fmt.Errorf("malformed -vary %q (want key=v1,v2,...)", kv)
 		}
-		m.Sweep.Vary = append(m.Sweep.Vary, scenario.ManifestAxis{Key: k, Values: strings.Split(v, ",")})
+		ax := scenario.ManifestAxis{Key: k, Values: strings.Split(v, ",")}
+		if i := slices.IndexFunc(m.Sweep.Vary, func(a scenario.ManifestAxis) bool { return a.Key == k }); i >= 0 {
+			m.Sweep.Vary[i] = ax
+		} else {
+			m.Sweep.Vary = append(m.Sweep.Vary, ax)
+		}
 	}
 	if err := c.arm(rf); err != nil {
 		return err
@@ -361,8 +326,8 @@ func (c *cli) cmdRun(cmd string, args []string) error {
 	return c.execute(rf, m)
 }
 
-// cmdReport analyses trace files recorded with `run -trace` (or the
-// trace=FILE scenario parameter): per-connection subflow byte split,
+// cmdReport analyses trace files recorded with the trace=FILE scenario
+// parameter: per-connection subflow byte split,
 // reinjection and duplicate accounting, RTT/cwnd summaries, handover
 // gaps, per-link utilisation, and the policy event log.
 func (c *cli) cmdReport(args []string) error {
@@ -374,7 +339,7 @@ func (c *cli) cmdReport(args []string) error {
 		return err
 	}
 	if len(files) == 0 {
-		return fmt.Errorf("report: no trace file given (record one with `mpexp run <scenario> -trace FILE`)")
+		return fmt.Errorf("report: no trace file given (record one with `mpexp run <scenario> -set trace=FILE`)")
 	}
 	ok := true
 	for _, path := range files {
@@ -436,11 +401,11 @@ func (c *cli) cmdList(args []string) error {
 			fmt.Fprintf(c.stdout, "  %-12s   -set %-14s %s\n", "", d.Key, d.Desc)
 		}
 	}
-	fmt.Fprintln(c.stdout, "\npacket schedulers (-sched):")
+	fmt.Fprintln(c.stdout, "\npacket schedulers (-set sched=NAME):")
 	for _, in := range mptcp.Schedulers.Infos() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Fprintln(c.stdout, "\nsubflow controllers (-controller):")
+	fmt.Fprintln(c.stdout, "\nsubflow controllers (-set policy=NAME):")
 	for _, in := range scenario.Policies() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
@@ -453,7 +418,7 @@ func (c *cli) cmdList(args []string) error {
 var allVariants = map[string]string{"fig2a": "baseline", "fig3": "stressed", "longlived": "plain"}
 
 func (c *cli) cmdAll(args []string) error {
-	rf := addRunFlags(c.newFlagSet("all"))
+	rf := c.newRunFlags("all")
 	if err := parse(rf.fs, args); err != nil {
 		return err
 	}
@@ -505,22 +470,22 @@ Reproduces the figures of "SMAPP: Towards Smart Multipath TCP-enabled
 APPlications" (CoNEXT'15) plus a scale stress workload, all expressed as
 registered scenario specs.
 
-  mpexp run <scenario|manifest.json> [-set key=val ...] [-smoke]
-  mpexp sweep <scenario|manifest.json> [-schedulers a,b] [-controllers x,y]
-              [-vary k=v1,v2]
+  mpexp run <scenario|manifest.json> [-set key=val ...]
+  mpexp sweep <scenario|manifest.json> [-vary key=v1,v2 ...] [-set key=val ...]
+  mpexp all [-set key=val ...]
   mpexp init [dir]                 create a .mpexp experiment workspace
   mpexp diff <runA> <runB> [-tol F] [-ws DIR]
   mpexp list [-names|-json]
-  mpexp all
   mpexp report <tracefile ...> [-csv DIR] [-json]
 
-Common flags: -seed N -seeds N -parallel N -shards N -sched NAME
--controller NAME -trace F -metrics -metrics-out F -metrics-addr ADDR
--ws DIR -cpuprofile F -memprofile F. Run a subcommand with -h for its
-flags; `+"`mpexp list`"+` shows every registered scenario, scheduler, and
-controller. With a .mpexp workspace in the current directory (create one
-with `+"`mpexp init`"+`), run/sweep store their results, reports, traces, and
-resolved manifests under .mpexp/runs/, and `+"`mpexp diff`"+` compares two
-stored runs scalar-by-scalar.`)
+run, sweep and all also take -seed N -seeds N -parallel N -ws DIR
+-cpuprofile F -memprofile F. Every scenario knob is a -set parameter:
+-set sched=NAME, -set policy=NAME, -set smoke, -set shards=N, -set
+trace=F, -set metrics[=F] ...; `+"`mpexp list`"+` shows every registered
+scenario with its keys, and every scheduler and controller. With a .mpexp
+workspace in the current directory (create one with `+"`mpexp init`"+`),
+run/sweep store their results, reports, traces, and resolved manifests
+under .mpexp/runs/, and `+"`mpexp diff`"+` compares two stored runs
+scalar-by-scalar.`)
 	return exitError(2)
 }

@@ -54,7 +54,7 @@ func TestRunSpellingsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byFlags := mustRun(t, "run", "fig2a", "-smoke", "-ws", "none")
+	byFlags := mustRun(t, "run", "fig2a", "-set", "smoke", "-ws", "none")
 	if !strings.Contains(byFlags, "Fig. 2a") {
 		t.Fatalf("no fig2a report on stdout:\n%s", byFlags)
 	}
@@ -63,13 +63,13 @@ func TestRunSpellingsAgree(t *testing.T) {
 		args []string
 	}{
 		{"manifest file", []string{"run", manifests + "fig2a-smoke.json", "-ws", "none"}},
-		{"flags, captured", []string{"run", "fig2a", "-smoke", "-set", "trace", "-ws", ws.Root}},
+		{"flags, captured", []string{"run", "fig2a", "-set", "smoke", "-set", "trace", "-ws", ws.Root}},
 		{"manifest file, captured", []string{"run", manifests + "fig2a-smoke.json", "-ws", ws.Root}},
-		{"-set spelling of -shards", []string{"run", "fig2a", "-smoke", "-set", "shards=2", "-ws", "none"}},
+		{"two shards", []string{"run", "fig2a", "-set", "smoke", "-set", "shards=2", "-ws", "none"}},
 		{"-set spelling of a bare trace", []string{"run", "fig2a", "-set", "smoke", "-set", "trace", "-ws", "none"}},
 	} {
 		if got := mustRun(t, tc.args...); got != byFlags {
-			t.Errorf("%s: report differs from `run fig2a -smoke`:\n%s\nvs\n%s", tc.name, got, byFlags)
+			t.Errorf("%s: report differs from `run fig2a -set smoke`:\n%s\nvs\n%s", tc.name, got, byFlags)
 		}
 	}
 	for _, id := range []string{"fig2a-001", "fig2a-smoke-001"} {
@@ -165,8 +165,8 @@ func TestListingContract(t *testing.T) {
 }
 
 func TestSweepByFlagsMatchesManifest(t *testing.T) {
-	byFlags := mustRun(t, "sweep", "fig2b", "-smoke",
-		"-controllers", "fullmesh,stream", "-vary", "loss=0.1,0.3", "-ws", "none")
+	byFlags := mustRun(t, "sweep", "fig2b", "-set", "smoke",
+		"-vary", "policy=fullmesh,stream", "-vary", "loss=0.1,0.3", "-ws", "none")
 	byFile := mustRun(t, "sweep", manifests+"fig2b-loss-sweep.json", "-ws", "none")
 	if byFlags != byFile {
 		t.Fatalf("sweep by flags differs from sweep by manifest:\n%s\nvs\n%s", byFlags, byFile)
@@ -174,7 +174,7 @@ func TestSweepByFlagsMatchesManifest(t *testing.T) {
 	if !strings.Contains(byFlags, "4 cells") {
 		t.Fatalf("sweep did not cross 2 controllers x 2 losses:\n%s", byFlags)
 	}
-	// Axis flags override the file's axes, dimension by dimension.
+	// A -vary axis replaces the file's axis of the same key, in place.
 	narrowed := mustRun(t, "sweep", manifests+"fig2b-loss-sweep.json", "-vary", "loss=0.2", "-ws", "none")
 	if !strings.Contains(narrowed, "2 cells") || !strings.Contains(narrowed, "policy=stream loss=0.2") {
 		t.Fatalf("-vary did not replace the manifest's axis:\n%s", narrowed)
@@ -190,14 +190,15 @@ func TestRejections(t *testing.T) {
 	}{
 		{"figure subcommands are gone", []string{"fig2a"}, 2, "usage: mpexp"},
 		{"no arguments", nil, 2, "usage: mpexp"},
-		{"run without a scenario", []string{"run", "-smoke"}, 2, "usage: mpexp"},
-		{"metrics across seeds", []string{"run", "fig2a", "-smoke", "-metrics", "-seeds", "2", "-ws", "none"},
+		{"run without a scenario", []string{"run", "-set", "smoke"}, 2, "usage: mpexp"},
+		{"metrics across seeds", []string{"run", "fig2a", "-set", "smoke", "-set", "metrics", "-seeds", "2", "-ws", "none"},
 			2, "metrics with 2 seeds"},
-		{"trace across seeds", []string{"run", "fig2a", "-smoke", "-trace", "t", "-seeds", "2", "-ws", "none"},
+		{"trace across seeds", []string{"run", "fig2a", "-set", "smoke", "-set", "trace=t", "-seeds", "2", "-ws", "none"},
 			2, "trace with 2 seeds"},
 		{"unknown scenario", []string{"run", "nosuch", "-ws", "none"}, 2, "unknown scenario"},
 		{"unknown parameter", []string{"run", "fig2a", "-set", "nosuch=1", "-ws", "none"}, 2, "unknown parameter"},
-		{"unknown scheduler", []string{"run", "fig2a", "-sched", "bogus", "-ws", "none"}, 2, "unknown scheduler"},
+		{"unknown scheduler", []string{"run", "fig2a", "-set", "sched=bogus", "-ws", "none"}, 2, "unknown scheduler"},
+		{"a scheduler flag is no spelling", []string{"run", "fig2a", "-sched", "round-robin", "-ws", "none"}, 2, "flag provided but not defined: -sched"},
 		{"bad shards value", []string{"run", "fig2a", "-set", "shards=two", "-ws", "none"}, 2, "shards"},
 		{"unknown flag", []string{"run", "fig2a", "-nosuch"}, 2, "flag provided but not defined"},
 		{"malformed axis", []string{"sweep", "fig2a", "-vary", "loss", "-ws", "none"}, 2, "malformed -vary"},
@@ -216,12 +217,12 @@ func TestRejections(t *testing.T) {
 }
 
 // The three mode rules and the one-directory-per-cell rule are each stated
-// once, below every way of asking: a flag, a -set pair, a manifest (its
+// once, below every way of asking: a -set pair, a manifest (its
 // params, its seeds and its sweep block) and a sweep axis must be refused
 // with the same words and the same exit status.
 func TestModeRulesReachEveryRoute(t *testing.T) {
 	dir := t.TempDir()
-	file := filepath.Join(dir, "fig2a.json") // the name the flag routes run under
+	file := filepath.Join(dir, "fig2a.json") // the name the command-line routes run under
 	tr := filepath.Join(dir, "t")
 	for _, rule := range []struct {
 		wantErr string
@@ -231,27 +232,23 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 	}{
 		{"trace with 2 seeds would write one trace from every seed", `, "trace": "t"`, `, "seeds": 2`,
 			map[string][]string{
-				"flag": {"fig2a", "-smoke", "-seeds", "2", "-trace", tr},
-				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "trace=" + tr},
-				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "trace=" + tr + "1," + tr + "2"},
+				"-set": {"fig2a", "-set", "smoke", "-seeds", "2", "-set", "trace=" + tr},
+				"axis": {"fig2a", "-set", "smoke", "-seeds", "2", "-vary", "trace=" + tr + "1," + tr + "2"},
 			}},
 		{"metrics with 2 seeds would mix the process-wide pool counters", `, "metrics": ""`, `, "seeds": 2`,
 			map[string][]string{
-				"flag": {"fig2a", "-smoke", "-seeds", "2", "-metrics"},
-				"-set": {"fig2a", "-smoke", "-seeds", "2", "-set", "metrics"},
-				"axis": {"fig2a", "-smoke", "-seeds", "2", "-vary", "metrics=" + tr + "1.json," + tr + "2.json"},
+				"-set": {"fig2a", "-set", "smoke", "-seeds", "2", "-set", "metrics"},
+				"axis": {"fig2a", "-set", "smoke", "-seeds", "2", "-vary", "metrics=" + tr + "1.json," + tr + "2.json"},
 			}},
 		{"tracing is single-shard only (got shards=2)", `, "trace": "", "shards": 2`, "",
 			map[string][]string{
-				"flag": {"fig2a", "-smoke", "-trace", tr, "-shards", "2"},
-				"-set": {"fig2a", "-smoke", "-set", "trace", "-set", "shards=2"},
-				"axis": {"fig2a", "-smoke", "-trace", tr, "-vary", "shards=1,2"},
+				"-set": {"fig2a", "-set", "smoke", "-set", "trace", "-set", "shards=2"},
+				"axis": {"fig2a", "-set", "smoke", "-set", "trace=" + tr, "-vary", "shards=1,2"},
 			}},
 		{`cells "policy=backup" and "policy=backup" both resolve to cell id "policy-backup"`,
-			"", `, "sweep": {"controllers": ["backup", "backup"]}`,
+			"", `, "sweep": {"vary": [{"key": "policy", "values": ["backup", "backup"]}]}`,
 			map[string][]string{
-				"flag": {"fig2a", "-smoke", "-controllers", "backup,backup"},
-				"axis": {"fig2a", "-smoke", "-vary", "policy=backup,backup"},
+				"axis": {"fig2a", "-set", "smoke", "-vary", "policy=backup,backup"},
 			}},
 	} {
 		doc := `{"scenario": "fig2a", "params": {"smoke": true` + rule.params + `}` + rule.fields + `}`
@@ -277,7 +274,7 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 		t.Errorf("a refused command wrote files: %v", entries)
 	}
 	// Shards stay a legitimate axis.
-	if out := mustRun(t, "sweep", "fig2a", "-smoke", "-vary", "shards=1,2,4", "-ws", "none"); !strings.Contains(out, "3 cells") {
+	if out := mustRun(t, "sweep", "fig2a", "-set", "smoke", "-vary", "shards=1,2,4", "-ws", "none"); !strings.Contains(out, "3 cells") {
 		t.Errorf("-vary shards=1,2,4 did not run three cells:\n%s", out)
 	}
 }
@@ -299,17 +296,17 @@ func TestCommonParamsInManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The manifest's value of each key, and the flag or -set pair that
-	// spells it on the command line. Files are named relative to dir.
+	// The manifest's value of each key, and the -set pair that spells it
+	// on the command line. Files are named relative to dir.
 	spell := map[string]struct {
 		value string
 		flags []string
 	}{
-		"smoke":     {"true", []string{"-smoke"}},
-		"trace":     {`"m.trace"`, []string{"-trace", "f.trace"}},
+		"smoke":     {"true", []string{"-set", "smoke"}},
+		"trace":     {`"m.trace"`, []string{"-set", "trace=f.trace"}},
 		"trace_cap": {"4096", []string{"-set", "trace_cap=4096"}},
-		"metrics":   {`"m.metrics.json"`, []string{"-metrics-out", "f.metrics.json"}},
-		"shards":    {"1", []string{"-shards", "1"}},
+		"metrics":   {`"m.metrics.json"`, []string{"-set", "metrics=f.metrics.json"}},
+		"shards":    {"1", []string{"-set", "shards=1"}},
 	}
 	var params []string
 	args := []string{"run", "fig2a", "-ws", ws.Root}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"maps"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/mptcp"
@@ -49,12 +48,11 @@ func resolveWorkspace(wsFlag string) (*workspace.Workspace, error) {
 
 // manifest turns the command line into the manifest to execute: the file
 // arg names, or a fresh manifest for the scenario arg names, with every
-// -set pair and every flag the user actually passed (flag.Visit) layered
-// on top — the file is the default, the command line wins, and a flag
-// beats a -set of the same knob. Every flag but -seed and -seeds writes a
-// parameter, so a flag-driven run and its equivalent manifest file are
-// the same Manifest and produce byte-identical reports and result.json
-// files.
+// -set pair and the -seed and -seeds the user actually passed
+// (flag.Visit) layered on top — the file is the default, the command line
+// wins. Every other knob is a -set parameter, so a flag-driven run and
+// its equivalent manifest file are the same Manifest and produce
+// byte-identical reports and result.json files.
 func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
 	m := &scenario.Manifest{Name: arg, Scenario: arg}
 	if isManifestPath(arg) {
@@ -71,40 +69,12 @@ func (rf *runFlags) manifest(arg string) (*scenario.Manifest, error) {
 		return nil, err
 	}
 	maps.Copy(m.Params, sets.Map())
-	// on turns a bare artifact parameter on, keeping a file already named.
-	on := func(key string) {
-		if _, set := m.Params[key]; !set {
-			m.Params[key] = ""
-		}
-	}
 	rf.fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seed":
 			m.Seed = *rf.seed
 		case "seeds":
 			m.Seeds = *rf.seeds
-		case "shards":
-			m.Params["shards"] = strconv.Itoa(*rf.shards)
-		case "sched":
-			m.Params["sched"] = *rf.sched
-		case "controller":
-			m.Params["policy"] = *rf.controller
-		case "smoke":
-			m.Params["smoke"] = strconv.FormatBool(*rf.smoke)
-		case "trace":
-			m.Params["trace"] = *rf.trace
-		case "metrics":
-			if *rf.metrics {
-				on("metrics")
-			} else {
-				delete(m.Params, "metrics")
-			}
-		case "metrics-out":
-			m.Params["metrics"] = *rf.metricsOut
-		case "metrics-addr":
-			// Runtime-only: the endpoint serves whatever run is live, but
-			// the registry only exists on a metered run.
-			on("metrics")
 		}
 	})
 	return m, nil

@@ -99,21 +99,35 @@ type hStep struct {
 	want []string
 }
 
-// TestFullMeshCommandLog pins FullMesh's commands over whole scripted
-// histories, not only their outcome: every step names the commands and
-// retry timers it must produce, in order. The controller manages two local
-// addresses, 10.0.0.1 (the initial subflow's) and 10.1.0.1.
-func TestFullMeshCommandLog(t *testing.T) {
+// fullMeshHistory is one scripted history: its steps, the timers left
+// armed at its end, and the same history spelled in FuzzControllerHistory's
+// alphabet, a seed of that fuzzer.
+type fullMeshHistory struct {
+	name  string
+	steps []hStep
+	armed int
+	bytes []byte
+}
+
+// fullMeshHistories are the scripted histories FullMesh's command log is
+// pinned over. The controller manages two local addresses, 10.0.0.1 (the
+// initial subflow's) and 10.1.0.1.
+func fullMeshHistories() []fullMeshHistory {
 	r1 := histRemote
 	r2 := netip.AddrPortFrom(histServer2, 80)
 	l1, l2 := detachLocal, detachSecond
-	histories := []struct {
-		name  string
-		steps []hStep
-		armed int // timers left armed at the end
-	}{
+	return []fullMeshHistory{
 		{
 			name: "flap-and-retry",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoSubUp, 0), htuple(0, 0, 0),
+				hop(hoSubUp, 0), htuple(1, 1, 5), hop(hoSubUp, 0), htuple(1, 0, 1),
+				hop(hoLocalDown, 1),
+				hop(hoSubClosed, 1), htuple(0, 0, 0), hop(hoSubClosed, 2), htuple(1, 0, 1),
+				hop(hoSubClosed, 3), htuple(0, 0, 2),
+				hop(hoFire, 0), hop(hoLocalUp, 1), hop(hoAddAddr, 0), hop(hoClosed, 0),
+				hop(hoSubClosed, 1), htuple(0, 0, 3), hop(hoAddAddr, 2),
+			},
 			steps: []hStep{
 				{"created", hCreated(), nil},
 				{"sub_established l1", hSubUp(l1, 40000, r1), nil},
@@ -147,6 +161,16 @@ func TestFullMeshCommandLog(t *testing.T) {
 		},
 		{
 			name: "errno-specific-delays",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoAck, 0), hop(hoAddAddr, 0),
+				hop(hoAck, 0), hop(hoAck, 0), hop(hoAck, 0),
+				hop(hoSubUp, 0), htuple(0, 1, 10), hop(hoSubUp, 0), htuple(1, 0, 11),
+				hop(hoSubUp, 0), htuple(1, 1, 12),
+				hop(hoSubClosed, 1), htuple(0, 0, 0), hop(hoSubClosed, 2), htuple(0, 1, 10),
+				hop(hoSubClosed, 3), htuple(1, 0, 11), hop(hoSubClosed, 4), htuple(1, 1, 12),
+				hop(hoSubUp, 0), htuple(0, 1, 13),
+				hop(hoFire, 0), hop(hoLocalDown, 0), hop(hoClosed, 0),
+			},
 			steps: []hStep{
 				{"created", hCreated(), nil},
 				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
@@ -178,6 +202,11 @@ func TestFullMeshCommandLog(t *testing.T) {
 		},
 		{
 			name: "late-ack",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoSubUp, 0), htuple(1, 0, 1),
+				hop(hoAddAddr, 0), hop(hoAck, 0), hop(hoAck, 1), hop(hoAck, 0), hop(hoAckAgain, 0),
+				hop(hoLocalDown, 1), hop(hoFire, 0), hop(hoClosed, 0), hop(hoAck, 1),
+			},
 			steps: []hStep{
 				{"created", hCreated(), nil},
 				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
@@ -203,6 +232,11 @@ func TestFullMeshCommandLog(t *testing.T) {
 		},
 		{
 			name: "failed-ack",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoAck, 1), hop(hoLocalUp, 1),
+				hop(hoFire, 0), hop(hoAck, 2), hop(hoLocalDown, 1), hop(hoFire, 0),
+				hop(hoLocalUp, 1), hop(hoAck, 0), hop(hoSubUp, 0), htuple(1, 0, 1), hop(hoClosed, 0),
+			},
 			steps: []hStep{
 				{"created", hCreated(), nil},
 				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
@@ -220,20 +254,33 @@ func TestFullMeshCommandLog(t *testing.T) {
 			},
 		},
 	}
-	for _, h := range histories {
+}
+
+// TestFullMeshCommandLog pins FullMesh's commands over whole scripted
+// histories, not only their outcome: every step names the commands and
+// retry timers it must produce, in order. Each history's byte spelling
+// must replay to the same log under FuzzControllerHistory's driver, so
+// the fuzzer's seeds are these histories.
+func TestFullMeshCommandLog(t *testing.T) {
+	for _, h := range fullMeshHistories() {
 		t.Run(h.name, func(t *testing.T) {
 			l := &histLib{}
-			NewFullMesh([]netip.Addr{l2, l1}).Attach(l)
+			NewFullMesh([]netip.Addr{detachSecond, detachLocal}).Attach(l)
 			l.cmds = nil
+			var want []string
 			for _, st := range h.steps {
 				st.do(l)
 				if !slices.Equal(l.cmds, st.want) {
 					t.Fatalf("step %q: commands %q, want %q", st.name, l.cmds, st.want)
 				}
+				want = append(want, st.want...)
 				l.cmds = nil
 			}
 			if n := l.armed(); n != h.armed {
 				t.Fatalf("%d timers armed at the end, want %d", n, h.armed)
+			}
+			if got := runHistory(t, historyControllers[0].new(), h.bytes); !slices.Equal(got, want) {
+				t.Fatalf("the byte spelling replays to\n%q\nwant\n%q", got, want)
 			}
 		})
 	}

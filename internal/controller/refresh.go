@@ -118,8 +118,15 @@ func (r *Refresh) create() {
 	}, false, nil)
 }
 
+// tick arms the next poll, in place of any tick still armed: a repeated
+// established must not start a second ticker that closed would not stop.
+// stopTick is nil while no tick is armed.
 func (r *Refresh) tick() {
+	if r.stopTick != nil {
+		r.stopTick()
+	}
 	r.stopTick = r.lib.After(refreshInterval, func() {
+		r.stopTick = nil
 		if !r.open {
 			return
 		}

@@ -120,14 +120,22 @@ func (s *Stream) onClosed() {
 }
 
 // scheduleProbe arms the probe for block k at startAt + k*Period +
-// CheckAfter.
+// CheckAfter, in place of any probe still armed: a repeated established
+// must not start a second chain that closed would not stop. stopProbe is
+// nil while no probe is armed.
 func (s *Stream) scheduleProbe(block uint64) {
+	if s.stopProbe != nil {
+		s.stopProbe()
+	}
 	due := s.startAt + time.Duration(block)*s.Period + s.CheckAfter
 	delay := due - s.lib.Clock().Now()
 	if delay < 0 {
 		delay = 0
 	}
-	s.stopProbe = s.lib.After(delay, func() { s.probe(block) })
+	s.stopProbe = s.lib.After(delay, func() {
+		s.stopProbe = nil
+		s.probe(block)
+	})
 }
 
 // probe implements the mid-block check: expected base is block*BlockSize

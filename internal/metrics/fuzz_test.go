@@ -14,7 +14,7 @@ import (
 
 // FuzzMetricsDecode feeds arbitrary bytes to the metrics.json decoder,
 // seeded with the snapshot of a smoke-sized fleet run (what `mpexp run
-// fleet -smoke -metrics-out` writes), and puts what it decodes through
+// fleet -set smoke -set metrics=FILE` writes), and puts what it decodes through
 // what `mpexp diff` does with a snapshot: the canonical view, a lookup of
 // every name, the text rendering and a re-encoding. None of it may panic,
 // and what it allocates must stay bounded by the input's length.

@@ -236,9 +236,9 @@ func (r *Registry) HistogramLinear(name string, buckets, slot int, tags ...strin
 }
 
 // live is the most recently activated registry, for the process-wide
-// introspection endpoint (see serve.go): scenario runs and daemons call
-// SetLive when they build their registry, and the endpoint snapshots
-// whatever is live at scrape time.
+// introspection endpoint (see serve.go): smappd calls SetLive on each
+// re-harvest of its world, and the endpoint snapshots whatever is live at
+// scrape time.
 var live atomic.Pointer[Registry]
 
 // SetLive installs r as the process's live registry (nil clears it).

@@ -12,8 +12,8 @@ import (
 
 // This file is the live introspection endpoint: the process's active
 // registry (SetLive) exported as an expvar variable, a Prometheus text
-// page, and the stock pprof handlers — so a long smappd or mpexp run
-// can be profiled and scraped in flight. Scrapes during a running
+// page, and the stock pprof handlers — so a long smappd run can be
+// profiled and scraped in flight. Scrapes during a running
 // sharded world are best-effort reads of single-writer slots (atomic
 // loads of plainly written values): monotone counters may lag a scrape
 // by an increment, which is fine for observability.

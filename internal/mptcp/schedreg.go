@@ -12,10 +12,10 @@ import (
 type SchedulerFactory func(rng *rand.Rand) Scheduler
 
 // Schedulers is the packet-scheduler table: a scheduler registered here
-// is available by name to endpoint configuration, cmd/mpexp -sched, sweep
-// axes and listings (`mpexp list`); the committed scheduler sweeps
-// (examples/manifests/schedsweep.json, fleetsweep.json) must list it,
-// which a test checks.
+// is available by name to endpoint configuration, the scenarios' "sched"
+// parameter, sweep axes and listings (`mpexp list`); the committed
+// scheduler sweeps (examples/manifests/schedsweep.json, fleetsweep.json)
+// must list it, which a test checks.
 var Schedulers = registry.New[SchedulerFactory]("mptcp", "scheduler")
 
 // LookupScheduler returns the factory registered under name. The empty

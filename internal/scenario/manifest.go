@@ -41,16 +41,15 @@ type Manifest struct {
 	// Seeds is the number of independent seeds (0 = 1).
 	Seeds int `json:"seeds,omitempty"`
 
-	// Sweep, when present, crosses the scenario over schedulers ×
-	// controllers × parameter axes; each cell runs Seeds seeds.
+	// Sweep, when present, crosses the scenario over parameter axes
+	// (a scheduler axis is the "sched" key, a controller axis "policy");
+	// each cell runs Seeds seeds.
 	Sweep *ManifestSweep `json:"sweep,omitempty"`
 }
 
 // ManifestSweep declares the sweep axes of a manifest.
 type ManifestSweep struct {
-	Schedulers  []string       `json:"schedulers,omitempty"`
-	Controllers []string       `json:"controllers,omitempty"`
-	Vary        []ManifestAxis `json:"vary,omitempty"`
+	Vary []ManifestAxis `json:"vary,omitempty"`
 }
 
 // ManifestAxis is one parameter sweep dimension. Axes are an ordered

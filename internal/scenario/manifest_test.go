@@ -44,8 +44,8 @@ const (
 		"scenario": "test-manifest-bulk",
 		"params": {"trace": "/tmp/x.trace"},
 		"sweep": {
-			"schedulers": ["lowest-rtt", "round-robin"],
 			"vary": [
+				{"key": "sched", "values": ["lowest-rtt", "round-robin"]},
 				{"key": "bytes", "values": [1024, 2048]},
 				{"key": "rate", "values": ["25e6"]}
 			]
@@ -63,6 +63,7 @@ var manifestRejects = []struct {
 	{"array param value", `{"scenario": "x", "params": {"bytes": [1, 2]}}`, "string, number, or boolean"},
 	{"object axis value", `{"scenario": "x", "sweep": {"vary": [{"key": "k", "values": [{}]}]}}`, "string, number, or boolean"},
 	{"not json", `scenario: x`, "manifest"},
+	{"scheduler axis outside vary", `{"scenario": "x", "sweep": {"schedulers": ["lowest-rtt"]}}`, "schedulers"},
 }
 
 // FuzzManifestLoad hammers the manifest decoder — JSON from outside the
@@ -127,10 +128,10 @@ func TestParseManifestTraceAndSweep(t *testing.T) {
 	if got, ok := m.Params["trace"]; !ok || got != "/tmp/x.trace" {
 		t.Fatalf("trace parameter = %q (set %v), want /tmp/x.trace", got, ok)
 	}
-	if len(m.Sweep.Vary) != 2 || m.Sweep.Vary[0].Key != "bytes" || m.Sweep.Vary[1].Key != "rate" {
+	if len(m.Sweep.Vary) != 3 || m.Sweep.Vary[0].Key != "sched" || m.Sweep.Vary[1].Key != "bytes" || m.Sweep.Vary[2].Key != "rate" {
 		t.Fatalf("vary axes out of order: %+v", m.Sweep.Vary)
 	}
-	if got := m.Sweep.Vary[0].Values; got[0] != "1024" || got[1] != "2048" {
+	if got := m.Sweep.Vary[1].Values; got[0] != "1024" || got[1] != "2048" {
 		t.Fatalf("numeric axis values = %v", got)
 	}
 }
@@ -210,10 +211,10 @@ func TestManifestValidateOK(t *testing.T) {
 	}
 	sweep := &Manifest{
 		Scenario: "test-manifest-bulk",
-		Sweep: &ManifestSweep{
-			Schedulers: []string{"lowest-rtt", "round-robin"},
-			Vary:       []ManifestAxis{{Key: "bytes", Values: []string{"1024", "2048"}}},
-		},
+		Sweep: &ManifestSweep{Vary: []ManifestAxis{
+			{Key: "sched", Values: []string{"lowest-rtt", "round-robin"}},
+			{Key: "bytes", Values: []string{"1024", "2048"}},
+		}},
 	}
 	if _, err := sweep.Plan(nil); err != nil {
 		t.Fatal(err)
@@ -233,15 +234,15 @@ func TestCellID(t *testing.T) {
 	}
 }
 
-// Cell ids enumerate schedulers × controllers × vary, first axis slowest
+// Cell ids enumerate the vary axes, first axis slowest
 // — the directory names a workspace sweep run will create.
 func TestManifestCellIDs(t *testing.T) {
 	m := &Manifest{
 		Scenario: "test-manifest-bulk",
-		Sweep: &ManifestSweep{
-			Controllers: []string{"fullmesh", "stream"},
-			Vary:        []ManifestAxis{{Key: "bytes", Values: []string{"1", "2"}}},
-		},
+		Sweep: &ManifestSweep{Vary: []ManifestAxis{
+			{Key: "policy", Values: []string{"fullmesh", "stream"}},
+			{Key: "bytes", Values: []string{"1", "2"}},
+		}},
 	}
 	cells, err := m.Plan(nil)
 	if err != nil {

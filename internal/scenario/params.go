@@ -172,7 +172,7 @@ func smokeSize[T any](smoke []T) (size T, sized bool) {
 
 // Sched declares and reads "sched", the registered packet scheduler of the
 // scenario's runs: the one key every scenario reads with one meaning and
-// one default (the CLI's -sched).
+// one default (`-set sched=NAME` on the CLI).
 func (p *Params) Sched() string {
 	return p.Str("sched", "lowest-rtt", "registered packet scheduler")
 }

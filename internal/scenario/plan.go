@@ -60,15 +60,14 @@ func SafeName(label string) string {
 var ArtifactKeys = [...]string{"trace", "metrics"}
 
 // Plan resolves the manifest, once, into the ordered cells it runs: the
-// cross product of the sweep axes — Schedulers (as "sched"), then
-// Controllers (as "policy"), then Vary, the first axis varying slowest —
-// or the single "defaults" cell of a manifest without a sweep block, so a
+// cross product of the sweep axes, the first axis varying slowest, or
+// the single "defaults" cell of a manifest without a sweep block, so a
 // run is a one-cell sweep.
 //
 // It is the only place that enumerates axes, that places each cell's
 // trace and metrics files, and that states the two seeds rules; it checks
-// them against each cell's resolved Params, so a flag, a `-set`, a
-// manifest parameter and a sweep axis all meet the same check. Every cell
+// them against each cell's resolved Params, so a `-set`, a manifest
+// parameter and a sweep axis all meet the same check. Every cell
 // is built once, through the Build path `-set` flags take: the first
 // unknown scenario or parameter key, bad value, trace/shard conflict, or
 // pair of cells that would share one id aborts the plan before anything
@@ -150,14 +149,8 @@ func (m *Manifest) Plan(place func(cellID, key, named string) string) ([]Cell, e
 // cell.
 func (m *Manifest) overrides() ([][]string, error) {
 	var axes []ManifestAxis
-	if sw := m.Sweep; sw != nil {
-		if len(sw.Schedulers) > 0 {
-			axes = append(axes, ManifestAxis{Key: "sched", Values: sw.Schedulers})
-		}
-		if len(sw.Controllers) > 0 {
-			axes = append(axes, ManifestAxis{Key: "policy", Values: sw.Controllers})
-		}
-		axes = append(axes, sw.Vary...)
+	if m.Sweep != nil {
+		axes = m.Sweep.Vary
 	}
 	cells := [][]string{nil}
 	for _, ax := range axes {

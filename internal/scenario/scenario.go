@@ -376,10 +376,6 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	}
 	if rs.Metrics != nil {
 		rt.Registry = metrics.New(nsh)
-		// The live endpoint (mpexp -metrics-addr) scrapes whichever run
-		// is current; metered runs are single-seed, so there is no race
-		// for the slot.
-		metrics.SetLive(rt.Registry)
 		w.EnableBarrierTiming(true)
 		rt.poolBase = capturePools()
 	}

@@ -56,10 +56,10 @@ func TestSweepCrossesAxes(t *testing.T) {
 	cells, multis := runPlan(t, &Manifest{
 		Scenario: "test-sweep-bulk",
 		Seeds:    2,
-		Sweep: &ManifestSweep{
-			Schedulers: []string{"lowest-rtt", "round-robin"},
-			Vary:       []ManifestAxis{{Key: "rate_mbps", Values: []string{"10", "100"}}},
-		},
+		Sweep: &ManifestSweep{Vary: []ManifestAxis{
+			{Key: "sched", Values: []string{"lowest-rtt", "round-robin"}},
+			{Key: "rate_mbps", Values: []string{"10", "100"}},
+		}},
 	})
 	// First axis varies slowest: lowest-rtt cells first.
 	wantLabels := []string{

@@ -258,7 +258,6 @@ func (w *World) phase(limit Time, inclusive bool) {
 	}
 	w.barriers++
 	timing := w.timing
-	labels := profileLabels.Load()
 	var t0 time.Time
 	if timing {
 		if w.busyScratch == nil {
@@ -284,21 +283,14 @@ func (w *World) phase(limit Time, inclusive bool) {
 					pmu.Unlock()
 				}
 			}()
-			run := func() {
-				var b0 time.Time
-				if timing {
-					b0 = time.Now()
-				}
-				w.drain(i)
-				w.shards[i].runWindow(limit, inclusive)
-				if timing {
-					w.busyScratch[i] = time.Since(b0).Nanoseconds()
-				}
+			var b0 time.Time
+			if timing {
+				b0 = time.Now()
 			}
-			if labels {
-				pprofDo(i, run)
-			} else {
-				run()
+			w.drain(i)
+			w.shards[i].runWindow(limit, inclusive)
+			if timing {
+				w.busyScratch[i] = time.Since(b0).Nanoseconds()
 			}
 		}(i)
 	}

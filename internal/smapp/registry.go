@@ -41,10 +41,10 @@ type ControllerConfig struct {
 type ControllerFactory func(cfg ControllerConfig) (controller.Controller, error)
 
 // Controllers is the subflow-controller table: a policy registered here
-// is available by name to Stack.Dial/Listen/SwitchPolicy, cmd/mpexp
-// -controller, sweep axes and listings (`mpexp list`); the committed
-// controller sweeps (examples/manifests/ctlsweep.json, fleetsweep.json)
-// must list it, which a test checks.
+// is available by name to Stack.Dial/Listen/SwitchPolicy, the scenarios'
+// "policy" parameter, sweep axes and listings (`mpexp list`); the
+// committed controller sweeps (examples/manifests/ctlsweep.json,
+// fleetsweep.json) must list it, which a test checks.
 var Controllers = registry.New[ControllerFactory]("smapp", "controller")
 
 // LookupController resolves a policy name. The empty name is the nil

@@ -32,6 +32,16 @@ func loadExample(t *testing.T, name string) *scenario.Manifest {
 
 func sorted(names []string) []string { return slices.Sorted(slices.Values(names)) }
 
+// axis returns the values of m's sweep axis over key (nil when it has none).
+func axis(m *scenario.Manifest, key string) []string {
+	for _, ax := range m.Sweep.Vary {
+		if ax.Key == key {
+			return ax.Values
+		}
+	}
+	return nil
+}
+
 // Registering a controller or scheduler fails this test until the
 // committed sweeps list it.
 func TestExampleSweepsCoverRegistries(t *testing.T) {
@@ -48,11 +58,11 @@ func TestExampleSweepsCoverRegistries(t *testing.T) {
 		if m.Scenario != tc.scenario {
 			t.Errorf("%s: scenario %q, want %q", tc.manifest, m.Scenario, tc.scenario)
 		}
-		if got := sorted(m.Sweep.Controllers); !reflect.DeepEqual(got, sorted(tc.controllers)) {
-			t.Errorf("%s: controllers axis %v, want the registry %v", tc.manifest, got, sorted(tc.controllers))
+		if got := sorted(axis(m, "policy")); !reflect.DeepEqual(got, sorted(tc.controllers)) {
+			t.Errorf("%s: policy axis %v, want the registry %v", tc.manifest, got, sorted(tc.controllers))
 		}
-		if got := sorted(m.Sweep.Schedulers); !reflect.DeepEqual(got, sorted(tc.schedulers)) {
-			t.Errorf("%s: schedulers axis %v, want the registry %v", tc.manifest, got, sorted(tc.schedulers))
+		if got := sorted(axis(m, "sched")); !reflect.DeepEqual(got, sorted(tc.schedulers)) {
+			t.Errorf("%s: sched axis %v, want the registry %v", tc.manifest, got, sorted(tc.schedulers))
 		}
 	}
 	if p := loadExample(t, "schedsweep").Params["policy"]; p != scenario.KernelPolicy {
@@ -198,7 +208,7 @@ func TestSweepReportEndsWithCrossCellCDF(t *testing.T) {
 		m := &scenario.Manifest{
 			Scenario: "stream",
 			Params:   map[string]string{"smoke": "true"},
-			Sweep:    &scenario.ManifestSweep{Controllers: controllers},
+			Sweep:    &scenario.ManifestSweep{Vary: []scenario.ManifestAxis{{Key: "policy", Values: controllers}}},
 		}
 		var out strings.Builder
 		ok, err := workspace.Execute(m, workspace.RunOptions{Echo: func(r string) { out.WriteString(r) }})
@@ -243,7 +253,7 @@ func TestSweepReportLeavesOutWallScalars(t *testing.T) {
 	m := &scenario.Manifest{
 		Scenario: "scale",
 		Params:   map[string]string{"smoke": "true"},
-		Sweep:    &scenario.ManifestSweep{Schedulers: []string{"lowest-rtt", "round-robin"}},
+		Sweep:    &scenario.ManifestSweep{Vary: []scenario.ManifestAxis{{Key: "sched", Values: []string{"lowest-rtt", "round-robin"}}}},
 	}
 	info := mustRun(t, mustInit(t), m)
 	cells, err := workspace.CellDirs(info.Dir)
