@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nlmsg"
-	"repro/internal/seg"
 )
 
 // Backup is the §4.2 controller: smarter backup subflows for mobile hosts.
@@ -29,11 +28,8 @@ type Backup struct {
 	// BackupAddr is the local address of the backup interface.
 	BackupAddr netip.Addr
 
-	lib core.Lib
-	// The connection being managed, from its created event to its closed.
-	open     bool
-	remote   netip.AddrPort
-	switched bool
+	session
+	switched bool // this connection has switched to the backup
 	Stats    BackupStats
 }
 
@@ -60,12 +56,12 @@ func (b *Backup) Attach(lib core.Lib) {
 
 // handle is the one event handler Attach registers.
 func (b *Backup) handle(ev *nlmsg.Event) {
+	if !b.admit(ev) {
+		return
+	}
 	switch ev.Kind {
 	case nlmsg.EvCreated:
-		b.open, b.switched = true, false
-		b.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	case nlmsg.EvClosed:
-		b.open = false
+		b.switched = false
 	case nlmsg.EvTimeout:
 		b.onTimeout(ev)
 	case nlmsg.EvSubClosed:
@@ -73,41 +69,34 @@ func (b *Backup) handle(ev *nlmsg.Event) {
 	}
 }
 
-// Detach implements Controller: the backup policy keeps no timers, so
-// ending the connection is enough.
-func (b *Backup) Detach() { b.open = false }
-
 // onTimeout implements the paper's policy: "When a retransmission timer
 // expires, it checks the current value of the timer. If the timer becomes
 // larger than a configured threshold, the subflow is considered to be
 // underperforming. The controller then closes the underperforming subflow
 // and creates a subflow over the backup interface."
 func (b *Backup) onTimeout(ev *nlmsg.Event) {
-	if !b.open || b.switched || ev.RTO <= b.Threshold {
+	if b.switched || ev.RTO <= b.Threshold {
 		return
 	}
 	if ev.Tuple.SrcIP == b.BackupAddr {
 		return // the backup itself is struggling; nothing better to do
 	}
-	b.lib.RemoveSubflow(ev.Token, ev.Tuple, nil)
-	b.switchOver(ev.Token)
+	b.lib.RemoveSubflow(b.token, ev.Tuple, nil)
+	b.switchOver()
 }
 
 // onSubClosed covers the primary dying outright (RST, kernel gave up)
 // before any timeout crossed the threshold.
 func (b *Backup) onSubClosed(ev *nlmsg.Event) {
-	if !b.open || b.switched || ev.Tuple.SrcIP == b.BackupAddr {
+	if b.switched || ev.Tuple.SrcIP == b.BackupAddr {
 		return
 	}
-	b.switchOver(ev.Token)
+	b.switchOver()
 }
 
 // switchOver continues the connection over the backup interface.
-func (b *Backup) switchOver(token uint32) {
+func (b *Backup) switchOver() {
 	b.switched = true
 	b.Stats.Switches++
-	b.lib.CreateSubflow(token, seg.FourTuple{
-		SrcIP: b.BackupAddr, SrcPort: 0,
-		DstIP: b.remote.Addr(), DstPort: b.remote.Port(),
-	}, false, nil)
+	b.join(b.BackupAddr, b.dest(), nil)
 }

@@ -174,7 +174,6 @@ func TestDetachStopsController(t *testing.T) {
 			after: func(l *recLib) {
 				l.answer(matureInfo()) // would replace the slower subflow
 				l.fire()               // would poll again
-				l.deliver(established) // would open two more
 			},
 		},
 		{

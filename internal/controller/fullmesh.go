@@ -24,21 +24,18 @@ type FullMesh struct {
 	// afterwards via new_local_addr / del_local_addr events).
 	LocalAddrs []netip.Addr
 
-	lib core.Lib
+	session
 	// local, the usable interface addresses, is kept sorted as it changes:
 	// meshing walks it, and must issue its commands in the same sequence
 	// every run. Commands are asynchronous — replies and events arrive as
 	// later callbacks — so it never changes under a walk.
 	local []netip.Addr
 
-	// The connection being managed, from its created event to its closed.
-	open  bool
-	token uint32
-	// remotes is kept as an ordered list (initial destination first,
-	// announcements in arrival order): meshing iterates it, and a map
-	// here would issue create-subflow commands in a different order each
-	// run, breaking per-seed determinism.
-	remotes []netip.AddrPort
+	// added holds the remotes the peer announced besides the initial
+	// destination, in arrival order: meshing walks the initial one, then
+	// these, and a map here would issue create-subflow commands in a
+	// different order each run, breaking per-seed determinism.
+	added []netip.AddrPort
 	// live holds the live subflows sorted by keyOf — (local addr, remote
 	// addrport); the source port is deliberately not part of the key, as
 	// re-established subflows use fresh ports. A connection has a handful,
@@ -48,9 +45,11 @@ type FullMesh struct {
 	liveRoom [4]seg.FourTuple
 	pending  map[meshKey]func() // scheduled retries, cancellable (nil until the first)
 	// creating holds the keys of the create commands not yet acked, oldest
-	// first: a library acks one connection's commands in send order, so
-	// created — the one done callback every create passes — takes the
-	// head, and a create costs no closure.
+	// first: a library acks each command once, in send order (core.Lib),
+	// so created — the one done callback every create passes — takes the
+	// head, and a create costs no closure. An earlier connection's creates
+	// keep their places under the zero key, which no pair has, until their
+	// acks come.
 	creating []meshKey
 	created  func(errno uint32)
 
@@ -102,10 +101,12 @@ func (f *FullMesh) dropLive(key meshKey) {
 	}
 }
 
-// isLive reports whether key has a live subflow.
-func (f *FullMesh) isLive(key meshKey) bool {
-	_, ok := f.findLive(key)
-	return ok
+// idle reports whether key has no live subflow, no create awaiting its
+// ack and no retry scheduled: only then does a create for it go out.
+func (f *FullMesh) idle(key meshKey) bool {
+	_, live := f.findLive(key)
+	_, retrying := f.pending[key]
+	return !live && !retrying && !slices.Contains(f.creating, key)
 }
 
 // The paper's re-establishment delays, by the error that killed the
@@ -148,17 +149,23 @@ func (f *FullMesh) Attach(lib core.Lib) {
 
 // handle is the one event handler Attach registers.
 func (f *FullMesh) handle(ev *nlmsg.Event) {
+	if !f.admit(ev) {
+		return
+	}
 	switch ev.Kind {
 	case nlmsg.EvCreated:
-		f.onCreated(ev)
+		f.cancelRetries() // a connection restarted without its closed event
+		f.added = f.added[:0]
+		clear(f.creating)
+		// The created event carries the initial subflow's 4-tuple; mark
+		// it live so the mesh does not duplicate it.
+		f.live = append(f.live[:0], ev.Tuple)
 	case nlmsg.EvEstablished:
 		f.mesh()
 	case nlmsg.EvClosed:
-		f.onClosed()
+		f.cancelRetries()
 	case nlmsg.EvSubEstablished:
-		if f.open {
-			f.setLive(ev.Tuple)
-		}
+		f.setLive(ev.Tuple)
 	case nlmsg.EvSubClosed:
 		f.onSubClosed(ev)
 	case nlmsg.EvAddAddr:
@@ -169,15 +176,20 @@ func (f *FullMesh) handle(ev *nlmsg.Event) {
 		// subflows alone (the peer will RST them if truly gone).
 	case nlmsg.EvLocalAddrUp:
 		f.setLocal(ev.Addr, true)
-		f.mesh()
+		if f.open {
+			f.mesh()
+		}
 	case nlmsg.EvLocalAddrDown:
 		f.onLocalDown(ev)
 	}
 }
 
-// Detach implements Controller: cancel every scheduled retry and end the
-// connection, so the controller never acts again.
-func (f *FullMesh) Detach() { f.onClosed() }
+// Detach implements Controller: end the connection and cancel every
+// scheduled retry, so the controller never acts again.
+func (f *FullMesh) Detach() {
+	f.end()
+	f.cancelRetries()
+}
 
 // hasLocal reports whether addr is a usable local interface address.
 func (f *FullMesh) hasLocal(addr netip.Addr) bool {
@@ -196,21 +208,9 @@ func (f *FullMesh) setLocal(addr netip.Addr, up bool) {
 	}
 }
 
-func (f *FullMesh) onCreated(ev *nlmsg.Event) {
-	f.onClosed() // a connection restarted without its closed event
-	f.open, f.token = true, ev.Token
-	remote := netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	f.remotes = append(f.remotes[:0], remote)
-	f.creating = f.creating[:0]
-	// The created event carries the initial subflow's 4-tuple; mark it
-	// live so the mesh does not duplicate it.
-	f.live = append(f.live[:0], ev.Tuple)
-}
-
-// onClosed cancels every scheduled retry. (Cancellation has no observable
-// side effects, so map order is harmless here.)
-func (f *FullMesh) onClosed() {
-	f.open = false
+// cancelRetries cancels every scheduled retry. (Cancellation has no
+// observable side effects, so map order is harmless here.)
+func (f *FullMesh) cancelRetries() {
 	for _, cancel := range f.pending {
 		cancel()
 	}
@@ -220,9 +220,6 @@ func (f *FullMesh) onClosed() {
 // onSubClosed is the heart of §4.1: analyse the error condition and
 // schedule a re-establishment with an error-specific timeout.
 func (f *FullMesh) onSubClosed(ev *nlmsg.Event) {
-	if !f.open {
-		return
-	}
 	key := keyOf(ev.Tuple)
 	f.dropLive(key)
 	if !f.hasLocal(key.local) {
@@ -255,10 +252,7 @@ func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
 	}
 	f.pending[key] = f.lib.After(delay, func() {
 		delete(f.pending, key)
-		if !f.open || !f.hasLocal(key.local) {
-			return
-		}
-		if f.isLive(key) {
+		if !f.hasLocal(key.local) || !f.idle(key) {
 			return
 		}
 		f.Stats.Reestablishments++
@@ -267,10 +261,9 @@ func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
 }
 
 func (f *FullMesh) create(key meshKey) {
-	ft := seg.FourTuple{SrcIP: key.local, DstIP: key.remote.Addr(), SrcPort: 0, DstPort: key.remote.Port()}
 	f.Stats.SubflowsCreated++
 	f.creating = append(f.creating, key) // first: a Lib may ack before it returns
-	f.lib.CreateSubflow(f.token, ft, false, f.created)
+	f.join(key.local, key.remote, f.created)
 }
 
 // createAcked handles the ack of the oldest outstanding create.
@@ -280,24 +273,19 @@ func (f *FullMesh) createAcked(errno uint32) {
 	}
 	key := f.creating[0]
 	f.creating = slices.Delete(f.creating, 0, 1)
-	if errno != 0 && f.open {
+	if errno != 0 && f.open && key != (meshKey{}) {
 		// Creation failed (e.g. interface flapped again): back off.
 		f.scheduleRetry(key, retryAfterUnreach)
 	}
 }
 
 func (f *FullMesh) onAddAddr(ev *nlmsg.Event) {
-	if !f.open {
-		return
-	}
 	port := ev.Port
 	if port == 0 {
-		// Join on the connection's original port when none was announced
-		// (remotes[0] is always the initial destination).
-		port = f.remotes[0].Port()
+		port = f.port // join on the connection's original port
 	}
-	if r := netip.AddrPortFrom(ev.Addr, port); !slices.Contains(f.remotes, r) {
-		f.remotes = append(f.remotes, r)
+	if r := netip.AddrPortFrom(ev.Addr, port); r != f.dest() && !slices.Contains(f.added, r) {
+		f.added = append(f.added, r)
 	}
 	f.mesh()
 }
@@ -332,23 +320,18 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 }
 
 // mesh creates any missing local×remote subflow. Local addresses are
-// walked in sorted order and remotes in announcement order, so the
-// create commands (and the random ports they draw) are issued in the
-// same order every run.
+// walked in sorted order and remotes in announcement order (the initial
+// destination first), so the create commands (and the random ports they
+// draw) are issued in the same order every run.
 func (f *FullMesh) mesh() {
-	if !f.open {
-		return
-	}
 	for _, laddr := range f.local {
-		for _, remote := range f.remotes {
-			key := meshKey{laddr, remote}
-			if f.isLive(key) {
-				continue
-			}
-			if _, pending := f.pending[key]; pending {
-				continue
-			}
+		if key := (meshKey{laddr, f.dest()}); f.idle(key) {
 			f.create(key)
+		}
+		for _, remote := range f.added {
+			if key := (meshKey{laddr, remote}); f.idle(key) {
+				f.create(key)
+			}
 		}
 	}
 }

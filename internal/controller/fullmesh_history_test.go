@@ -11,19 +11,28 @@ import (
 )
 
 // histLib is a recLib that also logs every timer FullMesh arms, with its
-// delay, and holds each create's done callback for the test to ack: the
-// error-specific retry delays and the ack handling are both part of the
-// command log a history pins.
+// delay, and keeps every create with its done callback for the test to
+// ack: the error-specific retry delays and the ack handling are both part
+// of the command log a history pins, and the creates still awaiting their
+// ack are what FullMesh's bound counts.
 type histLib struct {
 	recLib
-	acks []func(errno uint32)
-	done func(errno uint32) // the last create's, to ack once more
+	creates []histCreate // every create, in send order
+	acked   int          // how many of creates, from the first, are acked
+	// outOfOrder is set once an ack answered a create that was not the
+	// oldest unacked one, against core.Lib's ordering.
+	outOfOrder bool
+}
+
+// histCreate is one create command as the library saw it.
+type histCreate struct {
+	key  meshKey
+	done func(errno uint32)
 }
 
 func (l *histLib) CreateSubflow(token uint32, ft seg.FourTuple, backup bool, done func(uint32)) {
 	l.recLib.CreateSubflow(token, ft, backup, done)
-	l.acks = append(l.acks, done)
-	l.done = done
+	l.creates = append(l.creates, histCreate{keyOf(ft), done})
 }
 
 func (l *histLib) After(d time.Duration, fn func()) func() {
@@ -31,11 +40,33 @@ func (l *histLib) After(d time.Duration, fn func()) func() {
 	return l.recLib.After(d, fn)
 }
 
-// ack answers the oldest create not yet acked.
+// ack answers the oldest create not yet acked, if any.
 func (l *histLib) ack(errno uint32) {
-	done := l.acks[0]
-	l.acks = l.acks[1:]
-	done(errno)
+	if l.acked == len(l.creates) {
+		return
+	}
+	c := l.creates[l.acked]
+	l.acked++
+	if c.done != nil {
+		c.done(errno)
+	}
+}
+
+// ackAgain calls the last create's done once more, errno 0: an ack in
+// order when that create is the only one unacked, a duplicate when none
+// is, and otherwise an ack out of order.
+func (l *histLib) ackAgain() {
+	if len(l.creates) == 0 || l.creates[len(l.creates)-1].done == nil {
+		return
+	}
+	switch l.acked {
+	case len(l.creates) - 1:
+		l.acked++
+	case len(l.creates):
+	default:
+		l.outOfOrder = true
+	}
+	l.creates[len(l.creates)-1].done(0)
 }
 
 var (
@@ -144,14 +175,12 @@ func fullMeshHistories() []fullMeshHistory {
 				{"retry timers fire", hFire(), []string{
 					"create 10.0.0.1:0->10.9.0.1:80",
 				}},
+				// The mesh skips a pair whose create awaits its ack.
 				{"local_addr_up l2", hLocal(l2, true), []string{
-					"create 10.0.0.1:0->10.9.0.1:80",
 					"create 10.1.0.1:0->10.9.0.1:80",
 				}},
 				{"add_addr", hAddAddr(histServer2, 0), []string{
-					"create 10.0.0.1:0->10.9.0.1:80",
 					"create 10.0.0.1:0->10.9.1.1:80",
-					"create 10.1.0.1:0->10.9.0.1:80",
 					"create 10.1.0.1:0->10.9.1.1:80",
 				}},
 				{"closed", hClosed(), nil},
@@ -221,7 +250,7 @@ func fullMeshHistories() []fullMeshHistory {
 				// second: (10.0.0.1, 10.9.1.1:80).
 				{"failed ack of the second", hAck(101), []string{"timer 5s"}},
 				{"ack of the third", hAck(0), nil},
-				{"an ack no create waits for", func(l *histLib) { l.done(0) }, nil},
+				{"an ack no create waits for", func(l *histLib) { l.ackAgain() }, nil},
 				{"local_addr_down l2", hLocal(l2, false), []string{
 					"remove 10.1.0.1:40001->10.9.0.1:80",
 				}},
@@ -253,6 +282,54 @@ func fullMeshHistories() []fullMeshHistory {
 				{"closed", hClosed(), nil},
 			},
 		},
+		{
+			name:  "repeated-established",
+			bytes: []byte{hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoEstablished, 0)},
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"established again", hEstablished(), nil},
+			},
+		},
+		{
+			name: "unacked-creates",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoLocalUp, 0), hop(hoLocalUp, 0),
+				hop(hoAddAddr, 0), hop(hoAddAddr, 0),
+			},
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				// Neither the local addresses coming up again nor the
+				// same announcement twice re-issue a create still
+				// awaiting its ack.
+				{"local_addr_up l1", hLocal(l1, true), nil},
+				{"local_addr_up l1 again", hLocal(l1, true), nil},
+				{"add_addr", hAddAddr(histServer2, 0), []string{
+					"create 10.0.0.1:0->10.9.1.1:80",
+					"create 10.1.0.1:0->10.9.1.1:80",
+				}},
+				{"add_addr again", hAddAddr(histServer2, 0), nil},
+			},
+		},
+		{
+			name: "stale-ack",
+			bytes: []byte{
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoClosed, 0),
+				hop(hoCreated, 0), hop(hoEstablished, 0), hop(hoAck, 0), hop(hoLocalUp, 1),
+			},
+			steps: []hStep{
+				{"created", hCreated(), nil},
+				{"established", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				{"closed", hClosed(), nil},
+				{"created again", hCreated(), nil},
+				{"established again", hEstablished(), []string{"create 10.1.0.1:0->10.9.0.1:80"}},
+				// The ack answers the first connection's create, so the
+				// second's still awaits its ack.
+				{"ack", hAck(0), nil},
+				{"local_addr_up l2", hLocal(l2, true), nil},
+			},
+		},
 	}
 }
 
@@ -279,7 +356,11 @@ func TestFullMeshCommandLog(t *testing.T) {
 			if n := l.armed(); n != h.armed {
 				t.Fatalf("%d timers armed at the end, want %d", n, h.armed)
 			}
-			if got := runHistory(t, historyControllers[0].new(), h.bytes); !slices.Equal(got, want) {
+			got, broken := runHistory(historyControllers[0], h.bytes)
+			if broken != "" {
+				t.Fatal(broken)
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("the byte spelling replays to\n%q\nwant\n%q", got, want)
 			}
 		})

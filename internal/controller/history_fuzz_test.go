@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,8 +28,8 @@ const (
 	hoTimeout   // + tuple: timeout, RTO [300ms, 4s][arg&1]
 	hoLocalUp   // local_addr_up of [detachLocal, detachSecond][arg&1]
 	hoLocalDown // local_addr_down of the same
-	hoAck       // ack the oldest create, errno histAckErrnos[arg%3]
-	hoAckAgain  // the last create's done once more, errno 0
+	hoAck       // ack the oldest unacked create, errno histAckErrnos[arg%3]
+	hoAckAgain  // the last create's done once more, errno 0 (histLib.ackAgain)
 	hoFire      // every armed timer fires once
 	hoAnswer    // answer every pending get-info: matureInfo(), or nil when arg is odd
 	hoDetach
@@ -57,17 +58,65 @@ func historyTuple(a byte) (netip.Addr, uint16, netip.AddrPort) {
 	return local, 40000 + uint16(a>>2), remote
 }
 
-// historyControllers are the policies a history drives, configured as the
-// scripted tests configure them.
-var historyControllers = []struct {
+// historyController is a policy a history drives, under its registry name
+// and configured as the scripted tests configure it, with its bound on
+// outstanding creates.
+type historyController struct {
 	name string
 	new  func() Controller
-}{
-	{"fullmesh", func() Controller { return NewFullMesh([]netip.Addr{detachSecond, detachLocal}) }},
-	{"backup", func() Controller { return NewBackup(detachSecond) }},
-	{"stream", func() Controller { return NewStream(detachSecond) }},
-	{"refresh", func() Controller { return NewRefresh(3) }},
-	{"ndiffports", func() Controller { return NewNDiffPorts(3) }},
+	// outstanding reports the policy's outstanding creates and its bound
+	// on them, read off the library: the commands of the connection so
+	// far, and the creates lib holds.
+	outstanding func(lib *histLib, c connCommands) (n, bound int)
+}
+
+// connCommands counts the commands a controller issued since its current
+// connection began, at a created that found none open; first is where the
+// connection's creates begin in the library's list.
+type connCommands struct{ creates, removes, first int }
+
+var historyControllers = []historyController{
+	// FullMesh: at most one create awaiting its ack per local × remote
+	// pair, so at most |local| × |remotes|. It matches acks to creates by
+	// order, so the bound holds while the library keeps core.Lib's
+	// ordering; after an ack out of order it is not checked.
+	{"fullmesh", func() Controller { return NewFullMesh([]netip.Addr{detachSecond, detachLocal}) },
+		func(lib *histLib, c connCommands) (int, int) {
+			if lib.outOfOrder {
+				return 0, 1
+			}
+			unacked := lib.creates[max(c.first, lib.acked):]
+			most := 0
+			for _, a := range unacked {
+				n := 0
+				for _, b := range unacked {
+					n += boolInt(a.key == b.key)
+				}
+				most = max(most, n)
+			}
+			return most, 1
+		}},
+	{"backup", func() Controller { return NewBackup(detachSecond) },
+		func(_ *histLib, c connCommands) (int, int) { return c.creates, 1 }},
+	{"stream", func() Controller { return NewStream(detachSecond) },
+		func(_ *histLib, c connCommands) (int, int) { return c.creates, 1 }},
+	// refresh keeps N subflows: the initial one and N-1 it created, each
+	// replacement paired with a remove.
+	{"refresh", func() Controller { return NewRefresh(3) },
+		func(_ *histLib, c connCommands) (int, int) { return c.creates - c.removes, 3 - 1 }},
+	{"ndiffports", func() Controller { return NewNDiffPorts(3) },
+		func(_ *histLib, c connCommands) (int, int) { return c.creates, 3 - 1 }},
+}
+
+// HistoryFuzzed builds one of each controller FuzzControllerHistory
+// drives, by name: TestEveryControllerIsHistoryFuzzed, outside the
+// package, holds the registry to it.
+func HistoryFuzzed() map[string]Controller {
+	m := make(map[string]Controller, len(historyControllers))
+	for _, c := range historyControllers {
+		m[c.name] = c.new()
+	}
+	return m
 }
 
 // historyStep is what one op left behind, as the rules read it.
@@ -86,16 +135,17 @@ var historyRules = []struct {
 	{"no timer armed after closed or Detach", func(s historyStep) bool { return !s.open && s.armed > 0 }},
 }
 
-// runHistory drives a fresh ctl through history and returns its command
-// log (commands and armed timers, in order), failing t on the first op
-// after which a rule is broken. After Detach the library stops delivering
-// events, as smapp's token table does for a replaced policy, but acks,
-// get-info replies and timers still arrive.
-func runHistory(t *testing.T, ctl Controller, history []byte) []string {
-	t.Helper()
+// runHistory drives a fresh instance of c through history and returns its
+// command log (commands and armed timers, in order) and, when an op broke
+// a rule of historyRules or c's bound, which and where. After Detach the
+// library stops delivering events, as smapp's token table does for a
+// replaced policy, but acks, get-info replies and timers still arrive.
+func runHistory(c historyController, history []byte) (log []string, broken string) {
+	ctl := c.new()
 	l := &histLib{}
 	ctl.Attach(l)
-	var log, done []string
+	var done []string
+	var conn connCommands
 	open, detached := false, false
 	for i := 0; i < len(history); i++ {
 		op, arg := history[i]&15, history[i]>>4
@@ -116,6 +166,9 @@ func runHistory(t *testing.T, ctl Controller, history []byte) []string {
 		switch op {
 		case hoCreated:
 			ev(hCreated())
+			if !open {
+				conn = connCommands{first: len(l.creates)}
+			}
 			open = !detached
 		case hoEstablished:
 			ev(hEstablished())
@@ -153,17 +206,9 @@ func runHistory(t *testing.T, ctl Controller, history []byte) []string {
 		case hoAck:
 			errno := histAckErrnos[arg%3]
 			name = fmt.Sprintf("%s errno %d", name, errno)
-			if len(l.acks) > 0 {
-				if ack := l.acks[0]; ack != nil {
-					l.ack(errno)
-				} else {
-					l.acks = l.acks[1:]
-				}
-			}
+			l.ack(errno)
 		case hoAckAgain:
-			if l.done != nil {
-				l.done(0)
-			}
+			l.ackAgain()
 		case hoFire:
 			l.fire()
 		case hoAnswer:
@@ -179,32 +224,77 @@ func runHistory(t *testing.T, ctl Controller, history []byte) []string {
 			l.now += time.Duration(arg+1) * 250 * time.Millisecond
 		}
 		done = append(done, name)
+		for _, cmd := range l.cmds {
+			conn.creates += boolInt(strings.HasPrefix(cmd, "create "))
+			conn.removes += boolInt(strings.HasPrefix(cmd, "remove "))
+		}
 		s := historyStep{open: open, issued: l.cmds, armed: l.armed()}
 		for _, r := range historyRules {
-			if r.broken(s) {
-				t.Fatalf("%s: %s, broken by the last op of\n  %q\n(issued %q, %d timers armed)",
-					ctl.Name(), r.name, done, s.issued, s.armed)
+			if broken == "" && r.broken(s) {
+				broken = fmt.Sprintf("%s: %s, broken by the last op of\n  %q\n(issued %q, %d timers armed)",
+					c.name, r.name, done, s.issued, s.armed)
 			}
+		}
+		if n, bound := c.outstanding(l, conn); broken == "" && n > bound {
+			broken = fmt.Sprintf("%s: outstanding creates stay bounded, broken by the last op of\n  %q\n(%d outstanding, bound %d)",
+				c.name, done, n, bound)
 		}
 		log = append(log, l.cmds...)
 		l.cmds = nil
 	}
-	return log
+	return log, broken
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// doubleLifecycle spells history with every created and established op
+// twice in a row.
+func doubleLifecycle(history []byte) []byte {
+	out := make([]byte, 0, 2*len(history))
+	for i := 0; i < len(history); i++ {
+		switch op := history[i] & 15; op {
+		case hoCreated, hoEstablished:
+			out = append(out, history[i])
+		case hoSubUp, hoSubClosed, hoTimeout:
+			if i+1 < len(history) {
+				out = append(out, history[i])
+				i++
+			}
+		}
+		out = append(out, history[i])
+	}
+	return out
 }
 
 // FuzzControllerHistory drives all five controllers through generated
-// histories and checks the rules of historyRules after every op, and that
-// the same history always gives the same command log. The seeds are the
-// byte spellings of TestFullMeshCommandLog's histories.
+// histories and checks the rules of historyRules and each policy's bound
+// on outstanding creates after every op; that the same history always
+// gives the same command log; and that doubling every created and
+// established op of a history leaves the log as it was, since a repeated
+// lifecycle event has no further effect. The seeds are the byte spellings
+// of TestFullMeshCommandLog's histories.
 func FuzzControllerHistory(f *testing.F) {
 	for _, h := range fullMeshHistories() {
 		f.Add(h.bytes)
 	}
 	f.Fuzz(func(t *testing.T, history []byte) {
+		doubled := doubleLifecycle(history)
 		for _, c := range historyControllers {
-			first := runHistory(t, c.new(), history)
-			if again := runHistory(t, c.new(), history); !slices.Equal(first, again) {
-				t.Fatalf("%s: one history, two command logs:\n%q\n%q", c.name, first, again)
+			first, broken := runHistory(c, history)
+			if broken != "" {
+				t.Error(broken)
+			}
+			if again, _ := runHistory(c, history); !slices.Equal(first, again) {
+				t.Errorf("%s: one history, two command logs:\n%q\n%q", c.name, first, again)
+			}
+			if twice, _ := runHistory(c, doubled); !slices.Equal(first, twice) {
+				t.Errorf("%s: doubling every created and established changes the command log:\n%q\n%q",
+					c.name, first, twice)
 			}
 		}
 	})

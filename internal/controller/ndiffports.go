@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nlmsg"
-	"repro/internal/seg"
 )
 
 // NDiffPorts is the §4.5 controller: a userspace clone of the kernel
@@ -18,12 +17,9 @@ type NDiffPorts struct {
 	// N is the total subflow count per connection.
 	N int
 
-	lib core.Lib
-	// The connection being managed, from its created event to its closed.
-	open   bool
-	local  netip.Addr
-	remote netip.AddrPort
-	Stats  NDiffPortsStats
+	session
+	local netip.Addr // the initial subflow's; the others leave from it too
+	Stats NDiffPortsStats
 }
 
 // NDiffPortsStats counts controller activity.
@@ -49,31 +45,16 @@ func (p *NDiffPorts) Attach(lib core.Lib) {
 
 // handle is the one event handler Attach registers.
 func (p *NDiffPorts) handle(ev *nlmsg.Event) {
-	switch ev.Kind {
-	case nlmsg.EvCreated:
-		p.open = true
-		p.local = ev.Tuple.SrcIP
-		p.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
-	case nlmsg.EvEstablished:
-		p.onEstablished(ev)
-	case nlmsg.EvClosed:
-		p.open = false
-	}
-}
-
-// Detach implements Controller: ndiffports acts only on establishment, so
-// ending the connection is enough.
-func (p *NDiffPorts) Detach() { p.open = false }
-
-func (p *NDiffPorts) onEstablished(ev *nlmsg.Event) {
-	if !p.open {
+	if !p.admit(ev) {
 		return
 	}
-	for i := 1; i < p.N; i++ {
-		p.Stats.SubflowsRequested++
-		p.lib.CreateSubflow(ev.Token, seg.FourTuple{
-			SrcIP: p.local, SrcPort: 0,
-			DstIP: p.remote.Addr(), DstPort: p.remote.Port(),
-		}, false, nil)
+	switch ev.Kind {
+	case nlmsg.EvCreated:
+		p.local = ev.Tuple.SrcIP
+	case nlmsg.EvEstablished:
+		for i := 1; i < p.N; i++ {
+			p.Stats.SubflowsRequested++
+			p.join(p.local, p.dest(), nil)
+		}
 	}
 }

@@ -23,15 +23,10 @@ type Refresh struct {
 	// N is the number of concurrent subflows (5 in Fig. 2c).
 	N int
 
-	lib core.Lib
-	// The connection being managed, from its created event to its closed.
-	open     bool
-	token    uint32
-	local    netip.Addr // the initial subflow's; replacements leave from it too
-	remote   netip.AddrPort
-	born     map[seg.FourTuple]time.Duration // creation time per live subflow
-	stopTick func()
-	Stats    RefreshStats
+	session
+	local netip.Addr                      // the initial subflow's; replacements leave from it too
+	born  map[seg.FourTuple]time.Duration // creation time per live subflow
+	Stats RefreshStats
 }
 
 // RefreshStats counts controller activity.
@@ -68,68 +63,31 @@ func (r *Refresh) Attach(lib core.Lib) {
 	}, nil)
 }
 
-// Detach implements Controller: stop the refresh ticker and end the
-// connection. An in-flight GetInfo reply sees it ended and does nothing.
-func (r *Refresh) Detach() { r.onClosed() }
-
 // handle is the one event handler Attach registers.
 func (r *Refresh) handle(ev *nlmsg.Event) {
+	if !r.admit(ev) {
+		return
+	}
 	switch ev.Kind {
 	case nlmsg.EvCreated:
-		r.onClosed() // a connection restarted without its closed event
-		r.open, r.token = true, ev.Token
 		r.local = ev.Tuple.SrcIP
-		r.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
 		clear(r.born)
 	case nlmsg.EvEstablished:
-		if r.open {
-			for i := 1; i < r.N; i++ {
-				r.create()
-			}
-			r.tick()
+		for i := 1; i < r.N; i++ {
+			r.join(r.local, r.dest(), nil)
 		}
-	case nlmsg.EvClosed:
-		r.onClosed()
+		r.tick()
 	case nlmsg.EvSubEstablished:
-		if r.open {
-			r.born[ev.Tuple] = r.lib.Clock().Now()
-		}
+		r.born[ev.Tuple] = r.lib.Clock().Now()
 	case nlmsg.EvSubClosed:
-		if r.open {
-			delete(r.born, ev.Tuple)
-		}
+		delete(r.born, ev.Tuple)
 	}
 }
 
-func (r *Refresh) onClosed() {
-	r.open = false
-	if r.stopTick != nil {
-		r.stopTick()
-		r.stopTick = nil
-	}
-}
-
-func (r *Refresh) create() {
-	// Source port 0 → the kernel draws a fresh random ephemeral port,
-	// which is what re-rolls the ECMP dice.
-	r.lib.CreateSubflow(r.token, seg.FourTuple{
-		SrcIP: r.local, SrcPort: 0,
-		DstIP: r.remote.Addr(), DstPort: r.remote.Port(),
-	}, false, nil)
-}
-
-// tick arms the next poll, in place of any tick still armed: a repeated
-// established must not start a second ticker that closed would not stop.
-// stopTick is nil while no tick is armed.
+// tick arms the next poll; Detach and closed cancel it.
 func (r *Refresh) tick() {
-	if r.stopTick != nil {
-		r.stopTick()
-	}
-	r.stopTick = r.lib.After(refreshInterval, func() {
-		r.stopTick = nil
-		if !r.open {
-			return
-		}
+	r.arm(refreshInterval, func() {
+		r.stop = nil
 		r.poll()
 		r.tick()
 	})
@@ -164,6 +122,6 @@ func (r *Refresh) poll() {
 		}
 		r.Stats.Refreshes++
 		r.lib.RemoveSubflow(r.token, worst.Tuple, nil)
-		r.create()
+		r.join(r.local, r.dest(), nil)
 	})
 }

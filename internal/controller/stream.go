@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nlmsg"
-	"repro/internal/seg"
 )
 
 // Stream is the §4.3 controller: it supports an application that writes
@@ -35,15 +34,10 @@ type Stream struct {
 	// SecondAddr is the local address of the other interface.
 	SecondAddr netip.Addr
 
-	lib core.Lib
-	// The connection being managed, from its created event to its closed.
-	open      bool
-	token     uint32
-	remote    netip.AddrPort
+	session
 	startAt   time.Duration // establishment time on the controller clock
-	opened    bool          // second subflow requested
 	nSubflows int
-	stopProbe func()
+	opened    bool // second subflow requested
 	Stats     StreamStats
 }
 
@@ -79,61 +73,36 @@ func (s *Stream) Attach(lib core.Lib) {
 	}, nil)
 }
 
-// Detach implements Controller: stop the armed probe and end the
-// connection. An in-flight GetInfo reply sees it ended and does nothing.
-func (s *Stream) Detach() { s.onClosed() }
-
 // handle is the one event handler Attach registers.
 func (s *Stream) handle(ev *nlmsg.Event) {
+	if !s.admit(ev) {
+		return
+	}
 	switch ev.Kind {
 	case nlmsg.EvCreated:
-		s.onClosed() // a connection restarted without its closed event
-		s.open, s.token = true, ev.Token
-		s.remote = netip.AddrPortFrom(ev.Tuple.DstIP, ev.Tuple.DstPort)
 		s.opened, s.nSubflows = false, 0
 	case nlmsg.EvEstablished:
-		if s.open {
-			s.startAt = s.lib.Clock().Now()
-			s.scheduleProbe(0)
-		}
-	case nlmsg.EvClosed:
-		s.onClosed()
+		s.startAt = s.lib.Clock().Now()
+		s.scheduleProbe(0)
 	case nlmsg.EvSubEstablished:
-		if s.open {
-			s.nSubflows++
-		}
+		s.nSubflows++
 	case nlmsg.EvSubClosed:
-		if s.open {
-			s.nSubflows--
-		}
+		s.nSubflows--
 	case nlmsg.EvTimeout:
 		s.onTimeout(ev)
 	}
 }
 
-func (s *Stream) onClosed() {
-	s.open = false
-	if s.stopProbe != nil {
-		s.stopProbe()
-		s.stopProbe = nil
-	}
-}
-
 // scheduleProbe arms the probe for block k at startAt + k*Period +
-// CheckAfter, in place of any probe still armed: a repeated established
-// must not start a second chain that closed would not stop. stopProbe is
-// nil while no probe is armed.
+// CheckAfter.
 func (s *Stream) scheduleProbe(block uint64) {
-	if s.stopProbe != nil {
-		s.stopProbe()
-	}
 	due := s.startAt + time.Duration(block)*s.Period + s.CheckAfter
 	delay := due - s.lib.Clock().Now()
 	if delay < 0 {
 		delay = 0
 	}
-	s.stopProbe = s.lib.After(delay, func() {
-		s.stopProbe = nil
+	s.arm(delay, func() {
+		s.stop = nil
 		s.probe(block)
 	})
 }
@@ -141,9 +110,6 @@ func (s *Stream) scheduleProbe(block uint64) {
 // probe implements the mid-block check: expected base is block*BlockSize
 // because the application writes one block per period.
 func (s *Stream) probe(block uint64) {
-	if !s.open {
-		return
-	}
 	s.Stats.Probes++
 	s.lib.GetInfo(s.token, func(info *nlmsg.ConnInfo) {
 		if info == nil || !s.open {
@@ -176,7 +142,7 @@ func (s *Stream) probe(block uint64) {
 // connection keeps at least one other subflow (or we have already asked
 // for one).
 func (s *Stream) onTimeout(ev *nlmsg.Event) {
-	if !s.open || ev.RTO <= s.RTOLimit {
+	if ev.RTO <= s.RTOLimit {
 		return
 	}
 	if s.nSubflows <= 1 && !s.opened {
@@ -187,7 +153,7 @@ func (s *Stream) onTimeout(ev *nlmsg.Event) {
 	}
 	if s.nSubflows > 1 {
 		s.Stats.SubflowsKilled++
-		s.lib.RemoveSubflow(ev.Token, ev.Tuple, nil)
+		s.lib.RemoveSubflow(s.token, ev.Tuple, nil)
 	}
 }
 
@@ -196,8 +162,5 @@ func (s *Stream) onTimeout(ev *nlmsg.Event) {
 func (s *Stream) openSecond() {
 	s.opened = true
 	s.Stats.SecondOpened++
-	s.lib.CreateSubflow(s.token, seg.FourTuple{
-		SrcIP: s.SecondAddr, SrcPort: 0,
-		DstIP: s.remote.Addr(), DstPort: s.remote.Port(),
-	}, false, nil)
+	s.join(s.SecondAddr, s.dest(), nil)
 }

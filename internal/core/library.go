@@ -15,7 +15,8 @@ import (
 type Clock interface {
 	// Now reports time since an arbitrary epoch.
 	Now() time.Duration
-	// After schedules fn once after d; the returned function cancels it.
+	// After schedules fn once after d; the returned function cancels it:
+	// once cancel returns, fn does not run.
 	After(d time.Duration, fn func()) (cancel func())
 }
 
@@ -109,6 +110,10 @@ func (cb *Callbacks) Dispatch(ev *nlmsg.Event) {
 // *Library implements it directly (the paper's single-controller mode);
 // internal/smapp implements it with a per-connection view so one library
 // can host an independent policy per connection.
+//
+// A command's done runs at most once, with the kernel's answer, and a library
+// answers its commands in the order it sent them: the kernel acks each
+// command as it applies it, on the same ordered channel as its events.
 type Lib interface {
 	// Register installs the controller's event callbacks.
 	Register(cbs Callbacks, done func(errno uint32))

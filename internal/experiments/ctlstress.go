@@ -61,7 +61,8 @@ func init() {
 }
 
 // ctlStressSpec declares two runs of the same churn workload on fresh star
-// topologies: "immediate" delivers one frame per event (the legacy path);
+// topologies: "immediate" delivers one frame per event (the default, which
+// every golden runs: see DESIGN.md "Two delivery modes, one knob");
 // "coalesced" batches events per flush window into pooled multi-message
 // frames. Every scalar is simulated — no wall-clock output — so the run is
 // byte-identical at any shard count.

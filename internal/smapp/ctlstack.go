@@ -69,12 +69,21 @@ func NewWallClock(mu *sync.Mutex) WallClock {
 // Now implements core.Clock.
 func (c WallClock) Now() time.Duration { return time.Since(c.start) }
 
-// After implements core.Clock.
+// After implements core.Clock. The cancel must be called under Mu, as all
+// controller code is. A timer that fired while Mu was held has a callback
+// already waiting for Mu, which t.Stop cannot call back; stopped makes
+// that callback return without running fn.
 func (c WallClock) After(d time.Duration, fn func()) func() {
+	stopped := false
 	t := time.AfterFunc(d, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		fn()
+		if !stopped {
+			fn()
+		}
 	})
-	return func() { t.Stop() }
+	return func() {
+		stopped = true
+		t.Stop()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,5 +221,26 @@ func TestEveryControllerServesConnectionsInSequence(t *testing.T) {
 		if len(lib.log) != 0 {
 			t.Errorf("%s: commands without a connection: %q", name, lib.log)
 		}
+	}
+}
+
+// TestWallClockCancelStopsAWaitingCallback cancels a wall-clock timer
+// after it fired but while its callback waits for the mutex the event
+// pump holds, as a closed event handled under the pump's lock does: the
+// callback must not run once the lock is free.
+func TestWallClockCancelStopsAWaitingCallback(t *testing.T) {
+	var mu sync.Mutex
+	clock := NewWallClock(&mu)
+	ran := false
+	mu.Lock()
+	cancel := clock.After(0, func() { ran = true })
+	time.Sleep(20 * time.Millisecond) // the timer fires; its callback waits for mu
+	cancel()
+	mu.Unlock()
+	time.Sleep(50 * time.Millisecond) // a callback let through runs now
+	mu.Lock()
+	defer mu.Unlock()
+	if ran {
+		t.Fatal("a timer cancelled under the lock ran once the lock was free")
 	}
 }
