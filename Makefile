@@ -126,23 +126,18 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Run EVERY registered scenario end to end with -set smoke (reduced
-# durations/sizes/seeds); any non-zero exit fails. The list is taken from
-# the scenario registry itself, so a newly registered scenario is smoked
-# automatically — no Makefile edit needed. An explicit -set beats the
-# smoke size of its key, and the larger fleet cell checks that it ran the
-# 48 devices it names. The last step exercises the tracing pipeline end to
-# end: record a traced fig2a run and analyse it with `mpexp report` (text,
-# JSON, and CSV exports all must succeed).
+# The one-off cells no other target runs; any non-zero exit fails. Every
+# registered scenario at -set smoke runs twice in smoke-workspace (and at
+# shards=4 in smoke-shards), so it is not run again here. An explicit -set
+# beats the smoke size of its key, and the larger fleet cell checks that it
+# ran the 48 devices it names. The last step exercises the tracing pipeline
+# end to end: record a traced fig2a run and analyse it with `mpexp report`
+# (text, JSON, and CSV exports all must succeed).
 smoke:
 	@set -e; \
 	bin=$$(mktemp -u); \
 	$(GO) build -o $$bin ./cmd/mpexp; \
 	trap 'rm -f '$$bin EXIT; \
-	for s in $$($$bin list -names); do \
-		echo "== smoke: mpexp run $$s"; \
-		$$bin run $$s -set smoke >/dev/null; \
-	done; \
 	echo "== smoke: mpexp run fleet (48 devices, 2x handover rate)"; \
 	$$bin run fleet -set smoke -set devices=48 -set handover_rate=2 | grep '^48 devices' >/dev/null; \
 	echo "== smoke: mpexp run ctlstress (wide window, tight queue)"; \

@@ -38,9 +38,10 @@ type FullMesh struct {
 	added []netip.AddrPort
 	// live holds the live subflows sorted by keyOf — (local addr, remote
 	// addrport); the source port is deliberately not part of the key, as
-	// re-established subflows use fresh ports. A connection has a handful,
-	// so a sorted slice beats a map, and liveRoom holds the usual mesh
-	// without an allocation.
+	// re-established subflows use fresh ports. An entry with source port 0
+	// holds a pair whose create was acked but whose subflow is not up yet
+	// (createAcked). A connection has a handful, so a sorted slice beats a
+	// map, and liveRoom holds the usual mesh without an allocation.
 	live     []seg.FourTuple
 	liveRoom [4]seg.FourTuple
 	pending  map[meshKey]func() // scheduled retries, cancellable (nil until the first)
@@ -101,8 +102,9 @@ func (f *FullMesh) dropLive(key meshKey) {
 	}
 }
 
-// idle reports whether key has no live subflow, no create awaiting its
-// ack and no retry scheduled: only then does a create for it go out.
+// idle reports whether key has no live or held subflow, no create
+// awaiting its ack and no retry scheduled: only then does a create for it
+// go out.
 func (f *FullMesh) idle(key meshKey) bool {
 	_, live := f.findLive(key)
 	_, retrying := f.pending[key]
@@ -266,16 +268,30 @@ func (f *FullMesh) create(key meshKey) {
 	f.join(key.local, key.remote, f.created)
 }
 
-// createAcked handles the ack of the oldest outstanding create.
+// createAcked handles the ack of the oldest outstanding create. A create
+// acked with errno 0 while its local address is up holds its pair with a
+// port-0 live entry: the kernel acks a create when it sends the SYN, so a
+// mesh during the handshake must not create the pair again. The subflow's
+// sub_established replaces the entry; its sub_closed, the address going
+// down or the next created drops it (nothing reads the set between closed
+// or Detach and created).
 func (f *FullMesh) createAcked(errno uint32) {
 	if len(f.creating) == 0 {
 		return // an ack no create is waiting for
 	}
 	key := f.creating[0]
 	f.creating = slices.Delete(f.creating, 0, 1)
-	if errno != 0 && f.open && key != (meshKey{}) {
+	if !f.open || key == (meshKey{}) {
+		return
+	}
+	switch i, live := f.findLive(key); {
+	case errno != 0:
 		// Creation failed (e.g. interface flapped again): back off.
 		f.scheduleRetry(key, retryAfterUnreach)
+	case !live && f.hasLocal(key.local):
+		f.live = slices.Insert(f.live, i, seg.FourTuple{
+			SrcIP: key.local, DstIP: key.remote.Addr(), DstPort: key.remote.Port(),
+		})
 	}
 }
 
@@ -298,7 +314,8 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 	// Dismiss the lost interface's subflows in key order: the live set is
 	// sorted by local address first, so they are the run that starts where
 	// the address would. Each leaves the set before its remove command
-	// goes out, so the walk holds nothing a command could change.
+	// goes out, so the walk holds nothing a command could change. A held
+	// pair has no subflow to remove yet.
 	for {
 		i, _ := f.findLive(meshKey{local: ev.Addr})
 		if i == len(f.live) || f.live[i].SrcIP != ev.Addr {
@@ -306,8 +323,10 @@ func (f *FullMesh) onLocalDown(ev *nlmsg.Event) {
 		}
 		ft := f.live[i]
 		f.live = slices.Delete(f.live, i, i+1)
-		f.Stats.SubflowsDismissed++
-		f.lib.RemoveSubflow(f.token, ft, nil)
+		if ft.SrcPort != 0 {
+			f.Stats.SubflowsDismissed++
+			f.lib.RemoveSubflow(f.token, ft, nil)
+		}
 	}
 	// Cancel any retry scheduled for the lost interface (cancel order is
 	// unobservable; no sort needed).

@@ -7,11 +7,10 @@
 // loop. Reads (Snapshot) merge the slots: counters and histograms sum,
 // gauges take the max.
 //
-// Every handle is nil-safe: methods on a nil *Counter/*Gauge/*Histogram
-// (what a nil *Registry hands out) cost exactly one branch. The protocol
-// stack does not import this package: each layer counts in plain fields
-// of its own, and a metered run harvests those into the registry when it
-// ends (internal/scenario's metrics probe).
+// The protocol stack does not import this package: each layer counts in
+// plain fields of its own, and a metered run harvests those into a
+// registry when it ends (internal/scenario's metrics probe), so a run
+// without metrics has no registry and no handle at all.
 //
 // Metrics carry tags that drive export policy (see snapshot.go):
 //
@@ -79,9 +78,7 @@ type metric struct {
 	buckets int
 }
 
-// Registry holds a run's metrics, one storage slot per shard. A nil
-// Registry is the disabled state: every handle it returns is nil and
-// every recording costs one branch.
+// Registry holds a run's metrics, one storage slot per shard.
 type Registry struct {
 	nslots int
 
@@ -95,14 +92,6 @@ func New(nslots int) *Registry {
 		nslots = 1
 	}
 	return &Registry{nslots: nslots, metrics: make(map[string]*metric)}
-}
-
-// Slots reports the number of per-shard slots (0 on a nil registry).
-func (r *Registry) Slots() int {
-	if r == nil {
-		return 0
-	}
-	return r.nslots
 }
 
 // get returns the named metric, creating it on first use and verifying
@@ -144,29 +133,15 @@ func (r *Registry) slotCheck(slot int) int {
 // Counter is a monotonically increasing count. Merge across slots: sum.
 type Counter struct{ p *uint64 }
 
-// Inc adds one. Nil-safe: a disabled counter costs one branch.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	*c.p++
-}
+// Inc adds one.
+func (c *Counter) Inc() { *c.p++ }
 
-// Add adds n. Nil-safe.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	*c.p += n
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { *c.p += n }
 
 // Counter returns the slot-th handle of the named counter, creating the
-// metric on first use. Returns nil (the disabled handle) on a nil
-// registry.
+// metric on first use.
 func (r *Registry) Counter(name string, slot int, tags ...string) *Counter {
-	if r == nil {
-		return nil
-	}
 	m := r.get(name, KindCounter, 0, tags)
 	return &Counter{p: &m.slots[r.slotCheck(slot)].v}
 }
@@ -175,29 +150,11 @@ func (r *Registry) Counter(name string, slot int, tags ...string) *Counter {
 // semantics for high-water marks, the registry's main gauge use.
 type Gauge struct{ p *uint64 }
 
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v uint64) {
-	if g == nil {
-		return
-	}
-	*g.p = v
-}
-
-// SetMax raises the gauge to v if v is larger. Nil-safe.
-func (g *Gauge) SetMax(v uint64) {
-	if g == nil {
-		return
-	}
-	if v > *g.p {
-		*g.p = v
-	}
-}
+// SetMax raises the gauge to v if v is larger.
+func (g *Gauge) SetMax(v uint64) { *g.p = max(*g.p, v) }
 
 // Gauge returns the slot-th handle of the named gauge.
 func (r *Registry) Gauge(name string, slot int, tags ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	m := r.get(name, KindGauge, 0, tags)
 	return &Gauge{p: &m.slots[r.slotCheck(slot)].v}
 }
@@ -206,25 +163,17 @@ func (r *Registry) Gauge(name string, slot int, tags ...string) *Gauge {
 // bucket clamp into it. Merge across slots: per-bucket sum.
 type Histogram struct{ b []uint64 }
 
-// Observe records one value. Nil-safe.
+// Observe records one value.
 func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
 
 // ObserveN records n observations of one value at once: what a harvest
-// of a layer's own per-value counts adds. Nil-safe.
-func (h *Histogram) ObserveN(v, n uint64) {
-	if h == nil {
-		return
-	}
-	h.b[min(v, uint64(len(h.b)-1))] += n
-}
+// of a layer's own per-value counts adds.
+func (h *Histogram) ObserveN(v, n uint64) { h.b[min(v, uint64(len(h.b)-1))] += n }
 
 // HistogramLinear returns the slot-th handle of a linear histogram with
 // the given bucket count: value v lands in bucket min(v, buckets-1).
 // Right for small ordinal domains like per-subflow scheduler picks.
 func (r *Registry) HistogramLinear(name string, buckets, slot int, tags ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
 	if buckets < 1 {
 		panic("metrics: histogram needs at least one bucket")
 	}

@@ -37,7 +37,8 @@ type Snapshot struct {
 // Snapshot merges the registry's slots into an exportable view. Slot
 // values are read with atomic loads so a live endpoint scraping a
 // running world never sees torn values; a between-runs snapshot (the
-// metrics.json export) sees exact ones.
+// metrics.json export) sees exact ones. The nil registry, what the live
+// endpoint holds before SetLive, snapshots empty.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {

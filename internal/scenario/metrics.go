@@ -75,16 +75,12 @@ func metricsProbe(file, title string) Probe {
 	return Probe{
 		Name: "metrics",
 		Collect: func(rt *Run) {
-			r := rt.Registry
-			if r == nil {
-				return
-			}
 			rt.harvestRuntime()
 			rt.harvestPools()
 			rt.harvestLinks()
 			rt.harvestEndpoints()
 			rt.harvestControlPlane()
-			snap := r.Snapshot()
+			snap := rt.Registry.Snapshot()
 			rt.Result.Section(title)
 			rt.Result.Printf("%s", snap.Text())
 			if file != "" {

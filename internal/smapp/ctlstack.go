@@ -49,7 +49,7 @@ func (cs *ControllerStack) Use(policy string, cfg ControllerConfig) error {
 		cs.unbind(token)
 	}
 	cs.fallback = &claim{policy, cfg}
-	cs.subscribe(cs.attach(policy, probe, 0).cbs)
+	cs.subscribe(&cs.attach(policy, probe, 0).cbs)
 	return nil
 }
 

@@ -1,8 +1,6 @@
 package smapp
 
 import (
-	"fmt"
-	"net/netip"
 	"slices"
 	"sync"
 	"testing"
@@ -12,10 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/nlmsg"
-	"repro/internal/seg"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 	"repro/internal/topo"
 )
 
@@ -108,119 +103,6 @@ func TestControllerStackMuxesConnections(t *testing.T) {
 	if k.PM.EventsMasked != 2 || k.PM.EventsSent != sent {
 		t.Fatalf("backup's subscription: %d events masked, %d sent during a flap; want both address events masked",
 			k.PM.EventsMasked, k.PM.EventsSent-sent)
-	}
-}
-
-// cmdLog is a core.Lib that acks at once and logs every command.
-type cmdLog struct {
-	cbs    core.Callbacks
-	now    time.Duration
-	timers []func()
-	token  uint32 // every command must carry it
-	log    []string
-	info   nlmsg.ConnInfo
-}
-
-func (l *cmdLog) cmd(token uint32, done func(uint32), format string, args ...any) {
-	if token != l.token {
-		format = "WRONG TOKEN " + format
-	}
-	l.log = append(l.log, fmt.Sprintf(format, args...))
-	if done != nil {
-		done(0)
-	}
-}
-func (l *cmdLog) Register(cbs core.Callbacks, done func(uint32)) { l.cbs = cbs }
-func (l *cmdLog) CreateSubflow(tok uint32, ft seg.FourTuple, backup bool, done func(uint32)) {
-	l.cmd(tok, done, "create %v backup=%v", ft, backup)
-}
-func (l *cmdLog) RemoveSubflow(tok uint32, ft seg.FourTuple, done func(uint32)) {
-	l.cmd(tok, done, "remove %v", ft)
-}
-func (l *cmdLog) SetBackup(tok uint32, ft seg.FourTuple, backup bool, done func(uint32)) {
-	l.cmd(tok, done, "set-backup %v %v", ft, backup)
-}
-func (l *cmdLog) AnnounceAddr(tok uint32, addr netip.Addr, port uint16, done func(uint32)) {
-	l.cmd(tok, done, "announce %v:%d", addr, port)
-}
-func (l *cmdLog) GetInfo(tok uint32, done func(*nlmsg.ConnInfo)) {
-	l.cmd(tok, nil, "get-info")
-	done(&l.info)
-}
-func (l *cmdLog) After(d time.Duration, fn func()) func() {
-	i := len(l.timers)
-	l.timers = append(l.timers, fn)
-	return func() { l.timers[i] = nil }
-}
-func (l *cmdLog) Clock() core.Clock  { return l }
-func (l *cmdLog) Now() time.Duration { return l.now }
-
-// TestEveryControllerServesConnectionsInSequence: created restarts a
-// controller, so one instance driven through created … closed twice issues
-// the same commands the second time — what bench's controller.event_ns.*
-// probes rely on when they reuse one instance per row.
-func TestEveryControllerServesConnectionsInSequence(t *testing.T) {
-	first, second := netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.2.0.1")
-	remote := netip.MustParseAddr("10.99.0.1")
-	initial := seg.FourTuple{SrcIP: first, DstIP: remote, SrcPort: 40000, DstPort: 80}
-	joined := seg.FourTuple{SrcIP: second, DstIP: remote, SrcPort: 40001, DstPort: 80}
-	seq := []nlmsg.Event{
-		{Kind: nlmsg.EvCreated, Tuple: initial, HasTuple: true},
-		{Kind: nlmsg.EvEstablished, Tuple: initial, HasTuple: true},
-		{Kind: nlmsg.EvSubEstablished, Tuple: joined, HasTuple: true},
-		{Kind: nlmsg.EvTimeout, Tuple: initial, HasTuple: true, RTO: 1600 * time.Millisecond, Backoffs: 3},
-		{Kind: nlmsg.EvSubClosed, Tuple: joined, HasTuple: true, Errno: 110},
-		{Kind: nlmsg.EvLocalAddrDown, Addr: second},
-		{Kind: nlmsg.EvLocalAddrUp, Addr: second},
-		{Kind: nlmsg.EvClosed},
-	}
-	for _, name := range Controllers.Names() {
-		factory, _ := LookupController(name)
-		ctl, err := factory(ControllerConfig{Addrs: []netip.Addr{first, second}, Subflows: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib := &cmdLog{info: nlmsg.ConnInfo{Subflows: []nlmsg.SubflowInfo{
-			{Tuple: initial, State: uint32(tcp.StateEstablished), PacingRate: 2e6},
-			{Tuple: joined, State: uint32(tcp.StateEstablished), PacingRate: 1e6},
-		}}}
-		ctl.Attach(lib)
-		var passes [2][]string
-		for pass := range passes {
-			lib.token = uint32(100 + pass)
-			for _, ev := range seq {
-				if ev.Kind != nlmsg.EvLocalAddrDown && ev.Kind != nlmsg.EvLocalAddrUp {
-					ev.Token = lib.token
-				}
-				lib.cbs.Dispatch(&ev)
-				if ev.Kind == nlmsg.EvSubEstablished {
-					lib.now += 3 * time.Second
-					due := lib.timers
-					lib.timers = nil
-					for _, fn := range due {
-						if fn != nil {
-							fn()
-						}
-					}
-				}
-			}
-			for _, fn := range lib.timers {
-				if fn != nil {
-					t.Errorf("%s: a timer is still armed after closed", name)
-				}
-			}
-			passes[pass], lib.log, lib.timers = lib.log, nil, nil
-		}
-		if len(passes[0]) < 2 || !slices.Equal(passes[0], passes[1]) {
-			t.Errorf("%s: first connection's commands\n  %q\nsecond connection's\n  %q", name, passes[0], passes[1])
-		}
-		// After closed, and before the next created, a controller is inert.
-		for _, ev := range seq[1:] {
-			lib.cbs.Dispatch(&ev)
-		}
-		if len(lib.log) != 0 {
-			t.Errorf("%s: commands without a connection: %q", name, lib.log)
-		}
 	}
 }
 

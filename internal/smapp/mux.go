@@ -168,20 +168,25 @@ func (m *mux) route(ev *nlmsg.Event) {
 	}
 }
 
-// subscribe registers route for every event want has a handler for, plus
-// the two lifecycle events the token table itself needs.
-func (m *mux) subscribe(want core.Callbacks) {
+// subscribe registers route for every event want has a handler for (for
+// every event when want is nil), plus the two lifecycle events the token
+// table itself needs.
+func (m *mux) subscribe(want *core.Callbacks) {
+	var cbs core.Callbacks
+	if want != nil {
+		cbs = *want
+	}
 	route := m.route
 	for _, fn := range []*func(*nlmsg.Event){
-		&want.Established, &want.SubEstablished, &want.SubClosed, &want.AddAddr,
-		&want.RemAddr, &want.Timeout, &want.LocalAddrUp, &want.LocalAddrDown,
+		&cbs.Established, &cbs.SubEstablished, &cbs.SubClosed, &cbs.AddAddr,
+		&cbs.RemAddr, &cbs.Timeout, &cbs.LocalAddrUp, &cbs.LocalAddrDown,
 	} {
-		if *fn != nil {
+		if want == nil || *fn != nil {
 			*fn = route
 		}
 	}
-	want.Created, want.Closed = route, route
-	m.Lib.Register(want, nil)
+	cbs.Created, cbs.Closed = route, route
+	m.Lib.Register(cbs, nil)
 }
 
 // traceCmd records one controller command against the binding's policy

@@ -112,19 +112,9 @@ func (st *Stack) init(host *netem.Host, cfg Config, sc *core.Scratch) {
 	st.Lib = sc.NewLibrary(tr, core.SimClock{S: s}, 1)
 	// One subscription covers every policy the stack will ever host; the
 	// mux fans events out per connection.
-	st.subscribe(everyEvent)
+	st.subscribe(nil)
 	st.Endpoint = mptcp.NewEndpoint(host, cfg.MPTCP, st.PM)
 }
-
-// everyEvent names every event kind for subscribe, which reads only which
-// handlers are set: a static func costs nothing to set.
-var everyEvent = core.Callbacks{
-	Established: ignore, SubEstablished: ignore, SubClosed: ignore,
-	AddAddr: ignore, RemAddr: ignore, Timeout: ignore,
-	LocalAddrUp: ignore, LocalAddrDown: ignore,
-}
-
-func ignore(*nlmsg.Event) {}
 
 // NewKernel builds the kernel half alone over a caller-provided transport:
 // Netlink PM plus endpoint, with the library living in another process
