@@ -132,12 +132,19 @@ fmt:
 # beats the smoke size of its key, and the larger fleet cell checks that it
 # ran the 48 devices it names. The last step exercises the tracing pipeline
 # end to end: record a traced fig2a run and analyse it with `mpexp report`
-# (text, JSON, and CSV exports all must succeed).
+# (text, JSON, and CSV exports all must succeed). The first step runs the
+# scale cell under every in-kernel path manager and the userspace controller
+# that reimplements each, by policy name: each must finish all four
+# transfers.
 smoke:
 	@set -e; \
 	bin=$$(mktemp -u); \
 	$(GO) build -o $$bin ./cmd/mpexp; \
 	trap 'rm -f '$$bin EXIT; \
+	for p in kernel kernel-ndiffports kernel-none fullmesh ndiffports; do \
+		echo "== smoke: mpexp run scale -set policy=$$p (4/4 done)"; \
+		$$bin run scale -set smoke -set policy=$$p | grep -E "^[^ ]+ +$$p +4/4 " >/dev/null; \
+	done; \
 	echo "== smoke: mpexp run fleet (48 devices, 2x handover rate)"; \
 	$$bin run fleet -set smoke -set devices=48 -set handover_rate=2 | grep '^48 devices' >/dev/null; \
 	echo "== smoke: mpexp run ctlstress (wide window, tight queue)"; \

@@ -124,7 +124,7 @@ func TestAll(t *testing.T) {
 	for _, name := range scenario.Scenarios.Names() {
 		want = append(want, headers(mustRun(t, "run", name, "-set", "smoke", "-ws", "none"))...)
 		if v, ok := allVariants[name]; ok {
-			want = append(want, headers(mustRun(t, "run", name, "-set", "smoke", "-set", v, "-ws", "none"))...)
+			want = append(want, headers(mustRun(t, "run", name, "-set", "smoke", "-set", v.key+"="+v.val, "-ws", "none"))...)
 		}
 	}
 	if got := headers(mustRun(t, "all", "-set", "smoke", "-ws", "none")); !slices.Equal(got, want) {

@@ -61,6 +61,7 @@ import (
 	_ "repro/internal/experiments" // registers the paper's scenario specs
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
+	"repro/internal/smapp"
 	"repro/internal/trace"
 	"repro/internal/workspace"
 )
@@ -405,17 +406,21 @@ func (c *cli) cmdList(args []string) error {
 	for _, in := range mptcp.Schedulers.Infos() {
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
 	}
-	fmt.Fprintln(c.stdout, "\nsubflow controllers (-set policy=NAME):")
-	for _, in := range scenario.Policies() {
-		fmt.Fprintf(c.stdout, "  %-12s %s\n", in.Name, in.Desc)
+	fmt.Fprintln(c.stdout, "\npath managers (-set policy=NAME):")
+	for _, in := range smapp.Policies() {
+		fmt.Fprintf(c.stdout, "  %-17s %s\n", in.Name, in.Desc)
 	}
 	return nil
 }
 
-// allVariants names the boolean parameter that turns a scenario into the
-// paper's baseline run; `mpexp all` adds it next to the default
-// configuration as "<scenario>-<parameter>".
-var allVariants = map[string]string{"fig2a": "baseline", "fig3": "stressed", "longlived": "plain"}
+// allVariants names the parameter setting that turns a scenario into the
+// paper's baseline run; `mpexp all` runs it next to the default
+// configuration as "<scenario>-<name>".
+var allVariants = map[string]struct{ name, key, val string }{
+	"fig2a":     {"baseline", "baseline", "true"},
+	"fig3":      {"stressed", "stressed", "true"},
+	"longlived": {"plain", "policy", ""}, // the nil policy
+}
 
 func (c *cli) cmdAll(args []string) error {
 	rf := c.newRunFlags("all")
@@ -429,18 +434,18 @@ func (c *cli) cmdAll(args []string) error {
 	// the exit status is decided after the last one.
 	failed := false
 	for _, name := range scenario.Scenarios.Names() {
-		variants := []string{""} // the default configuration
+		variants := []struct{ name, key, val string }{{}} // the default configuration
 		if v, ok := allVariants[name]; ok {
 			variants = append(variants, v)
 		}
-		for _, variant := range variants {
+		for _, v := range variants {
 			m, err := rf.manifest(name)
 			if err != nil {
 				return err
 			}
-			if variant != "" {
-				m.Name = name + "-" + variant
-				m.Params[variant] = "true"
+			if v.name != "" {
+				m.Name = name + "-" + v.name
+				m.Params[v.key] = v.val
 			}
 			// One trace/metrics file per entry, so the sequential runs
 			// don't overwrite each other's output.

@@ -118,8 +118,8 @@ func TestListingContract(t *testing.T) {
 	text := mustRun(t, "list")
 	// Both listings print the policies a run accepts, and only those: a
 	// manifest checked against the JSON dump names no value the binary
-	// refuses and misses none it takes (`kernel` is no registered controller).
-	accepted := append(smapp.Controllers.Names(), scenario.KernelPolicy)
+	// refuses and misses none it takes, controller or in-kernel manager.
+	accepted := append(smapp.Controllers.Names(), smapp.KernelPMs.Names()...)
 	if _, err := scenario.Build("stream", scenario.NewParams(map[string]string{"policy": "no-such"})); err == nil {
 		t.Error("Build accepted an unlisted policy")
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
+	"repro/internal/smapp"
 	"repro/internal/workspace"
 )
 
@@ -167,7 +168,7 @@ func (c *cli) listJSON() error {
 	for _, in := range mptcp.Schedulers.Infos() {
 		out.Schedulers = append(out.Schedulers, entry{Name: in.Name, Desc: in.Desc})
 	}
-	for _, in := range scenario.Policies() {
+	for _, in := range smapp.Policies() {
 		out.Controllers = append(out.Controllers, entry{Name: in.Name, Desc: in.Desc})
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")

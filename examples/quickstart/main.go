@@ -46,15 +46,14 @@ func main() {
 
 	world.RunUntil(60 * sim.Second)
 
-	// One merged snapshot: application-side stats, the bound policy, and
-	// the Netlink-side wire view a remote controller would see.
+	// One snapshot: application-side stats and the bound policy.
 	info := client.Info(conn)
 	fmt.Printf("\nconnection token %08x under policy %q used %d subflows:\n",
 		info.Token, info.Policy, len(info.Subflows))
 	for i, sfInfo := range info.Subflows {
-		fmt.Printf("  subflow %d %v: sent %.1f MB, srtt %v (wire: cwnd %dB, pacing %.1f Mbps)\n",
+		fmt.Printf("  subflow %d %v: sent %.1f MB, srtt %v (cwnd %dB, pacing %.1f Mbps)\n",
 			i, sfInfo.Tuple, float64(sfInfo.Stats.BytesSent)/1e6, sfInfo.SRTT.Round(time.Millisecond),
-			info.Wire[i].Cwnd, float64(info.Wire[i].PacingRate)*8/1e6)
+			sfInfo.Cwnd, sfInfo.PacingRate*8/1e6)
 	}
 	fmt.Printf("received %.1f MB in %.1fs — both paths were used (aggregate > any single path)\n",
 		float64(sink.Received)/1e6, sink.CompletedAt.Seconds())

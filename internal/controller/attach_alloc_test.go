@@ -20,8 +20,7 @@ import (
 // nothing, on a clock that stands still: Attach and events against it cost
 // exactly what the controller allocates.
 type stubLib struct {
-	stillClock // for After
-	cbs        core.Callbacks
+	cbs core.Callbacks
 }
 
 func (l *stubLib) Register(cbs core.Callbacks, done func(uint32))          { l.cbs = cbs }

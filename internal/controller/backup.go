@@ -43,9 +43,6 @@ func NewBackup(backupAddr netip.Addr) *Backup {
 	return &Backup{Threshold: time.Second, BackupAddr: backupAddr}
 }
 
-// Name implements Controller.
-func (b *Backup) Name() string { return "smart-backup" }
-
 // Attach implements Controller. It subscribes only to what it needs:
 // connection lifecycle, timeout events, and subflow closures.
 func (b *Backup) Attach(lib core.Lib) {

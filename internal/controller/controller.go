@@ -46,7 +46,6 @@ import (
 // no further actions, so a live connection can be handed to a replacement
 // policy (smapp.Stack.SwitchPolicy).
 type Controller interface {
-	Name() string
 	Attach(lib core.Lib)
 	Detach()
 }
@@ -123,7 +122,7 @@ func (s *session) arm(d time.Duration, fn func()) {
 	if s.stop != nil {
 		s.stop()
 	}
-	s.stop = s.lib.After(d, fn)
+	s.stop = s.lib.Clock().After(d, fn)
 }
 
 // dest is the initial subflow's destination.

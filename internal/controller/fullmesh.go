@@ -131,9 +131,6 @@ func NewFullMesh(localAddrs []netip.Addr) *FullMesh {
 	return f
 }
 
-// Name implements Controller.
-func (f *FullMesh) Name() string { return "user-fullmesh" }
-
 // Attach implements Controller: it listens to every event of §3, all
 // through one handler.
 func (f *FullMesh) Attach(lib core.Lib) {
@@ -252,7 +249,7 @@ func (f *FullMesh) scheduleRetry(key meshKey, delay time.Duration) {
 	if f.pending == nil {
 		f.pending = make(map[meshKey]func())
 	}
-	f.pending[key] = f.lib.After(delay, func() {
+	f.pending[key] = f.lib.Clock().After(delay, func() {
 		delete(f.pending, key)
 		if !f.hasLocal(key.local) || !f.idle(key) {
 			return

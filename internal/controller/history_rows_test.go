@@ -206,3 +206,37 @@ func TestDetachStopsController(t *testing.T) {
 		})
 	}
 }
+
+// everyPolicyHistories are scripted histories every policy must keep
+// every rule of checkHistory over. Their commands differ by policy, so
+// the rules, not a command log, pin them; reaches is a command some policy
+// must issue before the last op, or the row checks nothing.
+var everyPolicyHistories = []struct {
+	name, reaches string
+	history       []byte
+}{
+	// A get-info asked for in one connection (stream's probe, refresh's
+	// poll) and answered in the next: the reply finds another connection
+	// and does nothing.
+	{"stale-reply", "get-info", slices.Concat(h(hoCreated, 0), h(hoEstablished, 0), h(hoTick, 9), h(hoFire, 0),
+		h(hoClosed, 0), h(hoCreated, 0), h(hoAnswer, 0))},
+}
+
+// TestEveryPolicyHistories runs everyPolicyHistories through every policy.
+func TestEveryPolicyHistories(t *testing.T) {
+	for _, row := range everyPolicyHistories {
+		t.Run(row.name, func(t *testing.T) {
+			reached := false
+			for _, c := range historyControllers {
+				log, broken := checkHistory(c, row.history)
+				if broken != "" {
+					t.Error(broken)
+				}
+				reached = reached || slices.Contains(slices.Concat(log[:len(log)-1]...), row.reaches)
+			}
+			if !reached {
+				t.Errorf("no policy issued %q before the last op: the row checks nothing", row.reaches)
+			}
+		})
+	}
+}

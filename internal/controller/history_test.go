@@ -26,9 +26,11 @@ type recLib struct {
 	cmds    []string // since the last take
 	foreign int      // how many of cmds carried another token
 	timers  []*recTimer
-	pending []func(*nlmsg.ConnInfo) // GetInfo requests not answered yet
-	creates []recCreate             // every create, in send order
-	acked   int                     // how many of creates, from the first, are acked
+	pending []recGetInfo // GetInfo requests not answered yet
+	creates []recCreate  // every create, in send order
+	acked   int          // how many of creates, from the first, are acked
+	conn    int          // the connection the controller serves: each created that finds none open starts the next
+	stale   int          // how many of cmds replies to an earlier connection's GetInfo issued
 	// outOfOrder is set once an ack answered a create that was not the
 	// oldest unacked one, against core.Lib's ordering.
 	outOfOrder bool
@@ -45,6 +47,12 @@ type recCreate struct {
 }
 
 type recTimer struct{ fn func() }
+
+// recGetInfo is one GetInfo request and the connection it was asked in.
+type recGetInfo struct {
+	done func(*nlmsg.ConnInfo)
+	conn int
+}
 
 func (l *recLib) cmd(token uint32, s string) {
 	l.cmds = append(l.cmds, s)
@@ -67,7 +75,7 @@ func (l *recLib) AnnounceAddr(token uint32, addr netip.Addr, _ uint16, _ func(ui
 }
 func (l *recLib) GetInfo(token uint32, done func(*nlmsg.ConnInfo)) {
 	l.cmd(token, "get-info")
-	l.pending = append(l.pending, done)
+	l.pending = append(l.pending, recGetInfo{done, l.conn})
 }
 func (l *recLib) Clock() core.Clock  { return l }
 func (l *recLib) Now() time.Duration { return l.now }
@@ -78,12 +86,13 @@ func (l *recLib) After(d time.Duration, fn func()) func() {
 	return func() { t.fn = nil }
 }
 
-// take returns the commands logged since the last take and how many of
-// them carried another token.
-func (l *recLib) take() (cmds []string, foreign int) {
-	cmds, foreign = l.cmds, l.foreign
-	l.cmds, l.foreign = nil, 0
-	return cmds, foreign
+// take returns the commands logged since the last take, how many of them
+// carried another token and how many replies to an earlier connection's
+// GetInfo issued.
+func (l *recLib) take() (cmds []string, foreign, stale int) {
+	cmds, foreign, stale = l.cmds, l.foreign, l.stale
+	l.cmds, l.foreign, l.stale = nil, 0, 0
+	return cmds, foreign, stale
 }
 
 // armed counts the timers neither cancelled nor fired.
@@ -106,12 +115,17 @@ func (l *recLib) fire() {
 	}
 }
 
-// answer replies to every pending GetInfo with info.
+// answer replies to every pending GetInfo with info, counting what the
+// replies to an earlier connection's requests issue.
 func (l *recLib) answer(info *nlmsg.ConnInfo) {
 	pending := l.pending
 	l.pending = nil
-	for _, done := range pending {
-		done(info)
+	for _, p := range pending {
+		before := len(l.cmds)
+		p.done(info)
+		if p.conn != l.conn {
+			l.stale += len(l.cmds) - before
+		}
 	}
 }
 
@@ -350,6 +364,7 @@ type historyStep struct {
 	open    bool     // inside created … closed, and not detached
 	issued  []string // the commands and timers the op produced
 	foreign int      // how many of them carried another connection's token
+	stale   int      // how many of them replies to an earlier connection's get-info issued
 	armed   int      // timers armed after it
 }
 
@@ -363,6 +378,7 @@ var historyRules = []struct {
 	{"no command outside created … closed", func(s historyStep) bool { return !s.open && len(s.issued) > 0 }},
 	{"no timer armed after closed or Detach", func(s historyStep) bool { return !s.open && s.armed > 0 }},
 	{"every command carries its connection's token", func(s historyStep) bool { return s.foreign > 0 }},
+	{"a reply to an earlier connection's request issues no command and arms no timer", func(s historyStep) bool { return s.stale > 0 }},
 }
 
 // historyRun is one controller instance, attached to its recLib, that
@@ -397,9 +413,9 @@ func (r *historyRun) play(history []byte) [][]string {
 	var log [][]string
 	for _, op := range historyOps(history) {
 		r.do(op)
-		cmds, foreign := r.l.take()
+		cmds, foreign, stale := r.l.take()
 		r.played = append(r.played, op)
-		r.check(cmds, foreign)
+		r.check(cmds, foreign, stale)
 		log = append(log, cmds)
 	}
 	return log
@@ -413,10 +429,11 @@ func (r *historyRun) do(op []byte) {
 	}
 	switch op[0] & 15 {
 	case hoCreated:
-		l.deliver(nlmsg.Event{Kind: nlmsg.EvCreated, Tuple: histInitial, HasTuple: true})
 		if !r.open {
 			r.conn = connCommands{first: len(l.creates)}
+			l.conn++
 		}
+		l.deliver(nlmsg.Event{Kind: nlmsg.EvCreated, Tuple: histInitial, HasTuple: true})
 		r.open = true
 	case hoEstablished:
 		l.deliver(nlmsg.Event{Kind: nlmsg.EvEstablished, Tuple: histInitial, HasTuple: true})
@@ -461,7 +478,7 @@ func (r *historyRun) do(op []byte) {
 }
 
 // check applies historyRules and c's bound to what the last op left.
-func (r *historyRun) check(cmds []string, foreign int) {
+func (r *historyRun) check(cmds []string, foreign, stale int) {
 	for _, cmd := range cmds {
 		r.conn.creates += boolInt(strings.HasPrefix(cmd, "create "))
 		r.conn.removes += boolInt(strings.HasPrefix(cmd, "remove "))
@@ -469,7 +486,7 @@ func (r *historyRun) check(cmds []string, foreign int) {
 	if r.broken != "" {
 		return
 	}
-	s := historyStep{open: r.open, issued: cmds, foreign: foreign, armed: r.l.armed()}
+	s := historyStep{open: r.open, issued: cmds, foreign: foreign, stale: stale, armed: r.l.armed()}
 	for _, rule := range historyRules {
 		if rule.broken(s) {
 			r.broken = fmt.Sprintf("%s, broken by the last op (issued %q, %d timers armed)", rule.name, cmds, s.armed)
@@ -587,10 +604,13 @@ func doubleLifecycle(history []byte) []byte {
 
 // FuzzControllerHistory drives all five controllers through generated
 // histories against every rule of checkHistory. The seeds are the
-// scripted rows of fullMeshHistories.
+// scripted rows of fullMeshHistories and everyPolicyHistories.
 func FuzzControllerHistory(f *testing.F) {
 	for _, row := range fullMeshHistories() {
 		f.Add(row.history())
+	}
+	for _, row := range everyPolicyHistories {
+		f.Add(row.history)
 	}
 	f.Fuzz(func(t *testing.T, history []byte) {
 		for _, c := range historyControllers {

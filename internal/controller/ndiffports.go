@@ -32,9 +32,6 @@ func NewNDiffPorts(n int) *NDiffPorts {
 	return &NDiffPorts{N: n}
 }
 
-// Name implements Controller.
-func (p *NDiffPorts) Name() string { return "user-ndiffports" }
-
 // Attach implements Controller. It needs only establishment, besides the
 // connection's lifecycle.
 func (p *NDiffPorts) Attach(lib core.Lib) {

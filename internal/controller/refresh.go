@@ -21,7 +21,10 @@ import (
 // all paths ("a very simple heuristic", 230 LoC of C in the paper).
 type Refresh struct {
 	// N is the number of concurrent subflows (5 in Fig. 2c).
-	N int
+	N int32
+	// conn numbers the connections served; a poll's reply acts only in
+	// the one that asked. It packs beside N.
+	conn uint32
 
 	session
 	local netip.Addr                      // the initial subflow's; replacements leave from it too
@@ -46,13 +49,10 @@ const (
 // NewRefresh builds the controller with the paper's parameters.
 func NewRefresh(n int) *Refresh {
 	return &Refresh{
-		N:    n,
+		N:    int32(n),
 		born: make(map[seg.FourTuple]time.Duration),
 	}
 }
-
-// Name implements Controller.
-func (r *Refresh) Name() string { return "refresh" }
 
 // Attach implements Controller.
 func (r *Refresh) Attach(lib core.Lib) {
@@ -72,8 +72,9 @@ func (r *Refresh) handle(ev *nlmsg.Event) {
 	case nlmsg.EvCreated:
 		r.local = ev.Tuple.SrcIP
 		clear(r.born)
+		r.conn++
 	case nlmsg.EvEstablished:
-		for i := 1; i < r.N; i++ {
+		for range r.N - 1 {
 			r.join(r.local, r.dest(), nil)
 		}
 		r.tick()
@@ -96,8 +97,9 @@ func (r *Refresh) tick() {
 // poll compares pacing_rates and replaces the slowest subflow.
 func (r *Refresh) poll() {
 	r.Stats.Polls++
+	conn := r.conn
 	r.lib.GetInfo(r.token, func(info *nlmsg.ConnInfo) {
-		if info == nil || !r.open {
+		if info == nil || !r.open || r.conn != conn {
 			return
 		}
 		now := r.lib.Clock().Now()

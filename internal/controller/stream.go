@@ -37,7 +37,8 @@ type Stream struct {
 	session
 	startAt   time.Duration // establishment time on the controller clock
 	nSubflows int
-	opened    bool // second subflow requested
+	opened    bool   // second subflow requested
+	conn      uint32 // numbers the connections served; a probe's reply acts only in the one that asked
 	Stats     StreamStats
 }
 
@@ -61,9 +62,6 @@ func NewStream(secondAddr netip.Addr) *Stream {
 	}
 }
 
-// Name implements Controller.
-func (s *Stream) Name() string { return "smart-stream" }
-
 // Attach implements Controller.
 func (s *Stream) Attach(lib core.Lib) {
 	s.lib = lib
@@ -81,6 +79,7 @@ func (s *Stream) handle(ev *nlmsg.Event) {
 	switch ev.Kind {
 	case nlmsg.EvCreated:
 		s.opened, s.nSubflows = false, 0
+		s.conn++
 	case nlmsg.EvEstablished:
 		s.startAt = s.lib.Clock().Now()
 		s.scheduleProbe(0)
@@ -111,8 +110,9 @@ func (s *Stream) scheduleProbe(block uint64) {
 // because the application writes one block per period.
 func (s *Stream) probe(block uint64) {
 	s.Stats.Probes++
+	conn := s.conn
 	s.lib.GetInfo(s.token, func(info *nlmsg.ConnInfo) {
-		if info == nil || !s.open {
+		if info == nil || !s.open || s.conn != conn {
 			return
 		}
 		base := block * s.BlockSize

@@ -672,8 +672,8 @@ func TestLibraryTimer(t *testing.T) {
 	tr := NewSimTransport(s)
 	lib := NewLibrary(tr, SimClock{s}, 1)
 	fired := 0
-	lib.After(100*time.Millisecond, func() { fired++ })
-	cancel := lib.After(200*time.Millisecond, func() { fired++ })
+	lib.Clock().After(100*time.Millisecond, func() { fired++ })
+	cancel := lib.Clock().After(200*time.Millisecond, func() { fired++ })
 	cancel()
 	s.Run()
 	if fired != 1 {

@@ -127,9 +127,8 @@ type Lib interface {
 	AnnounceAddr(token uint32, addr netip.Addr, port uint16, done func(errno uint32))
 	// GetInfo retrieves the TCP_INFO-like snapshot of a connection.
 	GetInfo(token uint32, done func(info *nlmsg.ConnInfo))
-	// After schedules controller work on the controller clock.
-	After(d time.Duration, fn func()) (cancel func())
-	// Clock exposes the controller clock.
+	// Clock exposes the controller clock, which schedules controller
+	// work.
 	Clock() Clock
 }
 
@@ -260,11 +259,6 @@ func (l *Library) GetInfo(token uint32, done func(info *nlmsg.ConnInfo)) {
 		}
 		done(info)
 	})
-}
-
-// After schedules controller work on the controller clock.
-func (l *Library) After(d time.Duration, fn func()) (cancel func()) {
-	return l.clock.After(d, fn)
 }
 
 // sendCmd sends one command and queues its continuation (see pendingReply).

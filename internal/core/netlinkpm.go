@@ -53,12 +53,8 @@ type NetlinkPM struct {
 // HarvestInto folds the counters into slot of r as the seven ctl_* metrics
 // — the slot of the shard the kernel host runs on. The counters are the
 // one place the control plane counts; a metered run harvests them once,
-// when it ends. A nil PM (a stack with an in-kernel path manager) still
-// registers the names, all zero.
+// when it ends.
 func (pm *NetlinkPM) HarvestInto(r *metrics.Registry, slot int) {
-	if pm == nil {
-		pm = &NetlinkPM{}
-	}
 	r.Counter("ctl_events_sent", slot).Add(pm.EventsSent)
 	r.Counter("ctl_events_masked", slot).Add(pm.EventsMasked)
 	r.Counter("ctl_events_coalesced", slot).Add(pm.EventsCoalesced)
@@ -369,7 +365,7 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
-		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), WireInfo(c), cmd.Seq, cmd.Pid))
+		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), wireInfo(c), cmd.Seq, cmd.Pid))
 
 	case nlmsg.CmdAnnounceAddr:
 		c, ok := pm.conns[cmd.Token]
@@ -408,10 +404,9 @@ func errnoOf(err error) uint32 {
 	}
 }
 
-// WireInfo converts an mptcp snapshot to the wire schema — the exact view
-// a controller receives from CmdGetInfo. internal/smapp uses it to merge
-// the application-side and Netlink-side snapshots into one.
-func WireInfo(c *mptcp.Connection) *nlmsg.ConnInfo {
+// wireInfo converts an mptcp snapshot to the wire schema — the exact view
+// a controller receives from CmdGetInfo.
+func wireInfo(c *mptcp.Connection) *nlmsg.ConnInfo {
 	in := c.Info()
 	out := &nlmsg.ConnInfo{
 		Token:    in.Token,

@@ -28,7 +28,7 @@ func claimScalars(t *testing.T, seed int64, name string, sets ...string) map[str
 func TestClaimLongLivedFullMeshDeliversEveryMessage(t *testing.T) {
 	for seed := int64(1); seed <= claimSeeds; seed++ {
 		smart := claimScalars(t, seed, "longlived", "policy=fullmesh")
-		plain := claimScalars(t, seed, "longlived", "plain")
+		plain := claimScalars(t, seed, "longlived", "policy=")
 		sent, got := smart["messages_sent"], smart["messages_delivered"]
 		if sent == 0 || got != sent {
 			t.Errorf("seed %d: fullmesh delivered %v of %v messages, want all", seed, got, sent)

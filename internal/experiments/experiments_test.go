@@ -145,7 +145,7 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 		t.Fatal("no live subflows at the end")
 	}
 	// The nil policy: same stack, no controller.
-	plain := scenario.Execute(build(t, "longlived", "messages=6", "plain"), 1)
+	plain := scenario.Execute(build(t, "longlived", "messages=6", "policy="), 1)
 	if plain.Scalars["messages_delivered"] >= plain.Scalars["messages_sent"] {
 		t.Fatal("plain stack should lose messages once NAT state expires")
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/controller"
-	"repro/internal/mptcp"
 	"repro/internal/netem"
 	"repro/internal/scenario"
 	"repro/internal/smapp"
@@ -55,12 +54,10 @@ func init() {
 func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 	mode := fmt.Sprintf("smart controller (userspace %q policy)", cfg.Policy)
 	policy := cfg.Policy
-	var kernelPM func() mptcp.PathManager
 	horizon := cfg.Duration
 	if cfg.Baseline {
 		mode = "in-kernel baseline (pre-established backup flag)"
-		policy = ""
-		kernelPM = func() mptcp.PathManager { return mptcp.NopPM{} }
+		policy = "kernel-none"
 		// The kernel baseline needs to ride out up to 15 RTO backoffs.
 		horizon = 30 * time.Minute
 	}
@@ -94,7 +91,6 @@ func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 		Sched:     cfg.Sched,
 		Policy:    policy,
 		PolicyCfg: smapp.ControllerConfig{Threshold: cfg.Threshold},
-		KernelPM:  kernelPM,
 		Settle:    time.Millisecond,
 		Events:    events,
 		Probes: []scenario.Probe{

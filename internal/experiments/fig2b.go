@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/pm"
 	"repro/internal/scenario"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -52,18 +50,13 @@ func init() {
 
 // streamRun declares one §4.3 streaming session: the two-path topology,
 // the block-streaming workload, loss on the primary path from 1 s on,
-// and the per-block delays collected under the given curve name. The
-// empty policy runs the in-kernel full-mesh baseline. fig2b draws several
-// of these on one figure; stream is exactly one, so that crossing it over
-// schedulers and controllers is a sweep's job (examples/manifests/
-// ctlsweep.json, schedsweep.json), not a scenario's.
+// and the per-block delays collected under the given curve name. fig2b
+// draws several of these on one figure; stream is exactly one, so that
+// crossing it over schedulers and controllers is a sweep's job
+// (examples/manifests/ctlsweep.json, schedsweep.json), not a scenario's.
 func streamRun(cfg fig2bConfig, loss float64, policy, curve string) *scenario.RunSpec {
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	wl := &scenario.BlockStream{Period: cfg.Period, BlockSize: cfg.BlockSize, Blocks: cfg.Blocks}
-	var kernelPM func() mptcp.PathManager
-	if policy == "" {
-		kernelPM = func() mptcp.PathManager { return pm.NewFullMesh() }
-	}
 	// Observe long enough for stragglers (RTO tails can reach minutes on
 	// the unmanaged stack).
 	horizon := time.Duration(cfg.Blocks)*cfg.Period + 3*time.Minute
@@ -79,10 +72,9 @@ func streamRun(cfg fig2bConfig, loss float64, policy, curve string) *scenario.Ru
 			BlockSize: cfg.BlockSize,
 			Probe:     cfg.ProbeAt,
 		},
-		KernelPM: kernelPM,
-		Settle:   time.Millisecond,
-		Events:   []scenario.Event{scenario.SetLossAt(time.Second, "path0", loss)},
-		Stop:     scenario.Stop{Horizon: horizon},
+		Settle: time.Millisecond,
+		Events: []scenario.Event{scenario.SetLossAt(time.Second, "path0", loss)},
+		Stop:   scenario.Stop{Horizon: horizon},
 		Probes: []scenario.Probe{
 			{Name: curve, Collect: func(rt *scenario.Run) {
 				rt.Result.Samples[curve] = wl.Delays(horizon)
@@ -101,7 +93,7 @@ func fig2bSpec(cfg fig2bConfig) *scenario.Spec {
 	for _, loss := range cfg.LossLevels {
 		name := fmt.Sprintf("fullmesh %.0f%% loss", loss*100)
 		names = append(names, name)
-		runs = append(runs, streamRun(cfg, loss, "", name))
+		runs = append(runs, streamRun(cfg, loss, "kernel", name))
 	}
 	names = append(names, "smart stream")
 	runs = append(runs, streamRun(cfg, cfg.SmartLoss, cfg.Policy, "smart stream"))

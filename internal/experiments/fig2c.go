@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/pm"
 	"repro/internal/scenario"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -53,14 +51,9 @@ func fig2cRun(cfg fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 			Delay:   time.Duration(10*(i+1)) * time.Millisecond,
 		})
 	}
-	policy := ""
-	variant := "ndiffports"
-	var kernelPM func() mptcp.PathManager
+	policy, variant := "kernel-ndiffports", "ndiffports"
 	if refresh {
-		policy = cfg.Policy
-		variant = "refresh"
-	} else {
-		kernelPM = func() mptcp.PathManager { return pm.NewNDiffPorts(cfg.Subflows) }
+		policy, variant = cfg.Policy, "refresh"
 	}
 	wl := &scenario.Bulk{Bytes: cfg.FileBytes}
 	// Worst case is single-path (~105 s for 100 MB); generous horizon.
@@ -97,7 +90,6 @@ func fig2cRun(cfg fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 		Sched:      cfg.Sched,
 		Policy:     policy,
 		PolicyCfg:  smapp.ControllerConfig{Subflows: cfg.Subflows},
-		KernelPM:   kernelPM,
 		Settle:     time.Millisecond,
 		Probes:     probes,
 		Stop: scenario.Stop{

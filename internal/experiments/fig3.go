@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/pm"
 	"repro/internal/scenario"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -43,13 +41,10 @@ func init() {
 // delay between the SYN carrying MP_CAPABLE and the SYN carrying MP_JOIN
 // per request.
 func fig3Run(cfg fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqResp) {
-	policy := ""
-	variant := "kernel"
-	var kernelPM func() mptcp.PathManager
+	policy, variant := "kernel-ndiffports", "kernel"
 	var stackConfig func(*scenario.Run, int, *smapp.Config)
 	if userspace {
-		policy = cfg.Policy
-		variant = "userspace"
+		policy, variant = cfg.Policy, "userspace"
 		if cfg.Stressed {
 			// On the client's own clock, where smapp.New puts the default
 			// transport.
@@ -57,8 +52,6 @@ func fig3Run(cfg fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 				c.Transport = core.NewStressedSimTransport(rt.ClientClock(i))
 			}
 		}
-	} else {
-		kernelPM = func() mptcp.PathManager { return pm.NewNDiffPorts(2) }
 	}
 	wl := &scenario.ReqResp{Requests: cfg.Requests, ReqSize: 200, RespSize: cfg.RespSize}
 	run := &scenario.RunSpec{
@@ -74,7 +67,6 @@ func fig3Run(cfg fig3Config, userspace bool) (*scenario.RunSpec, *scenario.ReqRe
 		Sched:       cfg.Sched,
 		Policy:      policy,
 		PolicyCfg:   smapp.ControllerConfig{Subflows: 2},
-		KernelPM:    kernelPM,
 		StackConfig: stackConfig,
 		Settle:      time.Millisecond,
 		Probes: []scenario.Probe{

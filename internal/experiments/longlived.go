@@ -30,10 +30,7 @@ func init() {
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			cfg := longLivedConfig{
 				Sched:  p.Sched(),
-				Policy: p.Str("policy", "fullmesh", "registered subflow controller"),
-			}
-			if p.Bool("plain", false, "run the nil policy (plain-stack baseline)") {
-				cfg.Policy = "" // the nil policy: same stack, no controller
+				Policy: p.Str("policy", "fullmesh", "path manager (empty = the nil policy, the plain-stack baseline)"),
 			}
 			cfg.NATTimeout = p.Duration("nat_timeout", 180*time.Second, "NAT idle-entry expiry")
 			cfg.MsgInterval = p.Duration("interval", 10*time.Minute, "message interval")

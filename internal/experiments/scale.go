@@ -22,7 +22,7 @@ type scaleConfig struct {
 	Servers      int    // server hosts behind the aggregation, dialed round-robin
 	BytesPerConn int    // payload each client streams at t≈0
 	Sched        string // packet scheduler
-	Policy       string // subflow controller; "kernel" = in-kernel full-mesh
+	Policy       string // path manager, by policy name
 	Wall         bool   // include the wall-clock report section
 }
 
@@ -54,7 +54,7 @@ func init() {
 				Servers:      p.Int("servers", 1, "server hosts, dialed round-robin"),
 				BytesPerConn: p.Int("kb", 1024, "payload per connection in KB", 128) << 10,
 				Sched:        p.Sched(),
-				Policy:       p.Str("policy", scenario.KernelPolicy, "registered subflow controller (kernel = in-kernel full mesh, no userspace control plane)"),
+				Policy:       p.Str("policy", "kernel", "path manager: a controller or an in-kernel manager (mpexp list)"),
 				Wall:         p.Bool("wall", true, "include wall-clock throughput scalars"),
 			}), nil
 		})

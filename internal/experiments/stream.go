@@ -13,7 +13,7 @@ func init() {
 		func(p *scenario.Params) (*scenario.Spec, error) {
 			return streamSpec(fig2bConfig{
 				Sched:     p.Sched(),
-				Policy:    p.Str("policy", scenario.KernelPolicy, "registered subflow controller (kernel = in-kernel full mesh)"),
+				Policy:    p.Str("policy", "kernel", "path manager: a controller or an in-kernel manager (mpexp list)"),
 				SmartLoss: p.Float("loss", 0.30, "primary-path loss ratio"),
 				Blocks:    p.Int("blocks", 120, "blocks streamed", 10),
 				Period:    streamPeriod,

@@ -55,14 +55,21 @@ func (t *Table[F]) Register(name, desc string, f F) {
 // Lookup resolves a name. An unknown name's error lists what is
 // registered, so a typo names its own fix.
 func (t *Table[F]) Lookup(name string) (F, error) {
-	t.mu.RLock()
-	e, ok := t.entries[name]
-	t.mu.RUnlock()
+	f, ok := t.Get(name)
 	if !ok {
-		return e.f, fmt.Errorf("%s: unknown %s %q (registered: %s)",
+		return f, fmt.Errorf("%s: unknown %s %q (registered: %s)",
 			t.pkg, t.noun, name, strings.Join(t.Names(), ", "))
 	}
-	return e.f, nil
+	return f, nil
+}
+
+// Get resolves a name and reports whether it is registered: Lookup
+// without the error, for a caller that tries more than one table.
+func (t *Table[F]) Get(name string) (F, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.entries[name]
+	return e.f, ok
 }
 
 // Names lists every registered name, sorted.

@@ -190,15 +190,13 @@ func (rt *Run) harvestEndpoint(ep *mptcp.Endpoint) {
 }
 
 // harvestControlPlane folds every client stack's Netlink counters into
-// the slot of its host's shard. A stack with an explicit in-kernel path
-// manager has no Netlink PM and registers the ctl_* names all zero; a
-// KernelPolicy cell has no control plane to speak of, and its snapshot
-// leaves the names out.
+// the slot of its host's shard. A stack with an in-kernel path manager
+// has no Netlink PM and contributes none: a run of such stacks only has
+// no ctl_* names.
 func (rt *Run) harvestControlPlane() {
-	if rt.Spec.Policy == KernelPolicy {
-		return
-	}
 	for _, st := range rt.Stacks {
-		st.PM.HarvestInto(rt.Registry, sim.ShardIndex(st.Host.Clock()))
+		if st.PM != nil {
+			st.PM.HarvestInto(rt.Registry, sim.ShardIndex(st.Host.Clock()))
+		}
 	}
 }

@@ -100,10 +100,8 @@ func Build(name string, p *Params) (*Spec, error) {
 		if _, err := mptcp.LookupScheduler(rs.Sched); err != nil {
 			return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 		}
-		if _, policy := rs.controlPlane(); policy != "" {
-			if _, err := smapp.Controllers.Lookup(policy); err != nil {
-				return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
-			}
+		if _, err := smapp.LookupPolicy(rs.Policy); err != nil {
+			return nil, fmt.Errorf("scenario %s: run %s: %w", name, rs.Label, err)
 		}
 	}
 	return sp, nil

@@ -24,8 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/pm"
-	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/smapp"
 	"repro/internal/stats"
@@ -65,16 +63,14 @@ type RunSpec struct {
 
 	// Sched is the registered packet scheduler ("" = lowest-rtt).
 	Sched string
-	// Policy is the registered subflow controller bound to every dialed
-	// connection ("" = the nil policy / plain stack), or KernelPolicy.
+	// Policy is the path manager of every client stack, by one of the
+	// names smapp.Policies lists: an in-kernel path manager the stacks are
+	// built with, or a controller bound to every dialed connection. ""
+	// is the nil policy: the Netlink control plane with no controller.
 	Policy string
-	// PolicyCfg parameterises the controller. Empty Addrs default to the
+	// PolicyCfg parameterises the policy. Empty Addrs default to the
 	// client host's interface addresses.
 	PolicyCfg smapp.ControllerConfig
-	// KernelPM, when non-nil, builds an in-kernel path manager replacing
-	// the whole userspace control plane — the baselines the paper
-	// compares against. Only the nil policy works on such a stack.
-	KernelPM func() mptcp.PathManager
 	// StackConfig, when non-nil, adjusts client i's stack configuration
 	// after the engine filled it in (scheduler, trace shard, metric
 	// handles, path manager) and before the stack is built — for the few
@@ -243,6 +239,9 @@ type Run struct {
 	// by the control planes of every client stack on it (core.Scratch);
 	// nil until the first stack with one.
 	scratch []core.Scratch
+	// kernelPM builds each client stack's in-kernel path manager when the
+	// policy names one; nil when it names a controller or is nil.
+	kernelPM smapp.KernelPMFactory
 
 	Result *stats.Result
 	Wall   time.Duration // wall-clock cost of the whole run
@@ -259,32 +258,6 @@ func (rt *Run) ServerClock() sim.Clock { return rt.Net.Server.Clock() }
 // listenPort is the port every server listens on and every client dials.
 const listenPort = 80
 
-// KernelPolicy is the one pseudo-policy every run accepts next to the
-// registered controllers: the in-kernel full-mesh path manager with no
-// userspace control plane at all — the baseline cell of the fan-out sweeps.
-const KernelPolicy = "kernel"
-
-// Policies lists every value a run's policy can take, for listings and
-// flag help: the registered controllers, then KernelPolicy.
-func Policies() []registry.Info {
-	return append(smapp.Controllers.Infos(), registry.Info{Name: KernelPolicy,
-		Desc: "in-kernel full-mesh baseline, no userspace control plane"})
-}
-
-// controlPlane resolves the run's policy into what its stacks are built
-// and dialed with: the in-kernel path manager (nil = the Netlink control
-// plane) and the controller name bound at dial. KernelPolicy is a KernelPM
-// stack dialed with the nil policy.
-func (rs *RunSpec) controlPlane() (kernelPM func() mptcp.PathManager, policy string) {
-	if rs.Policy != KernelPolicy {
-		return rs.KernelPM, rs.Policy
-	}
-	if rs.KernelPM != nil {
-		return rs.KernelPM, ""
-	}
-	return func() mptcp.PathManager { return pm.NewFullMesh() }, ""
-}
-
 // mptcpConfig is the endpoint configuration of every stack of the run,
 // client or server: the run's scheduler and the host's own trace shard
 // (nil when untraced).
@@ -296,8 +269,12 @@ func (rt *Run) mptcpConfig(h *netem.Host) mptcp.Config {
 func (rt *Run) newStack(i int) *smapp.Stack {
 	h := rt.Net.Clients[i].Host
 	cfg := smapp.Config{MPTCP: rt.mptcpConfig(h)}
-	if kernelPM, _ := rt.Spec.controlPlane(); kernelPM != nil {
-		cfg.KernelPM = kernelPM()
+	if rt.kernelPM != nil {
+		kpm, err := rt.kernelPM(rt.Spec.PolicyCfg)
+		if err != nil {
+			panic(err) // the runner reports this as the seed's failure
+		}
+		cfg.KernelPM = kpm
 	}
 	if rt.Spec.StackConfig != nil {
 		rt.Spec.StackConfig(rt, i, &cfg)
@@ -313,13 +290,17 @@ func (rt *Run) newStack(i int) *smapp.Stack {
 }
 
 // dial opens client i's connection — from its first address to server
-// i mod len(Servers) — with the run's policy bound; empty PolicyCfg.Addrs
+// i mod len(Servers) — with the run's controller bound, or the nil policy
+// on a stack built with an in-kernel path manager; empty PolicyCfg.Addrs
 // default to the client's interface addresses. Dial errors panic: a
 // scenario that cannot dial is broken, and the runner converts panics into
 // per-seed errors.
 func (rt *Run) dial(i int, cb mptcp.ConnCallbacks) *mptcp.Connection {
 	cl := rt.Net.Clients[i]
-	_, policy := rt.Spec.controlPlane()
+	policy := rt.Spec.Policy
+	if rt.kernelPM != nil {
+		policy = ""
+	}
 	pcfg := rt.Spec.PolicyCfg
 	if len(pcfg.Addrs) == 0 {
 		pcfg.Addrs = cl.Addrs
@@ -385,6 +366,11 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	}
 	rt.wireTrace()
 
+	kernelPM, err := smapp.LookupPolicy(rs.Policy)
+	if err != nil {
+		panic(err) // Build checked the name; the runner reports this as the seed's failure
+	}
+	rt.kernelPM = kernelPM
 	rt.Stacks = make([]*smapp.Stack, len(rt.Net.Clients))
 	for i := range rt.Stacks {
 		rt.Stacks[i] = rt.newStack(i)

@@ -8,10 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mptcp"
 	"repro/internal/netem"
-	"repro/internal/pm"
 	"repro/internal/sim"
+	"repro/internal/smapp"
 	"repro/internal/stats"
 	"repro/internal/testutil"
 )
@@ -264,30 +263,38 @@ func fanOutSpec(edit func(*RunSpec)) *Spec {
 	}
 }
 
-// TestKernelCellIsKernelPM pins what the `kernel` pseudo-policy is: a run
-// with Policy: KernelPolicy and the same run spelled with the KernelPM
-// mechanism (in-kernel full mesh, nil policy) simulate the same bytes.
+// TestKernelCellIsKernelPM pins what an in-kernel policy name is: a run
+// whose Policy names one of smapp.KernelPMs builds every client stack with
+// that path manager (smapp.Config.KernelPM) and no Netlink control plane,
+// and dials with no controller; a controller's name builds the Netlink
+// control plane on every stack.
 func TestKernelCellIsKernelPM(t *testing.T) {
-	encode := func(edit func(*RunSpec)) string {
-		buf, err := json.Marshal(Execute(fanOutSpec(edit), 7).Data())
+	// run returns the cell's encoded result and the type of the in-kernel
+	// path manager each client stack was built with.
+	run := func(policy string) (string, []string) {
+		var pms []string
+		buf, err := json.Marshal(Execute(fanOutSpec(func(rs *RunSpec) {
+			rs.Policy = policy
+			rs.StackConfig = func(_ *Run, _ int, cfg *smapp.Config) { pms = append(pms, fmt.Sprintf("%T", cfg.KernelPM)) }
+		}), 7).Data())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(buf)
+		return string(buf), pms
 	}
-	byName := encode(func(rs *RunSpec) { rs.Policy = KernelPolicy })
-	byPM := encode(func(rs *RunSpec) {
-		rs.KernelPM = func() mptcp.PathManager { return pm.NewFullMesh() }
-	})
-	if byName != byPM {
-		t.Fatalf("policy=kernel and KernelPM=fullmesh diverged:\n%s\nvs\n%s", byName, byPM)
+	for policy, want := range map[string]string{"kernel": "*pm.FullMesh", "kernel-ndiffports": "*pm.NDiffPorts", "kernel-none": "mptcp.NopPM"} {
+		out, pms := run(policy)
+		if strings.Contains(out, `"netlink_stacks"`) || !strings.Contains(out, `"completed":4`) {
+			t.Errorf("%s: the cell built a Netlink control plane, or did not finish its four transfers:\n%s", policy, out)
+		}
+		if !slices.Equal(pms, slices.Repeat([]string{want}, 4)) {
+			t.Errorf("%s: client stacks built with %v, want four %s", policy, pms, want)
+		}
 	}
-	if strings.Contains(byName, `"netlink_stacks"`) || !strings.Contains(byName, `"completed":4`) {
-		t.Fatalf("a kernel cell built a Netlink control plane, or did not finish its four transfers:\n%s", byName)
-	}
-	userspace := encode(func(rs *RunSpec) { rs.Policy = "fullmesh" })
-	if userspace == byName || !strings.Contains(userspace, `"netlink_stacks":4`) {
-		t.Fatalf("the fullmesh controller cell is not a userspace run:\n%s", userspace)
+	userspace, pms := run("fullmesh")
+	kernel, _ := run("kernel")
+	if userspace == kernel || !strings.Contains(userspace, `"netlink_stacks":4`) || !slices.Equal(pms, slices.Repeat([]string{"<nil>"}, 4)) {
+		t.Fatalf("the fullmesh controller cell is not a userspace run (in-kernel managers %v):\n%s", pms, userspace)
 	}
 }
 

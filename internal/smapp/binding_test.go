@@ -23,8 +23,7 @@ type prioAnnounce struct {
 	acks     []uint32
 }
 
-func (p *prioAnnounce) Name() string { return "prio-announce" }
-func (p *prioAnnounce) Detach()      {}
+func (p *prioAnnounce) Detach() {}
 func (p *prioAnnounce) Attach(lib core.Lib) {
 	p.lib = lib
 	lib.Register(core.Callbacks{Established: p.established}, nil)
@@ -56,7 +55,7 @@ func TestBindingSetBackupAndAnnounceAddr(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := &prioAnnounce{announce: net.ClientAddrs[1]}
-	st.bind(conn.Token(), pol.Name(), pol)
+	st.bind(conn.Token(), "prio-announce", pol)
 	net.Sim.RunFor(time.Second)
 
 	if !slices.Equal(pol.acks, []uint32{0, 0}) {

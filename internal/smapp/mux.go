@@ -58,7 +58,7 @@ type claim struct {
 // core.Lib view that instance programs against: Register captures the
 // callbacks into the mux instead of issuing a kernel subscription per
 // controller (the mux subscribed once for all), and every command passes
-// through to the shared library — GetInfo, After and Clock untouched, the
+// through to the shared library — GetInfo and Clock untouched, the
 // rest by way of the trace.
 type binding struct {
 	*core.Library

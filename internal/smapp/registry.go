@@ -1,27 +1,32 @@
 package smapp
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/mptcp"
+	"repro/internal/pm"
 	"repro/internal/registry"
 )
 
-// ControllerConfig is the uniform knob set every controller factory takes:
+// ControllerConfig is the uniform knob set every policy factory takes:
 // local addresses, subflow counts and thresholds. Factories read only the
 // fields that make sense for their policy and validate the rest, so one
-// config type parameterises all five paper controllers (and any policy
-// registered later).
+// config type parameterises all five paper controllers, the in-kernel
+// path managers (and any policy registered later).
 type ControllerConfig struct {
 	// Addrs are the host's local addresses. Addrs[0] is the primary
 	// interface; Addrs[1], when present, is the backup / second one
 	// (backup and stream require it). Stack.Dial and Stack.Listen fill in
 	// the host's interface addresses when left empty.
 	Addrs []netip.Addr
-	// Subflows is the concurrent-subflow target (refresh, ndiffports).
-	// Zero picks the policy's paper default.
+	// Subflows is the concurrent-subflow target (refresh, ndiffports,
+	// kernel-ndiffports). Zero picks the policy's paper default.
 	Subflows int
 	// Threshold is the RTO value past which a subflow counts as dead:
 	// the backup controller's switch threshold and the stream
@@ -58,7 +63,40 @@ func LookupController(name string) (ControllerFactory, error) {
 	return Controllers.Lookup(name)
 }
 
-// The five paper controllers self-register under their §4 names.
+// KernelPMFactory builds the in-kernel path manager of one stack.
+// Factories validate cfg and must not retain it.
+type KernelPMFactory func(cfg ControllerConfig) (mptcp.PathManager, error)
+
+// KernelPMs is the in-kernel path-manager table: the baselines the paper
+// compares its controllers against. A stack built with one (Config.KernelPM)
+// has no userspace control plane, so its connections dial with the nil
+// policy. Its names and the controllers' are one namespace, the one a
+// scenario's "policy" parameter takes (Policies, LookupPolicy).
+var KernelPMs = registry.New[KernelPMFactory]("smapp", "in-kernel path manager")
+
+// Policies lists every name LookupPolicy resolves: the controllers, then
+// the in-kernel path managers.
+func Policies() []registry.Info {
+	return append(Controllers.Infos(), KernelPMs.Infos()...)
+}
+
+// LookupPolicy resolves a policy name into what a stack is built with: the
+// factory of the in-kernel path manager it names, or nil when it names a
+// controller (bound to each connection at dial) or is the nil policy "".
+// An unknown name's error lists every name Policies does.
+func LookupPolicy(name string) (KernelPMFactory, error) {
+	if k, ok := KernelPMs.Get(name); ok {
+		return k, nil
+	}
+	if _, ok := Controllers.Get(name); ok || name == "" {
+		return nil, nil
+	}
+	names := slices.Concat(Controllers.Names(), KernelPMs.Names())
+	return nil, fmt.Errorf("smapp: unknown policy %q (registered: %s)", name, strings.Join(names, ", "))
+}
+
+// The five paper controllers self-register under their §4 names, and the
+// in-kernel path managers under kernel-prefixed ones.
 func init() {
 	Controllers.Register("fullmesh",
 		"§4.1: keep a subflow over every local interface, re-establishing with error-specific backoff",
@@ -126,4 +164,20 @@ func init() {
 			}
 			return controller.NewNDiffPorts(n), nil
 		})
+
+	// The in-kernel path managers, each the baseline side of a §4 pair.
+	KernelPMs.Register("kernel",
+		"in-kernel full mesh: a subflow per local × remote address pair, no userspace control plane",
+		func(ControllerConfig) (mptcp.PathManager, error) { return pm.NewFullMesh(), nil })
+	KernelPMs.Register("kernel-ndiffports",
+		"in-kernel ndiffports: N subflows over the initial address pair, no userspace control plane",
+		func(cfg ControllerConfig) (mptcp.PathManager, error) {
+			if cfg.Subflows < 0 {
+				return nil, fmt.Errorf("smapp: kernel-ndiffports needs a positive subflow count, got %d", cfg.Subflows)
+			}
+			return pm.NewNDiffPorts(cmp.Or(cfg.Subflows, 2)), nil // as ndiffports
+		})
+	KernelPMs.Register("kernel-none",
+		"in-kernel manager that opens no subflow: the initial one only, no userspace control plane",
+		func(ControllerConfig) (mptcp.PathManager, error) { return mptcp.NopPM{}, nil })
 }

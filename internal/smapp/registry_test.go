@@ -2,11 +2,14 @@ package smapp
 
 import (
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/mptcp"
+	"repro/internal/pm"
 	"repro/internal/topo"
 )
 
@@ -16,25 +19,25 @@ import (
 func TestControllerRegistryTable(t *testing.T) {
 	two := []netip.Addr{topo.ClientAddr1, topo.ClientAddr2}
 	cases := []struct {
-		policy   string
-		cfg      ControllerConfig
-		wantErr  bool
-		wantName string // Controller.Name() of the built instance
+		policy  string
+		cfg     ControllerConfig
+		wantErr bool
+		want    controller.Controller // the type the factory builds
 	}{
-		{"fullmesh", ControllerConfig{Addrs: two}, false, "user-fullmesh"},
-		{"fullmesh", ControllerConfig{Addrs: two[:1]}, false, "user-fullmesh"},
-		{"fullmesh", ControllerConfig{}, true, ""},
-		{"backup", ControllerConfig{Addrs: two}, false, "smart-backup"},
-		{"backup", ControllerConfig{Addrs: two[:1]}, true, ""},
-		{"backup", ControllerConfig{}, true, ""},
-		{"stream", ControllerConfig{Addrs: two}, false, "smart-stream"},
-		{"stream", ControllerConfig{Addrs: two[:1]}, true, ""},
-		{"refresh", ControllerConfig{Subflows: 5}, false, "refresh"},
-		{"refresh", ControllerConfig{}, false, "refresh"}, // defaults to the paper's 5
-		{"refresh", ControllerConfig{Subflows: 1}, true, ""},
-		{"ndiffports", ControllerConfig{Subflows: 3}, false, "user-ndiffports"},
-		{"ndiffports", ControllerConfig{}, false, "user-ndiffports"}, // defaults to 2
-		{"ndiffports", ControllerConfig{Subflows: -1}, true, ""},
+		{"fullmesh", ControllerConfig{Addrs: two}, false, &controller.FullMesh{}},
+		{"fullmesh", ControllerConfig{Addrs: two[:1]}, false, &controller.FullMesh{}},
+		{"fullmesh", ControllerConfig{}, true, nil},
+		{"backup", ControllerConfig{Addrs: two}, false, &controller.Backup{}},
+		{"backup", ControllerConfig{Addrs: two[:1]}, true, nil},
+		{"backup", ControllerConfig{}, true, nil},
+		{"stream", ControllerConfig{Addrs: two}, false, &controller.Stream{}},
+		{"stream", ControllerConfig{Addrs: two[:1]}, true, nil},
+		{"refresh", ControllerConfig{Subflows: 5}, false, &controller.Refresh{}},
+		{"refresh", ControllerConfig{}, false, &controller.Refresh{}}, // defaults to the paper's 5
+		{"refresh", ControllerConfig{Subflows: 1}, true, nil},
+		{"ndiffports", ControllerConfig{Subflows: 3}, false, &controller.NDiffPorts{}},
+		{"ndiffports", ControllerConfig{}, false, &controller.NDiffPorts{}}, // defaults to 2
+		{"ndiffports", ControllerConfig{Subflows: -1}, true, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.policy, func(t *testing.T) {
@@ -52,10 +55,68 @@ func TestControllerRegistryTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("config %+v rejected: %v", tc.cfg, err)
 			}
-			if ctl.Name() != tc.wantName {
-				t.Fatalf("built %q, want %q", ctl.Name(), tc.wantName)
+			if reflect.TypeOf(ctl) != reflect.TypeOf(tc.want) {
+				t.Fatalf("built a %T, want a %T", ctl, tc.want)
 			}
 		})
+	}
+}
+
+// TestKernelPMRegistryTable drives every in-kernel path manager's factory
+// as TestControllerRegistryTable does the controllers'.
+func TestKernelPMRegistryTable(t *testing.T) {
+	cases := []struct {
+		policy string
+		cfg    ControllerConfig
+		want   mptcp.PathManager // nil: the config is refused
+	}{
+		{"kernel", ControllerConfig{}, pm.NewFullMesh()},
+		{"kernel-ndiffports", ControllerConfig{Subflows: 5}, pm.NewNDiffPorts(5)},
+		{"kernel-ndiffports", ControllerConfig{}, pm.NewNDiffPorts(2)}, // as ndiffports
+		{"kernel-ndiffports", ControllerConfig{Subflows: -1}, nil},
+		{"kernel-none", ControllerConfig{}, mptcp.NopPM{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.policy, func(t *testing.T) {
+			factory, err := LookupPolicy(tc.policy)
+			if err != nil || factory == nil {
+				t.Fatalf("resolved to (%v, %v), want an in-kernel path manager", factory, err)
+			}
+			got, err := factory(tc.cfg)
+			if (err != nil) != (tc.want == nil) || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("config %+v built %#v (%v), want %#v", tc.cfg, got, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPoliciesAreOneNamespace: every name Policies lists is in exactly one
+// table and LookupPolicy resolves it, to a factory for an in-kernel path
+// manager and to nil for a controller; an unknown name's error lists every
+// accepted one.
+func TestPoliciesAreOneNamespace(t *testing.T) {
+	for _, in := range Policies() {
+		k, err := LookupPolicy(in.Name)
+		_, inK := KernelPMs.Get(in.Name)
+		_, inC := Controllers.Get(in.Name)
+		if err != nil || (k != nil) != inK || inK == inC {
+			t.Errorf("%s: resolves to (%v, %v); kernel table %v, controller table %v", in.Name, k, err, inK, inC)
+		}
+	}
+	if k, err := LookupPolicy(""); k != nil || err != nil {
+		t.Errorf("the empty name must resolve to the nil policy, got (%v, %v)", k, err)
+	}
+	_, err := LookupPolicy("no-such-policy")
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	for _, in := range Policies() {
+		if !strings.Contains(err.Error(), in.Name) {
+			t.Errorf("error %q does not list %q", err, in.Name)
+		}
+	}
+	if n := len(Policies()); n != 8 {
+		t.Errorf("%d policies, want the five controllers and three in-kernel managers", n)
 	}
 }
 

@@ -11,8 +11,8 @@
 // implementation), the Stack multiplexes: each connection gets its own
 // controller instance behind a per-connection library view, policies can
 // differ across connections of one host, and a live connection can swap
-// its policy mid-transfer (SwitchPolicy). Info merges the application-side
-// mptcp snapshot with the Netlink-side wire view into one type.
+// its policy mid-transfer (SwitchPolicy). Info adds the bound policy to
+// the application-side mptcp snapshot.
 //
 // Which connection an event belongs to is resolved once, in the token
 // table Stack and ControllerStack share (mux.go; DESIGN.md, "The policy
@@ -213,25 +213,17 @@ func (st *Stack) PolicyName(conn *mptcp.Connection) string {
 	return ""
 }
 
-// Info is the unified introspection snapshot: the application-side mptcp
-// view, the bound policy, and the Netlink-side wire view (what a remote
-// controller would see from get_info) — one type for apps and experiments.
+// Info is the introspection snapshot: the application-side mptcp view and
+// the bound policy — one type for apps and experiments.
 type Info struct {
 	mptcp.Info
 	// Policy is the bound controller's registry name ("" = nil policy).
 	Policy string
-	// Wire is the Netlink-schema subflow view, index-aligned with
-	// Subflows.
-	Wire []nlmsg.SubflowInfo
 }
 
 // Info snapshots a connection through the facade.
 func (st *Stack) Info(conn *mptcp.Connection) Info {
-	in := Info{Info: conn.Info(), Policy: st.PolicyName(conn)}
-	if w := core.WireInfo(conn); w != nil {
-		in.Wire = w.Subflows
-	}
-	return in
+	return Info{Info: conn.Info(), Policy: st.PolicyName(conn)}
 }
 
 // --- policy plumbing ---

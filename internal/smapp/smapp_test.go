@@ -336,7 +336,10 @@ func TestSwitchPolicyToNilDetaches(t *testing.T) {
 	}
 }
 
-func TestInfoMergesAppAndWireViews(t *testing.T) {
+// TestInfoAgreesWithGetInfo: the facade's snapshot and the get-info reply
+// a controller receives over Netlink describe the same subflows, index by
+// index, once the transfer is done and nothing moves.
+func TestInfoAgreesWithGetInfo(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
 	r := newRig(9, p, Config{})
 	sink := app.NewSink(r.net.Sim, 1<<20, nil)
@@ -349,19 +352,23 @@ func TestInfoMergesAppAndWireViews(t *testing.T) {
 	}
 	r.net.Sim.RunUntil(5 * sim.Second)
 
+	var wire []nlmsg.SubflowInfo
+	r.st.Lib.GetInfo(conn.Token(), func(ci *nlmsg.ConnInfo) { wire = slices.Clone(ci.Subflows) })
+	r.net.Sim.RunFor(10 * time.Millisecond)
 	info := r.st.Info(conn)
 	if info.Policy != "fullmesh" {
 		t.Fatalf("policy = %q", info.Policy)
 	}
-	if len(info.Wire) != len(info.Subflows) || len(info.Wire) == 0 {
-		t.Fatalf("wire view has %d subflows, app view %d", len(info.Wire), len(info.Subflows))
+	if len(wire) != len(info.Subflows) || len(wire) < 2 {
+		t.Fatalf("get-info has %d subflows, Info %d; want the full mesh's two", len(wire), len(info.Subflows))
 	}
-	for i := range info.Wire {
-		if info.Wire[i].Tuple != info.Subflows[i].Tuple {
-			t.Fatalf("subflow %d: wire tuple %v != app tuple %v", i, info.Wire[i].Tuple, info.Subflows[i].Tuple)
+	for i, sf := range info.Subflows {
+		w := wire[i]
+		if w.Tuple != sf.Tuple || w.State != uint32(sf.State) || w.Cwnd != uint32(sf.Cwnd) || w.SRTT != sf.SRTT {
+			t.Fatalf("subflow %d: get-info %+v, Info %+v", i, w, sf)
 		}
-		if info.Subflows[i].State == tcp.StateEstablished && info.Wire[i].SRTT <= 0 {
-			t.Fatalf("subflow %d: wire SRTT not populated", i)
+		if sf.State == tcp.StateEstablished && w.SRTT <= 0 {
+			t.Fatalf("subflow %d: SRTT not populated", i)
 		}
 	}
 	if info.SndUna != info.Stats.BytesWritten || info.SndUna != 1<<20 {
@@ -467,8 +474,7 @@ type fanCtl struct {
 	log           *[]uint32
 }
 
-func (c *fanCtl) Name() string { return "fan" }
-func (c *fanCtl) Detach()      {}
+func (c *fanCtl) Detach() {}
 func (c *fanCtl) Attach(lib core.Lib) {
 	lib.Register(core.Callbacks{LocalAddrDown: func(*nlmsg.Event) {
 		*c.log = append(*c.log, c.token)

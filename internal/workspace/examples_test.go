@@ -50,7 +50,7 @@ func TestExampleSweepsCoverRegistries(t *testing.T) {
 		manifest, scenario      string
 		controllers, schedulers []string
 	}{
-		{"ctlsweep", "stream", append(controllers, scenario.KernelPolicy), nil},
+		{"ctlsweep", "stream", append(controllers, "kernel"), nil},
 		{"schedsweep", "stream", nil, schedulers},
 		{"fleetsweep", "fleet", controllers, schedulers},
 	} {
@@ -65,7 +65,7 @@ func TestExampleSweepsCoverRegistries(t *testing.T) {
 			t.Errorf("%s: sched axis %v, want the registry %v", tc.manifest, got, sorted(tc.schedulers))
 		}
 	}
-	if p := loadExample(t, "schedsweep").Params["policy"]; p != scenario.KernelPolicy {
+	if p := loadExample(t, "schedsweep").Params["policy"]; p != "kernel" {
 		t.Errorf("schedsweep: policy %q, want the in-kernel full mesh", p)
 	}
 }
