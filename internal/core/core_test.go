@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,8 +192,18 @@ func TestGetInfoCommand(t *testing.T) {
 	w.net.Sim.Run()
 	w.client.Write(100_000)
 	w.net.Sim.Run()
+	// The library lends its decode scratch, so a kept reply is copied,
+	// its Subflows too.
 	var info *nlmsg.ConnInfo
-	w.lib.GetInfo(w.client.Token(), func(i *nlmsg.ConnInfo) { info = i })
+	keep := func(i *nlmsg.ConnInfo) {
+		info = nil
+		if i != nil {
+			c := *i
+			c.Subflows = slices.Clone(i.Subflows)
+			info = &c
+		}
+	}
+	w.lib.GetInfo(w.client.Token(), keep)
 	w.net.Sim.Run()
 	if info == nil {
 		t.Fatal("no info reply")
@@ -209,7 +220,7 @@ func TestGetInfoCommand(t *testing.T) {
 	}
 	// Unknown token → nil.
 	called := false
-	w.lib.GetInfo(12345, func(i *nlmsg.ConnInfo) { called = true; info = i })
+	w.lib.GetInfo(12345, func(i *nlmsg.ConnInfo) { called = true; keep(i) })
 	w.net.Sim.Run()
 	if !called || info != nil {
 		t.Fatalf("bogus get-info: called=%v info=%v", called, info)
@@ -432,6 +443,52 @@ func TestSimPipeSendAllocFree(t *testing.T) {
 	after := nlmsg.Wire.Stats()
 	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts || gets != p.Delivered {
 		t.Fatalf("nlmsg.Wire: %d gets, %d puts for %d delivered frames", gets, puts, p.Delivered)
+	}
+}
+
+// TestGetInfoRoundTripAllocFree pins a refresh poll's control-plane round
+// trip — Library.GetInfo, the SimPipe both ways, NetlinkPM's snapshot and
+// reply, the in-place decode and the callback — at zero allocations once
+// one reply as large has been through. The connection has six subflows,
+// so the reply also spills past a Message's inline attributes.
+func TestGetInfoRoundTripAllocFree(t *testing.T) {
+	w := newWorld(t, 7, Callbacks{})
+	w.net.Sim.RunFor(time.Millisecond)
+	w.connect(t)
+	w.net.Sim.Run()
+	for i := 0; i < 5; i++ {
+		ft := seg.FourTuple{SrcIP: w.net.ClientAddrs[i%2], DstIP: w.net.ServerAddr, DstPort: 80}
+		w.lib.CreateSubflow(w.client.Token(), ft, false, nil)
+	}
+	w.net.Sim.Run()
+	if n := len(w.client.Subflows()); n != 6 {
+		t.Fatalf("connection has %d subflows, want 6", n)
+	}
+	token := w.client.Token()
+	var want nlmsg.ConnInfo
+	polls, replies, bad := 0, 0, 0
+	done := func(info *nlmsg.ConnInfo) {
+		replies++
+		w.client.FillInfo(&want)
+		if info == nil || info.Token != want.Token || info.SndUna != want.SndUna ||
+			!slices.Equal(info.Subflows, want.Subflows) {
+			bad++
+		}
+	}
+	poll := func() {
+		polls++
+		w.lib.GetInfo(token, done)
+		w.net.Sim.RunFor(time.Millisecond)
+	}
+	poll()
+	if !testutil.RaceEnabled { // alloc counts differ under -race
+		if avg := testing.AllocsPerRun(100, poll); avg != 0 {
+			t.Fatalf("a get-info poll allocates %.2f objects, want 0", avg)
+		}
+	}
+	if replies != polls || bad != 0 || len(want.Subflows) != 6 {
+		t.Fatalf("%d polls, %d replies, %d not matching the connection's snapshot of %d subflows",
+			polls, replies, bad, len(want.Subflows))
 	}
 }
 

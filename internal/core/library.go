@@ -125,7 +125,10 @@ type Lib interface {
 	SetBackup(token uint32, ft seg.FourTuple, backup bool, done func(errno uint32))
 	// AnnounceAddr advertises a local address (ADD_ADDR).
 	AnnounceAddr(token uint32, addr netip.Addr, port uint16, done func(errno uint32))
-	// GetInfo retrieves the TCP_INFO-like snapshot of a connection.
+	// GetInfo retrieves the TCP_INFO-like snapshot of a connection; done
+	// receives nil if the connection is gone. The *ConnInfo is borrowed,
+	// like a callback's *Event: valid only until done returns, so done
+	// copies what it keeps (Subflows included).
 	GetInfo(token uint32, done func(info *nlmsg.ConnInfo))
 	// Clock exposes the controller clock, which schedules controller
 	// work.
@@ -168,31 +171,36 @@ type Library struct {
 }
 
 // Scratch is what the Libraries and NetlinkPMs of one simulation loop
-// decode their frames into: a Message and an Event for the library side, a
-// Message and a Command for the kernel side. A frame is decoded and
-// handled message by message, and its handler is done with the scratch
-// when it returns; on one loop every frame is delivered by an event of its
-// own, so no two frames of one side are ever in hand at once, and sharing
-// costs nothing. The two sides keep separate halves, so a command a
-// library handler sends may be decoded at once by a PM without touching
-// the event the handler still reads.
+// decode their frames into: a Message, an Event and a ConnInfo for the
+// library side, a Message and a Command for the kernel side, which also
+// builds its get-info replies in a ConnInfo of its own. The ConnInfos keep
+// their Subflows arrays, so a poll allocates nothing once one reply as
+// large has been through. A frame is decoded and handled message by
+// message, and its handler is done with the scratch when it returns; on
+// one loop every frame is delivered by an event of its own, so no two
+// frames of one side are ever in hand at once, and sharing costs nothing.
+// The two sides keep separate halves, so a command a library handler
+// sends may be decoded at once by a PM without touching the event or the
+// snapshot the handler still reads.
 //
 // One Scratch serves one event loop and never two: a library or PM that
 // runs on its own goroutine (cmd/smappd, smappctl) is built with
 // NewLibrary or NewNetlinkPM, which give it scratch of its own.
 type Scratch struct {
-	libMsg nlmsg.Message
-	ev     nlmsg.Event
-	pmMsg  nlmsg.Message
-	cmd    nlmsg.Command
+	libMsg  nlmsg.Message
+	ev      nlmsg.Event
+	libInfo nlmsg.ConnInfo
+	pmMsg   nlmsg.Message
+	cmd     nlmsg.Command
+	pmInfo  nlmsg.ConnInfo
 }
 
 // pendingReply is one sent command's continuation: done takes the errno of
-// its ack, reply (GetInfo) the whole message. Both may be nil.
+// its ack, info (GetInfo) the decoded reply. Either may be nil.
 type pendingReply struct {
-	seq   uint32
-	done  func(errno uint32)
-	reply func(*nlmsg.Message)
+	seq  uint32
+	done func(errno uint32)
+	info func(*nlmsg.ConnInfo)
 }
 
 // NewLibrary attaches a library to the controller end of a transport, with
@@ -244,28 +252,20 @@ func (l *Library) AnnounceAddr(token uint32, addr netip.Addr, port uint16, done 
 }
 
 // GetInfo retrieves the TCP_INFO-like snapshot of a connection and its
-// subflows. done receives nil if the connection is gone.
+// subflows. done receives nil if the connection is gone. The reply is
+// decoded into the library half of the loop's Scratch: the *ConnInfo is
+// borrowed until done returns, like a callback's *Event, so done copies
+// what it keeps — Subflows included, whose backing array the next reply
+// reuses.
 func (l *Library) GetInfo(token uint32, done func(info *nlmsg.ConnInfo)) {
-	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdGetInfo, Pid: l.pid, Token: token}, nil, func(m *nlmsg.Message) {
-		if m.Cmd != nlmsg.ReplyInfo {
-			done(nil)
-			return
-		}
-		info, err := nlmsg.ParseInfo(m)
-		if err != nil {
-			l.Stats.ParseErrors++
-			done(nil)
-			return
-		}
-		done(info)
-	})
+	l.sendCmd(&nlmsg.Command{Kind: nlmsg.CmdGetInfo, Pid: l.pid, Token: token}, nil, done)
 }
 
 // sendCmd sends one command and queues its continuation (see pendingReply).
-func (l *Library) sendCmd(cmd *nlmsg.Command, done func(uint32), reply func(*nlmsg.Message)) {
+func (l *Library) sendCmd(cmd *nlmsg.Command, done func(uint32), info func(*nlmsg.ConnInfo)) {
 	l.nextSeq++
 	cmd.Seq = l.nextSeq
-	l.pending = append(l.pending, pendingReply{cmd.Seq, done, reply})
+	l.pending = append(l.pending, pendingReply{cmd.Seq, done, info})
 	l.Stats.CommandsSent++
 	l.toKernel.Send(cmd.AppendMarshal(nlmsg.Wire.Get()))
 }
@@ -310,8 +310,8 @@ func (l *Library) dispatch(m *nlmsg.Message) {
 		}
 		l.Stats.RepliesMatched++
 		switch {
-		case p.reply != nil:
-			p.reply(m)
+		case p.info != nil:
+			l.replyInfo(m, p.info)
 		case p.done != nil:
 			errno, err := nlmsg.ParseAck(m)
 			if err != nil {
@@ -327,4 +327,20 @@ func (l *Library) dispatch(m *nlmsg.Message) {
 	}
 	l.Stats.EventsReceived++
 	l.cbs.Dispatch(&l.sc.ev)
+}
+
+// replyInfo hands a get-info reply to its continuation: the decoded
+// snapshot, or nil for an ack (the connection is gone) or a reply that
+// does not parse.
+func (l *Library) replyInfo(m *nlmsg.Message, done func(*nlmsg.ConnInfo)) {
+	if m.Cmd != nlmsg.ReplyInfo {
+		done(nil)
+		return
+	}
+	if err := nlmsg.ParseInfoInto(m, &l.sc.libInfo); err != nil {
+		l.Stats.ParseErrors++
+		done(nil)
+		return
+	}
+	done(&l.sc.libInfo)
 }

@@ -365,7 +365,8 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
-		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), wireInfo(c), cmd.Seq, cmd.Pid))
+		c.FillInfo(&pm.sc.pmInfo)
+		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), &pm.sc.pmInfo, cmd.Seq, cmd.Pid))
 
 	case nlmsg.CmdAnnounceAddr:
 		c, ok := pm.conns[cmd.Token]
@@ -402,30 +403,4 @@ func errnoOf(err error) uint32 {
 	default:
 		return errnoEINVAL
 	}
-}
-
-// wireInfo converts an mptcp snapshot to the wire schema — the exact view
-// a controller receives from CmdGetInfo.
-func wireInfo(c *mptcp.Connection) *nlmsg.ConnInfo {
-	in := c.Info()
-	out := &nlmsg.ConnInfo{
-		Token:    in.Token,
-		SndUna:   in.SndUna,
-		AppNxt:   in.AppNxt,
-		RcvBytes: in.RcvBytes,
-	}
-	for _, sf := range in.Subflows {
-		out.Subflows = append(out.Subflows, nlmsg.SubflowInfo{
-			Tuple:      sf.Tuple,
-			State:      uint32(sf.State),
-			Backup:     sf.Backup,
-			Cwnd:       uint32(sf.Cwnd),
-			SRTT:       sf.SRTT,
-			RTO:        sf.RTO,
-			Backoffs:   uint32(sf.Backoffs),
-			PacingRate: uint64(sf.PacingRate),
-			Flight:     uint32(sf.Flight),
-		})
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/nlmsg"
 	"repro/internal/seg"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -232,6 +233,35 @@ func (c *Connection) Info() Info {
 		in.Subflows = append(in.Subflows, sf.Info())
 	}
 	return in
+}
+
+// FillInfo writes the connection's get-info view — what CmdGetInfo
+// answers, the TCP_INFO subset of each live subflow — into info, the way
+// a kernel fills a uapi struct in place: every field is overwritten and
+// Subflows keeps its backing array, so a reused info costs no allocation
+// once it has held as many subflows.
+func (c *Connection) FillInfo(info *nlmsg.ConnInfo) {
+	*info = nlmsg.ConnInfo{
+		Token:    c.token,
+		SndUna:   c.SndUna(),
+		AppNxt:   c.appNxt,
+		RcvBytes: c.RcvBytes(),
+		Subflows: info.Subflows[:0],
+	}
+	for _, sf := range c.subflows {
+		in := sf.Info()
+		info.Subflows = append(info.Subflows, nlmsg.SubflowInfo{
+			Tuple:      in.Tuple,
+			State:      uint32(in.State),
+			Backup:     in.Backup,
+			Cwnd:       uint32(in.Cwnd),
+			SRTT:       in.SRTT,
+			RTO:        in.RTO,
+			Backoffs:   uint32(in.Backoffs),
+			PacingRate: uint64(in.PacingRate),
+			Flight:     uint32(in.Flight),
+		})
+	}
 }
 
 // --- Sequence-space conversions ---
@@ -880,7 +910,10 @@ func (c *Connection) checkCloseProgress() {
 	if !finAcked || !peerFinConsumed {
 		return
 	}
-	for _, sf := range append([]*tcp.Subflow(nil), c.subflows...) {
+	// Close only marks the subflow closing and sends what it may (data,
+	// then its FIN); the subflow dies in a later event, so c.subflows
+	// cannot shrink under the loop.
+	for _, sf := range c.subflows {
 		sf.Close()
 	}
 	c.maybeFullyClosed()

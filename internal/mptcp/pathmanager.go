@@ -11,7 +11,7 @@ import (
 // of the paper's Figure 1. The kernel (here: Endpoint/Connection) calls
 // these hooks; implementations decide when subflows are created and
 // destroyed using the command methods on Connection (OpenSubflow,
-// CloseSubflow, SetBackup, GetInfo via Info()).
+// CloseSubflow, SetBackup, GetInfo via FillInfo).
 //
 // Three peers sit behind this interface, exactly as in the paper:
 // pm.FullMesh and pm.NDiffPorts (the two strategies shipped in the Linux

@@ -2,6 +2,7 @@ package nlmsg
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -94,13 +95,24 @@ func TestMultiMessageFrame(t *testing.T) {
 
 // TestPooledRoundTripAllocFree pins the steady-state control-plane hot
 // loop — marshal into a reused buffer, unmarshal in place, parse into a
-// reused Event/Command — at exactly zero allocations per iteration.
+// reused Event/Command/ConnInfo — at exactly zero allocations per
+// iteration. The info replies include one of six subflows, whose
+// attributes spill past the Message's inline scratch.
 func TestPooledRoundTripAllocFree(t *testing.T) {
 	evs := exemplarEvents()
 	cmds := exemplarCommands()
+	// A subflow without addresses is rejected by the parser (see
+	// FuzzNlmsgRoundTrip); every other exemplar must round-trip.
+	infos := slices.DeleteFunc(exemplarInfos(), func(in *ConnInfo) bool {
+		return slices.ContainsFunc(in.Subflows, func(sf SubflowInfo) bool { return !sf.Tuple.SrcIP.IsValid() })
+	})
+	if len(infos) < 4 || len(infos[len(infos)-1].Subflows) < 5 {
+		t.Fatalf("info exemplars lost the spilling reply: %d left", len(infos))
+	}
 	var m Message
 	var e Event
 	var c Command
+	var ci ConnInfo
 	buf := Wire.Get()
 	defer func() { Wire.Put(buf) }()
 	avg := testing.AllocsPerRun(100, func() {
@@ -128,6 +140,19 @@ func TestPooledRoundTripAllocFree(t *testing.T) {
 			}
 			if c != *src {
 				t.Fatalf("%v: round trip mismatch", src.Kind)
+			}
+		}
+		for i, src := range infos {
+			buf = AppendInfo(buf[:0], src, 7, 1)
+			n, err := UnmarshalInto(buf, &m)
+			if err != nil || n != len(buf) {
+				t.Fatalf("info %d: unmarshal consumed %d of %d: %v", i, n, len(buf), err)
+			}
+			if err := ParseInfoInto(&m, &ci); err != nil {
+				t.Fatalf("info %d: %v", i, err)
+			}
+			if !sameInfo(src, &ci) {
+				t.Fatalf("info %d: round trip mismatch:\n in=%+v\nout=%+v", i, src, &ci)
 			}
 		}
 	})

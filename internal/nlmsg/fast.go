@@ -186,8 +186,9 @@ func AppendInfo(dst []byte, info *ConnInfo, seq, pid uint32) []byte {
 // consumed. Attr Data slices alias b directly — zero copies — so they
 // are only valid while the caller holds b; once b goes back to Wire
 // the views are dead. Inline scratch covers every event and command
-// (≤ msgInlineAttrs attributes); larger messages (info replies) spill
-// their attr slice to the heap.
+// (≤ msgInlineAttrs attributes); a larger message (an info reply of five
+// or more subflows) spills into m.spill, grown once and reused by every
+// later message decoded into m.
 func UnmarshalInto(b []byte, m *Message) (int, error) {
 	if len(b) < nlHdrLen+genlHdrLen {
 		return 0, errors.New("nlmsg: truncated header")
@@ -204,22 +205,33 @@ func UnmarshalInto(b []byte, m *Message) (int, error) {
 	m.Pid = le.Uint32(b[12:])
 	m.Cmd = Cmd(b[16])
 	m.Attrs = m.scratch[:0]
-	rest := b[nlHdrLen+genlHdrLen : total]
-	for len(rest) > 0 {
-		if len(rest) < 4 {
-			return 0, errors.New("nlmsg: truncated attribute")
+	if m.spill != nil {
+		m.Attrs = m.spill[:0]
+	}
+	for rest := b[nlHdrLen+genlHdrLen : total]; len(rest) > 0; {
+		a, next, err := nextAttr(rest)
+		if err != nil {
+			return 0, err
 		}
-		alen := int(le.Uint16(rest[0:]))
-		atype := AttrType(le.Uint16(rest[2:]))
-		if alen < 4 || alen > len(rest) {
-			return 0, fmt.Errorf("nlmsg: bad attribute length %d", alen)
-		}
-		m.Attrs = append(m.Attrs, Attr{Type: atype, Data: rest[4:alen:alen]})
-		adv := align(alen)
-		if adv > len(rest) {
-			adv = len(rest)
-		}
-		rest = rest[adv:]
+		m.Attrs = append(m.Attrs, a)
+		rest = next
+	}
+	if len(m.Attrs) > msgInlineAttrs {
+		m.spill = m.Attrs
 	}
 	return total, nil
+}
+
+// nextAttr splits the first attribute off a TLV block in place: its Data
+// aliases b, and rest starts at the next 4-byte-aligned attribute.
+func nextAttr(b []byte) (a Attr, rest []byte, err error) {
+	if len(b) < 4 {
+		return Attr{}, nil, errors.New("nlmsg: truncated attribute")
+	}
+	le := binary.LittleEndian
+	alen := int(le.Uint16(b[0:]))
+	if alen < 4 || alen > len(b) {
+		return Attr{}, nil, fmt.Errorf("nlmsg: bad attribute length %d", alen)
+	}
+	return Attr{Type: AttrType(le.Uint16(b[2:])), Data: b[4:alen:alen]}, b[min(align(alen), len(b)):], nil
 }

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,8 +45,9 @@ func exemplarCommands() []*Command {
 }
 
 // exemplarInfos returns get-info replies of every shape: no subflows, one
-// IPv4 subflow, a mixed IPv4/IPv6 pair with a backup, and a subflow whose
-// tuple carries no addresses at all.
+// IPv4 subflow, a mixed IPv4/IPv6 pair with a backup, a subflow whose
+// tuple carries no addresses at all, and six subflows — more top-level
+// attributes than Message's inline scratch holds, so decoding it spills.
 func exemplarInfos() []*ConnInfo {
 	v6 := testTuple
 	v6.SrcIP = netip.MustParseAddr("2001:db8::1")
@@ -63,12 +65,20 @@ func exemplarInfos() []*ConnInfo {
 			SRTT: 45 * time.Millisecond, RTO: time.Second, Backoffs: 2, PacingRate: 60_000,
 		}}},
 		{Token: 9, Subflows: []SubflowInfo{{State: 1}}},
+		{Token: 10, SndUna: 1 << 20, AppNxt: 1<<20 + 1, RcvBytes: 3, Subflows: []SubflowInfo{
+			one, {Tuple: v6, State: 3, Backup: true, Cwnd: 2760},
+			{Tuple: testTuple.Reverse(), State: 2, Backoffs: 1, Flight: 1},
+			one, {Tuple: v6, State: 1}, {Tuple: testTuple, State: 3, PacingRate: 7},
+		}},
 	}
 }
 
 // fuzzSeeds marshals one exemplar of every message the family speaks —
 // all ten events, all six commands, the ack and the info reply — so the
 // fuzzer starts from each wire shape the facade now hides from callers.
+// One more info reply is sparse, with no connection counters and a
+// subflow of its tuple alone: decoding it into a used ConnInfo shows any
+// field the in-place parser fails to reset.
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	for _, e := range exemplarEvents() {
@@ -81,7 +91,30 @@ func fuzzSeeds() [][]byte {
 	for _, info := range exemplarInfos() {
 		seeds = append(seeds, MarshalInfo(info, 77, 3))
 	}
-	return seeds
+	sparse := Message{Cmd: ReplyInfo, Seq: 78, Attrs: []Attr{Nested(AttrSubflow, tupleAttrs(testTuple))}}
+	return append(seeds, sparse.Marshal())
+}
+
+// dirtyMsg and dirtyInfo are what FuzzNlmsgRoundTrip decodes every input
+// into in place, kept from one input to the next as a loop's decode
+// scratch is.
+var (
+	dirtyMsg  Message
+	dirtyInfo ConnInfo
+)
+
+// junkSubflow has every field non-zero: what a reset must clear.
+var junkSubflow = SubflowInfo{
+	Tuple: testTuple, State: 9, Backup: true, Cwnd: 9, SRTT: 9, RTO: 9,
+	Backoffs: 9, PacingRate: 9, Flight: 9,
+}
+
+// sameInfo compares a reference decode with an in-place one; an empty
+// Subflows equals a nil one.
+func sameInfo(want, got *ConnInfo) bool {
+	return want.Token == got.Token && want.SndUna == got.SndUna &&
+		want.AppNxt == got.AppNxt && want.RcvBytes == got.RcvBytes &&
+		slices.Equal(want.Subflows, got.Subflows)
 }
 
 // FuzzNlmsgRoundTrip hammers the wire format the facade hides: Unmarshal
@@ -126,7 +159,8 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 				t.Fatalf("re-encoded command rejected: %v", err)
 			}
 		}
-		if info, err := ParseInfo(m); err == nil {
+		info, infoErr := ParseInfo(m)
+		if infoErr == nil {
 			want := MarshalInfo(info, m.Seq, m.Pid)
 			if _, _, err := Unmarshal(want); err != nil {
 				t.Fatalf("re-encoded info rejected: %v", err)
@@ -138,9 +172,11 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 		_, _ = ParseAck(m)
 
 		// Pooled codec cross-check: UnmarshalInto must accept exactly what
-		// Unmarshal accepts, consume the same bytes, and see the same attrs.
-		var mi Message
-		ni, err := UnmarshalInto(b, &mi)
+		// Unmarshal accepts, consume the same bytes, and see the same attrs,
+		// decoding into a Message that still holds the previous input's
+		// attrs and spill.
+		mi := &dirtyMsg
+		ni, err := UnmarshalInto(b, mi)
 		if err != nil {
 			t.Fatalf("UnmarshalInto rejected input Unmarshal accepted: %v", err)
 		}
@@ -148,7 +184,7 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 			t.Fatalf("UnmarshalInto consumed %d bytes, Unmarshal %d", ni, n)
 		}
 		if mi.Cmd != m.Cmd || mi.Seq != m.Seq || mi.Pid != m.Pid || len(mi.Attrs) != len(m.Attrs) {
-			t.Fatalf("UnmarshalInto header/attr-count mismatch:\n in=%+v\nout=%+v", m, &mi)
+			t.Fatalf("UnmarshalInto header/attr-count mismatch:\n in=%+v\nout=%+v", m, mi)
 		}
 		for i := range mi.Attrs {
 			if mi.Attrs[i].Type != m.Attrs[i].Type || !bytes.Equal(mi.Attrs[i].Data, m.Attrs[i].Data) {
@@ -156,10 +192,28 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 			}
 		}
 		// Typed in-place parsers must agree with the allocating ones, and
-		// the append codec must reproduce the legacy bytes.
+		// the append codec must reproduce the legacy bytes. The info
+		// parser decodes into a ConnInfo the previous input left dirty,
+		// with junk stamped over every field and every spare subflow slot,
+		// so a field it fails to reset shows as a mismatch.
+		dirtyInfo.Token, dirtyInfo.SndUna, dirtyInfo.AppNxt, dirtyInfo.RcvBytes = 0xdead, 1, 2, 3
+		junk := dirtyInfo.Subflows[:cap(dirtyInfo.Subflows)]
+		for i := range junk {
+			junk[i] = junkSubflow
+		}
+		infoIntoErr := ParseInfoInto(mi, &dirtyInfo)
+		switch {
+		case (infoErr == nil) != (infoIntoErr == nil):
+			t.Fatalf("ParseInfo err %v, ParseInfoInto err %v", infoErr, infoIntoErr)
+		case infoErr == nil && !sameInfo(info, &dirtyInfo):
+			t.Fatalf("info mismatch:\nlegacy %+v\npooled %+v", info, &dirtyInfo)
+		}
+		for len(dirtyInfo.Subflows) < 9 { // leave more subflows than most inputs carry
+			dirtyInfo.Subflows = append(dirtyInfo.Subflows, junkSubflow)
+		}
 		if ev, err := ParseEvent(m); err == nil {
 			var e2 Event
-			if err := ParseEventInto(&mi, &e2); err != nil {
+			if err := ParseEventInto(mi, &e2); err != nil {
 				t.Fatalf("ParseEventInto rejected what ParseEvent accepted: %v", err)
 			}
 			if e2 != *ev {
@@ -171,7 +225,7 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 		}
 		if c, err := ParseCommand(m); err == nil {
 			var c2 Command
-			if err := ParseCommandInto(&mi, &c2); err != nil {
+			if err := ParseCommandInto(mi, &c2); err != nil {
 				t.Fatalf("ParseCommandInto rejected what ParseCommand accepted: %v", err)
 			}
 			if c2 != *c {
@@ -217,9 +271,10 @@ func FuzzNlmsgRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalAttrs feeds arbitrary bytes to the attribute-block decoder
-// that nested attributes (an info reply's per-subflow entries) go through,
-// seeded with the attribute block of every message fuzzSeeds marshals.
+// FuzzUnmarshalAttrs feeds arbitrary bytes to the reference attribute-block
+// decoder, the one the reference ParseInfo reads an info reply's
+// per-subflow entries with, seeded with the attribute block of every
+// message fuzzSeeds marshals.
 // What it accepts must re-encode to a block that decodes the same, and
 // what it allocates must stay bounded by the input's length.
 func FuzzUnmarshalAttrs(f *testing.F) {

@@ -179,8 +179,10 @@ type Message struct {
 	// scratch is the inline attribute storage UnmarshalInto borrows, so
 	// decoding a reused Message never heap-allocates for the common case.
 	// Every event and command fits (max 8 attrs: a timeout with a tuple);
-	// only info replies spill past it.
+	// only an info reply of five or more subflows spills past it, into
+	// spill, which UnmarshalInto keeps and reuses for the next message.
 	scratch [msgInlineAttrs]Attr
+	spill   []Attr
 }
 
 // msgInlineAttrs sizes Message's inline scratch (see Message.scratch).
@@ -197,31 +199,6 @@ const (
 )
 
 func align(n int) int { return (n + nlAlign - 1) &^ (nlAlign - 1) }
-
-// UnmarshalAttrs parses a TLV attribute block (also used for nesting).
-func UnmarshalAttrs(b []byte) ([]Attr, error) {
-	var attrs []Attr
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, errors.New("nlmsg: truncated attribute")
-		}
-		le := binary.LittleEndian
-		alen := int(le.Uint16(b[0:]))
-		atype := AttrType(le.Uint16(b[2:]))
-		if alen < 4 || alen > len(b) {
-			return nil, fmt.Errorf("nlmsg: bad attribute length %d", alen)
-		}
-		data := make([]byte, alen-4)
-		copy(data, b[4:alen])
-		attrs = append(attrs, Attr{Type: atype, Data: data})
-		adv := align(alen)
-		if adv > len(b) {
-			adv = len(b)
-		}
-		b = b[adv:]
-	}
-	return attrs, nil
-}
 
 // --- Attribute accessors ---
 
@@ -268,9 +245,6 @@ func (a Attr) AsAddr() (netip.Addr, error) {
 	}
 	return addr, nil
 }
-
-// AsNested decodes a nested attribute block.
-func (a Attr) AsNested() ([]Attr, error) { return UnmarshalAttrs(a.Data) }
 
 // Get finds the first attribute of a type.
 func Get(attrs []Attr, t AttrType) (Attr, bool) {

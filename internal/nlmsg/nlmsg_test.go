@@ -189,6 +189,20 @@ func TestInfoReplyRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(info, got) {
 		t.Fatalf("mismatch:\n in=%+v\nout=%+v", info, got)
 	}
+	var mi Message
+	var into ConnInfo
+	if _, err := UnmarshalInto(AppendInfo(nil, info, 77, 3), &mi); err != nil {
+		t.Fatal(err)
+	}
+	if err := ParseInfoInto(&mi, &into); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(info, &into) {
+		t.Fatalf("in-place mismatch:\n in=%+v\nout=%+v", info, &into)
+	}
+	if err := ParseInfoInto(&Message{Cmd: ReplyAck}, &into); err == nil || into.Token != 0 || len(into.Subflows) != 0 {
+		t.Fatalf("an ack parsed as info: err %v, left %+v", err, &into)
+	}
 }
 
 func TestAckRoundTrip(t *testing.T) {

@@ -3,15 +3,17 @@ package nlmsg
 // The allocating reference codec: an independent second definition of
 // the wire format, kept out of the shipped package. It builds messages
 // attribute by attribute (Message.Marshal, the U8…Nested constructors)
-// and decodes with copies (Unmarshal), sharing no code with the append
-// codec in fast.go beyond the constants — TestAppendMarshalMatchesLegacy
-// and FuzzNlmsgRoundTrip hold the two byte-identical.
+// and decodes with copies (Unmarshal, UnmarshalAttrs, ParseInfo), sharing
+// no code with the append codec in fast.go beyond the constants —
+// TestAppendMarshalMatchesLegacy and FuzzNlmsgRoundTrip hold the two
+// byte-identical.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
+	"time"
 
 	"repro/internal/seg"
 )
@@ -67,6 +69,35 @@ func Unmarshal(b []byte) (*Message, int, error) {
 	m.Attrs = attrs
 	return m, total, nil
 }
+
+// UnmarshalAttrs parses a TLV attribute block (also used for nesting),
+// copying every payload.
+func UnmarshalAttrs(b []byte) ([]Attr, error) {
+	var attrs []Attr
+	for len(b) > 0 {
+		if len(b) < 4 {
+			return nil, errors.New("nlmsg: truncated attribute")
+		}
+		le := binary.LittleEndian
+		alen := int(le.Uint16(b[0:]))
+		atype := AttrType(le.Uint16(b[2:]))
+		if alen < 4 || alen > len(b) {
+			return nil, fmt.Errorf("nlmsg: bad attribute length %d", alen)
+		}
+		data := make([]byte, alen-4)
+		copy(data, b[4:alen])
+		attrs = append(attrs, Attr{Type: atype, Data: data})
+		adv := align(alen)
+		if adv > len(b) {
+			adv = len(b)
+		}
+		b = b[adv:]
+	}
+	return attrs, nil
+}
+
+// AsNested decodes a nested attribute block.
+func (a Attr) AsNested() ([]Attr, error) { return UnmarshalAttrs(a.Data) }
 
 // MarshalAttrs encodes a TLV attribute block (for nesting).
 func MarshalAttrs(attrs []Attr) []byte {
@@ -230,6 +261,84 @@ func MarshalInfo(info *ConnInfo, seq, pid uint32) []byte {
 		m.Attrs = append(m.Attrs, Nested(AttrSubflow, children))
 	}
 	return m.Marshal()
+}
+
+// ParseInfo decodes a get-info reply into a fresh ConnInfo, each nested
+// subflow block through its own decoded attribute list.
+func ParseInfo(m *Message) (*ConnInfo, error) {
+	if m.Cmd != ReplyInfo {
+		return nil, fmt.Errorf("nlmsg: %v is not an info reply", m.Cmd)
+	}
+	info := &ConnInfo{}
+	for _, a := range m.Attrs {
+		var err error
+		switch a.Type {
+		case AttrToken:
+			info.Token, err = a.AsU32()
+		case AttrSndUna:
+			info.SndUna, err = a.AsU64()
+		case AttrAppNxt:
+			info.AppNxt, err = a.AsU64()
+		case AttrRcvBytes:
+			info.RcvBytes, err = a.AsU64()
+		case AttrSubflow:
+			var children []Attr
+			children, err = a.AsNested()
+			if err != nil {
+				break
+			}
+			var sf SubflowInfo
+			sf, err = parseSubflowInfo(children)
+			if err != nil {
+				break
+			}
+			info.Subflows = append(info.Subflows, sf)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return info, nil
+}
+
+func parseSubflowInfo(attrs []Attr) (SubflowInfo, error) {
+	var sf SubflowInfo
+	ft, ok := tupleFromAttrs(attrs)
+	if !ok {
+		return sf, fmt.Errorf("nlmsg: subflow info without tuple")
+	}
+	sf.Tuple = ft
+	for _, a := range attrs {
+		var err error
+		switch a.Type {
+		case AttrState:
+			sf.State, err = a.AsU32()
+		case AttrBackup:
+			var v uint8
+			v, err = a.AsU8()
+			sf.Backup = v != 0
+		case AttrCwnd:
+			sf.Cwnd, err = a.AsU32()
+		case AttrSRTT:
+			var v uint64
+			v, err = a.AsU64()
+			sf.SRTT = time.Duration(v)
+		case AttrRTO:
+			var v uint64
+			v, err = a.AsU64()
+			sf.RTO = time.Duration(v)
+		case AttrBackoffs:
+			sf.Backoffs, err = a.AsU32()
+		case AttrPacingRate:
+			sf.PacingRate, err = a.AsU64()
+		case AttrFlight:
+			sf.Flight, err = a.AsU32()
+		}
+		if err != nil {
+			return sf, err
+		}
+	}
+	return sf, nil
 }
 
 // MarshalAck encodes a command acknowledgement carrying an errno (0 = ok).

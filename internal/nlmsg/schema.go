@@ -1,6 +1,7 @@
 package nlmsg
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"time"
@@ -202,12 +203,16 @@ type ConnInfo struct {
 	Subflows []SubflowInfo
 }
 
-// ParseInfo decodes a get-info reply.
-func ParseInfo(m *Message) (*ConnInfo, error) {
+// ParseInfoInto decodes a get-info reply into a caller-owned ConnInfo.
+// Every field is reset and Subflows is truncated, keeping its backing
+// array, so a reused ConnInfo decodes without allocating once it has held
+// as many subflows. The nested subflow blocks are walked in place; like
+// ParseEventInto, the result holds no views into the wire buffer.
+func ParseInfoInto(m *Message, info *ConnInfo) error {
+	*info = ConnInfo{Subflows: info.Subflows[:0]}
 	if m.Cmd != ReplyInfo {
-		return nil, fmt.Errorf("nlmsg: %v is not an info reply", m.Cmd)
+		return fmt.Errorf("nlmsg: %v is not an info reply", m.Cmd)
 	}
-	info := &ConnInfo{}
 	for _, a := range m.Attrs {
 		var err error
 		switch a.Type {
@@ -220,35 +225,35 @@ func ParseInfo(m *Message) (*ConnInfo, error) {
 		case AttrRcvBytes:
 			info.RcvBytes, err = a.AsU64()
 		case AttrSubflow:
-			var children []Attr
-			children, err = a.AsNested()
-			if err != nil {
-				break
-			}
-			var sf SubflowInfo
-			sf, err = parseSubflowInfo(children)
-			if err != nil {
-				break
-			}
-			info.Subflows = append(info.Subflows, sf)
+			info.Subflows = append(info.Subflows, SubflowInfo{})
+			err = parseSubflowInto(a.Data, &info.Subflows[len(info.Subflows)-1])
 		}
 		if err != nil {
-			return nil, err
+			*info = ConnInfo{Subflows: info.Subflows[:0]}
+			return err
 		}
 	}
-	return info, nil
+	return nil
 }
 
-func parseSubflowInfo(attrs []Attr) (SubflowInfo, error) {
-	var sf SubflowInfo
-	ft, ok := tupleFromAttrs(attrs)
-	if !ok {
-		return sf, fmt.Errorf("nlmsg: subflow info without tuple")
-	}
-	sf.Tuple = ft
-	for _, a := range attrs {
-		var err error
+var errNoTuple = errors.New("nlmsg: subflow info without tuple")
+
+// parseSubflowInto decodes one nested subflow block into sf, which must be
+// zero. A later attribute of a type overrides an earlier one, except that
+// the tuple takes the first of each of its four, as tupleFromAttrs does.
+func parseSubflowInto(b []byte, sf *SubflowInfo) error {
+	var tuple [4]Attr // AttrLocalAddr … AttrRemotePort
+	for len(b) > 0 {
+		a, rest, err := nextAttr(b)
+		if err != nil {
+			return err
+		}
+		b = rest
 		switch a.Type {
+		case AttrLocalAddr, AttrRemoteAddr, AttrLocalPort, AttrRemotePort:
+			if t := &tuple[a.Type-AttrLocalAddr]; t.Type == 0 {
+				*t = a
+			}
 		case AttrState:
 			sf.State, err = a.AsU32()
 		case AttrBackup:
@@ -273,10 +278,15 @@ func parseSubflowInfo(attrs []Attr) (SubflowInfo, error) {
 			sf.Flight, err = a.AsU32()
 		}
 		if err != nil {
-			return sf, err
+			return err
 		}
 	}
-	return sf, nil
+	ft, ok := tupleFromAttrs(tuple[:])
+	if !ok {
+		return errNoTuple
+	}
+	sf.Tuple = ft
+	return nil
 }
 
 // ParseAck decodes an acknowledgement, returning its errno.
