@@ -170,7 +170,9 @@ smoke:
 # data (examples/manifests/), and this is where their every cell meets the
 # sharded core. The two explicit cells are larger than their scenario's
 # smoke size (an explicit key beats smoke); the fleet one checks it ran 64
-# devices.
+# devices. The metered scale row runs four seeds at once on two shards
+# each: concurrent runs, packets freed on another shard's loop than the
+# one that made them, and per-run pool counters under the race detector.
 smoke-shards:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -184,6 +186,8 @@ smoke-shards:
 	$$bin run fleet -set smoke -set shards=4 -set devices=64 | grep '^64 devices' >/dev/null; \
 	echo "== smoke (-race, shards=4): mpexp run ctlstress (8 conns)"; \
 	$$bin run ctlstress -set smoke -set shards=4 -set conns=8 >/dev/null; \
+	echo "== smoke (-race, shards=2): mpexp run scale -set metrics -seeds 4 -parallel 2"; \
+	$$bin run scale -set smoke -set shards=2 -set metrics -seeds 4 -parallel 2 >/dev/null; \
 	for m in examples/manifests/*.json; do \
 		if grep -q '"trace' $$m; then \
 			echo "== smoke (-race, shards=4): skipping $$m (traced: single-shard only)"; \

@@ -191,8 +191,6 @@ func TestRejections(t *testing.T) {
 		{"figure subcommands are gone", []string{"fig2a"}, 2, "usage: mpexp"},
 		{"no arguments", nil, 2, "usage: mpexp"},
 		{"run without a scenario", []string{"run", "-set", "smoke"}, 2, "usage: mpexp"},
-		{"metrics across seeds", []string{"run", "fig2a", "-set", "smoke", "-set", "metrics", "-seeds", "2", "-ws", "none"},
-			2, "metrics with 2 seeds"},
 		{"trace across seeds", []string{"run", "fig2a", "-set", "smoke", "-set", "trace=t", "-seeds", "2", "-ws", "none"},
 			2, "trace with 2 seeds"},
 		{"unknown scenario", []string{"run", "nosuch", "-ws", "none"}, 2, "unknown scenario"},
@@ -216,7 +214,7 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// The three mode rules and the one-directory-per-cell rule are each stated
+// The two mode rules and the one-directory-per-cell rule are each stated
 // once, below every way of asking: a -set pair, a manifest (its
 // params, its seeds and its sweep block) and a sweep axis must be refused
 // with the same words and the same exit status.
@@ -234,11 +232,6 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 			map[string][]string{
 				"-set": {"fig2a", "-set", "smoke", "-seeds", "2", "-set", "trace=" + tr},
 				"axis": {"fig2a", "-set", "smoke", "-seeds", "2", "-vary", "trace=" + tr + "1," + tr + "2"},
-			}},
-		{"metrics with 2 seeds would mix the process-wide pool counters", `, "metrics": ""`, `, "seeds": 2`,
-			map[string][]string{
-				"-set": {"fig2a", "-set", "smoke", "-seeds", "2", "-set", "metrics"},
-				"axis": {"fig2a", "-set", "smoke", "-seeds", "2", "-vary", "metrics=" + tr + "1.json," + tr + "2.json"},
 			}},
 		{"tracing is single-shard only (got shards=2)", `, "trace": "", "shards": 2`, "",
 			map[string][]string{
@@ -276,6 +269,51 @@ func TestModeRulesReachEveryRoute(t *testing.T) {
 	// Shards stay a legitimate axis.
 	if out := mustRun(t, "sweep", "fig2a", "-set", "smoke", "-vary", "shards=1,2,4", "-ws", "none"); !strings.Contains(out, "3 cells") {
 		t.Errorf("-vary shards=1,2,4 did not run three cells:\n%s", out)
+	}
+}
+
+// A metered run takes several seeds by every route that asks for one — a
+// -set pair, a sweep axis and a manifest's params — and each seed writes
+// its own part of the metrics file, whose pool counters are those of the
+// same seed metered alone.
+func TestMetricsAcrossSeeds(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	segGets := func(file string) uint64 {
+		snap, err := metrics.Decode([]byte(readFile(t, file)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Get("pool_seg_gets").Value
+	}
+	alone := map[int]uint64{}
+	for seed := 1; seed <= 2; seed++ {
+		f := at(fmt.Sprintf("alone%d.json", seed))
+		mustRun(t, "run", "fig2a", "-set", "smoke", "-seed", fmt.Sprint(seed), "-set", "metrics="+f, "-ws", "none")
+		alone[seed] = segGets(f)
+	}
+	manifest := at("metered.json")
+	doc := `{"scenario": "fig2a", "seeds": 2, "params": {"smoke": true, "metrics": "` + at("m.json") + `"}}`
+	if err := os.WriteFile(manifest, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for route, tc := range map[string]struct {
+		args  []string
+		files []string // each seed's metrics file, seed 1 then seed 2 of every cell
+	}{
+		"-set":  {[]string{"run", "fig2a", "-set", "smoke", "-seeds", "2", "-set", "metrics=" + at("s.json")}, []string{"s.json"}},
+		"axis":  {[]string{"sweep", "fig2a", "-set", "smoke", "-seeds", "2", "-vary", "metrics=" + at("a1.json") + "," + at("a2.json")}, []string{"a1.json", "a2.json"}},
+		"field": {[]string{"run", manifest}, []string{"m.json"}},
+	} {
+		mustRun(t, append(tc.args, "-parallel", "2", "-ws", "none")...)
+		for _, f := range tc.files {
+			for seed := 1; seed <= 2; seed++ {
+				part := at(fmt.Sprintf("%s.seed%d", f, seed))
+				if got := segGets(part); got != alone[seed] || got == 0 {
+					t.Errorf("%s: %s reports pool_seg_gets %d, seed %d alone %d", route, filepath.Base(part), got, seed, alone[seed])
+				}
+			}
+		}
 	}
 }
 

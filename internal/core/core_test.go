@@ -266,6 +266,7 @@ func TestWirePoolConservation(t *testing.T) {
 		t.Fatalf("got %d info replies, want 5", replies)
 	}
 
+	w.net.Sim.Flush() // the run is over: its loop hands its list to the store
 	after := nlmsg.Wire.Stats()
 	gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
 	if gets == 0 || gets != puts {
@@ -399,14 +400,17 @@ func TestSimPipeFIFO(t *testing.T) {
 
 // TestSimPipeSendAllocFree pins the pipe's delivery path: a frame crosses
 // on a pooled event out of the pipe's own FIFO, so steady-state Netlink
-// delivery allocates nothing, every frame goes back to nlmsg.Wire, and
+// delivery allocates nothing, every frame goes back to nlmsg.Wire (the
+// loop's list, handed to the store when the run is flushed), and
 // order holds on an entity clock even when each latency draw is shorter
 // than the one before (the due time is then clamped, and ties fire in
 // send order).
 func TestSimPipeSendAllocFree(t *testing.T) {
 	w := sim.NewWorld(11, 1)
+	c := w.HostClock(0, "h")
+	frames := nlmsg.Wire.On(sim.Lists(c)) // the test sends from the pipe's loop
 	draw := 0
-	p := NewSimPipe(w.HostClock(0, "h"), func() time.Duration {
+	p := NewSimPipe(c, func() time.Duration {
 		draw++
 		return time.Duration(64-draw%64) * time.Microsecond
 	})
@@ -420,7 +424,7 @@ func TestSimPipeSendAllocFree(t *testing.T) {
 	var seq byte
 	burst := func() {
 		for i := 0; i < 40; i++ { // a draw cycle and a burst never line up
-			p.Send(append(nlmsg.Wire.Get(), seq))
+			p.Send(append(frames.Get(), seq))
 			seq++
 		}
 		w.RunFor(time.Millisecond)
@@ -440,6 +444,7 @@ func TestSimPipeSendAllocFree(t *testing.T) {
 	if bad != 0 || next != seq {
 		t.Fatalf("pipe reordered %d frames", bad)
 	}
+	w.Flush()
 	after := nlmsg.Wire.Stats()
 	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts || gets != p.Delivered {
 		t.Fatalf("nlmsg.Wire: %d gets, %d puts for %d delivered frames", gets, puts, p.Delivered)

@@ -267,7 +267,16 @@ func (l *Library) sendCmd(cmd *nlmsg.Command, done func(uint32), info func(*nlms
 	cmd.Seq = l.nextSeq
 	l.pending = append(l.pending, pendingReply{cmd.Seq, done, info})
 	l.Stats.CommandsSent++
-	l.toKernel.Send(cmd.AppendMarshal(nlmsg.Wire.Get()))
+	l.toKernel.Send(cmd.AppendMarshal(l.frame()))
+}
+
+// frame returns an empty wire buffer: from the free list of the event loop
+// a library on a SimClock runs on, else from the nlmsg.Wire store.
+func (l *Library) frame() []byte {
+	if c, ok := l.clock.(SimClock); ok {
+		return nlmsg.Wire.On(sim.Lists(c.S)).Get()
+	}
+	return nlmsg.Wire.Get()
 }
 
 // takePending removes and returns the continuation of the command numbered

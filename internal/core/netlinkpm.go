@@ -119,7 +119,7 @@ func (pm *NetlinkPM) send(e *nlmsg.Event) {
 		return
 	}
 	pm.EventsSent++
-	pm.tr.ToUser.Send(e.AppendMarshal(nlmsg.Wire.Get(), 0, pm.pid))
+	pm.tr.ToUser.Send(e.AppendMarshal(pm.frame(), 0, pm.pid))
 }
 
 // enqueue adds an event to the pending window, cancelling pairs that a
@@ -233,7 +233,7 @@ func (pm *NetlinkPM) flush() {
 	if len(pm.queue) == 0 {
 		return
 	}
-	buf := nlmsg.Wire.Get()
+	buf := pm.frame()
 	for i := range pm.queue {
 		buf = pm.queue[i].AppendMarshal(buf, 0, pm.pid)
 	}
@@ -366,7 +366,7 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 			return
 		}
 		c.FillInfo(&pm.sc.pmInfo)
-		pm.tr.ToUser.Send(nlmsg.AppendInfo(nlmsg.Wire.Get(), &pm.sc.pmInfo, cmd.Seq, cmd.Pid))
+		pm.tr.ToUser.Send(nlmsg.AppendInfo(pm.frame(), &pm.sc.pmInfo, cmd.Seq, cmd.Pid))
 
 	case nlmsg.CmdAnnounceAddr:
 		c, ok := pm.conns[cmd.Token]
@@ -382,8 +382,11 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 	}
 }
 
+// frame returns an empty wire buffer from the free list of the PM's loop.
+func (pm *NetlinkPM) frame() []byte { return nlmsg.Wire.On(sim.Lists(pm.sim)).Get() }
+
 func (pm *NetlinkPM) ack(seq, pid uint32, errno uint32) {
-	pm.tr.ToUser.Send(nlmsg.AppendAck(nlmsg.Wire.Get(), errno, seq, pid))
+	pm.tr.ToUser.Send(nlmsg.AppendAck(pm.frame(), errno, seq, pid))
 }
 
 func (pm *NetlinkPM) findSubflow(token uint32, ft seg.FourTuple) (*mptcp.Connection, *tcp.Subflow) {

@@ -102,7 +102,7 @@ func deliverNext(x any) {
 	if p.recv != nil {
 		p.recv(b)
 	}
-	nlmsg.Wire.Put(b) // receiver returned; the frame is dead
+	nlmsg.Wire.On(sim.Lists(p.sim)).Put(b) // receiver returned; the frame is dead
 }
 
 // SetReceiver implements Pipe.

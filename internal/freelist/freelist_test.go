@@ -35,11 +35,9 @@ func TestSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestPutBeyondMaxDrops pins the cap: a full stripe drops what it is
-// given, and the next Gets past the kept values mint afresh. One P makes
-// one stripe, so every call lands on it.
+// TestPutBeyondMaxDrops pins the store's cap: a full list drops what it
+// is given, and the next Gets past the kept values mint afresh.
 func TestPutBeyondMaxDrops(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	l := newList(2)
 	a, b, c := l.Get(), l.Get(), l.Get()
 	l.Put(a)
@@ -82,22 +80,152 @@ func TestCountersBalance(t *testing.T) {
 	}
 }
 
-// TestGetTakesFromOtherStripes checks that a Get whose own stripe is
-// empty reuses a value held by any other stripe before it mints one, so a
-// run on one P reuses what a run on another P returned.
-func TestGetTakesFromOtherStripes(t *testing.T) {
-	l := newList(4)
-	n := len(l.all())
-	for i := 0; i < n; i++ {
-		v := new([64]byte)
-		l.stripes[i].free = append(l.stripes[i].free, v)
-		news := l.Stats().News
-		if got := l.Get(); got != v {
-			t.Fatalf("stripe %d of %d: Get did not take the one free value", i, n)
+// TestLocalTakesFromStore checks that a loop's list that runs empty takes
+// what the store holds before it mints, and takes it whole: the loop then
+// pops in the store's order without going back to it.
+func TestLocalTakesFromStore(t *testing.T) {
+	l := newList(8)
+	held := []*[64]byte{l.Get(), l.Get(), l.Get()}
+	for _, v := range held {
+		l.Put(v)
+	}
+	var lp Loop
+	x := l.On(&lp)
+	if x != l.On(&lp) {
+		t.Fatal("On attached a second list to one loop")
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		if got := x.Get(); got != held[i] {
+			t.Fatalf("Get %d: not the store's value in its order", len(held)-i)
 		}
-		if st := l.Stats(); st.News != news {
-			t.Fatalf("stripe %d of %d: Get minted with a value free: %+v", i, n, st)
+	}
+	if st := x.Stats(); st.Gets != 3 || st.News != 0 {
+		t.Fatalf("loop list minted with values in the store: %+v", st)
+	}
+	if len(l.free) != 0 {
+		t.Fatalf("store kept %d values after the loop took them", len(l.free))
+	}
+	x.Get()
+	if st := x.Stats(); st.News != 1 {
+		t.Fatalf("empty loop list and store did not mint: %+v", st)
+	}
+}
+
+// TestSplitLoopsShareTheStore checks the take rule of a run's several
+// shards: a Split loop that runs empty takes half of the store's values,
+// so a second Split loop that runs empty finds the rest and mints
+// nothing, while a loop alone takes the store whole.
+func TestSplitLoopsShareTheStore(t *testing.T) {
+	l := newList(64)
+	var held []*[64]byte
+	for i := 0; i < 8; i++ {
+		held = append(held, l.Get())
+	}
+	for _, v := range held {
+		l.Put(v)
+	}
+	a, b := &Loop{Split: true}, &Loop{Split: true}
+	xa, xb := l.On(a), l.On(b)
+	xa.Get()
+	if len(l.free) != 4 || len(xa.free) != 3 {
+		t.Fatalf("a Split loop left %d in the store and kept %d, want 4 and 3", len(l.free), len(xa.free))
+	}
+	for i := 0; i < 4; i++ {
+		xb.Get()
+	}
+	if st := xb.Stats(); st.News != 0 {
+		t.Fatalf("the second Split loop minted %d with 4 values in the store", st.News)
+	}
+	a.Flush()
+	b.Flush() // the store holds the 3 values of 8 not handed out
+	var lone Loop
+	x := l.On(&lone)
+	x.Get()
+	if len(l.free) != 0 || len(x.free) != 2 {
+		t.Fatalf("a lone loop left %d in the store and kept %d, want 0 and 2", len(l.free), len(x.free))
+	}
+}
+
+// TestFlushReturnsEverything checks the end-of-run hand-back: every value
+// a loop's list holds lands in the store, in one array when the store was
+// empty, and the store's counters take in the loop's traffic.
+func TestFlushReturnsEverything(t *testing.T) {
+	l := newList(64)
+	var lp Loop
+	x := l.On(&lp)
+	var held []*[64]byte
+	for i := 0; i < 10; i++ {
+		held = append(held, x.Get())
+	}
+	for _, v := range held {
+		x.Put(v)
+	}
+	lp.Flush()
+	if len(x.free) != 0 || x.free != nil {
+		t.Fatalf("loop list kept %d values (array %v) after Flush", len(x.free), x.free != nil)
+	}
+	if len(l.free) != len(held) {
+		t.Fatalf("store holds %d values after Flush, want %d", len(l.free), len(held))
+	}
+	if st := l.Stats(); st != (Stats{Gets: 10, Puts: 10, News: 10}) {
+		t.Fatalf("store counters after Flush: %+v", st)
+	}
+	lp.Flush() // a second flush hands over nothing twice
+	if st := l.Stats(); st != (Stats{Gets: 10, Puts: 10, News: 10}) {
+		t.Fatalf("store counters after a second Flush: %+v", st)
+	}
+}
+
+// TestSecondLoopAfterFlushMintsNothing checks that a run on a new loop,
+// after the first loop's run was flushed, reuses every value that run
+// returned.
+func TestSecondLoopAfterFlushMintsNothing(t *testing.T) {
+	l := newList(64)
+	run := func(lp *Loop) Stats {
+		x := l.On(lp)
+		var held []*[64]byte
+		for i := 0; i < 20; i++ {
+			held = append(held, x.Get())
+			if i%3 == 2 { // interleave puts, as a run does
+				x.Put(held[len(held)-1])
+				held = held[:len(held)-1]
+			}
 		}
+		for _, v := range held {
+			x.Put(v)
+		}
+		lp.Flush()
+		return x.Stats()
+	}
+	first := run(new(Loop))
+	if first.News == 0 {
+		t.Fatal("first run minted nothing from an empty store")
+	}
+	if second := run(new(Loop)); second.News != 0 || second.Gets != first.Gets {
+		t.Fatalf("second loop after a flush: %+v, first %+v", second, first)
+	}
+}
+
+// TestLocalMaxDrops checks the cap on the loop side: a loop's list holds at
+// most Max, a full one hands its values to the store, and the store keeps
+// at most Max, dropping the rest for the GC.
+func TestLocalMaxDrops(t *testing.T) {
+	const cap = 4
+	l := newList(cap)
+	var lp Loop
+	x := l.On(&lp)
+	for i := 0; i < 3*cap; i++ {
+		x.Put(new([64]byte))
+		if len(x.free) > cap {
+			t.Fatalf("loop list holds %d values, over Max %d", len(x.free), cap)
+		}
+	}
+	lp.Flush()
+	if len(l.free) != cap {
+		t.Fatalf("store holds %d values after %d puts, want Max %d", len(l.free), 3*cap, cap)
+	}
+	if st := l.Stats(); st.Puts != 3*cap {
+		t.Fatalf("a dropped put was not counted: %+v", st)
 	}
 }
 
@@ -130,4 +258,22 @@ func TestConcurrent(t *testing.T) {
 	if got := l.Stats().News; got != st.News {
 		t.Fatalf("lost values: draining %d minted %d more", st.News, got-st.News)
 	}
+}
+
+// BenchmarkGetPut prices one Get/Put pair on the store (a mutex) and on a
+// loop's list (a slice pop and push).
+func BenchmarkGetPut(b *testing.B) {
+	l := newList(64)
+	b.Run("store", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l.Put(l.Get())
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		var lp Loop
+		x := l.On(&lp)
+		for i := 0; i < b.N; i++ {
+			x.Put(x.Get())
+		}
+	})
 }

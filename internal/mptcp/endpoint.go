@@ -36,6 +36,10 @@ type Endpoint struct {
 	// applied, ep.output bound once, and the per-ACK scratch.
 	tcp   tcp.Shared
 	trace *trace.Shard // Config.Trace
+	// The free lists of the host's event loop: where inbound packets and
+	// segments are retired, outbound packets and RSTs made.
+	pkts netem.PacketList
+	segs seg.List
 	// newSched is Config.Scheduler resolved once; every connection gets
 	// its own.
 	newSched SchedulerFactory
@@ -129,6 +133,8 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 		sim:       host.Clock(),
 		host:      host,
 		pm:        pm,
+		pkts:      netem.Packets(host.Clock()),
+		segs:      seg.Shared.On(sim.Lists(host.Clock())),
 		trace:     cfg.Trace,
 		newSched:  newSched,
 		tuples:    make(map[tupleKey]*tcp.Subflow),
@@ -230,9 +236,9 @@ func (ep *Endpoint) removeConn(c *Connection) {
 func (ep *Endpoint) input(pkt *netem.Packet) {
 	sg := pkt.Seg
 	pkt.Seg = nil
-	pkt.Release()
+	ep.pkts.Release(pkt)
 	ep.handleSegment(sg)
-	seg.Shared.Put(sg)
+	ep.segs.Put(sg)
 }
 
 // handleSegment routes one inbound segment, which is owned by the caller
@@ -278,12 +284,12 @@ func (ep *Endpoint) handleSegment(sg *seg.Segment) {
 // sendRST answers a segment that matches no socket, like a kernel would.
 func (ep *Endpoint) sendRST(cause *seg.Segment) {
 	ep.RSTSent++
-	rst := seg.Shared.Get()
+	rst := ep.segs.Get()
 	rst.Tuple = cause.Tuple.Reverse()
 	rst.Seq = cause.Ack
 	rst.Ack = cause.SeqEnd()
 	rst.Flags = seg.RST | seg.ACK
-	ep.host.Send(netem.NewPacket(rst))
+	ep.host.Send(ep.pkts.New(rst))
 }
 
 // output transmits a subflow's segment through the host's routing. The
@@ -291,7 +297,7 @@ func (ep *Endpoint) sendRST(cause *seg.Segment) {
 // defensive clone is needed: the segment travels by pointer end to end
 // and the receiving endpoint retires it.
 func (ep *Endpoint) output(s *seg.Segment) {
-	ep.host.Send(netem.NewPacket(s))
+	ep.host.Send(ep.pkts.New(s))
 }
 
 // addrID returns the stable local address ID used in MPTCP options.

@@ -128,6 +128,7 @@ func TestDropsRecyclePackets(t *testing.T) {
 		wire.Send(NewPacket(sg))
 		s.RunFor(5 * time.Millisecond)
 	}
+	s.Flush() // the run is over: its loop hands its lists to the stores
 	st := seg.Shared.Stats()
 	if puts := st.Puts - gets0.Puts; puts < 50 {
 		t.Fatalf("only %d of 50 dropped segments were retired to the pool", puts)

@@ -136,7 +136,7 @@ func (h *Host) Send(pkt *Packet) {
 	i := h.Iface(pkt.Src)
 	if i == nil || !i.up || i.link == nil {
 		h.Stats.NoRoute++
-		pkt.Release()
+		Packets(h.clock).Release(pkt)
 		return
 	}
 	h.Stats.SentPkts++
@@ -149,7 +149,7 @@ func (h *Host) Send(pkt *Packet) {
 // handler drops and retires it.
 func (h *Host) Input(pkt *Packet) {
 	if h.handler == nil {
-		pkt.Release()
+		Packets(h.clock).Release(pkt)
 		return
 	}
 	if h.procDelay != nil {

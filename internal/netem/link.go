@@ -168,7 +168,7 @@ func (l *Link) Send(pkt *Packet) {
 	if !l.up {
 		l.Stats.DropDown++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropDown)
-		pkt.Release()
+		Packets(l.clock).Release(pkt)
 		return
 	}
 	// Retire the serialisations that have ended; once more are dead than
@@ -185,7 +185,7 @@ func (l *Link) Send(pkt *Packet) {
 	if len(l.ser)-i >= l.qcap {
 		l.Stats.DropQueue++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropQueue)
-		pkt.Release()
+		Packets(l.clock).Release(pkt)
 		return
 	}
 	l.trace(trace.KLinkEnq, pkt.Size, 0)
@@ -206,7 +206,7 @@ func (l *Link) Send(pkt *Packet) {
 	if lost {
 		l.Stats.LostRand++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropLoss)
-		pkt.Release()
+		Packets(l.clock).Release(pkt)
 		return
 	}
 	// The rest runs on the destination's loop; the relay carries the packet
@@ -245,7 +245,7 @@ func deliverHead(a any) {
 	if !l.up { // cut while in flight
 		l.Stats.DropCut++
 		l.trace(trace.KLinkDrop, pkt.Size, trace.DropDown)
-		pkt.Release()
+		Packets(l.dst.Clock()).Release(pkt)
 		return
 	}
 	l.Stats.Sent++

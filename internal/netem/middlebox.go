@@ -111,7 +111,7 @@ func (m *Middlebox) Input(pkt *Packet) {
 		if m.policy == ExpiryRST {
 			m.injectRST(pkt)
 		}
-		pkt.Release()
+		Packets(m.clock).Release(pkt)
 		return
 	}
 	m.forward(pkt)
@@ -120,7 +120,7 @@ func (m *Middlebox) Input(pkt *Packet) {
 func (m *Middlebox) forward(pkt *Packet) {
 	l := m.routes[pkt.Dst]
 	if l == nil {
-		pkt.Release()
+		Packets(m.clock).Release(pkt)
 		return
 	}
 	m.Stats.Forwarded++
@@ -130,16 +130,16 @@ func (m *Middlebox) forward(pkt *Packet) {
 // injectRST answers the sender of pkt with a RST, as some firewalls do for
 // flows they no longer track. pkt is only read; the caller still owns it.
 func (m *Middlebox) injectRST(pkt *Packet) {
-	rst := seg.Shared.Get()
+	rst := seg.Shared.On(sim.Lists(m.clock)).Get()
 	rst.Tuple = pkt.Seg.Tuple.Reverse()
 	rst.Seq = pkt.Seg.Ack
 	rst.Ack = pkt.Seg.SeqEnd()
 	rst.Flags = seg.RST | seg.ACK
-	back := NewPacket(rst)
+	back := Packets(m.clock).New(rst)
 	if l := m.routes[back.Dst]; l != nil {
 		m.Stats.RSTInjected++
 		l.Send(back)
 	} else {
-		back.Release()
+		Packets(m.clock).Release(back)
 	}
 }

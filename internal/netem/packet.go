@@ -36,21 +36,32 @@ type Packet struct {
 	next *Packet
 }
 
-// packetPool recycles packet shells across all simulations.
+// packetPool is the process store of packet shells behind every loop's
+// list.
 var packetPool = freelist.List[*Packet]{
 	New: func() *Packet { return new(Packet) },
 	Max: 1 << 14,
 }
 
-// PacketPoolStats snapshots the packet-shell pool counters.
+// PacketPoolStats snapshots the store's counters, which take in each
+// loop's as its list is flushed.
 func PacketPoolStats() freelist.Stats {
 	return packetPool.Stats()
 }
 
+// PacketLoopStats snapshots the counters of the loop's packet-shell list.
+func PacketLoopStats(lp *freelist.Loop) freelist.Stats {
+	return packetPool.On(lp).Stats()
+}
+
 // NewPacket wraps a segment, computing the wire size. The shell comes
-// from a pool; ownership of s transfers to the packet.
+// from the process store; ownership of s transfers to the packet. Code
+// running on an event loop uses its PacketList instead.
 func NewPacket(s *seg.Segment) *Packet {
-	p := packetPool.Get()
+	return packetPool.Get().wrap(s)
+}
+
+func (p *Packet) wrap(s *seg.Segment) *Packet {
 	p.Src = s.Tuple.SrcIP
 	p.Dst = s.Tuple.DstIP
 	p.Seg = s
@@ -59,20 +70,53 @@ func NewPacket(s *seg.Segment) *Packet {
 }
 
 // Release retires the packet shell — and its segment, if still attached —
-// to their pools. A consumer that keeps the segment (the receiving
+// to the process stores. A consumer that keeps the segment (the receiving
 // endpoint) detaches it by nilling p.Seg first. p must not be used after
-// Release.
+// Release. Code running on an event loop uses its PacketList instead.
 func (p *Packet) Release() {
 	if p == nil {
 		return
 	}
-	if p.Seg != nil {
-		seg.Shared.Put(p.Seg)
-		p.Seg = nil
-	}
+	seg.Shared.Put(p.Seg)
+	p.clear()
+	packetPool.Put(p)
+}
+
+func (p *Packet) clear() {
+	p.Seg = nil
 	p.Src, p.Dst = netip.Addr{}, netip.Addr{}
 	p.Size = 0
-	packetPool.Put(p)
+}
+
+// PacketList is one event loop's packet shells, with its segments: what
+// NewPacket and Release are for code running on that loop. A packet is
+// released to the list of the loop whose code retires it, whichever loop
+// it was made on.
+type PacketList struct {
+	shells *freelist.Local[*Packet]
+	segs   seg.List
+}
+
+// Packets returns the packet list of c's event loop.
+func Packets(c sim.Clock) PacketList {
+	lp := sim.Lists(c)
+	return PacketList{packetPool.On(lp), seg.Shared.On(lp)}
+}
+
+// New wraps a segment as NewPacket does, in a shell from the loop's list.
+func (pl PacketList) New(s *seg.Segment) *Packet {
+	return pl.shells.Get().wrap(s)
+}
+
+// Release retires the shell — and its segment, if still attached — as
+// (*Packet).Release does, to the loop's lists.
+func (pl PacketList) Release(p *Packet) {
+	if p == nil {
+		return
+	}
+	pl.segs.Put(p.Seg)
+	p.clear()
+	pl.shells.Put(p)
 }
 
 // Node is anything that can receive packets: hosts, routers, middleboxes.

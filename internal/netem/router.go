@@ -64,7 +64,7 @@ func (r *Router) Input(pkt *Packet) {
 	links := r.routes[pkt.Dst]
 	if len(links) == 0 {
 		r.Stats.NoRoute++
-		pkt.Release()
+		Packets(r.clock).Release(pkt)
 		return
 	}
 	idx := 0

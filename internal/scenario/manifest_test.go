@@ -2,13 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/runner"
 )
 
 func init() {
@@ -178,8 +181,6 @@ func TestManifestValidateRejects(t *testing.T) {
 		{"negative seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: -2}, "non-negative"},
 		{"trace with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
 			Params: map[string]string{"trace": ""}, Seeds: 4}, "trace with 4 seeds"},
-		{"metrics with multiple seeds", &Manifest{Scenario: "test-manifest-bulk",
-			Params: map[string]string{"metrics": ""}, Seeds: 2}, "metrics with 2 seeds"},
 		{"trace axis with multiple seeds", &Manifest{Scenario: "test-manifest-bulk", Seeds: 2,
 			Sweep: &ManifestSweep{Vary: []ManifestAxis{{Key: "trace", Values: []string{"a", "b"}}}}}, "trace with 2 seeds"},
 		{"trace with shards", &Manifest{Scenario: "test-manifest-bulk",
@@ -197,6 +198,45 @@ func TestManifestValidateRejects(t *testing.T) {
 		if _, err := tc.m.Plan(nil); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestManifestMetricsAcrossSeeds is the metered multi-seed run: it plans,
+// its seeds run at once, and each writes its own part of the metrics file
+// whose pool counters are those of the same seed run alone.
+func TestManifestMetricsAcrossSeeds(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "metrics.json")
+	m := &Manifest{Scenario: "test-manifest-bulk", Params: map[string]string{"metrics": file}, Seeds: 2}
+	cells, err := m.Plan(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := runner.Run("metered", runner.Config{Seeds: 2, BaseSeed: 1, Parallel: 2}, m.Job(cells[0]))
+	if failed := multi.Failed(); len(failed) != 0 {
+		t.Fatalf("seeds failed: %v", failed)
+	}
+	segGets := func(f string) uint64 {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := metrics.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Get("pool_seg_gets").Value
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		alone := filepath.Join(dir, fmt.Sprintf("alone%d.json", seed))
+		Job(m.Scenario, NewParams(map[string]string{"metrics": alone}))(seed)
+		got, want := segGets(PartFile(file, fmt.Sprintf("seed%d", seed))), segGets(alone)
+		if got != want || got == 0 {
+			t.Errorf("seed %d: pool_seg_gets %d in the multi-seed run, %d alone", seed, got, want)
+		}
+	}
+	if _, err := os.Stat(file); !os.IsNotExist(err) {
+		t.Errorf("a multi-seed run wrote the single-seed file %s (err %v)", file, err)
 	}
 }
 

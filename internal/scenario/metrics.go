@@ -40,30 +40,16 @@ func EnableMetrics(sp *Spec, file string) {
 	}
 }
 
-// pools names the process-wide free lists whose traffic a metered run
-// harvests, in harvest order.
+// pools names the free lists whose traffic a metered run harvests, in
+// harvest order, each by what its list on one loop has counted.
 var pools = [...]struct {
 	name  string
-	stats func() freelist.Stats
+	stats func(*freelist.Loop) freelist.Stats
 }{
-	{"seg", seg.Shared.Stats},
-	{"packet", netem.PacketPoolStats},
-	{"chunk", tcp.ChunkPoolStats},
-	{"wire", nlmsg.Wire.Stats},
-}
-
-// poolBaseline snapshots the pools' counters at run start, so the probe
-// can report per-run deltas. The pools are process-wide, which is also
-// why `metrics=` refuses to run under the concurrent multi-seed runner:
-// parallel seeds would bleed into each other's deltas.
-type poolBaseline [len(pools)]freelist.Stats
-
-func capturePools() poolBaseline {
-	var b poolBaseline
-	for i, p := range pools {
-		b[i] = p.stats()
-	}
-	return b
+	{"seg", seg.Shared.LoopStats},
+	{"packet", netem.PacketLoopStats},
+	{"chunk", tcp.ChunkLoopStats},
+	{"wire", nlmsg.Wire.LoopStats},
 }
 
 // metricsProbe is the Metrics probe kind: Collect harvests the counters
@@ -96,7 +82,9 @@ func metricsProbe(file, title string) Probe {
 // Window carving, barrier counts and cross-shard traffic describe HOW
 // the simulation was executed, not what the model did: they are stable
 // for a fixed shard count but change with it, hence the layout tag.
-// Barrier wait/busy spans are host-speed wall time.
+// Barrier wait/busy spans are host-speed wall time, and pooled-event
+// misses depend on what the process's event store held when the run
+// began: both carry the wall tag.
 func (rt *Run) harvestRuntime() {
 	w, ok := rt.Sim.(*sim.World)
 	if !ok {
@@ -124,22 +112,33 @@ func (rt *Run) harvestRuntime() {
 	for i := range st.EventPoolGets {
 		r.Counter("pool_simevent_gets", i, metrics.TagLayout).Add(st.EventPoolGets[i])
 		r.Counter("pool_simevent_puts", i, metrics.TagLayout).Add(st.EventPoolPuts[i])
-		r.Counter("pool_simevent_news", i, metrics.TagLayout).Add(st.EventPoolNews[i])
+		r.Counter("pool_simevent_news", i, metrics.TagWall).Add(st.EventPoolNews[i])
 	}
 }
 
-// harvestPools folds the per-run deltas of the process-wide free lists
-// into the registry. Gets/puts are deterministic protocol behaviour;
-// news (Gets that found the list empty) depend on what ran earlier in
-// the process, so they carry the wall tag.
+// harvestPools sums the traffic of the run's own free lists, one per
+// shard loop, into the registry. Gets/puts are deterministic protocol
+// behaviour, the same at any shard count; news (Gets that found the loop's
+// list and the process store empty) depend on what ran earlier in the
+// process, so they carry the wall tag.
 func (rt *Run) harvestPools() {
+	w, ok := rt.Sim.(*sim.World)
+	if !ok {
+		return
+	}
 	r := rt.Registry
-	now := capturePools()
-	for i, p := range pools {
-		n, b := now[i], rt.poolBase[i]
-		r.Counter("pool_"+p.name+"_gets", 0).Add(n.Gets - b.Gets)
-		r.Counter("pool_"+p.name+"_puts", 0).Add(n.Puts - b.Puts)
-		r.Counter("pool_"+p.name+"_news", 0, metrics.TagWall).Add(n.News - b.News)
+	loops := w.Lists()
+	for _, p := range pools {
+		var sum freelist.Stats
+		for _, lp := range loops {
+			st := p.stats(lp)
+			sum.Gets += st.Gets
+			sum.Puts += st.Puts
+			sum.News += st.News
+		}
+		r.Counter("pool_"+p.name+"_gets", 0).Add(sum.Gets)
+		r.Counter("pool_"+p.name+"_puts", 0).Add(sum.Puts)
+		r.Counter("pool_"+p.name+"_news", 0, metrics.TagWall).Add(sum.News)
 	}
 }
 

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Cell is one point of a manifest's plan: one scenario configuration,
@@ -16,6 +18,23 @@ type Cell struct {
 	// Params is everything Build consumes for the cell, fully resolved;
 	// Plan has built it once, so Job cannot fail on it.
 	Params *Params
+}
+
+// Job is the per-seed job of one of the manifest's cells: Job(m.Scenario,
+// c.Params), except that when the manifest runs more than one seed, a
+// metrics file the cell names becomes each seed's own part, as
+// result.json.seed<N> is in a workspace: the seeds run concurrently, and
+// each meters its own run.
+func (m *Manifest) Job(c Cell) func(seed int64) *stats.Result {
+	f := c.Params.vals["metrics"]
+	if m.EffectiveSeeds() < 2 || f == "" {
+		return Job(m.Scenario, c.Params)
+	}
+	return func(seed int64) *stats.Result {
+		p := c.Params.Clone()
+		p.Set("metrics", PartFile(f, fmt.Sprintf("seed%d", seed)))
+		return Job(m.Scenario, p)(seed)
+	}
 }
 
 // CellID derives the canonical filesystem-safe identifier of a sweep
@@ -65,8 +84,9 @@ var ArtifactKeys = [...]string{"trace", "metrics"}
 // run is a one-cell sweep.
 //
 // It is the only place that enumerates axes, that places each cell's
-// trace and metrics files, and that states the two seeds rules; it checks
-// them against each cell's resolved Params, so a `-set`, a manifest
+// trace and metrics files (Manifest.Job then splits a multi-seed cell's
+// metrics file into one part per seed), and that states the seeds rule;
+// it checks it against each cell's resolved Params, so a `-set`, a manifest
 // parameter and a sweep axis all meet the same check. Every cell
 // is built once, through the Build path `-set` flags take: the first
 // unknown scenario or parameter key, bad value, trace/shard conflict, or
@@ -127,13 +147,11 @@ func (m *Manifest) Plan(place func(cellID, key, named string) string) ([]Cell, e
 			p.Set(k, v)
 		}
 		// Seeds of one cell run concurrently and would all write the cell's
-		// one trace; metrics read process-wide pool counters, file or not.
+		// one trace. Metrics are per run, and Manifest.Job gives each seed
+		// its own file.
 		if seeds := m.EffectiveSeeds(); seeds > 1 {
 			if _, traced := p.vals["trace"]; traced {
 				return nil, fmt.Errorf("manifest %s: trace with %d seeds would write one trace from every seed concurrently; use one seed per traced run", m.RunName(), seeds)
-			}
-			if _, metered := p.vals["metrics"]; metered {
-				return nil, fmt.Errorf("manifest %s: metrics with %d seeds would mix the process-wide pool counters across concurrent seeds; use one seed per metered run", m.RunName(), seeds)
 			}
 		}
 		if _, err := Build(m.Scenario, p.Clone()); err != nil {

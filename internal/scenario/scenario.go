@@ -233,8 +233,7 @@ type Run struct {
 	// Registry holds the run's metrics (nil unless the run records them),
 	// filled by the metrics probe's harvest at collect time.
 	Registry *metrics.Registry
-	poolBase poolBaseline // pool counters at run start (metrics runs only)
-	timeline timeline     // Spec.Events in firing order (armEvents)
+	timeline timeline // Spec.Events in firing order (armEvents)
 	// scratch is the Netlink decode scratch of each shard's loop, shared
 	// by the control planes of every client stack on it (core.Scratch);
 	// nil until the first stack with one.
@@ -351,6 +350,10 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	// event order and per-entity random streams are identical at any
 	// shard count: `shards=8` reproduces `shards=1` bit for bit.
 	w := sim.NewWorld(seed, nsh)
+	// The run's loops got and put on free lists of their own; handing
+	// them back lets the next run, on any goroutine, reuse what this one
+	// returned.
+	defer w.Flush()
 	rt := &Run{Spec: rs, Seed: seed, Sim: w, Result: res}
 	if rs.Trace != nil {
 		rt.Tracer = trace.New(rs.Trace.Cap)
@@ -358,7 +361,6 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	if rs.Metrics != nil {
 		rt.Registry = metrics.New(nsh)
 		w.EnableBarrierTiming(true)
-		rt.poolBase = capturePools()
 	}
 	rt.Net = rs.Topology.Build(w, seed).normalize()
 	if err := w.Finalize(); err != nil {

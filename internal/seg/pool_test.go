@@ -3,6 +3,7 @@ package seg
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
@@ -227,5 +228,36 @@ func TestHandshakeOptionsAllocFree(t *testing.T) {
 	s.AppendOptions([]Option{join, other})
 	if len(s.Options) != 2 || !optionEqual(s.Options[1], other) || s.Options[1] == Option(other) {
 		t.Fatalf("second MP_JOIN not deep-copied: %v", s.Options)
+	}
+}
+
+// TestCrossShardPutIsReset holds rule 5 of DESIGN.md "Segment ownership"
+// across event loops: a segment put on one shard's list, handed to the
+// store when that shard's run is flushed, and got on another shard's list
+// comes out fully Reset.
+func TestCrossShardPutIsReset(t *testing.T) {
+	w := sim.NewWorld(1, 2)
+	a, b := sim.Lists(w.HostClock(0, "a")), sim.Lists(w.HostClock(1, "b"))
+	if a == b {
+		t.Fatal("the two hosts share a loop")
+	}
+	s := segForAlloc()
+	sk := s.ScratchSACK()
+	sk.Blocks = append(sk.Blocks, SackBlock{Lo: 1, Hi: 2})
+	Shared.On(a).Put(s)
+	w.Flush()
+	g := Shared.On(b).Get()
+	defer Shared.On(b).Put(g)
+	if g != s {
+		t.Fatal("the segment put on shard 0 did not reach shard 1's list")
+	}
+	if g.Seq != 0 || g.Ack != 0 || g.Flags != 0 || g.Window != 0 || g.PayloadLen != 0 || g.claimed != 0 {
+		t.Fatalf("segment not reset: %+v", g)
+	}
+	if len(g.Options) != 0 || g.dss != (DSS{}) || len(g.sack.Blocks) != 0 {
+		t.Fatalf("segment kept options: %d attached, DSS %+v, %d SACK blocks", len(g.Options), g.dss, len(g.sack.Blocks))
+	}
+	if g.Tuple != (FourTuple{}) {
+		t.Fatalf("segment kept tuple %v", g.Tuple)
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"reflect"
 	"runtime"
 	"time"
+
+	"repro/internal/freelist"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -50,7 +52,8 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 //   - classic events (Schedule/After): heap-allocated, handle escapes to
 //     the caller, never recycled;
 //   - pooled events (ScheduleArg): drawn from the simulator's free list
-//     and recycled immediately after firing — no handle, no cancellation;
+//     (its loop's Local of eventPool) and recycled immediately after
+//     firing — no handle, no cancellation;
 //   - owned events (Timer/Ticker/Relay): embedded in their owner and
 //     re-armed in place for the owner's whole lifetime.
 //
@@ -211,23 +214,25 @@ type Simulator struct {
 	src       lazySource
 	rng       *rand.Rand // wraps src; created by the first Rand call
 	stopped   bool
-	free      []*Event // recycled pooled events (ScheduleArg)
 	processed uint64
 
 	// (ent, seq) of the event now running; idleKey in both while no event
 	// runs, so that every key at the current instant has passed.
 	curEnt, curSeq uint64
 
-	// Pooled-event free-list traffic. Single-writer (the loop's own
-	// goroutine), harvested between runs via EventPoolStats.
-	evGets uint64 // pooled events drawn (free list or fresh)
-	evPuts uint64 // pooled events recycled after firing
-	evNews uint64 // draws that missed the free list
+	// lists are the loop's free lists: the data path's pools reach theirs
+	// through Lists(clock); free is the pooled events' (ScheduleArg).
+	lists freelist.Loop
+	free  *freelist.Local[*Event]
 }
 
-// maxFreeEvents bounds the pooled-event free list; beyond this the burst
-// is returned to the garbage collector.
-const maxFreeEvents = 1 << 14
+// eventPool is the process store behind every loop's pooled events. It
+// keeps up to 1 << 14 of them; beyond that a burst is returned to the
+// garbage collector.
+var eventPool = freelist.List[*Event]{
+	New: func() *Event { return &Event{pooled: true} },
+	Max: 1 << 14,
+}
 
 // idleKey is the running key's ordinal and sequence between events.
 const idleKey = ^uint64(0)
@@ -239,6 +244,7 @@ const idleKey = ^uint64(0)
 func New(seed int64) *Simulator {
 	s := &Simulator{curEnt: idleKey, curSeq: idleKey}
 	s.src.Seed(seed)
+	s.free = eventPool.On(&s.lists)
 	return s
 }
 
@@ -252,8 +258,21 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // drawn, events recycled, and draws that had to heap-allocate. Gets-News
 // is the number of reuses.
 func (s *Simulator) EventPoolStats() (gets, puts, news uint64) {
-	return s.evGets, s.evPuts, s.evNews
+	st := s.free.Stats()
+	return st.Gets, st.Puts, st.News
 }
+
+// Lists returns the free lists of c's event loop. Code running on that
+// loop gets and puts pooled objects there, with no lock.
+func Lists(c Clock) *freelist.Loop {
+	s, _ := c.loop()
+	return &s.lists
+}
+
+// Flush gives every value on the loop's free lists back to the process
+// stores, so that the next simulation reuses them. Call it when the run
+// is over; the loop stays usable.
+func (s *Simulator) Flush() { s.lists.Flush() }
 
 // Rand exposes the simulation's deterministic random source. All model
 // randomness (loss draws, jitter, port selection) must come from here.
@@ -308,16 +327,7 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
 	}
-	var e *Event
-	s.evGets++
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		s.evNews++
-		e = &Event{pooled: true}
-	}
+	e := s.free.Get()
 	e.when, e.ent, e.seq, e.fn, e.arg = when, ent, seqn, fn, arg
 	s.queue.push(e)
 }
@@ -393,9 +403,8 @@ func (s *Simulator) step() bool {
 	fn, arg := e.fn, e.arg
 	e.fn, e.arg = nil, nil
 	fn(arg)
-	if e.pooled && len(s.free) < maxFreeEvents {
-		s.evPuts++
-		s.free = append(s.free, e)
+	if e.pooled {
+		s.free.Put(e)
 	}
 	return true
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/freelist"
 )
 
 // World is the sharded simulation driver: N independent event loops
@@ -99,6 +101,7 @@ func NewWorld(seed int64, nshards int) *World {
 	}
 	for i := range w.shards {
 		w.shards[i] = New(entitySeed(seed, uint64(i)^0xD1B54A32D192ED03))
+		w.shards[i].lists.Split = nshards > 1
 	}
 	return w
 }
@@ -475,6 +478,24 @@ func (w *World) RuntimeStats() RuntimeStats {
 		st.BusyNs = append([]uint64(nil), w.busyNs...)
 	}
 	return st
+}
+
+// Lists returns the free lists of every shard loop, by shard index. Read
+// them with the world parked.
+func (w *World) Lists() []*freelist.Loop {
+	out := make([]*freelist.Loop, len(w.shards))
+	for i, sh := range w.shards {
+		out[i] = &sh.lists
+	}
+	return out
+}
+
+// Flush gives every shard loop's free lists back to the process stores
+// (Simulator.Flush). Call it with the world parked, when the run is over.
+func (w *World) Flush() {
+	for _, sh := range w.shards {
+		sh.Flush()
+	}
 }
 
 // EnableBarrierTiming turns on per-shard wall-clock measurement of every

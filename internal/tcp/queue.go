@@ -29,32 +29,39 @@ type Chunk struct {
 	sentAt  sim.Time
 }
 
-// chunkPool recycles chunks so the scheduling hot path (one chunk per MSS
-// of payload) does not allocate in steady state.
+// chunkPool is the process store of chunks behind every loop's list, so
+// the scheduling hot path (one chunk per MSS of payload) does not
+// allocate in steady state.
 var chunkPool = freelist.List[*Chunk]{
 	New: func() *Chunk { return new(Chunk) },
 	Max: 1 << 14,
 }
 
-// ChunkPoolStats snapshots the chunk pool counters.
+// ChunkPoolStats snapshots the store's counters, which take in each
+// loop's as its list is flushed.
 func ChunkPoolStats() freelist.Stats {
 	return chunkPool.Stats()
 }
 
-// newChunk draws a chunk from the pool, fully reinitialised.
-func newChunk(subSeq uint32, ln int, dataSeq uint64, dataFIN bool) *Chunk {
-	c := chunkPool.Get()
+// ChunkLoopStats snapshots the counters of the loop's chunk list.
+func ChunkLoopStats(lp *freelist.Loop) freelist.Stats {
+	return chunkPool.On(lp).Stats()
+}
+
+// newChunk draws a chunk from the loop's list, fully reinitialised.
+func newChunk(l *freelist.Local[*Chunk], subSeq uint32, ln int, dataSeq uint64, dataFIN bool) *Chunk {
+	c := l.Get()
 	*c = Chunk{SubSeq: subSeq, Len: ln, DataSeq: dataSeq, DataFIN: dataFIN}
 	return c
 }
 
-// putChunks retires chunks whose lifecycle ended: cumulatively acked, or
-// still queued on a subflow that died (after the owner reinjected them).
-// Callers must not touch the chunks afterwards.
-func putChunks(cs []*Chunk) {
+// putChunks retires chunks whose lifecycle ended — cumulatively acked, or
+// still queued on a subflow that died (after the owner reinjected them) —
+// to the loop's list. Callers must not touch the chunks afterwards.
+func putChunks(l *freelist.Local[*Chunk], cs []*Chunk) {
 	for _, c := range cs {
 		*c = Chunk{}
-		chunkPool.Put(c)
+		l.Put(c)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/seg"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -168,6 +169,11 @@ type Shared struct {
 
 	chunks []*Chunk    // ackThrough's and applySACK's result
 	sack   []sackRange // the SACK blocks of the segment being handled
+
+	// The free lists of the event loop the subflows run on, bound by the
+	// first subflow's init: segments and send-queue chunks.
+	segs      seg.List
+	chunkList *freelist.Local[*Chunk]
 }
 
 // Init sets up a Shared for subflows configured by cfg that transmit
@@ -288,6 +294,10 @@ func (sf *Subflow) Reuse(c sim.Clock, sh *Shared, tuple seg.FourTuple, owner Own
 // keeps only the capacity of the queues' backing arrays (cleared, so a
 // reused subflow holds no stale chunk).
 func (sf *Subflow) init(c sim.Clock, sh *Shared, tuple seg.FourTuple, owner Owner) {
+	if sh.chunkList == nil {
+		lp := sim.Lists(c)
+		sh.segs, sh.chunkList = seg.Shared.On(lp), chunkPool.On(lp)
+	}
 	buf, ooo := sf.sq.buf[:0], sf.rcv.ooo[:0]
 	clear(buf[:cap(buf)])
 	*sf = Subflow{
@@ -473,7 +483,7 @@ func (sf *Subflow) Connect() {
 // included, is a function of state that is fixed until the handshake ends —
 // so the segment and its options live in the pooled segment alone.
 func (sf *Subflow) sendSYN() {
-	s := seg.Shared.Get()
+	s := sf.sh.segs.Get()
 	s.Tuple = sf.tuple
 	s.Seq = sf.iss
 	s.Flags = seg.SYN
@@ -491,7 +501,7 @@ func (sf *Subflow) sendSYN() {
 // sendHandshakeACK transmits the third handshake ACK with its stage-ACK
 // options (both keys for MP_CAPABLE, the full HMAC for MP_JOIN).
 func (sf *Subflow) sendHandshakeACK() {
-	ack := seg.Shared.Get()
+	ack := sf.sh.segs.Get()
 	ack.Tuple = sf.tuple
 	ack.Seq = sf.sndNxt
 	ack.Ack = sf.rcv.nxt
@@ -552,7 +562,7 @@ func (sf *Subflow) onSynTimeout() {
 // the chunk stays owned by the subflow and is recycled once acked, so
 // callers must not retain it past the next ack/close callback.
 func (sf *Subflow) Push(dataSeq uint64, ln int, dataFIN bool) *Chunk {
-	c := newChunk(sf.pushNxt, ln, dataSeq, dataFIN)
+	c := newChunk(sf.sh.chunkList, sf.pushNxt, ln, dataSeq, dataFIN)
 	sf.pushNxt += uint32(ln)
 	sf.sq.push(c)
 	sf.trySend()
@@ -640,7 +650,7 @@ func (sf *Subflow) sendChunk(c *Chunk) {
 		}
 		sf.tsh.Rec(c.sentAt, trace.KSend, sf.tid, uint64(c.SubSeq), uint32(c.Len), c.DataSeq, fl)
 	}
-	s := seg.Shared.Get()
+	s := sf.sh.segs.Get()
 	s.Tuple = sf.tuple
 	s.Seq = c.SubSeq
 	s.Ack = sf.rcv.nxt
@@ -668,7 +678,7 @@ func (sf *Subflow) maybeSendFIN() {
 	sf.finSeq = sf.sndNxt
 	sf.sndNxt++
 	sf.state = StateFinWait
-	fin := seg.Shared.Get()
+	fin := sf.sh.segs.Get()
 	fin.Tuple = sf.tuple
 	fin.Seq = sf.finSeq
 	fin.Ack = sf.rcv.nxt
@@ -678,7 +688,7 @@ func (sf *Subflow) maybeSendFIN() {
 }
 
 func (sf *Subflow) sendAck() {
-	s := seg.Shared.Get()
+	s := sf.sh.segs.Get()
 	s.Tuple = sf.tuple
 	s.Seq = sf.sndNxt
 	s.Ack = sf.rcv.nxt
@@ -707,7 +717,7 @@ func (sf *Subflow) SendOptions(opts ...seg.Option) {
 	if !sf.Established() {
 		return
 	}
-	s := seg.Shared.Get()
+	s := sf.sh.segs.Get()
 	s.Tuple = sf.tuple
 	s.Seq = sf.sndNxt
 	s.Ack = sf.rcv.nxt
@@ -743,7 +753,7 @@ func (sf *Subflow) Abort(reason Errno) {
 		return
 	}
 	if sf.state == StateEstablished || sf.state == StateFinWait || sf.state == StateSynRcvd {
-		rst := seg.Shared.Get()
+		rst := sf.sh.segs.Get()
 		rst.Tuple = sf.tuple
 		rst.Seq = sf.sndNxt
 		rst.Ack = sf.rcv.nxt
@@ -754,7 +764,7 @@ func (sf *Subflow) Abort(reason Errno) {
 }
 
 func (sf *Subflow) sendRST(cause *seg.Segment) {
-	rst := seg.Shared.Get()
+	rst := sf.sh.segs.Get()
 	rst.Tuple = cause.Tuple.Reverse()
 	rst.Seq = cause.Ack
 	rst.Ack = cause.SeqEnd()
@@ -772,7 +782,7 @@ func (sf *Subflow) die(reason Errno) {
 	sf.owner.OnClosed(sf, reason)
 	// The owner has reinjected whatever it wanted (OnClosed reads
 	// UnackedChunks); the remaining queue can be recycled now.
-	putChunks(sf.sq.clear())
+	putChunks(sf.sh.chunkList, sf.sq.clear())
 }
 
 // --- Inbound ---
@@ -950,7 +960,7 @@ func (sf *Subflow) processAck(s *seg.Segment) {
 		sf.checkCloseComplete()
 		// The acked chunks' lifecycle ends here: nothing retains them past
 		// the OnAckAdvance callback, so they go back to the pool.
-		putChunks(acked)
+		putChunks(sf.sh.chunkList, acked)
 	case s.Ack == sf.sndUna && sf.sq.flight() > 0 && s.PayloadLen == 0 && !s.Is(seg.SYN) && !s.Is(seg.FIN):
 		if sf.dupAcks < math.MaxUint8 { // saturates: only the third one counts
 			sf.dupAcks++
@@ -1085,7 +1095,7 @@ func (sf *Subflow) onRTO() {
 	}
 	// Go-back-N: retransmit from snd_una; FIN-only case retransmits FIN.
 	if sf.sq.nextToSend() == nil && sf.finSent && !sf.finAcked {
-		fin := seg.Shared.Get()
+		fin := sf.sh.segs.Get()
 		fin.Tuple = sf.tuple
 		fin.Seq = sf.finSeq
 		fin.Ack = sf.rcv.nxt

@@ -21,6 +21,7 @@
 //	      result.json.seed<N>  # one per finished seed N (multi-seed runs)
 //	      trace            # binary event trace (when enabled)
 //	      metrics.json     # runtime metrics snapshot (when enabled)
+//	      metrics.json.seed<N>  # one per seed N (metered multi-seed runs)
 //	      cells/<cell>/    # sweeps: the same artifact set per cell
 //
 // A level that writes several files where one would do names each by
@@ -264,7 +265,7 @@ func execute(m *scenario.Manifest, dir string, opt RunOptions) (bool, error) {
 				return false, fmt.Errorf("workspace: %w", err)
 			}
 		}
-		multi := runner.Run(name, cfg, scenario.Job(m.Scenario, c.Params))
+		multi := runner.Run(name, cfg, m.Job(c))
 		multis[i] = multi
 		ok = ok && len(multi.Failed()) == 0
 		report := reportOf(multi)
