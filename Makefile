@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-pair fmt loc loc-ref cover cover-ref examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
+.PHONY: build test race fuzz bench bench-pair footprint fmt loc loc-ref cover cover-ref examples smoke smoke-shards smoke-workspace smoke-ref smoke-split
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ fuzz:
 # report as an artifact.
 bench:
 	$(GO) run ./bench -out bench.json
+
+# What a fleet device keeps resident, priced per allocation site: the
+# benchmark's 1000-device fleet, warm, its live heap at the last Collect
+# over the heap before the run, per device (cmd/footprint). Report only;
+# CI uploads it with the bench report. TestFleetDeviceFootprint gates the
+# smoke-sized total.
+footprint:
+	$(GO) run ./cmd/footprint
 
 # Paired comparison behind a performance claim: build ./bench at REF (in a
 # temporary git worktree) and from the working tree, then alternate the two

@@ -19,15 +19,16 @@ import (
 // and executed against the owning connections.
 //
 // As in the paper, the kernel keeps no policy: all decisions live in the
-// controller. The kernel part only needs the token→connection table it
-// already maintains for MP_JOIN processing.
+// controller. The kernel part keeps no table of its own either: a
+// command's token resolves through the endpoint's, which MP_JOIN
+// processing already maintains.
 type NetlinkPM struct {
 	mptcp.NopPM
-	sim   sim.Clock
-	tr    *Transport
-	conns map[uint32]*mptcp.Connection
-	mask  nlmsg.EventMask
-	pid   uint32
+	sim  sim.Clock
+	tr   *Transport
+	ep   *mptcp.Endpoint // the endpoint this PM serves; nil until its first connection
+	mask nlmsg.EventMask
+	pid  uint32
 
 	// Coalescing state (SetCoalescing). With flushEvery 0 — the default —
 	// every event goes out immediately in its own frame; otherwise events
@@ -86,7 +87,7 @@ func NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
 // NewNetlinkPM creates a kernel part that decodes into sc, shared with
 // every PM on the same event loop (see Scratch).
 func (sc *Scratch) NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
-	pm := &NetlinkPM{sim: c, tr: tr, conns: make(map[uint32]*mptcp.Connection), mask: nlmsg.MaskAll, sc: sc}
+	pm := &NetlinkPM{sim: c, tr: tr, mask: nlmsg.MaskAll, sc: sc}
 	tr.ToKernel.SetReceiver(pm.handleCommand)
 	return pm
 }
@@ -243,9 +244,10 @@ func (pm *NetlinkPM) flush() {
 	pm.tr.ToUser.Send(buf)
 }
 
-// ConnCreated implements mptcp.PathManager.
+// ConnCreated implements mptcp.PathManager. The first connection tells
+// the PM which endpoint it serves.
 func (pm *NetlinkPM) ConnCreated(c *mptcp.Connection) {
-	pm.conns[c.Token()] = c
+	pm.ep = c.Endpoint()
 	pm.send(&nlmsg.Event{Kind: nlmsg.EvCreated, Token: c.Token(), Tuple: c.InitialTuple(), HasTuple: true})
 }
 
@@ -256,7 +258,6 @@ func (pm *NetlinkPM) ConnEstablished(c *mptcp.Connection) {
 
 // ConnClosed implements mptcp.PathManager.
 func (pm *NetlinkPM) ConnClosed(c *mptcp.Connection) {
-	delete(pm.conns, c.Token())
 	pm.send(&nlmsg.Event{Kind: nlmsg.EvClosed, Token: c.Token()})
 }
 
@@ -333,8 +334,8 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 		pm.ack(cmd.Seq, cmd.Pid, errnoOK)
 
 	case nlmsg.CmdCreateSubflow:
-		c, ok := pm.conns[cmd.Token]
-		if !ok {
+		c := pm.conn(cmd.Token)
+		if c == nil {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
@@ -360,8 +361,8 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 		pm.ack(cmd.Seq, cmd.Pid, errnoOK)
 
 	case nlmsg.CmdGetInfo:
-		c, ok := pm.conns[cmd.Token]
-		if !ok {
+		c := pm.conn(cmd.Token)
+		if c == nil {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
@@ -369,8 +370,8 @@ func (pm *NetlinkPM) runCommand(m *nlmsg.Message) {
 		pm.tr.ToUser.Send(nlmsg.AppendInfo(pm.frame(), &pm.sc.pmInfo, cmd.Seq, cmd.Pid))
 
 	case nlmsg.CmdAnnounceAddr:
-		c, ok := pm.conns[cmd.Token]
-		if !ok {
+		c := pm.conn(cmd.Token)
+		if c == nil {
 			pm.ack(cmd.Seq, cmd.Pid, errnoNOENT)
 			return
 		}
@@ -389,9 +390,21 @@ func (pm *NetlinkPM) ack(seq, pid uint32, errno uint32) {
 	pm.tr.ToUser.Send(nlmsg.AppendAck(pm.frame(), errno, seq, pid))
 }
 
+// conn resolves a command's token to the live connection it names, or nil.
+// The endpoint's table holds a connection from just before ConnCreated to
+// just before ConnClosed, and a command runs between events, never inside
+// those two hooks, so it sees exactly the connections the controller was
+// told were created and not yet closed.
+func (pm *NetlinkPM) conn(token uint32) *mptcp.Connection {
+	if pm.ep == nil {
+		return nil
+	}
+	return pm.ep.Conn(token)
+}
+
 func (pm *NetlinkPM) findSubflow(token uint32, ft seg.FourTuple) (*mptcp.Connection, *tcp.Subflow) {
-	c, ok := pm.conns[token]
-	if !ok {
+	c := pm.conn(token)
+	if c == nil {
 		return nil, nil
 	}
 	return c, c.SubflowByTuple(ft)

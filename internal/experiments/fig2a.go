@@ -74,7 +74,7 @@ func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 		// the pre-scenario code (which ran 200 ms past the settle): the
 		// baseline variant is not byte-pinned, and its minutes-scale RTO
 		// shape is insensitive to the shift.
-		pre := scenario.Event{At: 200 * time.Millisecond, Name: "fig2a.preestablish",
+		pre := scenario.Event{At: 200 * time.Millisecond,
 			Fn: func(rt *scenario.Run, _ scenario.EventArg) {
 				ep := rt.Net.ClientAt(0)
 				if _, err := rt.Conn.OpenSubflow(ep.Addrs[1], 0, rt.Net.ServerAddr, 80, true); err != nil {

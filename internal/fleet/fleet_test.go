@@ -5,12 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
@@ -84,9 +83,9 @@ func TestOrdinalStableAcrossFleetSize(t *testing.T) {
 		t.Fatalf("%d events for 10 devices, %d for 1000", len(se), len(be))
 	}
 	for k := range se {
-		if se[k].At != be[k].At || se[k].Name != be[k].Name || se[k].Arg != be[k].Arg {
-			t.Fatalf("event %d: (%v,%s,%+v) vs (%v,%s,%+v)",
-				k, se[k].At, se[k].Name, se[k].Arg, be[k].At, be[k].Name, be[k].Arg)
+		sf, bf := sim.FuncName(se[k].Fn), sim.FuncName(be[k].Fn)
+		if se[k].At != be[k].At || sf != bf || se[k].Arg != be[k].Arg {
+			t.Fatalf("event %d: (%v,%s,%+v) vs (%v,%s,%+v)", k, se[k].At, sf, se[k].Arg, be[k].At, bf, be[k].Arg)
 		}
 	}
 }
@@ -157,10 +156,10 @@ func TestTimelineRespectsFloorAndDuration(t *testing.T) {
 	}
 	for _, ev := range evs {
 		if ev.At < firstHandoverFloor {
-			t.Fatalf("%s at %v, before the dial floor", ev.Name, ev.At)
+			t.Fatalf("%s at %v, before the dial floor", sim.FuncName(ev.Fn), ev.At)
 		}
 		if ev.At > cfg.Duration {
-			t.Fatalf("%s at %v, past the %v window", ev.Name, ev.At, cfg.Duration)
+			t.Fatalf("%s at %v, past the %v window", sim.FuncName(ev.Fn), ev.At, cfg.Duration)
 		}
 	}
 	if len(evs) != cap(evs) {
@@ -174,13 +173,12 @@ func TestTimelineRespectsFloorAndDuration(t *testing.T) {
 	}
 }
 
-// scheduleHash digests every event's (At, Name, Fn symbol, Arg), in list
-// order, as hex sha256.
+// scheduleHash digests every event's (At, Fn symbol, Arg), in list order,
+// as hex sha256.
 func scheduleHash(evs []scenario.Event) string {
 	h := sha256.New()
 	for _, ev := range evs {
-		fn := runtime.FuncForPC(reflect.ValueOf(ev.Fn).Pointer()).Name()
-		fmt.Fprintf(h, "%d %s %s %q %d %d %x\n", ev.At, ev.Name, fn,
+		fmt.Fprintf(h, "%d %s %q %d %d %x\n", ev.At, sim.FuncName(ev.Fn),
 			ev.Arg.Name, ev.Arg.Client, ev.Arg.Addr, math.Float64bits(ev.Arg.Loss))
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -190,7 +188,7 @@ func scheduleHash(evs []scenario.Event) string {
 // window, event by event and in order: a faster way of building it must
 // build the same list.
 func TestScheduleHash(t *testing.T) {
-	const want = "a1080899d81a3869ddbade385434e59c5ff6f201502dc7ba55eca4fadcc4a365"
+	const want = "ceefd0a45ed3c7f6196adb5e2e7a2d13f7621c45d7dd403b65a8f23296a54d1c"
 	cfg := genCfg(20 * time.Second)
 	devs, err := Generate(64, cfg)
 	if err != nil {

@@ -120,8 +120,8 @@ func (d *Device) walk(cfg GenConfig, emit func(scenario.Event)) (handovers int, 
 	// setLoss sets both directions of the named link to the given loss
 	// ratio — a radio fade degrades uplink and downlink alike, unlike the
 	// egress-qdisc loss steps of the paper figures.
-	setLoss := func(at time.Duration, name, link string, loss float64) {
-		add(scenario.Event{At: at, Name: name, Fn: setLinkLoss, Arg: scenario.EventArg{Name: link, Loss: loss}})
+	setLoss := func(at time.Duration, link string, loss float64) {
+		add(scenario.Event{At: at, Fn: setLinkLoss, Arg: scenario.EventArg{Name: link, Loss: loss}})
 	}
 	fadeLead := time.Duration(p.FadeSteps) * p.FadeStep
 
@@ -132,13 +132,13 @@ func (d *Device) walk(cfg GenConfig, emit func(scenario.Event)) (handovers int, 
 		for k := 1; k <= p.FadeSteps; k++ {
 			frac := float64(k) / float64(p.FadeSteps)
 			loss := d.WiFi.Loss + frac*(p.FadeLoss-d.WiFi.Loss)
-			setLoss(t-fadeLead+time.Duration(k-1)*p.FadeStep, "fleet.fade", d.wifiLink, loss)
+			setLoss(t-fadeLead+time.Duration(k-1)*p.FadeStep, d.wifiLink, loss)
 		}
 		out := dwell(p.LTEDwell)
 		for _, ev := range scenario.FlapClientIface(t, out, d.Ordinal, 0) {
 			add(ev)
 		}
-		setLoss(t+out, "fleet.recover", d.wifiLink, d.WiFi.Loss)
+		setLoss(t+out, d.wifiLink, d.WiFi.Loss)
 		handovers++
 		offline += out
 		t += out + fadeLead + dwell(p.WiFiDwell)
@@ -150,8 +150,8 @@ func (d *Device) walk(cfg GenConfig, emit func(scenario.Event)) (handovers int, 
 		for ct < cfg.Duration {
 			loss := s.Range(p.CrossLoss[0], p.CrossLoss[1])
 			dur := s.Between(p.CrossDur[0], p.CrossDur[1])
-			setLoss(ct, "fleet.cross", d.lteLink, loss)
-			setLoss(ct+dur, "fleet.calm", d.lteLink, d.LTE.Loss)
+			setLoss(ct, d.lteLink, loss)
+			setLoss(ct+dur, d.lteLink, d.LTE.Loss)
 			ct += dur + s.Between(p.CrossEvery[0], p.CrossEvery[1])
 		}
 	}

@@ -345,7 +345,7 @@ func (c *Connection) OpenSubflow(laddr netip.Addr, lport uint16, raddr netip.Add
 		lport = c.ep.allocPort()
 	}
 	tuple := seg.FourTuple{SrcIP: laddr, DstIP: raddr, SrcPort: lport, DstPort: rport}
-	if _, busy := c.ep.tuples[keyOf(tuple)]; busy {
+	if _, busy := c.ep.tuples.Get(keyOf(tuple)); busy {
 		return nil, fmt.Errorf("mptcp: tuple %v already in use", tuple)
 	}
 	sf := c.newSubflow(tuple, sfMeta{
@@ -419,7 +419,7 @@ func (c *Connection) newSubflow(tuple seg.FourTuple, m sfMeta) *tcp.Subflow {
 	}
 	c.subflows = append(c.subflows, sf)
 	c.meta = append(c.meta, m)
-	c.ep.tuples[keyOf(tuple)] = sf
+	c.ep.tuples.Put(keyOf(tuple), sf)
 	return sf
 }
 
@@ -489,7 +489,7 @@ func (c *Connection) removeSubflow(sf *tcp.Subflow) {
 			break
 		}
 	}
-	delete(c.ep.tuples, keyOf(sf.Tuple()))
+	c.ep.tuples.Delete(keyOf(sf.Tuple()))
 }
 
 // --- Scheduling ---

@@ -7,6 +7,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/seg"
 	"repro/internal/sim"
+	"repro/internal/small"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
@@ -44,11 +45,13 @@ type Endpoint struct {
 	// its own.
 	newSched SchedulerFactory
 
+	// The demux tables. A client holds a handful of entries in each, in
+	// the tables' rooms; a server's spill into maps.
 	listeners map[uint16]func(*Connection) // nil until the first Listen
-	tuples    map[tupleKey]*tcp.Subflow
-	tokens    map[uint32]*Connection // the live connections, by token
-	addrIDs   map[netip.Addr]uint8
-	usedPorts map[uint16]struct{} // every port allocPort handed out
+	tuples    small.Table[tupleKey, *tcp.Subflow]
+	tokens    small.Table[uint32, *Connection] // the live connections, by token
+	addrIDs   small.Table[netip.Addr, uint8]
+	usedPorts small.Table[uint16, struct{}] // every port allocPort handed out
 
 	// Stats counters.
 	RSTSent     uint64
@@ -110,7 +113,7 @@ func (t *Totals) addConn(s ConnStats) {
 // subflows added in.
 func (ep *Endpoint) Totals() Totals {
 	t := ep.totals
-	for _, c := range ep.tokens {
+	for _, c := range ep.tokens.All {
 		t.addConn(c.stats)
 		for _, sf := range c.subflows {
 			t.addSubflow(sf.Info().Stats)
@@ -130,17 +133,13 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 		panic(err) // misconfiguration; cmd/mpexp validates names up front
 	}
 	ep := &Endpoint{
-		sim:       host.Clock(),
-		host:      host,
-		pm:        pm,
-		pkts:      netem.Packets(host.Clock()),
-		segs:      seg.Shared.On(sim.Lists(host.Clock())),
-		trace:     cfg.Trace,
-		newSched:  newSched,
-		tuples:    make(map[tupleKey]*tcp.Subflow),
-		tokens:    make(map[uint32]*Connection),
-		addrIDs:   make(map[netip.Addr]uint8),
-		usedPorts: make(map[uint16]struct{}),
+		sim:      host.Clock(),
+		host:     host,
+		pm:       pm,
+		pkts:     netem.Packets(host.Clock()),
+		segs:     seg.Shared.On(sim.Lists(host.Clock())),
+		trace:    cfg.Trace,
+		newSched: newSched,
 	}
 	ep.tcp.Init(cfg.TCP, ep.output)
 	host.SetHandler(ep.input)
@@ -162,11 +161,17 @@ func (ep *Endpoint) Host() *netem.Host { return ep.host }
 
 // Conns lists the endpoint's live connections (order unspecified).
 func (ep *Endpoint) Conns() []*Connection {
-	out := make([]*Connection, 0, len(ep.tokens))
-	for _, c := range ep.tokens {
+	out := make([]*Connection, 0, ep.tokens.Len())
+	for _, c := range ep.tokens.All {
 		out = append(out, c)
 	}
 	return out
+}
+
+// Conn returns the live connection whose local token is token, or nil.
+func (ep *Endpoint) Conn(token uint32) *Connection {
+	c, _ := ep.tokens.Get(token)
+	return c
 }
 
 // Listen accepts MP_CAPABLE connections on a local port; accept runs when a
@@ -201,7 +206,7 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 	for {
 		key = seg.NewKey(ep.sim.Rand())
 		token = seg.Token(key)
-		if _, dup := ep.tokens[token]; !dup && key != 0 {
+		if _, dup := ep.tokens.Get(token); !dup && key != 0 {
 			break
 		}
 	}
@@ -221,13 +226,13 @@ func (ep *Endpoint) newConn(isClient bool, initial seg.FourTuple, cb ConnCallbac
 		c.tid = sh.Tracer().Register(trace.EntConn, 0,
 			fmt.Sprintf("%s/conn-%08x", ep.host.Name(), token))
 	}
-	ep.tokens[token] = c
+	ep.tokens.Put(token, c)
 	return c
 }
 
 // removeConn forgets a fully closed connection.
 func (ep *Endpoint) removeConn(c *Connection) {
-	delete(ep.tokens, c.token)
+	ep.tokens.Delete(c.token)
 }
 
 // input demultiplexes an inbound packet. The endpoint owns the packet: it
@@ -245,7 +250,7 @@ func (ep *Endpoint) input(pkt *netem.Packet) {
 // and must not be retained by anything downstream.
 func (ep *Endpoint) handleSegment(sg *seg.Segment) {
 	key := sg.Tuple.Reverse() // local-perspective tuple
-	if sf, ok := ep.tuples[keyOf(key)]; ok {
+	if sf, ok := ep.tuples.Get(keyOf(key)); ok {
 		sf.HandleSegment(sg)
 		return
 	}
@@ -254,7 +259,7 @@ func (ep *Endpoint) handleSegment(sg *seg.Segment) {
 			// Joins are acceptable as soon as both keys are known (the
 			// Linux server registers the token at SYN_RCVD time), so a
 			// join racing ahead of the initial third ACK still succeeds.
-			c, ok := ep.tokens[j.Token]
+			c, ok := ep.tokens.Get(j.Token)
 			if !ok || c.remoteKey == 0 {
 				ep.JoinNoToken++
 				ep.sendRST(sg)
@@ -302,14 +307,14 @@ func (ep *Endpoint) output(s *seg.Segment) {
 
 // addrID returns the stable local address ID used in MPTCP options.
 func (ep *Endpoint) addrID(addr netip.Addr) uint8 {
-	if id, ok := ep.addrIDs[addr]; ok {
+	if id, ok := ep.addrIDs.Get(addr); ok {
 		return id
 	}
-	id := uint8(len(ep.addrIDs) + 1)
+	id := uint8(ep.addrIDs.Len() + 1)
 	if id == 0 {
 		panic("mptcp: address ID space exhausted")
 	}
-	ep.addrIDs[addr] = id
+	ep.addrIDs.Put(addr, id)
 	return id
 }
 
@@ -321,10 +326,10 @@ func (ep *Endpoint) allocPort() uint16 {
 	const first, count = 32768, 28232
 	take := func(p uint16) bool {
 		_, listening := ep.listeners[p]
-		if _, used := ep.usedPorts[p]; listening || used {
+		if _, used := ep.usedPorts.Get(p); listening || used {
 			return false
 		}
-		ep.usedPorts[p] = struct{}{}
+		ep.usedPorts.Put(p, struct{}{})
 		return true
 	}
 	for tries := 0; tries < 10000; tries++ {
@@ -342,5 +347,5 @@ func (ep *Endpoint) allocPort() uint16 {
 
 // String describes the endpoint.
 func (ep *Endpoint) String() string {
-	return fmt.Sprintf("mptcp endpoint on %s (%d conns)", ep.host.Name(), len(ep.tokens))
+	return fmt.Sprintf("mptcp endpoint on %s (%d conns)", ep.host.Name(), ep.tokens.Len())
 }

@@ -44,8 +44,7 @@ type Host struct {
 	procDelay func() time.Duration
 	watchers  []func(addr netip.Addr, up bool)
 
-	procName string    // preallocated event name for the proc-delay model
-	procFn   func(any) // preallocated event callback carrying the packet
+	procFn func(any) // preallocated event callback carrying the packet
 
 	Stats HostStats
 }
@@ -54,7 +53,6 @@ type Host struct {
 // *sim.Simulator or a per-shard clock issued by a sim.Fabric).
 func NewHost(c sim.Clock, name string) *Host {
 	h := &Host{clock: c, name: name}
-	h.procName = "host.proc:" + name
 	h.procFn = func(a any) {
 		pkt := a.(*Packet)
 		h.Stats.Delivered++
@@ -155,7 +153,9 @@ func (h *Host) Input(pkt *Packet) {
 	if h.procDelay != nil {
 		d := h.procDelay()
 		if d > 0 {
-			h.clock.AfterArg(d, h.procName, h.procFn, pkt)
+			// Only the scheduling-in-the-past panic reads the name, and a
+			// positive delay cannot raise it.
+			h.clock.AfterArg(d, "host.proc", h.procFn, pkt)
 			return
 		}
 	}

@@ -108,11 +108,14 @@ type RunSpec struct {
 // it acts on rides in Arg, so a timeline of ten thousand events is one slice
 // and no closures. A one-off intervention may still pass a closure as Fn and
 // ignore Arg.
+//
+// An event keeps no name: a timeline entry that is already in the past
+// when it is read panics naming Fn's symbol, as the simulator names the
+// events it schedules.
 type Event struct {
-	At   time.Duration
-	Name string
-	Fn   func(rt *Run, a EventArg)
-	Arg  EventArg
+	At  time.Duration
+	Fn  func(rt *Run, a EventArg)
+	Arg EventArg
 }
 
 // Do applies the event to a run.
@@ -139,7 +142,7 @@ type timeline struct {
 }
 
 func (t *timeline) Len() int          { return len(t.evs) }
-func (t *timeline) Name(k int) string { return t.evs[t.order[k]].Name }
+func (t *timeline) Name(k int) string { return sim.FuncName(t.evs[t.order[k]].Fn) }
 func (t *timeline) Fire(k int)        { t.evs[t.order[k]].Do(t.rt) }
 
 func (t *timeline) At(k int) sim.Time {
@@ -403,11 +406,11 @@ func execOne(rs *RunSpec, baseSeed int64, res *stats.Result) *Run {
 	return rt
 }
 
-// SetLossAt returns the "degrade" event the loss figures use: at t, set
+// SetLossAt returns the degrade event the loss figures use: at t, set
 // the forward (client→server) loss ratio of the named link — a netem
 // qdisc on the degraded egress, as in the paper's Mininet setups.
 func SetLossAt(at time.Duration, link string, loss float64) Event {
-	return Event{At: at, Name: "degrade", Fn: setForwardLoss, Arg: EventArg{Name: link, Loss: loss}}
+	return Event{At: at, Fn: setForwardLoss, Arg: EventArg{Name: link, Loss: loss}}
 }
 
 func setForwardLoss(rt *Run, a EventArg) { rt.Net.Link(a.Name).AB.SetLoss(a.Loss) }
@@ -429,8 +432,8 @@ func LossRamp(link string, start, step time.Duration, losses ...float64) []Event
 func FlapClientIface(at, dur time.Duration, client, addrIdx int) []Event {
 	a := EventArg{Client: int32(client), Addr: int32(addrIdx)}
 	return []Event{
-		{At: at, Name: "if.down", Fn: ifaceDown, Arg: a},
-		{At: at + dur, Name: "if.up", Fn: ifaceUp, Arg: a},
+		{At: at, Fn: ifaceDown, Arg: a},
+		{At: at + dur, Fn: ifaceUp, Arg: a},
 	}
 }
 

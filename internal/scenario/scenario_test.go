@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -415,18 +416,27 @@ func (w *tickWorkload) Client(rt *Run) {
 	}
 }
 
+// TestEventSize pins a timeline entry at 48 bytes, with no name: a fleet
+// of 1000 devices holds about 20 000 of them for its whole run.
+func TestEventSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz > 48 {
+		t.Fatalf("Event is %d bytes, over its pinned 48", sz)
+	}
+}
+
 // TestTimelineOrder runs a timeline listed out of time order under a
 // workload that drives the simulation itself (zero Stop): every entry
 // fires; entries fire by time and, at equal times, in spec order; an entry
 // at t sees every client's tick at or before t; the history is the same
 // at 1 and 4 shards; and an entry already in the past when the timeline
-// is first read panics, naming itself.
+// is first read panics, naming its Fn's symbol and its time.
 func TestTimelineOrder(t *testing.T) {
+	var early string // how the panic names the entry at 2 ms
 	run := func(shards int, settle time.Duration) []string {
 		wl := &tickWorkload{}
 		var log []string
 		at := func(ms int, name string) Event {
-			return Event{At: time.Duration(ms) * time.Millisecond, Name: name, Fn: func(rt *Run, _ EventArg) {
+			return Event{At: time.Duration(ms) * time.Millisecond, Fn: func(rt *Run, _ EventArg) {
 				n := 0
 				for _, k := range wl.ticks {
 					n += k
@@ -445,6 +455,7 @@ func TestTimelineOrder(t *testing.T) {
 			Settle:   settle,
 			Events:   []Event{at(30, "late"), at(20, "a"), at(10, "first"), at(20, "b"), at(2, "early"), at(20, "c")},
 		}
+		early = fmt.Sprintf("timeline entry %q at 2ms", sim.FuncName(rs.Events[4].Fn))
 		Execute(&Spec{Name: "test-timeline", Runs: []*RunSpec{rs}}, 1)
 		return log
 	}
@@ -459,7 +470,7 @@ func TestTimelineOrder(t *testing.T) {
 		run(1, 5*time.Millisecond)
 		return
 	}()
-	if !strings.Contains(msg, `timeline entry "early" at 2ms before now 5ms`) {
+	if !strings.Contains(msg, early+" before now 5ms") || !strings.Contains(early, "TestTimelineOrder") {
 		t.Fatalf("an entry before the settle time: panic %q, want one naming it", msg)
 	}
 }

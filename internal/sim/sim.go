@@ -86,14 +86,20 @@ func (e *Event) label() string {
 	if f, ok := e.arg.(func()); ok {
 		fn = f
 	}
-	name := "?"
-	if f := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()); f != nil {
-		name = f.Name()
-	}
+	name := FuncName(fn)
 	if s, ok := e.arg.(fmt.Stringer); ok {
 		return name + " " + s.String()
 	}
 	return name
+}
+
+// FuncName is the symbol of the function value fn, or "?": how a panic
+// names scheduled work that keeps no name of its own.
+func FuncName(fn any) string {
+	if f := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()); f != nil {
+		return f.Name()
+	}
+	return "?"
 }
 
 // Cancelled reports whether the event has been cancelled or already fired.

@@ -45,7 +45,7 @@ func (cs *ControllerStack) Use(policy string, cfg ControllerConfig) error {
 	}
 	for len(cs.order) > 0 {
 		token := cs.order[0]
-		cs.bindings[token].ctl.Detach()
+		cs.binding(token).ctl.Detach()
 		cs.unbind(token)
 	}
 	cs.fallback = &claim{policy, cfg}

@@ -47,7 +47,7 @@ func TestControllerStackMuxesConnections(t *testing.T) {
 		t.Fatalf("attach order %x, want the dial order %x", cs.order, want)
 	}
 	for i, c := range conns {
-		mesh[i] = cs.bindings[c.Token()].ctl.(*controller.FullMesh)
+		mesh[i] = cs.binding(c.Token()).ctl.(*controller.FullMesh)
 		if len(c.Subflows()) != 2 || mesh[i].Stats.SubflowsCreated != 1 {
 			t.Fatalf("conn %d: %d subflows, its instance created %d; want 2 and 1", i, len(c.Subflows()), mesh[i].Stats.SubflowsCreated)
 		}
@@ -76,8 +76,8 @@ func TestControllerStackMuxesConnections(t *testing.T) {
 	// Closing one leaves the other managed.
 	conns[0].Abort()
 	net.Sim.RunFor(time.Second)
-	if !slices.Equal(cs.order, []uint32{conns[1].Token()}) || len(cs.bindings) != 1 {
-		t.Fatalf("after closing conn 0: order %x, %d bindings", cs.order, len(cs.bindings))
+	if !slices.Equal(cs.order, []uint32{conns[1].Token()}) || cs.bindings.Len() != 1 {
+		t.Fatalf("after closing conn 0: order %x, %d bindings", cs.order, cs.bindings.Len())
 	}
 	flap()
 	if mesh[0].Stats.SubflowsCreated != 2 || mesh[1].Stats.SubflowsCreated != 3 || len(conns[1].Subflows()) != 2 {
@@ -91,8 +91,8 @@ func TestControllerStackMuxesConnections(t *testing.T) {
 	if err := cs.Use("backup", cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(cs.bindings)+len(cs.order) != 0 {
-		t.Fatalf("second Use left %d bindings, %d ordered", len(cs.bindings), len(cs.order))
+	if cs.bindings.Len()+len(cs.order) != 0 {
+		t.Fatalf("second Use left %d bindings, %d ordered", cs.bindings.Len(), len(cs.order))
 	}
 	net.Sim.RunFor(time.Millisecond)
 	sent, dismissed := k.PM.EventsSent, mesh[1].Stats.SubflowsDismissed

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nlmsg"
 	"repro/internal/seg"
 	"repro/internal/sim"
+	"repro/internal/small"
 	"repro/internal/trace"
 )
 
@@ -34,7 +35,7 @@ type mux struct {
 	// Stats counts what the mux attached, routed and dropped.
 	Stats StackStats
 
-	bindings map[uint32]*binding
+	bindings small.Table[uint32, *binding]
 	order    []uint32 // binding tokens in attach order (deterministic fan-out)
 	// A fan-out in progress walks order[fanPos:fanEnd] (both 0 otherwise);
 	// unbind moves them with the elements, so the walk needs no copy.
@@ -71,6 +72,12 @@ type binding struct {
 
 func (m *mux) now() sim.Time { return sim.Time(m.Lib.Clock().Now()) }
 
+// binding returns the binding of token, or nil.
+func (m *mux) binding(token uint32) *binding {
+	b, _ := m.bindings.Get(token)
+	return b
+}
+
 // attach hands ctl its library view — the one place a controller is
 // attached — and returns it with the callbacks ctl registered.
 func (m *mux) attach(policy string, ctl controller.Controller, tid uint32) *binding {
@@ -86,20 +93,17 @@ func (m *mux) bind(token uint32, policy string, ctl controller.Controller) *bind
 		m.tsh.Rec(m.now(), trace.KPolicyAttach, tid, uint64(token), 0, 0, 0)
 	}
 	b := m.attach(policy, ctl, tid)
-	if m.bindings == nil {
-		m.bindings = make(map[uint32]*binding)
-	}
-	m.bindings[token] = b
+	m.bindings.Put(token, b)
 	m.order = append(m.order, token)
 	m.Stats.PoliciesAttached++
 	return b
 }
 
 func (m *mux) unbind(token uint32) {
-	if b := m.bindings[token]; b != nil && b.tid != 0 {
+	if b := m.binding(token); b != nil && b.tid != 0 {
 		m.tsh.Rec(m.now(), trace.KPolicyDetach, b.tid, uint64(token), 0, 0, 0)
 	}
-	delete(m.bindings, token)
+	m.bindings.Delete(token)
 	for i, t := range m.order {
 		if t == token {
 			m.order = append(m.order[:i], m.order[i+1:]...)
@@ -145,7 +149,7 @@ func (m *mux) route(ev *nlmsg.Event) {
 	case nlmsg.EvLocalAddrUp, nlmsg.EvLocalAddrDown:
 		m.fanEnd = len(m.order)
 		for m.fanPos = 0; m.fanPos < m.fanEnd; m.fanPos++ {
-			if b := m.bindings[m.order[m.fanPos]]; b != nil {
+			if b := m.binding(m.order[m.fanPos]); b != nil {
 				m.Stats.EventsDispatched++
 				b.cbs.Dispatch(ev)
 			}
@@ -153,7 +157,7 @@ func (m *mux) route(ev *nlmsg.Event) {
 		m.fanPos, m.fanEnd = 0, 0
 		return
 	}
-	b := m.bindings[ev.Token]
+	b := m.binding(ev.Token)
 	if b == nil && ev.Kind == nlmsg.EvCreated {
 		b = m.claimed(ev)
 	}

@@ -184,7 +184,7 @@ func (st *Stack) SwitchPolicy(conn *mptcp.Connection, policy string, pcfg Contro
 		return err
 	}
 	token := conn.Token()
-	if old := st.bindings[token]; old != nil {
+	if old := st.binding(token); old != nil {
 		old.ctl.Detach()
 		st.unbind(token)
 		st.Stats.PoliciesSwitched++
@@ -199,7 +199,7 @@ func (st *Stack) SwitchPolicy(conn *mptcp.Connection, policy string, pcfg Contro
 // Controller reports the controller instance bound to a connection (nil
 // when the connection runs the nil policy).
 func (st *Stack) Controller(conn *mptcp.Connection) controller.Controller {
-	if b := st.bindings[conn.Token()]; b != nil {
+	if b := st.binding(conn.Token()); b != nil {
 		return b.ctl
 	}
 	return nil
@@ -207,7 +207,7 @@ func (st *Stack) Controller(conn *mptcp.Connection) controller.Controller {
 
 // PolicyName reports the policy bound to a connection ("" = none).
 func (st *Stack) PolicyName(conn *mptcp.Connection) string {
-	if b := st.bindings[conn.Token()]; b != nil {
+	if b := st.binding(conn.Token()); b != nil {
 		return b.policy
 	}
 	return ""

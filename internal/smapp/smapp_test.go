@@ -288,9 +288,9 @@ func TestSwitchPolicyFromNilPolicy(t *testing.T) {
 	}
 	net.Sim.RunFor(time.Second)
 	for name, st := range map[string]*Stack{"client": cst, "server": sst} {
-		if len(st.bindings)+len(st.order)+len(st.ports) != 0 || st.fallback != nil {
+		if st.bindings.Len()+len(st.order)+len(st.ports) != 0 || st.fallback != nil {
 			t.Fatalf("%s: nil policy left state behind: %d bindings, %d ordered, %d ports",
-				name, len(st.bindings), len(st.order), len(st.ports))
+				name, st.bindings.Len(), len(st.order), len(st.ports))
 		}
 		if st.Stats.EventsUnclaimed < 2 || st.Stats.EventsDispatched != 0 {
 			t.Fatalf("%s: stats %+v, want created and established counted as unclaimed", name, st.Stats)
@@ -498,7 +498,7 @@ func TestRouteUnbindDuringFanOut(t *testing.T) {
 	// The loop route used to run, kept here as the referee.
 	copying := func(st *Stack, ev *nlmsg.Event) {
 		for _, token := range append([]uint32(nil), st.order...) {
-			if b := st.bindings[token]; b != nil {
+			if b := st.binding(token); b != nil {
 				b.cbs.Dispatch(ev)
 			}
 		}
